@@ -121,7 +121,7 @@ pub const REGION_FNS: &[(&str, &str)] = &[
     ("write", "lock"),
     ("read", "read-lock"),
     ("try_transaction", "htm"),
-    ("run_two_phase", "htm"),
+    ("run_step5", "htm"),
     ("nontx_lock", "acquire"),
     ("nontx_unlock", "release"),
 ];
@@ -550,15 +550,17 @@ impl Lower {
                     }
                     return end;
                 }
-                "run_two_phase" => {
-                    // The Spash two-phase protocol wrapper (core/ops.rs):
-                    // its closures run inside the wrapper's HTM
-                    // transaction or, on the fallback path, under the
-                    // nontx locks it acquires — either way writer-
+                "run_step5" => {
+                    // The Spash step-5 region runner (core/ops.rs): its
+                    // closures run inside the runner's HTM transaction,
+                    // under the nontx locks of its fallback, or under
+                    // the per-segment lock / seqlock window of the lock-
+                    // mode ablations — every writing body writer-
                     // protected. Modeled as one writer region named
                     // "htm"; flow-neutral like `with` (the real
-                    // HtmBegin/commit are lowered from the wrapper's own
-                    // body, which is analyzed separately).
+                    // HtmBegin/commit and lock regions are lowered from
+                    // the runner's own body, which is analyzed
+                    // separately).
                     let begin = self.region_enter("htm".into(), true, false, line);
                     self.edge(cur, begin);
                     let end = self.node(

@@ -21,254 +21,8 @@
 //! `SPASH_CRASH_EXHAUSTIVE` (5000), `SPASH_CRASH_ARENA_MB` (256),
 //! `SPASH_CRASH_DOMAIN=eadr|adr|both`, `SPASH_CRASH_TARGETS=spash|baselines|all`.
 
-use spash_bench::experiments::{exec_stream, ext, fig1, fig10, fig11, fig12, fig7, fig8, fig9, my_chunk};
-use spash_bench::{bench_device, run_phase, Scale};
-
-/// Diagnostic: where does Spash's virtual time go in an update-heavy run?
-fn probe(scale: &Scale) {
-    use spash::{Spash, SpashConfig};
-    use spash_index_api::PersistentIndex;
-    use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
-    let threads = scale.max_threads();
-    let pv: usize = std::env::var("SPASH_PROBE_VAL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let dev = bench_device(scale.keys, pv as u64);
-    let mut ctx = dev.ctx();
-    let idx = std::sync::Arc::new(Spash::format(&mut ctx, SpashConfig::default()).unwrap());
-    let wcfg = WorkloadConfig::new(
-        scale.keys,
-        Distribution::Zipfian,
-        Mix::UPDATE_ONLY,
-        ValueSize::Fixed(pv),
-    );
-    let keys = load_keys(&wcfg);
-    let index = idx.clone();
-    run_phase(&dev, threads, |tid, ctx| {
-        let mine = my_chunk(&keys, threads, tid);
-        let mut s = OpStream::new(&wcfg, tid as u64);
-        for &k in mine {
-            let v = s.expected_value(k);
-            index.insert(ctx, k, &v).unwrap();
-        }
-        mine.len() as u64
-    });
-    // Span analysis of the LOAD phase itself (fig12b shape).
-    {
-        let dev2 = bench_device(scale.keys, pv as u64);
-        let mut c2 = dev2.ctx();
-        let idx2 = std::sync::Arc::new(Spash::format(&mut c2, SpashConfig::default()).unwrap());
-        // lint:allow(std-sync): harness-side result collection by real
-        // benchmark threads; never locked inside a scheduled region.
-        let clocks2 = std::sync::Mutex::new(Vec::new());
-        let i2 = idx2.clone();
-        let keys2 = keys.clone();
-        let r2 = run_phase(&dev2, threads, |tid, ctx| {
-            let mine = my_chunk(&keys2, threads, tid);
-            for &k in mine {
-                i2.insert(ctx, k, &vec![9u8; pv]).unwrap();
-            }
-            clocks2.lock().unwrap().push(ctx.now());
-            mine.len() as u64
-        });
-        let mut c = clocks2.into_inner().unwrap();
-        c.sort();
-        println!(
-            "  LOAD: mops={:.3} elapsed={}ms clocks(min/med/max)={}/{}/{}ms horizon={}ms floor={}ms",
-            r2.mops(),
-            r2.elapsed_ns / 1_000_000,
-            c[0] / 1_000_000,
-            c[c.len() / 2] / 1_000_000,
-            c[c.len() - 1] / 1_000_000,
-            dev2.sim_horizon() / 1_000_000,
-            r2.delta.bandwidth_floor_ns(&dev2.config().cost) / 1_000_000,
-        );
-    }
-    let h0 = idx.htm_stats();
-    let index = idx.clone();
-    // lint:allow(std-sync): harness-side result collection by real
-    // benchmark threads; never locked inside a scheduled region.
-    let clocks = std::sync::Mutex::new(Vec::new());
-    let r = run_phase(&dev, threads, |tid, ctx| {
-        let mut s = OpStream::new(&wcfg, tid as u64);
-        let t0 = ctx.now();
-        let n = exec_stream(index.as_ref(), ctx, &mut s, scale.ops / threads as u64);
-        clocks.lock().unwrap().push((ctx.now() - t0, ctx.now()));
-        n
-    });
-    {
-        let mut c = clocks.lock().unwrap();
-        c.sort();
-        let n = c.len();
-        println!(
-            "  thread clock spans ms: min={} med={} max={} (end min={} max={})",
-            c[0].0 / 1_000_000,
-            c[n / 2].0 / 1_000_000,
-            c[n - 1].0 / 1_000_000,
-            c[0].1 / 1_000_000,
-            c[n - 1].1 / 1_000_000
-        );
-    }
-    let h1 = idx.htm_stats();
-    // Bisect: individual op timings on a fresh ctx.
-    {
-        let mut ctx = dev.ctx();
-        ctx.reset_clock();
-        let hot = keys[0];
-        let t0 = ctx.now();
-        for _ in 0..1000 {
-            idx.update(&mut ctx, hot, &vec![9u8; pv]).unwrap();
-        }
-        let hot_ns = (ctx.now() - t0) / 1000;
-        let t0 = ctx.now();
-        for &k in keys.iter().step_by(37).take(1000) {
-            idx.update(&mut ctx, k, &vec![9u8; pv]).unwrap();
-        }
-        let cold_ns = (ctx.now() - t0) / 1000;
-        let t0 = ctx.now();
-        for &k in keys.iter().step_by(41).take(1000) {
-            idx.get_u64(&mut ctx, k);
-        }
-        let get_ns = (ctx.now() - t0) / 1000;
-        println!("  per-op: hot_update={hot_ns}ns cold_update={cold_ns}ns get={get_ns}ns");
-    }
-    let cost = dev.config().cost.clone();
-    println!(
-        "update-only: ops={} elapsed={}ms mops={:.3}\n  floor={}ms media_wr={}MB media_rd={}MB WA={:.2}\n  cl_rd/op={:.2} cl_wr/op={:.2} hits_r/op={:.2} hits_w/op={:.2} evic/op={:.2} flush/op={:.2}\n  commits={} conflicts={} explicit={} capacity={} fallbacks={}",
-        r.ops,
-        r.elapsed_ns / 1_000_000,
-        r.mops(),
-        r.delta.bandwidth_floor_ns(&cost) / 1_000_000,
-        r.delta.media_write_bytes >> 20,
-        r.delta.media_read_bytes >> 20,
-        r.delta.write_amplification(),
-        r.per_op(r.delta.cl_reads),
-        r.per_op(r.delta.cl_writes),
-        r.per_op(r.delta.read_hits),
-        r.per_op(r.delta.write_hits),
-        r.per_op(r.delta.dirty_evictions),
-        r.per_op(r.delta.flushes),
-        h1.commits - h0.commits,
-        h1.conflict_aborts - h0.conflict_aborts,
-        h1.explicit_aborts - h0.explicit_aborts,
-        h1.capacity_aborts - h0.capacity_aborts,
-        idx.fallback_count(),
-    );
-}
-
-/// Diagnostic: per-op composition of the fig12b insert variants.
-fn probeb(scale: &Scale) {
-    use spash::Spash;
-    use spash_bench::indexes::ablation_config;
-    use spash_index_api::PersistentIndex;
-    use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
-    let threads = scale.max_threads();
-    for var in ["compacted-flush", "compacted-noflush", "scattered"] {
-        let dev = bench_device(scale.keys, 64);
-        let mut ctx = dev.ctx();
-        let idx = std::sync::Arc::new(Spash::format(&mut ctx, ablation_config(var)).unwrap());
-        let wcfg = WorkloadConfig::new(
-            scale.keys,
-            Distribution::Uniform,
-            Mix::SEARCH_ONLY,
-            ValueSize::Fixed(16),
-        );
-        let keys = load_keys(&wcfg);
-        let i2 = idx.clone();
-        let r = run_phase(&dev, threads, |tid, ctx| {
-            let mine = my_chunk(&keys, threads, tid);
-            for &k in mine {
-                i2.insert(ctx, k, &[9u8; 16]).unwrap();
-            }
-            mine.len() as u64
-        });
-        let cost = dev.config().cost.clone();
-        println!(
-            "{var:<18} mops={:.3} elapsed={}ms floor={}ms horizon={}ms wr={}MB rd={}MB WA={:.2} clr/op={:.2} clw/op={:.2} evic/op={:.2} flush/op={:.2}",
-            r.mops(),
-            r.elapsed_ns / 1_000_000,
-            r.delta.bandwidth_floor_ns(&cost) / 1_000_000,
-            dev.sim_horizon() / 1_000_000,
-            r.delta.media_write_bytes >> 20,
-            r.delta.media_read_bytes >> 20,
-            r.delta.write_amplification(),
-            r.per_op(r.delta.cl_reads),
-            r.per_op(r.delta.cl_writes),
-            r.per_op(r.delta.dirty_evictions),
-            r.per_op(r.delta.flushes),
-        );
-    }
-}
-
-/// Repro hunt: concurrent load at max threads, then verify every key.
-fn probes(scale: &Scale) {
-    use spash::{Spash, SpashConfig};
-    use spash_index_api::PersistentIndex;
-    use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
-    let threads = scale.max_threads();
-    let merge = std::env::var("SPASH_PROBE_MERGE").map(|v| v == "1").unwrap_or(true);
-    let do_update = std::env::var("SPASH_PROBE_UPDATE").map(|v| v == "1").unwrap_or(true);
-    for round in 0..200 {
-        let dev = bench_device(scale.keys, 16);
-        let mut ctx = dev.ctx();
-        let idx = std::sync::Arc::new(
-            Spash::format(
-                &mut ctx,
-                SpashConfig {
-                    enable_merge: merge,
-                    ..SpashConfig::default()
-                },
-            )
-            .unwrap(),
-        );
-        let cfg = WorkloadConfig::new(scale.keys, Distribution::Uniform, Mix::UPDATE_ONLY, ValueSize::Inline);
-        let keys = load_keys(&cfg);
-        let i2 = idx.clone();
-        run_phase(&dev, threads, |tid, ctx| {
-            let mine = my_chunk(&keys, threads, tid);
-            for &k in mine {
-                i2.insert(ctx, k, &k.to_le_bytes()[..6]).unwrap();
-            }
-            mine.len() as u64
-        });
-        if do_update {
-            let i3 = idx.clone();
-            let zcfg = WorkloadConfig::new(scale.keys, Distribution::Zipfian, Mix::UPDATE_ONLY, ValueSize::Inline);
-            run_phase(&dev, threads, |tid, ctx| {
-                let mut s = OpStream::new(&zcfg, tid as u64);
-                exec_stream(i3.as_ref(), ctx, &mut s, scale.ops / threads as u64)
-            });
-        }
-        let mut missing = 0;
-        for &k in &keys {
-            if idx.get_u64(&mut ctx, k).is_none() {
-                missing += 1;
-                if missing <= 3 {
-                    eprintln!("round {round}: key {k} missing");
-                    idx.debug_dump_key(&mut ctx, k);
-                }
-            }
-        }
-        if missing > 0 {
-            let h = idx.htm_stats();
-            eprintln!(
-                "round {round}: {missing} keys missing (merge={merge} update={do_update})                  fallbacks={} capacity={} conflicts={} commits={} assists={} awaits={} depth_entries={}",
-                idx.fallback_count(),
-                h.capacity_aborts,
-                h.conflict_aborts,
-                h.commits,
-                idx.dir_assist_count(),
-                idx.dir_await_count(),
-                idx.capacity(),
-            );
-            std::process::exit(1);
-        }
-        if round % 10 == 0 {
-            eprintln!("round {round} ok");
-        }
-    }
-}
+use spash_bench::experiments::{ext, fig1, fig10, fig11, fig12, fig7, fig8, fig9};
+use spash_bench::Scale;
 
 /// Deterministic schedule exploration with linearizability checking
 /// (DESIGN.md, "Deterministic schedule exploration"; recipe in
@@ -966,9 +720,6 @@ fn main() {
             "ext" => ext::run(&scale),
             "crashpoints" => crashpoints(),
             "san" => san_run(),
-            "probes" => probes(&scale),
-            "probeb" => probeb(&scale),
-            "probe" => probe(&scale),
             other => {
                 eprintln!("unknown experiment: {other}");
                 std::process::exit(2);

@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use spash_pmem::sync::Mutex;
-use spash_htm::{Abort, Htm, LineId, Tx};
+use crate::access::Access;
+use spash_htm::{Abort, Htm, LineId};
 use spash_pmem::{MemCtx, PmAddr};
 
 /// Directory entries per doubling stage (one 64-byte cacheline of 8-byte
@@ -267,14 +268,14 @@ impl Directory {
         Routed { entry, ..r }
     }
 
-    /// Transactionally re-resolve `hash` and verify the segment still is
-    /// `expected_seg`. Adds the routed partition to the transaction's read
-    /// set, so any concurrent split/stage-copy of that partition aborts us
-    /// at commit (§IV-A validation). Returns the routed entry for further
-    /// transactional writes.
-    pub fn tx_validate(
+    /// Re-resolve `hash` inside step 5 and verify the segment still is
+    /// `expected_seg`. In a transaction this adds the routed partition to
+    /// the read set, so any concurrent split/stage-copy of that partition
+    /// aborts us at commit (§IV-A validation). Returns the routed entry
+    /// for further writes.
+    pub(crate) fn validate<A: Access>(
         &self,
-        tx: &mut Tx<'_>,
+        tx: &mut A,
         ctx: &mut MemCtx,
         hash: u64,
         expected_seg: PmAddr,
@@ -605,7 +606,7 @@ mod tests {
         // Concurrently "split": repoint entry 0 to another segment.
         d.state.lock().current.entries[0].store(pack_entry(seg(9), 1), Ordering::Release);
         let res: Result<(), Abort> = htm.try_transaction(&mut ctx, |tx, ctx| {
-            d.tx_validate(tx, ctx, h, seg(0)).map(|_| ())
+            d.validate(tx, ctx, h, seg(0)).map(|_| ())
         });
         assert_eq!(res, Err(Abort::Explicit(VALIDATE_SEGMENT_MOVED)));
     }
@@ -623,7 +624,7 @@ mod tests {
         // Validate inside a transaction, and complete the stage for the
         // same partition before committing: the version bump must abort us.
         let res: Result<(), Abort> = htm.try_transaction(&mut ctx, |tx, ctx| {
-            d.tx_validate(tx, ctx, h, seg(0))?;
+            d.validate(tx, ctx, h, seg(0))?;
             d.complete_stage(&mut ctx2, &htm, &job, 0);
             Ok(())
         });

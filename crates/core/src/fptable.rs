@@ -23,7 +23,8 @@ use crate::slot::{
     self, bucket_of, bucket_slots, fp8, fp_word, hint_matches, value_word, SlotKey,
     BUCKETS_PER_SEG, SEG_SIZE,
 };
-use spash_htm::{Abort, Tx};
+use crate::access::{Access, Plain};
+use spash_htm::Abort;
 use spash_pmem::{MemCtx, PmAddr};
 
 /// Sidecar bytes per segment-capable chunk: one u64 per bucket.
@@ -82,113 +83,81 @@ impl FpTable {
         PmAddr(self.base.0 + chunk * FP_BYTES_PER_SEG + b as u64 * 8)
     }
 
-    /// Plain read of bucket `b`'s fp word.
+    /// Read bucket `b`'s fp word. Joining a transaction's read set here
+    /// is load-bearing: every insert/remove touching the bucket writes
+    /// this word, so a fingerprint-filtered lookup that never reads a
+    /// bucket line still conflicts with concurrent mutators.
     #[inline]
-    pub fn read(&self, ctx: &mut MemCtx, seg: PmAddr, b: u8) -> u64 {
-        ctx.read_u64(self.word_addr(seg, b))
-    }
-
-    /// Transactional read of bucket `b`'s fp word. Joining the read set
-    /// here is load-bearing: every insert/remove touching the bucket
-    /// writes this word, so a fingerprint-filtered lookup that never
-    /// reads a bucket line still conflicts with concurrent mutators.
-    #[inline]
-    pub fn tx_read(
+    pub(crate) fn read<A: Access>(
         &self,
-        tx: &mut Tx<'_>,
+        a: &mut A,
         ctx: &mut MemCtx,
         seg: PmAddr,
         b: u8,
     ) -> Result<u64, Abort> {
-        tx.read_u64(ctx, self.word_addr(seg, b))
+        a.read_u64(ctx, self.word_addr(seg, b))
     }
 
-    /// Transactionally set the slot tag of slot `idx` (clearing: `tag`
-    /// 0). The bucket is implied by the slot index.
-    pub fn tx_set_slot_tag(
-        &self,
-        tx: &mut Tx<'_>,
-        ctx: &mut MemCtx,
-        seg: PmAddr,
-        idx: u8,
-        tag: u8,
-    ) -> Result<(), Abort> {
-        let (b, j) = (idx / 4, idx % 4);
-        let w = tx.read_u64(ctx, self.word_addr(seg, b))?;
-        tx.write_u64(
-            ctx,
-            self.word_addr(seg, b),
-            fp_word::with_slot_tag(w, j, stored_tag(tag)),
-        )
-    }
-
-    /// Transactionally set the hint tag riding value word `idx` of bucket
-    /// `idx/4` (clearing: `tag` 0).
-    pub fn tx_set_hint_tag(
-        &self,
-        tx: &mut Tx<'_>,
-        ctx: &mut MemCtx,
-        seg: PmAddr,
-        idx: u8,
-        tag: u8,
-    ) -> Result<(), Abort> {
-        let (b, j) = (idx / 4, idx % 4);
-        let w = tx.read_u64(ctx, self.word_addr(seg, b))?;
-        tx.write_u64(
-            ctx,
-            self.word_addr(seg, b),
-            fp_word::with_hint_tag(w, j, stored_tag(tag)),
-        )
-    }
-
-    /// Plain (non-transactional) slot-tag write, for the lock-mode and
-    /// HTM-fallback paths that mutate under a partition/segment lock.
+    /// Set the slot tag of slot `idx` (clearing: `tag` 0). The bucket is
+    /// implied by the slot index.
     ///
     /// A tag torn by an ADR crash here is provably benign, so the write
     /// is declared a recovery don't-care for the ordering sanitizer:
     /// tags are probe *hints* — the slot key word stays authoritative
     /// for every membership decision — and recovery rebuilds the whole
     /// fp sidecar from the slots before the index serves a request.
-    pub fn set_slot_tag(&self, ctx: &mut MemCtx, seg: PmAddr, idx: u8, tag: u8) {
-        let (b, j) = (idx / 4, idx % 4);
-        let a = self.word_addr(seg, b);
-        let w = ctx.read_u64(a);
-        ctx.write_u64(a, fp_word::with_slot_tag(w, j, stored_tag(tag)));
-        // lint:allow(flow-flush-fence): slot tag bytes are rebuilt from the segment scan on recovery; dynamically forgiven at this site. san=fptable::set_slot_tag
-        ctx.san_forgive(a, 8);
-    }
-
-    /// Plain hint-tag write (see [`Self::set_slot_tag`], including the
-    /// torn-tag benignity argument behind the `san_forgive`).
-    pub fn set_hint_tag(&self, ctx: &mut MemCtx, seg: PmAddr, idx: u8, tag: u8) {
-        let (b, j) = (idx / 4, idx % 4);
-        let a = self.word_addr(seg, b);
-        let w = ctx.read_u64(a);
-        ctx.write_u64(a, fp_word::with_hint_tag(w, j, stored_tag(tag)));
-        // lint:allow(flow-flush-fence): hint tag bytes are rebuilt from the segment scan on recovery; dynamically forgiven at this site. san=fptable::set_hint_tag
-        ctx.san_forgive(a, 8);
-    }
-
-    /// Plain whole-word write (format, split image installation,
-    /// recovery rebuild). Same torn-tag benignity argument as
-    /// [`Self::set_slot_tag`].
-    pub fn write_word(&self, ctx: &mut MemCtx, seg: PmAddr, b: u8, word: u64) {
-        ctx.write_u64(self.word_addr(seg, b), word);
-        // lint:allow(flow-flush-fence): the fingerprint word is a DRAM-overlay-backed cache rebuilt on recovery; dynamically forgiven at this site. san=fptable::write_word
-        ctx.san_forgive(self.word_addr(seg, b), 8);
-    }
-
-    /// Transactional whole-word write (HTM split installing a child
-    /// image's fp words).
-    pub fn tx_write_word(
+    pub(crate) fn set_slot_tag<A: Access>(
         &self,
-        tx: &mut Tx<'_>,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        idx: u8,
+        tag: u8,
+    ) -> Result<(), Abort> {
+        let (b, j) = (idx / 4, idx % 4);
+        let addr = self.word_addr(seg, b);
+        let w = a.read_u64(ctx, addr)?;
+        a.write_u64(ctx, addr, fp_word::with_slot_tag(w, j, stored_tag(tag)))?;
+        // lint:allow(flow-flush-fence): slot tag bytes are rebuilt from the segment scan on recovery; dynamically forgiven at this site. san=fptable::set_slot_tag
+        ctx.san_forgive(addr, 8);
+        Ok(())
+    }
+
+    /// Set the hint tag riding value word `idx` of bucket `idx/4`
+    /// (clearing: `tag` 0). Same torn-tag benignity argument as
+    /// [`Self::set_slot_tag`].
+    pub(crate) fn set_hint_tag<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        idx: u8,
+        tag: u8,
+    ) -> Result<(), Abort> {
+        let (b, j) = (idx / 4, idx % 4);
+        let addr = self.word_addr(seg, b);
+        let w = a.read_u64(ctx, addr)?;
+        a.write_u64(ctx, addr, fp_word::with_hint_tag(w, j, stored_tag(tag)))?;
+        // lint:allow(flow-flush-fence): hint tag bytes are rebuilt from the segment scan on recovery; dynamically forgiven at this site. san=fptable::set_hint_tag
+        ctx.san_forgive(addr, 8);
+        Ok(())
+    }
+
+    /// Whole-word write (format, split image installation, recovery
+    /// rebuild). Same torn-tag benignity argument as
+    /// [`Self::set_slot_tag`].
+    pub(crate) fn write_word<A: Access>(
+        &self,
+        a: &mut A,
         ctx: &mut MemCtx,
         seg: PmAddr,
         b: u8,
         word: u64,
     ) -> Result<(), Abort> {
-        tx.write_u64(ctx, self.word_addr(seg, b), word)
+        a.write_u64(ctx, self.word_addr(seg, b), word)?;
+        // lint:allow(flow-flush-fence): the fingerprint word is a DRAM-overlay-backed cache rebuilt on recovery; dynamically forgiven at this site. san=fptable::write_word
+        ctx.san_forgive(self.word_addr(seg, b), 8);
+        Ok(())
     }
 }
 
@@ -241,8 +210,7 @@ pub fn rebuild_words(
 }
 
 /// Convenience: rebuild and install one segment's fp words from its
-/// current slot contents, reading blob keys through `ctx`. Used by
-/// recovery and by the locked split path.
+/// current slot contents, reading blob keys through `ctx` (recovery).
 pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr) {
     let mut words = [(0u64, 0u64); 16];
     for idx in 0..slot::SLOTS_PER_SEG {
@@ -257,7 +225,7 @@ pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr) {
         SlotKey::Ptr { addr, .. } => Some(spash_index_api::hash_key(ctx.read_u64(addr))),
     });
     for b in 0..BUCKETS_PER_SEG {
-        table.write_word(ctx, seg, b, fp[b as usize]);
+        Plain::ok(table.write_word(&mut Plain, ctx, seg, b, fp[b as usize]));
     }
 }
 

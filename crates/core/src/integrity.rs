@@ -300,7 +300,7 @@ impl Spash {
                 SlotKey::Ptr { addr, .. } => Some(hash_key(ctx.read_u64(addr))),
             });
             for b in 0..slot::BUCKETS_PER_SEG {
-                let found = self.fptable.read(ctx, seg, b);
+                let found = ctx.read_u64(self.fptable.word_addr(seg, b));
                 if found != expected_fp[b as usize] {
                     return Err(IntegrityError::FpWordMismatch {
                         seg,
@@ -379,6 +379,7 @@ impl Spash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::Plain;
     use crate::{ConcurrencyMode, SpashConfig};
     use spash_index_api::PersistentIndex;
     use spash_pmem::{PmConfig, PmDevice};
@@ -502,9 +503,9 @@ mod tests {
             let (seg, _) = crate::dir::unpack_entry(e.load(Ordering::Acquire));
             for s in 0..SLOTS_PER_SEG {
                 if !SlotKey::unpack(ctx.read_u64(key_addr(seg, s))).is_empty() {
-                    let old = idx.fptable.read(&mut ctx, seg, s / SLOTS_PER_BUCKET);
-                    idx.fptable.set_slot_tag(&mut ctx, seg, s, 0xEE);
-                    assert_ne!(idx.fptable.read(&mut ctx, seg, s / SLOTS_PER_BUCKET), old);
+                    let old = idx.fptable.read(&mut Plain, &mut ctx, seg, s / SLOTS_PER_BUCKET).unwrap();
+                    idx.fptable.set_slot_tag(&mut Plain, &mut ctx, seg, s, 0xEE).unwrap();
+                    assert_ne!(idx.fptable.read(&mut Plain, &mut ctx, seg, s / SLOTS_PER_BUCKET).unwrap(), old);
                     break 'outer;
                 }
             }
@@ -536,7 +537,7 @@ mod tests {
                     let vw = ctx.read_u64(value_addr(seg, s));
                     ctx.write_u64(key_addr(seg, s), 0);
                     ctx.write_u64(value_addr(seg, s), value_word::with_payload(vw, 0));
-                    idx.fptable.set_slot_tag(&mut ctx, seg, s, 0);
+                    idx.fptable.set_slot_tag(&mut Plain, &mut ctx, seg, s, 0).unwrap();
                     break 'outer;
                 }
             }
@@ -608,7 +609,9 @@ mod tests {
         let (dir, _) = idx.dir.write_target();
         for (n, e) in dir.entries.iter().enumerate().take(4) {
             let (seg, _) = crate::dir::unpack_entry(e.load(Ordering::Acquire));
-            idx.fptable.write_word(&mut ctx, seg, (n % 4) as u8, 0xDEAD_BEEF_DEAD_BEEF);
+            idx.fptable
+                .write_word(&mut Plain, &mut ctx, seg, (n % 4) as u8, 0xDEAD_BEEF_DEAD_BEEF)
+                .unwrap();
         }
         drop(idx);
         dev.simulate_power_failure();

@@ -16,7 +16,7 @@
 //!   chunks (§III-C, via `spash-alloc`);
 //! * a **two-phase HTM concurrency protocol** — preparation outside the
 //!   transaction, validate-then-process inside — with a lock fallback
-//!   ([`ops`], §IV-A);
+//!   running the same step-5 body ([`ops`], §IV-A);
 //! * **collaborative staged doubling** of the volatile directory
 //!   ([`dir`], §IV-B);
 //! * **pipelined execution** overlapping PM reads across requests
@@ -38,13 +38,13 @@
 //! assert_eq!(&out, b"hello!");
 //! ```
 
+mod access;
 pub mod config;
 pub mod crash;
 pub mod dir;
 pub mod fptable;
 pub mod hotspot;
 pub mod integrity;
-mod lockmode;
 pub mod ops;
 pub mod overlay;
 pub mod pipeline;
@@ -72,32 +72,19 @@ impl PersistentIndex for Spash {
     }
 
     fn insert(&self, ctx: &mut MemCtx, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        match self.cfg.concurrency {
-            ConcurrencyMode::Htm => self.insert_htm(ctx, key, value),
-            _ => self.insert_lockmode(ctx, key, value),
-        }
+        self.insert_op(ctx, key, value)
     }
 
     fn update(&self, ctx: &mut MemCtx, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        match self.cfg.concurrency {
-            ConcurrencyMode::Htm => self.update_htm(ctx, key, value),
-            _ => self.update_lockmode(ctx, key, value),
-        }
+        self.update_op(ctx, key, value)
     }
 
     fn get(&self, ctx: &mut MemCtx, key: u64, out: &mut Vec<u8>) -> bool {
-        ctx.stats_span(spash_pmem::SPAN_PROBE, |ctx| match self.cfg.concurrency {
-            ConcurrencyMode::Htm => self.get_htm(ctx, key, out),
-            ConcurrencyMode::WriteLock => self.get_seqlock(ctx, key, out),
-            ConcurrencyMode::WriteReadLock => self.get_readlock(ctx, key, out),
-        })
+        ctx.stats_span(spash_pmem::SPAN_PROBE, |ctx| self.get_op(ctx, key, out))
     }
 
     fn remove(&self, ctx: &mut MemCtx, key: u64) -> bool {
-        let removed = match self.cfg.concurrency {
-            ConcurrencyMode::Htm => self.remove_htm(ctx, key),
-            _ => self.remove_lockmode(ctx, key),
-        };
+        let removed = self.remove_op(ctx, key);
         if removed
             && self.cfg.enable_merge
             && self.cfg.concurrency == ConcurrencyMode::Htm

@@ -7,13 +7,18 @@
 //!   through the volatile directory (step 1), load the main bucket
 //!   (step 2), locate the compound slot (step 3), dereference out-of-place
 //!   blobs (step 4), and for inserts allocate + fill the new blob;
-//! * a **transaction phase** (step 5) — a short HTM transaction that first
-//!   *validates* the preparation snapshot (directory entry unchanged, slot
-//!   unchanged) and then processes the entry. Stale snapshots abort
-//!   explicitly and the operation retries from preparation; after
-//!   `max_tx_retries` conflict aborts the operation falls back to a
-//!   non-transactional lock on the routed directory partition (§IV-A's
-//!   segment lock).
+//! * **step 5** — one short body that first *validates* the preparation
+//!   snapshot (directory entry unchanged, slot unchanged) and then
+//!   processes the entry. Stale snapshots abort explicitly and the
+//!   operation retries from preparation.
+//!
+//! Each step-5 body is written once, generic over how it touches memory
+//! (`crate::access`); `Spash::run_step5` picks the concurrency control
+//! around it from `cfg.concurrency`: an HTM transaction that, after
+//! `max_tx_retries` conflict or capacity aborts, falls back to the routed
+//! directory partitions' non-transactional locks (§IV-A's segment lock) —
+//! or, for the Fig 12c ablations, a per-segment write lock with
+//! seqlock-optimistic or read-locked lookups.
 //!
 //! Adaptive in-place update (§III-B, Table I) and compacted-flush
 //! insertion (§III-C) run in the post-commit step: flushes are issued
@@ -27,6 +32,7 @@ use spash_htm::{Abort, Htm, LineId, Tx};
 use spash_index_api::{hash_key, IndexError};
 use spash_pmem::{MemCtx, PmAddr, PmDevice, VRwLock};
 
+use crate::access::{Access, Plain};
 use crate::config::{ConcurrencyMode, InsertPolicy, SpashConfig, UpdatePolicy};
 use crate::dir::{Directory, Routed, VALIDATE_SLOT_CHANGED};
 use crate::fptable::FpTable;
@@ -67,6 +73,9 @@ pub struct Spash {
     /// Diagnostic: how many operations took the lock fallback.
     pub(crate) fallbacks: AtomicU64,
 }
+
+/// `(key word, value word)` of one bucket's four slots.
+pub(crate) type BucketWords = [(u64, u64); SLOTS_PER_BUCKET as usize];
 
 /// A slot located during preparation.
 #[derive(Clone, Copy, Debug)]
@@ -142,9 +151,9 @@ impl Spash {
                 ctx.write_u64(PmAddr(seg.0 + w * 8), 0);
             }
             for b in 0..slot::BUCKETS_PER_SEG {
-                fptable.write_word(ctx, seg, b, 0);
+                Plain::ok(fptable.write_word(&mut Plain, ctx, seg, b, 0));
             }
-            seginfo.set(ctx, seg, cfg.initial_depth as u8, prefix as u64);
+            Plain::ok(seginfo.set(&mut Plain, ctx, seg, cfg.initial_depth as u8, prefix as u64));
             segs.push(seg);
         }
         let dir = Directory::new(cfg.initial_depth, &segs);
@@ -217,49 +226,6 @@ impl Spash {
         self.n_segments.load(Ordering::Relaxed) * slot::SLOTS_PER_SEG as u64
     }
 
-    /// Diagnostic: where does `key` actually live? Scans every segment
-    /// reachable from the directory plus the routed entry.
-    pub fn debug_dump_key(&self, ctx: &mut MemCtx, key: u64) {
-        use crate::slot::{key_addr, SlotKey, SLOTS_PER_SEG};
-        let h = hash_key(key);
-        let routed = self.dir.lookup(ctx, h);
-        eprintln!(
-            "  routed: seg={:#x} depth={} idx={} gen={}",
-            routed.seg().0,
-            routed.local_depth(),
-            routed.idx,
-            routed.dir.gen
-        );
-        // Scan every distinct segment in the directory.
-        let mut seen = std::collections::HashSet::new();
-        let (dir, _) = self.dir.write_target();
-        for i in 0..dir.entries.len() {
-            let (seg, d) = crate::dir::unpack_entry(
-                dir.entries[i].load(std::sync::atomic::Ordering::Acquire),
-            );
-            if !seen.insert(seg) {
-                continue;
-            }
-            for idx in 0..SLOTS_PER_SEG {
-                // lint:allow(fp-probe): diagnostic dump deliberately scans every slot to find misrouted keys
-                let kw = ctx.read_u64(key_addr(seg, idx));
-                let hit = match SlotKey::unpack(kw) {
-                    SlotKey::Inline { key: k, .. } => k == key,
-                    SlotKey::Ptr { addr, .. } => ctx.read_u64(addr) == key,
-                    SlotKey::Empty => false,
-                };
-                if hit {
-                    eprintln!(
-                        "  FOUND in seg={:#x} (dir idx {i}, depth {d}) slot {idx};                          key prefix route idx should be {}",
-                        seg.0,
-                        dir.index_of(h)
-                    );
-                }
-            }
-        }
-        eprintln!("  (scan complete over {} distinct segments)", seen.len());
-    }
-
     /// Fingerprint- and overlay-blind reference lookup for the
     /// differential oracle battery (`tests/fingerprint_oracle.rs`):
     /// routes through the directory, then *linearly scans all 16 slots*
@@ -272,9 +238,9 @@ impl Spash {
         for idx in 0..slot::SLOTS_PER_SEG {
             // lint:allow(fp-probe): the oracle is fp-blind by contract -- it is the reference the fp path is differenced against
             let kw = ctx.read_u64(key_addr(seg, idx));
-            if self.key_word_matches(ctx, kw, key, h) {
+            if Plain::ok(self.key_matches(&mut Plain, ctx, kw, key, h)) {
                 let vw = ctx.read_u64(value_addr(seg, idx));
-                self.read_value_plain(ctx, Found { idx, kw, vw }).append_to(out);
+                Plain::ok(self.read_value(&mut Plain, ctx, Found { idx, kw, vw })).append_to(out);
                 return true;
             }
         }
@@ -290,92 +256,10 @@ impl Spash {
     // preparation-phase helpers (no transactions)
     // =====================================================================
 
-    /// Read bucket `b` of `seg`: steps 2–3 of the execution flow. One
-    /// cacheline of PM traffic.
-    pub(crate) fn read_bucket(
-        &self,
-        ctx: &mut MemCtx,
-        seg: PmAddr,
-        b: u8,
-    ) -> [(u64, u64); SLOTS_PER_BUCKET as usize] {
-        let mut out = [(0u64, 0u64); SLOTS_PER_BUCKET as usize];
-        for (i, s) in bucket_slots(b).enumerate() {
-            out[i] = (
-                // lint:allow(fp-probe): shared bucket reader; probe callers pre-filter via the fp word (find_in_segment), mutation prep reads the line unconditionally
-                ctx.read_u64(key_addr(seg, s)),
-                ctx.read_u64(value_addr(seg, s)),
-            );
-        }
-        out
-    }
-
-    /// Does the key word match `key`? Dereferences the blob for pointer
-    /// entries whose fingerprint matches (step 4).
-    pub(crate) fn key_word_matches(&self, ctx: &mut MemCtx, kw: u64, key: u64, h: u64) -> bool {
-        match SlotKey::unpack(kw) {
-            SlotKey::Empty => false,
-            SlotKey::Inline { key: k, .. } => k == key && key <= MAX_INLINE_KEY,
-            SlotKey::Ptr { addr, fp } => fp == fp14(h) && ctx.read_u64(addr) == key,
-        }
-    }
-
-    /// Locate `key` in `seg` (preparation), fingerprint-first: the
-    /// bucket's sidecar tag word is read before anything else, and only a
-    /// tag match earns a bucket-line read (§III-A plus the Dash-style
-    /// 8-bit pre-filter). A key present in the segment is always visible
-    /// in its main bucket's fp word — as a slot tag or, for overflow
-    /// entries, a hint tag — so no tag match is a definitive miss.
-    pub(crate) fn find_in_segment(
-        &self,
-        ctx: &mut MemCtx,
-        seg: PmAddr,
-        key: u64,
-        h: u64,
-    ) -> Option<Found> {
-        let b = bucket_of(h);
-        let fpw = self.fptable.read(ctx, seg, b);
-        let tag = fp8(h);
-        let smask = fp_word::slot_candidates(fpw, tag);
-        let hmask = fp_word::hint_candidates(fpw, tag);
-        if smask == 0 && hmask == 0 {
-            return None;
-        }
-        let words = self.read_bucket(ctx, seg, b);
-        for (i, &(kw, vw)) in words.iter().enumerate() {
-            if smask & (1 << i) != 0 && self.key_word_matches(ctx, kw, key, h) {
-                return Some(Found {
-                    idx: b * SLOTS_PER_BUCKET + i as u8,
-                    kw,
-                    vw,
-                });
-            }
-        }
-        // Overflow hints: the value words of the main bucket carry
-        // [fp12|slot] hints for entries that circular probing pushed into
-        // other buckets of the segment (same XPLine: cheap to chase). The
-        // hint-tag half of the fp word pre-filters which hints can match.
-        for (i, &(_, vw)) in words.iter().enumerate() {
-            if hmask & (1 << i) == 0 {
-                continue;
-            }
-            if let Some(tidx) = hint_matches(value_word::hint(vw), h) {
-                if tidx / SLOTS_PER_BUCKET == b {
-                    continue; // hints never point into the main bucket
-                }
-                let kw = ctx.read_u64(key_addr(seg, tidx));
-                if self.key_word_matches(ctx, kw, key, h) {
-                    let vw = ctx.read_u64(value_addr(seg, tidx));
-                    return Some(Found { idx: tidx, kw, vw });
-                }
-            }
-        }
-        None
-    }
-
     /// Find a free slot for an insert (preparation).
     pub(crate) fn find_placement(&self, ctx: &mut MemCtx, seg: PmAddr, h: u64) -> Placement {
         let b = bucket_of(h);
-        let words = self.read_bucket(ctx, seg, b);
+        let words = Plain::ok(self.read_bucket(&mut Plain, ctx, seg, b));
         for (i, &(kw, _)) in words.iter().enumerate() {
             if SlotKey::unpack(kw).is_empty() {
                 return Placement::Main(b * SLOTS_PER_BUCKET + i as u8);
@@ -465,29 +349,62 @@ impl Spash {
     }
 
     // =====================================================================
-    // transaction-phase helpers
+    // step 5: the region runner
     // =====================================================================
 
-    /// Run `body` as the transaction phase with conflict-retry and lock
-    /// fallback. `prep` re-runs the preparation phase; `body` gets the
-    /// fresh preparation result. Returns `body`'s output.
+    /// Run one operation's step 5 under the configured concurrency
+    /// control. `prep` is the preparation phase, re-run on every retry;
+    /// the body validates `prep`'s snapshot, then processes the entry.
+    /// The body is one function generic over [`Access`]; it is passed
+    /// twice because a closure cannot be generic — `tx_body` is its
+    /// [`Tx`] instantiation, `plain_body` its [`Plain`] one. A body must
+    /// not `abort` after its first write: through `Plain` nothing rolls
+    /// back.
     ///
-    /// This is the §IV-A protocol: explicit (validation) aborts restart
-    /// preparation immediately; conflict aborts retry up to
-    /// `max_tx_retries` times and then take the directory-partition lock.
-    // conc: region(htm) fn=run_two_phase
-    pub(crate) fn run_two_phase<P, R>(
+    /// * `Htm` — the §IV-A protocol: explicit (validation) aborts restart
+    ///   preparation immediately; conflict and capacity aborts retry up
+    ///   to `max_tx_retries` times, then the body runs under the
+    ///   non-transactional locks of every directory partition covering
+    ///   the routed segment.
+    /// * `WriteLock` / `WriteReadLock` — the Fig 12c ablations: the same
+    ///   body under the routed segment's virtual-time lock. Writers take
+    ///   it exclusively and bracket the body with seqlock version bumps;
+    ///   lookups run seqlock-optimistic (Dash's protocol) or under the
+    ///   shared lock (Level hashing's).
+    // conc: region(htm) fn=run_step5
+    pub(crate) fn run_step5<P, R>(
+        &self,
+        ctx: &mut MemCtx,
+        rw: Rw,
+        prep: impl FnMut(&Spash, &mut MemCtx) -> P,
+        tx_body: impl FnMut(&Spash, &mut Tx<'_>, &mut MemCtx, &P) -> Result<R, Abort>,
+        plain_body: impl FnMut(&Spash, &mut Plain, &mut MemCtx, &P) -> Result<R, Abort>,
+        routed_of: impl Fn(&P) -> &Routed,
+    ) -> R {
+        match self.cfg.concurrency {
+            ConcurrencyMode::Htm => self.htm_region(ctx, prep, tx_body, plain_body, routed_of),
+            mode => {
+                let optimistic = mode == ConcurrencyMode::WriteLock;
+                self.lock_region(ctx, rw, optimistic, prep, plain_body, routed_of)
+            }
+        }
+    }
+
+    fn htm_region<P, R>(
         &self,
         ctx: &mut MemCtx,
         mut prep: impl FnMut(&Spash, &mut MemCtx) -> P,
-        mut body: impl FnMut(&Spash, &mut Tx<'_>, &mut MemCtx, &P) -> Result<R, Abort>,
-        mut locked_body: impl FnMut(&Spash, &mut MemCtx, &P) -> R,
-        lock_ids_of: impl Fn(&P) -> Vec<LineId>,
+        mut tx_body: impl FnMut(&Spash, &mut Tx<'_>, &mut MemCtx, &P) -> Result<R, Abort>,
+        mut plain_body: impl FnMut(&Spash, &mut Plain, &mut MemCtx, &P) -> Result<R, Abort>,
+        routed_of: impl Fn(&P) -> &Routed,
     ) -> R {
         let mut conflicts = 0;
         loop {
             let p = prep(self, ctx);
-            match self.htm.try_transaction(ctx, |tx, ctx| body(self, tx, ctx, &p)) {
+            match self
+                .htm
+                .try_transaction(ctx, |tx, ctx| tx_body(self, tx, ctx, &p))
+            {
                 Ok(r) => return r,
                 Err(Abort::Explicit(_)) => continue,
                 Err(a @ (Abort::Conflict(_) | Abort::Capacity)) => {
@@ -509,34 +426,512 @@ impl Spash {
                     // which excludes every transaction that could touch
                     // the segment — they all read-guard one of these ids.
                     self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let ids = lock_ids_of(&p);
+                    let ids = routed_of(&p).fallback_lock_ids();
                     for &id in &ids {
                         self.htm.nontx_lock(ctx, id);
                     }
-                    // Re-verify the routing is still the one we locked.
+                    // Re-prepare under the locks; the routing must still
+                    // be the one we locked.
                     let p2 = prep(self, ctx);
-                    if lock_ids_of(&p2) != ids {
-                        for &id in ids.iter().rev() {
-                            self.htm.nontx_unlock(ctx, id);
-                        }
-                        conflicts = 0;
-                        continue;
-                    }
-                    let r = locked_body(self, ctx, &p2);
+                    let r = if routed_of(&p2).fallback_lock_ids() == ids {
+                        plain_body(self, &mut Plain, ctx, &p2).ok()
+                    } else {
+                        None
+                    };
                     for &id in ids.iter().rev() {
                         self.htm.nontx_unlock(ctx, id);
                     }
-                    return r;
+                    match r {
+                        Some(r) => return r,
+                        None => conflicts = 0,
+                    }
                 }
             }
         }
     }
 
+    fn lock_region<P, R>(
+        &self,
+        ctx: &mut MemCtx,
+        rw: Rw,
+        optimistic_reads: bool,
+        mut prep: impl FnMut(&Spash, &mut MemCtx) -> P,
+        mut plain_body: impl FnMut(&Spash, &mut Plain, &mut MemCtx, &P) -> Result<R, Abort>,
+        routed_of: impl Fn(&P) -> &Routed,
+    ) -> R {
+        loop {
+            let p = prep(self, ctx);
+            let seg = routed_of(&p).seg();
+            let lock = self.seg_lock(seg);
+            let r = match rw {
+                Rw::Write => self.exclude_lock_mode_ops(ctx, seg, |ctx| {
+                    plain_body(self, &mut Plain, ctx, &p)
+                }),
+                Rw::Read if optimistic_reads => {
+                    let v1 = lock.ver.load(Ordering::Acquire);
+                    if v1 % 2 == 1 {
+                        // Writer in progress: scheduler-aware wait.
+                        spash_pmem::schedhook::spin_wait();
+                        continue;
+                    }
+                    let r = plain_body(self, &mut Plain, ctx, &p);
+                    if lock.ver.load(Ordering::Acquire) != v1 {
+                        ctx.charge_compute(20); // retry penalty
+                        continue;
+                    }
+                    r
+                }
+                Rw::Read => lock
+                    .rw
+                    .read(ctx, |ctx, _| plain_body(self, &mut Plain, ctx, &p)),
+            };
+            // `Err` = the body found the preparation snapshot stale (the
+            // segment moved or the slot changed before the lock was
+            // taken): prepare again.
+            if let Ok(r) = r {
+                return r;
+            }
+        }
+    }
+
+    /// Run `f` with the lock-mode ablations' other writers and readers
+    /// of `seg` excluded: under its write lock, bracketed by seqlock
+    /// version bumps. The lock-mode write region — and what `split` wraps
+    /// around its own transaction or partition-locked install, because
+    /// neither HTM guards nor partition locks stop plain lock-mode
+    /// writers. Under `Htm` nothing else is needed and `f` runs bare.
+    pub(crate) fn exclude_lock_mode_ops<R>(
+        &self,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        f: impl FnOnce(&mut MemCtx) -> R,
+    ) -> R {
+        if self.cfg.concurrency == ConcurrencyMode::Htm {
+            return f(ctx);
+        }
+        let lock = self.seg_lock(seg);
+        lock.rw.write(ctx, |ctx, _| {
+            lock.ver.fetch_add(1, Ordering::AcqRel); // seqlock: odd
+            let r = f(ctx);
+            lock.ver.fetch_add(1, Ordering::AcqRel); // even
+            r
+        })
+    }
+
     // =====================================================================
-    // base operations (HTM mode; lock modes live in lockmode.rs)
+    // step-5 bodies, generic over the access seam
     // =====================================================================
 
-    pub(crate) fn insert_htm(
+    /// Read bucket `b` of `seg`: steps 2–3 of the execution flow. One
+    /// cacheline of PM traffic.
+    pub(crate) fn read_bucket<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        b: u8,
+    ) -> Result<BucketWords, Abort> {
+        let mut out = [(0u64, 0u64); SLOTS_PER_BUCKET as usize];
+        for (i, s) in bucket_slots(b).enumerate() {
+            out[i] = (
+                // lint:allow(fp-probe): shared bucket reader; probe callers pre-filter via the fp word (probe), mutation prep reads the line unconditionally
+                a.read_u64(ctx, key_addr(seg, s))?,
+                a.read_u64(ctx, value_addr(seg, s))?,
+            );
+        }
+        Ok(out)
+    }
+
+    /// Does the key word match `key`? Dereferences the blob for pointer
+    /// entries whose fingerprint matches (step 4).
+    pub(crate) fn key_matches<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        kw: u64,
+        key: u64,
+        h: u64,
+    ) -> Result<bool, Abort> {
+        Ok(match SlotKey::unpack(kw) {
+            SlotKey::Empty => false,
+            SlotKey::Inline { key: k, .. } => k == key && key <= MAX_INLINE_KEY,
+            SlotKey::Ptr { addr, fp } => fp == fp14(h) && a.read_u64(ctx, addr)? == key,
+        })
+    }
+
+    /// Locate `key` in `seg`. See [`Self::probe`].
+    pub(crate) fn find<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        key: u64,
+        h: u64,
+    ) -> Result<Option<Found>, Abort> {
+        Ok(self.probe(a, ctx, seg, key, h)?.0)
+    }
+
+    /// Fingerprint-first probe: the bucket's sidecar tag word is read
+    /// before anything else, and only a tag match earns the bucket-line
+    /// reads (§III-A plus the Dash-style 8-bit pre-filter). A key present
+    /// in the segment is always visible in its main bucket's fp word — as
+    /// a slot tag or, for overflow entries, a hint tag — so no tag match
+    /// is a definitive miss. In a transaction the fp word joins the read
+    /// set, and every mutation of the bucket writes it, so a probe that
+    /// never touches a bucket line still conflicts with concurrent
+    /// mutators — this is what keeps the duplicate-check coupling of
+    /// inserts sound.
+    ///
+    /// Also returns the raw main-bucket state `(fp word, slot words)`
+    /// when the bucket line was read (`None` = the fp word answered the
+    /// probe alone) — the overlay installs from exactly this data.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn probe<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        key: u64,
+        h: u64,
+    ) -> Result<(Option<Found>, Option<(u64, BucketWords)>), Abort> {
+        let b = bucket_of(h);
+        let fpw = self.fptable.read(a, ctx, seg, b)?;
+        let tag = fp8(h);
+        let smask = fp_word::slot_candidates(fpw, tag);
+        let hmask = fp_word::hint_candidates(fpw, tag);
+        if smask == 0 && hmask == 0 {
+            return Ok((None, None));
+        }
+        let words = self.read_bucket(a, ctx, seg, b)?;
+        for (i, &(kw, vw)) in words.iter().enumerate() {
+            if smask & (1 << i) != 0 && self.key_matches(a, ctx, kw, key, h)? {
+                return Ok((
+                    Some(Found {
+                        idx: b * SLOTS_PER_BUCKET + i as u8,
+                        kw,
+                        vw,
+                    }),
+                    Some((fpw, words)),
+                ));
+            }
+        }
+        // Overflow hints: the value words of the main bucket carry
+        // [fp12|slot] hints for entries that circular probing pushed into
+        // other buckets of the segment (same XPLine: cheap to chase). The
+        // hint-tag half of the fp word pre-filters which hints can match.
+        for (i, &(_, vw)) in words.iter().enumerate() {
+            if hmask & (1 << i) == 0 {
+                continue;
+            }
+            if let Some(tidx) = hint_matches(value_word::hint(vw), h) {
+                if tidx / SLOTS_PER_BUCKET == b {
+                    continue; // hints never point into the main bucket
+                }
+                let kw = a.read_u64(ctx, key_addr(seg, tidx))?;
+                if self.key_matches(a, ctx, kw, key, h)? {
+                    let vw = a.read_u64(ctx, value_addr(seg, tidx))?;
+                    return Ok((Some(Found { idx: tidx, kw, vw }), Some((fpw, words))));
+                }
+            }
+        }
+        Ok((None, Some((fpw, words))))
+    }
+
+    /// Extract a found slot's value, guarding every blob line before the
+    /// bulk copy.
+    pub(crate) fn read_value<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        f: Found,
+    ) -> Result<GetResult, Abort> {
+        match SlotKey::unpack(f.kw) {
+            SlotKey::Inline { .. } => Ok(GetResult::Inline(value_word::payload(f.vw))),
+            SlotKey::Ptr { addr, .. } => {
+                let len = value_word::payload(f.vw) as usize;
+                let mut buf = vec![0u8; len];
+                let first = addr.0 + 16;
+                if len > 0 {
+                    for line in first / 64..=(first + len as u64 - 1) / 64 {
+                        a.read_guard(LineId(line))?;
+                    }
+                }
+                ctx.read_bytes(PmAddr(first), &mut buf);
+                Ok(GetResult::Bytes(buf))
+            }
+            SlotKey::Empty => unreachable!("found slot cannot be empty"),
+        }
+    }
+
+    /// `Ok(None)` = segment full (split required), `Some(false)` =
+    /// duplicate, `Some(true)` = inserted.
+    fn insert_apply<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        p: &InsertPrep,
+        e: &NewEntry,
+    ) -> Result<Option<bool>, Abort> {
+        let (h, seg) = (e.h, p.routed.seg());
+        self.dir.validate(a, ctx, h, seg)?;
+        // Re-check duplicates under the main-bucket guard: every insert
+        // of this key must touch this line.
+        if self.find(a, ctx, seg, e.key, h)?.is_some() {
+            return Ok(Some(false));
+        }
+        if p.dup {
+            // Prep saw it but it is gone now: retry prep to pick a
+            // placement.
+            return a.abort(AB_STATE_CHANGED);
+        }
+        match p.placement {
+            Placement::Full => Ok(None),
+            Placement::Main(idx) => {
+                let vw = a.read_u64(ctx, value_addr(seg, idx))?;
+                let kw = a.read_u64(ctx, key_addr(seg, idx))?;
+                if !SlotKey::unpack(kw).is_empty() {
+                    return a.abort(AB_STATE_CHANGED);
+                }
+                a.write_u64(
+                    ctx,
+                    value_addr(seg, idx),
+                    value_word::with_payload(vw, e.payload),
+                )?;
+                a.write_u64(ctx, key_addr(seg, idx), e.kw)?;
+                self.fptable.set_slot_tag(a, ctx, seg, idx, fp8(h))?;
+                a.bump_overlay(ctx, &self.overlay, seg)?;
+                Ok(Some(true))
+            }
+            Placement::Overflow { idx, hint_slot } => {
+                let kw = a.read_u64(ctx, key_addr(seg, idx))?;
+                if !SlotKey::unpack(kw).is_empty() {
+                    return a.abort(AB_STATE_CHANGED);
+                }
+                let hvw = a.read_u64(ctx, value_addr(seg, hint_slot))?;
+                if value_word::hint(hvw) != 0 {
+                    return a.abort(AB_STATE_CHANGED);
+                }
+                let vw = a.read_u64(ctx, value_addr(seg, idx))?;
+                a.write_u64(
+                    ctx,
+                    value_addr(seg, idx),
+                    value_word::with_payload(vw, e.payload),
+                )?;
+                a.write_u64(ctx, key_addr(seg, idx), e.kw)?;
+                a.write_u64(
+                    ctx,
+                    value_addr(seg, hint_slot),
+                    value_word::with_hint(hvw, make_hint(h, idx)),
+                )?;
+                // Overflow entries are visible in two fp words: their own
+                // bucket's slot tag and the main bucket's hint tag.
+                self.fptable.set_slot_tag(a, ctx, seg, idx, fp8(h))?;
+                self.fptable.set_hint_tag(a, ctx, seg, hint_slot, fp8(h))?;
+                a.bump_overlay(ctx, &self.overlay, seg)?;
+                Ok(Some(true))
+            }
+        }
+    }
+
+    /// Probe and read the value. Also gathers what an overlay install
+    /// needs, but only when the bucket line was read anyway: a pure
+    /// fp-word negative stays a one-line probe, and negatives are not
+    /// worth caching.
+    fn get_apply<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        routed: &Routed,
+        key: u64,
+        h: u64,
+    ) -> Result<(Option<GetResult>, Option<Install>), Abort> {
+        let seg = routed.seg();
+        self.dir.validate(a, ctx, h, seg)?;
+        let (found, raw) = self.probe(a, ctx, seg, key, h)?;
+        let res = match found {
+            None => None,
+            Some(f) => Some(self.read_value(a, ctx, f)?),
+        };
+        let install = match raw {
+            Some((fpw, words)) if self.overlay.enabled() => Some(Install {
+                depth: routed.local_depth() as u32,
+                seg,
+                snap: self.overlay.snapshot(a, ctx, seg)?,
+                fpw,
+                words,
+            }),
+            _ => None,
+        };
+        Ok((res, install))
+    }
+
+    /// Returns the removed `(key word, value word)`.
+    fn remove_apply<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        routed: &Routed,
+        key: u64,
+        h: u64,
+    ) -> Result<Option<(u64, u64)>, Abort> {
+        let seg = routed.seg();
+        self.dir.validate(a, ctx, h, seg)?;
+        let f = match self.find(a, ctx, seg, key, h)? {
+            None => return Ok(None),
+            Some(f) => f,
+        };
+        // Clear the key word; the payload bits can stay (slot emptiness
+        // is defined by the key word alone), but the bucket-owned hint
+        // bits of this slot's value word must be preserved.
+        a.write_u64(ctx, key_addr(seg, f.idx), 0)?;
+        self.fptable.set_slot_tag(a, ctx, seg, f.idx, 0)?;
+        // If the entry lived in an overflow bucket, drop its hint (and
+        // hint tag) from the main bucket.
+        let b = bucket_of(h);
+        if f.idx / SLOTS_PER_BUCKET != b {
+            let target_hint = make_hint(h, f.idx);
+            for s_i in bucket_slots(b) {
+                let vw = a.read_u64(ctx, value_addr(seg, s_i))?;
+                if value_word::hint(vw) == target_hint {
+                    a.write_u64(ctx, value_addr(seg, s_i), value_word::with_hint(vw, 0))?;
+                    self.fptable.set_hint_tag(a, ctx, seg, s_i, 0)?;
+                    break;
+                }
+            }
+        }
+        a.bump_overlay(ctx, &self.overlay, seg)?;
+        Ok(Some((f.kw, f.vw)))
+    }
+
+    fn update_apply<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        p: &UpdatePrep,
+        v: &NewValue<'_>,
+    ) -> Result<Result<Updated, IndexError>, Abort> {
+        let plan = match &p.plan {
+            Err(e) => return Ok(Err(*e)),
+            Ok(plan) => plan,
+        };
+        let (key, h, value, seg) = (v.key, v.h, v.bytes, p.routed.seg());
+        self.dir.validate(a, ctx, h, seg)?;
+        let f = match self.find(a, ctx, seg, key, h)? {
+            None => return Ok(Ok(Updated::NotFound)),
+            Some(f) => f,
+        };
+        let plan = match plan {
+            // Prep missed but it exists now, or the slot moved: restart
+            // preparation.
+            None => return a.abort(AB_STATE_CHANGED),
+            Some(p) => p,
+        };
+        if f.idx != plan.idx || f.kw != plan.kw {
+            return a.abort(AB_STATE_CHANGED);
+        }
+        // Updates never touch fp tags (fp8, like fp14, depends only on
+        // the key hash), but any slot-word write must invalidate overlay
+        // entries caching this segment.
+        Ok(Ok(match plan.kind {
+            UpdateKind::Inline => {
+                a.write_u64(
+                    ctx,
+                    value_addr(seg, f.idx),
+                    value_word::with_payload(f.vw, v.inline_payload),
+                )?;
+                a.bump_overlay(ctx, &self.overlay, seg)?;
+                Updated::Inline(value_addr(seg, f.idx))
+            }
+            UpdateKind::MakeInline => {
+                // Blob → inline: rewrite both words atomically and report
+                // the blob for freeing.
+                let old = match SlotKey::unpack(f.kw) {
+                    SlotKey::Ptr { addr, .. } => {
+                        (addr, self.blob_alloc_size(16 + value_word::payload(f.vw)))
+                    }
+                    _ => return a.abort(AB_STATE_CHANGED),
+                };
+                a.write_u64(
+                    ctx,
+                    key_addr(seg, f.idx),
+                    SlotKey::Inline { key, fp: fp14(h) }.pack(),
+                )?;
+                a.write_u64(
+                    ctx,
+                    value_addr(seg, f.idx),
+                    value_word::with_payload(f.vw, v.inline_payload),
+                )?;
+                a.bump_overlay(ctx, &self.overlay, seg)?;
+                Updated::MadeInline {
+                    slot: value_addr(seg, f.idx),
+                    old,
+                }
+            }
+            UpdateKind::InPlaceBlob { addr } => {
+                // Rewrite the value bytes in place, word by word
+                // (undo-logged in a transaction, so the update is atomic
+                // there).
+                let mut off = 0usize;
+                while off < value.len() {
+                    let mut w = [0u8; 8];
+                    let n = (value.len() - off).min(8);
+                    w[..n].copy_from_slice(&value[off..off + n]);
+                    a.write_u64(
+                        ctx,
+                        PmAddr(addr.0 + 16 + off as u64),
+                        u64::from_le_bytes(w),
+                    )?;
+                    off += 8;
+                }
+                if value_word::payload(f.vw) != value.len() as u64 {
+                    a.write_u64(
+                        ctx,
+                        value_addr(seg, f.idx),
+                        value_word::with_payload(f.vw, value.len() as u64),
+                    )?;
+                    // The cached value word went stale (possible only
+                    // under Scattered size classes). Pure in-place byte
+                    // rewrites need no bump: blob bytes are never cached,
+                    // and overlay readers guard the blob lines themselves.
+                    a.bump_overlay(ctx, &self.overlay, seg)?;
+                }
+                Updated::InPlaceBlob(addr, value.len() as u64)
+            }
+            UpdateKind::Replace { new_addr, new_size } => {
+                a.write_u64(
+                    ctx,
+                    key_addr(seg, f.idx),
+                    SlotKey::Ptr {
+                        addr: new_addr,
+                        fp: fp14(h),
+                    }
+                    .pack(),
+                )?;
+                a.write_u64(
+                    ctx,
+                    value_addr(seg, f.idx),
+                    value_word::with_payload(f.vw, value.len() as u64),
+                )?;
+                let old = match SlotKey::unpack(f.kw) {
+                    SlotKey::Ptr { addr, .. } => {
+                        (addr, self.blob_alloc_size(16 + value_word::payload(f.vw)))
+                    }
+                    _ => (PmAddr::NULL, 0),
+                };
+                a.bump_overlay(ctx, &self.overlay, seg)?;
+                Updated::Replaced {
+                    new: (new_addr, new_size),
+                    old,
+                }
+            }
+        }))
+    }
+
+    // =====================================================================
+    // base operations
+    // =====================================================================
+
+    pub(crate) fn insert_op(
         &self,
         ctx: &mut MemCtx,
         key: u64,
@@ -544,118 +939,48 @@ impl Spash {
     ) -> Result<(), IndexError> {
         let h = hash_key(key);
         let payload = self.make_payload(ctx, key, value)?;
-        let (kw_new, vw_payload) = match payload {
-            Payload::Inline(v) => (
-                SlotKey::Inline { key, fp: fp14(h) }.pack(),
-                v,
-            ),
-            Payload::Blob { addr, val_len, .. } => (
-                SlotKey::Ptr { addr, fp: fp14(h) }.pack(),
-                val_len,
-            ),
+        let (kw, payload_word) = match payload {
+            Payload::Inline(v) => (SlotKey::Inline { key, fp: fp14(h) }.pack(), v),
+            Payload::Blob { addr, val_len, .. } => {
+                (SlotKey::Ptr { addr, fp: fp14(h) }.pack(), val_len)
+            }
+        };
+        let e = NewEntry {
+            key,
+            h,
+            kw,
+            payload: payload_word,
         };
 
-        struct Prep {
-            routed: Routed,
-            dup: bool,
-            placement: Placement,
-        }
-
-        let out: Result<bool, IndexError> = {
-            let mut split_err: Option<IndexError> = None;
-            loop {
-                if let Some(e) = split_err {
-                    break Err(e);
-                }
-                let r = self.run_two_phase(
-                    ctx,
-                    |s, ctx| {
-                        let routed = s.dir.lookup(ctx, h);
-                        let seg = routed.seg();
-                        let dup = s.find_in_segment(ctx, seg, key, h).is_some();
-                        let placement = if dup {
-                            Placement::Full // unused
-                        } else {
-                            s.find_placement(ctx, seg, h)
-                        };
-                        Prep {
-                            routed,
-                            dup,
-                            placement,
-                        }
-                    },
-                    |s, tx, ctx, p| {
-                        let seg = p.routed.seg();
-                        s.dir.tx_validate(tx, ctx, h, seg)?;
-                        // Re-check duplicates under the main-bucket guard:
-                        // every insert of this key must touch this line.
-                        if s.tx_find(tx, ctx, seg, key, h)?.is_some() {
-                            return Ok(Some(false)); // duplicate
-                        }
-                        if p.dup {
-                            // Prep saw it but it is gone now: retry prep to
-                            // pick a placement.
-                            return tx.abort(AB_STATE_CHANGED);
-                        }
-                        match p.placement {
-                            Placement::Full => Ok(None), // split needed
-                            Placement::Main(idx) => {
-                                let vw = tx.read_u64(ctx, value_addr(seg, idx))?;
-                                let kw = tx.read_u64(ctx, key_addr(seg, idx))?;
-                                if !SlotKey::unpack(kw).is_empty() {
-                                    return tx.abort(AB_STATE_CHANGED);
-                                }
-                                tx.write_u64(
-                                    ctx,
-                                    value_addr(seg, idx),
-                                    value_word::with_payload(vw, vw_payload),
-                                )?;
-                                tx.write_u64(ctx, key_addr(seg, idx), kw_new)?;
-                                s.fptable.tx_set_slot_tag(tx, ctx, seg, idx, fp8(h))?;
-                                s.overlay.tx_bump(tx, ctx, seg)?;
-                                Ok(Some(true))
-                            }
-                            Placement::Overflow { idx, hint_slot } => {
-                                let kw = tx.read_u64(ctx, key_addr(seg, idx))?;
-                                if !SlotKey::unpack(kw).is_empty() {
-                                    return tx.abort(AB_STATE_CHANGED);
-                                }
-                                let hvw = tx.read_u64(ctx, value_addr(seg, hint_slot))?;
-                                if value_word::hint(hvw) != 0 {
-                                    return tx.abort(AB_STATE_CHANGED);
-                                }
-                                let vw = tx.read_u64(ctx, value_addr(seg, idx))?;
-                                tx.write_u64(
-                                    ctx,
-                                    value_addr(seg, idx),
-                                    value_word::with_payload(vw, vw_payload),
-                                )?;
-                                tx.write_u64(ctx, key_addr(seg, idx), kw_new)?;
-                                tx.write_u64(
-                                    ctx,
-                                    value_addr(seg, hint_slot),
-                                    value_word::with_hint(hvw, make_hint(h, idx)),
-                                )?;
-                                // Overflow entries are visible in two fp
-                                // words: their own bucket's slot tag and
-                                // the main bucket's hint tag.
-                                s.fptable.tx_set_slot_tag(tx, ctx, seg, idx, fp8(h))?;
-                                s.fptable.tx_set_hint_tag(tx, ctx, seg, hint_slot, fp8(h))?;
-                                s.overlay.tx_bump(tx, ctx, seg)?;
-                                Ok(Some(true))
-                            }
-                        }
-                    },
-                    |s, ctx, p| s.locked_insert(ctx, p.routed.seg(), key, h, kw_new, vw_payload),
-                    |p| p.routed.fallback_lock_ids(),
-                );
-                match r {
-                    Some(ok) => break Ok(ok),
-                    None => {
-                        // Segment full: split and retry.
-                        if let Err(e) = self.split(ctx, h) {
-                            split_err = Some(e);
-                        }
+        let out: Result<bool, IndexError> = loop {
+            let r = self.run_step5(
+                ctx,
+                Rw::Write,
+                |s, ctx| {
+                    let routed = s.dir.lookup(ctx, h);
+                    let seg = routed.seg();
+                    let dup = Plain::ok(s.find(&mut Plain, ctx, seg, key, h)).is_some();
+                    let placement = if dup {
+                        Placement::Full // unused
+                    } else {
+                        s.find_placement(ctx, seg, h)
+                    };
+                    InsertPrep {
+                        routed,
+                        dup,
+                        placement,
+                    }
+                },
+                |s, tx, ctx, p| s.insert_apply(tx, ctx, p, &e),
+                |s, plain, ctx, p| s.insert_apply(plain, ctx, p, &e),
+                |p| &p.routed,
+            );
+            match r {
+                Some(ok) => break Ok(ok),
+                // Segment full: split and retry.
+                None => {
+                    if let Err(e) = self.split(ctx, h) {
+                        break Err(e);
                     }
                 }
             }
@@ -694,105 +1019,7 @@ impl Spash {
         }
     }
 
-    /// Transactional find: fingerprint-first probe with read guards on
-    /// every line consulted. See [`Self::tx_probe`].
-    pub(crate) fn tx_find(
-        &self,
-        tx: &mut Tx<'_>,
-        ctx: &mut MemCtx,
-        seg: PmAddr,
-        key: u64,
-        h: u64,
-    ) -> Result<Option<Found>, Abort> {
-        Ok(self.tx_probe(tx, ctx, seg, key, h)?.0)
-    }
-
-    /// Fingerprint-first transactional probe. Reads the bucket's sidecar
-    /// fp word first; only a tag match earns the bucket-line reads. The
-    /// fp word joins the transaction's read set, and every mutation of
-    /// the bucket writes it, so a probe that never touches a bucket line
-    /// still conflicts with concurrent mutators — this is what keeps the
-    /// duplicate-check coupling of inserts sound.
-    ///
-    /// Also returns the raw main-bucket state `(fp word, slot words)`
-    /// when the bucket line was read (`None` = the fp word answered the
-    /// probe alone) — the overlay installs from exactly this data.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn tx_probe(
-        &self,
-        tx: &mut Tx<'_>,
-        ctx: &mut MemCtx,
-        seg: PmAddr,
-        key: u64,
-        h: u64,
-    ) -> Result<
-        (
-            Option<Found>,
-            Option<(u64, [(u64, u64); SLOTS_PER_BUCKET as usize])>,
-        ),
-        Abort,
-    > {
-        let b = bucket_of(h);
-        let fpw = self.fptable.tx_read(tx, ctx, seg, b)?;
-        let tag = fp8(h);
-        let smask = fp_word::slot_candidates(fpw, tag);
-        let hmask = fp_word::hint_candidates(fpw, tag);
-        if smask == 0 && hmask == 0 {
-            return Ok((None, None));
-        }
-        let mut words = [(0u64, 0u64); SLOTS_PER_BUCKET as usize];
-        for (i, s) in bucket_slots(b).enumerate() {
-            words[i] = (
-                tx.read_u64(ctx, key_addr(seg, s))?,
-                tx.read_u64(ctx, value_addr(seg, s))?,
-            );
-        }
-        for (i, &(kw, vw)) in words.iter().enumerate() {
-            if smask & (1 << i) != 0 && self.tx_key_matches(tx, ctx, kw, key, h)? {
-                return Ok((
-                    Some(Found {
-                        idx: b * SLOTS_PER_BUCKET + i as u8,
-                        kw,
-                        vw,
-                    }),
-                    Some((fpw, words)),
-                ));
-            }
-        }
-        for (i, &(_, vw)) in words.iter().enumerate() {
-            if hmask & (1 << i) == 0 {
-                continue;
-            }
-            if let Some(tidx) = hint_matches(value_word::hint(vw), h) {
-                if tidx / SLOTS_PER_BUCKET == b {
-                    continue;
-                }
-                let kw = tx.read_u64(ctx, key_addr(seg, tidx))?;
-                if self.tx_key_matches(tx, ctx, kw, key, h)? {
-                    let vw = tx.read_u64(ctx, value_addr(seg, tidx))?;
-                    return Ok((Some(Found { idx: tidx, kw, vw }), Some((fpw, words))));
-                }
-            }
-        }
-        Ok((None, Some((fpw, words))))
-    }
-
-    fn tx_key_matches(
-        &self,
-        tx: &mut Tx<'_>,
-        ctx: &mut MemCtx,
-        kw: u64,
-        key: u64,
-        h: u64,
-    ) -> Result<bool, Abort> {
-        Ok(match SlotKey::unpack(kw) {
-            SlotKey::Empty => false,
-            SlotKey::Inline { key: k, .. } => k == key && key <= MAX_INLINE_KEY,
-            SlotKey::Ptr { addr, fp } => fp == fp14(h) && tx.read_u64(ctx, addr)? == key,
-        })
-    }
-
-    pub(crate) fn get_htm(&self, ctx: &mut MemCtx, key: u64, out: &mut Vec<u8>) -> bool {
+    pub(crate) fn get_op(&self, ctx: &mut MemCtx, key: u64, out: &mut Vec<u8>) -> bool {
         let h = hash_key(key);
         // DRAM overlay fast path: a route-matched entry, validated
         // against the segment generations inside a short transaction,
@@ -822,51 +1049,13 @@ impl Spash {
                 }
             }
         }
-        struct Install {
-            depth: u32,
-            seg: PmAddr,
-            snap: (u64, u64),
-            fpw: u64,
-            words: [(u64, u64); SLOTS_PER_BUCKET as usize],
-        }
-        let (r, install): (Option<GetResult>, Option<Install>) = self.run_two_phase(
+        let (r, install) = self.run_step5(
             ctx,
+            Rw::Read,
             |s, ctx| s.dir.lookup(ctx, h),
-            |s, tx, ctx, routed| {
-                let seg = routed.seg();
-                s.dir.tx_validate(tx, ctx, h, seg)?;
-                let (found, raw) = s.tx_probe(tx, ctx, seg, key, h)?;
-                let res = match found {
-                    None => None,
-                    Some(f) => Some(s.tx_read_value(tx, ctx, f)?),
-                };
-                // Install only when the bucket line was read anyway: a
-                // pure fp-word negative stays a one-line probe, and
-                // negatives are not worth caching.
-                let install = match raw {
-                    Some((fpw, words)) if s.overlay.enabled() => {
-                        let snap = s.overlay.tx_snapshot(tx, ctx, seg)?;
-                        Some(Install {
-                            depth: routed.local_depth() as u32,
-                            seg,
-                            snap,
-                            fpw,
-                            words,
-                        })
-                    }
-                    _ => None,
-                };
-                Ok((res, install))
-            },
-            |s, ctx, routed| {
-                let seg = routed.seg();
-                (
-                    s.find_in_segment(ctx, seg, key, h)
-                        .map(|f| s.read_value_plain(ctx, f)),
-                    None,
-                )
-            },
-            |routed| routed.fallback_lock_ids(),
+            |s, tx, ctx, routed| s.get_apply(tx, ctx, routed, key, h),
+            |s, plain, ctx, routed| s.get_apply(plain, ctx, routed, key, h),
+            |routed| routed,
         );
         if let Some(i) = install {
             self.overlay
@@ -900,13 +1089,13 @@ impl Spash {
         let hmask = fp_word::hint_candidates(hit.fpw, tag);
         let b = bucket_of(h);
         for (j, &(kw, vw)) in hit.words.iter().enumerate() {
-            if smask & (1 << j) != 0 && self.tx_key_matches(tx, ctx, kw, key, h)? {
+            if smask & (1 << j) != 0 && self.key_matches(tx, ctx, kw, key, h)? {
                 let f = Found {
                     idx: b * SLOTS_PER_BUCKET + j as u8,
                     kw,
                     vw,
                 };
-                return Ok(OverlayProbe::Found(self.tx_read_value(tx, ctx, f)?));
+                return Ok(OverlayProbe::Found(self.read_value(tx, ctx, f)?));
             }
         }
         if hmask != 0 {
@@ -917,89 +1106,15 @@ impl Spash {
         Ok(OverlayProbe::Miss)
     }
 
-    fn tx_read_value(
-        &self,
-        tx: &mut Tx<'_>,
-        ctx: &mut MemCtx,
-        f: Found,
-    ) -> Result<GetResult, Abort> {
-        match SlotKey::unpack(f.kw) {
-            SlotKey::Inline { .. } => Ok(GetResult::Inline(value_word::payload(f.vw))),
-            SlotKey::Ptr { addr, .. } => {
-                let len = value_word::payload(f.vw) as usize;
-                let mut buf = vec![0u8; len];
-                // Guard every blob line, then bulk-copy.
-                let first = addr.0 + 16;
-                if len > 0 {
-                    for line in first / 64..=(first + len as u64 - 1) / 64 {
-                        tx.read_guard(LineId(line))?;
-                    }
-                }
-                ctx.read_bytes(PmAddr(first), &mut buf);
-                Ok(GetResult::Bytes(buf))
-            }
-            SlotKey::Empty => unreachable!("found slot cannot be empty"),
-        }
-    }
-
-    pub(crate) fn read_value_plain_pub(&self, ctx: &mut MemCtx, f: Found) -> GetResult {
-        self.read_value_plain(ctx, f)
-    }
-
-    fn read_value_plain(&self, ctx: &mut MemCtx, f: Found) -> GetResult {
-        match SlotKey::unpack(f.kw) {
-            SlotKey::Inline { .. } => GetResult::Inline(value_word::payload(f.vw)),
-            SlotKey::Ptr { addr, .. } => {
-                let len = value_word::payload(f.vw) as usize;
-                let mut buf = vec![0u8; len];
-                ctx.read_bytes(PmAddr(addr.0 + 16), &mut buf);
-                GetResult::Bytes(buf)
-            }
-            SlotKey::Empty => unreachable!(),
-        }
-    }
-
-    pub(crate) fn remove_htm(&self, ctx: &mut MemCtx, key: u64) -> bool {
+    pub(crate) fn remove_op(&self, ctx: &mut MemCtx, key: u64) -> bool {
         let h = hash_key(key);
-        let removed: Option<(u64, u64)> = self.run_two_phase(
+        let removed = self.run_step5(
             ctx,
+            Rw::Write,
             |s, ctx| s.dir.lookup(ctx, h),
-            |s, tx, ctx, routed| {
-                let seg = routed.seg();
-                s.dir.tx_validate(tx, ctx, h, seg)?;
-                let f = match s.tx_find(tx, ctx, seg, key, h)? {
-                    None => return Ok(None),
-                    Some(f) => f,
-                };
-                // Clear the key word; the payload bits can stay (slot
-                // emptiness is defined by the key word alone), but the
-                // bucket-owned hint bits of this slot's value word must be
-                // preserved.
-                tx.write_u64(ctx, key_addr(seg, f.idx), 0)?;
-                s.fptable.tx_set_slot_tag(tx, ctx, seg, f.idx, 0)?;
-                // If the entry lived in an overflow bucket, drop its hint
-                // (and hint tag) from the main bucket.
-                let b = bucket_of(h);
-                if f.idx / SLOTS_PER_BUCKET != b {
-                    let target_hint = make_hint(h, f.idx);
-                    for s_i in bucket_slots(b) {
-                        let vw = tx.read_u64(ctx, value_addr(seg, s_i))?;
-                        if value_word::hint(vw) == target_hint {
-                            tx.write_u64(
-                                ctx,
-                                value_addr(seg, s_i),
-                                value_word::with_hint(vw, 0),
-                            )?;
-                            s.fptable.tx_set_hint_tag(tx, ctx, seg, s_i, 0)?;
-                            break;
-                        }
-                    }
-                }
-                s.overlay.tx_bump(tx, ctx, seg)?;
-                Ok(Some((f.kw, f.vw)))
-            },
-            |s, ctx, routed| s.locked_remove(ctx, routed.seg(), key, h),
-            |routed| routed.fallback_lock_ids(),
+            |s, tx, ctx, routed| s.remove_apply(tx, ctx, routed, key, h),
+            |s, plain, ctx, routed| s.remove_apply(plain, ctx, routed, key, h),
+            |routed| routed,
         );
         match removed {
             None => false,
@@ -1022,7 +1137,7 @@ impl Spash {
         }
     }
 
-    pub(crate) fn update_htm(
+    pub(crate) fn update_op(
         &self,
         ctx: &mut MemCtx,
         key: u64,
@@ -1040,21 +1155,6 @@ impl Spash {
             UpdatePolicy::NeverFlush => false,
         };
 
-        // Outcome of one attempt: what was written, for the flush step.
-        enum Done {
-            NotFound,
-            Inline(PmAddr),
-            InPlaceBlob(PmAddr, u64),
-            Replaced {
-                new: (PmAddr, u64),
-                old: (PmAddr, u64),
-            },
-            MadeInline {
-                slot: PmAddr,
-                old: (PmAddr, u64),
-            },
-        }
-
         let inline_ok = value.len() == INLINE_VALUE_LEN && key <= MAX_INLINE_KEY;
         let mut inline_payload = 0u64;
         if inline_ok {
@@ -1062,192 +1162,71 @@ impl Spash {
             le[..INLINE_VALUE_LEN].copy_from_slice(value);
             inline_payload = u64::from_le_bytes(le);
         }
+        let v = NewValue {
+            key,
+            h,
+            bytes: value,
+            inline_payload,
+        };
 
         // A replacement blob is (re)allocated lazily, at most once, and
         // reused across retries.
         let mut spare: Option<(PmAddr, u64)> = None;
 
-        let result = loop {
-            let routed = self.dir.lookup(ctx, h);
-            let seg = routed.seg();
-            let found = self.find_in_segment(ctx, seg, key, h);
-            let plan: Option<UpdatePlan> = match found {
-                None => None,
-                Some(f) => Some(self.plan_update(ctx, f, key, value, inline_ok, &mut spare)?),
-            };
-
-            let attempt = self.htm.try_transaction(ctx, |tx, ctx| {
-                self.dir.tx_validate(tx, ctx, h, seg)?;
-                let f = match self.tx_find(tx, ctx, seg, key, h)? {
-                    None => return Ok(Done::NotFound),
-                    Some(f) => f,
+        let result = self.run_step5(
+            ctx,
+            Rw::Write,
+            |s, ctx| {
+                let routed = s.dir.lookup(ctx, h);
+                let plan = match Plain::ok(s.find(&mut Plain, ctx, routed.seg(), key, h)) {
+                    None => Ok(None),
+                    Some(f) => s
+                        .plan_update(ctx, f, key, value, inline_ok, &mut spare)
+                        .map(Some),
                 };
-                let plan = match &plan {
-                    // Prep missed but it exists now, or the slot moved:
-                    // restart preparation.
-                    None => return tx.abort(AB_STATE_CHANGED),
-                    Some(p) => p,
-                };
-                if f.idx != plan.idx || f.kw != plan.kw {
-                    return tx.abort(AB_STATE_CHANGED);
-                }
-                // Updates never touch fp tags (fp8, like fp14, depends
-                // only on the key hash), but any slot-word write must
-                // invalidate overlay entries caching this segment.
-                match plan.kind {
-                    UpdateKind::Inline => {
-                        tx.write_u64(
-                            ctx,
-                            value_addr(seg, f.idx),
-                            value_word::with_payload(f.vw, inline_payload),
-                        )?;
-                        self.overlay.tx_bump(tx, ctx, seg)?;
-                        Ok(Done::Inline(value_addr(seg, f.idx)))
-                    }
-                    UpdateKind::MakeInline => {
-                        // Blob → inline: rewrite both words atomically and
-                        // report the blob for freeing.
-                        let old = match SlotKey::unpack(f.kw) {
-                            SlotKey::Ptr { addr, .. } => {
-                                (addr, self.blob_alloc_size(16 + value_word::payload(f.vw)))
-                            }
-                            _ => return tx.abort(AB_STATE_CHANGED),
-                        };
-                        tx.write_u64(
-                            ctx,
-                            key_addr(seg, f.idx),
-                            SlotKey::Inline { key, fp: fp14(h) }.pack(),
-                        )?;
-                        tx.write_u64(
-                            ctx,
-                            value_addr(seg, f.idx),
-                            value_word::with_payload(f.vw, inline_payload),
-                        )?;
-                        self.overlay.tx_bump(tx, ctx, seg)?;
-                        Ok(Done::MadeInline {
-                            slot: value_addr(seg, f.idx),
-                            old,
-                        })
-                    }
-                    UpdateKind::InPlaceBlob { addr } => {
-                        // Rewrite the value bytes in place, word by word
-                        // (undo-logged, so the update is atomic).
-                        let mut off = 0usize;
-                        while off < value.len() {
-                            let mut w = [0u8; 8];
-                            let n = (value.len() - off).min(8);
-                            w[..n].copy_from_slice(&value[off..off + n]);
-                            tx.write_u64(
-                                ctx,
-                                PmAddr(addr.0 + 16 + off as u64),
-                                u64::from_le_bytes(w),
-                            )?;
-                            off += 8;
-                        }
-                        if value_word::payload(f.vw) != value.len() as u64 {
-                            tx.write_u64(
-                                ctx,
-                                value_addr(seg, f.idx),
-                                value_word::with_payload(f.vw, value.len() as u64),
-                            )?;
-                            // The cached value word went stale (possible
-                            // only under Scattered size classes). Pure
-                            // in-place byte rewrites need no bump: blob
-                            // bytes are never cached, and overlay readers
-                            // guard the blob lines themselves.
-                            self.overlay.tx_bump(tx, ctx, seg)?;
-                        }
-                        Ok(Done::InPlaceBlob(addr, value.len() as u64))
-                    }
-                    UpdateKind::Replace { new_addr, new_size } => {
-                        tx.write_u64(
-                            ctx,
-                            key_addr(seg, f.idx),
-                            SlotKey::Ptr {
-                                addr: new_addr,
-                                fp: fp14(h),
-                            }
-                            .pack(),
-                        )?;
-                        tx.write_u64(
-                            ctx,
-                            value_addr(seg, f.idx),
-                            value_word::with_payload(f.vw, value.len() as u64),
-                        )?;
-                        let old = match SlotKey::unpack(f.kw) {
-                            SlotKey::Ptr { addr, .. } => {
-                                (addr, self.blob_alloc_size(16 + value_word::payload(f.vw)))
-                            }
-                            _ => (PmAddr::NULL, 0),
-                        };
-                        self.overlay.tx_bump(tx, ctx, seg)?;
-                        Ok(Done::Replaced {
-                            new: (new_addr, new_size),
-                            old,
-                        })
-                    }
-                }
-            });
+                UpdatePrep { routed, plan }
+            },
+            |s, tx, ctx, p| s.update_apply(tx, ctx, p, &v),
+            |s, plain, ctx, p| s.update_apply(plain, ctx, p, &v),
+            |p| &p.routed,
+        );
 
-            match attempt {
-                Ok(done) => break Ok(done),
-                Err(Abort::Explicit(_)) => continue,
-                Err(Abort::Conflict(slot)) => {
-                    // Really wait for the conflicting owner (see
-                    // run_two_phase); the virtual wait is the abort
-                    // penalty already charged.
-                    self.htm.wait_slot(slot);
-                    continue;
-                }
-                Err(Abort::Capacity) => {
-                    spash_pmem::schedhook::spin_wait();
-                    continue;
-                }
-            }
-        };
-
-        match result {
-            Err(e) => Err(e),
-            Ok(Done::NotFound) => {
+        // Post-commit adaptive flush (§III-B): asynchronous clwb, no
+        // fence — eADR needs none for durability; the flush exists purely
+        // to schedule tidy XPLine writebacks.
+        match result? {
+            Updated::NotFound => {
                 if let Some((addr, size)) = spare {
                     self.alloc.free(ctx, addr, size);
                 }
-                Err(IndexError::NotFound)
+                return Err(IndexError::NotFound);
             }
-            Ok(done) => {
-                // Post-commit adaptive flush (§III-B): asynchronous clwb,
-                // no fence — eADR needs none for durability; the flush
-                // exists purely to schedule tidy XPLine writebacks.
-                match done {
-                    Done::Inline(addr) => {
-                        if flush_after {
-                            ctx.flush(addr);
-                        }
-                    }
-                    Done::InPlaceBlob(addr, len) => {
-                        if flush_after {
-                            ctx.flush_range(addr, 16 + len);
-                        }
-                    }
-                    Done::Replaced { new, old } => {
-                        if flush_after {
-                            ctx.flush_range(new.0, 16 + value.len() as u64);
-                        }
-                        if !old.0.is_null() {
-                            self.alloc.free(ctx, old.0, old.1);
-                        }
-                    }
-                    Done::MadeInline { slot, old } => {
-                        if flush_after {
-                            ctx.flush(slot);
-                        }
-                        self.alloc.free(ctx, old.0, old.1);
-                    }
-                    Done::NotFound => unreachable!(),
+            Updated::Inline(addr) => {
+                if flush_after {
+                    ctx.flush(addr);
                 }
-                Ok(())
+            }
+            Updated::InPlaceBlob(addr, len) => {
+                if flush_after {
+                    ctx.flush_range(addr, 16 + len);
+                }
+            }
+            Updated::Replaced { new, old } => {
+                if flush_after {
+                    ctx.flush_range(new.0, 16 + value.len() as u64);
+                }
+                if !old.0.is_null() {
+                    self.alloc.free(ctx, old.0, old.1);
+                }
+            }
+            Updated::MadeInline { slot, old } => {
+                if flush_after {
+                    ctx.flush(slot);
+                }
+                self.alloc.free(ctx, old.0, old.1);
             }
         }
+        Ok(())
     }
 
     fn plan_update(
@@ -1344,6 +1323,69 @@ impl GetResult {
             GetResult::Bytes(b) => out.extend_from_slice(b),
         }
     }
+}
+
+/// Whether an operation's step 5 mutates the segment. Only the
+/// lock-mode ablations care: lookups there skip the write lock.
+#[derive(Clone, Copy)]
+pub(crate) enum Rw {
+    Read,
+    Write,
+}
+
+/// Insert preparation: the route plus what step 5 re-validates.
+struct InsertPrep {
+    routed: Routed,
+    dup: bool,
+    placement: Placement,
+}
+
+/// The slot words an insert will publish.
+struct NewEntry {
+    key: u64,
+    h: u64,
+    kw: u64,
+    payload: u64,
+}
+
+/// What a PM probe gathered for [`Overlay::install`].
+struct Install {
+    depth: u32,
+    seg: PmAddr,
+    snap: (u64, u64),
+    fpw: u64,
+    words: BucketWords,
+}
+
+/// Update preparation. An `Err` plan (allocation failure) is carried
+/// through step 5 so the runner stays infallible.
+struct UpdatePrep {
+    routed: Routed,
+    plan: Result<Option<UpdatePlan>, IndexError>,
+}
+
+/// The value an update will store; `inline_payload` is meaningful only
+/// for the inline plan kinds.
+struct NewValue<'v> {
+    key: u64,
+    h: u64,
+    bytes: &'v [u8],
+    inline_payload: u64,
+}
+
+/// What an update wrote, for the post-commit flush and frees.
+enum Updated {
+    NotFound,
+    Inline(PmAddr),
+    InPlaceBlob(PmAddr, u64),
+    Replaced {
+        new: (PmAddr, u64),
+        old: (PmAddr, u64),
+    },
+    MadeInline {
+        slot: PmAddr,
+        old: (PmAddr, u64),
+    },
 }
 
 struct UpdatePlan {

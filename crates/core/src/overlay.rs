@@ -17,12 +17,12 @@
 //! * **segment level** — two tables of generation cells, indexed by
 //!   chunk. `tx_seq` is bumped *only inside HTM transactions* (via the
 //!   volatile undo log, so aborts roll it back); `nt_seq` is bumped
-//!   *only by non-transactional paths* (lock modes, HTM lock fallback,
-//!   locked splits). A hit is valid iff both cells still equal the
-//!   values snapshotted when the entry was installed — and the `tx_seq`
-//!   read happens *inside the reader's transaction*, so a concurrent
-//!   mutator of the segment conflicts with the read at commit time even
-//!   though no bucket line was touched.
+//!   *only by bodies running through the plain accessor* (HTM lock
+//!   fallback, locked splits; see `crate::access`). A hit is valid iff
+//!   both cells still equal the values snapshotted when the entry was
+//!   installed — and the `tx_seq` read happens *inside the reader's
+//!   transaction*, so a concurrent mutator of the segment conflicts with
+//!   the read at commit time even though no bucket line was touched.
 //!
 //! The overlay lives entirely outside the PM arena: the sanitizer and
 //! crashpoint sweeps see it as volatile state that vanishes at a crash,
@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use spash_htm::{Abort, LineId, Tx};
 use spash_pmem::PmAddr;
 
+use crate::access::Access;
 use crate::slot::{bucket_of, SEG_SIZE};
 
 /// Generation cells per table. Cells are shared by chunks `4096` apart;
@@ -166,8 +167,8 @@ impl Overlay {
         tx.write_volatile_u64(id, &self.tx_seq[c], cur.wrapping_add(1))
     }
 
-    /// Non-transactional generation bump, for lock-mode mutations, the
-    /// HTM lock fallback, and locked splits.
+    /// Non-transactional generation bump: what plain-accessor bodies
+    /// (HTM lock fallback, locked splits) call instead.
     pub fn nt_bump(&self, ctx: &mut spash_pmem::MemCtx, seg: PmAddr) {
         if !self.enabled() {
             return;
@@ -176,18 +177,18 @@ impl Overlay {
         self.nt_seq[self.cell(seg)].fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Snapshot both generations of `seg` from inside a transaction, for
-    /// a subsequent [`Self::install`]. The `tx_seq` read joins the
-    /// transaction's read set.
-    pub fn tx_snapshot(
+    /// Snapshot both generations of `seg` from inside step 5, for a
+    /// subsequent [`Self::install`]. In a transaction the `tx_seq` read
+    /// joins the read set.
+    pub(crate) fn snapshot<A: Access>(
         &self,
-        tx: &mut Tx<'_>,
+        a: &mut A,
         ctx: &mut spash_pmem::MemCtx,
         seg: PmAddr,
     ) -> Result<(u64, u64), Abort> {
         let c = self.cell(seg);
         ctx.charge_dram_hot(2);
-        let t = tx.read_volatile_u64(LineId::volatile(SEQ_NS + c as u64), &self.tx_seq[c])?;
+        let t = a.read_volatile_u64(LineId::volatile(SEQ_NS + c as u64), &self.tx_seq[c])?;
         Ok((t, self.nt_seq[c].load(Ordering::Acquire)))
     }
 
@@ -252,7 +253,7 @@ impl Overlay {
         ctx: &mut spash_pmem::MemCtx,
         hit: &CachedBucket,
     ) -> Result<bool, Abort> {
-        let (t, n) = self.tx_snapshot(tx, ctx, hit.seg)?;
+        let (t, n) = self.snapshot(tx, ctx, hit.seg)?;
         Ok(t == hit.snap_tx && n == hit.snap_nt)
     }
 
@@ -334,7 +335,7 @@ mod tests {
         fpw: u64,
     ) {
         let snap = htm
-            .try_transaction(ctx, |tx, ctx| o.tx_snapshot(tx, ctx, s))
+            .try_transaction(ctx, |tx, ctx| o.snapshot(tx, ctx, s))
             .unwrap();
         o.install(ctx, h, depth, s, snap, fpw, [(1, 2), (3, 4), (5, 6), (7, 8)]);
     }

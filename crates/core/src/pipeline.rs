@@ -111,7 +111,7 @@ impl Spash {
             let mut masks = vec![0u8; plans.len()];
             for (i, plan) in plans.iter().enumerate() {
                 if let Plan::Probe { seg, h, b } = *plan {
-                    let fpw = self.fptable.read(ctx, seg, b);
+                    let fpw = ctx.read_u64(self.fptable.word_addr(seg, b));
                     let tag = fp8(h);
                     if fp_word::any_match(fpw, tag) {
                         masks[i] = fp_word::slot_candidates(fpw, tag);

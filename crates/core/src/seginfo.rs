@@ -13,7 +13,8 @@
 //! metadata: the hot path never reads it — it costs one extra cacheline
 //! write per split/merge, which is already XPLine-bounded.
 
-use spash_htm::{Abort, Tx};
+use crate::access::Access;
+use spash_htm::Abort;
 use spash_pmem::{MemCtx, PmAddr};
 
 const DEPTH_SHIFT: u32 = 48;
@@ -56,26 +57,26 @@ impl SegInfoTable {
         ((depth as u64) + 1) << DEPTH_SHIFT | prefix
     }
 
-    /// Record `seg` covering `prefix` at `depth`, inside a transaction.
-    pub fn tx_set(
+    /// Record `seg` covering `prefix` at `depth`.
+    pub(crate) fn set<A: Access>(
         &self,
-        tx: &mut Tx<'_>,
+        a: &mut A,
         ctx: &mut MemCtx,
         seg: PmAddr,
         depth: u8,
         prefix: u64,
     ) -> Result<(), Abort> {
-        tx.write_u64(ctx, self.record_addr(seg), Self::pack(depth, prefix))
+        a.write_u64(ctx, self.record_addr(seg), Self::pack(depth, prefix))
     }
 
-    /// Clear `seg`'s record (merge/free), inside a transaction.
-    pub fn tx_clear(&self, tx: &mut Tx<'_>, ctx: &mut MemCtx, seg: PmAddr) -> Result<(), Abort> {
-        tx.write_u64(ctx, self.record_addr(seg), 0)
-    }
-
-    /// Non-transactional write (initial format, before concurrency).
-    pub fn set(&self, ctx: &mut MemCtx, seg: PmAddr, depth: u8, prefix: u64) {
-        ctx.write_u64(self.record_addr(seg), Self::pack(depth, prefix));
+    /// Clear `seg`'s record (merge/free).
+    pub(crate) fn clear<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+    ) -> Result<(), Abort> {
+        a.write_u64(ctx, self.record_addr(seg), 0)
     }
 
     /// Read a segment's record. `None` if the record is absent (the chunk
@@ -92,6 +93,7 @@ impl SegInfoTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::Plain;
     use spash_htm::{Htm, HtmConfig};
     use spash_pmem::{PmConfig, PmDevice};
 
@@ -108,9 +110,9 @@ mod tests {
         let (t, mut ctx) = setup();
         let seg = PmAddr((1 << 20) + 7 * 256);
         assert_eq!(t.read(&mut ctx, seg), None);
-        t.set(&mut ctx, seg, 0, 0);
+        t.set(&mut Plain, &mut ctx, seg, 0, 0).unwrap();
         assert_eq!(t.read(&mut ctx, seg), Some((0, 0)), "depth 0 distinguishable from empty");
-        t.set(&mut ctx, seg, 9, 0b1_0110_1001);
+        t.set(&mut Plain, &mut ctx, seg, 9, 0b1_0110_1001).unwrap();
         assert_eq!(t.read(&mut ctx, seg), Some((9, 0b1_0110_1001)));
     }
 
@@ -119,14 +121,14 @@ mod tests {
         let (t, mut ctx) = setup();
         let htm = Htm::new(HtmConfig::default());
         let seg = PmAddr((1 << 20) + 3 * 256);
-        t.set(&mut ctx, seg, 2, 0b11);
+        t.set(&mut Plain, &mut ctx, seg, 2, 0b11).unwrap();
         let r: Result<(), Abort> = htm.try_transaction(&mut ctx, |tx, ctx| {
-            t.tx_set(tx, ctx, seg, 3, 0b110)?;
+            t.set(tx, ctx, seg, 3, 0b110)?;
             tx.abort(0)
         });
         assert!(r.is_err());
         assert_eq!(t.read(&mut ctx, seg), Some((2, 0b11)));
-        htm.try_transaction(&mut ctx, |tx, ctx| t.tx_set(tx, ctx, seg, 3, 0b110))
+        htm.try_transaction(&mut ctx, |tx, ctx| t.set(tx, ctx, seg, 3, 0b110))
             .unwrap();
         assert_eq!(t.read(&mut ctx, seg), Some((3, 0b110)));
     }
@@ -136,8 +138,8 @@ mod tests {
         let (t, mut ctx) = setup();
         let htm = Htm::new(HtmConfig::default());
         let seg = PmAddr(1 << 20);
-        t.set(&mut ctx, seg, 4, 0b1010);
-        htm.try_transaction(&mut ctx, |tx, ctx| t.tx_clear(tx, ctx, seg))
+        t.set(&mut Plain, &mut ctx, seg, 4, 0b1010).unwrap();
+        htm.try_transaction(&mut ctx, |tx, ctx| t.clear(tx, ctx, seg))
             .unwrap();
         assert_eq!(t.read(&mut ctx, seg), None);
     }

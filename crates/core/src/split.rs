@@ -24,6 +24,7 @@ use spash_htm::Abort;
 use spash_index_api::{hash_key, IndexError};
 use spash_pmem::{MemCtx, PmAddr};
 
+use crate::access::{Access, Plain};
 use crate::dir::{pack_entry, unpack_entry};
 use crate::ops::{Spash, AB_STATE_CHANGED};
 use crate::slot::{
@@ -208,46 +209,45 @@ impl Spash {
     }
 
     /// Split the segment currently routed for hash `h`.
-    ///
-    /// In the lock-mode ablations every writer synchronizes on the
-    /// per-segment lock, so the split must hold it too while it rewrites
-    /// the parent in place (HTM guards do not exclude plain lock-mode
-    /// writers).
     pub(crate) fn split(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
-        ctx.stats_span(spash_pmem::SPAN_SPLIT, |ctx| self.split_locked_or_htm(ctx, h))
+        ctx.stats_span(spash_pmem::SPAN_SPLIT, |ctx| self.split_htm(ctx, h))
     }
 
-    fn split_locked_or_htm(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
-        if self.cfg.concurrency == crate::ConcurrencyMode::Htm {
-            return self.split_htm(ctx, h);
-        }
-        loop {
-            let routed = self.dir.lookup(ctx, h);
-            let seg = routed.seg();
-            let lock = self.seg_lock(seg);
-            enum Out {
-                Retry,
-                Done(Result<(), IndexError>),
+    /// Install the planned child images at `addrs` (parent rewritten in
+    /// place as child 0), together with each child's fingerprint sidecar
+    /// — so the fp table is exact the instant the split is visible — and
+    /// its segment-info record, then invalidate overlay entries for the
+    /// parent and every child: their cached bucket images go stale the
+    /// moment the caller repoints the directory. (The stale-cache
+    /// mutation skips that — lookups would then serve pre-split data.)
+    fn install_children<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        plan: &[ChildPlan],
+        addrs: &[PmAddr],
+    ) -> Result<(), Abort> {
+        for (child, &base) in plan.iter().zip(addrs) {
+            for w in 0..32u64 {
+                a.write_u64(ctx, PmAddr(base.0 + w * 8), child.image.words[w as usize])?;
             }
-            let out = lock.rw.write(ctx, |ctx, _| {
-                if self.dir.lookup(ctx, h).seg() != seg {
-                    return Out::Retry;
-                }
-                lock.ver.fetch_add(1, Ordering::AcqRel);
-                let r = self.split_htm(ctx, h);
-                lock.ver.fetch_add(1, Ordering::AcqRel);
-                Out::Done(r)
-            });
-            match out {
-                Out::Retry => continue,
-                Out::Done(r) => return r,
+            for b in 0..BUCKETS_PER_SEG {
+                self.fptable
+                    .write_word(a, ctx, base, b, child.image.fp[b as usize])?;
+            }
+            self.seginfo.set(a, ctx, base, child.depth, child.prefix)?;
+        }
+        if !crate::testhooks::overlay_stale() {
+            for &seg in addrs {
+                a.bump_overlay(ctx, &self.overlay, seg)?;
             }
         }
+        Ok(())
     }
 
-    /// HTM-protected split path; see `split`. Retries internally on
-    /// conflicts; returns once *a* split happened or the routing changed
-    /// (the caller re-runs its insert either way).
+    /// HTM-protected split. Retries internally on conflicts; returns
+    /// once *a* split happened or the routing changed (the caller re-runs
+    /// its insert either way).
     fn split_htm(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
         loop {
             let routed = self.dir.lookup(ctx, h);
@@ -307,73 +307,52 @@ impl Spash {
                 }
             }
 
-            let r = self.htm.try_transaction(ctx, |tx, ctx| {
-                let routed2 = self.dir.tx_validate(tx, ctx, h, seg)?;
-                if routed2.local_depth() != d {
-                    return tx.abort(AB_STATE_CHANGED);
-                }
-                let dir_depth = routed2.dir.depth;
-                if (max_child_depth as u32) > dir_depth {
-                    return tx.abort(AB_STATE_CHANGED);
-                }
-                // Validate the snapshot: any concurrent mutation of the
-                // segment must restart the planning.
-                for w in 0..32u64 {
-                    if tx.read_u64(ctx, PmAddr(seg.0 + w * 8))? != entries_snapshot[w as usize] {
+            let r = self.exclude_lock_mode_ops(ctx, seg, |ctx| {
+                self.htm.try_transaction(ctx, |tx, ctx| {
+                    let routed2 = self.dir.validate(tx, ctx, h, seg)?;
+                    if routed2.local_depth() != d {
                         return tx.abort(AB_STATE_CHANGED);
                     }
-                }
-                // Write the child images (parent rewritten in place),
-                // together with each child's fingerprint sidecar so the
-                // fp table is exact the instant the split commits.
-                for (ci, child) in plan.iter().enumerate() {
-                    let base = addrs[ci];
+                    let dir_depth = routed2.dir.depth;
+                    if (max_child_depth as u32) > dir_depth {
+                        return tx.abort(AB_STATE_CHANGED);
+                    }
+                    // Validate the snapshot: any concurrent mutation of the
+                    // segment must restart the planning.
                     for w in 0..32u64 {
-                        tx.write_u64(ctx, PmAddr(base.0 + w * 8), child.image.words[w as usize])?;
+                        if tx.read_u64(ctx, PmAddr(seg.0 + w * 8))? != entries_snapshot[w as usize] {
+                            return tx.abort(AB_STATE_CHANGED);
+                        }
                     }
-                    for b in 0..BUCKETS_PER_SEG {
-                        self.fptable
-                            .tx_write_word(tx, ctx, base, b, child.image.fp[b as usize])?;
+                    self.install_children(tx, ctx, &plan, &addrs)?;
+                    // Repoint the directory entries of each child's range.
+                    let mut first_idx = usize::MAX;
+                    let mut last_idx = 0usize;
+                    for (ci, child) in plan.iter().enumerate() {
+                        let span = 1usize << (dir_depth - child.depth as u32);
+                        let base_idx = (child.prefix as usize) << (dir_depth - child.depth as u32);
+                        for i in 0..span {
+                            let idx = base_idx + i;
+                            let cell = &routed2.dir.entries[idx];
+                            tx.write_volatile_u64(
+                                routed2.dir.line_id(idx),
+                                cell,
+                                pack_entry(addrs[ci], child.depth),
+                            )?;
+                            first_idx = first_idx.min(idx);
+                            last_idx = last_idx.max(idx);
+                        }
+                        ctx.charge_dram(span.div_ceil(8) as u64);
                     }
-                    self.seginfo
-                        .tx_set(tx, ctx, base, child.depth, child.prefix)?;
-                }
-                // Invalidate overlay entries for the parent and every
-                // child: their cached bucket images are stale the moment
-                // the repoint below commits. (The stale-cache mutation
-                // skips this — lookups would then serve pre-split data.)
-                if !crate::testhooks::overlay_stale() {
-                    for &a in &addrs {
-                        self.overlay.tx_bump(tx, ctx, a)?;
+                    // With the write guards held, make sure every written
+                    // partition is still authoritative (a stage copy finishing
+                    // just before we took the guards would otherwise strand
+                    // these writes in a dead generation).
+                    if !self.dir.tx_write_safe(&routed2.dir, first_idx, last_idx) {
+                        return tx.abort(AB_STATE_CHANGED);
                     }
-                }
-                // Repoint the directory entries of each child's range.
-                let mut first_idx = usize::MAX;
-                let mut last_idx = 0usize;
-                for (ci, child) in plan.iter().enumerate() {
-                    let span = 1usize << (dir_depth - child.depth as u32);
-                    let base_idx = (child.prefix as usize) << (dir_depth - child.depth as u32);
-                    for i in 0..span {
-                        let idx = base_idx + i;
-                        let cell = &routed2.dir.entries[idx];
-                        tx.write_volatile_u64(
-                            routed2.dir.line_id(idx),
-                            cell,
-                            pack_entry(addrs[ci], child.depth),
-                        )?;
-                        first_idx = first_idx.min(idx);
-                        last_idx = last_idx.max(idx);
-                    }
-                    ctx.charge_dram(span.div_ceil(8) as u64);
-                }
-                // With the write guards held, make sure every written
-                // partition is still authoritative (a stage copy finishing
-                // just before we took the guards would otherwise strand
-                // these writes in a dead generation).
-                if !self.dir.tx_write_safe(&routed2.dir, first_idx, last_idx) {
-                    return tx.abort(AB_STATE_CHANGED);
-                }
-                Ok(())
+                    Ok(())
+                })
             });
 
             match r {
@@ -445,78 +424,67 @@ impl Spash {
             let still = routed2.seg() == seg
                 && routed2.local_depth() == d
                 && routed2.dir.gen == target.gen;
-            if !still {
-                for &id in ids.iter().rev() {
-                    self.htm.nontx_unlock(ctx, id);
-                }
-                continue;
-            }
-            let entries = self.collect_segment(ctx, seg);
-            let plan = match plan_split(&entries, d, prefix) {
-                Ok(p) => p,
-                Err(e) => {
-                    for &id in ids.iter().rev() {
-                        self.htm.nontx_unlock(ctx, id);
-                    }
-                    return Err(e);
-                }
+            let done = if still {
+                self.exclude_lock_mode_ops(ctx, seg, |ctx| {
+                    self.split_under_locks(ctx, seg, d, prefix, &target)
+                })
+            } else {
+                None
             };
-            let max_child_depth = plan.iter().map(|c| c.depth).max().unwrap_or(d + 1);
-            if (max_child_depth as u32) > dir_depth {
-                for &id in ids.iter().rev() {
-                    self.htm.nontx_unlock(ctx, id);
-                }
-                continue; // need doubling; restart
-            }
-            let mut addrs = vec![seg];
-            let mut oom = false;
-            for _ in 1..plan.len() {
-                match self.alloc.alloc_segment(ctx) {
-                    Ok(a) => addrs.push(a),
-                    Err(_) => {
-                        oom = true;
-                        break;
-                    }
-                }
-            }
-            if oom {
-                for &a in &addrs[1..] {
-                    self.alloc.free_segment(ctx, a);
-                }
-                for &id in ids.iter().rev() {
-                    self.htm.nontx_unlock(ctx, id);
-                }
-                return Err(IndexError::OutOfMemory);
-            }
-            for (ci, child) in plan.iter().enumerate() {
-                let base = addrs[ci];
-                for w in 0..32u64 {
-                    ctx.write_u64(PmAddr(base.0 + w * 8), child.image.words[w as usize]);
-                }
-                for b in 0..BUCKETS_PER_SEG {
-                    self.fptable.write_word(ctx, base, b, child.image.fp[b as usize]);
-                }
-                self.seginfo.set(ctx, base, child.depth, child.prefix);
-                let span = 1usize << (dir_depth - child.depth as u32);
-                let base_idx = (child.prefix as usize) << (dir_depth - child.depth as u32);
-                for i in 0..span {
-                    target.entries[base_idx + i]
-                        .store(pack_entry(addrs[ci], child.depth), Ordering::Release);
-                }
-                ctx.charge_dram(span.div_ceil(8) as u64);
-            }
-            if !crate::testhooks::overlay_stale() {
-                for &a in &addrs {
-                    self.overlay.nt_bump(ctx, a);
-                }
-            }
-            self.n_segments
-                .fetch_add(plan.len() as u64 - 1, Ordering::Relaxed);
             for &id in ids.iter().rev() {
                 self.htm.nontx_unlock(ctx, id);
             }
-            return Ok(());
+            if let Some(r) = done {
+                return r;
+            }
         }
+    }
+
+    /// [`Self::split_locked`] with the partition locks held: plan,
+    /// install and repoint `target`'s entries with plain accesses.
+    /// `None` = the plan needs a deeper directory; restart.
+    fn split_under_locks(
+        &self,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        d: u8,
+        prefix: u64,
+        target: &crate::dir::DirInner,
+    ) -> Option<Result<(), IndexError>> {
+        let entries = self.collect_segment(ctx, seg);
+        let plan = match plan_split(&entries, d, prefix) {
+            Ok(p) => p,
+            Err(e) => return Some(Err(e)),
+        };
+        let dir_depth = target.depth;
+        let max_child_depth = plan.iter().map(|c| c.depth).max().unwrap_or(d + 1);
+        if (max_child_depth as u32) > dir_depth {
+            return None;
+        }
+        let mut addrs = vec![seg];
+        for _ in 1..plan.len() {
+            match self.alloc.alloc_segment(ctx) {
+                Ok(a) => addrs.push(a),
+                Err(_) => {
+                    for &a in &addrs[1..] {
+                        self.alloc.free_segment(ctx, a);
+                    }
+                    return Some(Err(IndexError::OutOfMemory));
+                }
+            }
+        }
+        Plain::ok(self.install_children(&mut Plain, ctx, &plan, &addrs));
+        for (child, &addr) in plan.iter().zip(&addrs) {
+            let span = 1usize << (dir_depth - child.depth as u32);
+            let base_idx = (child.prefix as usize) << (dir_depth - child.depth as u32);
+            for i in 0..span {
+                target.entries[base_idx + i].store(pack_entry(addr, child.depth), Ordering::Release);
+            }
+            ctx.charge_dram(span.div_ceil(8) as u64);
+        }
+        self.n_segments
+            .fetch_add(plan.len() as u64 - 1, Ordering::Relaxed);
+        Some(Ok(()))
     }
 
     /// Merge `seg` (just emptied by a delete) into its buddy if both sit
@@ -553,7 +521,7 @@ impl Spash {
         let parent_prefix = prefix >> 1;
 
         let _ = self.htm.try_transaction(ctx, |tx, ctx| {
-            let routed2 = self.dir.tx_validate(tx, ctx, h, seg)?;
+            let routed2 = self.dir.validate(tx, ctx, h, seg)?;
             if routed2.local_depth() != d || routed2.dir.gen != target.gen {
                 return tx.abort(AB_STATE_CHANGED);
             }
@@ -586,9 +554,8 @@ impl Spash {
                 return tx.abort(AB_STATE_CHANGED);
             }
             ctx.charge_dram(span.div_ceil(8) as u64);
-            self.seginfo.tx_clear(tx, ctx, seg)?;
-            self.seginfo
-                .tx_set(tx, ctx, buddy_seg, d - 1, parent_prefix)?;
+            self.seginfo.clear(tx, ctx, seg)?;
+            self.seginfo.set(tx, ctx, buddy_seg, d - 1, parent_prefix)?;
             // The freed segment's cached (empty) bucket images must die
             // with it: its address may be reallocated and refilled while
             // a stale overlay entry still claims its buckets are empty.

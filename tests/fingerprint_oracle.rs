@@ -23,9 +23,10 @@
 //!   overlay invalidation → a cached bucket image survives its segment's
 //!   split and serves pre-split values after a post-split update.
 //!
-//! The canary hooks are process-global, so every test that flips one
-//! holds [`hook_lock`] and restores the hook even on panic. Regression
-//! seeds for the sibling property suites live in
+//! The canary hooks are process-global, so every test holds
+//! [`hook_lock`] — the healthy batteries too, or a concurrently armed
+//! canary corrupts them — and a test that flips a hook restores it even
+//! on panic. Regression seeds for the sibling property suites live in
 //! `tests/proptest_substrates.proptest-regressions`.
 
 use std::collections::HashMap;
@@ -163,6 +164,7 @@ fn churn(
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_seeds() {
+    let _guard = hook_lock();
     for case in 0..12u64 {
         let dev = PmDevice::new(pm());
         let mut ctx = dev.ctx();
@@ -197,6 +199,7 @@ fn fingerprinted_path_matches_oracle_under_forced_tag_collisions() {
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_splits() {
+    let _guard = hook_lock();
     let dev = PmDevice::new(pm());
     let mut ctx = dev.ctx();
     let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
@@ -225,6 +228,7 @@ fn fingerprinted_path_matches_oracle_across_splits() {
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_crash_recover_cycles() {
+    let _guard = hook_lock();
     let dev = PmDevice::new(eadr());
     let mut model = HashMap::new();
     let mut rng = Rng64::new(0xCAFE);
