@@ -43,18 +43,54 @@ use spash_baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_index_api::crashpoint::CrashTarget;
 use spash_pmem::SanMode;
 
-/// Every index in the repo as a [`CrashTarget`], constructed with the same
-/// parameters the crash-point sweep uses (`spash-bench crashpoints`).
+/// How big the roster's two size-dependent members are built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sizing {
+    /// Crash sweeps, sanitizer runs, schedule exploration: Spash's small
+    /// test geometry and an 8 MiB Halo log, so splits, merges and GC
+    /// happen within a few hundred ops.
+    Sweep,
+    /// The `perf`/`scale`/`service` suites: Spash's default geometry and
+    /// a 64 MiB Halo log (the suites replay several write phases into it).
+    Suite,
+}
+
+/// Which part of the roster to build (the `SPASH_*_TARGETS` choices).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Select {
+    Spash,
+    Baselines,
+    All,
+}
+
+/// The one roster: Spash and the six baselines as [`CrashTarget`]s, in
+/// report order. Fresh targets per call — `CrashTarget::format` must not
+/// share volatile state across devices.
+pub fn roster(sizing: Sizing, select: Select) -> Vec<CrashTarget> {
+    let (spash, halo_log) = match sizing {
+        Sizing::Sweep => (SpashConfig::test_default(), 8 << 20),
+        Sizing::Suite => (SpashConfig::default(), 64 << 20),
+    };
+    let mut targets = Vec::new();
+    if select != Select::Baselines {
+        targets.push(Spash::crash_target(spash));
+    }
+    if select != Select::Spash {
+        targets.extend([
+            Cceh::crash_target(1),
+            Dash::crash_target(1),
+            Level::crash_target(4),
+            CLevel::crash_target(4),
+            Plush::crash_target(4),
+            Halo::crash_target(halo_log, u64::MAX),
+        ]);
+    }
+    targets
+}
+
+/// The full sweep-sized roster (the sanitizer suites' name for it).
 pub fn all_targets() -> Vec<CrashTarget> {
-    vec![
-        Spash::crash_target(SpashConfig::test_default()),
-        Cceh::crash_target(1),
-        Dash::crash_target(1),
-        Level::crash_target(4),
-        CLevel::crash_target(4),
-        Plush::crash_target(4),
-        Halo::crash_target(8 << 20, u64::MAX),
-    ]
+    roster(Sizing::Sweep, Select::All)
 }
 
 /// The sanitizer mode appropriate for an index, keyed by target name.

@@ -5,8 +5,9 @@
 //! `spash-bench san`, the CI `sanitize` job's clean-run gate, and the
 //! mutation-canary tests in `tests/sanitizer.rs`.
 
+use std::fmt::Write;
+
 use spash_index_api::crashpoint::{gen_workload, CrashTarget, SweepOp};
-use spash_index_api::IndexError;
 use spash_pmem::{
     CrashFidelity, PersistenceDomain, PmConfig, PmDevice, SanReport, StatsDelta,
 };
@@ -123,15 +124,16 @@ pub fn run_san(target: &CrashTarget, cfg: &SanRunConfig) -> SanRunResult {
     let ops = gen_workload(cfg.seed, cfg.n_ops, cfg.key_space);
     let mut label = String::new();
     for (i, op) in ops.iter().enumerate() {
+        let kind = match op {
+            SweepOp::Insert(..) => "insert",
+            SweepOp::Update(..) => "update",
+            SweepOp::Remove(_) => "remove",
+            SweepOp::Get(_) => "get",
+        };
         label.clear();
-        match op {
-            SweepOp::Insert(k, _) => push_label(&mut label, "insert", i, *k),
-            SweepOp::Update(k, _) => push_label(&mut label, "update", i, *k),
-            SweepOp::Remove(k) => push_label(&mut label, "remove", i, *k),
-            SweepOp::Get(k) => push_label(&mut label, "get", i, *k),
-        }
+        let _ = write!(label, "op#{i} {kind}(key={})", op.key());
         ctx.san_op_label(&label);
-        apply(idx.as_ref(), &mut ctx, op);
+        op.apply_mirrored(idx.as_ref(), &mut ctx);
     }
     let san = dev.san().expect("sanitizer was configured on");
     san.final_check();
@@ -142,31 +144,6 @@ pub fn run_san(target: &CrashTarget, cfg: &SanRunConfig) -> SanRunResult {
         report: san.report(),
         stats,
         n_ops: cfg.n_ops,
-    }
-}
-
-fn push_label(out: &mut String, kind: &str, i: usize, k: u64) {
-    use std::fmt::Write;
-    let _ = write!(out, "op#{i} {kind}(key={k})");
-}
-
-fn apply(idx: &dyn spash_index_api::PersistentIndex, ctx: &mut spash_pmem::MemCtx, op: &SweepOp) {
-    match op {
-        SweepOp::Insert(k, v) => match idx.insert(ctx, *k, v) {
-            Ok(()) | Err(IndexError::DuplicateKey) => {}
-            Err(e) => panic!("san workload insert({k}) failed: {e}"),
-        },
-        SweepOp::Update(k, v) => match idx.update(ctx, *k, v) {
-            Ok(()) | Err(IndexError::NotFound) => {}
-            Err(e) => panic!("san workload update({k}) failed: {e}"),
-        },
-        SweepOp::Remove(k) => {
-            idx.remove(ctx, *k);
-        }
-        SweepOp::Get(k) => {
-            let mut buf = Vec::new();
-            idx.get(ctx, *k, &mut buf);
-        }
     }
 }
 

@@ -16,10 +16,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spash_pmem::{MemCtx, PmDevice, SpanSnapshot, StatsDelta};
+use spash_pmem::{MemCtx, PmDevice, SpanSnapshot, StatsDelta, StatsSnapshot};
+use spash_sched::batch::run_batch;
+use spash_sched::SchedConfig;
 
-/// Scale knobs, overridable from the environment so `cargo bench` stays
-/// fast by default:
+use crate::knobs;
+
+/// Scale knobs, overridable from the environment (strictly — see
+/// [`crate::knobs`]) so `cargo bench` stays fast by default:
 /// * `SPASH_BENCH_KEYS` — load-phase keys (default 400k, paper 20M/100M);
 /// * `SPASH_BENCH_OPS` — run-phase ops (default 200k, paper 8G/100M);
 /// * `SPASH_BENCH_THREADS` — simulated thread counts, comma-separated
@@ -33,25 +37,11 @@ pub struct Scale {
 
 impl Scale {
     pub fn from_env() -> Self {
-        let env_u64 = |k: &str, d: u64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        let threads = std::env::var("SPASH_BENCH_THREADS")
-            .ok()
-            .map(|v| {
-                v.split(',')
-                    .filter_map(|t| t.trim().parse().ok())
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| vec![1, 8, 56]);
+        knobs::reject_unknown();
         Self {
-            keys: env_u64("SPASH_BENCH_KEYS", 400_000),
-            ops: env_u64("SPASH_BENCH_OPS", 200_000),
-            threads,
+            keys: knobs::int("SPASH_BENCH_KEYS", 400_000),
+            ops: knobs::int("SPASH_BENCH_OPS", 200_000),
+            threads: knobs::list("SPASH_BENCH_THREADS", &[1, 8, 56]),
         }
     }
 
@@ -102,23 +92,77 @@ impl PhaseResult {
     }
 }
 
-/// Run `body` on `threads` simulated threads, measuring virtual time and
-/// media-counter deltas. `body(tid, ctx)` returns the number of operations
-/// it performed. The XPBuffer is drained before and after so the delta is
-/// self-contained.
+/// The one phase accountant behind all three runners. [`Self::begin`]
+/// quiesces the device and captures the counter, span, host-clock and
+/// virtual-floor baselines; the runner then creates its per-task contexts
+/// (so simulated-thread ids stay a function of the runner, not the
+/// meter), runs the bodies, and hands [`Self::finish`] one
+/// `(ops, end-of-task virtual clock)` pair per task.
+struct PhaseMeter {
+    before: StatsSnapshot,
+    spans_before: Vec<(&'static str, SpanSnapshot)>,
+    host_start: Instant,
+    /// All phase tasks start at the device's virtual-time floor.
+    phase_start: u64,
+}
+
+impl PhaseMeter {
+    /// Drain the XPBuffer (so the delta is self-contained) and snapshot.
+    fn begin(dev: &PmDevice) -> Self {
+        dev.quiesce();
+        Self {
+            before: dev.snapshot(),
+            spans_before: dev.span_totals(),
+            host_start: Instant::now(),
+            phase_start: dev.vtime_floor(),
+        }
+    }
+
+    /// Close the phase: `elapsed = max(max per-task clock, sim horizon,
+    /// bandwidth floor) - start`. The floor advances to the phase's end
+    /// so virtual timestamps persisted in lock/HTM metadata by this phase
+    /// can never stall the next one.
+    fn finish(self, dev: &PmDevice, tasks: &[(u64, u64)]) -> PhaseResult {
+        dev.quiesce();
+        let host_ns = self.host_start.elapsed().as_nanos() as u64;
+        let delta = dev.snapshot().since(&self.before);
+        let spans = dev
+            .span_totals()
+            .iter()
+            .zip(self.spans_before.iter())
+            .map(|((name, after), (_, before))| (*name, after.since(before)))
+            .collect();
+        if delta.san_redundant_flushes + delta.san_noop_fences > 0 {
+            println!(
+                "# san: {} redundant flushes, {} no-op fences this phase",
+                delta.san_redundant_flushes, delta.san_noop_fences
+            );
+        }
+        let max_clock = tasks
+            .iter()
+            .map(|t| t.1)
+            .max()
+            .unwrap_or(self.phase_start)
+            .max(dev.sim_horizon());
+        dev.raise_vtime_floor(max_clock);
+        let span = max_clock.saturating_sub(self.phase_start);
+        PhaseResult {
+            ops: tasks.iter().map(|t| t.0).sum(),
+            elapsed_ns: span.max(delta.bandwidth_floor_ns(&dev.config().cost)),
+            delta,
+            host_ns,
+            spans,
+        }
+    }
+}
+
+/// Run `body` on `threads` OS threads, one simulated thread each.
+/// `body(tid, ctx)` returns the number of operations it performed.
 pub fn run_phase<F>(dev: &Arc<PmDevice>, threads: usize, body: F) -> PhaseResult
 where
     F: Fn(usize, &mut MemCtx) -> u64 + Sync,
 {
-    dev.quiesce();
-    let before = dev.snapshot();
-    let spans_before = dev.span_totals();
-    let host_start = Instant::now();
-    let cost = dev.config().cost.clone();
-    // All phase threads start at the device's virtual-time floor; the
-    // floor advances to the phase's end so virtual timestamps persisted in
-    // lock/HTM metadata by this phase can never stall the next one.
-    let phase_start = dev.vtime_floor();
+    let meter = PhaseMeter::begin(dev);
     let results: Vec<(u64, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
@@ -134,38 +178,61 @@ where
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    dev.quiesce();
-    let host_ns = host_start.elapsed().as_nanos() as u64;
-    let delta = dev.snapshot().since(&before);
-    let spans = dev
-        .span_totals()
-        .iter()
-        .zip(spans_before.iter())
-        .map(|((name, after), (_, before))| (*name, after.since(before)))
+    meter.finish(dev, &results)
+}
+
+/// Run `body` as the phase's only task, on the calling thread. Needed
+/// because `CrashTarget` closures are not `Sync`, and wanted because one
+/// OS thread keeps the `perf` suite bit-deterministic.
+pub(crate) fn run_inline<F>(dev: &Arc<PmDevice>, body: F) -> PhaseResult
+where
+    F: FnOnce(&mut MemCtx) -> u64,
+{
+    let meter = PhaseMeter::begin(dev);
+    let mut ctx = dev.ctx();
+    ctx.reset_clock();
+    let ops = body(&mut ctx);
+    let end = ctx.now();
+    drop(ctx);
+    meter.finish(dev, &[(ops, end)])
+}
+
+/// One cooperative task of a scheduled phase: runs on its own context and
+/// returns the number of operations it performed.
+pub(crate) type TaskBody<'a> = Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>;
+
+/// Run `bodies` as cooperative tasks under [`run_batch`] (the `scale` and
+/// `service` suites). Returns the phase result plus per-task op counts
+/// (the sum invariant the tests pin).
+///
+/// Per-task contexts are created before spawning, in task order, so
+/// simulated-thread ids are a pure function of the configuration.
+/// `host_ns` is deliberately 0: host time under the baton scheduler
+/// measures scheduler overhead, and zeroing keeps the reports byte-stable.
+pub(crate) fn run_scheduled<'a>(
+    dev: &Arc<PmDevice>,
+    sched: &SchedConfig,
+    bodies: Vec<TaskBody<'a>>,
+) -> Result<(PhaseResult, Vec<u64>), String> {
+    let meter = PhaseMeter::begin(dev);
+    let tasks: Vec<Box<dyn FnOnce() -> (u64, u64) + Send + 'a>> = bodies
+        .into_iter()
+        .map(|body| {
+            let mut ctx = dev.ctx();
+            ctx.reset_clock();
+            let t: Box<dyn FnOnce() -> (u64, u64) + Send + 'a> = Box::new(move || {
+                let ops = body(&mut ctx);
+                (ops, ctx.now())
+            });
+            t
+        })
         .collect();
-    if delta.san_redundant_flushes + delta.san_noop_fences > 0 {
-        println!(
-            "# san: {} redundant flushes, {} no-op fences this phase",
-            delta.san_redundant_flushes, delta.san_noop_fences
-        );
-    }
-    let ops: u64 = results.iter().map(|r| r.0).sum();
-    let max_clock = results
-        .iter()
-        .map(|r| r.1)
-        .max()
-        .unwrap_or(phase_start)
-        .max(dev.sim_horizon());
-    dev.raise_vtime_floor(max_clock);
-    let span = max_clock.saturating_sub(phase_start);
-    let elapsed_ns = span.max(delta.bandwidth_floor_ns(&cost));
-    PhaseResult {
-        ops,
-        elapsed_ns,
-        delta,
-        host_ns,
-        spans,
-    }
+    let results: Vec<(u64, u64)> = run_batch(sched, None, tasks).into_complete()?;
+    let r = PhaseResult {
+        host_ns: 0,
+        ..meter.finish(dev, &results)
+    };
+    Ok((r, results.iter().map(|t| t.0).collect()))
 }
 
 /// Print a table: first column = row label, then one column per series.
@@ -233,6 +300,43 @@ mod tests {
         let floor = r.delta.bandwidth_floor_ns(&cost);
         assert!(r.elapsed_ns >= floor);
         assert!(floor > 0);
+    }
+
+    /// One accounting path: the same body measured by the inline runner
+    /// and as a one-task cooperative batch agrees on everything virtual.
+    #[test]
+    fn inline_and_one_task_scheduled_runs_agree() {
+        let body = |ctx: &mut MemCtx| {
+            for i in 0..300u64 {
+                let a = PmAddr(8192 + (i * 7919 % 4096) * 64);
+                ctx.write_u64(a, i);
+                if i % 5 == 0 {
+                    ctx.fetch_or_u64(a, 1);
+                    ctx.flush(a);
+                    ctx.fence();
+                }
+                let _ = ctx.read_u64(PmAddr(8192 + (i * 104729 % 4096) * 64));
+            }
+            300
+        };
+        let cfg = PmConfig {
+            cache_capacity: 64 << 10,
+            ..PmConfig::small_test()
+        };
+        let inline = run_inline(&PmDevice::new(cfg.clone()), body);
+        let bodies: Vec<TaskBody> = vec![Box::new(body)];
+        let (sched, per_task) =
+            run_scheduled(&PmDevice::new(cfg), &SchedConfig::random(7, 16), bodies).unwrap();
+        assert_eq!(per_task, vec![300]);
+        assert_eq!(
+            (sched.ops, sched.elapsed_ns),
+            (inline.ops, inline.elapsed_ns)
+        );
+        assert!(inline.elapsed_ns > 0 && inline.delta.cl_writes > 0);
+        assert_eq!(sched.delta, inline.delta);
+        assert_eq!(sched.spans, inline.spans);
+        assert!(inline.host_ns > 0);
+        assert_eq!(sched.host_ns, 0, "cooperative runs carry no host time");
     }
 
     #[test]

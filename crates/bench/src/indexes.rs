@@ -7,23 +7,14 @@ use spash::{ConcurrencyMode, InsertPolicy, Spash, SpashConfig, UpdatePolicy};
 use spash_baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::PersistentIndex;
-use spash_pmem::{PmConfig, PmDevice};
+use spash_pmem::{PmConfig, PmDevice, SanMode};
 
-/// All seven indexes by their [`CrashTarget`] format/recover pairs — the
-/// shared roster of the `perf` and `scale` suites (and the crash sweeps
-/// those pairs were built for). Fresh targets per call:
-/// `CrashTarget::format` must not share volatile state across devices.
+use crate::knobs;
+
+/// The suite-sized roster (`spash_analysis::roster`) the `perf`,
+/// `scale` and `service` suites iterate.
 pub fn crash_targets() -> Vec<CrashTarget> {
-    vec![
-        Spash::crash_target(SpashConfig::default()),
-        Cceh::crash_target(1),
-        Dash::crash_target(1),
-        Level::crash_target(4),
-        CLevel::crash_target(4),
-        Plush::crash_target(4),
-        // Generous log: the suites replay several write phases into it.
-        Halo::crash_target(64 << 20, u64::MAX),
-    ]
+    spash_analysis::roster(spash_analysis::Sizing::Suite, spash_analysis::Select::All)
 }
 
 /// Which index to build.
@@ -97,11 +88,15 @@ pub fn bench_device(keys: u64, value_bytes: u64) -> Arc<PmDevice> {
     // Optional: arm the persistence-ordering sanitizer for any benchmark
     // run. Diagnostics (redundant flushes / no-op fences) are printed by
     // `run_phase` when the counters move.
-    let san = match std::env::var("SPASH_BENCH_SAN").as_deref() {
-        Ok("strict") => Some(spash_pmem::SanMode::Strict),
-        Ok("relaxed") => Some(spash_pmem::SanMode::Relaxed),
-        _ => None,
-    };
+    let san = knobs::choice(
+        "SPASH_BENCH_SAN",
+        &[
+            ("strict", Some(SanMode::Strict)),
+            ("relaxed", Some(SanMode::Relaxed)),
+            ("off", None),
+        ],
+        None,
+    );
     PmDevice::new(PmConfig {
         arena_size: arena,
         cache_capacity: cache,

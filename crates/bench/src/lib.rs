@@ -11,6 +11,7 @@
 pub mod experiments;
 pub mod harness;
 pub mod indexes;
+pub mod knobs;
 pub mod perf;
 pub mod report;
 pub mod scale;

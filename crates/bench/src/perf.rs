@@ -14,16 +14,15 @@
 //! format/recover pair the crash sweeps use — so the suite also times a
 //! real recovery (power failure + rebuild) per index and domain.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::PersistentIndex;
-use spash_pmem::{CrashFidelity, MemCtx, PersistenceDomain, PmConfig, PmDevice};
+use spash_pmem::{CrashFidelity, PersistenceDomain, PmConfig, PmDevice};
 use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
 use crate::experiments::exec_stream;
+use crate::harness::run_inline;
 use crate::indexes::crash_targets;
+use crate::knobs;
 use crate::report::{BenchReport, ExperimentRow};
 use crate::statskit::median;
 use crate::PhaseResult;
@@ -70,17 +69,11 @@ impl PerfConfig {
 
     pub fn from_env() -> Self {
         let d = Self::default_suite();
-        let env_u64 = |k: &str, d: u64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         Self {
-            keys: env_u64("SPASH_PERF_KEYS", d.keys),
-            ops: env_u64("SPASH_PERF_OPS", d.ops),
-            repeats: env_u64("SPASH_PERF_REPEATS", d.repeats as u64) as usize,
-            seed: env_u64("SPASH_PERF_SEED", d.seed),
+            keys: knobs::int("SPASH_PERF_KEYS", d.keys),
+            ops: knobs::int("SPASH_PERF_OPS", d.ops),
+            repeats: knobs::int("SPASH_PERF_REPEATS", d.repeats as u64) as usize,
+            seed: knobs::int("SPASH_PERF_SEED", d.seed),
             value_bytes: d.value_bytes,
         }
     }
@@ -99,48 +92,6 @@ pub(crate) fn suite_pm(domain: PersistenceDomain) -> PmConfig {
         fidelity: CrashFidelity::Full,
         san: None,
         ..PmConfig::default()
-    }
-}
-
-/// Single-threaded `run_phase`: same accounting (quiesce, counter and
-/// span deltas, vtime floor, bandwidth floor), but `body` runs on the
-/// calling thread. Needed because [`CrashTarget`] closures are not
-/// `Sync`, and wanted because one OS thread keeps the run
-/// bit-deterministic.
-fn measure_inline<F>(dev: &Arc<PmDevice>, body: F) -> PhaseResult
-where
-    F: FnOnce(&mut MemCtx) -> u64,
-{
-    dev.quiesce();
-    let before = dev.snapshot();
-    let spans_before = dev.span_totals();
-    let host_start = Instant::now();
-    let cost = dev.config().cost.clone();
-    let phase_start = dev.vtime_floor();
-    let mut ctx = dev.ctx();
-    ctx.reset_clock();
-    let ops = body(&mut ctx);
-    let end = ctx.now();
-    drop(ctx);
-    dev.quiesce();
-    let host_ns = host_start.elapsed().as_nanos() as u64;
-    let delta = dev.snapshot().since(&before);
-    let spans = dev
-        .span_totals()
-        .iter()
-        .zip(spans_before.iter())
-        .map(|((name, after), (_, before))| (*name, after.since(before)))
-        .collect();
-    let max_clock = end.max(dev.sim_horizon());
-    dev.raise_vtime_floor(max_clock);
-    let span = max_clock.saturating_sub(phase_start);
-    let elapsed_ns = span.max(delta.bandwidth_floor_ns(&cost));
-    PhaseResult {
-        ops,
-        elapsed_ns,
-        delta,
-        host_ns,
-        spans,
     }
 }
 
@@ -185,7 +136,7 @@ fn run_target(
     let load_cfg = wl(Distribution::Uniform, Mix::BALANCED);
     let keys = load_keys(&load_cfg);
     let mut vals = OpStream::new(&load_cfg, 0);
-    let r = measure_inline(&dev, |ctx| {
+    let r = run_inline(&dev, |ctx| {
         for &k in &keys {
             index
                 .insert(ctx, k, &vals.expected_value(k))
@@ -201,7 +152,7 @@ fn run_target(
         ("zipf", Distribution::Zipfian, Mix::BALANCED),
     ] {
         let mut stream = OpStream::new(&wl(dist, mix), 0);
-        let r = measure_inline(&dev, |ctx| exec_stream(&*index, ctx, &mut stream, cfg.ops));
+        let r = run_inline(&dev, |ctx| exec_stream(&*index, ctx, &mut stream, cfg.ops));
         // Every index wraps its read path in [`spash_pmem::SPAN_PROBE`],
         // so the span delta isolates probe cost from the phase's writes.
         // PM cachelines referenced per probe (media misses + device-cache
@@ -238,7 +189,7 @@ fn run_target(
     drop(index);
     dev.simulate_power_failure();
     let mut recovered = None;
-    let r = measure_inline(&dev, |ctx| {
+    let r = run_inline(&dev, |ctx| {
         recovered = (target.recover)(ctx);
         1
     });
@@ -335,7 +286,7 @@ pub fn short_rev() -> String {
             .collect();
         (!t.is_empty()).then_some(t)
     };
-    if let Some(r) = std::env::var("SPASH_PERF_REV").ok().as_deref().and_then(clean) {
+    if let Some(r) = knobs::text("SPASH_PERF_REV").as_deref().and_then(clean) {
         return r;
     }
     if let Some(r) = std::env::var("GITHUB_SHA")

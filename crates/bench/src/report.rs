@@ -667,6 +667,15 @@ pub fn emit_value(experiment: &str, series: &str, point: &str, phase: &str, unit
     });
 }
 
+/// A thread/shard ladder as its report config echo (`"1,2,4,8"`).
+pub fn join_ladder(ladder: &[usize]) -> String {
+    ladder
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 /// Drain every row emitted so far (in emission order).
 pub fn drain_rows() -> Vec<ExperimentRow> {
     std::mem::take(&mut *SINK.lock().unwrap())

@@ -19,8 +19,8 @@
 //!   informational `created_unix` header) makes the report byte-identical
 //!   across same-seed runs.
 //! * `elapsed_ns = max(max per-task virtual clock, sim horizon,
-//!   bandwidth floor)` — the same rule as the real-thread harness
-//!   (`run_phase`), so Mops/s is comparable across both.
+//!   bandwidth floor)` — the same `harness::PhaseMeter` as the
+//!   real-thread and inline runners, so Mops/s is comparable across all.
 //!
 //! Each cell (index × domain × thread count) runs three phases on one
 //! fresh device: a partitioned **load**, a partitioned-**uniform** run
@@ -38,14 +38,15 @@ use spash_index_api::crashpoint::{CrashTarget, SweepOp};
 use spash_index_api::history::{self, fingerprint, HistOp, Recorder};
 use spash_index_api::{hash_key, PersistentIndex};
 use spash_pmem::{MemCtx, PersistenceDomain, PmAddr, PmDevice};
-use spash_sched::batch::run_batch;
 use spash_sched::SchedConfig;
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkOp, WorkloadConfig};
+use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
 use crate::experiments::{exec_stream, my_chunk};
+use crate::harness::run_scheduled;
 use crate::indexes::crash_targets;
+use crate::knobs;
 use crate::perf::{domain_label, short_rev, suite_pm};
-use crate::report::{BenchReport, ExperimentRow};
+use crate::report::{join_ladder, BenchReport, ExperimentRow};
 use crate::PhaseResult;
 
 /// Suite scale. Like `perf`, deliberately small: contention shapes show
@@ -94,45 +95,15 @@ impl ScaleConfig {
         }
     }
 
-    /// Full-figure ladder (the paper sweeps 1→56 threads). Not the CI
-    /// default — a 56-task cooperative cell is minutes, not seconds.
-    pub fn paper_ladder() -> Self {
-        Self {
-            threads: vec![1, 2, 4, 8, 16, 32, 56],
-            ..Self::default_suite()
-        }
-    }
-
     pub fn from_env() -> Self {
         let d = Self::default_suite();
-        let env_u64 = |k: &str, d: u64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| {
-                    let v = v.trim().to_ascii_lowercase();
-                    match v.strip_prefix("0x") {
-                        Some(h) => u64::from_str_radix(h, 16).ok(),
-                        None => v.parse().ok(),
-                    }
-                })
-                .unwrap_or(d)
-        };
-        let threads = std::env::var("SPASH_SCALE_THREADS")
-            .ok()
-            .map(|v| {
-                v.split(',')
-                    .filter_map(|t| t.trim().parse().ok())
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or(d.threads);
         Self {
-            keys: env_u64("SPASH_SCALE_KEYS", d.keys),
-            ops: env_u64("SPASH_SCALE_OPS", d.ops),
-            threads,
-            seed: env_u64("SPASH_SCALE_SEED", d.seed),
+            keys: knobs::int("SPASH_SCALE_KEYS", d.keys),
+            ops: knobs::int("SPASH_SCALE_OPS", d.ops),
+            threads: knobs::list("SPASH_SCALE_THREADS", &d.threads),
+            seed: knobs::int("SPASH_SCALE_SEED", d.seed),
             value_bytes: d.value_bytes,
-            preemptions: env_u64("SPASH_SCALE_PREEMPTIONS", d.preemptions as u64) as u32,
+            preemptions: knobs::int("SPASH_SCALE_PREEMPTIONS", d.preemptions as u64) as u32,
         }
     }
 }
@@ -174,68 +145,6 @@ pub(crate) fn phase_seed(base: u64, series: usize, domain: usize, threads: usize
             ^ ((threads as u64) << 16)
             ^ phase as u64,
     )
-}
-
-/// The scheduler-driven analogue of the harness's `run_phase`: run
-/// `bodies` as cooperative tasks via [`run_batch`], with the same
-/// counter/span/virtual-time accounting. Returns the phase result plus
-/// per-task op counts (the sum invariant the tests pin).
-///
-/// Per-task contexts are created before spawning, in task order, so
-/// simulated-thread ids are a pure function of the configuration.
-pub(crate) fn measure_batch<'a>(
-    dev: &Arc<PmDevice>,
-    sched: &SchedConfig,
-    bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>>,
-) -> Result<(PhaseResult, Vec<u64>), String> {
-    dev.quiesce();
-    let before = dev.snapshot();
-    let spans_before = dev.span_totals();
-    let cost = dev.config().cost.clone();
-    let phase_start = dev.vtime_floor();
-
-    let tasks: Vec<Box<dyn FnOnce() -> (u64, u64) + Send + 'a>> = bodies
-        .into_iter()
-        .map(|body| {
-            let mut ctx = dev.ctx();
-            ctx.reset_clock();
-            let t: Box<dyn FnOnce() -> (u64, u64) + Send + 'a> = Box::new(move || {
-                let ops = body(&mut ctx);
-                (ops, ctx.now())
-            });
-            t
-        })
-        .collect();
-    let results: Vec<(u64, u64)> = run_batch(sched, None, tasks).into_complete()?;
-
-    dev.quiesce();
-    let delta = dev.snapshot().since(&before);
-    let spans = dev
-        .span_totals()
-        .iter()
-        .zip(spans_before.iter())
-        .map(|((name, after), (_, before))| (*name, after.since(before)))
-        .collect();
-    let task_ops: Vec<u64> = results.iter().map(|r| r.0).collect();
-    let max_clock = results
-        .iter()
-        .map(|r| r.1)
-        .max()
-        .unwrap_or(phase_start)
-        .max(dev.sim_horizon());
-    dev.raise_vtime_floor(max_clock);
-    let span = max_clock.saturating_sub(phase_start);
-    let elapsed_ns = span.max(delta.bandwidth_floor_ns(&cost));
-    let r = PhaseResult {
-        ops: task_ops.iter().sum(),
-        elapsed_ns,
-        delta,
-        // Deliberately 0: host time under the baton scheduler measures
-        // scheduler overhead, and zeroing keeps the report byte-stable.
-        host_ns: 0,
-        spans,
-    };
-    Ok((r, task_ops))
 }
 
 // --- one cell: index × domain × thread count ----------------------------
@@ -323,7 +232,7 @@ pub fn run_cell(
         })
         .collect();
     let (r, per_task) =
-        measure_batch(&dev, &sched_for(0), load_bodies).map_err(|e| fail("load", e))?;
+        run_scheduled(&dev, &sched_for(0), load_bodies).map_err(|e| fail("load", e))?;
     push("load", r, per_task);
 
     // Run phases: partitioned-uniform (disjoint slices, no key sharing)
@@ -354,7 +263,7 @@ pub fn run_cell(
             })
             .collect();
         let (r, per_task) =
-            measure_batch(&dev, &sched_for(1 + pi), bodies).map_err(|e| fail(phase, e))?;
+            run_scheduled(&dev, &sched_for(1 + pi), bodies).map_err(|e| fail(phase, e))?;
         push(phase, r, per_task);
     }
 
@@ -373,14 +282,7 @@ pub fn run_suite(cfg: &ScaleConfig) -> Result<BenchReport, String> {
     report.set_config("keys", cfg.keys);
     report.set_config("ops", cfg.ops);
     report.set_config("seed", format!("{:#x}", cfg.seed));
-    report.set_config(
-        "threads",
-        cfg.threads
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-    );
+    report.set_config("threads", join_ladder(&cfg.threads));
     report.set_config("value_bytes", cfg.value_bytes);
     report.set_config("preemptions", cfg.preemptions);
 
@@ -413,6 +315,17 @@ fn mops_at(report: &BenchReport, series: &str, domain: &str, phase: &str, t: usi
         .map(|r| r.value)
 }
 
+/// Every roster series name, and which of them is Spash.
+fn series_names() -> (Vec<String>, String) {
+    let series: Vec<String> = crash_targets().iter().map(|t| t.name.clone()).collect();
+    let spash = series
+        .iter()
+        .find(|s| s.starts_with("Spash"))
+        .cloned()
+        .expect("Spash series present");
+    (series, spash)
+}
+
 /// Compute the headline claims and store them as report assertions:
 ///
 /// * `crossover/<domain>/<phase>/<baseline>` — the smallest ladder thread
@@ -425,12 +338,7 @@ fn mops_at(report: &BenchReport, series: &str, domain: &str, phase: &str, t: usi
 /// These are *derived* from bit-deterministic rows, so they are
 /// themselves deterministic and `compare` gates them exactly.
 fn derive_assertions(report: &mut BenchReport, cfg: &ScaleConfig) {
-    let series: Vec<String> = crash_targets().iter().map(|t| t.name.clone()).collect();
-    let spash = series
-        .iter()
-        .find(|s| s.starts_with("Spash"))
-        .cloned()
-        .expect("Spash series present");
+    let (series, spash) = series_names();
     let mut claims: Vec<(String, String)> = Vec::new();
     for domain in ["eadr", "adr"] {
         for phase in ["uniform", "zipf"] {
@@ -484,12 +392,7 @@ fn derive_assertions(report: &mut BenchReport, cfg: &ScaleConfig) {
 ///   has a crossover (≠ "never").
 pub fn check_claims(report: &BenchReport, cfg: &ScaleConfig) -> Vec<String> {
     let mut bad = Vec::new();
-    let series: Vec<String> = crash_targets().iter().map(|t| t.name.clone()).collect();
-    let spash = series
-        .iter()
-        .find(|s| s.starts_with("Spash"))
-        .cloned()
-        .expect("Spash series present");
+    let (series, spash) = series_names();
     let top = cfg.threads.iter().copied().max().unwrap_or(1).to_string();
     for domain in ["eadr", "adr"] {
         for phase in ["uniform", "zipf"] {
@@ -574,15 +477,14 @@ pub fn lin_check_target(
     // The run draws from the same generator family as the sweep: a
     // colliding mix over a tiny key space, zipfian so tasks pile onto the
     // same hot keys.
-    let mix = Mix {
-        search_pct: 25,
-        update_pct: 25,
-        insert_pct: 25,
-        delete_pct: 25,
-    };
     let wcfg = WorkloadConfig {
         seed: cfg.seed,
-        ..WorkloadConfig::new(cfg.keys, Distribution::Zipfian, mix, ValueSize::Inline)
+        ..WorkloadConfig::new(
+            cfg.keys,
+            Distribution::Zipfian,
+            Mix::COLLIDING,
+            ValueSize::Inline,
+        )
     };
 
     // Sequential prefill builds the checker's initial model state.
@@ -610,12 +512,7 @@ pub fn lin_check_target(
             let n = cfg.ops_per_thread;
             let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send> = Box::new(move |ctx| {
                 for _ in 0..n {
-                    let op = match stream.next_op() {
-                        WorkOp::Search(k) => SweepOp::Get(k),
-                        WorkOp::Update(k, v) => SweepOp::Update(k, v),
-                        WorkOp::Insert(k, v) => SweepOp::Insert(k, v),
-                        WorkOp::Delete(k) => SweepOp::Remove(k),
-                    };
+                    let op = SweepOp::from(stream.next_op());
                     let done = rec.run_op(index.as_ref(), ctx, t, &op);
                     // Published immediately so completed ops survive any
                     // valve stop; never held across a sync point.
@@ -627,7 +524,7 @@ pub fn lin_check_target(
         })
         .collect();
     let sched = SchedConfig::random(schedule_seed, cfg.preemptions);
-    let (_r, _ops) = measure_batch(&dev, &sched, bodies)?;
+    let (_r, _ops) = run_scheduled(&dev, &sched, bodies)?;
     let hist = Arc::try_unwrap(hist)
         .map(|m| m.into_inner().unwrap())
         .unwrap_or_default();

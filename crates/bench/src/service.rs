@@ -34,12 +34,14 @@ use spash_service::lincheck::{self, ServiceLinConfig};
 use spash_service::pool::BatchPool;
 use spash_service::{BatchReplies, ClientReq, JournalSpec, Service, ServiceConfig};
 use spash_workloads::openloop::{ArrivalGen, OpenLoopConfig};
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkOp, WorkloadConfig};
+use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
+use crate::harness::run_scheduled;
 use crate::indexes::crash_targets;
+use crate::knobs;
 use crate::perf::{domain_label, short_rev, suite_pm};
-use crate::report::{BenchReport, ExperimentRow};
-use crate::scale::{measure_batch, phase_seed};
+use crate::report::{join_ladder, BenchReport, ExperimentRow};
+use crate::scale::phase_seed;
 use crate::statskit::percentile;
 
 /// Suite scale. Small for the same reason `scale` is: batching and
@@ -95,37 +97,16 @@ impl ServiceSuiteConfig {
 
     pub fn from_env() -> Self {
         let d = Self::default_suite();
-        let env_u64 = |k: &str, d: u64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| {
-                    let v = v.trim().to_ascii_lowercase();
-                    match v.strip_prefix("0x") {
-                        Some(h) => u64::from_str_radix(h, 16).ok(),
-                        None => v.parse().ok(),
-                    }
-                })
-                .unwrap_or(d)
-        };
-        let shards = std::env::var("SPASH_SERVICE_SHARDS")
-            .ok()
-            .map(|v| {
-                v.split(',')
-                    .filter_map(|t| t.trim().parse().ok())
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or(d.shards);
         Self {
-            keys: env_u64("SPASH_SERVICE_KEYS", d.keys),
-            ops: env_u64("SPASH_SERVICE_OPS", d.ops),
-            shards,
-            batch_max: env_u64("SPASH_SERVICE_BATCH", d.batch_max as u64) as usize,
-            seed: env_u64("SPASH_SERVICE_SEED", d.seed),
+            keys: knobs::int("SPASH_SERVICE_KEYS", d.keys),
+            ops: knobs::int("SPASH_SERVICE_OPS", d.ops),
+            shards: knobs::list("SPASH_SERVICE_SHARDS", &d.shards),
+            batch_max: knobs::int("SPASH_SERVICE_BATCH", d.batch_max as u64) as usize,
+            seed: knobs::int("SPASH_SERVICE_SEED", d.seed),
             value_bytes: d.value_bytes,
-            preemptions: env_u64("SPASH_SERVICE_PREEMPTIONS", d.preemptions as u64) as u32,
+            preemptions: knobs::int("SPASH_SERVICE_PREEMPTIONS", d.preemptions as u64) as u32,
             sessions: d.sessions,
-            mean_gap_ns: env_u64("SPASH_SERVICE_GAP", d.mean_gap_ns),
+            mean_gap_ns: knobs::int("SPASH_SERVICE_GAP", d.mean_gap_ns),
         }
     }
 }
@@ -230,7 +211,7 @@ pub fn run_cell(
                      rows: &mut Vec<ExperimentRow>|
      -> Result<(), String> {
         let bodies = shard_bodies(&svc, shards, &misroutes, latencies);
-        let (r, per_task) = measure_batch(&dev, &sched_for(pi), bodies).map_err(|e| fail(phase, e))?;
+        let (r, per_task) = run_scheduled(&dev, &sched_for(pi), bodies).map_err(|e| fail(phase, e))?;
         if r.ops != per_task.iter().sum::<u64>() {
             return Err(fail(phase, "total ops != sum of per-shard ops".into()));
         }
@@ -277,13 +258,7 @@ pub fn run_cell(
         seed: cfg.seed,
     });
     let to_req = |stream: &mut OpStream, arrival_ns: u64, session: u64| {
-        let op = match stream.next_op() {
-            WorkOp::Search(k) => SweepOp::Get(k),
-            WorkOp::Update(k, v) => SweepOp::Update(k, v),
-            WorkOp::Insert(k, v) => SweepOp::Insert(k, v),
-            WorkOp::Delete(k) => SweepOp::Remove(k),
-        };
-        ClientReq::new(session, arrival_ns, op)
+        ClientReq::new(session, arrival_ns, stream.next_op().into())
     };
     let mut stream = OpStream::new(&run_cfg, 1);
     for _ in 0..cfg.ops {
@@ -338,14 +313,7 @@ pub fn run_suite(cfg: &ServiceSuiteConfig) -> Result<BenchReport, String> {
     report.set_config("suite", "service");
     report.set_config("keys", cfg.keys);
     report.set_config("ops", cfg.ops);
-    report.set_config(
-        "shards",
-        cfg.shards
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-    );
+    report.set_config("shards", join_ladder(&cfg.shards));
     report.set_config("batch_max", cfg.batch_max);
     report.set_config("seed", format!("{:#x}", cfg.seed));
     report.set_config("value_bytes", cfg.value_bytes);

@@ -75,9 +75,6 @@ pub struct SpashConfig {
     /// Transaction conflict retries before falling back to the segment
     /// lock (§IV-A).
     pub max_tx_retries: u32,
-    /// Merge a segment into its buddy when it empties (§III-A: "segment
-    /// merging is the reverse process of segment splitting").
-    pub enable_merge: bool,
     /// Collaborative staged doubling (§IV-B). When disabled, concurrent
     /// splits block behind the doubling thread instead of completing
     /// pending stages themselves — the tail-latency ablation.
@@ -102,7 +99,6 @@ impl Default for SpashConfig {
             concurrency: ConcurrencyMode::Htm,
             pipeline_depth: 4,
             max_tx_retries: 8,
-            enable_merge: true,
             collaborative_doubling: true,
             overlay_entries: 16384,
             htm: HtmConfig::default(),

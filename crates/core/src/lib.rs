@@ -85,10 +85,7 @@ impl PersistentIndex for Spash {
 
     fn remove(&self, ctx: &mut MemCtx, key: u64) -> bool {
         let removed = self.remove_op(ctx, key);
-        if removed
-            && self.cfg.enable_merge
-            && self.cfg.concurrency == ConcurrencyMode::Htm
-        {
+        if removed && self.cfg.concurrency == ConcurrencyMode::Htm {
             // Merging is transactional; in the lock-mode ablations it
             // would race plain lock-holding writers, so it stays off.
             self.try_merge(ctx, spash_index_api::hash_key(key));

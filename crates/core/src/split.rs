@@ -491,9 +491,6 @@ impl Spash {
     /// at the same local depth. Best-effort: any conflict or shape
     /// mismatch silently skips the merge.
     pub(crate) fn try_merge(&self, ctx: &mut MemCtx, h: u64) {
-        if !self.cfg.enable_merge {
-            return;
-        }
         ctx.stats_span(spash_pmem::SPAN_COMPACTION, |ctx| self.try_merge_impl(ctx, h))
     }
 

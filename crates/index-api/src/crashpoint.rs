@@ -17,17 +17,31 @@
 //!    check the recovered index against a shadow model that knows which
 //!    operations committed and which single operation was in flight.
 //!
-//! The same driver sweeps Spash and all six baselines: an implementation
+//! The same engine sweeps Spash and all six baselines: an implementation
 //! plugs in through [`CrashTarget`] (format + recover + audit closures),
 //! so index crates keep their concrete types private.
+//!
+//! It is also the only such loop in the workspace. *How* the workload
+//! reaches the index is a [`SweepDriver`]: [`PerOp`] calls the trait
+//! directly, one operation at a time; `spash-service`'s sweep drives the
+//! same ops through the batched front-end and adds a journal audit of
+//! the raw post-crash image. A driver only says how to run the ops, which
+//! of them a (crashed) run reported complete and which were in flight,
+//! and optionally what to check on the image before recovery touches it;
+//! arming, power failure, recovery, the shadow-model check and the
+//! sanitizer gates are the engine's. A sweep that crashes *again* inside
+//! `recover()` extends `sweep_one`'s recovery step, once, for every
+//! driver.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 use spash_pmem::{CrashPointHit, MemCtx, PersistenceDomain, PmConfig, PmDevice};
 
-use crate::{IndexError, PersistentIndex, Rng64};
+use crate::history::{fingerprint, OpResult};
+use crate::{PersistentIndex, Rng64};
 
 /// One operation of the seeded sweep workload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,6 +60,37 @@ impl SweepOp {
                 k
             }
         }
+    }
+
+    /// Run this operation against `idx` and classify what its caller
+    /// observed. The only place a `SweepOp` becomes trait calls: the
+    /// sweeps and the sanitizer driver assert the outcome
+    /// ([`Self::apply_mirrored`]), `history::Recorder` timestamps it, the
+    /// crash-schedule driver ignores it.
+    pub fn apply(&self, idx: &dyn PersistentIndex, ctx: &mut MemCtx) -> OpResult {
+        match self {
+            SweepOp::Insert(k, v) => OpResult::of_insert(idx.insert(ctx, *k, v)),
+            SweepOp::Update(k, v) => OpResult::of_update(idx.update(ctx, *k, v)),
+            SweepOp::Remove(k) => OpResult::of_remove(idx.remove(ctx, *k)),
+            SweepOp::Get(k) => {
+                let mut buf = Vec::new();
+                let hit = idx.get(ctx, *k, &mut buf);
+                OpResult::of_get(hit.then(|| fingerprint(&buf)))
+            }
+        }
+    }
+
+    /// [`Self::apply`] for seeded single-threaded workloads checked
+    /// against [`apply_shadow`]: the model mirrors `Dup`/`NotFound`, so
+    /// any other refusal (out of room, wrong error) is a harness failure.
+    pub fn apply_mirrored(&self, idx: &dyn PersistentIndex, ctx: &mut MemCtx) {
+        let r = self.apply(idx, ctx);
+        let mirrored = match self {
+            SweepOp::Insert(..) => matches!(r, OpResult::Ok | OpResult::Dup),
+            SweepOp::Update(..) => matches!(r, OpResult::Ok | OpResult::NotFound),
+            SweepOp::Remove(_) | SweepOp::Get(_) => true,
+        };
+        assert!(mirrored, "workload op on key {} failed: {r:?}", self.key());
     }
 }
 
@@ -218,17 +263,35 @@ impl SweepReport {
         self.failure_count == 0
     }
 
+    /// Record one violation, prefixed with the target name.
     fn fail(&mut self, msg: String) {
         if self.failures.len() < Self::MAX_FAILURES {
-            self.failures.push(msg);
+            self.failures.push(format!("{}: {msg}", self.target));
         }
         self.failure_count += 1;
+    }
+
+    /// The sanitizer gate shared by the record pass and every recovery:
+    /// each retained violation, and the count past the retention cap, is
+    /// a sweep failure.
+    fn gate_sanitizer(&mut self, dev: &PmDevice, stage: &str) {
+        let Some(san) = dev.san() else { return };
+        san.final_check();
+        let r = san.report();
+        for v in &r.violations {
+            self.fail(format!("sanitizer ({stage}): {v}"));
+        }
+        if r.dropped > 0 {
+            self.fail(format!(
+                "sanitizer ({stage}): {} further violation(s) dropped",
+                r.dropped
+            ));
+        }
     }
 }
 
 /// The shadow model: apply a committed prefix with the same semantics the
-/// trait promises. Public because the service-layer sweep
-/// (`spash-service::sweep`) replays acked batches through the same model.
+/// trait promises.
 pub fn apply_shadow(model: &mut HashMap<u64, Vec<u8>>, op: &SweepOp) {
     match op {
         SweepOp::Insert(k, v) => {
@@ -243,28 +306,6 @@ pub fn apply_shadow(model: &mut HashMap<u64, Vec<u8>>, op: &SweepOp) {
             model.remove(k);
         }
         SweepOp::Get(_) => {}
-    }
-}
-
-/// Drive one op against the real index, ignoring the expected
-/// `DuplicateKey`/`NotFound` outcomes (the shadow model mirrors them).
-fn apply_real(idx: &dyn PersistentIndex, ctx: &mut MemCtx, op: &SweepOp) {
-    match op {
-        SweepOp::Insert(k, v) => match idx.insert(ctx, *k, v) {
-            Ok(()) | Err(IndexError::DuplicateKey) => {}
-            Err(e) => panic!("workload insert({k}) failed: {e}"),
-        },
-        SweepOp::Update(k, v) => match idx.update(ctx, *k, v) {
-            Ok(()) | Err(IndexError::NotFound) => {}
-            Err(e) => panic!("workload update({k}) failed: {e}"),
-        },
-        SweepOp::Remove(k) => {
-            idx.remove(ctx, *k);
-        }
-        SweepOp::Get(k) => {
-            let mut buf = Vec::new();
-            idx.get(ctx, *k, &mut buf);
-        }
     }
 }
 
@@ -285,12 +326,122 @@ pub fn schedule(total_writes: u64, exhaustive_limit: u64, max_points: u64) -> Ve
     ks
 }
 
-/// Run the full record-then-sweep procedure for one target.
+/// Which workload ops a (possibly crashed) run got through, by index
+/// into the workload.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Progress {
+    /// Ops the run reported complete, ascending. Applying them to the
+    /// shadow model in this order must reproduce every key's state.
+    pub committed: Vec<usize>,
+    /// Ops begun but not reported complete when the run ended, in
+    /// execution order: one op for [`PerOp`], a whole batch for the
+    /// service driver.
+    pub in_flight: Vec<usize>,
+}
+
+/// How a sweep gets its workload to the index — the one part of the loop
+/// that differs between sweeping an index and sweeping it behind a
+/// front-end (see the module docs).
+pub trait SweepDriver {
+    /// Prefix of the report's target name.
+    const PREFIX: &'static str;
+    /// What one run observed; a fresh one per record/replay pass.
+    type Log: Default;
+
+    /// Run all of `ops` against the freshly formatted `idx`, recording
+    /// progress in `log`. Unwinds with [`CrashPointHit`] when the armed
+    /// write fires; `log` must be accurate at every media write.
+    fn run(
+        &self,
+        idx: &Arc<dyn PersistentIndex>,
+        ctx: &mut MemCtx,
+        ops: &[SweepOp],
+        log: &mut Self::Log,
+    );
+
+    /// Read `log` back as workload op indices.
+    fn progress(&self, log: &Self::Log, n_ops: usize) -> Progress;
+
+    /// Audit the raw post-crash image before recovery touches it; every
+    /// returned finding is a sweep failure in both check levels.
+    fn audit_image(&self, _dev: &Arc<PmDevice>, _log: &Self::Log) -> Vec<String> {
+        Vec::new()
+    }
+}
+
+/// The index-level driver: one trait call per op; the log is the number
+/// of ops completed.
+pub struct PerOp;
+
+impl SweepDriver for PerOp {
+    const PREFIX: &'static str = "";
+    type Log = usize;
+
+    fn run(
+        &self,
+        idx: &Arc<dyn PersistentIndex>,
+        ctx: &mut MemCtx,
+        ops: &[SweepOp],
+        done: &mut usize,
+    ) {
+        for op in ops {
+            op.apply_mirrored(idx.as_ref(), ctx);
+            *done += 1;
+        }
+    }
+
+    fn progress(&self, done: &usize, n_ops: usize) -> Progress {
+        Progress {
+            committed: (0..*done).collect(),
+            in_flight: (*done..n_ops).take(1).collect(),
+        }
+    }
+}
+
+/// Run the full record-then-sweep procedure for one target, one trait
+/// call per operation.
 pub fn run_sweep(target: &CrashTarget, cfg: &SweepConfig) -> SweepReport {
+    run_sweep_with(&PerOp, target, cfg)
+}
+
+/// One pass of the workload: format a fresh index on a fresh device,
+/// optionally arm the fault plan at write `arm_at`, and let the driver
+/// run until it finishes or unwinds. Returns the device, the driver's
+/// log and how the run ended.
+fn play<D: SweepDriver>(
+    driver: &D,
+    target: &CrashTarget,
+    cfg: &SweepConfig,
+    ops: &[SweepOp],
+    arm_at: Option<u64>,
+) -> (Arc<PmDevice>, D::Log, std::thread::Result<()>) {
+    let dev = PmDevice::new(cfg.pm.clone());
+    let mut ctx = dev.ctx();
+    let idx: Arc<dyn PersistentIndex> = Arc::from((target.format)(&mut ctx));
+    dev.faults().reset(); // count workload writes only, not format
+    if let Some(k) = arm_at {
+        dev.faults().arm(k);
+    }
+    let mut log = D::Log::default();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        driver.run(&idx, &mut ctx, ops, &mut log)
+    }));
+    dev.faults().disarm();
+    // `idx` drops here: volatile index state dies with the "machine".
+    (dev, log, outcome)
+}
+
+/// The record → schedule → arm → replay → power-fail → recover → audit →
+/// sanitizer-gate loop, for any [`SweepDriver`].
+pub fn run_sweep_with<D: SweepDriver>(
+    driver: &D,
+    target: &CrashTarget,
+    cfg: &SweepConfig,
+) -> SweepReport {
     spash_pmem::fault::silence_crash_point_panics();
     let ops = gen_workload(cfg.seed, cfg.n_ops, cfg.key_space);
     let mut report = SweepReport {
-        target: target.name.clone(),
+        target: format!("{}{}", D::PREFIX, target.name),
         domain: cfg.pm.domain,
         total_writes: 0,
         points: Vec::new(),
@@ -303,68 +454,44 @@ pub fn run_sweep(target: &CrashTarget, cfg: &SweepConfig) -> SweepReport {
     // When `cfg.pm.san` is set this pass doubles as the sanitizer's
     // clean-workload gate: any persistence-ordering violation over the
     // full uninjected run is a hard sweep failure.
-    let total_writes = {
-        let dev = PmDevice::new(cfg.pm.clone());
-        let mut ctx = dev.ctx();
-        let idx = (target.format)(&mut ctx);
-        dev.faults().reset(); // count workload writes only, not format
-        for op in &ops {
-            apply_real(idx.as_ref(), &mut ctx, op);
-        }
-        if let Some(san) = dev.san() {
-            san.final_check();
-            let r = san.report();
-            for v in &r.violations {
-                report.fail(format!("{}: sanitizer (record pass): {v}", target.name));
-            }
-            if r.dropped > 0 {
-                report.fail(format!(
-                    "{}: sanitizer (record pass): {} further violation(s) dropped",
-                    target.name, r.dropped
-                ));
-            }
-        }
-        dev.faults().media_writes()
-    };
-    report.total_writes = total_writes;
+    let (dev, log, outcome) = play(driver, target, cfg, &ops, None);
+    if let Err(payload) = outcome {
+        resume_unwind(payload);
+    }
+    let progress = driver.progress(&log, ops.len());
+    if progress.committed.len() != ops.len() || !progress.in_flight.is_empty() {
+        report.fail(format!(
+            "record pass completed {} of {} ops ({} left in flight)",
+            progress.committed.len(),
+            ops.len(),
+            progress.in_flight.len()
+        ));
+    }
+    report.gate_sanitizer(&dev, "record pass");
+    report.total_writes = dev.faults().media_writes();
 
-    for k in schedule(total_writes, cfg.exhaustive_limit, cfg.max_points) {
-        sweep_one(target, cfg, &ops, k, &mut report);
+    for k in schedule(report.total_writes, cfg.exhaustive_limit, cfg.max_points) {
+        sweep_one(driver, target, cfg, &ops, k, &mut report);
     }
     report
 }
 
 /// Inject a crash at write `k`, recover, and check.
-fn sweep_one(
+fn sweep_one<D: SweepDriver>(
+    driver: &D,
     target: &CrashTarget,
     cfg: &SweepConfig,
     ops: &[SweepOp],
     k: u64,
     report: &mut SweepReport,
 ) {
-    let dev = PmDevice::new(cfg.pm.clone());
-    let mut ctx = dev.ctx();
-    let idx = (target.format)(&mut ctx);
-    dev.faults().reset();
-    dev.faults().arm(k);
-
-    let mut committed = 0u64;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        for op in ops {
-            apply_real(idx.as_ref(), &mut ctx, op);
-            committed += 1;
-        }
-    }));
-    dev.faults().disarm();
-    drop(idx); // volatile index state dies with the "machine"
-
+    let (dev, log, outcome) = play(driver, target, cfg, ops, Some(k));
     match outcome {
         Ok(()) => {
             // The armed write never happened: the replay diverged from the
             // recorded run. Determinism is a prerequisite for the sweep.
             report.fail(format!(
-                "{}: write {k} never fired on replay ({} of {} writes) — non-deterministic run",
-                target.name,
+                "write {k} never fired on replay ({} of {} writes) — non-deterministic run",
                 dev.faults().media_writes(),
                 report.total_writes,
             ));
@@ -374,8 +501,7 @@ fn sweep_one(
         Err(payload) => {
             let msg = panic_text(payload.as_ref());
             report.fail(format!(
-                "{}: replay at write {k} panicked outside the fault plan: {msg}",
-                target.name
+                "replay at write {k} panicked outside the fault plan: {msg}"
             ));
             return;
         }
@@ -388,9 +514,11 @@ fn sweep_one(
     if let Some(san) = dev.san() {
         san.clear_violations();
     }
+    let progress = driver.progress(&log, ops.len());
+    let committed = progress.committed.len();
     let mut stat = CrashPointStat {
         write_k: k,
-        committed_ops: committed,
+        committed_ops: committed as u64,
         recovered: false,
         recovery_ns: 0,
         reverted_lines: crash.reverted_lines.len() as u64,
@@ -398,6 +526,12 @@ fn sweep_one(
         leaked_allocs: 0,
         audit_ok: true,
     };
+
+    // The driver's image audit needs no index recovery, so a declined
+    // recovery cannot mask what it finds.
+    for finding in driver.audit_image(&dev, &log) {
+        report.fail(format!("{finding} (crash at write {k})"));
+    }
 
     // Recover on a fresh context, timing the implementation's work.
     let mut rctx = dev.ctx();
@@ -412,8 +546,7 @@ fn sweep_one(
         Err(payload) => {
             let msg = panic_text(payload.as_ref());
             report.fail(format!(
-                "{}: recovery panicked at write {k} ({committed} ops committed): {msg}",
-                target.name
+                "recovery panicked at write {k} ({committed} ops committed): {msg}"
             ));
             report.points.push(stat);
             return;
@@ -424,8 +557,7 @@ fn sweep_one(
         None => {
             if cfg.check == CheckLevel::Exact {
                 report.fail(format!(
-                    "{}: unrecoverable image at write {k} ({committed} ops committed)",
-                    target.name
+                    "unrecoverable image at write {k} ({committed} ops committed)"
                 ));
             }
             report.unrecovered += 1;
@@ -438,15 +570,14 @@ fn sweep_one(
                 // A torn ADR image may legitimately fail the structural
                 // audit; only the exact (eADR) check treats it as fatal.
                 if cfg.check == CheckLevel::Exact {
-                    report.fail(format!("{}: audit failed at write {k}: {err}", target.name));
+                    report.fail(format!("audit failed at write {k}: {err}"));
                 }
             }
             if cfg.check == CheckLevel::Exact {
                 check_recovered(
-                    target,
                     cfg,
                     ops,
-                    committed as usize,
+                    &progress,
                     k,
                     rec.index.as_ref(),
                     &mut rctx,
@@ -458,62 +589,68 @@ fn sweep_one(
             // back. Violations here are hard failures in both domains'
             // check levels — a recovery that leaves repairs unflushed
             // re-breaks on the next crash.
-            if let Some(san) = dev.san() {
-                san.final_check();
-                let r = san.report();
-                for v in &r.violations {
-                    report.fail(format!(
-                        "{}: sanitizer (recovery at write {k}): {v}",
-                        target.name
-                    ));
-                }
-            }
+            report.gate_sanitizer(&dev, &format!("recovery at write {k}"));
         }
     }
     report.points.push(stat);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The states in which a crash may legally leave each key the in-flight
+/// ops touch, beyond its committed state: a crash can land between any
+/// two of them (or after the last, before it is reported complete), so a
+/// touched key may be observed as of the end of any prefix. With one op
+/// in flight this is exactly "its key may show the post-state".
+fn allowed_states<'a>(
+    model: &HashMap<u64, Vec<u8>>,
+    in_flight: impl Iterator<Item = &'a SweepOp>,
+) -> HashMap<u64, Vec<Option<Vec<u8>>>> {
+    let mut allowed: HashMap<u64, Vec<Option<Vec<u8>>>> = HashMap::new();
+    let mut cursor = model.clone();
+    for op in in_flight {
+        apply_shadow(&mut cursor, op);
+        let key = op.key();
+        allowed
+            .entry(key)
+            .or_default()
+            .push(cursor.get(&key).cloned());
+    }
+    allowed
+}
+
+/// The exact content check: every key matches the committed ops' shadow
+/// state, or — for keys the in-flight ops touch — one of
+/// [`allowed_states`].
 fn check_recovered(
-    target: &CrashTarget,
     cfg: &SweepConfig,
     ops: &[SweepOp],
-    committed: usize,
+    progress: &Progress,
     k: u64,
     rec: &dyn PersistentIndex,
     ctx: &mut MemCtx,
     report: &mut SweepReport,
 ) {
-    // Shadow state of the committed prefix.
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-    for op in &ops[..committed] {
-        apply_shadow(&mut model, op);
+    for &i in &progress.committed {
+        apply_shadow(&mut model, &ops[i]);
     }
-    let in_flight = ops.get(committed);
-
-    // The in-flight op's key may legally be observed in its pre- or
-    // post-op state; every other key must match the committed prefix.
-    let mut post = model.clone();
-    if let Some(op) = in_flight {
-        apply_shadow(&mut post, op);
-    }
+    let allowed = allowed_states(&model, progress.in_flight.iter().map(|&i| &ops[i]));
 
     let mut buf = Vec::new();
     for key in 1..=cfg.key_space + 3 {
         buf.clear();
         let actual = rec.get(ctx, key, &mut buf).then(|| buf.clone());
         let expect = model.get(&key);
+        let in_flight = allowed.get(&key);
         let ok = actual.as_ref() == expect
-            || (in_flight.is_some_and(|op| op.key() == key) && actual.as_ref() == post.get(&key));
+            || in_flight.is_some_and(|states| states.contains(&actual));
         if !ok {
             report.fail(format!(
-                "{}: write {k} ({committed} ops committed): key {key} recovered as {:?}, \
-                 expected {:?}{}",
-                target.name,
+                "write {k} ({} ops committed): key {key} recovered as {:?}, expected {:?}{}",
+                progress.committed.len(),
                 actual.as_ref().map(|v| summarize(v)),
                 expect.map(|v| summarize(v)),
-                if in_flight.is_some_and(|op| op.key() == key) {
-                    " (or in-flight post-state)"
+                if in_flight.is_some() {
+                    " (or an in-flight prefix state)"
                 } else {
                     ""
                 },
@@ -527,8 +664,8 @@ fn summarize(v: &[u8]) -> String {
     format!("{}B:{head:02x?}", v.len())
 }
 
-/// Best-effort text of a caught panic payload (shared with the service
-/// sweep's replay driver).
+/// Best-effort text of a caught panic payload (shared with the
+/// crash-schedule driver).
 pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -576,6 +713,56 @@ mod tests {
         assert_eq!(*ks.first().unwrap(), 1);
         assert_eq!(*ks.last().unwrap(), 100_000);
         assert!(ks.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The index-level rule "the in-flight op's key may be observed pre-
+    /// or post-op" is the one-element case of the batch-prefix allowance.
+    #[test]
+    fn single_op_allowance_is_the_one_element_batch_prefix_allowance() {
+        let model: HashMap<u64, Vec<u8>> = [(1, vec![1]), (2, vec![2])].into_iter().collect();
+        for op in [
+            SweepOp::Insert(3, vec![9]),
+            SweepOp::Insert(1, vec![9]), // duplicate: post == pre
+            SweepOp::Update(2, vec![7]),
+            SweepOp::Remove(1),
+            SweepOp::Get(2),
+        ] {
+            let mut post = model.clone();
+            apply_shadow(&mut post, &op);
+            let allowed = allowed_states(&model, std::iter::once(&op));
+            let single: HashMap<u64, Vec<Option<Vec<u8>>>> =
+                [(op.key(), vec![post.get(&op.key()).cloned()])]
+                    .into_iter()
+                    .collect();
+            assert_eq!(allowed, single, "{op:?}");
+        }
+        // A longer batch widens it to every prefix state, per key.
+        let batch = [
+            SweepOp::Remove(1),
+            SweepOp::Insert(1, vec![5]),
+            SweepOp::Update(2, vec![6]),
+        ];
+        let allowed = allowed_states(&model, batch.iter());
+        assert_eq!(allowed[&1], vec![None, Some(vec![5])]);
+        assert_eq!(allowed[&2], vec![Some(vec![6])]);
+    }
+
+    #[test]
+    fn per_op_progress_names_the_op_after_the_completed_prefix() {
+        assert_eq!(
+            PerOp.progress(&2, 5),
+            Progress {
+                committed: vec![0, 1],
+                in_flight: vec![2]
+            }
+        );
+        assert_eq!(
+            PerOp.progress(&5, 5),
+            Progress {
+                committed: (0..5).collect(),
+                in_flight: vec![]
+            }
+        );
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub enum OpResult {
 }
 
 impl OpResult {
-    /// Classify an insert outcome (shared by [`Recorder::run_op`] and
-    /// the service front-end, which observes results batch-at-a-time).
+    /// Classify an insert outcome (shared by [`SweepOp::apply`] and the
+    /// service front-end, which observes results batch-at-a-time).
     pub fn of_insert(r: Result<(), IndexError>) -> Self {
         match r {
             Ok(()) => OpResult::Ok,
@@ -167,16 +167,7 @@ impl Recorder {
         op: &SweepOp,
     ) -> HistOp {
         let inv = self.tick();
-        let result = match op {
-            SweepOp::Insert(k, v) => OpResult::of_insert(idx.insert(ctx, *k, v)),
-            SweepOp::Update(k, v) => OpResult::of_update(idx.update(ctx, *k, v)),
-            SweepOp::Get(k) => {
-                let mut buf = Vec::new();
-                let hit = idx.get(ctx, *k, &mut buf);
-                OpResult::of_get(hit.then(|| fingerprint(&buf)))
-            }
-            SweepOp::Remove(k) => OpResult::of_remove(idx.remove(ctx, *k)),
-        };
+        let result = op.apply(idx, ctx);
         let resp = self.tick();
         HistOp {
             thread,

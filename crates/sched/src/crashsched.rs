@@ -15,7 +15,7 @@
 //! violation are statistics, not failures (ADR platforms legitimately
 //! tear unflushed state).
 
-use spash_index_api::crashpoint::CrashTarget;
+use spash_index_api::crashpoint::{panic_text, CrashTarget};
 use spash_pmem::{PmConfig, PmDevice};
 
 use crate::lin::{prefill_value, thread_workload, LinConfig};
@@ -79,7 +79,9 @@ pub fn run_crash_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) 
         let mut tctx = dev.ctx();
         bodies.push(Box::new(move || {
             for op in &ops {
-                apply_silent(idx.as_ref(), &mut tctx, op);
+                // Expected refusals (duplicate, missing, full) are normal:
+                // a crashed schedule cares about durability, not outcomes.
+                let _ = op.apply(idx.as_ref(), &mut tctx);
             }
         }));
     }
@@ -109,40 +111,9 @@ pub fn run_crash_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) 
         Ok(None) => result.recovery = None,
         Ok(Some(rec)) => result.recovery = Some(rec.audit_error),
         Err(p) => {
-            let msg = if let Some(s) = p.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = p.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            result.unexpected_panic = Some(format!("recovery panicked: {msg}"));
+            result.unexpected_panic =
+                Some(format!("recovery panicked: {}", panic_text(p.as_ref())));
         }
     }
     result
-}
-
-/// Apply one op, treating expected refusals (duplicate, missing, full) as
-/// normal — a crashed schedule cares about durability, not outcomes.
-fn apply_silent(
-    idx: &dyn spash_index_api::PersistentIndex,
-    ctx: &mut spash_pmem::MemCtx,
-    op: &spash_index_api::crashpoint::SweepOp,
-) {
-    use spash_index_api::crashpoint::SweepOp;
-    match op {
-        SweepOp::Insert(k, v) => {
-            let _ = idx.insert(ctx, *k, v);
-        }
-        SweepOp::Update(k, v) => {
-            let _ = idx.update(ctx, *k, v);
-        }
-        SweepOp::Remove(k) => {
-            idx.remove(ctx, *k);
-        }
-        SweepOp::Get(k) => {
-            let mut buf = Vec::new();
-            idx.get(ctx, *k, &mut buf);
-        }
-    }
 }

@@ -46,7 +46,7 @@ use spash_index_api::crashpoint::SweepOp;
 use spash_index_api::history::fingerprint;
 use spash_index_api::{hash_key, BatchOp, BatchResult, IndexError, PersistentIndex};
 use spash_pmem::sync::Mutex;
-use spash_pmem::{schedhook, MemCtx, PersistenceDomain, PmAddr};
+use spash_pmem::{schedhook, MemCtx, PmAddr};
 
 use pool::{BatchBuf, BatchPool, ValueRef};
 
@@ -553,14 +553,6 @@ fn err_tag(r: &Result<(), IndexError>) -> u8 {
         Err(IndexError::OutOfMemory) => 3,
         Err(IndexError::ValueTooLarge) => 4,
     }
-}
-
-/// Persistence-domain helper: does this device require explicit flushes
-/// for ack durability? (Kept for documentation symmetry; the journal
-/// issues the flush unconditionally — redundant under eADR, required
-/// under ADR — so the publication discipline is domain-independent.)
-pub fn ack_needs_flush(domain: PersistenceDomain) -> bool {
-    domain == PersistenceDomain::Adr
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use spash_index_api::PersistentIndex;
 use spash_pmem::{CrashFidelity, MemCtx, PersistenceDomain, PmConfig, PmDevice};
 use spash_sched::batch::run_batch;
 use spash_sched::SchedConfig;
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkOp, WorkloadConfig};
+use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
 use crate::pool::BatchPool;
 use crate::{BatchReplies, ClientReq, JournalSpec, Reply, Service, ServiceConfig};
@@ -106,15 +106,14 @@ pub fn lin_check_target(
     let mut ctx = dev.ctx();
     let index: Arc<dyn PersistentIndex> = Arc::from((target.format)(&mut ctx));
 
-    let mix = Mix {
-        search_pct: 25,
-        update_pct: 25,
-        insert_pct: 25,
-        delete_pct: 25,
-    };
     let wcfg = WorkloadConfig {
         seed: cfg.seed,
-        ..WorkloadConfig::new(cfg.keys, Distribution::Zipfian, mix, ValueSize::Inline)
+        ..WorkloadConfig::new(
+            cfg.keys,
+            Distribution::Zipfian,
+            Mix::COLLIDING,
+            ValueSize::Inline,
+        )
     };
 
     // Sequential prefill builds the checker's initial model state.
@@ -144,13 +143,7 @@ pub fn lin_check_target(
     // maximal and formation order is the enqueue order per shard.
     let mut stream = OpStream::new(&wcfg, 7);
     for i in 0..cfg.ops {
-        let op = match stream.next_op() {
-            WorkOp::Search(k) => SweepOp::Get(k),
-            WorkOp::Update(k, v) => SweepOp::Update(k, v),
-            WorkOp::Insert(k, v) => SweepOp::Insert(k, v),
-            WorkOp::Delete(k) => SweepOp::Remove(k),
-        };
-        svc.enqueue(ClientReq::new(i, 0, op));
+        svc.enqueue(ClientReq::new(i, 0, stream.next_op().into()));
     }
 
     let recorder = Recorder::new();

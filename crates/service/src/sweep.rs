@@ -19,23 +19,27 @@
 //!    atomicity, widened batch-wise because a crash can land between any
 //!    two operations of the batch, or during the publication itself).
 //!
-//! Mechanically it is the same record-then-sweep procedure as the index
-//! sweep, with the workload driven through [`crate::Service`]: enqueue
-//! everything with arrival 0, drain the shards round-robin (one batch
-//! per shard per turn), crash at media write `k`, recover, audit.
+//! Mechanically it *is* the index sweep: `crashpoint::run_sweep_with`
+//! owns the record → arm → replay → power-fail → recover → audit loop,
+//! and this module is only its [`SweepDriver`] — the workload driven
+//! through [`crate::Service`] (enqueue everything with arrival 0, drain
+//! the shards round-robin, one batch per shard per turn), the acked and
+//! in-flight batches read back as op indices, and audit 1 on the raw
+//! image. Audit 2 is the engine's content check: its single in-flight-op
+//! allowance is the one-element case of the batch-prefix allowance.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use spash_index_api::crashpoint::{
-    apply_shadow, gen_workload, panic_text, schedule, CheckLevel, CrashPointStat, CrashTarget,
-    SweepOp, SweepReport,
+    run_sweep_with, CheckLevel, CrashTarget, Progress, SweepConfig, SweepDriver, SweepOp,
+    SweepReport,
 };
-use spash_pmem::{CrashPointHit, MemCtx, PersistenceDomain, PmConfig, PmDevice};
+use spash_index_api::PersistentIndex;
+use spash_pmem::{MemCtx, PersistenceDomain, PmConfig, PmDevice};
 
-use crate::{ClientReq, JournalSpec, Service, ServiceConfig, ShardRunStats};
+use crate::pool::BatchPool;
+use crate::{BatchReplies, ClientReq, JournalSpec, Service, ServiceConfig, ShardRunStats};
 
 /// Service sweep parameters.
 pub struct ServiceSweepConfig {
@@ -53,30 +57,24 @@ pub struct ServiceSweepConfig {
 }
 
 impl ServiceSweepConfig {
-    /// CI-scale config: same platform knobs as the index sweep's
-    /// `SweepConfig::ci` (small cache so evictions happen early), a
+    /// CI-scale config: the index sweep's `SweepConfig::ci` platform
+    /// (small cache so evictions happen early) and check level, a
     /// slightly smaller workload because every injected point replays
     /// the whole batched run.
     pub fn ci(domain: PersistenceDomain) -> Self {
-        use spash_pmem::CrashFidelity;
-        let mut pm = PmConfig::small_test();
-        pm.arena_size = 48 << 20;
-        pm.cache_capacity = 256 << 10;
-        pm.domain = domain;
-        pm.fidelity = CrashFidelity::Full;
+        let SweepConfig {
+            pm, seed, check, ..
+        } = SweepConfig::ci(domain);
         Self {
             pm,
-            seed: 0xC0FFEE,
+            seed,
             n_ops: 400,
             key_space: 160,
             shards: 2,
             batch_max: 4,
             exhaustive_limit: 4_000,
             max_points: 120,
-            check: match domain {
-                PersistenceDomain::Eadr => CheckLevel::Exact,
-                PersistenceDomain::Adr => CheckLevel::NoCorruption,
-            },
+            check,
         }
     }
 
@@ -123,17 +121,10 @@ struct RunLog {
     in_flight: Option<Vec<usize>>,
 }
 
-fn fail(report: &mut SweepReport, msg: String) {
-    if report.failures.len() < SweepReport::MAX_FAILURES {
-        report.failures.push(msg);
-    }
-    report.failure_count += 1;
-}
-
-/// Drive the whole workload through a fresh service on `ctx`, recording
-/// acked batches and the in-flight batch into `log`. Panics with
-/// [`CrashPointHit`] when the armed fault plan fires.
-fn drive(svc: &Service, ctx: &mut MemCtx, ops: &[SweepOp], log: &RefCell<RunLog>) {
+/// Drive the whole workload through `svc` on `ctx`, recording acked
+/// batches and the in-flight batch into `log`. Panics with
+/// `CrashPointHit` when the armed fault plan fires.
+fn drive(svc: &Service, ctx: &mut MemCtx, ops: &[SweepOp], log: &RefCell<&mut RunLog>) {
     for (i, op) in ops.iter().enumerate() {
         svc.enqueue(ClientReq::new(i as u64, 0, op.clone()));
     }
@@ -142,25 +133,25 @@ fn drive(svc: &Service, ctx: &mut MemCtx, ops: &[SweepOp], log: &RefCell<RunLog>
     let mut on_invoke = |reqs: &mut [ClientReq]| {
         log.borrow_mut().in_flight = Some(reqs.iter().map(|r| r.session as usize).collect());
     };
-    let shards = svc.config().shards;
+    let mut deliver = |_ctx: &mut MemCtx, pool: &BatchPool, replies: BatchReplies| {
+        let mut l = log.borrow_mut();
+        l.acked.push(AckedBatch {
+            shard: replies.shard,
+            seq: replies.seq,
+            ops: replies
+                .responses
+                .iter()
+                .map(|r| r.session as usize)
+                .collect(),
+        });
+        l.in_flight = None;
+        replies.retire(pool);
+    };
     let mut active = true;
     while active {
         active = false;
-        for shard in 0..shards {
-            let mut deliver = |_ctx: &mut MemCtx, pool: &crate::pool::BatchPool, replies: crate::BatchReplies| {
-                let mut l = log.borrow_mut();
-                l.acked.push(AckedBatch {
-                    shard: replies.shard,
-                    seq: replies.seq,
-                    ops: replies.responses.iter().map(|r| r.session as usize).collect(),
-                });
-                l.in_flight = None;
-                replies.retire(pool);
-            };
-            if svc.run_shard_step(ctx, shard, t0, &mut stats[shard], &mut on_invoke, &mut deliver)
-            {
-                active = true;
-            }
+        for (shard, stats) in stats.iter_mut().enumerate() {
+            active |= svc.run_shard_step(ctx, shard, t0, stats, &mut on_invoke, &mut deliver);
         }
     }
     // A healthy sweep run must never observe a misroute.
@@ -170,282 +161,75 @@ fn drive(svc: &Service, ctx: &mut MemCtx, ops: &[SweepOp], log: &RefCell<RunLog>
     );
 }
 
+/// The batched front-end as a sweep driver.
+struct Batched(ServiceConfig);
+
+impl SweepDriver for Batched {
+    const PREFIX: &'static str = "service/";
+    type Log = RunLog;
+
+    fn run(
+        &self,
+        idx: &Arc<dyn PersistentIndex>,
+        ctx: &mut MemCtx,
+        ops: &[SweepOp],
+        log: &mut RunLog,
+    ) {
+        // Volatile service state dies with the "machine": `svc` drops on
+        // return and on unwind alike.
+        let svc = Service::new(Arc::clone(idx), self.0.clone());
+        drive(&svc, ctx, ops, &RefCell::new(log));
+    }
+
+    /// Per-key effects are single-shard (hash routing) and each shard
+    /// serves its queue in enqueue order, so the acked ops in workload
+    /// order reproduce every key's acked state.
+    fn progress(&self, log: &RunLog, _n_ops: usize) -> Progress {
+        let mut committed: Vec<usize> = log
+            .acked
+            .iter()
+            .flat_map(|b| b.ops.iter().copied())
+            .collect();
+        committed.sort_unstable();
+        Progress {
+            committed,
+            in_flight: log.in_flight.clone().unwrap_or_default(),
+        }
+    }
+
+    /// Audit 1, both domains: every acked batch's journal record must
+    /// validate on the post-crash image — acked ⇒ durable.
+    fn audit_image(&self, dev: &Arc<PmDevice>, log: &RunLog) -> Vec<String> {
+        let mut rctx = dev.ctx();
+        let mut findings = Vec::new();
+        for b in &log.acked {
+            match self.0.journal.read_record(&mut rctx, b.shard, b.seq) {
+                Some((count, _digest)) if count == b.ops.len() as u64 => {}
+                got => findings.push(format!(
+                    "acked batch (shard {}, seq {}) not durable: journal record is {:?}, \
+                     expected count {}",
+                    b.shard,
+                    b.seq,
+                    got.map(|(c, _)| c),
+                    b.ops.len(),
+                )),
+            }
+        }
+        findings
+    }
+}
+
 /// Run the record-then-sweep procedure through the service layer for one
 /// index target.
 pub fn run_service_sweep(target: &CrashTarget, cfg: &ServiceSweepConfig) -> SweepReport {
-    spash_pmem::fault::silence_crash_point_panics();
-    let ops = gen_workload(cfg.seed, cfg.n_ops, cfg.key_space);
-    let mut report = SweepReport {
-        target: format!("service/{}", target.name),
-        domain: cfg.pm.domain,
-        total_writes: 0,
-        points: Vec::new(),
-        unrecovered: 0,
-        failures: Vec::new(),
-        failure_count: 0,
+    let sweep = SweepConfig {
+        pm: cfg.pm.clone(),
+        seed: cfg.seed,
+        n_ops: cfg.n_ops,
+        key_space: cfg.key_space,
+        exhaustive_limit: cfg.exhaustive_limit,
+        max_points: cfg.max_points,
+        check: cfg.check,
     };
-
-    // Record pass: count the batched run's media writes (index writes
-    // plus one journal line per batch) and gate the sanitizer over the
-    // uninjected run.
-    let name = report.target.clone();
-    let total_writes = {
-        let dev = PmDevice::new(cfg.pm.clone());
-        let mut ctx = dev.ctx();
-        let idx: Arc<dyn spash_index_api::PersistentIndex> = Arc::from((target.format)(&mut ctx));
-        let svc = Service::new(idx, cfg.service_config());
-        dev.faults().reset();
-        let log = RefCell::new(RunLog::default());
-        drive(&svc, &mut ctx, &ops, &log);
-        let l = log.borrow();
-        assert!(l.in_flight.is_none(), "uninjected run left a batch in flight");
-        let acked_ops: usize = l.acked.iter().map(|b| b.ops.len()).sum();
-        if acked_ops as u64 != cfg.n_ops {
-            fail(
-                &mut report,
-                format!("{name}: record pass acked {acked_ops} of {} ops", cfg.n_ops),
-            );
-        }
-        if let Some(san) = dev.san() {
-            san.final_check();
-            let r = san.report();
-            for v in &r.violations {
-                fail(&mut report, format!("{name}: sanitizer (record pass): {v}"));
-            }
-            if r.dropped > 0 {
-                fail(
-                    &mut report,
-                    format!(
-                        "{name}: sanitizer (record pass): {} further violation(s) dropped",
-                        r.dropped
-                    ),
-                );
-            }
-        }
-        dev.faults().media_writes()
-    };
-    report.total_writes = total_writes;
-
-    for k in schedule(total_writes, cfg.exhaustive_limit, cfg.max_points) {
-        sweep_one(target, cfg, &ops, k, &mut report);
-    }
-    report
-}
-
-/// Inject a crash at media write `k` of the batched run, recover, audit.
-fn sweep_one(
-    target: &CrashTarget,
-    cfg: &ServiceSweepConfig,
-    ops: &[SweepOp],
-    k: u64,
-    report: &mut SweepReport,
-) {
-    let name = report.target.clone();
-    let dev = PmDevice::new(cfg.pm.clone());
-    let mut ctx = dev.ctx();
-    let idx: Arc<dyn spash_index_api::PersistentIndex> = Arc::from((target.format)(&mut ctx));
-    let svc = Service::new(idx, cfg.service_config());
-    dev.faults().reset();
-    dev.faults().arm(k);
-
-    let log = RefCell::new(RunLog::default());
-    let outcome = catch_unwind(AssertUnwindSafe(|| drive(&svc, &mut ctx, ops, &log)));
-    dev.faults().disarm();
-    drop(svc); // volatile service + index state dies with the "machine"
-
-    match outcome {
-        Ok(()) => {
-            report.points.push(CrashPointStat {
-                write_k: k,
-                committed_ops: 0,
-                recovered: false,
-                recovery_ns: 0,
-                reverted_lines: 0,
-                flushed_lines: 0,
-                leaked_allocs: 0,
-                audit_ok: true,
-            });
-            fail(
-                report,
-                format!(
-                    "{name}: write {k} never fired on replay ({} of {} writes) — \
-                     non-deterministic batched run",
-                    dev.faults().media_writes(),
-                    report.total_writes,
-                ),
-            );
-            return;
-        }
-        Err(payload) if payload.downcast_ref::<CrashPointHit>().is_some() => {}
-        Err(payload) => {
-            let msg = panic_text(payload.as_ref());
-            fail(
-                report,
-                format!("{name}: replay at write {k} panicked outside the fault plan: {msg}"),
-            );
-            return;
-        }
-    }
-
-    let crash = dev.simulate_power_failure();
-    if let Some(san) = dev.san() {
-        san.clear_violations();
-    }
-    let run = log.into_inner();
-    let committed: u64 = run.acked.iter().map(|b| b.ops.len() as u64).sum();
-    let mut stat = CrashPointStat {
-        write_k: k,
-        committed_ops: committed,
-        recovered: false,
-        recovery_ns: 0,
-        reverted_lines: crash.reverted_lines.len() as u64,
-        flushed_lines: crash.flushed_lines.len() as u64,
-        leaked_allocs: 0,
-        audit_ok: true,
-    };
-
-    // Audit 1, both domains: every acked batch's journal record must
-    // validate on the post-crash image — acked ⇒ durable. This needs no
-    // index recovery, so a declined recovery cannot mask a lost ack.
-    let journal = cfg.service_config().journal;
-    {
-        let mut rctx = dev.ctx();
-        for b in &run.acked {
-            match journal.read_record(&mut rctx, b.shard, b.seq) {
-                Some((count, _digest)) if count == b.ops.len() as u64 => {}
-                got => {
-                    fail(
-                        report,
-                        format!(
-                            "{name}: acked batch (shard {}, seq {}) not durable after crash at \
-                             write {k}: journal record is {:?}, expected count {}",
-                            b.shard,
-                            b.seq,
-                            got.map(|(c, _)| c),
-                            b.ops.len(),
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // Audit 2: recover the index and (under Exact) check contents.
-    let mut rctx = dev.ctx();
-    let recovery = catch_unwind(AssertUnwindSafe(|| (target.recover)(&mut rctx)));
-    let recovery = match recovery {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = panic_text(payload.as_ref());
-            fail(
-                report,
-                format!("{name}: recovery panicked at write {k} ({committed} ops acked): {msg}"),
-            );
-            report.points.push(stat);
-            return;
-        }
-    };
-
-    match recovery {
-        None => {
-            if cfg.check == CheckLevel::Exact {
-                fail(
-                    report,
-                    format!("{name}: unrecoverable image at write {k} ({committed} ops acked)"),
-                );
-            }
-            report.unrecovered += 1;
-        }
-        Some(rec) => {
-            stat.recovered = true;
-            stat.leaked_allocs = rec.leaked_allocs;
-            if let Some(err) = rec.audit_error {
-                stat.audit_ok = false;
-                if cfg.check == CheckLevel::Exact {
-                    fail(report, format!("{name}: audit failed at write {k}: {err}"));
-                }
-            }
-            if cfg.check == CheckLevel::Exact {
-                check_recovered(&name, cfg, ops, &run, k, rec.index.as_ref(), &mut rctx, report);
-            }
-            if let Some(san) = dev.san() {
-                san.final_check();
-                let r = san.report();
-                for v in &r.violations {
-                    fail(report, format!("{name}: sanitizer (recovery at write {k}): {v}"));
-                }
-            }
-        }
-    }
-    report.points.push(stat);
-}
-
-/// The eADR content check: acked prefix exact, in-flight batch allowed at
-/// any batch-prefix state.
-#[allow(clippy::too_many_arguments)]
-fn check_recovered(
-    name: &str,
-    cfg: &ServiceSweepConfig,
-    ops: &[SweepOp],
-    run: &RunLog,
-    k: u64,
-    rec: &dyn spash_index_api::PersistentIndex,
-    ctx: &mut MemCtx,
-    report: &mut SweepReport,
-) {
-    // Per-key effects are single-shard (hash routing) and each shard
-    // serves its queue in enqueue order, so applying the acked ops in
-    // workload order reproduces every key's acked state.
-    let mut acked_idx: Vec<usize> = run.acked.iter().flat_map(|b| b.ops.iter().copied()).collect();
-    acked_idx.sort_unstable();
-    let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-    for &i in &acked_idx {
-        apply_shadow(&mut model, &ops[i]);
-    }
-
-    // The in-flight batch widens the per-key allowance: a crash can land
-    // between any two of its operations (or during the publication, when
-    // all of them have applied), so a touched key may be observed at the
-    // state after any prefix of the batch.
-    let in_flight = run.in_flight.as_deref().unwrap_or(&[]);
-    let mut allowed: HashMap<u64, Vec<Option<Vec<u8>>>> = HashMap::new();
-    {
-        let mut cursor = model.clone();
-        for &i in in_flight {
-            apply_shadow(&mut cursor, &ops[i]);
-            let key = ops[i].key();
-            allowed
-                .entry(key)
-                .or_default()
-                .push(cursor.get(&key).cloned());
-        }
-    }
-
-    let mut buf = Vec::new();
-    for key in 1..=cfg.key_space + 3 {
-        buf.clear();
-        let actual = rec.get(ctx, key, &mut buf).then(|| buf.clone());
-        let expect = model.get(&key);
-        let ok = actual.as_ref() == expect
-            || allowed
-                .get(&key)
-                .is_some_and(|states| states.iter().any(|s| s.as_ref() == actual.as_ref()));
-        if !ok {
-            fail(
-                report,
-                format!(
-                    "{name}: write {k} ({} ops acked): key {key} recovered as {:?}B, expected \
-                     acked state {:?}B{}",
-                    run.acked.iter().map(|b| b.ops.len()).sum::<usize>(),
-                    actual.as_ref().map(Vec::len),
-                    expect.map(Vec::len),
-                    if allowed.contains_key(&key) {
-                        " (or an in-flight batch prefix state)"
-                    } else {
-                        ""
-                    },
-                ),
-            );
-        }
-    }
+    run_sweep_with(&Batched(cfg.service_config()), target, &sweep)
 }

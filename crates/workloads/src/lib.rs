@@ -69,6 +69,14 @@ impl Mix {
         insert_pct: 0,
         delete_pct: 0,
     };
+    /// The lin-checks' mix: every op kind equally likely, so tasks over a
+    /// tiny key space collide on inserts, updates, removes and reads.
+    pub const COLLIDING: Mix = Mix {
+        search_pct: 25,
+        update_pct: 25,
+        insert_pct: 25,
+        delete_pct: 25,
+    };
 
     fn validate(&self) {
         assert_eq!(
@@ -89,6 +97,19 @@ pub enum WorkOp {
     Update(u64, Vec<u8>),
     Insert(u64, Vec<u8>),
     Delete(u64),
+}
+
+/// The harness-side spelling of the same operation (lin-checks and the
+/// service front-end take `SweepOp`s).
+impl From<WorkOp> for spash_index_api::crashpoint::SweepOp {
+    fn from(op: WorkOp) -> Self {
+        match op {
+            WorkOp::Search(k) => Self::Get(k),
+            WorkOp::Update(k, v) => Self::Update(k, v),
+            WorkOp::Insert(k, v) => Self::Insert(k, v),
+            WorkOp::Delete(k) => Self::Remove(k),
+        }
+    }
 }
 
 /// How values are sized.
