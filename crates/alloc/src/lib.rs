@@ -21,6 +21,7 @@
 
 pub mod layout;
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spash_pmem::sync::Mutex;
@@ -136,6 +137,32 @@ impl HeapCensus {
     /// Total number of live allocation units.
     pub fn total(&self) -> usize {
         self.small_slots.len() + self.segments.len() + self.large.len() + self.regions.len()
+    }
+
+    /// The census-vs-reachability audit of a recovered index: returns
+    /// `(leaked allocations, corruption)`. Every address in `reachable`
+    /// (segment and region starts, blob addresses) must be a live
+    /// allocation in these books — anything else is use-after-free-grade
+    /// corruption — while live allocations the index cannot reach are
+    /// *counted* as leaks. Bounded leaks are expected: small slots freed
+    /// into the allocator's volatile caches keep their persistent bits,
+    /// and an in-flight operation can lose its freshly written blob or
+    /// region to the crash.
+    pub fn audit(&self, reachable: &HashSet<u64>) -> (u64, Option<String>) {
+        let allocated: HashSet<u64> = (self.small_slots.iter().map(|&(a, _)| a.0))
+            .chain(self.segments.iter().map(|a| a.0))
+            .chain(self.large.iter().map(|&(a, _)| a.0))
+            .chain(self.regions.iter().map(|&(a, _)| a.0))
+            .collect();
+        match reachable.iter().find(|r| !allocated.contains(r)) {
+            Some(r) => (
+                0,
+                Some(format!(
+                    "reachable address {r:#x} is not a live allocation in the heap census"
+                )),
+            ),
+            None => (allocated.difference(reachable).count() as u64, None),
+        }
     }
 }
 
@@ -595,6 +622,30 @@ mod tests {
         assert_eq!(PmAllocator::class_for(17), Some(1));
         assert_eq!(PmAllocator::class_for(128), Some(5));
         assert_eq!(PmAllocator::class_for(129), None);
+    }
+
+    #[test]
+    fn audit_counts_leaks_and_names_corruption() {
+        let (_dev, alloc, mut ctx) = setup();
+        let seg = alloc.alloc_segment(&mut ctx).unwrap();
+        let blob = alloc.alloc(&mut ctx, 40).unwrap().addr;
+        let big = alloc.alloc(&mut ctx, 1000).unwrap().addr;
+        let region = alloc.alloc_region(&mut ctx, 4096).unwrap();
+        let census = PmAllocator::census(&mut ctx).unwrap();
+        assert_eq!(census.total(), 4);
+
+        let all: HashSet<u64> = [seg.0, blob.0, big.0, region.0].into_iter().collect();
+        assert_eq!(census.audit(&all), (0, None));
+        // Allocated but unreachable: counted, not an error.
+        let some: HashSet<u64> = [seg.0, region.0].into_iter().collect();
+        assert_eq!(census.audit(&some), (2, None));
+        assert_eq!(census.audit(&HashSet::new()), (4, None));
+        // Reachable but not allocated: corruption, named by address.
+        let stray = blob.0 + 8;
+        let bad: HashSet<u64> = [seg.0, stray].into_iter().collect();
+        let (leaked, err) = census.audit(&bad);
+        assert_eq!(leaked, 0);
+        assert!(err.unwrap().contains(&format!("{stray:#x}")));
     }
 
     #[test]

@@ -23,13 +23,14 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::{CrashTarget, Recovery};
+use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr};
 #[cfg(test)]
 use spash_pmem::PmDevice;
 
 use crate::common::{self, PmRwLock, EMPTY_KEY, TOMBSTONE};
+use crate::exthash::{Dir, Header};
 
 /// Segment size: 64 B header + 1020 16-byte slots.
 const SEG_BYTES: u64 = 16384;
@@ -40,49 +41,35 @@ const PROBE: u64 = 16;
 const ROOT_MAGIC: u64 = 0x4343_4548_4469_7231;
 const ROOT_LEN: u64 = 64;
 /// Segment header, in the 64-byte area before the slots. Word 0 is the PM
-/// read-write lock; words 1 and 2 carry the segment's identity:
-/// `meta = MAGIC1:16 | local_depth:8 | prefix:40` and a second full-word
-/// magic. Both must match for recovery to accept a region as a committed
-/// segment, so a torn header (or a recycled region) reads as uncommitted.
-const SEG_MAGIC1: u64 = 0xCCE4;
-const SEG_MAGIC2: u64 = 0x4343_4548_5365_6732;
-const PREFIX_MASK: u64 = (1 << 40) - 1;
+/// read-write lock; words 1 and 2 carry the segment's identity.
+const HEADER: Header = Header {
+    magic1: 0xCCE4,
+    magic2: 0x4343_4548_5365_6732,
+    offset: 8,
+};
 
 struct Seg {
     addr: PmAddr,
     lock: PmRwLock,
 }
 
-#[inline]
-fn pack_seg_meta(ld: u8, prefix: u64) -> u64 {
-    debug_assert!(prefix <= PREFIX_MASK);
-    SEG_MAGIC1 << 48 | u64::from(ld) << 40 | prefix
-}
-
-/// Publish (or re-stamp) a segment's identity header.
-fn write_seg_header(ctx: &mut MemCtx, seg: PmAddr, ld: u8, prefix: u64) {
-    ctx.write_u64(PmAddr(seg.0 + 8), pack_seg_meta(ld, prefix));
-    ctx.write_u64(PmAddr(seg.0 + 16), SEG_MAGIC2);
-    ctx.flush_range(PmAddr(seg.0 + 8), 16);
-    ctx.fence();
-}
-
 impl Seg {
+    fn at(addr: PmAddr, lock_ns: u64) -> Self {
+        Self {
+            addr,
+            lock: PmRwLock::new(addr, lock_ns),
+        }
+    }
+
     fn slot_addr(&self, i: u64) -> PmAddr {
         PmAddr(self.addr.0 + 64 + (i % SLOTS) * 16)
     }
 }
 
-struct Dir {
-    depth: u32,
-    /// One entry per directory slot: (segment, local depth).
-    entries: Vec<(Arc<Seg>, u8)>,
-}
-
 /// The CCEH baseline.
 pub struct Cceh {
     alloc: Arc<PmAllocator>,
-    dir: RwLock<Dir>,
+    dir: RwLock<Dir<Seg>>,
     entries: AtomicU64,
     n_segs: AtomicU64,
 }
@@ -100,7 +87,7 @@ impl Cceh {
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
             let seg = Self::alloc_seg(ctx, &alloc, lock_ns)?;
-            write_seg_header(ctx, seg.addr, depth as u8, i as u64);
+            HEADER.stamp(ctx, seg.addr, depth as u8, i as u64);
             entries.push((seg, depth as u8));
         }
         // Root magic last: a crash mid-format recovers as "no CCEH here".
@@ -137,22 +124,12 @@ impl Cceh {
         for off in (0..SEG_BYTES).step_by(256) {
             ctx.ntstore_bytes(PmAddr(addr.0 + off), &zeros);
         }
-        Ok(Arc::new(Seg {
-            addr,
-            lock: PmRwLock::new(addr, lock_ns),
-        }))
+        Ok(Arc::new(Seg::at(addr, lock_ns)))
     }
 
     fn route(&self, ctx: &mut MemCtx, h: u64) -> (Arc<Seg>, u8, u32) {
         ctx.charge_dram_cached();
-        let d = self.dir.read();
-        let idx = if d.depth == 0 {
-            0
-        } else {
-            (h >> (64 - d.depth)) as usize
-        };
-        let (seg, ld) = &d.entries[idx];
-        (Arc::clone(seg), *ld, d.depth)
+        self.dir.read().route(h)
     }
 
     /// Probe for `key`; returns (slot index, value word).
@@ -197,13 +174,7 @@ impl Cceh {
                 // Directory doubling (directory lock only).
                 let mut dw = self.dir.write();
                 if dw.depth == depth {
-                    let doubled: Vec<(Arc<Seg>, u8)> = dw
-                        .entries
-                        .iter()
-                        .flat_map(|e| [e.clone(), e.clone()])
-                        .collect();
-                    dw.entries = doubled;
-                    dw.depth += 1;
+                    dw.double();
                     // The whole (DRAM) directory is rewritten.
                     ctx.charge_dram((dw.entries.len() as u64 * 8) / 64 + 1);
                 }
@@ -211,15 +182,13 @@ impl Cceh {
             }
             let new_seg = Self::alloc_seg(ctx, &self.alloc, lock_ns)?;
             let mut homeless: Vec<(u64, u64, u64)> = Vec::new();
-            // lint:allow(flow-flush-fence): raced-split early return releases the seg lock while alloc_seg's zero-fill is unfenced; the fresh region is unreachable until write_seg_header's flush+fence commits it. san=none(zeros of an uncommitted region are recovery no-ops)
+            // lint:allow(flow-flush-fence): raced-split early return releases the seg lock while alloc_seg's zero-fill is unfenced; the fresh region is unreachable until HEADER.stamp's flush+fence commits it. san=none(zeros of an uncommitted region are recovery no-ops)
             let done = seg.lock.write(ctx, |ctx| {
                 let mut d = self.dir.write();
-                let depth_now = d.depth;
-                let idx = (h >> (64 - depth_now)) as usize;
-                let (cur, ld_now) = d.entries[idx].clone();
-                if !Arc::ptr_eq(&cur, &seg) || ld_now != ld || u32::from(ld_now) >= depth_now {
-                    return false; // raced; retry from routing
-                }
+                let p = match d.split_prefix(h, &seg, ld) {
+                    Some(p) => p,
+                    None => return false, // raced; retry from routing
+                };
                 // Crash-safe split order: (1) copy upper-half keys into the
                 // fresh segment WITHOUT disturbing the old one, (2) publish
                 // the new segment's header, (3) re-stamp the old header at
@@ -250,25 +219,15 @@ impl Cceh {
                     }
                 }
                 ctx.fence();
-                let p = (idx >> (depth_now - u32::from(ld))) as u64;
-                write_seg_header(ctx, new_seg.addr, ld + 1, p * 2 + 1);
-                write_seg_header(ctx, seg.addr, ld + 1, p * 2);
+                HEADER.stamp(ctx, new_seg.addr, ld + 1, p * 2 + 1);
+                HEADER.stamp(ctx, seg.addr, ld + 1, p * 2);
                 for s in placed {
                     ctx.write_u64(seg.slot_addr(s), TOMBSTONE);
                     ctx.flush(seg.slot_addr(s));
                 }
                 ctx.fence();
                 // Repoint the upper half of the range at the new segment.
-                let span = 1usize << (depth_now - u32::from(ld));
-                let base = (idx >> (depth_now - u32::from(ld))) << (depth_now - u32::from(ld));
-                for i in 0..span {
-                    let target = if i >= span / 2 {
-                        (Arc::clone(&new_seg), ld + 1)
-                    } else {
-                        (Arc::clone(&seg), ld + 1)
-                    };
-                    d.entries[base + i] = target;
-                }
+                let span = d.repoint(p, ld, &seg, &new_seg);
                 ctx.charge_dram(span as u64 / 8 + 1);
                 true
             });
@@ -307,12 +266,9 @@ impl Cceh {
             // lint:allow(flow-flush-fence): slot flush+fence are mutation-canary gated (cceh.insert.*), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
             let out = seg.lock.write(ctx, |ctx| {
                 // Re-route under the lock: the segment may have split.
-                let d = self.dir.read();
-                let idx = (h >> (64 - d.depth)) as usize;
-                if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
+                if !self.dir.read().still_routes(h, &seg, depth) {
                     return Out::Moved;
                 }
-                drop(d);
                 if self.probe_find(ctx, &seg, h, key).is_some() {
                     return Out::Dup;
                 }
@@ -345,15 +301,12 @@ impl Cceh {
         }
     }
 
-    /// Rebuild the directory from committed segment headers after a crash.
-    ///
-    /// Global depth is the deepest local depth found; each segment claims
-    /// the directory range its `(local_depth, prefix)` names, deeper
-    /// segments overriding shallower ones (exactly the half-split overlap
-    /// a crash between the two header re-stamps leaves behind). An orphan
-    /// sweep then reinserts keys stranded in a segment they no longer
-    /// route to — the copies a crash prevented the splitter from
-    /// tombstoning — and tombstones the stale copy.
+    /// Rebuild the directory from committed segment headers after a crash
+    /// ([`Dir::rebuild`]: deeper segments override shallower ones, exactly
+    /// the half-split overlap a crash between the two header re-stamps
+    /// leaves behind). An orphan sweep then reinserts keys stranded in a
+    /// segment they no longer route to — the copies a crash prevented the
+    /// splitter from tombstoning — and tombstones the stale copy.
     pub fn recover(ctx: &mut MemCtx) -> Option<Self> {
         ctx.stats_span(spash_pmem::SPAN_LOG_REPLAY, Self::recover_impl)
     }
@@ -366,49 +319,10 @@ impl Cceh {
         }
         let lock_ns = ctx.device().config().cost.lock_ns;
         // Committed segments: region of the right size, both magics intact.
-        let mut segs: Vec<(Arc<Seg>, u8, u64)> = Vec::new();
-        for &(a, len) in &rec.regions {
-            if len != SEG_BYTES || ctx.read_u64(PmAddr(a.0 + 16)) != SEG_MAGIC2 {
-                continue;
-            }
-            let meta = ctx.read_u64(PmAddr(a.0 + 8));
-            if meta >> 48 != SEG_MAGIC1 {
-                continue;
-            }
-            let ld = ((meta >> 40) & 0xff) as u8;
-            let prefix = meta & PREFIX_MASK;
-            if u64::from(ld) > 40 || prefix >> ld != 0 {
-                return None; // a committed header can never be malformed
-            }
-            segs.push((
-                Arc::new(Seg {
-                    addr: a,
-                    lock: PmRwLock::new(a, lock_ns),
-                }),
-                ld,
-                prefix,
-            ));
-        }
-        if segs.is_empty() {
-            return None;
-        }
-        let depth = u32::from(segs.iter().map(|&(_, ld, _)| ld).max().unwrap());
-        let mut entries: Vec<Option<(Arc<Seg>, u8)>> = vec![None; 1 << depth];
-        let mut by_depth = segs.clone();
-        by_depth.sort_by_key(|&(ref s, ld, prefix)| (ld, prefix, s.addr.0));
-        for (seg, ld, prefix) in by_depth {
-            let shift = depth - u32::from(ld);
-            let base = (prefix << shift) as usize;
-            for e in entries.iter_mut().skip(base).take(1 << shift) {
-                *e = Some((Arc::clone(&seg), ld));
-            }
-        }
-        // A directory hole means the image is torn/foreign.
-        let entries: Vec<(Arc<Seg>, u8)> = entries.into_iter().collect::<Option<_>>()?;
-
+        let segs = HEADER.scan_committed(ctx, &rec.regions, SEG_BYTES, |a| Seg::at(a, lock_ns))?;
         let idx = Self {
             alloc: Arc::new(rec.alloc),
-            dir: RwLock::new(Dir { depth, entries }),
+            dir: RwLock::new(Dir::rebuild(&segs)?),
             entries: AtomicU64::new(0),
             n_segs: AtomicU64::new(segs.len() as u64),
         };
@@ -443,6 +357,27 @@ impl Cceh {
         Some(idx)
     }
 
+    /// Addresses the recovered index can reach: committed segments plus
+    /// every blob a live slot points at.
+    fn reachable(&self, ctx: &mut MemCtx) -> HashSet<u64> {
+        let segs = self.dir.read().segments();
+        let mut reachable = HashSet::new();
+        for seg in &segs {
+            reachable.insert(seg.addr.0);
+            for s in 0..SLOTS {
+                let k = ctx.read_u64(seg.slot_addr(s));
+                if k == EMPTY_KEY || k == TOMBSTONE {
+                    continue;
+                }
+                let vw = ctx.read_u64(PmAddr(seg.slot_addr(s).0 + 8));
+                if let common::ValWord::Blob(a) = common::unpack_val(vw) {
+                    reachable.insert(a.0);
+                }
+            }
+        }
+        reachable
+    }
+
     /// CCEH as a [`CrashTarget`] for the crash-point sweep.
     pub fn crash_target(depth: u32) -> CrashTarget {
         CrashTarget {
@@ -452,38 +387,8 @@ impl Cceh {
             }),
             recover: Box::new(|ctx| {
                 let idx = Cceh::recover(ctx)?;
-                // Committed segments plus every blob a live slot points at.
-                let mut reachable: HashSet<u64> = HashSet::new();
-                let d = idx.dir.read();
-                let segs: Vec<Arc<Seg>> = {
-                    let mut v: Vec<Arc<Seg>> = Vec::new();
-                    for (seg, _) in d.entries.iter() {
-                        if !v.iter().any(|s| Arc::ptr_eq(s, seg)) {
-                            v.push(Arc::clone(seg));
-                        }
-                    }
-                    v
-                };
-                drop(d);
-                for seg in &segs {
-                    reachable.insert(seg.addr.0);
-                    for s in 0..SLOTS {
-                        let k = ctx.read_u64(seg.slot_addr(s));
-                        if k == EMPTY_KEY || k == TOMBSTONE {
-                            continue;
-                        }
-                        let vw = ctx.read_u64(PmAddr(seg.slot_addr(s).0 + 8));
-                        if let common::ValWord::Blob(a) = common::unpack_val(vw) {
-                            reachable.insert(a.0);
-                        }
-                    }
-                }
-                let (leaked_allocs, audit_error) = common::audit_census(ctx, &reachable);
-                Some(Recovery {
-                    index: Box::new(idx),
-                    leaked_allocs,
-                    audit_error,
-                })
+                let reachable = idx.reachable(ctx);
+                Some(common::audited(ctx, idx, &reachable))
             }),
         }
     }
@@ -518,12 +423,9 @@ impl PersistentIndex for Cceh {
                 Moved,
             }
             let out = seg.lock.write(ctx, |ctx| {
-                let d = self.dir.read();
-                let idx = (h >> (64 - d.depth)) as usize;
-                if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
+                if !self.dir.read().still_routes(h, &seg, depth) {
                     return Out::Moved;
                 }
-                drop(d);
                 match self.probe_find(ctx, &seg, h, key) {
                     None => Out::Miss,
                     Some((s, old)) => {
@@ -562,12 +464,9 @@ impl PersistentIndex for Cceh {
                 // The PM read-write lock: this is the PM write on the read
                 // path the paper measures.
                 let r = seg.lock.read(ctx, |ctx| {
-                    let d = self.dir.read();
-                    let idx = (h >> (64 - d.depth)) as usize;
-                    if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
+                    if !self.dir.read().still_routes(h, &seg, depth) {
                         return Out::Moved;
                     }
-                    drop(d);
                     match self.probe_find(ctx, &seg, h, key) {
                         Some((_, vw)) => Out::Hit(vw),
                         None => Out::Miss,
@@ -595,12 +494,9 @@ impl PersistentIndex for Cceh {
                 Moved,
             }
             let r = seg.lock.write(ctx, |ctx| {
-                let d = self.dir.read();
-                let idx = (h >> (64 - d.depth)) as usize;
-                if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
+                if !self.dir.read().still_routes(h, &seg, depth) {
                     return Out::Moved;
                 }
-                drop(d);
                 match self.probe_find(ctx, &seg, h, key) {
                     None => Out::Miss,
                     Some((s, vw)) => {

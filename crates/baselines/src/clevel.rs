@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::{CrashTarget, Recovery};
+use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr};
 
@@ -541,6 +541,16 @@ impl CLevel {
         })
     }
 
+    /// Addresses the recovered index can reach: the item log and every
+    /// non-retired level. Retired-but-never-freed levels (CLevel proper
+    /// reclaims with epochs) show up as counted leaks, as do levels lost
+    /// to a crash before their grow committed.
+    fn reachable(&self) -> HashSet<u64> {
+        let mut reachable: HashSet<u64> = self.snapshot().iter().map(|l| l.addr.0).collect();
+        reachable.insert(self.log_base.0);
+        reachable
+    }
+
     /// CLevel as a [`CrashTarget`] for the crash-point sweep.
     pub fn crash_target(pow: u32) -> CrashTarget {
         CrashTarget {
@@ -550,22 +560,8 @@ impl CLevel {
             }),
             recover: Box::new(|ctx| {
                 let idx = CLevel::recover(ctx)?;
-                // Live regions: the item log and every non-retired level.
-                // Retired-but-never-freed levels (CLevel proper reclaims
-                // with epochs) show up as counted leaks, as do levels lost
-                // to a crash before their grow committed.
-                let mut reachable: HashSet<u64> = idx
-                    .snapshot()
-                    .iter()
-                    .map(|l| l.addr.0)
-                    .collect();
-                reachable.insert(idx.log_base.0);
-                let (leaked_allocs, audit_error) = common::audit_census(ctx, &reachable);
-                Some(Recovery {
-                    index: Box::new(idx),
-                    leaked_allocs,
-                    audit_error,
-                })
+                let reachable = idx.reachable();
+                Some(common::audited(ctx, idx, &reachable))
             }),
         }
     }

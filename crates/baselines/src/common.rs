@@ -6,8 +6,11 @@
 //!   behaviour the paper calls out for CCEH and Level hashing ("produce
 //!   PM writes to maintain read locks", §VI-B).
 
+use std::collections::HashSet;
+
 use spash_alloc::PmAllocator;
-use spash_index_api::IndexError;
+use spash_index_api::crashpoint::Recovery;
+use spash_index_api::{IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr, VRwLock};
 
 /// Sentinel key for an empty slot. Baseline workloads must use non-zero
@@ -119,47 +122,25 @@ pub fn make_val(
     }
 }
 
-/// Census-vs-reachability audit shared by the baseline crash targets
-/// (the same two-way check `Spash::audit_heap` performs): every address in
-/// `reachable` (region starts and blob addresses the recovered index can
-/// reach) must be a live allocation in the heap's own books — anything
-/// else is use-after-free-grade corruption — while live allocations the
-/// index cannot reach are *counted* as leaks. Bounded leaks are expected:
-/// small slots freed into the allocator's volatile caches keep their
-/// persistent bits, and an in-flight operation can lose its freshly
-/// written blob or region to the crash.
-pub fn audit_census(
+/// The tail of every baseline's crash-sweep recovery: census the heap and
+/// audit it ([`spash_alloc::HeapCensus::audit`]) against the addresses the
+/// recovered index can reach (region starts and blob addresses). The
+/// caller has already walked the index for `reachable`; the census reads
+/// come second, an order `perf`'s `recover` rows time.
+pub(crate) fn audited(
     ctx: &mut MemCtx,
-    reachable: &std::collections::HashSet<u64>,
-) -> (u64, Option<String>) {
-    let census = match PmAllocator::census(ctx) {
-        Some(c) => c,
-        None => return (0, Some("no formatted heap found".into())),
+    index: impl PersistentIndex + 'static,
+    reachable: &HashSet<u64>,
+) -> Recovery {
+    let (leaked_allocs, audit_error) = match PmAllocator::census(ctx) {
+        Some(census) => census.audit(reachable),
+        None => (0, Some("no formatted heap found".into())),
     };
-    let mut allocated = std::collections::HashSet::new();
-    for &(a, _) in &census.small_slots {
-        allocated.insert(a.0);
+    Recovery {
+        index: Box::new(index),
+        leaked_allocs,
+        audit_error,
     }
-    for &a in &census.segments {
-        allocated.insert(a.0);
-    }
-    for &(a, _) in &census.large {
-        allocated.insert(a.0);
-    }
-    for &(a, _) in &census.regions {
-        allocated.insert(a.0);
-    }
-    for &r in reachable {
-        if !allocated.contains(&r) {
-            return (
-                0,
-                Some(format!(
-                    "reachable address {r:#x} is not a live allocation in the heap census"
-                )),
-            );
-        }
-    }
-    (allocated.difference(reachable).count() as u64, None)
 }
 
 /// A reader-writer lock whose lock word lives in PM: every acquisition and

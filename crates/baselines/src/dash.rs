@@ -19,11 +19,12 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::{CrashTarget, Recovery};
+use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr, VLock, VRwLock};
 
 use crate::common::{self, EMPTY_KEY};
+use crate::exthash::{Dir, Header};
 
 const BUCKETS: u64 = 60;
 const STASH: u64 = 4;
@@ -36,22 +37,12 @@ const SEG_REGION: u64 = SEG_BYTES.div_ceil(256) * 256;
 /// Root-block magic ("DashDir1"): says "this heap holds a Dash".
 const ROOT_MAGIC: u64 = 0x4461_7368_4469_7231;
 const ROOT_LEN: u64 = 64;
-/// Segment identity, in the otherwise-unused 64-byte segment header:
-/// word 0 `meta = MAGIC1:16 | local_depth:8 | prefix:40`, word 1 a second
-/// full-word magic. Both must match for recovery to accept the region as
-/// a committed segment.
-const SEG_MAGIC1: u64 = 0xDA54;
-const SEG_MAGIC2: u64 = 0x4461_7368_5365_6732;
-const PREFIX_MASK: u64 = (1 << 40) - 1;
-
-/// Publish (or re-stamp) a segment's identity header.
-fn write_seg_header(ctx: &mut MemCtx, seg: PmAddr, ld: u8, prefix: u64) {
-    debug_assert!(prefix <= PREFIX_MASK);
-    ctx.write_u64(seg, SEG_MAGIC1 << 48 | u64::from(ld) << 40 | prefix);
-    ctx.write_u64(PmAddr(seg.0 + 8), SEG_MAGIC2);
-    ctx.flush_range(seg, 16);
-    ctx.fence();
-}
+/// Segment identity, in the otherwise-unused 64-byte segment header.
+const HEADER: Header = Header {
+    magic1: 0xDA54,
+    magic2: 0x4461_7368_5365_6732,
+    offset: 0,
+};
 
 struct Seg {
     addr: PmAddr,
@@ -63,6 +54,14 @@ struct Seg {
 }
 
 impl Seg {
+    fn at(addr: PmAddr, lock_ns: u64) -> Self {
+        Self {
+            addr,
+            rw: VRwLock::new((), lock_ns),
+            bucket_locks: (0..BUCKETS + STASH).map(|_| VLock::new((), lock_ns)).collect(),
+        }
+    }
+
     fn bucket_addr(&self, b: u64) -> PmAddr {
         PmAddr(self.addr.0 + 64 + b * BUCKET_BYTES)
     }
@@ -87,15 +86,10 @@ impl Seg {
     }
 }
 
-struct Dir {
-    depth: u32,
-    entries: Vec<(Arc<Seg>, u8)>,
-}
-
 /// The Dash baseline.
 pub struct Dash {
     alloc: Arc<PmAllocator>,
-    dir: RwLock<Dir>,
+    dir: RwLock<Dir<Seg>>,
     entries: AtomicU64,
     n_segs: AtomicU64,
 }
@@ -111,7 +105,7 @@ impl Dash {
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
             let seg = Self::alloc_seg(ctx, &alloc)?;
-            write_seg_header(ctx, seg.addr, depth as u8, i as u64);
+            HEADER.stamp(ctx, seg.addr, depth as u8, i as u64);
             entries.push((seg, depth as u8));
         }
         // Root magic last: a crash mid-format recovers as "no Dash here".
@@ -146,19 +140,12 @@ impl Dash {
             ctx.ntstore_bytes(PmAddr(addr.0 + off), &zeros[..n]);
             off += n as u64;
         }
-        Ok(Arc::new(Seg {
-            addr,
-            rw: VRwLock::new((), lock_ns),
-            bucket_locks: (0..BUCKETS + STASH).map(|_| VLock::new((), lock_ns)).collect(),
-        }))
+        Ok(Arc::new(Seg::at(addr, lock_ns)))
     }
 
     fn route(&self, ctx: &mut MemCtx, h: u64) -> (Arc<Seg>, u8, u32) {
         ctx.charge_dram_cached();
-        let d = self.dir.read();
-        let idx = (h >> (64 - d.depth)) as usize;
-        let (seg, ld) = &d.entries[idx];
-        (Arc::clone(seg), *ld, d.depth)
+        self.dir.read().route(h)
     }
 
     fn home_bucket(h: u64) -> u64 {
@@ -299,12 +286,8 @@ impl Dash {
             // lint:allow(flow-flush-fence): bucket_insert's slot flush+fence are canary-gated (dash.insert.*) and the PM seqlock bump is concurrency metadata recovery never reads. san=none(canary gate is on outside sanitizer canary tests)
             let out = seg.rw.read(ctx, |ctx, _| {
                 // Validate routing under the structural lock.
-                {
-                    let d = self.dir.read();
-                    let idx = (h >> (64 - d.depth)) as usize;
-                    if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
-                        return Out::Moved;
-                    }
+                if !self.dir.read().still_routes(h, &seg, depth) {
+                    return Out::Moved;
                 }
                 let b = Self::home_bucket(h);
                 let nb = (b + 1) % BUCKETS;
@@ -371,28 +354,20 @@ impl Dash {
             if u32::from(ld) == depth {
                 let mut dw = self.dir.write();
                 if dw.depth == depth {
-                    let doubled: Vec<(Arc<Seg>, u8)> = dw
-                        .entries
-                        .iter()
-                        .flat_map(|e| [e.clone(), e.clone()])
-                        .collect();
-                    dw.entries = doubled;
-                    dw.depth += 1;
+                    dw.double();
                     ctx.charge_dram((dw.entries.len() as u64 * 8) / 64 + 1);
                 }
                 continue;
             }
             let new_seg = Self::alloc_seg(ctx, &self.alloc)?;
             let mut homeless: Vec<(u64, u64, u64, u64)> = Vec::new();
-            // lint:allow(flow-flush-fence): raced-split early return releases the lock while alloc_seg's zero-fill is unfenced; the region commits only via write_seg_header's flush+fence. san=none(zeros of an uncommitted region are recovery no-ops)
+            // lint:allow(flow-flush-fence): raced-split early return releases the lock while alloc_seg's zero-fill is unfenced; the region commits only via HEADER.stamp's flush+fence. san=none(zeros of an uncommitted region are recovery no-ops)
             let done = seg.rw.write(ctx, |ctx, _| {
                 let mut d = self.dir.write();
-                let depth_now = d.depth;
-                let idx = (h >> (64 - depth_now)) as usize;
-                let (cur, ld_now) = d.entries[idx].clone();
-                if !Arc::ptr_eq(&cur, &seg) || ld_now != ld || u32::from(ld_now) >= depth_now {
-                    return false;
-                }
+                let p = match d.split_prefix(h, &seg, ld) {
+                    Some(p) => p,
+                    None => return false,
+                };
                 // Crash-safe split order: (1) copy every record whose next
                 // prefix bit is 1 into the new segment *without* removing it
                 // from the old one, (2) commit the new segment's identity
@@ -444,21 +419,12 @@ impl Dash {
                 }
                 // Commit point: the new segment becomes real, the old one
                 // narrows to the lower half of its prefix.
-                let p = (idx >> (depth_now - u32::from(ld))) as u64;
-                write_seg_header(ctx, new_seg.addr, ld + 1, p * 2 + 1);
-                write_seg_header(ctx, seg.addr, ld + 1, p * 2);
+                HEADER.stamp(ctx, new_seg.addr, ld + 1, p * 2 + 1);
+                HEADER.stamp(ctx, seg.addr, ld + 1, p * 2);
                 for (b, s) in moved {
                     self.bucket_remove(ctx, &seg, b, s);
                 }
-                let span = 1usize << (depth_now - u32::from(ld));
-                let base = (idx >> (depth_now - u32::from(ld))) << (depth_now - u32::from(ld));
-                for i in 0..span {
-                    d.entries[base + i] = if i >= span / 2 {
-                        (Arc::clone(&new_seg), ld + 1)
-                    } else {
-                        (Arc::clone(&seg), ld + 1)
-                    };
-                }
+                let span = d.repoint(p, ld, &seg, &new_seg);
                 ctx.charge_dram(span as u64 / 8 + 1);
                 true
             });
@@ -495,53 +461,14 @@ impl Dash {
         let lock_ns = ctx.device().config().cost.lock_ns;
         // Committed segments: region of the right (chunk-rounded) size,
         // both magics intact.
-        let mut segs: Vec<(Arc<Seg>, u8, u64)> = Vec::new();
-        for &(a, len) in &rec.regions {
-            if len != SEG_REGION || ctx.read_u64(PmAddr(a.0 + 8)) != SEG_MAGIC2 {
-                continue;
-            }
-            let meta = ctx.read_u64(a);
-            if meta >> 48 != SEG_MAGIC1 {
-                continue;
-            }
-            let ld = ((meta >> 40) & 0xff) as u8;
-            let prefix = meta & PREFIX_MASK;
-            if u64::from(ld) > 40 || prefix >> ld != 0 {
-                return None; // a committed header can never be malformed
-            }
-            segs.push((
-                Arc::new(Seg {
-                    addr: a,
-                    rw: VRwLock::new((), lock_ns),
-                    bucket_locks: (0..BUCKETS + STASH).map(|_| VLock::new((), lock_ns)).collect(),
-                }),
-                ld,
-                prefix,
-            ));
+        let segs = HEADER.scan_committed(ctx, &rec.regions, SEG_REGION, |a| Seg::at(a, lock_ns))?;
+        let dir = Dir::rebuild(&segs)?;
+        if dir.depth == 0 {
+            return None; // a Dash is never formatted at depth 0
         }
-        if segs.is_empty() {
-            return None;
-        }
-        let depth = u32::from(segs.iter().map(|&(_, ld, _)| ld).max().unwrap());
-        if depth == 0 {
-            return None; // Dash's directory routing needs depth >= 1
-        }
-        let mut entries: Vec<Option<(Arc<Seg>, u8)>> = vec![None; 1 << depth];
-        let mut by_depth = segs.clone();
-        by_depth.sort_by_key(|&(ref s, ld, prefix)| (ld, prefix, s.addr.0));
-        for (seg, ld, prefix) in by_depth {
-            let shift = depth - u32::from(ld);
-            let base = (prefix << shift) as usize;
-            for e in entries.iter_mut().skip(base).take(1 << shift) {
-                *e = Some((Arc::clone(&seg), ld));
-            }
-        }
-        // A directory hole means the image is torn/foreign.
-        let entries: Vec<(Arc<Seg>, u8)> = entries.into_iter().collect::<Option<_>>()?;
-
         let idx = Self {
             alloc: Arc::new(rec.alloc),
-            dir: RwLock::new(Dir { depth, entries }),
+            dir: RwLock::new(dir),
             entries: AtomicU64::new(0),
             n_segs: AtomicU64::new(segs.len() as u64),
         };
@@ -589,6 +516,29 @@ impl Dash {
         Some(idx)
     }
 
+    /// Addresses the recovered index can reach: committed segments plus
+    /// every blob a live slot points at.
+    fn reachable(&self, ctx: &mut MemCtx) -> HashSet<u64> {
+        let segs = self.dir.read().segments();
+        let mut reachable = HashSet::new();
+        for seg in &segs {
+            reachable.insert(seg.addr.0);
+            for b in 0..BUCKETS + STASH {
+                let bitmap = ctx.read_u64(seg.meta_addr(b)) as u16;
+                for s in 0..SLOTS {
+                    if bitmap & (1 << s) == 0 {
+                        continue;
+                    }
+                    let vw = ctx.read_u64(PmAddr(seg.slot_addr(b, s).0 + 8));
+                    if let common::ValWord::Blob(a) = common::unpack_val(vw) {
+                        reachable.insert(a.0);
+                    }
+                }
+            }
+        }
+        reachable
+    }
+
     /// Dash as a [`CrashTarget`] for the crash-point sweep.
     pub fn crash_target(depth: u32) -> CrashTarget {
         CrashTarget {
@@ -598,40 +548,8 @@ impl Dash {
             }),
             recover: Box::new(|ctx| {
                 let idx = Dash::recover(ctx)?;
-                // Committed segments plus every blob a live slot points at.
-                let mut reachable: HashSet<u64> = HashSet::new();
-                let d = idx.dir.read();
-                let segs: Vec<Arc<Seg>> = {
-                    let mut v: Vec<Arc<Seg>> = Vec::new();
-                    for (seg, _) in d.entries.iter() {
-                        if !v.iter().any(|s| Arc::ptr_eq(s, seg)) {
-                            v.push(Arc::clone(seg));
-                        }
-                    }
-                    v
-                };
-                drop(d);
-                for seg in &segs {
-                    reachable.insert(seg.addr.0);
-                    for b in 0..BUCKETS + STASH {
-                        let bitmap = ctx.read_u64(seg.meta_addr(b)) as u16;
-                        for s in 0..SLOTS {
-                            if bitmap & (1 << s) == 0 {
-                                continue;
-                            }
-                            let vw = ctx.read_u64(PmAddr(seg.slot_addr(b, s).0 + 8));
-                            if let common::ValWord::Blob(a) = common::unpack_val(vw) {
-                                reachable.insert(a.0);
-                            }
-                        }
-                    }
-                }
-                let (leaked_allocs, audit_error) = common::audit_census(ctx, &reachable);
-                Some(Recovery {
-                    index: Box::new(idx),
-                    leaked_allocs,
-                    audit_error,
-                })
+                let reachable = idx.reachable(ctx);
+                Some(common::audited(ctx, idx, &reachable))
             }),
         }
     }
@@ -667,12 +585,8 @@ impl PersistentIndex for Dash {
             }
             // lint:allow(flow-flush-fence): the in-place update leaves the PM seqlock word dirty at release; recovery never reads it, dynamically forgiven inside this region. san=dash::update
             let out = seg.rw.read(ctx, |ctx, _| {
-                {
-                    let d = self.dir.read();
-                    let idx = (h >> (64 - d.depth)) as usize;
-                    if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
-                        return Out::Moved;
-                    }
+                if !self.dir.read().still_routes(h, &seg, depth) {
+                    return Out::Moved;
                 }
                 match self.find(ctx, &seg, key, h) {
                     None => Out::Miss,
@@ -732,12 +646,8 @@ impl PersistentIndex for Dash {
                     continue;
                 }
                 // Routing may have changed mid-read (split).
-                {
-                    let d = self.dir.read();
-                    let idx = (h >> (64 - d.depth)) as usize;
-                    if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
-                        continue;
-                    }
+                if !self.dir.read().still_routes(h, &seg, depth) {
+                    continue;
                 }
                 return match hit {
                     None => false,
@@ -761,12 +671,8 @@ impl PersistentIndex for Dash {
             }
             // lint:allow(flow-flush-fence): bucket_remove scrubs the key word after the flushed bitmap unpublish; the scrub and seqlock word are dynamically forgiven. san=dash::bucket_remove
             let out = seg.rw.read(ctx, |ctx, _| {
-                {
-                    let d = self.dir.read();
-                    let idx = (h >> (64 - d.depth)) as usize;
-                    if !Arc::ptr_eq(&d.entries[idx].0, &seg) || d.depth != depth {
-                        return Out::Moved;
-                    }
+                if !self.dir.read().still_routes(h, &seg, depth) {
+                    return Out::Moved;
                 }
                 match self.find(ctx, &seg, key, h) {
                     None => Out::Miss,

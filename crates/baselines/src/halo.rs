@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::{CrashTarget, Recovery};
+use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr, VRwLock};
 
@@ -257,6 +257,13 @@ impl Halo {
         })
     }
 
+    /// Addresses the recovered index can reach. Everything Halo owns is
+    /// two regions; live/dead log entries are sub-region state the census
+    /// cannot see.
+    fn reachable(&self) -> HashSet<u64> {
+        [self.log_base.0, self.snap_base.0].into_iter().collect()
+    }
+
     /// Halo as a [`CrashTarget`] for the crash-point sweep.
     pub fn crash_target(log_bytes: u64, dram_budget: u64) -> CrashTarget {
         CrashTarget {
@@ -266,16 +273,8 @@ impl Halo {
             }),
             recover: Box::new(move |ctx| {
                 let idx = Halo::recover(ctx, dram_budget)?;
-                // Everything Halo owns is two regions; live/dead log
-                // entries are sub-region state the census cannot see.
-                let reachable: HashSet<u64> =
-                    [idx.log_base.0, idx.snap_base.0].into_iter().collect();
-                let (leaked_allocs, audit_error) = common::audit_census(ctx, &reachable);
-                Some(Recovery {
-                    index: Box::new(idx),
-                    leaked_allocs,
-                    audit_error,
-                })
+                let reachable = idx.reachable();
+                Some(common::audited(ctx, idx, &reachable))
             }),
         }
     }

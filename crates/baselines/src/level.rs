@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::{CrashTarget, Recovery};
+use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr};
 
@@ -368,12 +368,7 @@ impl Level {
             recover: Box::new(|ctx| {
                 let idx = Level::recover(ctx)?;
                 let reachable = idx.reachable(ctx);
-                let (leaked_allocs, audit_error) = common::audit_census(ctx, &reachable);
-                Some(Recovery {
-                    index: Box::new(idx),
-                    leaked_allocs,
-                    audit_error,
-                })
+                Some(common::audited(ctx, idx, &reachable))
             }),
         }
     }

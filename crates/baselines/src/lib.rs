@@ -20,6 +20,7 @@ pub mod cceh;
 pub mod clevel;
 pub mod common;
 pub mod dash;
+mod exthash;
 pub mod halo;
 pub mod level;
 pub mod plush;

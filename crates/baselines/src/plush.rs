@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::{CrashTarget, Recovery};
+use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr, VLock};
 
@@ -577,6 +577,49 @@ impl Plush {
         Some(idx)
     }
 
+    /// Addresses the recovered index can reach: the WAL, every level,
+    /// and every blob a slot (level or replayed buffer) still names.
+    /// Shadowed versions keep their slots until a merge drops them, so
+    /// their blobs stay reachable; blobs whose only reference was an
+    /// overwritten buffer entry are counted as leaks — the LSM's
+    /// documented until-compaction garbage.
+    fn reachable(&self, ctx: &mut MemCtx) -> HashSet<u64> {
+        let mut reachable: HashSet<u64> = HashSet::new();
+        reachable.insert(self.wal_base.0);
+        {
+            let levels = self.levels.read();
+            for lvl in levels.iter() {
+                reachable.insert(lvl.addr.0);
+                for b in 0..lvl.n_buckets {
+                    let ba = lvl.bucket(b);
+                    let count = ctx.read_u64(ba).min(BUCKET_SLOTS);
+                    for s in 0..count {
+                        let vw = ctx.read_u64(PmAddr(ba.0 + 16 + s * 16));
+                        if vw == TOMB {
+                            continue;
+                        }
+                        if let common::ValWord::Blob(a) = common::unpack_val(vw) {
+                            reachable.insert(a.0);
+                        }
+                    }
+                }
+            }
+        }
+        for shard in 0..SHARDS {
+            self.shards[shard].with(ctx, |_, sh| {
+                for &(_, vw) in &sh.buf {
+                    if vw == TOMB {
+                        continue;
+                    }
+                    if let common::ValWord::Blob(a) = common::unpack_val(vw) {
+                        reachable.insert(a.0);
+                    }
+                }
+            });
+        }
+        reachable
+    }
+
     /// Plush as a [`CrashTarget`] for the crash-point sweep.
     pub fn crash_target(pow: u32) -> CrashTarget {
         CrashTarget {
@@ -586,51 +629,8 @@ impl Plush {
             }),
             recover: Box::new(|ctx| {
                 let idx = Plush::recover(ctx)?;
-                // The WAL, every level, and every blob a slot (level or
-                // replayed buffer) still names. Shadowed versions keep
-                // their slots until a merge drops them, so their blobs
-                // stay reachable; blobs whose only reference was an
-                // overwritten buffer entry are counted as leaks — the
-                // LSM's documented until-compaction garbage.
-                let mut reachable: HashSet<u64> = HashSet::new();
-                reachable.insert(idx.wal_base.0);
-                {
-                    let levels = idx.levels.read();
-                    for lvl in levels.iter() {
-                        reachable.insert(lvl.addr.0);
-                        for b in 0..lvl.n_buckets {
-                            let ba = lvl.bucket(b);
-                            let count = ctx.read_u64(ba).min(BUCKET_SLOTS);
-                            for s in 0..count {
-                                let vw = ctx.read_u64(PmAddr(ba.0 + 16 + s * 16));
-                                if vw == TOMB {
-                                    continue;
-                                }
-                                if let common::ValWord::Blob(a) = common::unpack_val(vw) {
-                                    reachable.insert(a.0);
-                                }
-                            }
-                        }
-                    }
-                }
-                for shard in 0..SHARDS {
-                    idx.shards[shard].with(ctx, |_, sh| {
-                        for &(_, vw) in &sh.buf {
-                            if vw == TOMB {
-                                continue;
-                            }
-                            if let common::ValWord::Blob(a) = common::unpack_val(vw) {
-                                reachable.insert(a.0);
-                            }
-                        }
-                    });
-                }
-                let (leaked_allocs, audit_error) = common::audit_census(ctx, &reachable);
-                Some(Recovery {
-                    index: Box::new(idx),
-                    leaked_allocs,
-                    audit_error,
-                })
+                let reachable = idx.reachable(ctx);
+                Some(common::audited(ctx, idx, &reachable))
             }),
         }
     }

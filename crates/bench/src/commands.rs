@@ -6,7 +6,7 @@
 use std::process::exit;
 
 use spash_analysis::{roster, Select, Sizing};
-use spash_bench::experiments::{ext, fig1, fig10, fig11, fig12, fig7, fig8, fig9};
+use spash_bench::experiments::{fig1, fig10, fig11, fig12, fig7, fig8, fig9};
 use spash_bench::{knobs, perf, scale, service, BenchReport, Scale};
 use spash_pmem::PersistenceDomain::{self, Adr, Eadr};
 
@@ -501,8 +501,8 @@ pub fn compare(args: &[String]) {
 
 type Figure = (&'static str, fn(&Scale));
 
-/// The figure experiments by name; the first eight are `all`.
-const FIGURES: [Figure; 12] = [
+/// The figure experiments by name; the first seven are `all`.
+const FIGURES: [Figure; 11] = [
     ("fig1", fig1::run),
     ("fig7", fig7::run),
     ("fig8", fig8::run),
@@ -510,14 +510,13 @@ const FIGURES: [Figure; 12] = [
     ("fig10", fig10::run),
     ("fig11", fig11::run),
     ("fig12", fig12::run),
-    ("ext", ext::run),
     ("fig12a", fig12::run_a),
     ("fig12b", fig12::run_b),
     ("fig12c", fig12::run_c),
     ("fig12d", fig12::run_d),
 ];
 
-/// `spash-bench <fig…|all|ext>… [--report <path>]`: run the named figure
+/// `spash-bench <fig…|all>… [--report <path>]`: run the named figure
 /// experiments at the `SPASH_BENCH_*` scale; `--report` (or
 /// `SPASH_BENCH_REPORT`) also writes their machine-readable rows.
 pub fn figures(args: &[String]) {
@@ -536,7 +535,7 @@ pub fn figures(args: &[String]) {
                 exit(2);
             }
         } else if a == "all" {
-            FIGURES[..8].iter().for_each(|(_, run)| run(&scale));
+            FIGURES[..7].iter().for_each(|(_, run)| run(&scale));
         } else if let Some((_, run)) = FIGURES.iter().find(|(name, _)| name == a) {
             run(&scale);
         } else {

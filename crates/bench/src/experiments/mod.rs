@@ -1,6 +1,5 @@
 //! One module per figure/table of the paper's evaluation (§VI).
 
-pub mod ext;
 pub mod fig1;
 pub mod fig10;
 pub mod fig11;

@@ -23,7 +23,7 @@ use spash_sched::SchedConfig;
 use crate::knobs;
 
 /// Scale knobs, overridable from the environment (strictly — see
-/// [`crate::knobs`]) so `cargo bench` stays fast by default:
+/// [`crate::knobs`]) so the figure runs stay fast by default:
 /// * `SPASH_BENCH_KEYS` — load-phase keys (default 400k, paper 20M/100M);
 /// * `SPASH_BENCH_OPS` — run-phase ops (default 200k, paper 8G/100M);
 /// * `SPASH_BENCH_THREADS` — simulated thread counts, comma-separated

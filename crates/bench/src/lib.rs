@@ -2,11 +2,10 @@
 //! paper's evaluation (§VI). See DESIGN.md for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured results.
 //!
-//! Run everything: `cargo bench --workspace`, or individual figures:
-//! `cargo bench -p spash-bench --bench fig7_micro_throughput`. The CLI
-//! binary (`cargo run -p spash-bench --release -- fig10`) exposes the
-//! same experiments with `SPASH_BENCH_KEYS` / `SPASH_BENCH_OPS` /
-//! `SPASH_BENCH_THREADS` scale knobs.
+//! Run everything: `cargo run --release -p spash-bench -- all`, or one
+//! figure: `cargo run --release -p spash-bench -- fig10`. The
+//! `SPASH_BENCH_KEYS` / `SPASH_BENCH_OPS` / `SPASH_BENCH_THREADS` knobs
+//! set the scale.
 
 pub mod experiments;
 pub mod harness;

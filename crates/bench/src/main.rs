@@ -1,7 +1,7 @@
 //! CLI for the benchmark suite: `spash-bench <subcommand> [...]`. This
 //! file is the dispatch table; the bodies are in `commands.rs`.
 //!
-//! * `fig1`, `fig7`..`fig11`, `fig12[a-d]`, `ext`, `all` — the paper's
+//! * `fig1`, `fig7`..`fig11`, `fig12[a-d]`, `all` — the paper's
 //!   figure experiments, scaled by `SPASH_BENCH_*`; several may be named
 //!   at once, and `--report <path>` (or `SPASH_BENCH_REPORT`) also writes
 //!   their machine-readable rows as a `BenchReport` JSON.
@@ -19,7 +19,7 @@
 mod commands;
 
 const USAGE: &str = "\
-usage: spash-bench <fig1|fig7|fig8|fig9|fig10|fig11|fig12[a-d]|all|ext>... [--report P]
+usage: spash-bench <fig1|fig7|fig8|fig9|fig10|fig11|fig12[a-d]|all>... [--report P]
        spash-bench perf [--out P] | scale [--out P] [--assert] [--lin-check]
        spash-bench service [--out P] [--lin-check] | compare OLD NEW [--virtual-only|--wall-tol F]
        spash-bench crashpoints | san | sched [--seeds N]

@@ -297,53 +297,12 @@ fn field_str(v: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
-/// The one place that knows the counter field list. Serializer and parser
-/// both go through it, so they cannot drift apart (and the golden-file
-/// test pins the result).
-const COUNTER_FIELDS: [(&str, fn(&StatsSnapshot) -> u64, fn(&mut StatsSnapshot, u64)); 14] = [
-    ("cl_reads", |s| s.cl_reads, |s, v| s.cl_reads = v),
-    ("cl_writes", |s| s.cl_writes, |s, v| s.cl_writes = v),
-    ("xp_reads", |s| s.xp_reads, |s, v| s.xp_reads = v),
-    ("xp_writes", |s| s.xp_writes, |s, v| s.xp_writes = v),
-    ("read_hits", |s| s.read_hits, |s, v| s.read_hits = v),
-    ("write_hits", |s| s.write_hits, |s, v| s.write_hits = v),
-    (
-        "dirty_evictions",
-        |s| s.dirty_evictions,
-        |s, v| s.dirty_evictions = v,
-    ),
-    ("flushes", |s| s.flushes, |s, v| s.flushes = v),
-    ("ntstores", |s| s.ntstores, |s, v| s.ntstores = v),
-    (
-        "dram_accesses",
-        |s| s.dram_accesses,
-        |s, v| s.dram_accesses = v,
-    ),
-    (
-        "media_read_bytes",
-        |s| s.media_read_bytes,
-        |s, v| s.media_read_bytes = v,
-    ),
-    (
-        "media_write_bytes",
-        |s| s.media_write_bytes,
-        |s, v| s.media_write_bytes = v,
-    ),
-    (
-        "san_redundant_flushes",
-        |s| s.san_redundant_flushes,
-        |s, v| s.san_redundant_flushes = v,
-    ),
-    (
-        "san_noop_fences",
-        |s| s.san_noop_fences,
-        |s, v| s.san_noop_fences = v,
-    ),
-];
-
+// Serializer, parser and diff all iterate `StatsSnapshot::FIELDS`, the one
+// counter list, so they cannot drift apart (and the golden-file test pins
+// the result).
 fn counters_to_json(s: &StatsSnapshot) -> Json {
     Json::Obj(
-        COUNTER_FIELDS
+        StatsSnapshot::FIELDS
             .iter()
             .map(|(name, get, _)| (name.to_string(), Json::Int(get(s))))
             .collect(),
@@ -352,7 +311,7 @@ fn counters_to_json(s: &StatsSnapshot) -> Json {
 
 fn counters_from_json(v: &Json) -> Result<StatsSnapshot, String> {
     let mut s = StatsSnapshot::default();
-    for (name, _, set) in COUNTER_FIELDS.iter() {
+    for (name, _, set) in StatsSnapshot::FIELDS {
         set(&mut s, field_u64(v, name)?);
     }
     Ok(s)
@@ -468,7 +427,7 @@ fn rel_close(a: f64, b: f64) -> bool {
 }
 
 fn diff_counters(key: &str, what: &str, old: &StatsSnapshot, new: &StatsSnapshot, out: &mut Vec<String>) {
-    for (name, get, _) in COUNTER_FIELDS.iter() {
+    for (name, get, _) in StatsSnapshot::FIELDS {
         let (o, n) = (get(old), get(new));
         if o != n {
             out.push(format!("{key}: {what}{name} {o} -> {n}"));

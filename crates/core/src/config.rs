@@ -75,15 +75,6 @@ pub struct SpashConfig {
     /// Transaction conflict retries before falling back to the segment
     /// lock (§IV-A).
     pub max_tx_retries: u32,
-    /// Collaborative staged doubling (§IV-B). When disabled, concurrent
-    /// splits block behind the doubling thread instead of completing
-    /// pending stages themselves — the tail-latency ablation.
-    pub collaborative_doubling: bool,
-    /// Entries in the DRAM read-through overlay cache in front of hot
-    /// buckets (power of two ≥ 8; 0 disables it). The overlay is only
-    /// consulted under [`ConcurrencyMode::Htm`] — the lock modes keep
-    /// their seqlock/read-lock protocols untouched.
-    pub overlay_entries: usize,
     /// Software-HTM geometry.
     pub htm: HtmConfig,
 }
@@ -99,8 +90,6 @@ impl Default for SpashConfig {
             concurrency: ConcurrencyMode::Htm,
             pipeline_depth: 4,
             max_tx_retries: 8,
-            collaborative_doubling: true,
-            overlay_entries: 16384,
             htm: HtmConfig::default(),
         }
     }

@@ -102,8 +102,6 @@ pub struct DoublingJob {
     pub old: Arc<DirInner>,
     pub new: Arc<DirInner>,
     stages: Box<[AtomicU8]>,
-    /// Virtual completion time per stage (for blocking-mode waiters).
-    stage_done_t: Box<[AtomicU64]>,
     remaining: AtomicUsize,
 }
 
@@ -174,8 +172,9 @@ struct DirState {
 pub struct Directory {
     state: Mutex<DirState>,
     next_gen: AtomicU64,
-    /// Diagnostics: how often operations waited behind the doubling
-    /// thread (blocking mode) vs completed stages themselves.
+    /// Diagnostics: how often an operation needing a stage found another
+    /// thread mid-copy on it (once per spin), vs the stages operations
+    /// asked to complete.
     pub await_count: AtomicU64,
     pub assist_count: AtomicU64,
 }
@@ -185,19 +184,8 @@ impl Directory {
     /// at local depth `depth`.
     pub fn new(depth: u32, segs: &[PmAddr]) -> Self {
         assert_eq!(segs.len(), 1 << depth);
-        let inner = DirInner::new(depth, 0);
-        for (i, &s) in segs.iter().enumerate() {
-            inner.entries[i].store(pack_entry(s, depth as u8), Ordering::Relaxed);
-        }
-        Self {
-            state: Mutex::new(DirState {
-                current: Arc::new(inner),
-                job: None,
-            }),
-            next_gen: AtomicU64::new(1),
-            await_count: AtomicU64::new(0),
-            assist_count: AtomicU64::new(0),
-        }
+        let triples: Vec<_> = (0..).zip(segs).map(|(i, &s)| (s, depth as u8, i)).collect();
+        Self::rebuild(&triples)
     }
 
     /// Rebuild from recovery data: (segment, local_depth, prefix) triples.
@@ -343,25 +331,10 @@ impl Directory {
             old: cur,
             new,
             stages: (0..n_stages).map(|_| AtomicU8::new(0)).collect(),
-            stage_done_t: (0..n_stages).map(|_| AtomicU64::new(0)).collect(),
             remaining: AtomicUsize::new(n_stages),
         });
         state.job = Some(Arc::clone(&j));
         j
-    }
-
-    /// Wait (without helping) until stage `s` is done — the *blocking*
-    /// doubling ablation: concurrent operations stall behind the doubling
-    /// thread instead of assisting it. The wall-clock wait is converted to
-    /// virtual time by syncing to the job's completion stamp.
-    pub fn await_stage(&self, ctx: &mut MemCtx, job: &Arc<DoublingJob>, s: usize) {
-        while job.stage_state(s) != Stage::Done {
-            // Scheduler-aware wait (blocking ablation): deschedule until
-            // the doubling thread finishes the stage.
-            spash_pmem::schedhook::spin_wait();
-        }
-        ctx.clock_mut()
-            .sync_to(job.stage_done_t[s].load(Ordering::Acquire));
     }
 
     /// Ensure stage `s` of `job` is done, executing it if it is pending
@@ -375,7 +348,12 @@ impl Directory {
                 .unwrap_or_else(|v| if v == 1 { Stage::Busy } else { Stage::Done })
             {
                 Stage::Done => return,
-                Stage::Busy => spash_pmem::schedhook::spin_wait(),
+                Stage::Busy => {
+                    // The one wait doubling has left: another thread is
+                    // mid-copy on this stage.
+                    self.await_count.fetch_add(1, Ordering::Relaxed);
+                    spash_pmem::schedhook::spin_wait();
+                }
                 Stage::Pending => {
                     // We claimed it. The copy runs under the partition's
                     // non-transactional lock so that concurrent splits of
@@ -395,7 +373,6 @@ impl Directory {
                         job.new.entries[2 * i].store(v, Ordering::Release);
                         job.new.entries[2 * i + 1].store(v, Ordering::Release);
                     }
-                    job.stage_done_t[s].fetch_max(ctx.now(), Ordering::AcqRel);
                     job.stages[s].store(2, Ordering::Release);
                     if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                         self.finish_doubling(job);
@@ -424,10 +401,7 @@ impl Directory {
     }
 
     /// Ensure the stages covering old-directory indices `[first, last]`
-    /// are complete. When `collaborative`, the caller executes pending
-    /// stages itself (§IV-B); otherwise it blocks until the doubling
-    /// thread gets there — the ablation that shows why collaboration
-    /// matters.
+    /// are complete: the caller executes pending stages itself (§IV-B).
     pub fn ensure_range_done(
         &self,
         ctx: &mut MemCtx,
@@ -435,16 +409,10 @@ impl Directory {
         job: &Arc<DoublingJob>,
         first_old_idx: usize,
         last_old_idx: usize,
-        collaborative: bool,
     ) {
         for s in job.stage_of(first_old_idx)..=job.stage_of(last_old_idx) {
-            if collaborative {
-                self.assist_count.fetch_add(1, Ordering::Relaxed);
-                self.complete_stage(ctx, htm, job, s);
-            } else {
-                self.await_count.fetch_add(1, Ordering::Relaxed);
-                self.await_stage(ctx, job, s);
-            }
+            self.assist_count.fetch_add(1, Ordering::Relaxed);
+            self.complete_stage(ctx, htm, job, s);
         }
     }
 
@@ -580,7 +548,7 @@ mod tests {
         let job = d.begin_doubling(&mut ctx);
         // A "split" thread needs old index 17 done: completes just that
         // stage collaboratively.
-        d.ensure_range_done(&mut ctx, &htm, &job, 17, 17, true);
+        d.ensure_range_done(&mut ctx, &htm, &job, 17, 17);
         let h = 17u64 << (64 - 5);
         let r = d.lookup(&mut ctx, h);
         assert_eq!(r.dir.gen, job.new.gen, "routed through the new directory");

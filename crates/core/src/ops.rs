@@ -51,6 +51,10 @@ pub(crate) const AB_STATE_CHANGED: u32 = VALIDATE_SLOT_CHANGED;
 /// Number of lock-table entries for the lock-mode ablations.
 pub(crate) const SEG_LOCK_TABLE: usize = 4096;
 
+/// Entries in the DRAM read-through overlay cache in front of hot
+/// buckets (a power of two ≥ 8).
+const OVERLAY_ENTRIES: usize = 16384;
+
 pub(crate) struct SegLock {
     pub rw: VRwLock<()>,
     /// Seqlock version for WriteLock-mode optimistic readers.
@@ -122,23 +126,7 @@ impl Spash {
         // possible chunk.
         let reserved = dev.arena().size() / 32 + dev.arena().size() / 8;
         let alloc = Arc::new(PmAllocator::format(ctx, reserved));
-        let l = *alloc.layout();
-        let (res_base, res_len) = alloc.reserved();
-        let seginfo = SegInfoTable::new(res_base, res_len, l.heap_start, l.n_chunks);
-        let fptable = FpTable::new(
-            PmAddr(res_base.0 + l.n_chunks * 8),
-            res_len - l.n_chunks * 8,
-            l.heap_start,
-            l.n_chunks,
-        );
-        let overlay = Overlay::new(
-            if cfg.concurrency == ConcurrencyMode::Htm {
-                cfg.overlay_entries
-            } else {
-                0
-            },
-            l.heap_start,
-        );
+        let (seginfo, fptable) = Self::tables(&alloc);
 
         let n = 1usize << cfg.initial_depth;
         let mut segs = Vec::with_capacity(n);
@@ -157,18 +145,53 @@ impl Spash {
             segs.push(seg);
         }
         let dir = Directory::new(cfg.initial_depth, &segs);
-        let htm = Htm::new(cfg.htm.clone());
+        Ok(Self::assemble(dev, alloc, cfg, dir, 0, n as u64))
+    }
+
+    /// The reserved area's layout: one seg-info record per possible
+    /// chunk, then the fingerprint sidecar.
+    pub(crate) fn tables(alloc: &PmAllocator) -> (SegInfoTable, FpTable) {
+        let l = alloc.layout();
+        let (res_base, res_len) = alloc.reserved();
+        (
+            SegInfoTable::new(res_base, res_len, l.heap_start, l.n_chunks),
+            FpTable::new(
+                PmAddr(res_base.0 + l.n_chunks * 8),
+                res_len - l.n_chunks * 8,
+                l.heap_start,
+                l.n_chunks,
+            ),
+        )
+    }
+
+    /// Put an index together around a formatted or recovered heap: the
+    /// one place that sizes the overlay and spells the struct.
+    pub(crate) fn assemble(
+        dev: Arc<PmDevice>,
+        alloc: Arc<PmAllocator>,
+        cfg: SpashConfig,
+        dir: Directory,
+        entries: u64,
+        n_segments: u64,
+    ) -> Self {
+        let (seginfo, fptable) = Self::tables(&alloc);
+        // The overlay is only consulted under HTM: the lock modes keep
+        // their seqlock/read-lock protocols untouched.
+        let overlay_len = match cfg.concurrency {
+            ConcurrencyMode::Htm => OVERLAY_ENTRIES,
+            _ => 0,
+        };
         let lock_ns = dev.config().cost.lock_ns;
-        Ok(Self {
+        Self {
+            overlay: Overlay::new(overlay_len, alloc.layout().heap_start),
+            htm: Htm::new(cfg.htm.clone()),
             dev,
             alloc,
-            htm,
             dir,
             seginfo,
             fptable,
-            overlay,
-            entries: AtomicU64::new(0),
-            n_segments: AtomicU64::new(n as u64),
+            entries: AtomicU64::new(entries),
+            n_segments: AtomicU64::new(n_segments),
             seg_locks: (0..SEG_LOCK_TABLE)
                 .map(|_| SegLock {
                     rw: VRwLock::new((), lock_ns),
@@ -177,7 +200,7 @@ impl Spash {
                 .collect(),
             fallbacks: AtomicU64::new(0),
             cfg,
-        })
+        }
     }
 
     /// Shared handles used internally and by diagnostics.
@@ -205,8 +228,8 @@ impl Spash {
         self.dir.assist_count.load(Ordering::Relaxed)
     }
 
-    /// Times an operation blocked behind the doubling thread (only in the
-    /// blocking-doubling ablation).
+    /// Times an operation needing a doubling stage found another thread
+    /// mid-copy on it and waited (one count per scheduler-aware spin).
     pub fn dir_await_count(&self) -> u64 {
         self.dir.await_count.load(Ordering::Relaxed)
     }

@@ -118,7 +118,7 @@ impl Overlay {
     pub fn new(n: usize, heap_start: u64) -> Self {
         assert!(
             n == 0 || (n >= 8 && n.is_power_of_two()),
-            "overlay_entries must be 0 or a power of two >= 8, got {n}"
+            "overlay size must be 0 or a power of two >= 8, got {n}"
         );
         Self {
             entries: (0..n).map(|_| Entry::new()).collect(),

@@ -22,19 +22,14 @@
 //! turn lets the integrity walker hold the live table to exact equality
 //! with the rebuild rule.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use spash_alloc::PmAllocator;
-use spash_htm::Htm;
 use spash_pmem::MemCtx;
 
-use crate::config::{ConcurrencyMode, SpashConfig};
+use crate::config::SpashConfig;
 use crate::dir::Directory;
-use crate::fptable::FpTable;
-use crate::ops::{SegLock, Spash};
-use crate::overlay::Overlay;
-use crate::seginfo::SegInfoTable;
+use crate::ops::Spash;
 use crate::slot::{key_addr, SlotKey, SLOTS_PER_SEG};
 
 impl Spash {
@@ -48,15 +43,7 @@ impl Spash {
         let dev = Arc::clone(ctx.device());
         let rec = PmAllocator::recover(ctx)?;
         let alloc = Arc::new(rec.alloc);
-        let l = *alloc.layout();
-        let (res_base, res_len) = alloc.reserved();
-        let seginfo = SegInfoTable::new(res_base, res_len, l.heap_start, l.n_chunks);
-        let fptable = FpTable::new(
-            spash_pmem::PmAddr(res_base.0 + l.n_chunks * 8),
-            res_len - l.n_chunks * 8,
-            l.heap_start,
-            l.n_chunks,
-        );
+        let (seginfo, fptable) = Self::tables(&alloc);
 
         let mut triples = Vec::with_capacity(rec.segments.len());
         let mut entries = 0u64;
@@ -93,35 +80,6 @@ impl Spash {
         }
 
         let dir = Directory::rebuild(&triples);
-        let htm = Htm::new(cfg.htm.clone());
-        let lock_ns = dev.config().cost.lock_ns;
-        let n_segments = triples.len() as u64;
-        let overlay = Overlay::new(
-            if cfg.concurrency == ConcurrencyMode::Htm {
-                cfg.overlay_entries
-            } else {
-                0
-            },
-            l.heap_start,
-        );
-        Some(Self {
-            dev,
-            alloc,
-            htm,
-            dir,
-            seginfo,
-            fptable,
-            overlay,
-            entries: AtomicU64::new(entries),
-            n_segments: AtomicU64::new(n_segments),
-            seg_locks: (0..crate::ops::SEG_LOCK_TABLE)
-                .map(|_| SegLock {
-                    rw: spash_pmem::VRwLock::new((), lock_ns),
-                    ver: AtomicU64::new(0),
-                })
-                .collect(),
-            fallbacks: AtomicU64::new(0),
-            cfg,
-        })
+        Some(Self::assemble(dev, alloc, cfg, dir, entries, triples.len() as u64))
     }
 }

@@ -272,14 +272,7 @@ impl Spash {
                     let prefix = if d == 0 { 0 } else { h >> (64 - d as u32) };
                     let first = (prefix << (d_old - d as u32)) as usize;
                     let last = (((prefix + 1) << (d_old - d as u32)) - 1) as usize;
-                    self.dir.ensure_range_done(
-                        ctx,
-                        &self.htm,
-                        job,
-                        first,
-                        last,
-                        self.cfg.collaborative_doubling,
-                    );
+                    self.dir.ensure_range_done(ctx, &self.htm, job, first, last);
                 }
             }
 

@@ -591,6 +591,32 @@ mod tests {
         assert!(c.now() - t1 >= 4 * cost.pm_read_miss_ns);
     }
 
+    /// Records the accounting artefact of DESIGN.md §13 ("the prefetch
+    /// table saturates") and is the acceptance test of its fix: entries
+    /// whose line is never read are never expired, so once the table is
+    /// full every new prefetch overwrites the previous one and a read of
+    /// an earlier, still in-flight line is charged as a cache hit.
+    #[test]
+    #[ignore = "prefetch table saturates: DESIGN.md §13"]
+    fn unconsumed_prefetches_do_not_make_later_misses_free() {
+        let mut c = ctx();
+        let cost = c.cost().clone();
+        for i in 0..MAX_PREFETCH as u64 {
+            c.prefetch(PmAddr(8192 + i * 64));
+        }
+        c.charge_compute(10 * cost.pm_read_miss_ns);
+        // Two fresh cold lines; the first is still in flight when read.
+        let t0 = c.now();
+        c.prefetch(PmAddr(1 << 20));
+        c.prefetch(PmAddr((1 << 20) + 64));
+        c.read_u64(PmAddr(1 << 20));
+        let elapsed = c.now() - t0;
+        assert!(
+            elapsed >= cost.pm_read_miss_ns,
+            "a line prefetched {elapsed} ns ago was read as if it had arrived"
+        );
+    }
+
     #[test]
     fn fence_waits_for_flush_drain() {
         let mut c = ctx();

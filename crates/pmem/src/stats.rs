@@ -3,65 +3,90 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic counters shared by all threads of a [`crate::PmDevice`].
-///
-/// "cacheline" counters track traffic between CPU cache and the DIMM
-/// controller; "xpline" counters track what the 3D-XPoint media actually
-/// services after XPBuffer write combining — the ratio between the two is
-/// the write amplification the paper's Observations 2–4 are about.
-#[derive(Debug, Default)]
-pub struct PmStats {
+/// Declares every counter once — name and meaning, in the order reports
+/// serialise them (`StatsSnapshot::FIELDS` is the JSON key order the bench
+/// golden file pins). Adding a counter is one line here.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Atomic counters shared by all threads of a [`crate::PmDevice`].
+        ///
+        /// "cacheline" counters track traffic between CPU cache and the DIMM
+        /// controller; "xpline" counters track what the 3D-XPoint media actually
+        /// services after XPBuffer write combining — the ratio between the two is
+        /// the write amplification the paper's Observations 2–4 are about.
+        #[derive(Debug, Default)]
+        pub struct PmStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`PmStats`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl PmStats {
+            /// Capture a snapshot of all counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Every counter as `(name, getter, setter)`, in declaration
+            /// order — the registry that serialisers and diffs iterate.
+            pub const FIELDS: &'static [(
+                &'static str,
+                fn(&StatsSnapshot) -> u64,
+                fn(&mut StatsSnapshot, u64),
+            )] = &[$((stringify!($name), |s| s.$name, |s, v| s.$name = v),)*];
+
+            /// Counter deltas since `earlier`. Saturating, so a racing counter can
+            /// never panic a benchmark.
+            pub fn since(&self, earlier: &StatsSnapshot) -> StatsDelta {
+                StatsSnapshot {
+                    $($name: self.$name.saturating_sub(earlier.$name),)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Cacheline fetches from PM (read misses).
-    pub cl_reads: AtomicU64,
+    cl_reads,
     /// Cacheline writebacks/flushes arriving at the DIMM.
-    pub cl_writes: AtomicU64,
+    cl_writes,
     /// XPLines read from media (after read-buffer coalescing).
-    pub xp_reads: AtomicU64,
+    xp_reads,
     /// XPLines written to media (after XPBuffer coalescing).
-    pub xp_writes: AtomicU64,
+    xp_writes,
     /// Cache hits on loads.
-    pub read_hits: AtomicU64,
+    read_hits,
     /// Cache hits on stores.
-    pub write_hits: AtomicU64,
+    write_hits,
     /// Dirty lines evicted by capacity pressure (as opposed to explicit
     /// flushes).
-    pub dirty_evictions: AtomicU64,
+    dirty_evictions,
     /// Explicit flush instructions that found a dirty line.
-    pub flushes: AtomicU64,
+    flushes,
     /// Non-temporal stores.
-    pub ntstores: AtomicU64,
+    ntstores,
     /// DRAM accesses charged through `MemCtx::charge_dram`.
-    pub dram_accesses: AtomicU64,
+    dram_accesses,
     /// Bytes read from PM media.
-    pub media_read_bytes: AtomicU64,
+    media_read_bytes,
     /// Bytes written to PM media.
-    pub media_write_bytes: AtomicU64,
+    media_write_bytes,
     /// Sanitizer diagnostic: `clwb`s that found the line clean (wasted
     /// flush-issue cost; see [`crate::san`]). Zero when the sanitizer is
     /// off.
-    pub san_redundant_flushes: AtomicU64,
+    san_redundant_flushes,
     /// Sanitizer diagnostic: `sfence`s with no outstanding flush or
     /// ntstore. Zero when the sanitizer is off.
-    pub san_noop_fences: AtomicU64,
-}
-
-/// A point-in-time copy of [`PmStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub cl_reads: u64,
-    pub cl_writes: u64,
-    pub xp_reads: u64,
-    pub xp_writes: u64,
-    pub read_hits: u64,
-    pub write_hits: u64,
-    pub dirty_evictions: u64,
-    pub flushes: u64,
-    pub ntstores: u64,
-    pub dram_accesses: u64,
-    pub media_read_bytes: u64,
-    pub media_write_bytes: u64,
-    pub san_redundant_flushes: u64,
-    pub san_noop_fences: u64,
+    san_noop_fences,
 }
 
 /// The difference between two snapshots — what one benchmark phase cost.
@@ -78,52 +103,9 @@ impl PmStats {
         pick(self).fetch_add(n, Ordering::Relaxed);
         crate::span::mirror(pick, n);
     }
-
-    /// Capture a snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            cl_reads: self.cl_reads.load(Ordering::Relaxed),
-            cl_writes: self.cl_writes.load(Ordering::Relaxed),
-            xp_reads: self.xp_reads.load(Ordering::Relaxed),
-            xp_writes: self.xp_writes.load(Ordering::Relaxed),
-            read_hits: self.read_hits.load(Ordering::Relaxed),
-            write_hits: self.write_hits.load(Ordering::Relaxed),
-            dirty_evictions: self.dirty_evictions.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            ntstores: self.ntstores.load(Ordering::Relaxed),
-            dram_accesses: self.dram_accesses.load(Ordering::Relaxed),
-            media_read_bytes: self.media_read_bytes.load(Ordering::Relaxed),
-            media_write_bytes: self.media_write_bytes.load(Ordering::Relaxed),
-            san_redundant_flushes: self.san_redundant_flushes.load(Ordering::Relaxed),
-            san_noop_fences: self.san_noop_fences.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl StatsSnapshot {
-    /// Counter deltas since `earlier`. Saturating, so a racing counter can
-    /// never panic a benchmark.
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsDelta {
-        StatsSnapshot {
-            cl_reads: self.cl_reads.saturating_sub(earlier.cl_reads),
-            cl_writes: self.cl_writes.saturating_sub(earlier.cl_writes),
-            xp_reads: self.xp_reads.saturating_sub(earlier.xp_reads),
-            xp_writes: self.xp_writes.saturating_sub(earlier.xp_writes),
-            read_hits: self.read_hits.saturating_sub(earlier.read_hits),
-            write_hits: self.write_hits.saturating_sub(earlier.write_hits),
-            dirty_evictions: self.dirty_evictions.saturating_sub(earlier.dirty_evictions),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
-            ntstores: self.ntstores.saturating_sub(earlier.ntstores),
-            dram_accesses: self.dram_accesses.saturating_sub(earlier.dram_accesses),
-            media_read_bytes: self.media_read_bytes.saturating_sub(earlier.media_read_bytes),
-            media_write_bytes: self.media_write_bytes.saturating_sub(earlier.media_write_bytes),
-            san_redundant_flushes: self
-                .san_redundant_flushes
-                .saturating_sub(earlier.san_redundant_flushes),
-            san_noop_fences: self.san_noop_fences.saturating_sub(earlier.san_noop_fences),
-        }
-    }
-
     /// The minimum virtual time this much media traffic can take given the
     /// platform's bandwidth (paper §II-A). Benchmarks report
     /// `elapsed = max(max per-thread clock, bandwidth_floor_ns)`, which is

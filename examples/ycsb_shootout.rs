@@ -83,5 +83,5 @@ fn main() {
             index.load_factor(),
         );
     }
-    println!("\n(the full thread sweeps live in `cargo bench -p spash-bench`)");
+    println!("\n(the full thread sweeps live in `cargo run --release -p spash-bench -- fig10`)");
 }
