@@ -350,6 +350,100 @@ mod tests {
         assert_eq!(a.load_u64(addr), 2, "evicted (written-back) data is durable");
     }
 
+    /// FNV-1a over little-endian words: the pins below hash every value
+    /// the model returns.
+    struct Fnv(u64);
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn lines(&mut self, lines: &[u64]) {
+            self.word(lines.len() as u64);
+            for &l in lines {
+                self.word(l);
+            }
+        }
+    }
+
+    /// What "bit-identical" means for the cache model below the
+    /// benchmark: a seeded sequence of every call the data path makes,
+    /// hashing each return value, the *order* of the bulk walks'
+    /// output, and the arena image an ADR crash leaves behind. Captured
+    /// on the array-of-`Way` layout; any re-layout must reproduce it.
+    #[test]
+    fn seeded_call_sequence_is_pinned() {
+        const LINES: u64 = 200;
+        let a = arena();
+        // 4 shards * 4 sets * 4 ways = 64 lines.
+        let c = CacheModel::new(64 * 64, 4, 4, CrashFidelity::Full);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut s = 0x5eed_cafe_f00d_u64;
+        let mut next = move || {
+            // splitmix64
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // Coverage: hits, dirty evictions, dirty flushes, resident
+        // probes, dirty evictions by install_clean.
+        let mut seen = [0u64; 5];
+        let mut step = |h: &mut Fnv, i: u64| {
+            let r = next();
+            let line = (r >> 8) % LINES;
+            let mut saw = |what: usize, yes: bool| {
+                seen[what] += yes as u64;
+                yes as u64
+            };
+            match r % 100 {
+                0..=79 => {
+                    let write = r % 100 >= 50;
+                    let res = c.access(line, write, &a);
+                    h.word(saw(0, res.hit));
+                    saw(1, res.evicted_dirty.is_some());
+                    h.word(res.evicted_dirty.map_or(u64::MAX, |l| l));
+                    if write {
+                        // The store follows the access, as on the data
+                        // path: the pre-image is the value before it.
+                        a.store_u64(crate::PmAddr(line * 64 + (r >> 40) % 8 * 8), i + 1);
+                    }
+                }
+                80..=87 => h.word(saw(2, c.flush(line))),
+                88..=95 => h.word(saw(3, c.is_resident(line))),
+                _ => {
+                    let victim = c.install_clean(line, &a);
+                    saw(4, victim.is_some());
+                    h.word(victim.map_or(u64::MAX, |l| l));
+                }
+            }
+        };
+        for i in 0..100_000u64 {
+            step(&mut h, i);
+            if i % 10_000 == 9_999 {
+                h.lines(&c.flush_all());
+            }
+        }
+        for i in 100_000..100_500u64 {
+            step(&mut h, i);
+        }
+        let (flushed, reverted) = c.power_failure(PersistenceDomain::Adr, &a);
+        h.lines(&flushed);
+        h.lines(&reverted);
+        for w in 0..LINES * 8 {
+            h.word(a.load_u64(crate::PmAddr(w * 8)));
+        }
+        // The crash emptied the cache; refill and pin the wbinvd walk.
+        for i in 100_500..101_000u64 {
+            step(&mut h, i);
+        }
+        h.lines(&c.invalidate_all());
+        assert!(!reverted.is_empty() && seen.iter().all(|&n| n > 100), "{seen:?}");
+        assert_eq!(h.0, 0x1117_7b29_12b4_9387, "hash {:#018x}", h.0);
+    }
+
     #[test]
     fn flush_all_returns_dirty_lines() {
         let a = arena();

@@ -156,6 +156,55 @@ mod tests {
         assert_eq!(oa, ob);
     }
 
+    /// What "bit-identical" means for the scheduler below the benchmark:
+    /// the decision trace of one seeded batch that meets every arm of
+    /// `Scheduler::pick` — forced switches (task 0 spins until task 3
+    /// raises the flag), budgeted preemptions and, once the budget of 6
+    /// is spent, stays at the remaining may-switch points, and task
+    /// exits at four different times.
+    #[test]
+    fn decision_trace_of_a_seeded_batch_is_pinned() {
+        use spash_pmem::schedhook::{self, SyncEvent};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let flag = AtomicU64::new(0);
+        let log = Mutex::new(Vec::new());
+        let bodies: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = (0..4u64)
+            .map(|t| {
+                let (flag, log) = (&flag, &log);
+                let b: Box<dyn FnOnce() -> u64 + Send + '_> = Box::new(move || {
+                    if t == 0 {
+                        while flag.load(Ordering::SeqCst) == 0 {
+                            schedhook::spin_wait();
+                        }
+                    }
+                    for i in 0..10 * (t + 1) {
+                        log.lock().push(t as u32);
+                        schedhook::sync_point(SyncEvent::AtomicRmw(i));
+                    }
+                    if t == 3 {
+                        flag.store(1, Ordering::SeqCst);
+                    }
+                    t
+                });
+                b
+            })
+            .collect();
+        let out = run_batch(&SchedConfig::random(0x5eed, 6), None, bodies);
+        assert!(out.complete());
+        assert_eq!(out.results, vec![Some(0), Some(1), Some(2), Some(3)]);
+        let trace = &out.sched.trace;
+        let switches = trace.windows(2).filter(|w| w[0] != w[1]).count();
+        let stays = trace.windows(2).filter(|w| w[0] == w[1]).count();
+        assert!(switches > 6, "forced switches on top of the 6 budgeted: {switches}");
+        assert!(stays > 100, "may-switch points that stayed: {stays}");
+        assert_eq!(
+            (trace.len(), out.sched.trace_hash()),
+            (208, 13_203_199_767_789_465_461),
+            "trace {trace:?}"
+        );
+    }
+
     #[test]
     fn stopped_runs_leave_incomplete_slots() {
         // One task spins forever: the deadlock valve stops the world and
