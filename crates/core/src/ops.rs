@@ -234,6 +234,18 @@ impl Spash {
         self.dir.await_count.load(Ordering::Relaxed)
     }
 
+    /// Issue the modelled prefetch of `addr`'s line (§III-D) and hint the
+    /// host about both places the later access will miss in *its* memory:
+    /// the arena word (inside [`MemCtx::prefetch`]) and the line's HTM
+    /// slot. Every prefetch site goes through here, so the simulator's
+    /// dependent DRAM misses overlap across a pipeline chunk exactly as
+    /// the PM misses they model do.
+    #[inline]
+    pub(crate) fn prefetch(&self, ctx: &mut MemCtx, addr: PmAddr) {
+        ctx.prefetch(addr);
+        self.htm.host_prefetch(LineId::of_pm(addr));
+    }
+
     /// Live entries.
     pub fn len(&self) -> u64 {
         self.entries.load(Ordering::Relaxed)
@@ -1067,8 +1079,8 @@ impl Spash {
                 // wastes the fetch.
                 Ok(OverlayProbe::Fall) | Err(_) => {
                     let b = bucket_of(h);
-                    ctx.prefetch(self.fptable.word_addr(hit.seg, b));
-                    ctx.prefetch(key_addr(hit.seg, b * SLOTS_PER_BUCKET));
+                    self.prefetch(ctx, self.fptable.word_addr(hit.seg, b));
+                    self.prefetch(ctx, key_addr(hit.seg, b * SLOTS_PER_BUCKET));
                 }
             }
         }

@@ -52,10 +52,13 @@ impl Spash {
         out: &mut Vec<BatchResult>,
     ) {
         let depth = self.cfg.pipeline_depth.max(1);
+        // Reused by every chunk of the batch.
+        let mut plans = Vec::with_capacity(depth);
+        let mut masks = Vec::with_capacity(depth);
         for chunk in ops.chunks(depth) {
             // Stage 1: route every request and issue first-round
             // prefetches (fp word, and the bucket line for mutations).
-            let mut plans = Vec::with_capacity(chunk.len());
+            plans.clear();
             for op in chunk {
                 let (key, is_get) = match *op {
                     BatchOp::Get(k) => (k, true),
@@ -77,7 +80,7 @@ impl Spash {
                             if let SlotKey::Ptr { addr, .. } =
                                 SlotKey::unpack(hit.words[j as usize].0)
                             {
-                                ctx.prefetch(addr);
+                                self.prefetch(ctx, addr);
                             }
                         }
                         // A hint-tag match means the hit path will fall
@@ -86,8 +89,8 @@ impl Spash {
                         // a serialized pair of cold misses.
                         if fp_word::hint_candidates(hit.fpw, tag) != 0 {
                             let b = bucket_of(h);
-                            ctx.prefetch(self.fptable.word_addr(hit.seg, b));
-                            ctx.prefetch(key_addr(hit.seg, b * SLOTS_PER_BUCKET));
+                            self.prefetch(ctx, self.fptable.word_addr(hit.seg, b));
+                            self.prefetch(ctx, key_addr(hit.seg, b * SLOTS_PER_BUCKET));
                         }
                         plans.push(Plan::OverlayHit);
                         continue;
@@ -96,8 +99,8 @@ impl Spash {
                 let routed = self.dir.lookup(ctx, h);
                 let seg = routed.seg();
                 let b = bucket_of(h);
-                ctx.prefetch(self.fptable.word_addr(seg, b));
-                ctx.prefetch(key_addr(seg, b * SLOTS_PER_BUCKET));
+                self.prefetch(ctx, self.fptable.word_addr(seg, b));
+                self.prefetch(ctx, key_addr(seg, b * SLOTS_PER_BUCKET));
                 if is_get {
                     plans.push(Plan::Probe { seg, h, b });
                 } else {
@@ -108,7 +111,8 @@ impl Spash {
             // speculatively-fetched bucket line are both already in
             // flight from stage 1). Tag-clean negatives stop here — they
             // will resolve from the fp word alone.
-            let mut masks = vec![0u8; plans.len()];
+            masks.clear();
+            masks.resize(plans.len(), 0u8);
             for (i, plan) in plans.iter().enumerate() {
                 if let Plan::Probe { seg, h, b } = *plan {
                     let fpw = ctx.read_u64(self.fptable.word_addr(seg, b));
@@ -131,7 +135,7 @@ impl Spash {
                             }
                             let kw = ctx.read_u64(key_addr(seg, b * SLOTS_PER_BUCKET + j));
                             if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(kw) {
-                                ctx.prefetch(addr);
+                                self.prefetch(ctx, addr);
                             }
                         }
                     }
@@ -139,7 +143,7 @@ impl Spash {
                         for s in crate::slot::bucket_slots(b) {
                             let kw = ctx.read_u64(key_addr(seg, s));
                             if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(kw) {
-                                ctx.prefetch(addr);
+                                self.prefetch(ctx, addr);
                             }
                         }
                     }

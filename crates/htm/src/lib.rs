@@ -30,10 +30,9 @@
 //! HTM protocol scales where lock-based protocols do not (paper Fig 12c).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use spash_pmem::schedhook::{self, SyncEvent};
-use spash_pmem::{MemCtx, PmAddr, PmDevice};
+use spash_pmem::{Arena, MemCtx, PmAddr};
 
 /// Identifies one conflict-detection granule (a cacheline or a volatile
 /// location).
@@ -188,39 +187,58 @@ impl Htm {
         // conflict window (`_xbegin`).
         schedhook::sync_point(SyncEvent::HtmBegin);
         ctx.charge_compute(begin_ns);
-        let dev = Arc::clone(ctx.device());
-        let mut tx = Tx {
-            htm: self,
-            dev,
-            owner: (ctx.tid() as u64 + 1) << 1 | LOCKED,
-            read_set: Vec::with_capacity(8),
-            write_set: Vec::with_capacity(8),
-            undo_pm: Vec::with_capacity(8),
-            undo_vol: Vec::new(),
-            finished: false,
-        };
-        match f(&mut tx, ctx) {
-            Ok(v) => match tx.commit(ctx) {
-                Ok(()) => {
-                    self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                    ctx.charge_compute(commit_ns);
-                    Ok(v)
-                }
-                Err(a) => {
-                    self.count_abort(a);
-                    ctx.charge_compute(abort_ns);
-                    schedhook::sync_point(SyncEvent::HtmAbort);
-                    Err(a)
-                }
-            },
-            Err(a) => {
-                tx.rollback();
-                self.count_abort(a);
-                ctx.charge_compute(abort_ns);
-                schedhook::sync_point(SyncEvent::HtmAbort);
-                Err(a)
+        // The attempt: the transaction and the context it runs on. The
+        // transaction borrows the device through the context (its undo
+        // log restores arena words) instead of holding a reference of its
+        // own; dropping the attempt — on return or when `f` unwinds —
+        // rolls back whatever did not commit.
+        struct Attempt<'h, 'c> {
+            tx: Tx<'h>,
+            ctx: &'c mut MemCtx,
+        }
+        impl Drop for Attempt<'_, '_> {
+            fn drop(&mut self) {
+                self.tx.rollback(self.ctx.device().arena());
             }
         }
+        let owner = (ctx.tid() as u64 + 1) << 1 | LOCKED;
+        let mut at = Attempt {
+            tx: Tx {
+                htm: self,
+                owner,
+                read_set: InlineSet::new((0, 0)),
+                write_set: InlineSet::new((0, 0)),
+                undo_pm: InlineSet::new((PmAddr::NULL, 0)),
+                undo_vol: Vec::new(),
+                finished: false,
+            },
+            ctx,
+        };
+        let r = f(&mut at.tx, at.ctx).and_then(|v| at.tx.commit(at.ctx).map(|()| v));
+        match r {
+            Ok(_) => {
+                self.stats.commits.fetch_add(1, Ordering::Relaxed);
+                at.ctx.charge_compute(commit_ns);
+            }
+            Err(a) => {
+                // Now, not when `at` drops: the abort's sync point below
+                // may run another task, which must find the lines free.
+                at.tx.rollback(at.ctx.device().arena());
+                self.count_abort(a);
+                at.ctx.charge_compute(abort_ns);
+                schedhook::sync_point(SyncEvent::HtmAbort);
+            }
+        }
+        r
+    }
+
+    /// Hint the host to start loading `id`'s slot ([`spash_pmem::host_prefetch`]).
+    /// The table is far larger than the host's caches and indexed by a
+    /// hash, so a transaction's first touch of a line is a host DRAM
+    /// miss unless whoever knew the line early said so.
+    #[inline]
+    pub fn host_prefetch(&self, id: LineId) {
+        spash_pmem::host_prefetch(self.slot(id));
     }
 
     fn count_abort(&self, a: Abort) {
@@ -320,16 +338,64 @@ struct VolUndo {
     old: u64,
 }
 
-/// An in-flight transaction. Dropping it without commit rolls back.
+/// Entries a transaction's sets hold inline. Spash's own transactions
+/// touch a handful of lines (a segment is four); splits and doubling
+/// stages spill.
+const INLINE_ENTRIES: usize = 16;
+
+/// An insertion-ordered list whose first [`INLINE_ENTRIES`] entries live
+/// in the transaction itself, so an attempt that stays small allocates
+/// nothing; later entries spill to a `Vec`. Order of iteration — and of
+/// its reverse, the undo order — is insertion order across both parts.
+struct InlineSet<T> {
+    len: usize,
+    inline: [T; INLINE_ENTRIES],
+    spill: Vec<T>,
+}
+
+impl<T: Copy> InlineSet<T> {
+    /// An empty set; `fill` only initialises the unused inline entries.
+    fn new(fill: T) -> Self {
+        Self {
+            len: 0,
+            inline: [fill; INLINE_ENTRIES],
+            spill: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, v: T) {
+        match self.inline.get_mut(self.len) {
+            Some(e) => *e = v,
+            None => self.spill.push(v),
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = T> + '_ {
+        let inline = &self.inline[..self.len.min(INLINE_ENTRIES)];
+        inline.iter().chain(&self.spill).copied()
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+}
+
+/// An in-flight transaction. It lives inside one
+/// [`Htm::try_transaction`] call, which rolls it back unless it commits.
 pub struct Tx<'h> {
     htm: &'h Htm,
-    dev: Arc<PmDevice>,
     owner: u64,
     /// (slot index, observed version-state) pairs to validate at commit.
-    read_set: Vec<(usize, u64)>,
+    read_set: InlineSet<(usize, u64)>,
     /// (slot index, pre-lock version) pairs we own.
-    write_set: Vec<(usize, u64)>,
-    undo_pm: Vec<(PmAddr, u64)>,
+    write_set: InlineSet<(usize, u64)>,
+    undo_pm: InlineSet<(PmAddr, u64)>,
     undo_vol: Vec<VolUndo>,
     finished: bool,
 }
@@ -341,7 +407,7 @@ impl Tx<'_> {
     }
 
     fn owns(&self, idx: usize) -> bool {
-        self.write_set.iter().any(|&(i, _)| i == idx)
+        self.write_set.iter().any(|(i, _)| i == idx)
     }
 
     /// Add `id` to the read set (conflict-checked but not written).
@@ -360,7 +426,7 @@ impl Tx<'_> {
         if s & LOCKED != 0 {
             return Err(Abort::Conflict(idx as u32));
         }
-        if !self.read_set.iter().any(|&(i, _)| i == idx) {
+        if !self.read_set.iter().any(|(i, _)| i == idx) {
             self.read_set.push((idx, s));
         }
         Ok(())
@@ -393,8 +459,8 @@ impl Tx<'_> {
         let expected = self
             .read_set
             .iter()
-            .find(|&&(i, _)| i == idx)
-            .map(|&(_, v)| v)
+            .find(|&(i, _)| i == idx)
+            .map(|(_, v)| v)
             .unwrap_or(s);
         if expected != s {
             return Err(Abort::Conflict(idx as u32));
@@ -419,7 +485,7 @@ impl Tx<'_> {
     /// Transactionally store a u64 to PM (undo-logged).
     pub fn write_u64(&mut self, ctx: &mut MemCtx, addr: PmAddr, v: u64) -> Result<(), Abort> {
         self.write_guard(LineId::of_pm(addr))?;
-        let old = self.dev.arena().load_u64(addr);
+        let old = ctx.device().arena().load_u64(addr);
         self.undo_pm.push((addr, old));
         ctx.write_u64(addr, v);
         Ok(())
@@ -464,17 +530,16 @@ impl Tx<'_> {
         self.read_set.len() + self.write_set.len()
     }
 
-    fn commit(mut self, ctx: &mut MemCtx) -> Result<(), Abort> {
+    fn commit(&mut self, ctx: &mut MemCtx) -> Result<(), Abort> {
         // Decision point: the last instant at which a conflicting commit
         // can invalidate this transaction's read set.
         schedhook::sync_point(SyncEvent::HtmCommit);
-        // Validate the read set.
-        for &(idx, ver) in &self.read_set {
+        // Validate the read set (the caller rolls back on failure).
+        for (idx, ver) in self.read_set.iter() {
             if self.owns(idx) {
                 continue;
             }
             if self.htm.slots[idx].state.load(Ordering::Acquire) != ver {
-                self.rollback();
                 return Err(Abort::Conflict(idx as u32));
             }
         }
@@ -486,7 +551,7 @@ impl Tx<'_> {
         let xfer = ctx.device().config().cost.line_transfer_ns;
         let now = ctx.now();
         let mut horizon = 0;
-        for &(idx, old) in &self.write_set {
+        for (idx, old) in self.write_set.iter() {
             let slot = &self.htm.slots[idx];
             let token = slot.release_t.load(Ordering::Acquire).max(now) + xfer;
             slot.release_t.fetch_max(token, Ordering::AcqRel);
@@ -501,17 +566,19 @@ impl Tx<'_> {
         Ok(())
     }
 
-    fn rollback(&mut self) {
+    /// Undo everything, newest first, unless already committed or rolled
+    /// back. `arena` is the arena of the context the writes went through.
+    fn rollback(&mut self, arena: &Arena) {
         if self.finished {
             return;
         }
         // Undo memory effects in reverse order.
-        for &(addr, old) in self.undo_pm.iter().rev() {
+        for (addr, old) in self.undo_pm.iter().rev() {
             // lint:allow(arena-direct): rollback restores pre-images the
             // transaction captured before its own instrumented writes; it
             // must not dirty the cache model or advance clocks again, or
             // aborted attempts would change the durable image and costs.
-            self.dev.arena().store_u64(addr, old);
+            arena.store_u64(addr, old);
         }
         for u in self.undo_vol.iter().rev() {
             // SAFETY: cells passed to write_volatile_u64 outlive the
@@ -522,7 +589,7 @@ impl Tx<'_> {
         // Release locks, restoring the pre-lock version (values are
         // restored, so stale readers may validate successfully — which is
         // correct, nothing changed).
-        for &(idx, old) in self.write_set.iter().rev() {
+        for (idx, old) in self.write_set.iter().rev() {
             self.htm.slots[idx].state.store(old, Ordering::Release);
         }
         self.undo_pm.clear();
@@ -530,12 +597,6 @@ impl Tx<'_> {
         self.write_set.clear();
         self.read_set.clear();
         self.finished = true;
-    }
-}
-
-impl Drop for Tx<'_> {
-    fn drop(&mut self) {
-        self.rollback();
     }
 }
 
@@ -547,7 +608,8 @@ unsafe impl Send for Tx<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spash_pmem::PmConfig;
+    use spash_pmem::{PmConfig, PmDevice};
+    use std::sync::Arc;
 
     fn setup() -> (Arc<PmDevice>, Htm) {
         (
@@ -585,6 +647,72 @@ mod tests {
         assert_eq!(dev.arena().load_u64(PmAddr(64)), 10, "undo restored");
         assert_eq!(dev.arena().load_u64(PmAddr(4096)), 0);
         assert_eq!(htm.stats().explicit_aborts, 1);
+    }
+
+    #[test]
+    fn inline_set_spills_in_insertion_order() {
+        let mut set = InlineSet::new(0u64);
+        for v in 0..40 {
+            assert_eq!(set.len(), v as usize);
+            set.push(v);
+        }
+        assert_eq!(set.spill.len(), 40 - INLINE_ENTRIES);
+        assert!(set.iter().eq(0..40));
+        assert!(set.iter().rev().eq((0..40).rev()));
+        set.clear();
+        assert_eq!((set.len(), set.iter().count()), (0, 0));
+    }
+
+    #[test]
+    fn spilled_undo_log_rolls_back_newest_first() {
+        let (dev, htm) = setup();
+        let mut ctx = dev.ctx();
+        dev.arena().store_u64(PmAddr(64), 99);
+        let r: Result<(), Abort> = htm.try_transaction(&mut ctx, |tx, ctx| {
+            // One word overwritten 20 times: 20 undo entries, the last
+            // four spilled. Only newest-first undo ends on the original.
+            for v in 1..=20 {
+                tx.write_u64(ctx, PmAddr(64), v)?;
+            }
+            // And 40 more lines, so the write set spills as well.
+            for i in 1..=40u64 {
+                tx.write_u64(ctx, PmAddr(4096 + i * 64), i)?;
+            }
+            assert_eq!(tx.footprint(), 41);
+            tx.abort(3)
+        });
+        assert_eq!(r, Err(Abort::Explicit(3)));
+        assert_eq!(dev.arena().load_u64(PmAddr(64)), 99);
+        for i in 1..=40u64 {
+            let addr = PmAddr(4096 + i * 64);
+            assert_eq!(dev.arena().load_u64(addr), 0, "line {i} restored");
+            assert!(!htm.is_locked(LineId::of_pm(addr)), "line {i} released");
+        }
+        // The same footprint commits, every write in place.
+        htm.try_transaction(&mut ctx, |tx, ctx| {
+            for i in 0..=40u64 {
+                tx.write_u64(ctx, PmAddr(4096 + i * 64), i + 1)?;
+                tx.read_u64(ctx, PmAddr(65536 + i * 64))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert!((0..=40u64).all(|i| dev.arena().load_u64(PmAddr(4096 + i * 64)) == i + 1));
+    }
+
+    #[test]
+    fn unwinding_out_of_a_transaction_rolls_it_back() {
+        let (dev, htm) = setup();
+        let mut ctx = dev.ctx();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _: Result<(), Abort> = htm.try_transaction(&mut ctx, |tx, ctx| {
+                tx.write_u64(ctx, PmAddr(64), 5)?;
+                panic!("injected crash point");
+            });
+        }));
+        assert!(r.is_err());
+        assert_eq!(dev.arena().load_u64(PmAddr(64)), 0);
+        assert!(!htm.is_locked(LineId::of_pm(PmAddr(64))));
     }
 
     #[test]

@@ -95,11 +95,32 @@ impl Arena {
         self.word(addr.0).fetch_and(bits, Ordering::AcqRel)
     }
 
+    /// Hint the host to start loading the line of the word at `addr`
+    /// ([`crate::host_prefetch`]); an address outside the arena is ignored.
+    #[inline]
+    pub(crate) fn host_prefetch(&self, addr: PmAddr) {
+        if let Some(w) = self.words.get((addr.0 / 8) as usize) {
+            crate::host_prefetch(w);
+        }
+    }
+
     /// Copy bytes out of the arena. Tolerates unaligned `addr`/length.
+    /// One atomic load per word touched, mirroring [`Self::write_bytes`].
     pub fn read_bytes(&self, addr: PmAddr, out: &mut [u8]) {
-        for (a, b) in (addr.0..).zip(out.iter_mut()) {
-            let w = self.word(a & !7).load(Ordering::Acquire);
-            *b = (w >> ((a % 8) * 8)) as u8;
+        // Leading partial word.
+        let lead = ((8 - addr.0 % 8) % 8).min(out.len() as u64) as usize;
+        let (head, rest) = out.split_at_mut(lead);
+        if lead > 0 {
+            let w = self.word(addr.0 & !7).load(Ordering::Acquire).to_le_bytes();
+            let skip = (addr.0 % 8) as usize;
+            head.copy_from_slice(&w[skip..skip + lead]);
+        }
+        // Whole words, then the trailing partial word.
+        let mut a = addr.0 + lead as u64;
+        for chunk in rest.chunks_mut(8) {
+            let w = self.word(a).load(Ordering::Acquire).to_le_bytes();
+            chunk.copy_from_slice(&w[..chunk.len()]);
+            a += 8;
         }
     }
 
@@ -188,6 +209,27 @@ mod tests {
         let mut b = [0u8; 3];
         a.read_bytes(PmAddr(0), &mut b);
         assert_eq!(b, [0, 0, 0]);
+    }
+
+    #[test]
+    fn read_bytes_matches_its_bytewise_definition() {
+        let a = Arena::new(64);
+        for i in 0..8u64 {
+            a.store_u64(
+                PmAddr(i * 8),
+                0x0101_0101_0101_0101u64.wrapping_mul(i) ^ 0x0706_0504_0302_0100,
+            );
+        }
+        let byte_at = |addr: u64| (a.load_u64(PmAddr(addr & !7)) >> (addr % 8 * 8)) as u8;
+        for start in 8..16u64 {
+            for len in 0..=17usize {
+                let mut out = vec![0xeeu8; len + 1];
+                a.read_bytes(PmAddr(start), &mut out[..len]);
+                let want: Vec<u8> = (start..start + len as u64).map(byte_at).collect();
+                assert_eq!(&out[..len], &want[..], "addr%8={} len={len}", start % 8);
+                assert_eq!(out[len], 0xee, "wrote past the output");
+            }
+        }
     }
 
     #[test]

@@ -10,25 +10,63 @@
 //! line on its clean-to-dirty transition so that an ADR crash can revert
 //! unflushed data — the mechanism behind the crash-consistency tests.
 
-use crate::sync::Mutex;
-
 use crate::arena::Arena;
 use crate::config::{CrashFidelity, PersistenceDomain};
+use crate::sync::WordLock;
 
-#[derive(Default)]
-struct Way {
-    /// line address + 1; 0 = empty.
-    tag: u64,
-    dirty: bool,
+/// One shard's ways as parallel arrays, set-major (`set * ways + way`):
+/// the lookup scans only tags, so an 8-way set costs one host line.
+struct Shard {
+    /// `line + 1` per way; 0 = empty. Indexed past `pad`.
+    tags: Vec<u64>,
+    /// Words skipped at the front of `tags` so that way 0 of set 0 — and
+    /// with it every 8-way set — starts on a host cacheline.
+    pad: usize,
+    /// Only a resident way is ever dirty.
+    dirty: Vec<bool>,
+    /// The line's content at its clean-to-dirty transition, meaningful
+    /// while the way is dirty. Kept only under [`CrashFidelity::Full`];
+    /// empty otherwise.
+    preimage: Vec<[u8; 64]>,
+    /// Accesses so far; feeds victim selection.
     tick: u64,
-    preimage: Option<Box<[u8; 64]>>,
 }
 
-struct Shard {
-    /// `sets * ways` entries, laid out set-major.
-    ways: Vec<Way>,
-    assoc: usize,
-    tick: u64,
+const HOST_LINE: usize = 64;
+
+impl Shard {
+    fn new(n_ways: usize, fidelity: CrashFidelity) -> Self {
+        let tags = vec![0u64; n_ways + HOST_LINE / 8 - 1];
+        // In elements; the Vec is never resized, so it stays valid.
+        let pad = tags.as_ptr().align_offset(HOST_LINE);
+        Self {
+            pad: if pad < HOST_LINE / 8 { pad } else { 0 },
+            tags,
+            dirty: vec![false; n_ways],
+            preimage: match fidelity {
+                CrashFidelity::Full => vec![[0u8; 64]; n_ways],
+                CrashFidelity::Fast => Vec::new(),
+            },
+            tick: 0,
+        }
+    }
+
+    /// The tags of every way, in set-major order.
+    fn tags(&mut self) -> &mut [u64] {
+        let n = self.dirty.len();
+        &mut self.tags[self.pad..self.pad + n]
+    }
+
+    /// Empty every way, handing each dirty one to `lost(way, line)` first
+    /// — in set-major order, which is the order the bulk walks report.
+    fn drain(&mut self, mut lost: impl FnMut(&mut Self, usize, u64)) {
+        for w in 0..self.dirty.len() {
+            let tag = std::mem::take(&mut self.tags()[w]);
+            if std::mem::take(&mut self.dirty[w]) {
+                lost(self, w, tag - 1);
+            }
+        }
+    }
 }
 
 /// What a cache access did, so the device can charge costs and drive media.
@@ -41,8 +79,10 @@ pub struct AccessResult {
 
 /// The sharded cache model.
 pub struct CacheModel {
-    shards: Vec<Mutex<Shard>>,
+    /// No sync point inside any critical section, so one-word locks.
+    shards: Vec<WordLock<Shard>>,
     sets_per_shard: usize,
+    ways: usize,
     fidelity: CrashFidelity,
 }
 
@@ -52,18 +92,12 @@ impl CacheModel {
         let total_sets = (total_lines / ways).max(shards);
         let sets_per_shard = total_sets.div_ceil(shards);
         let shards = (0..shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    ways: (0..sets_per_shard * ways).map(|_| Way::default()).collect(),
-
-                    assoc: ways,
-                    tick: 0,
-                })
-            })
+            .map(|_| WordLock::new(Shard::new(sets_per_shard * ways, fidelity)))
             .collect();
         Self {
             shards,
             sets_per_shard,
+            ways,
             fidelity,
         }
     }
@@ -83,30 +117,25 @@ impl CacheModel {
     pub fn access(&self, line: u64, write: bool, arena: &Arena) -> AccessResult {
         let (si, set) = self.locate(line);
         let mut sh = self.shards[si].lock();
+        let sh = &mut *sh;
         sh.tick += 1;
-        let tick = sh.tick;
-        let assoc = sh.assoc;
-        let base = set * assoc;
+        let base = set * self.ways;
         let tag = line + 1;
+        let full = self.fidelity == CrashFidelity::Full;
+        let set_tags = &mut sh.tags[sh.pad + base..][..self.ways];
 
-        // Hit?
-        for w in &mut sh.ways[base..base + assoc] {
-            if w.tag == tag {
-                w.tick = tick;
-                if write
-                    && !w.dirty {
-                        w.dirty = true;
-                        if self.fidelity == CrashFidelity::Full {
-                            let mut img = Box::new([0u8; 64]);
-                            arena.read_line(line, &mut img);
-                            w.preimage = Some(img);
-                        }
-                    }
-                return AccessResult {
-                    hit: true,
-                    evicted_dirty: None,
-                };
+        if let Some(j) = set_tags.iter().position(|&t| t == tag) {
+            let w = base + j;
+            if write && !sh.dirty[w] {
+                sh.dirty[w] = true;
+                if full {
+                    arena.read_line(line, &mut sh.preimage[w]);
+                }
             }
+            return AccessResult {
+                hit: true,
+                evicted_dirty: None,
+            };
         }
 
         // Miss: find a victim — an empty way if any, else a pseudo-random
@@ -114,27 +143,15 @@ impl CacheModel {
         // Observation 2 hinges on "random cacheline eviction" breaking up
         // XPLine-sized writes, which an LRU that ages sibling lines in
         // lockstep would (unrealistically) keep together.
-        let mut victim = usize::MAX;
-        for (i, w) in sh.ways[base..base + assoc].iter().enumerate() {
-            if w.tag == 0 {
-                victim = base + i;
-                break;
-            }
-        }
-        if victim == usize::MAX {
-            let r = (tick ^ line).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
-            victim = base + (r as usize) % assoc;
-        }
-        let w = &mut sh.ways[victim];
-        let evicted_dirty = if w.tag != 0 && w.dirty { Some(w.tag - 1) } else { None };
-        w.tag = tag;
-        w.tick = tick;
-        w.dirty = write;
-        w.preimage = None;
-        if write && self.fidelity == CrashFidelity::Full {
-            let mut img = Box::new([0u8; 64]);
-            arena.read_line(line, &mut img);
-            w.preimage = Some(img);
+        let j = set_tags.iter().position(|&t| t == 0).unwrap_or_else(|| {
+            ((sh.tick ^ line).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) as usize % self.ways
+        });
+        let w = base + j;
+        let evicted_dirty = (set_tags[j] != 0 && sh.dirty[w]).then(|| set_tags[j] - 1);
+        set_tags[j] = tag;
+        sh.dirty[w] = write;
+        if write && full {
+            arena.read_line(line, &mut sh.preimage[w]);
         }
         AccessResult {
             hit: false,
@@ -153,8 +170,7 @@ impl CacheModel {
     pub fn is_resident(&self, line: u64) -> bool {
         let (si, set) = self.locate(line);
         let sh = self.shards[si].lock();
-        let base = set * sh.assoc;
-        sh.ways[base..base + sh.assoc].iter().any(|w| w.tag == line + 1)
+        sh.tags[sh.pad + set * self.ways..][..self.ways].contains(&(line + 1))
     }
 
     /// Explicit `clwb`: clear the dirty bit (the line stays resident).
@@ -162,18 +178,12 @@ impl CacheModel {
     pub fn flush(&self, line: u64) -> bool {
         let (si, set) = self.locate(line);
         let mut sh = self.shards[si].lock();
-        let assoc = sh.assoc;
-        let base = set * assoc;
-        let tag = line + 1;
-        for w in &mut sh.ways[base..base + assoc] {
-            if w.tag == tag {
-                let was = w.dirty;
-                w.dirty = false;
-                w.preimage = None;
-                return was;
-            }
+        let base = set * self.ways;
+        let set_tags = &sh.tags[sh.pad + base..][..self.ways];
+        match set_tags.iter().position(|&t| t == line + 1) {
+            Some(j) => std::mem::replace(&mut sh.dirty[base + j], false),
+            None => false,
         }
-        false
     }
 
     /// A power failure. Under eADR every dirty line is flushed by the
@@ -191,25 +201,19 @@ impl CacheModel {
         let mut writebacks = Vec::new();
         let mut reverted = Vec::new();
         for sh in &self.shards {
-            let mut sh = sh.lock();
-            for w in &mut sh.ways {
-                if w.tag != 0 && w.dirty {
-                    match domain {
-                        PersistenceDomain::Eadr => writebacks.push(w.tag - 1),
-                        PersistenceDomain::Adr => {
-                            let img = w.preimage.take().unwrap_or_else(|| {
-                                panic!(
-                                    "ADR crash requested but pre-images were not captured; \
-                                     use CrashFidelity::Full"
-                                )
-                            });
-                            arena.write_line(w.tag - 1, &img);
-                            reverted.push(w.tag - 1);
-                        }
-                    }
+            sh.lock().drain(|sh, w, line| match domain {
+                PersistenceDomain::Eadr => writebacks.push(line),
+                PersistenceDomain::Adr => {
+                    let img = sh.preimage.get(w).unwrap_or_else(|| {
+                        panic!(
+                            "ADR crash requested but pre-images were not captured; \
+                             use CrashFidelity::Full"
+                        )
+                    });
+                    arena.write_line(line, img);
+                    reverted.push(line);
                 }
-                *w = Way::default();
-            }
+            });
         }
         (writebacks, reverted)
     }
@@ -219,13 +223,7 @@ impl CacheModel {
     pub fn invalidate_all(&self) -> Vec<u64> {
         let mut out = Vec::new();
         for sh in &self.shards {
-            let mut sh = sh.lock();
-            for w in &mut sh.ways {
-                if w.tag != 0 && w.dirty {
-                    out.push(w.tag - 1);
-                }
-                *w = Way::default();
-            }
+            sh.lock().drain(|_, _, line| out.push(line));
         }
         out
     }
@@ -236,11 +234,9 @@ impl CacheModel {
         let mut out = Vec::new();
         for sh in &self.shards {
             let mut sh = sh.lock();
-            for w in &mut sh.ways {
-                if w.tag != 0 && w.dirty {
-                    w.dirty = false;
-                    w.preimage = None;
-                    out.push(w.tag - 1);
+            for w in 0..sh.dirty.len() {
+                if std::mem::replace(&mut sh.dirty[w], false) {
+                    out.push(sh.tags()[w] - 1);
                 }
             }
         }
@@ -280,7 +276,10 @@ mod tests {
         let c = CacheModel::new(2 * 64, 2, 1, CrashFidelity::Fast);
         c.access(1, true, &a);
         c.access(2, true, &a);
-        // Third distinct line evicts the LRU (line 1), which is dirty.
+        // Both ways hold dirty lines, so the third distinct line evicts a
+        // dirty victim. Which one is pseudo-random by design (paper
+        // Observation 2) — a hash of the shard's access count and the
+        // line; here it selects line 1.
         let r = c.access(3, true, &a);
         assert_eq!(r.evicted_dirty, Some(1));
     }

@@ -1,7 +1,8 @@
 //! [`MemCtx`] — a simulated thread's view of the platform.
 //!
 //! Every data-path access goes through a `MemCtx` so that it is charged to
-//! the thread's virtual clock and to the global media counters. The
+//! the thread's virtual clock and to the media counters — the context's
+//! own block of them (`crate::counters`), which the device sums. The
 //! available operations mirror what the paper's code would use on real
 //! hardware: plain loads/stores (write-nf), `clwb`-style flushes plus
 //! `sfence` (write-f), non-temporal stores, and prefetches (the primitive
@@ -11,8 +12,10 @@ use std::sync::Arc;
 
 use crate::arena::PmAddr;
 use crate::cost::{CostModel, VClock};
+use crate::counters::CtxCounters;
 use crate::device::PmDevice;
 use crate::media::RecentReads;
+use crate::stats::CounterSink;
 use crate::vlock::HasClock;
 use crate::{line_of, CACHELINE};
 
@@ -23,6 +26,8 @@ pub struct MemCtx {
     dev: Arc<PmDevice>,
     tid: u32,
     clock: VClock,
+    /// This context's counter block and its innermost active span.
+    counters: CtxCounters,
     recent: RecentReads,
     /// Completion time of the latest outstanding flush/ntstore (awaited by
     /// the next fence).
@@ -38,6 +43,13 @@ impl HasClock for MemCtx {
     }
 }
 
+/// A dropped context's counts live on in the device's block.
+impl Drop for MemCtx {
+    fn drop(&mut self) {
+        self.dev.counters.retire(&self.counters);
+    }
+}
+
 impl MemCtx {
     pub(crate) fn new(dev: Arc<PmDevice>, tid: u32) -> Self {
         let mut clock = VClock::new();
@@ -46,6 +58,7 @@ impl MemCtx {
             crate::san::install_observer(san, tid);
         }
         Self {
+            counters: dev.counters.register(),
             dev,
             tid,
             clock,
@@ -111,7 +124,7 @@ impl MemCtx {
     /// may unwind).
     #[inline]
     fn media_writeback(&mut self, line: u64) {
-        let co = self.dev.media.write_line(line, &self.dev.stats);
+        let co = self.dev.media.write_line(line, &self.counters);
         self.pm_write_account(co);
         self.dev.faults().on_media_write();
     }
@@ -124,7 +137,7 @@ impl MemCtx {
             san.on_evict(victim);
         }
         if let Some(victim) = r.evicted_dirty {
-            self.dev.stats.bump(|s| &s.dirty_evictions, 1);
+            self.counters.bump(|s| &s.dirty_evictions, 1);
             self.media_writeback(victim);
         }
         if let Some(t) = self.take_prefetch(line) {
@@ -132,15 +145,15 @@ impl MemCtx {
             self.clock.sync_to(t);
             self.clock.advance(self.cost().cache_hit_ns);
             if r.hit {
-                self.dev.stats.bump(|s| &s.read_hits, 1);
+                self.counters.bump(|s| &s.read_hits, 1);
             }
             return;
         }
         if r.hit {
-            self.dev.stats.bump(|s| &s.read_hits, 1);
+            self.counters.bump(|s| &s.read_hits, 1);
             self.clock.advance(self.cost().cache_hit_ns);
         } else {
-            let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.dev.stats);
+            let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.counters);
             self.pm_read_wait(self.cost().pm_read_miss_ns, new_xp);
         }
     }
@@ -192,15 +205,15 @@ impl MemCtx {
             san.on_write(self.tid, line, r.evicted_dirty);
         }
         if let Some(victim) = r.evicted_dirty {
-            self.dev.stats.bump(|s| &s.dirty_evictions, 1);
+            self.counters.bump(|s| &s.dirty_evictions, 1);
             self.media_writeback(victim);
         }
         if r.hit {
-            self.dev.stats.bump(|s| &s.write_hits, 1);
+            self.counters.bump(|s| &s.write_hits, 1);
             self.clock.advance(self.cost().cache_hit_ns);
         } else {
             // Read-for-ownership.
-            let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.dev.stats);
+            let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.counters);
             self.pm_read_wait(self.cost().pm_write_miss_ns, new_xp);
         }
     }
@@ -339,7 +352,7 @@ impl MemCtx {
                 }
                 self.media_writeback(line);
             }
-            self.dev.stats.bump(|s| &s.ntstores, 1);
+            self.counters.bump(|s| &s.ntstores, 1);
             // Store this line's slice before its writeback retires: the
             // fault plan may end the run at that writeback, and the slice
             // is then already part of the durable image (a partially
@@ -369,10 +382,10 @@ impl MemCtx {
         let dirty = self.dev.cache.flush(line);
         if let Some(san) = &self.dev.san {
             crate::san::install_observer(san, self.tid);
-            san.on_flush(self.tid, line, dirty, &self.dev.stats);
+            san.on_flush(self.tid, line, dirty, self.dev.counters.device());
         }
         if dirty {
-            self.dev.stats.bump(|s| &s.flushes, 1);
+            self.counters.bump(|s| &s.flushes, 1);
             self.media_writeback(line);
             let done = self.clock.now() + self.cost().flush_drain_ns;
             self.outstanding_t = self.outstanding_t.max(done);
@@ -393,7 +406,7 @@ impl MemCtx {
     pub fn fence(&mut self) {
         if let Some(san) = &self.dev.san {
             crate::san::install_observer(san, self.tid);
-            san.on_fence(self.tid, &self.dev.stats);
+            san.on_fence(self.tid, self.dev.counters.device());
         }
         self.clock.sync_to(self.outstanding_t);
         self.clock.advance(self.cost().fence_ns);
@@ -402,13 +415,22 @@ impl MemCtx {
     /// Issue an asynchronous prefetch of the line holding `addr`. A later
     /// read waits only for the remaining latency — this is how the
     /// pipeline optimization (§III-D) overlaps PM reads.
+    ///
+    /// The modelled prefetch is also a host prefetch of the arena word:
+    /// the later functional load is a host DRAM miss for the same reason
+    /// the modelled one is a PM miss, and overlaps the same way. Hinted
+    /// before the residency check — resident in the *modelled* cache says
+    /// nothing about the host's.
     pub fn prefetch(&mut self, addr: PmAddr) {
+        self.dev.arena.host_prefetch(addr);
         let line = line_of(addr.0);
         if self.dev.cache.is_resident(line) {
             return;
         }
         if self.prefetch_len == MAX_PREFETCH {
-            // Oldest entry is simply forgotten; its line is resident anyway.
+            // The *newest* entry is forgotten (overwritten below), not the
+            // oldest: never-read entries are never expired, which is the
+            // saturation artefact of DESIGN.md §13.
             self.prefetch_len -= 1;
         }
         let service = (crate::XPLINE as f64 / self.cost().pm_read_bw * 1e9) as u64;
@@ -417,12 +439,12 @@ impl MemCtx {
         let completion = start + self.cost().pm_read_miss_ns;
         self.prefetch[self.prefetch_len] = (line, completion);
         self.prefetch_len += 1;
-        self.dev.media.read_line(line, &mut self.recent, &self.dev.stats);
+        self.dev.media.read_line(line, &mut self.recent, &self.counters);
         if let Some(victim) = self.dev.cache.install_clean(line, &self.dev.arena) {
             if let Some(san) = &self.dev.san {
                 san.on_evict(victim);
             }
-            self.dev.stats.bump(|s| &s.dirty_evictions, 1);
+            self.counters.bump(|s| &s.dirty_evictions, 1);
             self.media_writeback(victim);
         }
         // Issuing the prefetch instruction itself is nearly free.
@@ -431,7 +453,7 @@ impl MemCtx {
 
     /// Charge `n` DRAM accesses (volatile directory, hot-key list, ...).
     pub fn charge_dram(&mut self, n: u64) {
-        self.dev.stats.bump(|s| &s.dram_accesses, n);
+        self.counters.bump(|s| &s.dram_accesses, n);
         self.clock.advance(n * self.cost().dram_ns);
     }
 
@@ -446,7 +468,7 @@ impl MemCtx {
     /// priced at cache-hit latency, the same simplification
     /// [`Self::charge_dram_cached`] applies to the directory.
     pub fn charge_dram_hot(&mut self, n: u64) {
-        self.dev.stats.bump(|s| &s.dram_accesses, n);
+        self.counters.bump(|s| &s.dram_accesses, n);
         self.clock.advance(n * self.cost().cache_hit_ns);
     }
 
@@ -456,35 +478,36 @@ impl MemCtx {
     }
 
     /// Run `f` inside the named attribution span ([`crate::span`]): every
-    /// counter increment this thread charges while `f` runs is mirrored
-    /// into the span's own [`crate::stats::PmStats`], and the span's
-    /// inclusive virtual time advances by what `f` cost. Names outside the
-    /// canonical [`crate::span::SPAN_NAMES`] set are a pass-through no-op
-    /// (asserted in debug builds so typos fail tier-1 tests).
+    /// counter increment this context charges while `f` runs is also
+    /// counted in the span's cell of the context's counter block, and the
+    /// span's inclusive virtual time advances by what `f` cost. Names
+    /// outside the canonical [`crate::span::SPAN_NAMES`] set are a
+    /// pass-through no-op (asserted in debug builds so typos fail tier-1
+    /// tests).
     ///
-    /// Nesting attributes counters to the innermost span. The thread-local
-    /// active-span slot is restored on unwind (crash-point fault injection
-    /// exits operations by panicking).
+    /// Nesting attributes counters to the innermost span. The context's
+    /// active-span field is restored on return and on unwind (crash-point
+    /// fault injection exits operations by panicking).
     pub fn stats_span<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
-        let Some(cell) = self.dev.spans().cell(name).cloned() else {
+        let Some(span) = crate::span::index_of(name) else {
             debug_assert!(false, "stats_span: {name:?} is not a canonical span name");
             return f(self);
         };
-        struct Guard(Option<Option<Arc<crate::span::SpanCell>>>);
-        impl Drop for Guard {
+        struct Entered<'a> {
+            ctx: &'a mut MemCtx,
+            parked: Option<usize>,
+        }
+        impl Drop for Entered<'_> {
             fn drop(&mut self) {
-                if let Some(prev) = self.0.take() {
-                    crate::span::restore(prev);
-                }
+                self.ctx.counters.leave_span(self.parked);
             }
         }
         let t0 = self.clock.now();
-        let mut guard = Guard(Some(crate::span::enter(&cell)));
-        let r = f(self);
-        if let Some(prev) = guard.0.take() {
-            crate::span::restore(prev);
-        }
-        cell.note_vtime(self.clock.now().saturating_sub(t0));
+        let parked = self.counters.enter_span(span);
+        let entered = Entered { ctx: self, parked };
+        let r = f(&mut *entered.ctx);
+        let spent = entered.ctx.clock.now().saturating_sub(t0);
+        entered.ctx.counters.note_span_vtime(span, spent);
         r
     }
 
@@ -589,6 +612,19 @@ mod tests {
             c.read_u64(PmAddr(65536 + i * 4096));
         }
         assert!(c.now() - t1 >= 4 * cost.pm_read_miss_ns);
+    }
+
+    #[test]
+    fn prefetch_hints_the_host_before_the_residency_check_and_ignores_out_of_range() {
+        let mut c = ctx();
+        // Resident in the modelled cache: the early return, after the hint.
+        c.read_u64(PmAddr(4096));
+        let t0 = c.now();
+        c.prefetch(PmAddr(4096));
+        assert_eq!(c.now(), t0, "a resident line costs nothing");
+        // Past the end of the arena: modelled as ever, no host word to hint.
+        c.prefetch(PmAddr(1 << 40));
+        assert_eq!(c.now(), t0 + 1);
     }
 
     /// Records the accounting artefact of DESIGN.md §13 ("the prefetch

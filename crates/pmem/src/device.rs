@@ -6,12 +6,13 @@ use std::sync::Arc;
 use crate::arena::Arena;
 use crate::cache::CacheModel;
 use crate::config::PmConfig;
+use crate::counters::CounterRegistry;
 use crate::ctx::MemCtx;
 use crate::fault::FaultPlan;
 use crate::media::Media;
 use crate::san::San;
-use crate::span::{SpanLedger, SpanSnapshot};
-use crate::stats::{PmStats, StatsSnapshot};
+use crate::span::SpanSnapshot;
+use crate::stats::{CounterSink, StatsSnapshot};
 
 /// What a simulated power failure did to the cache, for per-crash-point
 /// reporting by the fault-injection harness.
@@ -34,7 +35,9 @@ pub struct PmDevice {
     pub(crate) arena: Arena,
     pub(crate) cache: CacheModel,
     pub(crate) media: Media,
-    pub(crate) stats: PmStats,
+    /// The device's own counter block and the registry of its live
+    /// contexts' blocks ([`crate::counters`]).
+    pub(crate) counters: CounterRegistry,
     next_tid: AtomicU32,
     /// Monotonic virtual-time floor: new contexts start here, so virtual
     /// timestamps persisted in lock/HTM metadata by earlier phases can
@@ -60,9 +63,6 @@ pub struct PmDevice {
     /// Persistence-ordering sanitizer ([`crate::san`]); present only when
     /// [`PmConfig::san`] is set.
     pub(crate) san: Option<Arc<San>>,
-    /// Per-phase attribution spans ([`crate::span`]); the set is fixed at
-    /// construction so lookup is lock-free.
-    spans: SpanLedger,
 }
 
 impl PmDevice {
@@ -77,14 +77,13 @@ impl PmDevice {
                 cfg.fidelity,
             ),
             media: Media::new(cfg.xpbuffer_slots),
-            stats: PmStats::default(),
+            counters: CounterRegistry::default(),
             next_tid: AtomicU32::new(0),
             vtime_floor: AtomicU64::new(0),
             sim_horizon: AtomicU64::new(0),
             rmw_release: (0..(1 << 20)).map(|_| AtomicU64::new(0)).collect(),
             faults: FaultPlan::default(),
             san: cfg.san.map(|mode| Arc::new(San::new(mode, cfg.domain))),
-            spans: SpanLedger::new(),
             cfg,
         })
     }
@@ -148,37 +147,38 @@ impl PmDevice {
         &self.rmw_release[i & 0xf_ffff]
     }
 
-    /// Snapshot the global access counters.
+    /// Snapshot the access counters: the device's own block plus the
+    /// block of every live context (a dropped context's counts were
+    /// folded into the device's).
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// The per-phase attribution spans.
-    pub fn spans(&self) -> &SpanLedger {
-        &self.spans
+        self.counters.totals()
     }
 
     /// Snapshot every attribution span, in deterministic
-    /// [`crate::span::SPAN_NAMES`] order.
+    /// [`crate::span::SPAN_NAMES`] order, summed like [`Self::snapshot`].
     pub fn span_totals(&self) -> Vec<(&'static str, SpanSnapshot)> {
-        self.spans.totals()
+        self.counters.span_totals()
     }
 
     /// Retire everything buffered in the XPBuffer so media counters reflect
     /// all traffic so far. Does *not* flush the cache: under eADR, dirty
     /// cached data legitimately never reaches media.
+    ///
+    /// Like the three bulk operations below it counts into the device's
+    /// own block: harness-level accounting, attributed to no span.
     pub fn quiesce(&self) {
-        self.media.drain(&self.stats);
+        self.media.drain(self.counters.device());
     }
 
     /// Write back every dirty cacheline and retire the XPBuffer. Used by
     /// tests that want the arena, media counters, and cache to agree.
     pub fn flush_cache_all(&self) {
+        let stats = self.counters.device();
         for line in self.cache.flush_all() {
-            self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-            self.media.write_line(line, &self.stats);
+            stats.bump(|s| &s.flushes, 1);
+            self.media.write_line(line, stats);
         }
-        self.media.drain(&self.stats);
+        self.media.drain(stats);
         if let Some(san) = &self.san {
             san.persist_all();
         }
@@ -187,10 +187,11 @@ impl PmDevice {
     /// Write back and evict the whole cache (`wbinvd`-style). Benchmarks
     /// and tests use it to measure cold-cache access counts.
     pub fn invalidate_cache(&self) {
+        let stats = self.counters.device();
         for line in self.cache.invalidate_all() {
-            self.media.write_line(line, &self.stats);
+            self.media.write_line(line, stats);
         }
-        self.media.drain(&self.stats);
+        self.media.drain(stats);
         if let Some(san) = &self.san {
             san.persist_all();
         }
@@ -209,10 +210,11 @@ impl PmDevice {
     /// reserved energy flushed (eADR) or the crash reverted (ADR).
     pub fn simulate_power_failure(&self) -> CrashReport {
         let (flushed, reverted) = self.cache.power_failure(self.cfg.domain, &self.arena);
+        let stats = self.counters.device();
         for &line in &flushed {
-            self.media.write_line(line, &self.stats);
+            self.media.write_line(line, stats);
         }
-        self.media.drain(&self.stats);
+        self.media.drain(stats);
         let mut report = CrashReport {
             flushed_lines: flushed,
             reverted_lines: reverted,

@@ -30,6 +30,7 @@ pub mod arena;
 pub mod cache;
 pub mod config;
 pub mod cost;
+mod counters;
 pub mod ctx;
 pub mod device;
 pub mod fault;
@@ -49,7 +50,7 @@ pub use device::{CrashReport, PmDevice};
 pub use fault::{CrashPointHit, FaultPlan};
 pub use san::{San, SanMode, SanReport, SanViolation, SanViolationKind};
 pub use schedhook::{SchedHook, SyncEvent};
-pub use span::{SpanLedger, SpanSnapshot, SPAN_COMPACTION, SPAN_LOG_REPLAY, SPAN_NAMES, SPAN_PROBE, SPAN_SPLIT};
+pub use span::{SpanSnapshot, SPAN_COMPACTION, SPAN_LOG_REPLAY, SPAN_NAMES, SPAN_PROBE, SPAN_SPLIT};
 pub use stats::{StatsDelta, StatsSnapshot};
 pub use vlock::{VLock, VRwLock};
 
@@ -60,6 +61,24 @@ pub const CACHELINE: u64 = 64;
 pub const XPLINE: u64 = 256;
 /// Cachelines per XPLine.
 pub const LINES_PER_XPLINE: u64 = XPLINE / CACHELINE;
+
+/// Hint the host CPU to start loading the cacheline that holds `*p` — the
+/// workspace's only host prefetch instruction. The simulator's own memory
+/// (the arena, the HTM slot table) is far larger than the host's caches,
+/// so wherever the *model* can name a line ahead of its use
+/// ([`MemCtx::prefetch`]) the host can start on it too.
+#[inline(always)]
+pub fn host_prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 is a hint. It never faults, whatever the address
+    // (valid, dangling or unmapped), and has no architectural effect: no
+    // register, flag or memory content changes, only cache state.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// Cacheline index of a byte address.
 #[inline]

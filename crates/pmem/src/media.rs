@@ -13,9 +13,8 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::sync::Mutex;
-
-use crate::stats::PmStats;
+use crate::stats::CounterSink;
+use crate::sync::WordLock;
 use crate::{CACHELINE, XPLINE};
 
 struct Slot {
@@ -31,7 +30,8 @@ struct XpBuffer {
 
 /// The media model. One per [`crate::PmDevice`].
 pub struct Media {
-    buf: Mutex<XpBuffer>,
+    /// No sync point inside any critical section, so a one-word lock.
+    buf: WordLock<XpBuffer>,
     /// Virtual-time service token of the media's read port: each XPLine
     /// read occupies it for `XPLINE / read_bw`. Readers queue behind it —
     /// this is what makes PM latency inflate as bandwidth saturates
@@ -45,7 +45,7 @@ pub struct Media {
 impl Media {
     pub fn new(xpbuffer_slots: usize) -> Self {
         Self {
-            buf: Mutex::new(XpBuffer {
+            buf: WordLock::new(XpBuffer {
                 slots: VecDeque::with_capacity(xpbuffer_slots),
                 capacity: xpbuffer_slots,
             }),
@@ -83,9 +83,9 @@ impl Media {
         done
     }
 
-    /// A cacheline writeback arrives at the DIMM. Returns `true` if it was
-    /// coalesced into an already-buffered XPLine.
-    pub fn write_line(&self, line: u64, stats: &PmStats) -> bool {
+    /// A cacheline writeback arrives at the DIMM, counted into `stats`.
+    /// Returns `true` if it was coalesced into an already-buffered XPLine.
+    pub(crate) fn write_line(&self, line: u64, stats: &impl CounterSink) -> bool {
         stats.bump(|s| &s.cl_writes, 1);
         let xp = line / (XPLINE / CACHELINE);
         let bit = 1u8 << (line % (XPLINE / CACHELINE));
@@ -104,12 +104,17 @@ impl Media {
         false
     }
 
-    /// A cacheline fetch that missed cache. The per-thread `recent` buffer
-    /// models the on-DIMM read buffer: consecutive fetches within one
-    /// XPLine cost a single media read. Returns `true` when a new XPLine
-    /// was actually read from media (the caller reserves read bandwidth
-    /// only then).
-    pub fn read_line(&self, line: u64, recent: &mut RecentReads, stats: &PmStats) -> bool {
+    /// A cacheline fetch that missed cache, counted into `stats`. The
+    /// per-thread `recent` buffer models the on-DIMM read buffer:
+    /// consecutive fetches within one XPLine cost a single media read.
+    /// Returns `true` when a new XPLine was actually read from media (the
+    /// caller reserves read bandwidth only then).
+    pub(crate) fn read_line(
+        &self,
+        line: u64,
+        recent: &mut RecentReads,
+        stats: &impl CounterSink,
+    ) -> bool {
         stats.bump(|s| &s.cl_reads, 1);
         let xp = line / (XPLINE / CACHELINE);
         if !recent.contains(xp) {
@@ -123,12 +128,12 @@ impl Media {
 
     /// Retire every buffered XPLine (power failure, or quiescing before a
     /// stats readout).
-    pub fn drain(&self, stats: &PmStats) {
+    pub(crate) fn drain(&self, stats: &impl CounterSink) {
         let mut buf = self.buf.lock();
         let n = buf.slots.len() as u64;
         buf.slots.clear();
-        stats.xp_writes.fetch_add(n, Ordering::Relaxed);
-        stats.media_write_bytes.fetch_add(n * XPLINE, Ordering::Relaxed);
+        stats.bump(|s| &s.xp_writes, n);
+        stats.bump(|s| &s.media_write_bytes, n * XPLINE);
     }
 }
 
@@ -169,6 +174,7 @@ impl RecentReads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::PmStats;
 
     fn setup() -> (Media, PmStats) {
         (Media::new(4), PmStats::default())

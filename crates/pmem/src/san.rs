@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use crate::config::PersistenceDomain;
 use crate::device::CrashReport;
 use crate::schedhook::SyncEvent;
-use crate::stats::PmStats;
+use crate::stats::{CounterSink, PmStats};
 use crate::CACHELINE;
 
 /// How strictly publication edges are checked (see module docs).

@@ -117,15 +117,16 @@ pub fn sync_point(ev: SyncEvent) {
     // Visibility edges feed the persistence-ordering sanitizer first
     // (publication checks happen whether or not a scheduler is driving).
     crate::san::observe_event(ev);
-    // Clone the Arc out instead of calling under the borrow: the hook may
-    // block for a long time, and a panic unwinding through a held RefCell
-    // borrow would poison every later sync point on this thread.
-    let hook = HOOK.with(|h| h.borrow().clone());
-    match hook {
-        Some(h) => h.sync_point(ev),
+    // Called under a shared borrow of the slot: the hook may block for a
+    // long time or unwind (`SchedCrash`), and neither hurts — only
+    // `install`/`clear` borrow mutably, on this thread and never from
+    // inside a hook, and an unwind drops the `Ref` like any other guard
+    // (a `RefCell` has no poison state).
+    HOOK.with(|h| match h.borrow().as_deref() {
+        Some(hook) => hook.sync_point(ev),
         None if ev.is_blocking() => std::thread::yield_now(),
         None => {}
-    }
+    });
 }
 
 /// Shorthand for the ubiquitous busy-wait yield: under real threads this
@@ -169,6 +170,28 @@ mod tests {
         assert!(!active());
         sync_point(SyncEvent::HtmBegin);
         assert_eq!(c.0.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_hook_that_unwinds_leaves_the_slot_usable() {
+        struct Crash;
+        impl SchedHook for Crash {
+            fn sync_point(&self, _ev: SyncEvent) {
+                panic!("world stop");
+            }
+        }
+        install(Arc::new(Crash));
+        let r = std::panic::catch_unwind(|| sync_point(SyncEvent::HtmBegin));
+        assert!(r.is_err());
+        // The shared borrow the hook ran under was released by the
+        // unwind: the slot can be cleared and reused.
+        clear();
+        assert!(!active());
+        let c = Arc::new(Counter(AtomicU64::new(0)));
+        install(c.clone());
+        sync_point(SyncEvent::HtmBegin);
+        clear();
+        assert_eq!(c.0.load(Ordering::Relaxed), 1);
     }
 
     #[test]

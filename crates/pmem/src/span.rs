@@ -3,36 +3,38 @@
 //! A whole-run [`crate::stats::StatsSnapshot`] delta says *that* a workload
 //! got more expensive, not *where*. Spans answer the second question: code
 //! wraps a structural phase in [`crate::MemCtx::stats_span`] and every
-//! counter increment charged while the span is active is mirrored into a
-//! per-span copy of [`PmStats`], alongside an entry count and the inclusive
-//! virtual time spent inside. The perf-regression gate
+//! counter increment the context charges while the span is active is also
+//! counted in a per-span copy of [`PmStats`], alongside an entry count and
+//! the inclusive virtual time spent inside. The perf-regression gate
 //! (`spash-bench compare`) then localizes a counter regression to the phase
 //! that caused it — a split that started writing twice as many XPLines shows
 //! up in the `split` span, not as an anonymous whole-run delta.
 //!
 //! Design constraints, in order:
 //!
-//! * **No new synchronization on the data path.** The span set is *fixed* at
-//!   device construction ([`SPAN_NAMES`]) and looked up by linear scan over
-//!   a plain `Vec`, so entering a span takes no lock and injects no sync
-//!   point into HTM regions or deterministically scheduled interleavings.
+//! * **Nothing shared on the data path.** The span set is *fixed*
+//!   ([`SPAN_NAMES`]); every context owns one `SpanCounters` cell per
+//!   span inside its counter block (`crate::counters`) and the active
+//!   span is a field of the context, so entering a span and charging into
+//!   it take no lock, no locked instruction and no thread-local lookup,
+//!   and inject no sync point into HTM regions or deterministically
+//!   scheduled interleavings. A span is its *context's*, not its thread's.
 //! * **Unwind safety.** Crash-point fault injection ends runs by panicking
-//!   out of arbitrary PM writes; the thread-local active-span slot is
+//!   out of arbitrary PM writes; the context's active-span field is
 //!   restored by a drop guard so a caught unwind cannot leak a span into
-//!   the next operation on that thread.
-//! * **Determinism.** Span counters are plain relaxed atomics fed by the
-//!   same increments as the global counters; single-threaded runs produce
-//!   bit-identical span snapshots, which is what lets the compare gate hold
-//!   them to exact equality.
+//!   the next operation on that context.
+//! * **Determinism.** Span cells are fed by the same increments as the
+//!   context's totals; the device sums the cells of every context, live
+//!   or dropped, so single-threaded runs produce bit-identical span
+//!   snapshots, which is what lets the compare gate hold them to exact
+//!   equality.
 //!
 //! Nesting attributes counters to the *innermost* span only (the inner
 //! span's guard parks the outer one), while virtual time is inclusive —
 //! a split entered from a probe charges its counters to `split` and its
 //! wall of virtual time to both.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::stats::{PmStats, StatsSnapshot};
 
@@ -46,36 +48,27 @@ pub const SPAN_PROBE: &str = "probe";
 /// Recovery-time log replay / structure rebuild.
 pub const SPAN_LOG_REPLAY: &str = "log_replay";
 
-/// The canonical span set. Fixed at device construction so span lookup is
-/// lock-free; `stats_span` with any other name is a pass-through no-op
-/// (debug builds assert, so typos are caught by tier-1 tests).
+/// The canonical span set. Fixed, so a span is an index into every
+/// counter block; `stats_span` with any other name is a pass-through
+/// no-op (debug builds assert, so typos are caught by tier-1 tests).
 pub const SPAN_NAMES: [&str; 4] = [SPAN_SPLIT, SPAN_COMPACTION, SPAN_PROBE, SPAN_LOG_REPLAY];
 
-/// One span's accumulators. Shared by all threads of a device.
-pub struct SpanCell {
-    name: &'static str,
-    entries: AtomicU64,
-    vtime_ns: AtomicU64,
-    stats: PmStats,
+/// Position of a canonical span name in [`SPAN_NAMES`].
+pub(crate) fn index_of(name: &str) -> Option<usize> {
+    SPAN_NAMES.iter().position(|n| *n == name)
 }
 
-impl SpanCell {
-    fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            entries: AtomicU64::new(0),
-            vtime_ns: AtomicU64::new(0),
-            stats: PmStats::default(),
-        }
-    }
+/// One span's accumulators inside one counter block.
+#[derive(Default)]
+pub(crate) struct SpanCounters {
+    pub(crate) entries: AtomicU64,
+    pub(crate) vtime_ns: AtomicU64,
+    pub(crate) stats: PmStats,
+}
 
-    /// The span's canonical name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Point-in-time copy of the span's accumulators.
-    pub fn snapshot(&self) -> SpanSnapshot {
+impl SpanCounters {
+    /// Point-in-time copy of the accumulators.
+    pub(crate) fn snapshot(&self) -> SpanSnapshot {
         SpanSnapshot {
             entries: self.entries.load(Ordering::Relaxed),
             vtime_ns: self.vtime_ns.load(Ordering::Relaxed),
@@ -83,12 +76,16 @@ impl SpanCell {
         }
     }
 
-    pub(crate) fn note_vtime(&self, ns: u64) {
-        self.vtime_ns.fetch_add(ns, Ordering::Relaxed);
+    /// Add `s` with shared increments (folding a retired context's cell
+    /// into the device's).
+    pub(crate) fn absorb(&self, s: &SpanSnapshot) {
+        self.entries.fetch_add(s.entries, Ordering::Relaxed);
+        self.vtime_ns.fetch_add(s.vtime_ns, Ordering::Relaxed);
+        self.stats.absorb(&s.stats);
     }
 }
 
-/// A point-in-time copy of one [`SpanCell`].
+/// A point-in-time copy of one span's accumulators.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanSnapshot {
     /// Times the span was entered.
@@ -100,6 +97,13 @@ pub struct SpanSnapshot {
 }
 
 impl SpanSnapshot {
+    /// Add `other` to this snapshot.
+    pub(crate) fn accumulate(&mut self, other: &SpanSnapshot) {
+        self.entries += other.entries;
+        self.vtime_ns += other.vtime_ns;
+        self.stats.accumulate(&other.stats);
+    }
+
     /// What one benchmark phase spent inside this span. Saturating, like
     /// [`StatsSnapshot::since`].
     pub fn since(&self, earlier: &SpanSnapshot) -> SpanSnapshot {
@@ -114,58 +118,6 @@ impl SpanSnapshot {
     pub fn is_zero(&self) -> bool {
         *self == SpanSnapshot::default()
     }
-}
-
-/// The device's fixed set of span cells, in [`SPAN_NAMES`] order.
-pub struct SpanLedger {
-    cells: Vec<Arc<SpanCell>>,
-}
-
-impl SpanLedger {
-    pub(crate) fn new() -> Self {
-        Self {
-            cells: SPAN_NAMES.iter().map(|n| Arc::new(SpanCell::new(n))).collect(),
-        }
-    }
-
-    /// Look up a span cell by canonical name (lock-free linear scan).
-    pub fn cell(&self, name: &str) -> Option<&Arc<SpanCell>> {
-        self.cells.iter().find(|c| c.name == name)
-    }
-
-    /// Snapshot every span, in deterministic [`SPAN_NAMES`] order.
-    pub fn totals(&self) -> Vec<(&'static str, SpanSnapshot)> {
-        self.cells.iter().map(|c| (c.name, c.snapshot())).collect()
-    }
-}
-
-thread_local! {
-    /// The innermost active span of the current OS thread. Simulated
-    /// threads map 1:1 onto OS threads (scoped-thread harness), so
-    /// thread-local is the right scope and costs no synchronization.
-    static CURRENT: RefCell<Option<Arc<SpanCell>>> = const { RefCell::new(None) };
-}
-
-/// Mirror a counter increment into the innermost active span, if any.
-/// Called by [`PmStats::bump`] for every data-path increment.
-#[inline]
-pub(crate) fn mirror(pick: fn(&PmStats) -> &AtomicU64, n: u64) {
-    CURRENT.with(|c| {
-        if let Some(cell) = c.borrow().as_deref() {
-            pick(&cell.stats).fetch_add(n, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Make `cell` the thread's innermost span; returns the previous one.
-pub(crate) fn enter(cell: &Arc<SpanCell>) -> Option<Arc<SpanCell>> {
-    cell.entries.fetch_add(1, Ordering::Relaxed);
-    CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(cell)))
-}
-
-/// Restore the previous innermost span (drop-guard path).
-pub(crate) fn restore(prev: Option<Arc<SpanCell>>) {
-    CURRENT.with(|c| *c.borrow_mut() = prev);
 }
 
 #[cfg(test)]

@@ -1,5 +1,10 @@
-//! Global access counters — the reproduction's replacement for `ipmctl`
-//! media counters (paper §VI-B, Fig. 8).
+//! Access counters — the reproduction's replacement for `ipmctl` media
+//! counters (paper §VI-B, Fig. 8).
+//!
+//! One [`PmStats`] is a set of counter cells; who owns a set decides how
+//! it is written (`CounterSink`). Each [`crate::MemCtx`] owns one that
+//! only it writes, without a locked instruction (`crate::counters`);
+//! the device keeps one more for accounting that belongs to no context.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -8,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// golden file pins). Adding a counter is one line here.
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Atomic counters shared by all threads of a [`crate::PmDevice`].
+        /// One set of counter cells.
         ///
         /// "cacheline" counters track traffic between CPU cache and the DIMM
         /// controller; "xpline" counters track what the 3D-XPoint media actually
@@ -32,6 +37,11 @@ macro_rules! counters {
                     $($name: self.$name.load(Ordering::Relaxed),)*
                 }
             }
+
+            /// Add `s` to these cells with shared (`lock xadd`) increments.
+            pub(crate) fn absorb(&self, s: &StatsSnapshot) {
+                $(self.$name.fetch_add(s.$name, Ordering::Relaxed);)*
+            }
         }
 
         impl StatsSnapshot {
@@ -42,6 +52,11 @@ macro_rules! counters {
                 fn(&StatsSnapshot) -> u64,
                 fn(&mut StatsSnapshot, u64),
             )] = &[$((stringify!($name), |s| s.$name, |s, v| s.$name = v),)*];
+
+            /// Add every counter of `other` to this snapshot.
+            pub(crate) fn accumulate(&mut self, other: &StatsSnapshot) {
+                $(self.$name += other.$name;)*
+            }
 
             /// Counter deltas since `earlier`. Saturating, so a racing counter can
             /// never panic a benchmark.
@@ -92,16 +107,22 @@ counters! {
 /// The difference between two snapshots — what one benchmark phase cost.
 pub type StatsDelta = StatsSnapshot;
 
-impl PmStats {
-    /// Increment the counter selected by `pick`, mirroring the increment
-    /// into the thread's innermost active stats span ([`crate::span`]).
-    /// Every *data-path* increment must go through here so per-phase
-    /// attribution and the global totals can never disagree; harness-level
-    /// accounting with no span active may still bump counters directly.
+/// Where a counter increment lands. The media model and the sanitizer
+/// count into whatever sink they are handed: a context's own block on the
+/// data path ([`crate::counters::CtxCounters`], which also attributes the
+/// increment to the context's innermost span), the device's block for
+/// everything that belongs to no context.
+pub(crate) trait CounterSink {
+    /// Add `n` to the counter selected by `pick`.
+    fn bump(&self, pick: impl Fn(&PmStats) -> &AtomicU64, n: u64);
+}
+
+/// A shared set of cells (the device's block): any thread may count into
+/// it, so increments are atomic RMWs. Attributed to no span.
+impl CounterSink for PmStats {
     #[inline]
-    pub fn bump(&self, pick: fn(&PmStats) -> &AtomicU64, n: u64) {
+    fn bump(&self, pick: impl Fn(&PmStats) -> &AtomicU64, n: u64) {
         pick(self).fetch_add(n, Ordering::Relaxed);
-        crate::span::mirror(pick, n);
     }
 }
 

@@ -22,7 +22,16 @@
 //! attempts ([`crate::schedhook::spin_wait`]); the scheduler then runs
 //! the holder until it releases. Without a hook the fast blocking path is
 //! unchanged.
+//!
+//! [`WordLock`] is the same contract in one word, for the two locks every
+//! modelled access takes and whose critical sections contain no sync
+//! point (a cache shard, the XPBuffer): one `xchg` to take, a plain store
+//! to release, nothing to poison.
 
+use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{PoisonError, TryLockError};
 
 use crate::schedhook::{self, SyncEvent};
@@ -142,10 +151,129 @@ impl<T: Default> Default for RwLock<T> {
     }
 }
 
+/// A one-word spin lock for critical sections that contain no sync point.
+///
+/// To the scheduler it is indistinguishable from [`Mutex`]: under a hook
+/// an acquisition reports [`SyncEvent::LockAcquire`] first and yields
+/// through [`schedhook::spin_wait`] while contended, so decision counts
+/// and traces do not depend on which of the two a structure uses. (With
+/// no sync point inside, a descheduled task never holds it, so under the
+/// one-task-at-a-time scheduler the wait loop never runs.) Real threads
+/// spin with `yield_now` instead of parking: the sections are a few dozen
+/// instructions. The guard releases on drop, so an unwinding holder
+/// (crash-point injection) leaves the lock free.
+pub struct WordLock<T> {
+    held: AtomicBool,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `value` is only reachable through a `WordGuard`, and `held`
+// admits one guard at a time (swap-acquire to take, store-release to
+// give back), so sharing the lock hands `T` from thread to thread but
+// never to two at once: `T: Send` suffices, as for `std::sync::Mutex`.
+unsafe impl<T: Send> Sync for WordLock<T> {}
+
+/// Guard returned by [`WordLock::lock`]. The raw-pointer marker keeps it
+/// on the thread that took it (neither `Send` nor `Sync`), so `T: Send`
+/// is all the guard's `&T`/`&mut T` ever rely on.
+pub struct WordGuard<'a, T> {
+    lock: &'a WordLock<T>,
+    _on_this_thread: PhantomData<*mut ()>,
+}
+
+impl<T> WordLock<T> {
+    #[inline]
+    pub const fn new(value: T) -> Self {
+        Self {
+            held: AtomicBool::new(false),
+            value: UnsafeCell::new(value),
+        }
+    }
+
+    /// Acquire the lock. Cooperative under a scheduler hook (see above).
+    #[inline]
+    pub fn lock(&self) -> WordGuard<'_, T> {
+        // A no-op without a hook (one thread-local lookup either way).
+        schedhook::sync_point(SyncEvent::LockAcquire);
+        while self.held.swap(true, Ordering::Acquire) {
+            schedhook::spin_wait();
+        }
+        WordGuard {
+            lock: self,
+            _on_this_thread: PhantomData,
+        }
+    }
+}
+
+impl<T> Deref for WordGuard<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: this guard exists, so `held` is set on its behalf and
+        // no other guard (the only other path to `value`) does.
+        unsafe { &*self.lock.value.get() }
+    }
+}
+
+impl<T> DerefMut for WordGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`; `&mut self` makes the borrow unique
+        // among users of this guard.
+        unsafe { &mut *self.lock.value.get() }
+    }
+}
+
+impl<T> Drop for WordGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        self.lock.held.store(false, Ordering::Release);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn word_lock_is_released_when_its_holder_unwinds() {
+        let l = Arc::new(WordLock::new(7u64));
+        let l2 = Arc::clone(&l);
+        let _ = std::thread::spawn(move || {
+            let mut g = l2.lock();
+            *g = 8;
+            panic!("simulated crash point");
+        })
+        .join();
+        // Would spin forever if the unwound guard had kept the word.
+        assert_eq!(*l.lock(), 8);
+    }
+
+    #[test]
+    fn word_lock_excludes_two_real_threads() {
+        // A non-atomic read-modify-write under the lock: lost updates
+        // would show as a short count. The barrier makes both threads
+        // contend from their first iteration.
+        const PER: u64 = 50_000;
+        let l = WordLock::new(0u64);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..PER {
+                        let mut g = l.lock();
+                        let v = *g;
+                        std::hint::black_box(&v);
+                        *g = v + 1;
+                    }
+                });
+            }
+        });
+        assert_eq!(*l.lock(), 2 * PER);
+    }
 
     #[test]
     fn mutex_survives_a_panicking_holder() {

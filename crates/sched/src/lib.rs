@@ -240,12 +240,21 @@ impl Scheduler {
     /// task (blocking event / task exit). Pushes the decision onto the
     /// trace. Returns `None` when no task can be chosen.
     fn pick(st: &mut State, id: usize, must_switch: bool) -> Option<usize> {
-        let n = st.finished.len();
-        let others: Vec<usize> = (0..n)
-            .filter(|&t| t != id && !st.finished[t])
-            .collect();
-        let self_alive = id < n && !st.finished[id];
-        let next = if let Some((tr, pos)) = &mut st.replay {
+        let State {
+            finished,
+            replay,
+            rng,
+            preemptions_left,
+            trace,
+            ..
+        } = st;
+        let n = finished.len();
+        // The unfinished peers of `id`, in task order — counted and
+        // indexed in place: this runs at every sync point of a scheduled
+        // run and must not allocate.
+        let others = || (0..n).filter(|&t| t != id && !finished[t]);
+        let self_alive = id < n && !finished[id];
+        let next = if let Some((tr, pos)) = replay {
             let recorded = if *pos < tr.len() {
                 Some(tr[*pos] as usize)
             } else {
@@ -256,33 +265,39 @@ impl Scheduler {
                 // A recorded decision is trusted verbatim: replaying a
                 // trace against the same seeded workload re-encounters
                 // the same sync points in the same order.
-                Some(t) if t < n && !st.finished[t] && !(must_switch && t == id) => t,
+                Some(t) if t < n && !finished[t] && !(must_switch && t == id) => t,
                 // Trace exhausted or diverged (different binary/workload):
                 // degrade to the deterministic fallback.
                 _ => {
                     if must_switch || !self_alive {
-                        *others.first()?
+                        others().next()?
                     } else {
                         id
                     }
                 }
             }
-        } else if must_switch || !self_alive {
-            let rng = st.rng.as_mut().expect("random mode");
-            if others.is_empty() {
+        } else {
+            let rng = rng.as_mut().expect("random mode");
+            let must = must_switch || !self_alive;
+            let n_others = others().count() as u64;
+            if must && n_others == 0 {
                 return None;
             }
-            others[rng.below(others.len() as u64) as usize]
-        } else {
-            let rng = st.rng.as_mut().expect("random mode");
-            if !others.is_empty() && st.preemptions_left > 0 && rng.below(4) == 0 {
-                st.preemptions_left -= 1;
-                others[rng.below(others.len() as u64) as usize]
+            // One draw to choose a peer when forced; when not, a draw
+            // for the 1-in-4 preemption only while there is a peer and
+            // budget, then one to choose the peer.
+            if must || (n_others > 0 && *preemptions_left > 0 && rng.below(4) == 0) {
+                if !must {
+                    *preemptions_left -= 1;
+                }
+                others()
+                    .nth(rng.below(n_others) as usize)
+                    .expect("indexed below the count")
             } else {
                 id
             }
         };
-        st.trace.push(next as u16);
+        trace.push(next as u16);
         Some(next)
     }
 
