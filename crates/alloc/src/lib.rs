@@ -340,7 +340,17 @@ impl PmAllocator {
     /// Header entries are 4-byte fields packed two-per-u64.
     fn header_get(&self, ctx: &mut MemCtx, chunk: u64) -> u32 {
         let byte = self.layout.header_addr(chunk);
-        let word = ctx.read_u64(PmAddr(byte & !7));
+        Self::header_field(byte, ctx.read_u64(PmAddr(byte & !7)))
+    }
+
+    /// The header as the arena holds it, with no modelled access: for
+    /// assertions, which must not move the virtual clock.
+    fn header_peek(&self, ctx: &MemCtx, chunk: u64) -> u32 {
+        let byte = self.layout.header_addr(chunk);
+        Self::header_field(byte, ctx.device().arena().load_u64(PmAddr(byte & !7)))
+    }
+
+    fn header_field(byte: u64, word: u64) -> u32 {
         if byte.is_multiple_of(8) {
             word as u32
         } else {
@@ -413,7 +423,10 @@ impl PmAllocator {
     /// Free a segment allocated with [`PmAllocator::alloc_segment`].
     pub fn free_segment(&self, ctx: &mut MemCtx, addr: PmAddr) {
         let c = self.layout.chunk_of(addr);
-        debug_assert_eq!((self.header_get(ctx, c) >> 24) as u8, ST_SEGMENT);
+        // Checked on the arena, not through the model: a modelled read
+        // here would give debug builds a sync point and a cache access
+        // that release builds do not have.
+        debug_assert_eq!((self.header_peek(ctx, c) >> 24) as u8, ST_SEGMENT);
         self.header_set(ctx, c, Self::pack_header(ST_FREE, 0, 0));
         self.global.lock().free_chunks.push(c);
     }

@@ -445,28 +445,15 @@ pub fn service(args: &[String]) {
     });
 }
 
-/// `spash-bench compare <old.json> <new.json> [--virtual-only|--wall-tol F]`:
-/// diff two reports; exit non-zero on any regression.
+/// `spash-bench compare <old.json> <new.json> [--virtual-only]`: diff two
+/// reports on everything deterministic; exit non-zero on any regression.
+/// Host time is not compared (`benchmark/` judges it), so `--virtual-only`
+/// is accepted and changes nothing.
 pub fn compare(args: &[String]) {
-    use spash_bench::{compare_reports, CompareOpts};
-    let mut opts = CompareOpts::default();
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--virtual-only" => opts.wall_tol = None,
-            "--wall-tol" => {
-                opts.wall_tol = it.next().and_then(|v| v.parse().ok());
-                if opts.wall_tol.is_none() {
-                    eprintln!("--wall-tol needs a fraction (e.g. 0.5)");
-                    exit(2);
-                }
-            }
-            _ => paths.push(a),
-        }
-    }
+    use spash_bench::compare_reports;
+    let paths: Vec<&String> = args.iter().filter(|a| *a != "--virtual-only").collect();
     let [old_path, new_path] = paths[..] else {
-        eprintln!("usage: spash-bench compare <old.json> <new.json> [--virtual-only|--wall-tol F]");
+        eprintln!("usage: spash-bench compare <old.json> <new.json> [--virtual-only]");
         exit(2);
     };
     let load = |p: &String| -> BenchReport {
@@ -480,7 +467,7 @@ pub fn compare(args: &[String]) {
         })
     };
     let (old, new) = (load(old_path), load(new_path));
-    let out = compare_reports(&old, &new, &opts);
+    let out = compare_reports(&old, &new);
     for n in &out.notes {
         println!("note: {n}");
     }

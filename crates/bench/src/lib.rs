@@ -25,4 +25,4 @@ pub use spash_analysis::json;
 
 pub use harness::{print_table, run_phase, PhaseResult, Scale};
 pub use indexes::{bench_device, build_index, IndexKind};
-pub use report::{compare_reports, BenchReport, CompareOpts, ExperimentRow};
+pub use report::{compare_reports, BenchReport, ExperimentRow};

@@ -21,7 +21,7 @@ mod commands;
 const USAGE: &str = "\
 usage: spash-bench <fig1|fig7|fig8|fig9|fig10|fig11|fig12[a-d]|all>... [--report P]
        spash-bench perf [--out P] | scale [--out P] [--assert] [--lin-check]
-       spash-bench service [--out P] [--lin-check] | compare OLD NEW [--virtual-only|--wall-tol F]
+       spash-bench service [--out P] [--lin-check] | compare OLD NEW [--virtual-only]
        spash-bench crashpoints | san | sched [--seeds N]
 knobs: SPASH_<BENCH|PERF|SCALE|SERVICE|CRASH|SAN|SCHED>_* (EXPERIMENTS.md, \"Knobs\")";
 

@@ -313,7 +313,7 @@ pub fn short_rev() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{compare_reports, CompareOpts};
+    use crate::report::compare_reports;
 
     #[test]
     fn suite_covers_every_index_domain_and_phase() {
@@ -376,13 +376,9 @@ mod tests {
         };
         let a = run_suite(&cfg).unwrap();
         let b = run_suite(&cfg).unwrap();
-        let virtual_only = CompareOpts {
-            wall_tol: None,
-            ..CompareOpts::default()
-        };
-        let ab = compare_reports(&a, &b, &virtual_only);
+        let ab = compare_reports(&a, &b);
         assert!(ab.ok(), "a->b: {:?}", ab.regressions);
-        let ba = compare_reports(&b, &a, &virtual_only);
+        let ba = compare_reports(&b, &a);
         assert!(ba.ok(), "b->a: {:?}", ba.regressions);
         assert_eq!(ab.rows_compared, a.rows.len());
     }

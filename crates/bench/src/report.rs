@@ -384,28 +384,6 @@ fn row_from_json(v: &Json) -> Result<ExperimentRow, String> {
 
 // --- the compare gate ---------------------------------------------------
 
-/// Comparison policy for `spash-bench compare`.
-#[derive(Clone, Debug)]
-pub struct CompareOpts {
-    /// Relative tolerance band for `host_ns` (e.g. `0.75` = new may be up
-    /// to 75% slower than old before it regresses). `None` disables wall
-    /// comparison entirely — the right setting when old and new come from
-    /// different machines.
-    pub wall_tol: Option<f64>,
-    /// Phases whose old `host_ns` is below this are never wall-gated:
-    /// sub-millisecond phases are all scheduler noise.
-    pub min_wall_ns: u64,
-}
-
-impl Default for CompareOpts {
-    fn default() -> Self {
-        Self {
-            wall_tol: Some(0.75),
-            min_wall_ns: 20_000_000,
-        }
-    }
-}
-
 /// The verdict of one report-vs-report comparison.
 #[derive(Clone, Debug, Default)]
 pub struct CompareOutcome {
@@ -435,13 +413,14 @@ fn diff_counters(key: &str, what: &str, old: &StatsSnapshot, new: &StatsSnapshot
     }
 }
 
-/// Diff two reports under the exact/epsilon/banded discipline documented
-/// in DESIGN.md. Virtual-clock metrics (`ops`, `elapsed_ns`, counters,
+/// Diff two reports under the exact/epsilon discipline documented in
+/// DESIGN.md. Virtual-clock metrics (`ops`, `elapsed_ns`, counters,
 /// spans) must match **exactly**; derived `value`s get a tiny relative
-/// epsilon; `host_ns` is tolerance-banded (or skipped). Config echoes must
+/// epsilon; `host_ns` is recorded but never compared (host time is
+/// judged by `benchmark/`'s calibrated estimator). Config echoes must
 /// agree key-for-key — comparing runs of different scale or seed is a
 /// category error, not a perf delta.
-pub fn compare_reports(old: &BenchReport, new: &BenchReport, opts: &CompareOpts) -> CompareOutcome {
+pub fn compare_reports(old: &BenchReport, new: &BenchReport) -> CompareOutcome {
     let mut out = CompareOutcome::default();
     let bad = &mut out.regressions;
 
@@ -551,26 +530,6 @@ pub fn compare_reports(old: &BenchReport, new: &BenchReport, opts: &CompareOpts)
         for nsp in &n.spans {
             if !o.spans.iter().any(|s| s.name == nsp.name) {
                 bad.push(format!("{key}: span {:?} appeared", nsp.name));
-            }
-        }
-
-        if let Some(tol) = opts.wall_tol {
-            if o.host_ns >= opts.min_wall_ns {
-                let limit = o.host_ns as f64 * (1.0 + tol);
-                if n.host_ns as f64 > limit {
-                    bad.push(format!(
-                        "{key}: host wall time {:.1}ms -> {:.1}ms (> +{:.0}% band)",
-                        o.host_ns as f64 / 1e6,
-                        n.host_ns as f64 / 1e6,
-                        tol * 100.0
-                    ));
-                } else if (n.host_ns as f64) * (1.0 + tol) < o.host_ns as f64 {
-                    out.notes.push(format!(
-                        "{key}: host wall time improved {:.1}ms -> {:.1}ms",
-                        o.host_ns as f64 / 1e6,
-                        n.host_ns as f64 / 1e6
-                    ));
-                }
             }
         }
     }
@@ -717,9 +676,15 @@ mod tests {
     #[test]
     fn compare_accepts_identical_reports() {
         let rep = sample_report();
-        let out = compare_reports(&rep, &rep, &CompareOpts::default());
+        let out = compare_reports(&rep, &rep);
         assert!(out.ok(), "{:?}", out.regressions);
         assert_eq!(out.rows_compared, 1);
+
+        // Host time is in the schema and out of the gate.
+        let mut slower = rep.clone();
+        slower.rows[0].host_ns = slower.rows[0].host_ns * 100 + 50_000_000;
+        let out = compare_reports(&rep, &slower);
+        assert!(out.ok() && out.notes.is_empty(), "{:?}", out.regressions);
     }
 
     #[test]
@@ -727,7 +692,7 @@ mod tests {
         let old = sample_report();
         let mut new = old.clone();
         new.rows[0].counters.media_write_bytes += 256;
-        let out = compare_reports(&old, &new, &CompareOpts::default());
+        let out = compare_reports(&old, &new);
         assert!(!out.ok());
         assert!(out.regressions[0].contains("media_write_bytes"));
     }
@@ -738,12 +703,12 @@ mod tests {
 
         let mut new = old.clone();
         new.rows[0].spans[0].counters.xp_writes += 1;
-        let out = compare_reports(&old, &new, &CompareOpts::default());
+        let out = compare_reports(&old, &new);
         assert!(out.regressions.iter().any(|r| r.contains("span \"split\"")));
 
         let mut new = old.clone();
         new.rows.clear();
-        let out = compare_reports(&old, &new, &CompareOpts::default());
+        let out = compare_reports(&old, &new);
         assert!(out.regressions.iter().any(|r| r.contains("missing in new")));
     }
 
@@ -771,15 +736,15 @@ mod tests {
         old.set_assertion("crossover/eadr/uniform/CCEH", "2");
         let mut new = old.clone();
         new.set_assertion("crossover/eadr/uniform/CCEH", "8");
-        let out = compare_reports(&old, &new, &CompareOpts::default());
+        let out = compare_reports(&old, &new);
         assert!(!out.ok());
         assert!(out.regressions[0].contains("crossover/eadr/uniform/CCEH"));
 
         // Vanishing and appearing assertions both gate.
         let none = sample_report();
-        assert!(!compare_reports(&old, &none, &CompareOpts::default()).ok());
-        assert!(!compare_reports(&none, &old, &CompareOpts::default()).ok());
-        assert!(compare_reports(&old, &old, &CompareOpts::default()).ok());
+        assert!(!compare_reports(&old, &none).ok());
+        assert!(!compare_reports(&none, &old).ok());
+        assert!(compare_reports(&old, &old).ok());
     }
 
     #[test]
@@ -787,29 +752,7 @@ mod tests {
         let old = sample_report();
         let mut new = old.clone();
         new.set_config("seed", "0xbad");
-        let out = compare_reports(&old, &new, &CompareOpts::default());
+        let out = compare_reports(&old, &new);
         assert!(out.regressions.iter().any(|r| r.contains("config")));
-    }
-
-    #[test]
-    fn wall_band_gates_only_when_enabled_and_large() {
-        let old = sample_report(); // host_ns ≈ 1.2ms < min_wall_ns: ignored
-        let mut new = old.clone();
-        new.rows[0].host_ns *= 100;
-        assert!(compare_reports(&old, &new, &CompareOpts::default()).ok());
-
-        // Scale both above the noise floor: now the band bites.
-        let mut old2 = old.clone();
-        old2.rows[0].host_ns = 50_000_000;
-        let mut new2 = old2.clone();
-        new2.rows[0].host_ns = 100_000_000;
-        let out = compare_reports(&old2, &new2, &CompareOpts::default());
-        assert!(out.regressions.iter().any(|r| r.contains("wall time")));
-        // ...unless wall comparison is off (cross-machine mode).
-        let virtual_only = CompareOpts {
-            wall_tol: None,
-            ..CompareOpts::default()
-        };
-        assert!(compare_reports(&old2, &new2, &virtual_only).ok());
     }
 }

@@ -9,7 +9,7 @@
 //! says how), and regenerate `bench/baseline.json`.
 
 use spash_bench::report::{self, SpanRow};
-use spash_bench::{compare_reports, BenchReport, CompareOpts, ExperimentRow};
+use spash_bench::{compare_reports, BenchReport, ExperimentRow};
 use spash_pmem::StatsSnapshot;
 
 const FIXTURE: &str = include_str!("fixtures/bench_golden.json");
@@ -102,7 +102,7 @@ fn inflated_media_write_count_fails_the_gate() {
     // The scenario the gate exists for: a code change silently writes
     // more to media at unchanged throughput numbers.
     new.rows[0].counters.media_write_bytes += 4096;
-    let out = compare_reports(&old, &new, &CompareOpts::default());
+    let out = compare_reports(&old, &new);
     assert!(!out.ok());
     assert!(
         out.regressions
@@ -112,7 +112,7 @@ fn inflated_media_write_count_fails_the_gate() {
         out.regressions
     );
     // And the unperturbed report compares clean against itself.
-    assert!(compare_reports(&old, &old, &CompareOpts::default()).ok());
+    assert!(compare_reports(&old, &old).ok());
 }
 
 /// Regenerator: `cargo test -p spash-bench --test report_golden -- --ignored

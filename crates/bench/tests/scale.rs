@@ -16,9 +16,8 @@
 //! holds `scale_test_lock`.
 
 use spash_bench::indexes::crash_targets;
-use spash_bench::report::CompareOutcome;
 use spash_bench::scale::{run_cell, set_contention_inflation, ScaleConfig};
-use spash_bench::{compare_reports, BenchReport, CompareOpts, ExperimentRow};
+use spash_bench::{compare_reports, BenchReport, ExperimentRow};
 use spash_pmem::PersistenceDomain;
 
 /// Serializes cell-running tests: `set_contention_inflation` is
@@ -49,14 +48,6 @@ fn report_from(rows: Vec<ExperimentRow>) -> BenchReport {
     r
 }
 
-fn compare_virtual(old: &BenchReport, new: &BenchReport) -> CompareOutcome {
-    let opts = CompareOpts {
-        wall_tol: None,
-        ..CompareOpts::default()
-    };
-    compare_reports(old, new, &opts)
-}
-
 #[test]
 fn same_seed_sweeps_are_byte_identical_at_2_and_8_threads() {
     let _guard = scale_test_lock();
@@ -74,7 +65,7 @@ fn same_seed_sweeps_are_byte_identical_at_2_and_8_threads() {
             "{} t{threads}: same-seed runs serialized differently",
             target.name
         );
-        let out = compare_virtual(
+        let out = compare_reports(
             &BenchReport::from_json(&ja).unwrap(),
             &BenchReport::from_json(&jb).unwrap(),
         );
@@ -129,7 +120,7 @@ fn contention_inflation_flips_the_exact_gate() {
     }
     // ...but the exact gate must reject the run: extra RMW line traffic
     // shows up in the deterministic counters.
-    let out = compare_virtual(&report_from(clean.rows), &report_from(inflated.rows));
+    let out = compare_reports(&report_from(clean.rows), &report_from(inflated.rows));
     assert!(
         !out.ok(),
         "contention inflation slipped past the exact compare gate"

@@ -19,9 +19,8 @@
 //! holds `service_test_lock`.
 
 use spash_bench::indexes::crash_targets;
-use spash_bench::report::CompareOutcome;
 use spash_bench::service::{run_cell, ServiceSuiteConfig};
-use spash_bench::{compare_reports, BenchReport, CompareOpts, ExperimentRow};
+use spash_bench::{compare_reports, BenchReport, ExperimentRow};
 use spash_pmem::PersistenceDomain;
 use spash_service::testhooks;
 
@@ -51,14 +50,6 @@ fn report_from(rows: Vec<ExperimentRow>) -> BenchReport {
     r
 }
 
-fn compare_virtual(old: &BenchReport, new: &BenchReport) -> CompareOutcome {
-    let opts = CompareOpts {
-        wall_tol: None,
-        ..CompareOpts::default()
-    };
-    compare_reports(old, new, &opts)
-}
-
 #[test]
 fn same_seed_service_cells_are_byte_identical() {
     let _guard = service_test_lock();
@@ -76,7 +67,7 @@ fn same_seed_service_cells_are_byte_identical() {
         let b = run_cell(target, ti, domain, 2, &cfg).unwrap();
         let (ja, jb) = (report_from(a.rows).to_json(), report_from(b.rows).to_json());
         assert_eq!(ja, jb, "{}: same-seed service cells serialized differently", target.name);
-        let out = compare_virtual(
+        let out = compare_reports(
             &BenchReport::from_json(&ja).unwrap(),
             &BenchReport::from_json(&jb).unwrap(),
         );
@@ -122,7 +113,7 @@ fn latency_inflation_canary_flips_the_compare_gate() {
     }
     // ...but the exact gate must reject the run: the dispatch-path RMW
     // traffic inflates virtual time and the deterministic counters.
-    let out = compare_virtual(&report_from(clean.rows), &report_from(inflated.rows));
+    let out = compare_reports(&report_from(clean.rows), &report_from(inflated.rows));
     assert!(
         !out.ok(),
         "dispatch latency inflation slipped past the exact compare gate"

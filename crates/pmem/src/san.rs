@@ -634,12 +634,18 @@ pub(crate) fn install_observer(san: &Arc<San>, tid: u32) {
 /// thread-local.
 #[inline]
 pub(crate) fn observe_event(ev: SyncEvent) {
-    if !matches!(
+    if matches!(
         ev,
         SyncEvent::LockRelease | SyncEvent::AtomicRmw(_) | SyncEvent::HtmCommit
     ) {
-        return;
+        observe_edge(ev);
     }
+}
+
+/// The edge half of [`observe_event`], out of line: it is what needs
+/// registers saved, and most sync points are not edges.
+#[inline(never)]
+fn observe_edge(ev: SyncEvent) {
     // Clone the strong ref out before calling: on_edge takes the san
     // lock and must not run under the RefCell borrow.
     let bound = OBSERVER.with(|o| {

@@ -31,7 +31,7 @@
 //! this by spinning on `try_lock` with a [`SyncEvent::SpinWait`] yield
 //! between attempts whenever a hook is active (see `sync.rs`).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// One modelled synchronization instant. The payload identifies the
@@ -81,11 +81,30 @@ impl SyncEvent {
 /// scheduler. Implementations typically block the calling thread until
 /// the scheduler hands control back.
 pub trait SchedHook: Send + Sync {
-    fn sync_point(&self, ev: SyncEvent);
+    /// `ev` happened on the calling thread.
+    ///
+    /// The return value is a *stay budget*: that many of the thread's
+    /// next non-blocking sync points are already decided — the thread
+    /// just carries on — and are not reported one by one. They arrive as
+    /// `stays`, the number taken from the last budget since the previous
+    /// call, with the event that ends them: the first one past the
+    /// budget, or a blocking one. A hook that wants every event returns 0
+    /// and is always passed 0.
+    fn sync_point(&self, ev: SyncEvent, stays: u64) -> u64;
 }
 
 thread_local! {
     static HOOK: RefCell<Option<Arc<dyn SchedHook>>> = const { RefCell::new(None) };
+    /// Is `HOOK` occupied? Kept beside it so that a sync point on a
+    /// thread without a hook — every modelled access of an unscheduled
+    /// run takes one — reads two plain cells and never touches the slot
+    /// (whose destructor costs a liveness check and a borrow per access).
+    static HOOKED: Cell<bool> = const { Cell::new(false) };
+    /// The calling thread's stay budget as `(granted, left)`: all a sync
+    /// point inside the budget touches. (Written with `replace`:
+    /// `spash-lint conc` resolves calls by name, and a `set` would be
+    /// taken for `SegInfoTable::set`, a PM store.)
+    static STAYS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 /// Install `hook` for the calling thread. Panics if one is already
@@ -96,36 +115,72 @@ pub fn install(hook: Arc<dyn SchedHook>) {
         assert!(h.is_none(), "a scheduler hook is already installed on this thread");
         *h = Some(hook);
     });
+    HOOKED.replace(true);
 }
 
-/// Remove the calling thread's hook (no-op if none).
-pub fn clear() {
+/// Remove the calling thread's hook (no-op if none). Returns the stays
+/// taken from its last budget and not yet reported to it.
+pub fn clear() -> u64 {
     HOOK.with(|h| h.borrow_mut().take());
+    HOOKED.replace(false);
+    let (granted, left) = STAYS.replace((0, 0));
+    granted - left
 }
 
 /// Is a hook installed on the calling thread?
 #[inline]
 pub fn active() -> bool {
-    HOOK.with(|h| h.borrow().is_some())
+    HOOKED.get()
 }
 
-/// Report a sync point. Dispatches to the installed hook; without one,
-/// blocking events degrade to `std::thread::yield_now()` and the rest
-/// cost nothing.
+/// Report a sync point. Dispatches to the installed hook unless its stay
+/// budget covers the event; without a hook, blocking events degrade to
+/// `std::thread::yield_now()` and the rest cost nothing. Returns whether
+/// a hook is installed, so a caller that must behave cooperatively under
+/// one ([`crate::sync`]) learns that from the access that reports its
+/// event.
+///
+/// The inline part touches only `STAYS` and `HOOKED`: destructor-less
+/// cells are a direct thread-pointer access from any crate, whereas the
+/// hook's slot goes through `LocalKey`'s accessor, which does not inline
+/// across crates (two indirect calls, several times the cost of a stay).
 #[inline]
-pub fn sync_point(ev: SyncEvent) {
+pub fn sync_point(ev: SyncEvent) -> bool {
     // Visibility edges feed the persistence-ordering sanitizer first
     // (publication checks happen whether or not a scheduler is driving).
     crate::san::observe_event(ev);
+    let (granted, left) = STAYS.get();
+    if left > 0 && !ev.is_blocking() {
+        STAYS.replace((granted, left - 1));
+        return true;
+    }
+    if !HOOKED.get() {
+        if ev.is_blocking() {
+            std::thread::yield_now();
+        }
+        return false;
+    }
+    report(ev, granted - left);
+    true
+}
+
+/// Hand `ev` to the installed hook with the `stays` not yet reported. Out
+/// of line: compiled here, next to `HOOK` (see [`sync_point`]), and the
+/// paths above save no registers for it.
+#[inline(never)]
+fn report(ev: SyncEvent, stays: u64) {
     // Called under a shared borrow of the slot: the hook may block for a
     // long time or unwind (`SchedCrash`), and neither hurts — only
     // `install`/`clear` borrow mutably, on this thread and never from
     // inside a hook, and an unwind drops the `Ref` like any other guard
     // (a `RefCell` has no poison state).
-    HOOK.with(|h| match h.borrow().as_deref() {
-        Some(hook) => hook.sync_point(ev),
-        None if ev.is_blocking() => std::thread::yield_now(),
-        None => {}
+    HOOK.with(|h| {
+        let hook = h.borrow();
+        let hook = hook.as_deref().expect("HOOKED says a hook is installed");
+        // Withdrawn first: a hook that unwinds leaves no budget.
+        STAYS.replace((0, 0));
+        let budget = hook.sync_point(ev, stays);
+        STAYS.replace((budget, budget));
     });
 }
 
@@ -144,8 +199,19 @@ mod tests {
 
     struct Counter(AtomicU64);
     impl SchedHook for Counter {
-        fn sync_point(&self, _ev: SyncEvent) {
+        fn sync_point(&self, _ev: SyncEvent, stays: u64) -> u64 {
+            assert_eq!(stays, 0, "no budget was granted");
             self.0.fetch_add(1, Ordering::Relaxed);
+            0
+        }
+    }
+
+    /// Grants a budget of 3 at every report and logs what it was passed.
+    struct Budgeted(std::sync::Mutex<Vec<(SyncEvent, u64)>>);
+    impl SchedHook for Budgeted {
+        fn sync_point(&self, ev: SyncEvent, stays: u64) -> u64 {
+            self.0.lock().unwrap().push((ev, stays));
+            3
         }
     }
 
@@ -176,7 +242,7 @@ mod tests {
     fn a_hook_that_unwinds_leaves_the_slot_usable() {
         struct Crash;
         impl SchedHook for Crash {
-            fn sync_point(&self, _ev: SyncEvent) {
+            fn sync_point(&self, _ev: SyncEvent, _stays: u64) -> u64 {
                 panic!("world stop");
             }
         }
@@ -192,6 +258,34 @@ mod tests {
         sync_point(SyncEvent::HtmBegin);
         clear();
         assert_eq!(c.0.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_stay_budget_covers_non_blocking_events_only_and_is_accounted() {
+        use SyncEvent::*;
+        let hook = Arc::new(Budgeted(Default::default()));
+        install(hook.clone());
+        // Reported (no budget yet); the next three ride the budget; the
+        // fifth is the first past it.
+        for _ in 0..5 {
+            assert!(sync_point(LockAcquire));
+        }
+        // One stay, then a blocking event cuts the budget short.
+        sync_point(HtmBegin);
+        spin_wait();
+        // Two stays left unreported when the hook goes.
+        sync_point(HtmCommit);
+        sync_point(LockRelease);
+        assert_eq!(clear(), 2);
+        assert_eq!(
+            *hook.0.lock().unwrap(),
+            [(LockAcquire, 0), (LockAcquire, 3), (SpinWait, 1)]
+        );
+        // Nothing is left behind for the next hook on this thread.
+        let c = Arc::new(Counter(AtomicU64::new(0)));
+        install(c.clone());
+        sync_point(HtmBegin);
+        assert_eq!((clear(), c.0.load(Ordering::Relaxed)), (0, 1));
     }
 
     #[test]

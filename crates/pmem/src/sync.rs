@@ -21,7 +21,9 @@
 //! therefore spins on `try_lock`, yielding to the scheduler between
 //! attempts ([`crate::schedhook::spin_wait`]); the scheduler then runs
 //! the holder until it releases. Without a hook the fast blocking path is
-//! unchanged.
+//! unchanged. Either way an uncontended acquisition looks the hook up
+//! once: reporting `LockAcquire` is also how it learns whether one is
+//! installed.
 //!
 //! [`WordLock`] is the same contract in one word, for the two locks every
 //! modelled access takes and whose critical sections contain no sync
@@ -59,8 +61,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Cooperative under a scheduler hook (see module docs).
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        if schedhook::active() {
-            schedhook::sync_point(SyncEvent::LockAcquire);
+        if schedhook::sync_point(SyncEvent::LockAcquire) {
             loop {
                 match self.0.try_lock() {
                     Ok(g) => return g,
@@ -109,8 +110,7 @@ impl<T: ?Sized> RwLock<T> {
     /// Cooperative under a scheduler hook (see module docs).
     #[inline]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        if schedhook::active() {
-            schedhook::sync_point(SyncEvent::LockAcquire);
+        if schedhook::sync_point(SyncEvent::LockAcquire) {
             loop {
                 match self.0.try_read() {
                     Ok(g) => return g,
@@ -126,8 +126,7 @@ impl<T: ?Sized> RwLock<T> {
     /// unwind. Cooperative under a scheduler hook (see module docs).
     #[inline]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        if schedhook::active() {
-            schedhook::sync_point(SyncEvent::LockAcquire);
+        if schedhook::sync_point(SyncEvent::LockAcquire) {
             loop {
                 match self.0.try_write() {
                     Ok(g) => return g,

@@ -193,7 +193,7 @@ mod tests {
         let out = run_batch(&SchedConfig::random(0x5eed, 6), None, bodies);
         assert!(out.complete());
         assert_eq!(out.results, vec![Some(0), Some(1), Some(2), Some(3)]);
-        let trace = &out.sched.trace;
+        let trace: Vec<u16> = out.sched.trace.iter().collect();
         let switches = trace.windows(2).filter(|w| w[0] != w[1]).count();
         let stays = trace.windows(2).filter(|w| w[0] == w[1]).count();
         assert!(switches > 6, "forced switches on top of the 6 budgeted: {switches}");
@@ -201,7 +201,8 @@ mod tests {
         assert_eq!(
             (trace.len(), out.sched.trace_hash()),
             (208, 13_203_199_767_789_465_461),
-            "trace {trace:?}"
+            "trace {:?}",
+            out.sched.trace
         );
     }
 

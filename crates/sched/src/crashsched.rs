@@ -19,7 +19,7 @@ use spash_index_api::crashpoint::{panic_text, CrashTarget};
 use spash_pmem::{PmConfig, PmDevice};
 
 use crate::lin::{prefill_value, thread_workload, LinConfig};
-use crate::{run_tasks, SchedOutcome};
+use crate::{run_tasks, SchedOutcome, Trace};
 
 /// Outcome of one crash-at-decision run.
 #[derive(Debug)]
@@ -30,7 +30,7 @@ pub struct CrashSchedOutcome {
     /// Media-write ordinal at the moment of the crash.
     pub write: Option<u64>,
     /// Scheduler decisions taken up to the stop.
-    pub trace: Vec<u16>,
+    pub trace: Trace,
     /// `None` = the implementation declined to recover the torn image;
     /// `Some(audit_error)` = it recovered, with any audit violation.
     pub recovery: Option<Option<String>>,

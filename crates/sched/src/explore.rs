@@ -13,7 +13,7 @@ use spash_index_api::crashpoint::CrashTarget;
 use spash_pmem::PmConfig;
 
 use crate::lin::{run_schedule, LinConfig};
-use crate::{SchedConfig, SchedMode};
+use crate::{SchedConfig, SchedMode, Trace};
 
 /// Explorer parameters: a seed range over [`LinConfig`]-shaped runs.
 #[derive(Clone, Debug)]
@@ -43,7 +43,7 @@ impl ExploreConfig {
 pub struct SeedFailure {
     pub seed: u64,
     /// Recorded decision trace of the failing run.
-    pub trace: Vec<u16>,
+    pub trace: Trace,
     /// What went wrong (violation rendering or panic messages).
     pub detail: String,
     /// Did replaying the trace reproduce the same failure with a
@@ -76,11 +76,11 @@ impl ExploreReport {
     }
 }
 
-fn render_failure(seed: u64, trace: &[u16], detail: &str) -> String {
+fn render_failure(seed: u64, trace: &Trace, detail: &str) -> String {
     format!(
         "schedule seed {seed} (trace: {} decisions) failed:\n{detail}\n\
          reproduce with SchedMode::Replay of the printed trace or the same seed\n\
-         trace = {trace:?}",
+         trace (task×count runs) = {trace:?}",
         trace.len(),
     )
 }

@@ -14,8 +14,8 @@
 //! * **Explore** — a seeded RNG picks the next task at each sync point,
 //!   with a bounded budget of preemptions at non-blocking points
 //!   (Chess-style context-bounding: most bugs need only a few).
-//! * **Record** — every decision is appended to a trace (`Vec<u16>` of
-//!   chosen task ids).
+//! * **Record** — every decision is appended to a [`Trace`] (the chosen
+//!   task ids, held as `(task, count)` runs).
 //! * **Replay** — feeding a recorded trace back reproduces the
 //!   interleaving exactly, byte-for-byte, on any machine. A failing seed
 //!   printed by the explorer is a complete bug reproducer.
@@ -35,23 +35,38 @@
 //! with [`SchedCrash`] at its next sync point — modelling a power failure
 //! while several operations are mid-flight at scheduler-controlled
 //! points. See [`crashsched`].
+//!
+//! Host cost: almost every decision is "stay" (a benchmark phase takes
+//! 13 million and switches 71 times), and for most of them that is known
+//! beforehand. The scheduler therefore answers the baton holder with a
+//! *stay budget* (`Decisions::stay_budget`), and a sync point inside it
+//! is a decrement of the holder's own thread-local in
+//! [`spash_pmem::schedhook`]: no lock, no peer count, no trace push. Only
+//! a sync point the budget does not cover reaches the scheduler, and
+//! only a switch touches the `Baton` and wakes a thread — the one
+//! chosen.
 
 pub mod batch;
 pub mod crashsched;
 pub mod explore;
 pub mod lin;
+mod trace;
+
+pub use trace::Trace;
 
 use std::panic::{self, AssertUnwindSafe};
 // lint:allow(std-sync): the scheduler's baton is the one place that must
 // block the host thread for real — it *implements* descheduling, so it
 // cannot route through the cooperative primitives it coordinates.
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use spash_index_api::rng::Rng64;
 use spash_pmem::fault::CrashPointHit;
 use spash_pmem::schedhook::{self, SchedHook, SyncEvent};
 
-/// `State::current` when every task has finished.
+use trace::Cursor;
+
+/// `Baton::current` when every task has finished.
 const NO_TASK: usize = usize::MAX;
 
 /// Panic payload thrown into every still-running task once the world has
@@ -93,7 +108,7 @@ pub enum SchedMode {
     Random { seed: u64, max_preemptions: u32 },
     /// Follow a recorded decision trace verbatim. Replaying the trace of
     /// a previous run reproduces its interleaving exactly.
-    Replay(Vec<u16>),
+    Replay(Trace),
 }
 
 /// One schedule's configuration.
@@ -120,9 +135,9 @@ impl SchedConfig {
         }
     }
 
-    pub fn replay(trace: Vec<u16>) -> Self {
+    pub fn replay(trace: impl Into<Trace>) -> Self {
         Self {
-            mode: SchedMode::Replay(trace),
+            mode: SchedMode::Replay(trace.into()),
             max_steps: 2_000_000,
             crash_at_decision: None,
         }
@@ -134,7 +149,7 @@ impl SchedConfig {
 pub struct SchedOutcome {
     /// The full decision sequence: chosen task id at every decision
     /// point. Feeding this to [`SchedConfig::replay`] reproduces the run.
-    pub trace: Vec<u16>,
+    pub trace: Trace,
     /// Media-write ordinal at which an injected crash fired, if one did.
     pub injected_crash: Option<u64>,
     /// Panic messages from tasks that failed for real (not control-flow
@@ -143,35 +158,25 @@ pub struct SchedOutcome {
     /// Why the scheduler halted the run, if it did (step valve /
     /// cooperative deadlock).
     pub stopped: Option<&'static str>,
+    /// Sync points that could not be settled from the stay budget.
+    #[cfg(test)]
+    slow_entries: u64,
 }
 
 impl SchedOutcome {
-    /// FNV-1a hash of the decision trace — the identity of the explored
-    /// interleaving (used to count distinct schedules).
+    /// Hash of the decision trace ([`Trace::hash`]) — the identity of the
+    /// explored interleaving (used to count distinct schedules).
     pub fn trace_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &d in &self.trace {
-            for b in d.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h ^ self.trace.len() as u64
+        self.trace.hash()
     }
 }
 
-struct State {
+/// Who runs. The one thing tasks block on: its mutex is taken to hand
+/// control over, to wait for it, and to stop the world or learn that it
+/// has stopped — never to decide.
+struct Baton {
     /// Task currently holding the baton.
     current: usize,
-    finished: Vec<bool>,
-    trace: Vec<u16>,
-    rng: Option<Rng64>,
-    preemptions_left: u32,
-    replay: Option<(Vec<u16>, usize)>,
-    steps: u64,
-    max_steps: u64,
-    crash_at: Option<u64>,
-    crash_fired: bool,
     /// World stop: unwound tasks must not keep running.
     crashed: bool,
     injected_crash: Option<u64>,
@@ -179,10 +184,30 @@ struct State {
     stopped: Option<&'static str>,
 }
 
-/// The baton holder. One instance per scheduled run.
+/// What the next decision depends on. Only the task holding the baton
+/// reads or writes it (its mutex is the safe spelling of that ownership:
+/// it is contended only among tasks unwinding from a world stop, which
+/// decide nothing).
+struct Decisions {
+    finished: Vec<bool>,
+    trace: Trace,
+    rng: Option<Rng64>,
+    preemptions_left: u32,
+    replay: Option<Cursor>,
+    steps: u64,
+    max_steps: u64,
+    crash_at: Option<u64>,
+    #[cfg(test)]
+    slow_entries: u64,
+}
+
+/// One instance per scheduled run.
 pub struct Scheduler {
-    state: Mutex<State>,
-    cv: Condvar,
+    baton: Mutex<Baton>,
+    /// `wake[t]` is signalled when task `t` is handed the baton, and all
+    /// of them when the world stops.
+    wake: Vec<Condvar>,
+    decisions: Mutex<Decisions>,
     crash_fn: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
@@ -192,76 +217,31 @@ struct TaskHook {
 }
 
 impl SchedHook for TaskHook {
-    fn sync_point(&self, ev: SyncEvent) {
-        self.sched.yield_point(self.id, ev);
+    fn sync_point(&self, ev: SyncEvent, stays: u64) -> u64 {
+        self.sched.sync_point(self.id, ev, stays)
     }
 }
 
-impl Scheduler {
-    fn new(n: usize, cfg: &SchedConfig, crash_fn: Option<Box<dyn Fn() + Send + Sync>>) -> Self {
-        let (rng, preemptions, replay) = match &cfg.mode {
-            SchedMode::Random {
-                seed,
-                max_preemptions,
-            } => (
-                // Whitened so explorer seed `i` decorrelates from a
-                // workload generator also seeded with small integers.
-                Some(Rng64::new(
-                    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xd1b5_4a32_d192_ed03,
-                )),
-                *max_preemptions,
-                None,
-            ),
-            SchedMode::Replay(t) => (None, 0, Some((t.clone(), 0usize))),
-        };
-        Self {
-            state: Mutex::new(State {
-                current: NO_TASK,
-                finished: vec![false; n],
-                trace: Vec::new(),
-                rng,
-                preemptions_left: preemptions,
-                replay,
-                steps: 0,
-                max_steps: cfg.max_steps,
-                crash_at: cfg.crash_at_decision,
-                crash_fired: false,
-                crashed: false,
-                injected_crash: None,
-                panics: Vec::new(),
-                stopped: None,
-            }),
-            cv: Condvar::new(),
-            crash_fn,
-        }
-    }
-
+impl Decisions {
     /// Pick the next baton holder. `must_switch` excludes the current
     /// task (blocking event / task exit). Pushes the decision onto the
     /// trace. Returns `None` when no task can be chosen.
-    fn pick(st: &mut State, id: usize, must_switch: bool) -> Option<usize> {
-        let State {
+    fn pick(&mut self, id: usize, must_switch: bool) -> Option<usize> {
+        let Decisions {
             finished,
             replay,
             rng,
             preemptions_left,
             trace,
             ..
-        } = st;
+        } = self;
         let n = finished.len();
         // The unfinished peers of `id`, in task order — counted and
-        // indexed in place: this runs at every sync point of a scheduled
-        // run and must not allocate.
+        // indexed in place: a decision must not allocate.
         let others = || (0..n).filter(|&t| t != id && !finished[t]);
         let self_alive = id < n && !finished[id];
-        let next = if let Some((tr, pos)) = replay {
-            let recorded = if *pos < tr.len() {
-                Some(tr[*pos] as usize)
-            } else {
-                None
-            };
-            *pos += 1;
-            match recorded {
+        let next = if let Some(cursor) = replay {
+            match cursor.advance(1).map(usize::from) {
                 // A recorded decision is trusted verbatim: replaying a
                 // trace against the same seeded workload re-encounters
                 // the same sync points in the same order.
@@ -301,112 +281,214 @@ impl Scheduler {
         Some(next)
     }
 
-    /// Block until this task holds the baton (used once, at task start).
-    fn await_baton(&self, id: usize) {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.crashed {
-                drop(st);
-                panic::panic_any(SchedCrash);
+    /// How many may-switch sync points `holder` can take from here whose
+    /// handling is known now: [`Decisions::pick`] would return `holder`
+    /// without a draw (no preemption budget or no live peer; in replay,
+    /// the rest of the recorded run that names it), the step valve would
+    /// not trip and the crash ordinal would not be reached. The valve and
+    /// the crash therefore meet the same sync point, with the same trace
+    /// behind it, as if every one of them had been decided singly.
+    fn stay_budget(&self, holder: usize) -> u64 {
+        let by_mode = match &self.replay {
+            Some(cursor) => cursor.run_ahead(holder),
+            None => {
+                let peer = |t: usize| t != holder && !self.finished[t];
+                if self.preemptions_left == 0 || !(0..self.finished.len()).any(peer) {
+                    u64::MAX
+                } else {
+                    0
+                }
             }
-            if st.current == id {
-                return;
-            }
-            st = self.cv.wait(st).unwrap();
+        };
+        let by_valve = self.max_steps.saturating_sub(self.steps);
+        let by_crash = match self.crash_at {
+            Some(at) => at.saturating_sub(self.trace.len() as u64),
+            None => u64::MAX,
+        };
+        by_mode.min(by_valve).min(by_crash)
+    }
+
+    /// Book the `stays` sync points `holder` took from its budget: as
+    /// steps, as trace entries and as consumed replay decisions. First
+    /// thing at every sync point that reaches the scheduler.
+    fn settle(&mut self, holder: usize, stays: u64) {
+        self.steps += stays;
+        self.trace.push_run(holder as u16, stays);
+        if let Some(cursor) = &mut self.replay {
+            cursor.advance(stays);
+        }
+    }
+}
+
+impl Scheduler {
+    fn new(n: usize, cfg: &SchedConfig, crash_fn: Option<Box<dyn Fn() + Send + Sync>>) -> Self {
+        let (rng, preemptions, replay) = match &cfg.mode {
+            SchedMode::Random {
+                seed,
+                max_preemptions,
+            } => (
+                // Whitened so explorer seed `i` decorrelates from a
+                // workload generator also seeded with small integers.
+                Some(Rng64::new(
+                    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xd1b5_4a32_d192_ed03,
+                )),
+                *max_preemptions,
+                None,
+            ),
+            SchedMode::Replay(t) => (None, 0, Some(Cursor::new(t.clone()))),
+        };
+        Self {
+            baton: Mutex::new(Baton {
+                current: NO_TASK,
+                crashed: false,
+                injected_crash: None,
+                panics: Vec::new(),
+                stopped: None,
+            }),
+            wake: (0..n).map(|_| Condvar::new()).collect(),
+            decisions: Mutex::new(Decisions {
+                finished: vec![false; n],
+                trace: Trace::default(),
+                rng,
+                preemptions_left: preemptions,
+                replay,
+                steps: 0,
+                max_steps: cfg.max_steps,
+                crash_at: cfg.crash_at_decision,
+                #[cfg(test)]
+                slow_entries: 0,
+            }),
+            crash_fn,
         }
     }
 
-    /// The sync point: maybe switch tasks, maybe fire the injected crash.
-    fn yield_point(&self, id: usize, ev: SyncEvent) {
-        let mut st = self.state.lock().unwrap();
-        if st.crashed {
-            drop(st);
-            panic::panic_any(SchedCrash);
+    /// Stop the world: every task unwinds at its next sync point, or now
+    /// if it is waiting for the baton. The only place that wakes them all.
+    /// Takes the caller's `Decisions` guard because the caller unwinds
+    /// next, and a guard dropped by an unwind poisons its mutex.
+    fn stop_world(&self, d: MutexGuard<'_, Decisions>, why: Option<&'static str>) {
+        drop(d);
+        let mut b = self.baton.lock().unwrap();
+        b.crashed = true;
+        b.stopped = b.stopped.or(why);
+        for cv in &self.wake {
+            cv.notify_all();
         }
-        debug_assert_eq!(st.current, id, "sync point from a task without the baton");
-        st.steps += 1;
-        if st.steps > st.max_steps {
-            st.stopped = Some("step valve: schedule exceeded max_steps (livelock?)");
-            st.crashed = true;
-            self.cv.notify_all();
-            drop(st);
+    }
+
+    /// Sleep until `id` holds the baton; unwind if the world stops first.
+    fn wait_for_baton<'a>(&self, mut b: MutexGuard<'a, Baton>, id: usize) {
+        loop {
+            if b.crashed {
+                drop(b);
+                panic::panic_any(SchedCrash);
+            }
+            if b.current == id {
+                return;
+            }
+            b = self.wake[id].wait(b).unwrap();
+        }
+    }
+
+    /// Block until this task holds the baton (used once, at task start).
+    fn await_baton(&self, id: usize) {
+        self.wait_for_baton(self.baton.lock().unwrap(), id);
+    }
+
+    /// A sync point the holder's stay budget did not cover, after `stays`
+    /// that it did: maybe switch tasks, maybe fire the injected crash.
+    /// Returns `id`'s next stay budget, once it holds the baton again.
+    fn sync_point(&self, id: usize, ev: SyncEvent, stays: u64) -> u64 {
+        let mut d = self.decisions.lock().unwrap();
+        {
+            let b = self.baton.lock().unwrap();
+            if b.crashed {
+                drop((b, d));
+                panic::panic_any(SchedCrash);
+            }
+            debug_assert_eq!(b.current, id, "sync point from a task without the baton");
+        }
+        #[cfg(test)]
+        {
+            d.slow_entries += 1;
+        }
+        d.settle(id, stays);
+        d.steps += 1;
+        if d.steps > d.max_steps {
+            self.stop_world(
+                d,
+                Some("step valve: schedule exceeded max_steps (livelock?)"),
+            );
             panic::panic_any(SchedStop("step valve"));
         }
         // Injected crash: fire at the first sync point at or after the
         // requested decision ordinal, in task context so the unwind takes
         // down an operation mid-flight.
-        if let Some(at) = st.crash_at {
-            if !st.crash_fired && st.trace.len() as u64 >= at {
-                st.crash_fired = true;
-                st.crashed = true;
-                self.cv.notify_all();
-                drop(st);
-                if let Some(f) = &self.crash_fn {
-                    f(); // unwinds with CrashPointHit
-                }
-                panic::panic_any(SchedCrash);
+        if d.crash_at.is_some_and(|at| d.trace.len() as u64 >= at) {
+            self.stop_world(d, None);
+            if let Some(f) = &self.crash_fn {
+                f(); // unwinds with CrashPointHit
             }
+            panic::panic_any(SchedCrash);
         }
-        let next = match Self::pick(&mut st, id, ev.is_blocking()) {
-            Some(t) => t,
-            None => {
-                // A blocking wait with no runnable peer can never make
-                // progress under cooperative scheduling.
-                st.stopped = Some("deadlock: blocking wait with no runnable peer");
-                st.crashed = true;
-                self.cv.notify_all();
-                drop(st);
-                panic::panic_any(SchedStop("deadlock"));
-            }
+        let Some(next) = d.pick(id, ev.is_blocking()) else {
+            // A blocking wait with no runnable peer can never make
+            // progress under cooperative scheduling.
+            self.stop_world(d, Some("deadlock: blocking wait with no runnable peer"));
+            panic::panic_any(SchedStop("deadlock"));
         };
         if next != id {
-            st.current = next;
-            self.cv.notify_all();
-            loop {
-                if st.crashed {
-                    drop(st);
-                    panic::panic_any(SchedCrash);
-                }
-                if st.current == id {
-                    return;
-                }
-                st = self.cv.wait(st).unwrap();
-            }
+            drop(d);
+            let mut b = self.baton.lock().unwrap();
+            b.current = next;
+            self.wake[next].notify_one();
+            self.wait_for_baton(b, id);
+            d = self.decisions.lock().unwrap();
         }
+        d.stay_budget(id)
     }
 
     /// Called by the worker wrapper after its body returned or unwound.
-    fn task_finished(&self, id: usize, panic_msg: Option<String>, injected: Option<u64>) {
-        let mut st = self.state.lock().unwrap();
-        st.finished[id] = true;
+    /// `stays` is what it took from its last budget and never reported.
+    fn task_finished(
+        &self,
+        id: usize,
+        stays: u64,
+        panic_msg: Option<String>,
+        injected: Option<u64>,
+    ) {
+        let mut d = self.decisions.lock().unwrap();
+        d.settle(id, stays);
+        d.finished[id] = true;
+        let mut b = self.baton.lock().unwrap();
         if let Some(w) = injected {
-            st.injected_crash = Some(w);
+            b.injected_crash = Some(w);
         }
         if let Some(msg) = panic_msg {
-            st.panics.push(format!("task {id}: {msg}"));
-            st.crashed = true;
+            b.panics.push(format!("task {id}: {msg}"));
+            drop(b);
+            return self.stop_world(d, None);
         }
-        if st.current == id || st.crashed {
-            // Hand the baton to the deterministic first unfinished task
-            // (recorded like any other decision, so replay stays in
-            // lock-step), or park it when everyone is done. Under a world
-            // stop the pick is not recorded: unwinding order is
-            // irrelevant to the interleaving being reproduced.
-            let next = (0..st.finished.len()).find(|&t| !st.finished[t]);
-            match next {
-                Some(t) => {
-                    if !st.crashed {
-                        if let Some((_, pos)) = &mut st.replay {
-                            *pos += 1;
-                        }
-                        st.trace.push(t as u16);
-                    }
-                    st.current = t;
+        if b.crashed {
+            // Unwinding order is irrelevant to the interleaving being
+            // reproduced, and nobody waits for a baton any more.
+            return;
+        }
+        debug_assert_eq!(b.current, id, "only the baton holder runs to its end");
+        // Hand the baton to the deterministic first unfinished task
+        // (recorded like any other decision, so replay stays in
+        // lock-step), or park it when everyone is done.
+        match d.finished.iter().position(|&done| !done) {
+            Some(t) => {
+                if let Some(cursor) = &mut d.replay {
+                    cursor.advance(1);
                 }
-                None => st.current = NO_TASK,
+                d.trace.push(t as u16);
+                b.current = t;
+                self.wake[t].notify_one();
             }
+            None => b.current = NO_TASK,
         }
-        self.cv.notify_all();
     }
 }
 
@@ -440,9 +522,9 @@ pub fn run_tasks<'a>(
 
     // Initial baton grant is decision 0, recorded like every other.
     {
-        let mut st = sched.state.lock().unwrap();
-        let first = Scheduler::pick(&mut st, NO_TASK, true).expect("n >= 1");
-        st.current = first;
+        let mut d = sched.decisions.lock().unwrap();
+        let first = d.pick(NO_TASK, true).expect("n >= 1");
+        sched.baton.lock().unwrap().current = first;
     }
 
     std::thread::scope(|s| {
@@ -457,7 +539,7 @@ pub fn run_tasks<'a>(
                     sched.await_baton(id);
                     body();
                 }));
-                schedhook::clear();
+                let stays = schedhook::clear();
                 let (panic_msg, injected) = match r {
                     Ok(()) => (None, None),
                     Err(p) => {
@@ -470,17 +552,20 @@ pub fn run_tasks<'a>(
                         }
                     }
                 };
-                sched.task_finished(id, panic_msg, injected);
+                sched.task_finished(id, stays, panic_msg, injected);
             });
         }
     });
 
-    let st = sched.state.lock().unwrap();
+    let mut d = sched.decisions.lock().unwrap();
+    let mut b = sched.baton.lock().unwrap();
     SchedOutcome {
-        trace: st.trace.clone(),
-        injected_crash: st.injected_crash,
-        panics: st.panics.clone(),
-        stopped: st.stopped,
+        trace: std::mem::take(&mut d.trace),
+        injected_crash: b.injected_crash,
+        panics: std::mem::take(&mut b.panics),
+        stopped: b.stopped,
+        #[cfg(test)]
+        slow_entries: d.slow_entries,
     }
 }
 
@@ -588,6 +673,33 @@ mod tests {
         })];
         let out = run_tasks(&SchedConfig::random(1, 4), None, bodies);
         assert!(out.stopped.is_some());
+    }
+
+    #[test]
+    fn a_lone_task_settles_its_sync_points_from_the_stay_budget() {
+        let bodies: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(|| {
+            for _ in 0..10_000 {
+                schedhook::sync_point(SyncEvent::LockAcquire);
+            }
+        })];
+        let out = run_tasks(&SchedConfig::random(1, 64), None, bodies);
+        assert!(out.panics.is_empty() && out.stopped.is_none());
+        assert_eq!(out.trace.runs(), [(0, 10_001)]);
+        // No live peer, so the budget its first sync point is answered
+        // with covers all the others.
+        assert_eq!(out.slow_entries, 1);
+
+        // The same with peers once the preemption budget is spent: what
+        // is left to decide singly is the budgeted phase and the blocking
+        // points, not the 30 000 sync points.
+        let log = spash_pmem::sync::Mutex::new(Vec::new());
+        let out = run_tasks(
+            &SchedConfig::random(1, 8),
+            None,
+            counter_bodies(&log, 3, 10_000),
+        );
+        assert_eq!(out.trace.len(), 1 + 30_000 + 2);
+        assert!(out.slow_entries < 200, "{} slow entries", out.slow_entries);
     }
 
     #[test]
