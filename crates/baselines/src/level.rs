@@ -208,12 +208,20 @@ impl Level {
     /// Full-table rehash: new top = 2 × old top, old top becomes the new
     /// bottom, old bottom's entries are re-inserted. Holds the global
     /// table write lock for the duration (the stall the paper measures).
-    fn rehash(&self, ctx: &mut MemCtx) -> Result<(), IndexError> {
-        ctx.stats_span(spash_pmem::SPAN_COMPACTION, |ctx| self.rehash_impl(ctx))
+    /// `seen_n_top` is the table size the caller's full round saw: every
+    /// inserter that found the same table full queues here, and only the
+    /// first of them may double it.
+    fn rehash(&self, ctx: &mut MemCtx, seen_n_top: u64) -> Result<(), IndexError> {
+        ctx.stats_span(spash_pmem::SPAN_COMPACTION, |ctx| {
+            self.rehash_impl(ctx, seen_n_top)
+        })
     }
 
-    fn rehash_impl(&self, ctx: &mut MemCtx) -> Result<(), IndexError> {
+    fn rehash_impl(&self, ctx: &mut MemCtx, seen_n_top: u64) -> Result<(), IndexError> {
         let mut t = self.table.write();
+        if t.n_top != seen_n_top {
+            return Ok(()); // someone else already grew; the caller retries
+        }
         let new_n = t.n_top * 2;
         let new_top = self
             .alloc
@@ -386,7 +394,8 @@ impl PersistentIndex for Level {
             enum Out {
                 Done,
                 Dup,
-                Full,
+                /// Every candidate full, in a table of this `n_top`.
+                Full(u64),
             }
             let out = {
                 let t = self.table.read();
@@ -423,7 +432,7 @@ impl PersistentIndex for Level {
                     if done {
                         Out::Done
                     } else {
-                        Out::Full
+                        Out::Full(t.n_top)
                     }
                 }
             };
@@ -438,7 +447,7 @@ impl PersistentIndex for Level {
                     return Err(IndexError::DuplicateKey);
                 }
                 // lint:allow(flow-flush-fence): canary-gated residue carried into the rehash retry; rehash re-flushes and fences everything it moves. san=none(canary gate is on outside sanitizer canary tests)
-                Out::Full => self.rehash(ctx)?,
+                Out::Full(seen) => self.rehash(ctx, seen)?,
             }
         }
     }

@@ -505,7 +505,11 @@ const FIGURES: [Figure; 11] = [
 
 /// `spash-bench <fig…|all>… [--report <path>]`: run the named figure
 /// experiments at the `SPASH_BENCH_*` scale; `--report` (or
-/// `SPASH_BENCH_REPORT`) also writes their machine-readable rows.
+/// `SPASH_BENCH_REPORT`) also writes their machine-readable rows. Every
+/// multi-thread phase is a seeded cooperative batch, so the report is a
+/// pure function of the scale (`created_unix` pinned to 0, as `scale` and
+/// `service` do) and `compare` gates it exactly against
+/// `bench/baseline_figures.json`.
 pub fn figures(args: &[String]) {
     let scale = Scale::from_env();
     println!(
@@ -533,6 +537,7 @@ pub fn figures(args: &[String]) {
     let rows = spash_bench::report::drain_rows();
     if let Some(path) = report_path {
         let mut rep = BenchReport::new(&perf::short_rev());
+        rep.created_unix = 0;
         rep.set_config("keys", scale.keys);
         rep.set_config("ops", scale.ops);
         rep.set_config("threads", spash_bench::report::join_ladder(&scale.threads));

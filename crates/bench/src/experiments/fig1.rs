@@ -14,7 +14,8 @@
 use spash_pmem::{PmAddr, PmConfig, PmDevice};
 use spash_workloads::{Rng64, Zipfian};
 
-use crate::harness::{print_table, run_phase, Scale};
+use crate::experiments::Cell;
+use crate::harness::{print_table, Scale};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Strategy {
@@ -35,9 +36,10 @@ fn run_one(scale: &Scale, zipf: bool, strategy: Strategy, size: u64) -> f64 {
     let n_blocks = REGION / size;
     let hot_cut = (n_blocks / 100).max(1);
     let threads = scale.max_threads();
+    let cell = Cell::new(1, strategy as usize, size as usize, threads);
     let ops = scale.ops / 2;
     let z = zipf.then(|| Zipfian::new(n_blocks, 0.99));
-    let r = run_phase(&dev, threads, |tid, ctx| {
+    let r = cell.tasks(&dev, usize::from(zipf), |tid, ctx| {
         let mut rng = Rng64::new(0xf161 + tid as u64);
         let buf = vec![0xabu8; size as usize];
         let per = ops / threads as u64;

@@ -8,11 +8,10 @@
 //! (out-of-place updates defeat the cache); Plush competitive only in
 //! load.
 
+use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
-
-use crate::experiments::{exec_stream, my_chunk};
-use crate::harness::{print_table, run_phase, PhaseResult, Scale};
+use crate::experiments::Cell;
+use crate::harness::{print_table, PhaseResult, Scale};
 use crate::indexes::{bench_device, build_index, IndexKind};
 
 pub const PHASES: [(&str, Option<Mix>); 4] = [
@@ -22,44 +21,27 @@ pub const PHASES: [(&str, Option<Mix>); 4] = [
     ("Write-int 10:90", Some(Mix::WRITE_INTENSIVE)),
 ];
 
-/// One index through all four phases at `threads`.
-pub fn run_one(scale: &Scale, kind: IndexKind, value: ValueSize) -> Vec<PhaseResult> {
-    let threads = scale.max_threads();
-    let vbytes = match value {
-        ValueSize::Inline => 16,
-        ValueSize::Fixed(n) => n as u64,
+/// One index through all four phases at the top thread count, as a cell
+/// of `figure` (Fig 11 runs the same phases per value size).
+pub fn run_one(scale: &Scale, figure: u8, kind: IndexKind, value: ValueSize) -> Vec<PhaseResult> {
+    let (point, vbytes) = match value {
+        ValueSize::Inline => (0, 16),
+        ValueSize::Fixed(n) => (n, n as u64),
     };
+    let cell = Cell::new(figure, kind as usize, point, scale.max_threads());
     let dev = bench_device(scale.keys, vbytes);
     let idx = build_index(&dev, kind);
     let index = idx.as_ref();
     let cfg = WorkloadConfig::new(scale.keys, Distribution::Zipfian, Mix::BALANCED, value);
-    let keys = load_keys(&cfg);
     let mut out = Vec::with_capacity(PHASES.len());
 
-    // Load phase.
-    out.push(run_phase(&dev, threads, |tid, ctx| {
-        let mine = my_chunk(&keys, threads, tid);
-        let mut s = OpStream::new(&cfg, tid as u64);
-        for &k in mine {
-            let v = s.expected_value(k);
-            if index.insert(ctx, k, &v) == Err(spash_index_api::IndexError::OutOfMemory) {
-                // Halo's documented DRAM-exhaustion failure mode; count
-                // what we could.
-                break;
-            }
-        }
-        mine.len() as u64
-    }));
-
-    for (_, mix) in PHASES.iter().skip(1) {
+    out.push(cell.load(&dev, 0, index, &cfg));
+    for (p, (_, mix)) in PHASES.iter().enumerate().skip(1) {
         let cfg = WorkloadConfig {
             mix: mix.unwrap(),
             ..cfg.clone()
         };
-        out.push(run_phase(&dev, threads, |tid, ctx| {
-            let mut s = OpStream::new(&cfg, tid as u64);
-            exec_stream(index, ctx, &mut s, scale.ops / threads as u64)
-        }));
+        out.push(cell.mix(&dev, p, index, &cfg, scale.ops));
     }
     out
 }
@@ -69,7 +51,7 @@ pub fn run(scale: &Scale) {
     let columns: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
     let results: Vec<Vec<PhaseResult>> = kinds
         .iter()
-        .map(|&k| run_one(scale, k, ValueSize::Inline))
+        .map(|&k| run_one(scale, 10, k, ValueSize::Inline))
         .collect();
     let threads = scale.max_threads();
     let mut rows = Vec::new();

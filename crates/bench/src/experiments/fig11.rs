@@ -24,7 +24,7 @@ pub fn run(scale: &Scale) {
         .map(|&vs| {
             kinds
                 .iter()
-                .map(|&k| fig10::run_one(scale, k, ValueSize::Fixed(vs)))
+                .map(|&k| fig10::run_one(scale, 11, k, ValueSize::Fixed(vs)))
                 .collect()
         })
         .collect();

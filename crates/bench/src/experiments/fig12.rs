@@ -4,47 +4,12 @@
 
 use std::sync::Arc;
 
-use spash::{OracleDetector, Spash, SpashConfig, UpdatePolicy};
-use spash_index_api::PersistentIndex;
+use spash::{OracleDetector, SpashConfig, UpdatePolicy};
+use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 
-use spash_workloads::{
-    load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig,
-};
-
-use crate::experiments::{exec_stream, my_chunk};
-use crate::harness::{print_table, run_phase, PhaseResult, Scale};
+use crate::experiments::Cell;
+use crate::harness::{print_table, Scale};
 use crate::indexes::{ablation_config, bench_device, build_spash_variant};
-
-fn load(
-    dev: &Arc<spash_pmem::PmDevice>,
-    idx: &Spash,
-    cfg: &WorkloadConfig,
-    threads: usize,
-) -> PhaseResult {
-    let keys = load_keys(cfg);
-    run_phase(dev, threads, |tid, ctx| {
-        let mine = my_chunk(&keys, threads, tid);
-        let mut s = OpStream::new(cfg, tid as u64);
-        for &k in mine {
-            let v = s.expected_value(k);
-            idx.insert(ctx, k, &v).expect("load");
-        }
-        mine.len() as u64
-    })
-}
-
-fn run_mix(
-    dev: &Arc<spash_pmem::PmDevice>,
-    idx: &Spash,
-    cfg: &WorkloadConfig,
-    threads: usize,
-    ops: u64,
-) -> PhaseResult {
-    run_phase(dev, threads, |tid, ctx| {
-        let mut s = OpStream::new(cfg, tid as u64);
-        exec_stream(idx, ctx, &mut s, ops / threads as u64)
-    })
-}
 
 /// (a) Adaptive in-place update: update-only zipfian workloads across
 /// value sizes, for the four update policies (Table I ablation). Reports
@@ -61,7 +26,8 @@ pub fn run_a(scale: &Scale) {
     for vs in sizes {
         let mut vals = Vec::new();
         let mut traffic = Vec::new();
-        for &var in &variants {
+        for (series, &var) in variants.iter().enumerate() {
+            let cell = Cell::new(120, series, vs, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Zipfian,
@@ -80,8 +46,8 @@ pub fn run_a(scale: &Scale) {
             };
             let dev = bench_device(scale.keys, vs as u64);
             let idx = build_spash_variant(&dev, cfg);
-            load(&dev, &idx, &wcfg, threads);
-            let r = run_mix(&dev, &idx, &wcfg, threads, scale.ops);
+            cell.load(&dev, 0, idx.as_ref(), &wcfg);
+            let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
             crate::report::emit_phase(
                 "fig12a",
                 var,
@@ -126,7 +92,8 @@ pub fn run_b(scale: &Scale) {
     for vs in sizes {
         let mut vals = Vec::new();
         let mut traffic = Vec::new();
-        for &var in &variants {
+        for (series, &var) in variants.iter().enumerate() {
+            let cell = Cell::new(121, series, vs, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Uniform,
@@ -135,7 +102,7 @@ pub fn run_b(scale: &Scale) {
             );
             let dev = bench_device(scale.keys, vs as u64);
             let idx = build_spash_variant(&dev, ablation_config(var));
-            let r = load(&dev, &idx, &wcfg, threads);
+            let r = cell.load(&dev, 0, idx.as_ref(), &wcfg);
             crate::report::emit_phase(
                 "fig12b",
                 var,
@@ -178,9 +145,10 @@ pub fn run_c(scale: &Scale) {
     ];
     let columns: Vec<String> = variants.iter().map(|s| s.to_string()).collect();
     let mut rows = Vec::new();
-    for (label, mix) in mixes {
+    for (point, (label, mix)) in mixes.into_iter().enumerate() {
         let mut vals = Vec::new();
-        for &var in &variants {
+        for (series, &var) in variants.iter().enumerate() {
+            let cell = Cell::new(122, series, point, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Zipfian,
@@ -189,8 +157,8 @@ pub fn run_c(scale: &Scale) {
             );
             let dev = bench_device(scale.keys, 16);
             let idx = build_spash_variant(&dev, ablation_config(var));
-            load(&dev, &idx, &wcfg, threads);
-            let r = run_mix(&dev, &idx, &wcfg, threads, scale.ops);
+            cell.load(&dev, 0, idx.as_ref(), &wcfg);
+            let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
             crate::report::emit_phase("fig12c", var, label, "run", "mops", r.mops(), threads, &r);
             vals.push(r.mops());
         }
@@ -215,6 +183,7 @@ pub fn run_d(scale: &Scale) {
         let mut tput = Vec::new();
         let mut lat = Vec::new();
         for &pd in &depths {
+            let cell = Cell::new(123, pd, threads, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Zipfian,
@@ -229,9 +198,9 @@ pub fn run_d(scale: &Scale) {
                     ..SpashConfig::default()
                 },
             );
-            load(&dev, &idx, &wcfg, threads);
+            cell.load(&dev, 0, idx.as_ref(), &wcfg);
             dev.invalidate_cache();
-            let r = run_mix(&dev, &idx, &wcfg, threads, scale.ops);
+            let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
             crate::report::emit_phase(
                 "fig12d",
                 &format!("PD{pd}"),

@@ -6,11 +6,10 @@
 //! search throughput; Level/CLevel collapse on inserts (full-table
 //! rehash); CCEH and Level reads trail badly (PM read-locks).
 
+use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
-
-use crate::experiments::{exec_stream, my_chunk};
-use crate::harness::{print_table, run_phase, PhaseResult, Scale};
+use crate::experiments::{my_chunk, Cell};
+use crate::harness::{print_table, PhaseResult, Scale};
 use crate::indexes::{bench_device, build_index, IndexKind};
 
 /// One index, one thread count: returns (insert, search, update, delete)
@@ -26,37 +25,20 @@ pub fn run_one(scale: &Scale, kind: IndexKind, threads: usize) -> [PhaseResult; 
         ValueSize::Inline,
     );
     let keys = load_keys(&cfg);
+    let cell = Cell::new(7, kind as usize, threads, threads);
 
     // Insert phase: the load itself, partitioned over threads.
-    let insert = run_phase(&dev, threads, |tid, ctx| {
-        let mine = my_chunk(&keys, threads, tid);
-        for &k in mine {
-            index
-                .insert(ctx, k, &k.to_le_bytes()[..6])
-                .expect("load insert");
-        }
-        mine.len() as u64
-    });
-
-    // Search phase.
-    let search = run_phase(&dev, threads, |tid, ctx| {
-        let mut s = OpStream::new(&cfg, tid as u64);
-        exec_stream(index, ctx, &mut s, scale.ops / threads as u64)
-    });
-
-    // Update phase.
+    let insert = cell.load(&dev, 0, index, &cfg);
+    let search = cell.mix(&dev, 1, index, &cfg, scale.ops);
     let ucfg = WorkloadConfig {
         mix: Mix::UPDATE_ONLY,
         ..cfg.clone()
     };
-    let update = run_phase(&dev, threads, |tid, ctx| {
-        let mut s = OpStream::new(&ucfg, tid as u64);
-        exec_stream(index, ctx, &mut s, scale.ops / threads as u64)
-    });
+    let update = cell.mix(&dev, 2, index, &ucfg, scale.ops);
 
     // Delete phase: each thread deletes its own loaded keys (each key
     // exactly once).
-    let delete = run_phase(&dev, threads, |tid, ctx| {
+    let delete = cell.tasks(&dev, 3, |tid, ctx| {
         let mine = my_chunk(&keys, threads, tid);
         let n = (mine.len() as u64).min(scale.ops / threads as u64 + 1);
         for &k in &mine[..n as usize] {

@@ -7,11 +7,10 @@
 //! 2.0 cachelines but only ≈ 1.1 XPLines written (split writes coalesce
 //! within XPLine-sized segments).
 
+use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
-
-use crate::experiments::{exec_stream, my_chunk};
-use crate::harness::{print_table, run_phase, PhaseResult, Scale};
+use crate::experiments::{my_chunk, Cell};
+use crate::harness::{print_table, PhaseResult, Scale};
 use crate::indexes::{bench_device, build_index, IndexKind};
 
 pub struct AccessCounts {
@@ -33,32 +32,21 @@ pub fn run_one(scale: &Scale, kind: IndexKind) -> AccessCounts {
         ValueSize::Inline,
     );
     let keys = load_keys(&cfg);
+    let cell = Cell::new(8, kind as usize, 0, threads);
 
-    let insert = run_phase(&dev, threads, |tid, ctx| {
-        let mine = my_chunk(&keys, threads, tid);
-        for &k in mine {
-            index.insert(ctx, k, &k.to_le_bytes()[..6]).unwrap();
-        }
-        mine.len() as u64
-    });
+    let insert = cell.load(&dev, 0, index, &cfg);
     // Evict everything so steady-state (cold) access counts are measured,
     // like the paper's 20M-key working set exceeding the LLC.
     dev.invalidate_cache();
-    let search = run_phase(&dev, threads, |tid, ctx| {
-        let mut s = OpStream::new(&cfg, tid as u64);
-        exec_stream(index, ctx, &mut s, scale.ops / threads as u64)
-    });
+    let search = cell.mix(&dev, 1, index, &cfg, scale.ops);
     dev.invalidate_cache();
     let ucfg = WorkloadConfig {
         mix: Mix::UPDATE_ONLY,
         ..cfg.clone()
     };
-    let update = run_phase(&dev, threads, |tid, ctx| {
-        let mut s = OpStream::new(&ucfg, tid as u64);
-        exec_stream(index, ctx, &mut s, scale.ops / threads as u64)
-    });
+    let update = cell.mix(&dev, 2, index, &ucfg, scale.ops);
     dev.invalidate_cache();
-    let delete = run_phase(&dev, threads, |tid, ctx| {
+    let delete = cell.tasks(&dev, 3, |tid, ctx| {
         let mine = my_chunk(&keys, threads, tid);
         for &k in mine {
             index.remove(ctx, k);

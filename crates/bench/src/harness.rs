@@ -1,4 +1,5 @@
-//! Shared benchmark machinery: parallel execution over simulated threads,
+//! Shared benchmark machinery: execution of simulated threads (one task
+//! inline, or any number as cooperative tasks under the scheduler),
 //! virtual-time throughput computation, and table printing.
 //!
 //! **How throughput is computed** (DESIGN.md §4): every simulated thread
@@ -16,6 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use spash_index_api::hash_key;
 use spash_pmem::{MemCtx, PmDevice, SpanSnapshot, StatsDelta, StatsSnapshot};
 use spash_sched::batch::run_batch;
 use spash_sched::SchedConfig;
@@ -58,8 +60,9 @@ pub struct PhaseResult {
     pub ops: u64,
     pub elapsed_ns: u64,
     pub delta: StatsDelta,
-    /// Host wall time of the phase. Real time, so noisy — report-only,
-    /// never part of the deterministic compare (DESIGN.md).
+    /// Host wall time of an inline phase; 0 for a scheduled one. Real
+    /// time, so noisy — report-only, never part of the deterministic
+    /// compare (DESIGN.md).
     pub host_ns: u64,
     /// Per-span attribution deltas, in canonical span order
     /// ([`spash_pmem::span::SPAN_NAMES`]).
@@ -92,7 +95,7 @@ impl PhaseResult {
     }
 }
 
-/// The one phase accountant behind all three runners. [`Self::begin`]
+/// The one phase accountant behind both runners. [`Self::begin`]
 /// quiesces the device and captures the counter, span, host-clock and
 /// virtual-floor baselines; the runner then creates its per-task contexts
 /// (so simulated-thread ids stay a function of the runner, not the
@@ -156,34 +159,9 @@ impl PhaseMeter {
     }
 }
 
-/// Run `body` on `threads` OS threads, one simulated thread each.
-/// `body(tid, ctx)` returns the number of operations it performed.
-pub fn run_phase<F>(dev: &Arc<PmDevice>, threads: usize, body: F) -> PhaseResult
-where
-    F: Fn(usize, &mut MemCtx) -> u64 + Sync,
-{
-    let meter = PhaseMeter::begin(dev);
-    let results: Vec<(u64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let dev = Arc::clone(dev);
-                let body = &body;
-                s.spawn(move || {
-                    let mut ctx = dev.ctx();
-                    ctx.reset_clock();
-                    let ops = body(tid, &mut ctx);
-                    (ops, ctx.now())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    meter.finish(dev, &results)
-}
-
-/// Run `body` as the phase's only task, on the calling thread. Needed
-/// because `CrashTarget` closures are not `Sync`, and wanted because one
-/// OS thread keeps the `perf` suite bit-deterministic.
+/// Run `body` as the phase's only task, on the calling thread (the `perf`
+/// suite, whose `CrashTarget` closures are not `Send`). Equal to a
+/// one-task [`run_scheduled`] on every virtual field.
 pub(crate) fn run_inline<F>(dev: &Arc<PmDevice>, body: F) -> PhaseResult
 where
     F: FnOnce(&mut MemCtx) -> u64,
@@ -197,13 +175,37 @@ where
     meter.finish(dev, &[(ops, end)])
 }
 
+/// The scheduler configuration of one measured phase: random preemption
+/// under a seed that is a pure function of everything that identifies
+/// the phase — `cell` is `[series, group, point]` (`scale`/`service`:
+/// index, domain, thread or shard count; figures: series, figure, x-axis
+/// point) — so no two phases share an interleaving stream and a whole
+/// suite is a pure function of `base`. The livelock valve is generous
+/// for the largest cell any suite runs: 56 tasks loading 400 k keys
+/// cross up to 49 M sync points legitimately.
+pub(crate) fn phase_sched(base: u64, cell: [usize; 3], phase: usize, preemptions: u32) -> SchedConfig {
+    let [series, group, point] = cell;
+    let seed = hash_key(
+        base ^ ((series as u64) << 48)
+            ^ ((group as u64) << 40)
+            ^ ((point as u64) << 16)
+            ^ phase as u64,
+    );
+    SchedConfig {
+        max_steps: 200_000_000,
+        ..SchedConfig::random(seed, preemptions)
+    }
+}
+
 /// One cooperative task of a scheduled phase: runs on its own context and
 /// returns the number of operations it performed.
 pub(crate) type TaskBody<'a> = Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>;
 
-/// Run `bodies` as cooperative tasks under [`run_batch`] (the `scale` and
-/// `service` suites). Returns the phase result plus per-task op counts
-/// (the sum invariant the tests pin).
+/// Run `bodies` as cooperative tasks under [`run_batch`]: the only way
+/// this crate runs more than one simulated thread (the figures, `scale`
+/// and `service`). The interleaving is a pure function of `sched`, so
+/// every virtual field of the result is bit-deterministic. Returns the
+/// phase result plus per-task op counts (the sum invariant the tests pin).
 ///
 /// Per-task contexts are created before spawning, in task order, so
 /// simulated-thread ids are a pure function of the configuration.
@@ -235,22 +237,29 @@ pub(crate) fn run_scheduled<'a>(
     Ok((r, results.iter().map(|t| t.0).collect()))
 }
 
-/// Print a table: first column = row label, then one column per series.
+/// Print a table: first column = row label, then one column per series,
+/// wide enough that the longest header keeps a gap from its neighbour.
 pub fn print_table(title: &str, columns: &[String], rows: &[(String, Vec<f64>)], unit: &str) {
+    let w = columns
+        .iter()
+        .map(|c| c.chars().count() + 2)
+        .max()
+        .unwrap_or(0)
+        .max(14);
     println!();
     println!("== {title} ({unit}) ==");
     print!("{:<22}", "");
     for c in columns {
-        print!("{c:>14}");
+        print!("{c:>w$}");
     }
     println!();
     for (label, vals) in rows {
         print!("{label:<22}");
         for v in vals {
             if *v >= 100.0 {
-                print!("{v:>14.1}");
+                print!("{v:>w$.1}");
             } else {
-                print!("{v:>14.3}");
+                print!("{v:>w$.3}");
             }
         }
         println!();
@@ -265,16 +274,21 @@ mod tests {
     #[test]
     fn run_phase_aggregates_ops_and_time() {
         let dev = PmDevice::new(PmConfig::small_test());
-        let r = run_phase(&dev, 4, |tid, ctx| {
-            for i in 0..100u64 {
-                ctx.write_u64(PmAddr(4096 + (tid as u64 * 100 + i) * 64), i);
-            }
-            100
-        });
+        let bodies: Vec<TaskBody> = (0..4u64)
+            .map(|tid| -> TaskBody {
+                Box::new(move |ctx| {
+                    for i in 0..100u64 {
+                        ctx.write_u64(PmAddr(4096 + (tid * 100 + i) * 64), i);
+                    }
+                    100
+                })
+            })
+            .collect();
+        let (r, per_task) = run_scheduled(&dev, &phase_sched(7, [0; 3], 0, 16), bodies).unwrap();
+        assert_eq!(per_task, vec![100; 4]);
         assert_eq!(r.ops, 400);
         assert!(r.elapsed_ns > 0);
         assert!(r.mops() > 0.0);
-        assert!(r.host_ns > 0);
         // Every canonical span is reported (all zero: nothing probed).
         assert_eq!(r.spans.len(), spash_pmem::SPAN_NAMES.len());
         assert!(r.spans.iter().all(|(_, s)| s.is_zero()));
@@ -289,13 +303,14 @@ mod tests {
         });
         // A single thread ntstores 16 MiB: the floor must be at least
         // bytes / write-bw.
-        let r = run_phase(&dev, 1, |_, ctx| {
+        let body: TaskBody = Box::new(|ctx| {
             let buf = [7u8; 256];
             for i in 0..65536u64 {
                 ctx.ntstore_bytes(PmAddr(i * 256), &buf);
             }
             65536
         });
+        let (r, _) = run_scheduled(&dev, &phase_sched(7, [0; 3], 0, 16), vec![body]).unwrap();
         let cost = dev.config().cost.clone();
         let floor = r.delta.bandwidth_floor_ns(&cost);
         assert!(r.elapsed_ns >= floor);

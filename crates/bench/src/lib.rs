@@ -23,6 +23,6 @@ pub mod statskit;
 // for downstream users.
 pub use spash_analysis::json;
 
-pub use harness::{print_table, run_phase, PhaseResult, Scale};
+pub use harness::{print_table, PhaseResult, Scale};
 pub use indexes::{bench_device, build_index, IndexKind};
 pub use report::{compare_reports, BenchReport, ExperimentRow};

@@ -4,7 +4,8 @@
 //! * `fig1`, `fig7`..`fig11`, `fig12[a-d]`, `all` — the paper's
 //!   figure experiments, scaled by `SPASH_BENCH_*`; several may be named
 //!   at once, and `--report <path>` (or `SPASH_BENCH_REPORT`) also writes
-//!   their machine-readable rows as a `BenchReport` JSON.
+//!   their machine-readable rows as a `BenchReport` JSON — exact, like
+//!   the suites' (`all` is gated against `bench/baseline_figures.json`).
 //! * `perf`, `scale`, `service` — the three fixed-seed gated suites
 //!   (DESIGN.md §§7, 8, 11), each writing a report that `compare` holds
 //!   to exact equality against `bench/baseline*.json`.

@@ -3,12 +3,11 @@
 //! [`BenchReport`] whose virtual-clock metrics are **bit-deterministic**
 //! (DESIGN.md "Perf reports and the regression gate").
 //!
-//! Single-threaded is load-bearing: the virtual-clock model is exact for
-//! one simulated thread, so two runs of the same binary at the same seed
-//! produce byte-identical counters and `spash-bench compare` can hold
-//! them to strict equality. (Multi-threaded phases interleave cache and
-//! XPBuffer state nondeterministically; their throughput lives in the
-//! fig7–fig12 experiments, not in the regression gate.)
+//! One simulated thread, run inline on the calling thread: two runs of
+//! the same binary at the same seed produce byte-identical counters and
+//! `spash-bench compare` holds them to strict equality. (Multi-thread
+//! throughput is gated the same way by `scale`, `service` and the figure
+//! baseline, whose phases are seeded cooperative batches.)
 //!
 //! Every index is driven through its [`CrashTarget`] — the same
 //! format/recover pair the crash sweeps use — so the suite also times a

@@ -11,12 +11,13 @@
 //! disciplines in `spash-bench compare`:
 //!
 //! * virtual-clock metrics (`ops`, `elapsed_ns`, every [`StatsSnapshot`]
-//!   counter, the per-span breakdowns) — bit-deterministic for
-//!   single-threaded fixed-seed runs, compared with **exact equality**;
+//!   counter, the per-span breakdowns) — bit-deterministic for every
+//!   row this crate emits (one inline task, or seeded cooperative
+//!   tasks), compared with **exact equality**;
 //! * derived values (`value`, e.g. Mops/s) — quotients of the above,
 //!   compared with a tiny relative epsilon to absorb float formatting;
-//! * `host_ns` — real wall time, noisy by nature, compared with a
-//!   median-of-N tolerance band (or not at all across machines).
+//! * `host_ns` — real wall time of an inline phase (0 for a scheduled
+//!   one), noisy by nature: recorded, never compared.
 
 use spash_pmem::{SpanSnapshot, StatsSnapshot};
 
@@ -69,7 +70,7 @@ pub struct ExperimentRow {
     pub ops: u64,
     /// Virtual-clock elapsed time (max thread clock vs. bandwidth floor).
     pub elapsed_ns: u64,
-    /// Host wall time of the phase (noisy; tolerance-banded only).
+    /// Host wall time of the phase (noisy; recorded, never compared).
     pub host_ns: u64,
     /// PM counter delta for the phase.
     pub counters: StatsSnapshot,

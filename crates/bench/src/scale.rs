@@ -19,8 +19,8 @@
 //!   informational `created_unix` header) makes the report byte-identical
 //!   across same-seed runs.
 //! * `elapsed_ns = max(max per-task virtual clock, sim horizon,
-//!   bandwidth floor)` — the same `harness::PhaseMeter` as the
-//!   real-thread and inline runners, so Mops/s is comparable across all.
+//!   bandwidth floor)` — the same `harness::PhaseMeter` as the inline
+//!   runner, so Mops/s is comparable with `perf`.
 //!
 //! Each cell (index × domain × thread count) runs three phases on one
 //! fresh device: a partitioned **load**, a partitioned-**uniform** run
@@ -31,18 +31,17 @@
 //! first-class report assertions, gated exactly by `compare`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use spash_index_api::crashpoint::{CrashTarget, SweepOp};
 use spash_index_api::history::{self, fingerprint, HistOp, Recorder};
-use spash_index_api::{hash_key, PersistentIndex};
-use spash_pmem::{MemCtx, PersistenceDomain, PmAddr, PmDevice};
+use spash_index_api::PersistentIndex;
+use spash_pmem::{MemCtx, PersistenceDomain, PmDevice};
 use spash_sched::SchedConfig;
 use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
-use crate::experiments::{exec_stream, my_chunk};
-use crate::harness::run_scheduled;
+use crate::experiments::{load, mix};
+use crate::harness::{phase_sched, run_scheduled};
 use crate::indexes::crash_targets;
 use crate::knobs;
 use crate::perf::{domain_label, short_rev, suite_pm};
@@ -108,45 +107,6 @@ impl ScaleConfig {
     }
 }
 
-// --- contention-inflation mutation hook ---------------------------------
-
-/// Test canary (see `crates/bench/tests/scale.rs`): when armed, every
-/// run-phase task ends with a burst of identity RMWs on one shared PM
-/// line. The or-with-0 leaves the data untouched, but each RMW is a
-/// modelled line-ownership transfer — extra sync points, extra cacheline
-/// traffic, inflated virtual time — exactly the signature of accidental
-/// contention, which the exact compare gate must flag.
-static INFLATE_CONTENTION: AtomicBool = AtomicBool::new(false);
-
-/// Arm/disarm the contention-inflation canary; returns the old state.
-/// Process-global: serialize tests that touch it.
-pub fn set_contention_inflation(on: bool) -> bool {
-    INFLATE_CONTENTION.swap(on, Ordering::SeqCst)
-}
-
-fn maybe_inflate(ctx: &mut MemCtx) {
-    if INFLATE_CONTENTION.load(Ordering::SeqCst) {
-        for _ in 0..16 {
-            // Identity RMW: full contention cost, no data change.
-            ctx.fetch_or_u64(PmAddr(64), 0);
-        }
-    }
-}
-
-// --- one measured multi-task phase --------------------------------------
-
-/// Deterministic scheduler seed for one cell × phase. Everything that
-/// identifies the cell goes in, so no two phases share an interleaving
-/// stream and the whole suite is a pure function of `cfg.seed`.
-pub(crate) fn phase_seed(base: u64, series: usize, domain: usize, threads: usize, phase: usize) -> u64 {
-    hash_key(
-        base ^ ((series as u64) << 48)
-            ^ ((domain as u64) << 40)
-            ^ ((threads as u64) << 16)
-            ^ phase as u64,
-    )
-}
-
 // --- one cell: index × domain × thread count ----------------------------
 
 /// Rows plus the per-task op counts behind each row's `ops` total.
@@ -176,15 +136,8 @@ pub fn run_cell(
         ..WorkloadConfig::new(cfg.keys, dist, mix, ValueSize::Fixed(cfg.value_bytes))
     };
     let didx = usize::from(domain == PersistenceDomain::Adr);
-    let sched_for = |phase: usize| SchedConfig {
-        // Generous livelock valve: a big cell crosses millions of sync
-        // points legitimately.
-        max_steps: 200_000_000,
-        ..SchedConfig::random(
-            phase_seed(cfg.seed, target_idx, didx, threads, phase),
-            cfg.preemptions,
-        )
-    };
+    let sched_for =
+        |phase| phase_sched(cfg.seed, [target_idx, didx, threads], phase, cfg.preemptions);
     let point = format!("{}/t{}", domain_label(domain), threads);
     let name = target.name.clone();
     let fail = |phase: &str, e: String| format!("{name}/{point}/{phase}: {e}");
@@ -213,26 +166,11 @@ pub fn run_cell(
     // Load: every task inserts its own rank chunk (same chunking as the
     // partitioned run streams), concurrently under the scheduler.
     let load_cfg = wl(Distribution::Uniform, Mix::BALANCED);
-    let keys = load_keys(&load_cfg);
-    let load_bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send>> = (0..threads)
-        .map(|t| {
-            let index = Arc::clone(&index);
-            let mine: Vec<u64> = my_chunk(&keys, threads, t).to_vec();
-            let mut vals = OpStream::new(&load_cfg, t as u64);
-            let name = name.clone();
-            let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send> = Box::new(move |ctx| {
-                for &k in &mine {
-                    index
-                        .insert(ctx, k, &vals.expected_value(k))
-                        .unwrap_or_else(|e| panic!("{name}: load insert failed: {e:?}"));
-                }
-                mine.len() as u64
-            });
-            b
-        })
-        .collect();
-    let (r, per_task) =
-        run_scheduled(&dev, &sched_for(0), load_bodies).map_err(|e| fail("load", e))?;
+    let (r, per_task) = load(&dev, &sched_for(0), index.as_ref(), &load_cfg, threads)
+        .map_err(|e| fail("load", e))?;
+    if r.ops != cfg.keys {
+        return Err(fail("load", format!("out of memory after {} keys", r.ops)));
+    }
     push("load", r, per_task);
 
     // Run phases: partitioned-uniform (disjoint slices, no key sharing)
@@ -246,24 +184,17 @@ pub fn run_cell(
     {
         let rcfg = wl(dist, Mix::BALANCED);
         let per_ops = (cfg.ops / threads as u64).max(1);
-        let bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send>> = (0..threads)
+        let streams = (0..threads as u64)
             .map(|t| {
-                let index = Arc::clone(&index);
-                let mut stream = if shared {
-                    OpStream::new(&rcfg, t as u64)
+                if shared {
+                    OpStream::new(&rcfg, t)
                 } else {
-                    OpStream::partitioned(&rcfg, t as u64, threads as u64)
-                };
-                let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send> = Box::new(move |ctx| {
-                    let n = exec_stream(index.as_ref(), ctx, &mut stream, per_ops);
-                    maybe_inflate(ctx);
-                    n
-                });
-                b
+                    OpStream::partitioned(&rcfg, t, threads as u64)
+                }
             })
             .collect();
-        let (r, per_task) =
-            run_scheduled(&dev, &sched_for(1 + pi), bodies).map_err(|e| fail(phase, e))?;
+        let (r, per_task) = mix(&dev, &sched_for(1 + pi), index.as_ref(), streams, per_ops)
+            .map_err(|e| fail(phase, e))?;
         push(phase, r, per_task);
     }
 

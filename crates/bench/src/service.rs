@@ -29,19 +29,17 @@ use std::sync::Arc;
 use spash_index_api::crashpoint::{CrashTarget, SweepOp};
 use spash_index_api::PersistentIndex;
 use spash_pmem::{MemCtx, PersistenceDomain, PmDevice};
-use spash_sched::SchedConfig;
 use spash_service::lincheck::{self, ServiceLinConfig};
 use spash_service::pool::BatchPool;
 use spash_service::{BatchReplies, ClientReq, JournalSpec, Service, ServiceConfig};
 use spash_workloads::openloop::{ArrivalGen, OpenLoopConfig};
 use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
-use crate::harness::run_scheduled;
+use crate::harness::{phase_sched, run_scheduled};
 use crate::indexes::crash_targets;
 use crate::knobs;
 use crate::perf::{domain_label, short_rev, suite_pm};
 use crate::report::{join_ladder, BenchReport, ExperimentRow};
-use crate::scale::phase_seed;
 use crate::statskit::percentile;
 
 /// Suite scale. Small for the same reason `scale` is: batching and
@@ -185,13 +183,8 @@ pub fn run_cell(
     );
 
     let didx = usize::from(domain == PersistenceDomain::Adr);
-    let sched_for = |phase: usize| SchedConfig {
-        max_steps: 200_000_000,
-        ..SchedConfig::random(
-            phase_seed(cfg.seed, target_idx, didx, shards, phase),
-            cfg.preemptions,
-        )
-    };
+    let sched_for =
+        |phase| phase_sched(cfg.seed, [target_idx, didx, shards], phase, cfg.preemptions);
     let point = format!("{}/s{}", domain_label(domain), shards);
     let name = target.name.clone();
     let fail = |phase: &str, e: String| format!("{name}/{point}/{phase}: {e}");

@@ -1,20 +1,17 @@
-//! Regression tests for the property the perf gate stands on: two
-//! same-seed single-threaded runs produce byte-identical virtual-clock
-//! metrics (DESIGN.md "Perf reports and the regression gate").
-//!
-//! Kept at threads = 1 deliberately — multi-threaded phases interleave
-//! cache/XPBuffer state on the host scheduler and are *not* expected to
-//! be bit-deterministic.
+//! Regression tests for the property the exact gates stand on: two runs
+//! of the same figure cell — one simulated thread or several — produce
+//! byte-identical virtual-clock metrics (DESIGN.md "Perf reports and the
+//! regression gate").
 
 use spash_bench::experiments::{fig7, fig8};
 use spash_bench::indexes::IndexKind;
 use spash_bench::{PhaseResult, Scale};
 
-fn tiny_scale() -> Scale {
+fn tiny_scale(threads: usize) -> Scale {
     Scale {
         keys: 2_000,
         ops: 1_000,
-        threads: vec![1],
+        threads: vec![threads],
     }
 }
 
@@ -31,32 +28,37 @@ fn virtual_metrics(r: &PhaseResult) -> (u64, u64, spash_pmem::StatsDelta, Vec<(&
 }
 
 #[test]
-fn fig7_single_thread_runs_are_bit_deterministic() {
-    let scale = tiny_scale();
-    for kind in [IndexKind::Spash, IndexKind::Cceh, IndexKind::Halo] {
-        let a = fig7::run_one(&scale, kind, 1);
-        let b = fig7::run_one(&scale, kind, 1);
-        for (pa, pb) in a.iter().zip(b.iter()) {
-            assert_eq!(
-                virtual_metrics(pa),
-                virtual_metrics(pb),
-                "{kind:?}: virtual metrics drifted between identical runs"
-            );
+fn fig7_runs_are_bit_deterministic() {
+    for threads in [1, 8] {
+        let scale = tiny_scale(threads);
+        for kind in [IndexKind::Spash, IndexKind::Cceh, IndexKind::Halo] {
+            let a = fig7::run_one(&scale, kind, threads);
+            let b = fig7::run_one(&scale, kind, threads);
+            for (pa, pb) in a.iter().zip(b.iter()) {
+                assert_eq!(
+                    virtual_metrics(pa),
+                    virtual_metrics(pb),
+                    "{kind:?} at {threads} threads: virtual metrics drifted between identical runs"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn fig8_access_counts_are_bit_deterministic() {
-    let scale = tiny_scale();
-    let a = fig8::run_one(&scale, IndexKind::Spash);
-    let b = fig8::run_one(&scale, IndexKind::Spash);
-    for (pa, pb) in [
-        (&a.insert, &b.insert),
-        (&a.search, &b.search),
-        (&a.update, &b.update),
-        (&a.delete, &b.delete),
-    ] {
-        assert_eq!(virtual_metrics(pa), virtual_metrics(pb));
+    for threads in [1, 8] {
+        let scale = tiny_scale(threads);
+        let a = fig8::run_one(&scale, IndexKind::Spash);
+        let b = fig8::run_one(&scale, IndexKind::Spash);
+        for (pa, pb) in [
+            (&a.insert, &b.insert),
+            (&a.search, &b.search),
+            (&a.update, &b.update),
+            (&a.delete, &b.delete),
+        ] {
+            let (ma, mb) = (virtual_metrics(pa), virtual_metrics(pb));
+            assert_eq!(ma, mb, "{threads} threads");
+        }
     }
 }

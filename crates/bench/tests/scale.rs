@@ -3,9 +3,7 @@
 //!
 //! * same-seed sweeps are **bit**-deterministic at 2 and 8 virtual
 //!   threads — byte-identical serialized rows, not just equal headline
-//!   numbers (contrast `determinism.rs`, which can promise this only for
-//!   single-threaded real-thread runs: the cooperative scheduler is what
-//!   extends it to multi-thread phases);
+//!   numbers (`determinism.rs` pins the same for the figure cells);
 //! * a phase's reported op total is exactly the sum of its per-task op
 //!   counts;
 //! * a deliberately injected contention inflation (identity RMWs on a
@@ -15,8 +13,9 @@
 //! The inflation hook is process-global, so every test that runs cells
 //! holds `scale_test_lock`.
 
+use spash_bench::experiments::set_contention_inflation;
 use spash_bench::indexes::crash_targets;
-use spash_bench::scale::{run_cell, set_contention_inflation, ScaleConfig};
+use spash_bench::scale::{run_cell, ScaleConfig};
 use spash_bench::{compare_reports, BenchReport, ExperimentRow};
 use spash_pmem::PersistenceDomain;
 
