@@ -13,7 +13,7 @@
 //! | rule             | invariant                                                          |
 //! |------------------|--------------------------------------------------------------------|
 //! | `std-sync`       | no `std::sync::{Mutex, RwLock, Condvar}` outside `pmem/src/sync.rs` (host locks deadlock the cooperative scheduler) |
-//! | `host-time`      | no `Instant::now` / `SystemTime` / `thread::sleep` in instrumented crates (time is virtual; host time breaks replay) |
+//! | `host-time`      | no `Instant::now` / `SystemTime` / `thread::sleep` outside test code, the bench harness included (time is virtual; host time breaks replay and makes reports unrepeatable) |
 //! | `spin-hygiene`   | no raw `yield_now` / `spin_loop`: busy-waits must route through `spin_wait()` so the scheduler can deschedule them |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment                       |
 //! | `arena-direct`   | no `arena.store_*` / `arena.write_*` outside `crates/pmem` (raw stores bypass the cache model and the sanitizer) |
@@ -138,7 +138,6 @@ pub fn lint_source_stats(rel_path: &str, src: &str, stats: &mut StatsMap) -> Vec
     let in_pmem = path.starts_with("crates/pmem/");
     let is_sync_home = path == "crates/pmem/src/sync.rs";
     let is_schedhook = path == "crates/pmem/src/schedhook.rs";
-    let is_bench_crate = path.starts_with("crates/bench/");
 
     let lenient = |i: usize| is_test_file || test_region.get(i).copied().unwrap_or(false);
 
@@ -176,7 +175,7 @@ pub fn lint_source_stats(rel_path: &str, src: &str, stats: &mut StatsMap) -> Vec
             }
         }
 
-        if !is_bench_crate && !lenient(i) {
+        if !lenient(i) {
             for (pat, what) in [
                 ("Instant::now", "host clock `Instant::now`"),
                 ("SystemTime", "host clock `SystemTime`"),
@@ -844,14 +843,17 @@ mod tests {
     }
 
     #[test]
-    fn host_time_fires_outside_bench() {
+    fn host_time_fires_outside_tests() {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(
             rules_of(&lint_source("crates/core/src/ops.rs", src)),
             [RULE_HOST_TIME]
         );
-        // The bench harness measures wall time legitimately.
-        assert!(lint_source("crates/bench/src/main.rs", src).is_empty());
+        // The bench harness's reports are pure functions of their inputs.
+        assert_eq!(
+            rules_of(&lint_source("crates/bench/src/main.rs", src)),
+            [RULE_HOST_TIME]
+        );
         // Test files are exempt.
         assert!(lint_source("tests/durability.rs", src).is_empty());
         // cfg(test) regions are exempt.

@@ -7,7 +7,8 @@ use std::process::exit;
 
 use spash_analysis::{roster, Select, Sizing};
 use spash_bench::experiments::{fig1, fig10, fig11, fig12, fig7, fig8, fig9};
-use spash_bench::{knobs, perf, scale, service, BenchReport, Scale};
+use spash_bench::report::join_ladder;
+use spash_bench::{knobs, perf, scale, service, BenchReport, ExperimentRow, Scale};
 use spash_pmem::PersistenceDomain::{self, Adr, Eadr};
 
 fn targets_knob(name: &str, default: Select) -> Select {
@@ -318,30 +319,31 @@ pub fn san() {
     }
 }
 
-/// The routine behind the three gated suites: parse `--out <path>` and
-/// the suite's bare `flags`, `run` (which is told which flags were given),
-/// then write `BENCH_<infix><rev>.json` or the `--out` path.
+/// The routine behind the four gated suites: parse `--out <path>` and
+/// the suite's `known` bare arguments, `run` on the bare arguments in
+/// the order given, then write `BENCH_<infix><rev>.json` or the `--out`
+/// path.
 fn gated_suite(
     cmd: &str,
     infix: &str,
     args: &[String],
-    flags: &[&str],
-    run: impl FnOnce(&dyn Fn(&str) -> bool) -> Result<BenchReport, String>,
+    known: &[&str],
+    run: impl FnOnce(&[&str]) -> Result<BenchReport, String>,
 ) {
     let mut out: Option<&String> = None;
-    let mut given: Vec<&str> = Vec::new();
+    let mut bare: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => out = it.next(),
-            f if flags.contains(&f) => given.push(f),
+            f if known.contains(&f) => bare.push(f),
             other => {
                 eprintln!("{cmd}: unknown argument {other:?}");
                 exit(2);
             }
         }
     }
-    let report = run(&|f| given.contains(&f)).unwrap_or_else(|e| {
+    let report = run(&bare).unwrap_or_else(|e| {
         eprintln!("{cmd}: {e}");
         exit(1);
     });
@@ -391,8 +393,8 @@ pub fn scale(args: &[String]) {
         "scale_",
         args,
         &["--assert", "--lin-check"],
-        |given| {
-            if given("--lin-check") {
+        |bare| {
+            if bare.contains(&"--lin-check") {
                 let cfg = scale::LinCheckConfig::default();
                 println!(
                     "# scale lin-check: {} threads x {} ops, {} keys, {} schedules/index",
@@ -407,7 +409,7 @@ pub fn scale(args: &[String]) {
                 cfg.keys, cfg.ops, cfg.threads, cfg.seed, cfg.preemptions
             );
             let report = scale::run_suite(&cfg)?;
-            if given("--assert") {
+            if bare.contains(&"--assert") {
                 let bad = scale::check_claims(&report, &cfg);
                 for b in &bad {
                     eprintln!("CLAIM FAILED: {b}");
@@ -426,8 +428,8 @@ pub fn scale(args: &[String]) {
 /// batched KV front-end suite — open-loop tail latency and saturation
 /// throughput per shard count, byte-deterministic per seed.
 pub fn service(args: &[String]) {
-    gated_suite("service", "service_", args, &["--lin-check"], |given| {
-        if given("--lin-check") {
+    gated_suite("service", "service_", args, &["--lin-check"], |bare| {
+        if bare.contains(&"--lin-check") {
             let cfg = spash_service::lincheck::ServiceLinConfig::default();
             println!(
                 "# service lin-check: {} shards x {} ops, {} keys, {} schedules/index",
@@ -445,15 +447,13 @@ pub fn service(args: &[String]) {
     });
 }
 
-/// `spash-bench compare <old.json> <new.json> [--virtual-only]`: diff two
-/// reports on everything deterministic; exit non-zero on any regression.
-/// Host time is not compared (`benchmark/` judges it), so `--virtual-only`
-/// is accepted and changes nothing.
+/// `spash-bench compare <old.json> <new.json>`: diff two reports field
+/// by field; exit non-zero on any regression. Host time is not in a
+/// report (`benchmark/` judges it).
 pub fn compare(args: &[String]) {
     use spash_bench::compare_reports;
-    let paths: Vec<&String> = args.iter().filter(|a| *a != "--virtual-only").collect();
-    let [old_path, new_path] = paths[..] else {
-        eprintln!("usage: spash-bench compare <old.json> <new.json> [--virtual-only]");
+    let [old_path, new_path] = args else {
+        eprintln!("usage: spash-bench compare <old.json> <new.json>");
         exit(2);
     };
     let load = |p: &String| -> BenchReport {
@@ -486,7 +486,7 @@ pub fn compare(args: &[String]) {
     }
 }
 
-type Figure = (&'static str, fn(&Scale));
+type Figure = (&'static str, fn(&Scale) -> Vec<ExperimentRow>);
 
 /// The figure experiments by name; the first seven are `all`.
 const FIGURES: [Figure; 11] = [
@@ -503,49 +503,37 @@ const FIGURES: [Figure; 11] = [
     ("fig12d", fig12::run_d),
 ];
 
-/// `spash-bench <fig…|all>… [--report <path>]`: run the named figure
-/// experiments at the `SPASH_BENCH_*` scale; `--report` (or
-/// `SPASH_BENCH_REPORT`) also writes their machine-readable rows. Every
-/// multi-thread phase is a seeded cooperative batch, so the report is a
-/// pure function of the scale (`created_unix` pinned to 0, as `scale` and
-/// `service` do) and `compare` gates it exactly against
-/// `bench/baseline_figures.json`.
+/// `spash-bench <fig…|all>… [--out <path>]`: run the named figure
+/// experiments at the `SPASH_BENCH_*` scale, in order, and write their
+/// rows like the other gated suites. Every phase is a seeded cooperative
+/// batch, so the report is a pure function of the scale and `compare`
+/// gates it exactly against `bench/baseline_figures.json`.
 pub fn figures(args: &[String]) {
-    let scale = Scale::from_env();
-    println!(
-        "# scale: keys={} ops={} threads={:?}",
-        scale.keys, scale.ops, scale.threads
-    );
-    let mut report_path = knobs::text("SPASH_BENCH_REPORT");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--report" {
-            report_path = it.next().cloned();
-            if report_path.is_none() {
-                eprintln!("--report needs a path");
-                exit(2);
+    let names: Vec<&str> = FIGURES
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(["all"])
+        .collect();
+    gated_suite("figures", "figures_", args, &names, |bare| {
+        let scale = Scale::from_env();
+        println!(
+            "# scale: keys={} ops={} threads={:?}",
+            scale.keys, scale.ops, scale.threads
+        );
+        let mut report = BenchReport::new(&perf::short_rev());
+        report.set_config("keys", scale.keys);
+        report.set_config("ops", scale.ops);
+        report.set_config("threads", join_ladder(&scale.threads));
+        for &name in bare {
+            // The one known name that is not a figure is `all`.
+            let figures = match FIGURES.iter().position(|(n, _)| *n == name) {
+                Some(i) => &FIGURES[i..=i],
+                None => &FIGURES[..7],
+            };
+            for (_, run) in figures {
+                report.rows.extend(run(&scale));
             }
-        } else if a == "all" {
-            FIGURES[..7].iter().for_each(|(_, run)| run(&scale));
-        } else if let Some((_, run)) = FIGURES.iter().find(|(name, _)| name == a) {
-            run(&scale);
-        } else {
-            eprintln!("unknown experiment: {a}");
-            exit(2);
         }
-    }
-    let rows = spash_bench::report::drain_rows();
-    if let Some(path) = report_path {
-        let mut rep = BenchReport::new(&perf::short_rev());
-        rep.created_unix = 0;
-        rep.set_config("keys", scale.keys);
-        rep.set_config("ops", scale.ops);
-        rep.set_config("threads", spash_bench::report::join_ladder(&scale.threads));
-        rep.rows = rows;
-        if let Err(e) = std::fs::write(&path, rep.to_json()) {
-            eprintln!("report: writing {path}: {e}");
-            exit(1);
-        }
-        println!("# report: {} rows -> {path}", rep.rows.len());
-    }
+        Ok(report)
+    });
 }

@@ -16,6 +16,7 @@ use spash_workloads::{Rng64, Zipfian};
 
 use crate::experiments::Cell;
 use crate::harness::{print_table, Scale};
+use crate::report::ExperimentRow;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Strategy {
@@ -66,7 +67,8 @@ fn run_one(scale: &Scale, zipf: bool, strategy: Strategy, size: u64) -> f64 {
 }
 
 /// Run the full Fig 1 sweep and print both panels.
-pub fn run(scale: &Scale) {
+pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
+    let mut out = Vec::new();
     for (zipf, panel) in [(false, "(a) uniform"), (true, "(b) zipfian 0.99")] {
         let phase = if zipf { "zipfian" } else { "uniform" };
         let names = ["write-f", "write-nf", "hot-1pct-nf"];
@@ -78,10 +80,18 @@ pub fn run(scale: &Scale) {
                 .map(|s| run_one(scale, zipf, s, size))
                 .collect();
             for (name, v) in names.iter().zip(&vals) {
-                crate::report::emit_value("fig1", name, &format!("{size}B"), phase, "GBps", *v);
+                out.push(ExperimentRow::from_value(
+                    "fig1",
+                    name,
+                    &format!("{size}B"),
+                    phase,
+                    "GBps",
+                    *v,
+                ));
             }
             rows.push((format!("{size} B"), vals));
         }
         print_table(&format!("Fig 1{panel}: PM write throughput"), &columns, &rows, "GB/s");
     }
+    out
 }

@@ -13,6 +13,7 @@ use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 use crate::experiments::Cell;
 use crate::harness::{print_table, PhaseResult, Scale};
 use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::report::ExperimentRow;
 
 pub const PHASES: [(&str, Option<Mix>); 4] = [
     ("Load", None),
@@ -46,7 +47,7 @@ pub fn run_one(scale: &Scale, figure: u8, kind: IndexKind, value: ValueSize) -> 
     out
 }
 
-pub fn run(scale: &Scale) {
+pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     let kinds = IndexKind::ALL;
     let columns: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
     let results: Vec<Vec<PhaseResult>> = kinds
@@ -55,9 +56,10 @@ pub fn run(scale: &Scale) {
         .collect();
     let threads = scale.max_threads();
     let mut rows = Vec::new();
+    let mut out = Vec::new();
     for (p, (label, _)) in PHASES.iter().enumerate() {
         for (kind, r) in kinds.iter().zip(&results) {
-            crate::report::emit_phase(
+            out.push(ExperimentRow::from_phase(
                 "fig10",
                 kind.label(),
                 "inline",
@@ -66,7 +68,7 @@ pub fn run(scale: &Scale) {
                 r[p].mops(),
                 threads,
                 &r[p],
-            );
+            ));
         }
         rows.push((
             label.to_string(),
@@ -79,4 +81,5 @@ pub fn run(scale: &Scale) {
         &rows,
         "Mops/s (virtual time)",
     );
+    out
 }

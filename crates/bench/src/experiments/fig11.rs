@@ -12,10 +12,11 @@ use spash_workloads::ValueSize;
 use crate::experiments::fig10;
 use crate::harness::{print_table, PhaseResult, Scale};
 use crate::indexes::IndexKind;
+use crate::report::ExperimentRow;
 
 pub const VALUE_SIZES: [usize; 4] = [16, 64, 256, 1024];
 
-pub fn run(scale: &Scale) {
+pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     let kinds = IndexKind::ALL;
     let columns: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
     // results[size][kind] -> phases
@@ -29,11 +30,12 @@ pub fn run(scale: &Scale) {
         })
         .collect();
     let threads = scale.max_threads();
+    let mut out = Vec::new();
     for (p, (label, _)) in fig10::PHASES.iter().enumerate() {
         let mut rows = Vec::new();
         for (si, &vs) in VALUE_SIZES.iter().enumerate() {
             for (kind, r) in kinds.iter().zip(&results[si]) {
-                crate::report::emit_phase(
+                out.push(ExperimentRow::from_phase(
                     "fig11",
                     kind.label(),
                     &format!("{vs}B"),
@@ -42,7 +44,7 @@ pub fn run(scale: &Scale) {
                     r[p].mops(),
                     threads,
                     &r[p],
-                );
+                ));
             }
             rows.push((
                 format!("value {vs} B"),
@@ -56,4 +58,5 @@ pub fn run(scale: &Scale) {
             "Mops/s (virtual time)",
         );
     }
+    out
 }

@@ -10,13 +10,15 @@ use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 use crate::experiments::Cell;
 use crate::harness::{print_table, Scale};
 use crate::indexes::{ablation_config, bench_device, build_spash_variant};
+use crate::report::ExperimentRow;
 
 /// (a) Adaptive in-place update: update-only zipfian workloads across
 /// value sizes, for the four update policies (Table I ablation). Reports
 /// both throughput and the PM write traffic each policy generated — the
 /// traffic is the mechanism (hot updates absorbed by the cache vs flushed
 /// repeatedly vs amplified by random eviction).
-pub fn run_a(scale: &Scale) {
+pub fn run_a(scale: &Scale) -> Vec<ExperimentRow> {
+    let mut out = Vec::new();
     let threads = scale.max_threads();
     let sizes = [16usize, 64, 256, 1024];
     let variants = ["adaptive", "always-flush", "never-flush", "oracle"];
@@ -48,7 +50,7 @@ pub fn run_a(scale: &Scale) {
             let idx = build_spash_variant(&dev, cfg);
             cell.load(&dev, 0, idx.as_ref(), &wcfg);
             let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
-            crate::report::emit_phase(
+            out.push(ExperimentRow::from_phase(
                 "fig12a",
                 var,
                 &format!("{vs}B"),
@@ -57,7 +59,7 @@ pub fn run_a(scale: &Scale) {
                 r.mops(),
                 threads,
                 &r,
-            );
+            ));
             vals.push(r.mops());
             traffic.push(r.delta.media_write_bytes as f64 / (1 << 20) as f64);
         }
@@ -76,11 +78,13 @@ pub fn run_a(scale: &Scale) {
         &traffic_rows,
         "MiB written to media",
     );
+    out
 }
 
 /// (b) Compacted-flush insertion: insert-only uniform workloads with
 /// small out-of-place values.
-pub fn run_b(scale: &Scale) {
+pub fn run_b(scale: &Scale) -> Vec<ExperimentRow> {
+    let mut out = Vec::new();
     let threads = scale.max_threads();
     // Blob = 16 B header + value; the compacted (small-class) regime is
     // blob ≤ 128 B, i.e. values ≤ 112 B.
@@ -103,7 +107,7 @@ pub fn run_b(scale: &Scale) {
             let dev = bench_device(scale.keys, vs as u64);
             let idx = build_spash_variant(&dev, ablation_config(var));
             let r = cell.load(&dev, 0, idx.as_ref(), &wcfg);
-            crate::report::emit_phase(
+            out.push(ExperimentRow::from_phase(
                 "fig12b",
                 var,
                 &format!("{vs}B"),
@@ -112,7 +116,7 @@ pub fn run_b(scale: &Scale) {
                 r.mops(),
                 threads,
                 &r,
-            );
+            ));
             vals.push(r.mops());
             traffic.push(r.delta.media_write_bytes as f64 / (1 << 20) as f64);
         }
@@ -131,11 +135,13 @@ pub fn run_b(scale: &Scale) {
         &traffic_rows,
         "MiB written to media",
     );
+    out
 }
 
 /// (c) HTM-based concurrency protocol vs per-segment lock variants, YCSB
 /// mixes, zipfian, inline KV.
-pub fn run_c(scale: &Scale) {
+pub fn run_c(scale: &Scale) -> Vec<ExperimentRow> {
+    let mut out = Vec::new();
     let threads = scale.max_threads();
     let variants = ["htm", "write-lock", "write-read-lock"];
     let mixes = [
@@ -159,7 +165,16 @@ pub fn run_c(scale: &Scale) {
             let idx = build_spash_variant(&dev, ablation_config(var));
             cell.load(&dev, 0, idx.as_ref(), &wcfg);
             let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
-            crate::report::emit_phase("fig12c", var, label, "run", "mops", r.mops(), threads, &r);
+            out.push(ExperimentRow::from_phase(
+                "fig12c",
+                var,
+                label,
+                "run",
+                "mops",
+                r.mops(),
+                threads,
+                &r,
+            ));
             vals.push(r.mops());
         }
         rows.push((label.to_string(), vals));
@@ -170,11 +185,13 @@ pub fn run_c(scale: &Scale) {
         &rows,
         "Mops/s (virtual time)",
     );
+    out
 }
 
 /// (d) Pipeline depth: search-only throughput and mean operation latency
 /// for PD ∈ {1,2,4,8} across thread counts.
-pub fn run_d(scale: &Scale) {
+pub fn run_d(scale: &Scale) -> Vec<ExperimentRow> {
+    let mut out = Vec::new();
     let depths = [1usize, 2, 4, 8];
     let columns: Vec<String> = depths.iter().map(|d| format!("PD={d}")).collect();
     let mut tput_rows = Vec::new();
@@ -201,7 +218,7 @@ pub fn run_d(scale: &Scale) {
             cell.load(&dev, 0, idx.as_ref(), &wcfg);
             dev.invalidate_cache();
             let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
-            crate::report::emit_phase(
+            out.push(ExperimentRow::from_phase(
                 "fig12d",
                 &format!("PD{pd}"),
                 &format!("{threads}thr"),
@@ -210,18 +227,18 @@ pub fn run_d(scale: &Scale) {
                 r.mops(),
                 threads,
                 &r,
-            );
+            ));
             tput.push(r.mops());
             // Mean per-op latency in µs: thread-time × threads / ops.
             let us = r.elapsed_ns as f64 * threads as f64 / r.ops as f64 / 1e3;
-            crate::report::emit_value(
+            out.push(ExperimentRow::from_value(
                 "fig12d",
                 &format!("PD{pd}"),
                 &format!("{threads}thr"),
                 "latency",
                 "us_per_op",
                 us,
-            );
+            ));
             lat.push(us);
         }
         tput_rows.push((format!("{threads} thr"), tput));
@@ -239,11 +256,12 @@ pub fn run_d(scale: &Scale) {
         &lat_rows,
         "µs/op (virtual time)",
     );
+    out
 }
 
-pub fn run(scale: &Scale) {
-    run_a(scale);
-    run_b(scale);
-    run_c(scale);
-    run_d(scale);
+pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
+    [run_a, run_b, run_c, run_d]
+        .iter()
+        .flat_map(|run| run(scale))
+        .collect()
 }

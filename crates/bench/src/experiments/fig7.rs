@@ -11,6 +11,7 @@ use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 use crate::experiments::{my_chunk, Cell};
 use crate::harness::{print_table, PhaseResult, Scale};
 use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::report::ExperimentRow;
 
 /// One index, one thread count: returns (insert, search, update, delete)
 /// results.
@@ -52,18 +53,19 @@ pub fn run_one(scale: &Scale, kind: IndexKind, threads: usize) -> [PhaseResult; 
 
 /// The full Fig 7 sweep: four tables (one per operation), rows = indexes,
 /// columns = thread counts.
-pub fn run(scale: &Scale) {
+pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     let ops = ["(b) insert", "(a) search", "(c) update", "(d) delete"];
     let phases = ["insert", "search", "update", "delete"];
     let columns: Vec<String> = scale.threads.iter().map(|t| format!("{t} thr")).collect();
     let mut tables: [Vec<(String, Vec<f64>)>; 4] = Default::default();
+    let mut out = Vec::new();
     for kind in IndexKind::MICRO {
         let mut series: [Vec<f64>; 4] = Default::default();
         for &t in &scale.threads {
             let rs = run_one(scale, kind, t);
             for (i, r) in rs.iter().enumerate() {
                 series[i].push(r.mops());
-                crate::report::emit_phase(
+                out.push(ExperimentRow::from_phase(
                     "fig7",
                     kind.label(),
                     &format!("{t}thr"),
@@ -72,7 +74,7 @@ pub fn run(scale: &Scale) {
                     r.mops(),
                     t,
                     r,
-                );
+                ));
             }
         }
         for i in 0..4 {
@@ -87,4 +89,5 @@ pub fn run(scale: &Scale) {
             "Mops/s (virtual time)",
         );
     }
+    out
 }

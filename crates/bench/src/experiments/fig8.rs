@@ -12,6 +12,7 @@ use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 use crate::experiments::{my_chunk, Cell};
 use crate::harness::{print_table, PhaseResult, Scale};
 use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::report::ExperimentRow;
 
 pub struct AccessCounts {
     pub insert: PhaseResult,
@@ -64,7 +65,7 @@ pub fn run_one(scale: &Scale, kind: IndexKind) -> AccessCounts {
 /// Full Fig 8: for every index, the per-op cacheline/XPLine read+write
 /// counts for each operation. For write phases the cache is flushed into
 /// the delta so in-cache dirty data is accounted.
-pub fn run(scale: &Scale) {
+pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     let columns = vec![
         "CL rd".into(),
         "CL wr".into(),
@@ -75,6 +76,7 @@ pub fn run(scale: &Scale) {
         .into_iter()
         .map(|k| (k, run_one(scale, k)))
         .collect();
+    let mut out = Vec::new();
     for (name, pick) in [
         ("search", 1usize),
         ("insert", 0),
@@ -90,7 +92,7 @@ pub fn run(scale: &Scale) {
                 _ => &c.delete,
             };
             let threads = scale.max_threads();
-            crate::report::emit_phase(
+            out.push(ExperimentRow::from_phase(
                 "fig8",
                 kind.label(),
                 &format!("{threads}thr"),
@@ -99,7 +101,7 @@ pub fn run(scale: &Scale) {
                 r.mops(),
                 threads,
                 r,
-            );
+            ));
             rows.push((
                 kind.label().to_string(),
                 vec![
@@ -117,4 +119,5 @@ pub fn run(scale: &Scale) {
             "accesses/op",
         );
     }
+    out
 }

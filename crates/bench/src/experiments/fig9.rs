@@ -11,6 +11,7 @@ use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::harness::{print_table, Scale};
 use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::report::ExperimentRow;
 
 /// Load factors sampled at `samples` evenly spaced checkpoints.
 pub fn run_one(scale: &Scale, kind: IndexKind, samples: usize) -> Vec<f64> {
@@ -36,7 +37,7 @@ pub fn run_one(scale: &Scale, kind: IndexKind, samples: usize) -> Vec<f64> {
     out
 }
 
-pub fn run(scale: &Scale) {
+pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     let samples = 10;
     let kinds = [
         IndexKind::Spash,
@@ -49,17 +50,18 @@ pub fn run(scale: &Scale) {
     let columns: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
     let series: Vec<Vec<f64>> = kinds.iter().map(|&k| run_one(scale, k, samples)).collect();
     let mut rows = Vec::new();
+    let mut out = Vec::new();
     for s in 0..samples {
         let frac = (s + 1) as f64 / samples as f64;
         for (kind, v) in kinds.iter().zip(&series) {
-            crate::report::emit_value(
+            out.push(ExperimentRow::from_value(
                 "fig9",
                 kind.label(),
                 &format!("{:.0}pct", frac * 100.0),
                 "load",
                 "load_factor",
                 v.get(s).copied().unwrap_or(0.0),
-            );
+            ));
         }
         rows.push((
             format!("{:>3.0}% inserted", frac * 100.0),
@@ -67,4 +69,5 @@ pub fn run(scale: &Scale) {
         ));
     }
     print_table("Fig 9: load factor while inserting", &columns, &rows, "load factor");
+    out
 }

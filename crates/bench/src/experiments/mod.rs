@@ -4,8 +4,9 @@
 //! `load`, the stream-driven `mix`, or a figure's own [`Cell::tasks`] body.
 //!
 //! Every figure row is therefore a pure function of the `SPASH_BENCH_*`
-//! scale: `spash-bench all --report` is byte-stable and gated by `compare`
-//! against `bench/baseline_figures.json`.
+//! scale: each figure's `run` returns its rows, `spash-bench all` writes
+//! them byte-stably, and `compare` gates them against
+//! `bench/baseline_figures.json`.
 
 pub mod fig1;
 pub mod fig10;

@@ -1,6 +1,6 @@
-//! Shared benchmark machinery: execution of simulated threads (one task
-//! inline, or any number as cooperative tasks under the scheduler),
-//! virtual-time throughput computation, and table printing.
+//! Shared benchmark machinery: execution of simulated threads as
+//! cooperative tasks under the scheduler, virtual-time throughput
+//! computation, and table printing.
 //!
 //! **How throughput is computed** (DESIGN.md §4): every simulated thread
 //! accumulates virtual time; media byte counters impose the PM bandwidth
@@ -15,10 +15,9 @@
 //! constants; the reproduced claims are ratios and shapes.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use spash_index_api::hash_key;
-use spash_pmem::{MemCtx, PmDevice, SpanSnapshot, StatsDelta, StatsSnapshot};
+use spash_pmem::{MemCtx, PmDevice, SpanSnapshot, StatsDelta};
 use spash_sched::batch::run_batch;
 use spash_sched::SchedConfig;
 
@@ -54,16 +53,12 @@ impl Scale {
     }
 }
 
-/// The outcome of one measured phase.
+/// The outcome of one measured phase: virtual-clock quantities only.
 #[derive(Clone, Debug)]
 pub struct PhaseResult {
     pub ops: u64,
     pub elapsed_ns: u64,
     pub delta: StatsDelta,
-    /// Host wall time of an inline phase; 0 for a scheduled one. Real
-    /// time, so noisy — report-only, never part of the deterministic
-    /// compare (DESIGN.md).
-    pub host_ns: u64,
     /// Per-span attribution deltas, in canonical span order
     /// ([`spash_pmem::span::SPAN_NAMES`]).
     pub spans: Vec<(&'static str, SpanSnapshot)>,
@@ -95,94 +90,14 @@ impl PhaseResult {
     }
 }
 
-/// The one phase accountant behind both runners. [`Self::begin`]
-/// quiesces the device and captures the counter, span, host-clock and
-/// virtual-floor baselines; the runner then creates its per-task contexts
-/// (so simulated-thread ids stay a function of the runner, not the
-/// meter), runs the bodies, and hands [`Self::finish`] one
-/// `(ops, end-of-task virtual clock)` pair per task.
-struct PhaseMeter {
-    before: StatsSnapshot,
-    spans_before: Vec<(&'static str, SpanSnapshot)>,
-    host_start: Instant,
-    /// All phase tasks start at the device's virtual-time floor.
-    phase_start: u64,
-}
-
-impl PhaseMeter {
-    /// Drain the XPBuffer (so the delta is self-contained) and snapshot.
-    fn begin(dev: &PmDevice) -> Self {
-        dev.quiesce();
-        Self {
-            before: dev.snapshot(),
-            spans_before: dev.span_totals(),
-            host_start: Instant::now(),
-            phase_start: dev.vtime_floor(),
-        }
-    }
-
-    /// Close the phase: `elapsed = max(max per-task clock, sim horizon,
-    /// bandwidth floor) - start`. The floor advances to the phase's end
-    /// so virtual timestamps persisted in lock/HTM metadata by this phase
-    /// can never stall the next one.
-    fn finish(self, dev: &PmDevice, tasks: &[(u64, u64)]) -> PhaseResult {
-        dev.quiesce();
-        let host_ns = self.host_start.elapsed().as_nanos() as u64;
-        let delta = dev.snapshot().since(&self.before);
-        let spans = dev
-            .span_totals()
-            .iter()
-            .zip(self.spans_before.iter())
-            .map(|((name, after), (_, before))| (*name, after.since(before)))
-            .collect();
-        if delta.san_redundant_flushes + delta.san_noop_fences > 0 {
-            println!(
-                "# san: {} redundant flushes, {} no-op fences this phase",
-                delta.san_redundant_flushes, delta.san_noop_fences
-            );
-        }
-        let max_clock = tasks
-            .iter()
-            .map(|t| t.1)
-            .max()
-            .unwrap_or(self.phase_start)
-            .max(dev.sim_horizon());
-        dev.raise_vtime_floor(max_clock);
-        let span = max_clock.saturating_sub(self.phase_start);
-        PhaseResult {
-            ops: tasks.iter().map(|t| t.0).sum(),
-            elapsed_ns: span.max(delta.bandwidth_floor_ns(&dev.config().cost)),
-            delta,
-            host_ns,
-            spans,
-        }
-    }
-}
-
-/// Run `body` as the phase's only task, on the calling thread (the `perf`
-/// suite, whose `CrashTarget` closures are not `Send`). Equal to a
-/// one-task [`run_scheduled`] on every virtual field.
-pub(crate) fn run_inline<F>(dev: &Arc<PmDevice>, body: F) -> PhaseResult
-where
-    F: FnOnce(&mut MemCtx) -> u64,
-{
-    let meter = PhaseMeter::begin(dev);
-    let mut ctx = dev.ctx();
-    ctx.reset_clock();
-    let ops = body(&mut ctx);
-    let end = ctx.now();
-    drop(ctx);
-    meter.finish(dev, &[(ops, end)])
-}
-
 /// The scheduler configuration of one measured phase: random preemption
 /// under a seed that is a pure function of everything that identifies
-/// the phase — `cell` is `[series, group, point]` (`scale`/`service`:
-/// index, domain, thread or shard count; figures: series, figure, x-axis
-/// point) — so no two phases share an interleaving stream and a whole
-/// suite is a pure function of `base`. The livelock valve is generous
-/// for the largest cell any suite runs: 56 tasks loading 400 k keys
-/// cross up to 49 M sync points legitimately.
+/// the phase — `cell` is `[series, group, point]` (`perf`: index, domain,
+/// 0; `scale`/`service`: index, domain, thread or shard count; figures:
+/// series, figure, x-axis point) — so no two phases share an
+/// interleaving stream and a whole suite is a pure function of `base`.
+/// The livelock valve is generous for the largest cell any suite runs:
+/// 56 tasks loading 400 k keys cross up to 49 M sync points legitimately.
 pub(crate) fn phase_sched(base: u64, cell: [usize; 3], phase: usize, preemptions: u32) -> SchedConfig {
     let [series, group, point] = cell;
     let seed = hash_key(
@@ -201,22 +116,29 @@ pub(crate) fn phase_sched(base: u64, cell: [usize; 3], phase: usize, preemptions
 /// returns the number of operations it performed.
 pub(crate) type TaskBody<'a> = Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>;
 
-/// Run `bodies` as cooperative tasks under [`run_batch`]: the only way
-/// this crate runs more than one simulated thread (the figures, `scale`
-/// and `service`). The interleaving is a pure function of `sched`, so
-/// every virtual field of the result is bit-deterministic. Returns the
-/// phase result plus per-task op counts (the sum invariant the tests pin).
+/// Run `bodies` as cooperative tasks under [`run_batch`]: the one way
+/// this crate runs a measured phase, one task or many. The interleaving
+/// is a pure function of `sched`, so every field of the result is
+/// bit-deterministic. Returns the phase result plus per-task op counts
+/// (the sum invariant the tests pin).
 ///
-/// Per-task contexts are created before spawning, in task order, so
+/// The device is quiesced (XPBuffer drained) on both sides so the delta
+/// is self-contained, and every task starts at the device's virtual-time
+/// floor on a context created before spawning, in task order, so
 /// simulated-thread ids are a pure function of the configuration.
-/// `host_ns` is deliberately 0: host time under the baton scheduler
-/// measures scheduler overhead, and zeroing keeps the reports byte-stable.
+/// `elapsed = max(max per-task clock, sim horizon, bandwidth floor) -
+/// start`; the floor then advances to the phase's end so virtual
+/// timestamps persisted in lock/HTM metadata by this phase can never
+/// stall the next one.
 pub(crate) fn run_scheduled<'a>(
     dev: &Arc<PmDevice>,
     sched: &SchedConfig,
     bodies: Vec<TaskBody<'a>>,
 ) -> Result<(PhaseResult, Vec<u64>), String> {
-    let meter = PhaseMeter::begin(dev);
+    dev.quiesce();
+    let before = dev.snapshot();
+    let spans_before = dev.span_totals();
+    let phase_start = dev.vtime_floor();
     let tasks: Vec<Box<dyn FnOnce() -> (u64, u64) + Send + 'a>> = bodies
         .into_iter()
         .map(|body| {
@@ -230,9 +152,35 @@ pub(crate) fn run_scheduled<'a>(
         })
         .collect();
     let results: Vec<(u64, u64)> = run_batch(sched, None, tasks).into_complete()?;
+
+    dev.quiesce();
+    let delta = dev.snapshot().since(&before);
+    let spans = dev
+        .span_totals()
+        .iter()
+        .zip(spans_before.iter())
+        .map(|((name, after), (_, before))| (*name, after.since(before)))
+        .collect();
+    if delta.san_redundant_flushes + delta.san_noop_fences > 0 {
+        println!(
+            "# san: {} redundant flushes, {} no-op fences this phase",
+            delta.san_redundant_flushes, delta.san_noop_fences
+        );
+    }
+    let max_clock = results
+        .iter()
+        .map(|t| t.1)
+        .max()
+        .unwrap_or(phase_start)
+        .max(dev.sim_horizon());
+    dev.raise_vtime_floor(max_clock);
     let r = PhaseResult {
-        host_ns: 0,
-        ..meter.finish(dev, &results)
+        ops: results.iter().map(|t| t.0).sum(),
+        elapsed_ns: max_clock
+            .saturating_sub(phase_start)
+            .max(delta.bandwidth_floor_ns(&dev.config().cost)),
+        delta,
+        spans,
     };
     Ok((r, results.iter().map(|t| t.0).collect()))
 }
@@ -315,43 +263,6 @@ mod tests {
         let floor = r.delta.bandwidth_floor_ns(&cost);
         assert!(r.elapsed_ns >= floor);
         assert!(floor > 0);
-    }
-
-    /// One accounting path: the same body measured by the inline runner
-    /// and as a one-task cooperative batch agrees on everything virtual.
-    #[test]
-    fn inline_and_one_task_scheduled_runs_agree() {
-        let body = |ctx: &mut MemCtx| {
-            for i in 0..300u64 {
-                let a = PmAddr(8192 + (i * 7919 % 4096) * 64);
-                ctx.write_u64(a, i);
-                if i % 5 == 0 {
-                    ctx.fetch_or_u64(a, 1);
-                    ctx.flush(a);
-                    ctx.fence();
-                }
-                let _ = ctx.read_u64(PmAddr(8192 + (i * 104729 % 4096) * 64));
-            }
-            300
-        };
-        let cfg = PmConfig {
-            cache_capacity: 64 << 10,
-            ..PmConfig::small_test()
-        };
-        let inline = run_inline(&PmDevice::new(cfg.clone()), body);
-        let bodies: Vec<TaskBody> = vec![Box::new(body)];
-        let (sched, per_task) =
-            run_scheduled(&PmDevice::new(cfg), &SchedConfig::random(7, 16), bodies).unwrap();
-        assert_eq!(per_task, vec![300]);
-        assert_eq!(
-            (sched.ops, sched.elapsed_ns),
-            (inline.ops, inline.elapsed_ns)
-        );
-        assert!(inline.elapsed_ns > 0 && inline.delta.cl_writes > 0);
-        assert_eq!(sched.delta, inline.delta);
-        assert_eq!(sched.spans, inline.spans);
-        assert!(inline.host_ns > 0);
-        assert_eq!(sched.host_ns, 0, "cooperative runs carry no host time");
     }
 
     #[test]

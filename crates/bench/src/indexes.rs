@@ -87,7 +87,7 @@ pub fn bench_device(keys: u64, value_bytes: u64) -> Arc<PmDevice> {
     let cache = (dataset / 96).clamp(128 << 10, 64 << 20);
     // Optional: arm the persistence-ordering sanitizer for any benchmark
     // run. Diagnostics (redundant flushes / no-op fences) are printed by
-    // `run_phase` when the counters move.
+    // `run_scheduled` when the counters move.
     let san = knobs::choice(
         "SPASH_BENCH_SAN",
         &[

@@ -1,16 +1,18 @@
 //! The one strict reader of the harness's `SPASH_*` environment knobs.
 //!
-//! Three value forms exist — an integer (decimal or `0x` hex), a comma
-//! list of integers, and a named choice — plus free text for paths and
-//! revision labels. An unset knob takes its default. A knob that is set
-//! to something its form does not accept, or a variable inside one of
-//! the subcommand namespaces ([`KNOBS`]) that is not a knob at all,
-//! ends the process with exit code 2 and a message naming the knob, the
-//! value and the accepted forms: a gate that ran the wrong workload is
-//! worse than one that did not run (EXPERIMENTS.md has the knob table).
+//! Three value forms exist — an integer (decimal or `0x` hex; a count
+//! must be positive), a comma list of positive integers, and a named
+//! choice — plus free text for revision labels. An unset knob takes its
+//! default. A knob that is set to something its form does not accept, or
+//! a variable inside one of the subcommand namespaces ([`KNOBS`]) that
+//! is not a knob at all, ends the process with exit code 2 and a message
+//! naming the knob, the value and the accepted forms: a gate that ran
+//! the wrong workload is worse than one that did not run (EXPERIMENTS.md
+//! has the knob table).
 //!
-//! The `parse_*` functions are the pure core; [`int`], [`list`],
-//! [`choice`] and [`text`] read the process environment through them.
+//! The `parse_*` functions are the pure core; [`int`], [`positive`],
+//! [`list`], [`choice`] and [`text`] read the process environment
+//! through them.
 
 use std::fmt;
 
@@ -18,7 +20,7 @@ use std::fmt;
 /// `SPASH_<FAMILY>_<SUFFIX>`. The seven namespaces are closed — any other
 /// variable inside one is a misspelling.
 pub const KNOBS: [(&str, &[&str]); 7] = [
-    ("BENCH", &["KEYS", "OPS", "REPORT", "SAN", "THREADS"]),
+    ("BENCH", &["KEYS", "OPS", "SAN", "THREADS"]),
     (
         "CRASH",
         &[
@@ -105,12 +107,19 @@ pub fn parse_int(name: &str, raw: &str) -> Result<u64, KnobError> {
     int_token(raw).ok_or_else(|| bad(name, raw, "an integer (decimal or 0x hex)"))
 }
 
-/// A ladder knob: a non-empty comma list of integers.
+/// A count knob (repeats, batch size): a positive integer.
+pub fn parse_positive(name: &str, raw: &str) -> Result<u64, KnobError> {
+    int_token(raw)
+        .filter(|&v| v > 0)
+        .ok_or_else(|| bad(name, raw, "a positive integer (decimal or 0x hex)"))
+}
+
+/// A ladder knob: a non-empty comma list of positive integers.
 pub fn parse_list(name: &str, raw: &str) -> Result<Vec<usize>, KnobError> {
     raw.split(',')
-        .map(|t| int_token(t).map(|v| v as usize))
+        .map(|t| int_token(t).filter(|&v| v > 0).map(|v| v as usize))
         .collect::<Option<Vec<usize>>>()
-        .ok_or_else(|| bad(name, raw, "a comma list of integers (e.g. 1,8,56)"))
+        .ok_or_else(|| bad(name, raw, "a comma list of positive integers (e.g. 1,8,56)"))
 }
 
 /// A named-choice knob: exactly one of `choices`' names.
@@ -167,6 +176,10 @@ pub fn int(name: &str, default: u64) -> u64 {
     text(name).map_or(default, |raw| or_exit(parse_int(name, &raw)))
 }
 
+pub fn positive(name: &str, default: u64) -> u64 {
+    text(name).map_or(default, |raw| or_exit(parse_positive(name, &raw)))
+}
+
 pub fn list(name: &str, default: &[usize]) -> Vec<usize> {
     text(name).map_or_else(|| default.to_vec(), |raw| or_exit(parse_list(name, &raw)))
 }
@@ -204,10 +217,20 @@ mod tests {
     fn lists_reject_any_bad_element() {
         assert_eq!(parse_list("K", "1,8,56"), Ok(vec![1, 8, 56]));
         assert_eq!(parse_list("K", " 2 , 0x10 "), Ok(vec![2, 16]));
-        for raw in ["1,8,5b", "", "1,,2", "1;2"] {
+        for raw in ["1,8,5b", "", "1,,2", "1;2", "0", "1,0"] {
             let e = parse_list("SPASH_BENCH_THREADS", raw).unwrap_err();
             assert_eq!(e.value.as_deref(), Some(raw));
             assert!(e.to_string().starts_with("SPASH_BENCH_THREADS="), "{e}");
+        }
+    }
+
+    #[test]
+    fn counts_are_positive() {
+        assert_eq!(parse_positive("K", "8"), Ok(8));
+        assert_eq!(parse_positive("K", "0x10"), Ok(16));
+        for raw in ["0", "0x0", "-1", ""] {
+            let e = parse_positive("SPASH_SERVICE_BATCH", raw).unwrap_err();
+            assert!(e.to_string().contains("positive integer"), "{e}");
         }
     }
 
@@ -249,8 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn all_47_knobs_are_listed_once() {
-        assert_eq!(KNOBS.iter().map(|(_, s)| s.len()).sum::<usize>(), 47);
+    fn all_46_knobs_are_listed_once() {
+        assert_eq!(KNOBS.iter().map(|(_, s)| s.len()).sum::<usize>(), 46);
         for (f, suffixes) in KNOBS {
             assert!(suffixes.windows(2).all(|w| w[0] < w[1]), "{f}");
             let names: Vec<String> = suffixes.iter().map(|s| format!("SPASH_{f}_{s}")).collect();

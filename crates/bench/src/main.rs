@@ -3,12 +3,12 @@
 //!
 //! * `fig1`, `fig7`..`fig11`, `fig12[a-d]`, `all` — the paper's
 //!   figure experiments, scaled by `SPASH_BENCH_*`; several may be named
-//!   at once, and `--report <path>` (or `SPASH_BENCH_REPORT`) also writes
-//!   their machine-readable rows as a `BenchReport` JSON — exact, like
-//!   the suites' (`all` is gated against `bench/baseline_figures.json`).
+//!   at once. Their rows are written as a `BenchReport` JSON like the
+//!   suites' (`all` is gated against `bench/baseline_figures.json`).
 //! * `perf`, `scale`, `service` — the three fixed-seed gated suites
-//!   (DESIGN.md §§7, 8, 11), each writing a report that `compare` holds
-//!   to exact equality against `bench/baseline*.json`.
+//!   (DESIGN.md §§7, 8, 11). Every report (`--out <path>`, default
+//!   `BENCH_<suite>_<rev>.json`) is a pure function of its inputs, and
+//!   `compare` holds it to exact equality against `bench/baseline*.json`.
 //! * `crashpoints`, `san`, `sched` — the crash-point sweep, the
 //!   persistence-ordering sanitizer run and deterministic schedule
 //!   exploration (DESIGN.md §5; recipes in EXPERIMENTS.md).
@@ -20,9 +20,9 @@
 mod commands;
 
 const USAGE: &str = "\
-usage: spash-bench <fig1|fig7|fig8|fig9|fig10|fig11|fig12[a-d]|all>... [--report P]
+usage: spash-bench <fig1|fig7|fig8|fig9|fig10|fig11|fig12[a-d]|all>... [--out P]
        spash-bench perf [--out P] | scale [--out P] [--assert] [--lin-check]
-       spash-bench service [--out P] [--lin-check] | compare OLD NEW [--virtual-only]
+       spash-bench service [--out P] [--lin-check] | compare OLD NEW
        spash-bench crashpoints | san | sched [--seeds N]
 knobs: SPASH_<BENCH|PERF|SCALE|SERVICE|CRASH|SAN|SCHED>_* (EXPERIMENTS.md, \"Knobs\")";
 

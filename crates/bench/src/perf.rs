@@ -3,11 +3,10 @@
 //! [`BenchReport`] whose virtual-clock metrics are **bit-deterministic**
 //! (DESIGN.md "Perf reports and the regression gate").
 //!
-//! One simulated thread, run inline on the calling thread: two runs of
-//! the same binary at the same seed produce byte-identical counters and
-//! `spash-bench compare` holds them to strict equality. (Multi-thread
-//! throughput is gated the same way by `scale`, `service` and the figure
-//! baseline, whose phases are seeded cooperative batches.)
+//! One simulated thread: every phase is a one-task cooperative batch,
+//! the runner `scale`, `service` and the figures use, so two runs of the
+//! same binary at the same seed produce byte-identical reports and
+//! `spash-bench compare` holds them to strict equality.
 //!
 //! Every index is driven through its [`CrashTarget`] — the same
 //! format/recover pair the crash sweeps use — so the suite also times a
@@ -19,11 +18,10 @@ use spash_pmem::{CrashFidelity, PersistenceDomain, PmConfig, PmDevice};
 use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
 use crate::experiments::exec_stream;
-use crate::harness::run_inline;
+use crate::harness::{phase_sched, run_scheduled, TaskBody};
 use crate::indexes::crash_targets;
 use crate::knobs;
 use crate::report::{BenchReport, ExperimentRow};
-use crate::statskit::median;
 use crate::PhaseResult;
 
 /// Suite scale. The defaults are deliberately small — the gate's job is
@@ -35,8 +33,8 @@ pub struct PerfConfig {
     pub keys: u64,
     /// Ops per run phase (search/mixed/zipf).
     pub ops: u64,
-    /// Full-suite repetitions; virtual metrics must agree across all of
-    /// them (asserted) and `host_ns` is the per-phase median.
+    /// Full-suite repetitions; every row must agree across all of them
+    /// (asserted).
     pub repeats: usize,
     pub seed: u64,
     pub value_bytes: usize,
@@ -71,7 +69,7 @@ impl PerfConfig {
         Self {
             keys: knobs::int("SPASH_PERF_KEYS", d.keys),
             ops: knobs::int("SPASH_PERF_OPS", d.ops),
-            repeats: knobs::int("SPASH_PERF_REPEATS", d.repeats as u64) as usize,
+            repeats: knobs::positive("SPASH_PERF_REPEATS", d.repeats as u64) as usize,
             seed: knobs::int("SPASH_PERF_SEED", d.seed),
             value_bytes: d.value_bytes,
         }
@@ -105,9 +103,10 @@ pub(crate) fn domain_label(domain: PersistenceDomain) -> &'static str {
 /// Returns rows in phase order.
 fn run_target(
     target: &CrashTarget,
+    target_idx: usize,
     domain: PersistenceDomain,
     cfg: &PerfConfig,
-) -> Vec<ExperimentRow> {
+) -> Result<Vec<ExperimentRow>, String> {
     let dev = PmDevice::new(suite_pm(domain));
     let mut ctx = dev.ctx();
     let index: Box<dyn PersistentIndex> = (target.format)(&mut ctx);
@@ -118,6 +117,15 @@ fn run_target(
         ..WorkloadConfig::new(cfg.keys, dist, mix, ValueSize::Fixed(cfg.value_bytes))
     };
     let point = domain_label(domain);
+    // Each phase is a one-task batch: with nobody to switch to, only the
+    // scheduler's step valve can act.
+    let didx = usize::from(domain == PersistenceDomain::Adr);
+    let run = |phase: usize, name: &str, body: TaskBody| {
+        let sched = phase_sched(cfg.seed, [target_idx, didx, 0], phase, 0);
+        run_scheduled(&dev, &sched, vec![body])
+            .map(|(r, _)| r)
+            .map_err(|e| format!("{}/{point}/{name}: {e}", target.name))
+    };
     let mut rows = Vec::new();
     let mut push = |phase: &str, unit: &str, value: f64, r: PhaseResult| {
         rows.push(ExperimentRow::from_phase(
@@ -135,23 +143,35 @@ fn run_target(
     let load_cfg = wl(Distribution::Uniform, Mix::BALANCED);
     let keys = load_keys(&load_cfg);
     let mut vals = OpStream::new(&load_cfg, 0);
-    let r = run_inline(&dev, |ctx| {
-        for &k in &keys {
-            index
-                .insert(ctx, k, &vals.expected_value(k))
-                .unwrap_or_else(|e| panic!("{}: load insert failed: {e:?}", target.name));
-        }
-        keys.len() as u64
-    });
+    let r = run(
+        0,
+        "load",
+        Box::new(|ctx| {
+            for &k in &keys {
+                index
+                    .insert(ctx, k, &vals.expected_value(k))
+                    .unwrap_or_else(|e| panic!("load insert failed: {e:?}"));
+            }
+            keys.len() as u64
+        }),
+    )?;
     push("load", "mops", r.mops(), r);
 
-    for (phase, dist, mix) in [
+    for (pi, (phase, dist, mix)) in [
         ("search", Distribution::Uniform, Mix::SEARCH_ONLY),
         ("mixed", Distribution::Uniform, Mix::BALANCED),
         ("zipf", Distribution::Zipfian, Mix::BALANCED),
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let mut stream = OpStream::new(&wl(dist, mix), 0);
-        let r = run_inline(&dev, |ctx| exec_stream(&*index, ctx, &mut stream, cfg.ops));
+        let index = &*index;
+        let r = run(
+            1 + pi,
+            phase,
+            Box::new(move |ctx| exec_stream(index, ctx, &mut stream, cfg.ops)),
+        )?;
         // Every index wraps its read path in [`spash_pmem::SPAN_PROBE`],
         // so the span delta isolates probe cost from the phase's writes.
         // PM cachelines referenced per probe (media misses + device-cache
@@ -179,7 +199,6 @@ fn run_target(
                 ops: probe.entries,
                 elapsed_ns: probe.vtime_ns,
                 delta: probe.stats,
-                host_ns: 0,
                 spans: Vec::new(),
             },
         );
@@ -188,10 +207,14 @@ fn run_target(
     drop(index);
     dev.simulate_power_failure();
     let mut recovered = None;
-    let r = run_inline(&dev, |ctx| {
-        recovered = (target.recover)(ctx);
-        1
-    });
+    let r = run(
+        4,
+        "recover",
+        Box::new(|ctx| {
+            recovered = (target.recover)(ctx);
+            1
+        }),
+    )?;
     push("recover", "mops", r.mops(), r);
     // Spash is eADR-native: under ADR its unflushed lines revert on the
     // power cut, so declining to recover the torn image — or recovering
@@ -217,13 +240,13 @@ fn run_target(
             target.name
         ),
     }
-    rows
+    Ok(rows)
 }
 
 /// Run the full suite: every target × {eADR, ADR} × phases, `repeats`
 /// times. Errors (rather than reporting garbage) if any repeat disagrees
-/// on a virtual-clock metric — that would mean the model leaked real-time
-/// or cross-run state and the gate's exact compare is meaningless.
+/// on any row — that would mean the model leaked real-time or cross-run
+/// state and the gate's exact compare is meaningless.
 pub fn run_suite(cfg: &PerfConfig) -> Result<BenchReport, String> {
     let mut report = BenchReport::new(&short_rev());
     report.set_config("suite", "perf");
@@ -233,41 +256,26 @@ pub fn run_suite(cfg: &PerfConfig) -> Result<BenchReport, String> {
     report.set_config("seed", format!("{:#x}", cfg.seed));
     report.set_config("value_bytes", cfg.value_bytes);
 
-    let repeats = cfg.repeats.max(1);
-    for target in crash_targets() {
+    for (ti, target) in crash_targets().iter().enumerate() {
         for domain in [PersistenceDomain::Eadr, PersistenceDomain::Adr] {
-            let runs: Vec<Vec<ExperimentRow>> = (0..repeats)
-                .map(|_| run_target(&target, domain, cfg))
-                .collect();
-            let mut rows = runs[0].clone();
-            for (i, run) in runs.iter().enumerate().skip(1) {
-                for (a, b) in rows.iter().zip(run.iter()) {
-                    let mut a0 = a.clone();
-                    let mut b0 = b.clone();
-                    a0.host_ns = 0;
-                    b0.host_ns = 0;
-                    if a0 != b0 {
-                        return Err(format!(
-                            "{}: repeat {} disagrees with repeat 0 on virtual \
-                             metrics — run is not deterministic",
-                            a.key(),
-                            i
-                        ));
-                    }
+            let mut rows = run_target(target, ti, domain, cfg)?;
+            for i in 1..cfg.repeats {
+                let again = run_target(target, ti, domain, cfg)?;
+                if let Some((a, _)) = rows.iter().zip(&again).find(|(a, b)| a != b) {
+                    return Err(format!(
+                        "{}: repeat {i} disagrees with repeat 0 — run is not deterministic",
+                        a.key()
+                    ));
                 }
             }
-            for (j, row) in rows.iter_mut().enumerate() {
-                let samples: Vec<u64> = runs.iter().map(|r| r[j].host_ns).collect();
-                row.host_ns = median(&samples);
-            }
-            report.rows.append(&mut rows);
             println!(
                 "# perf: {} [{}] done ({} phases x {} repeats)",
                 target.name,
                 domain_label(domain),
-                runs[0].len(),
-                repeats
+                rows.len(),
+                cfg.repeats
             );
+            report.rows.append(&mut rows);
         }
     }
     Ok(report)
@@ -375,6 +383,7 @@ mod tests {
         };
         let a = run_suite(&cfg).unwrap();
         let b = run_suite(&cfg).unwrap();
+        assert_eq!(a.to_json(), b.to_json());
         let ab = compare_reports(&a, &b);
         assert!(ab.ok(), "a->b: {:?}", ab.regressions);
         let ba = compare_reports(&b, &a);

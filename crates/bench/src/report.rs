@@ -1,23 +1,21 @@
-//! Machine-readable benchmark reports (`BENCH_<rev>.json`).
+//! Machine-readable benchmark reports (`BENCH_<suite>_<rev>.json`).
 //!
-//! Every experiment emits [`ExperimentRow`]s into a process-global sink as
-//! it prints its human tables; the CLI drains the sink into a
-//! [`BenchReport`] and writes it when `SPASH_BENCH_REPORT=<path>` (or
-//! `--report <path>`) is set. The `spash-bench perf` suite builds a report
-//! directly. Schema and comparison rules are documented in DESIGN.md
-//! ("Perf reports and the regression gate").
+//! Each suite — `perf`, `scale`, `service` and the figures — returns its
+//! [`ExperimentRow`]s and the CLI writes them as one [`BenchReport`].
+//! Schema and comparison rules are documented in DESIGN.md ("Perf
+//! reports and the regression gate").
 //!
-//! Rows carry three kinds of measurement, with different comparison
-//! disciplines in `spash-bench compare`:
+//! A report is a pure function of its suite's inputs (scale, seed,
+//! source revision): every row is measured by seeded cooperative tasks
+//! on the virtual clock, and no field records the host clock. Rows carry
+//! two kinds of measurement, with different comparison disciplines in
+//! `spash-bench compare`:
 //!
 //! * virtual-clock metrics (`ops`, `elapsed_ns`, every [`StatsSnapshot`]
-//!   counter, the per-span breakdowns) — bit-deterministic for every
-//!   row this crate emits (one inline task, or seeded cooperative
-//!   tasks), compared with **exact equality**;
+//!   counter, the per-span breakdowns) — compared with **exact
+//!   equality**;
 //! * derived values (`value`, e.g. Mops/s) — quotients of the above,
-//!   compared with a tiny relative epsilon to absorb float formatting;
-//! * `host_ns` — real wall time of an inline phase (0 for a scheduled
-//!   one), noisy by nature: recorded, never compared.
+//!   compared with a tiny relative epsilon to absorb float formatting.
 
 use spash_pmem::{SpanSnapshot, StatsSnapshot};
 
@@ -70,8 +68,6 @@ pub struct ExperimentRow {
     pub ops: u64,
     /// Virtual-clock elapsed time (max thread clock vs. bandwidth floor).
     pub elapsed_ns: u64,
-    /// Host wall time of the phase (noisy; recorded, never compared).
-    pub host_ns: u64,
     /// PM counter delta for the phase.
     pub counters: StatsSnapshot,
     /// Per-span attribution deltas, in canonical span order. Spans the
@@ -109,7 +105,6 @@ impl ExperimentRow {
             threads: threads as u64,
             ops: r.ops,
             elapsed_ns: r.elapsed_ns,
-            host_ns: r.host_ns,
             counters: r.delta,
             spans: r
                 .spans
@@ -117,6 +112,27 @@ impl ExperimentRow {
                 .filter(|(_, s)| !s.is_zero())
                 .map(|(n, s)| SpanRow::from_snapshot(n, s))
                 .collect(),
+        }
+    }
+
+    /// A row that has no backing [`crate::PhaseResult`] (load-factor
+    /// samples, latency percentiles).
+    pub fn from_value(
+        experiment: &str,
+        series: &str,
+        point: &str,
+        phase: &str,
+        unit: &str,
+        value: f64,
+    ) -> Self {
+        Self {
+            experiment: experiment.to_string(),
+            series: series.to_string(),
+            point: point.to_string(),
+            phase: phase.to_string(),
+            unit: unit.to_string(),
+            value,
+            ..Default::default()
         }
     }
 }
@@ -127,8 +143,6 @@ pub struct BenchReport {
     pub schema: u64,
     /// Source revision the binary was built from (short git rev).
     pub rev: String,
-    /// Report creation time (unix seconds; informational only).
-    pub created_unix: u64,
     /// Suite configuration echo (seed, scale, ...), sorted by key.
     /// `compare` requires old and new to agree on every key.
     pub config: Vec<(String, String)>,
@@ -147,7 +161,6 @@ impl BenchReport {
         Self {
             schema: SCHEMA_VERSION,
             rev: rev.to_string(),
-            created_unix: unix_now(),
             config: Vec::new(),
             assertions: Vec::new(),
             rows: Vec::new(),
@@ -184,7 +197,6 @@ impl BenchReport {
         let mut fields = vec![
             ("schema".into(), Json::Int(self.schema)),
             ("rev".into(), Json::Str(self.rev.clone())),
-            ("created_unix".into(), Json::Int(self.created_unix)),
             (
                 "config".into(),
                 Json::Obj(
@@ -264,19 +276,11 @@ impl BenchReport {
         Ok(Self {
             schema,
             rev: field_str(&doc, "rev")?,
-            created_unix: field_u64(&doc, "created_unix")?,
             config,
             assertions,
             rows,
         })
     }
-}
-
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
@@ -329,7 +333,6 @@ fn row_to_json(r: &ExperimentRow) -> Json {
         ("threads".into(), Json::Int(r.threads)),
         ("ops".into(), Json::Int(r.ops)),
         ("elapsed_ns".into(), Json::Int(r.elapsed_ns)),
-        ("host_ns".into(), Json::Int(r.host_ns)),
         ("counters".into(), counters_to_json(&r.counters)),
         (
             "spans".into(),
@@ -377,7 +380,6 @@ fn row_from_json(v: &Json) -> Result<ExperimentRow, String> {
         threads: field_u64(v, "threads")?,
         ops: field_u64(v, "ops")?,
         elapsed_ns: field_u64(v, "elapsed_ns")?,
-        host_ns: field_u64(v, "host_ns")?,
         counters: counters_from_json(v.get("counters").ok_or("row missing counters")?)?,
         spans,
     })
@@ -417,9 +419,7 @@ fn diff_counters(key: &str, what: &str, old: &StatsSnapshot, new: &StatsSnapshot
 /// Diff two reports under the exact/epsilon discipline documented in
 /// DESIGN.md. Virtual-clock metrics (`ops`, `elapsed_ns`, counters,
 /// spans) must match **exactly**; derived `value`s get a tiny relative
-/// epsilon; `host_ns` is recorded but never compared (host time is
-/// judged by `benchmark/`'s calibrated estimator). Config echoes must
-/// agree key-for-key — comparing runs of different scale or seed is a
+/// epsilon. Config echoes must agree key-for-key — comparing runs of different scale or seed is a
 /// category error, not a perf delta.
 pub fn compare_reports(old: &BenchReport, new: &BenchReport) -> CompareOutcome {
     let mut out = CompareOutcome::default();
@@ -540,52 +540,6 @@ pub fn compare_reports(old: &BenchReport, new: &BenchReport) -> CompareOutcome {
     out
 }
 
-// --- process-global row sink -------------------------------------------
-//
-// Experiments keep their existing `run(&Scale)` signatures (the
-// `[[bench]]` targets call them directly); they publish rows here and the
-// CLI drains the sink after the run.
-
-// lint:allow(std-sync): harness-side collection, written between measured
-// phases by the driving thread; never locked inside a simulated region.
-static SINK: std::sync::Mutex<Vec<ExperimentRow>> = std::sync::Mutex::new(Vec::new());
-
-/// Publish a row to the process-global report sink.
-pub fn emit(row: ExperimentRow) {
-    SINK.lock().unwrap().push(row);
-}
-
-/// Convenience: build a row from a [`crate::PhaseResult`] and emit it.
-#[allow(clippy::too_many_arguments)]
-pub fn emit_phase(
-    experiment: &str,
-    series: &str,
-    point: &str,
-    phase: &str,
-    unit: &str,
-    value: f64,
-    threads: usize,
-    r: &crate::PhaseResult,
-) {
-    emit(ExperimentRow::from_phase(
-        experiment, series, point, phase, unit, value, threads, r,
-    ));
-}
-
-/// Emit a row that has no backing [`crate::PhaseResult`] (load-factor
-/// samples, latency percentiles).
-pub fn emit_value(experiment: &str, series: &str, point: &str, phase: &str, unit: &str, value: f64) {
-    emit(ExperimentRow {
-        experiment: experiment.to_string(),
-        series: series.to_string(),
-        point: point.to_string(),
-        phase: phase.to_string(),
-        unit: unit.to_string(),
-        value,
-        ..Default::default()
-    });
-}
-
 /// A thread/shard ladder as its report config echo (`"1,2,4,8"`).
 pub fn join_ladder(ladder: &[usize]) -> String {
     ladder
@@ -593,11 +547,6 @@ pub fn join_ladder(ladder: &[usize]) -> String {
         .map(ToString::to_string)
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Drain every row emitted so far (in emission order).
-pub fn drain_rows() -> Vec<ExperimentRow> {
-    std::mem::take(&mut *SINK.lock().unwrap())
 }
 
 #[cfg(test)]
@@ -608,7 +557,6 @@ mod tests {
         let mut rep = BenchReport {
             schema: SCHEMA_VERSION,
             rev: "deadbeef".into(),
-            created_unix: 1_700_000_000,
             config: Vec::new(),
             assertions: Vec::new(),
             rows: Vec::new(),
@@ -625,7 +573,6 @@ mod tests {
             threads: 1,
             ops: 1000,
             elapsed_ns: 800_000,
-            host_ns: 1_234_567,
             counters: StatsSnapshot {
                 cl_reads: 5000,
                 media_write_bytes: 1 << 54, // above f64 precision on purpose
@@ -680,12 +627,7 @@ mod tests {
         let out = compare_reports(&rep, &rep);
         assert!(out.ok(), "{:?}", out.regressions);
         assert_eq!(out.rows_compared, 1);
-
-        // Host time is in the schema and out of the gate.
-        let mut slower = rep.clone();
-        slower.rows[0].host_ns = slower.rows[0].host_ns * 100 + 50_000_000;
-        let out = compare_reports(&rep, &slower);
-        assert!(out.ok() && out.notes.is_empty(), "{:?}", out.regressions);
+        assert!(out.notes.is_empty(), "{:?}", out.notes);
     }
 
     #[test]

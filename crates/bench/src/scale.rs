@@ -12,15 +12,9 @@
 //! counters, span attribution — is byte-stable and `spash-bench compare`
 //! gates the whole curve exactly.
 //!
-//! Two accounting consequences of cooperative execution:
-//!
-//! * `host_ns` is recorded as 0. Under the baton scheduler, host wall
-//!   time measures baton handoffs, not the workload; zeroing it (and the
-//!   informational `created_unix` header) makes the report byte-identical
-//!   across same-seed runs.
-//! * `elapsed_ns = max(max per-task virtual clock, sim horizon,
-//!   bandwidth floor)` — the same `harness::PhaseMeter` as the inline
-//!   runner, so Mops/s is comparable with `perf`.
+//! `elapsed_ns = max(max per-task virtual clock, sim horizon, bandwidth
+//! floor)` — the one `harness::run_scheduled` accounting `perf` also
+//! uses, so Mops/s is comparable with `perf`.
 //!
 //! Each cell (index × domain × thread count) runs three phases on one
 //! fresh device: a partitioned **load**, a partitioned-**uniform** run
@@ -205,10 +199,9 @@ pub fn run_cell(
 
 /// Run the full sweep: every target × {eADR, ADR} × ladder × phases, then
 /// derive the crossover/peak assertions. The report is byte-identical
-/// across same-seed runs (`created_unix` pinned to 0, `host_ns` zeroed).
+/// across same-seed runs.
 pub fn run_suite(cfg: &ScaleConfig) -> Result<BenchReport, String> {
     let mut report = BenchReport::new(&short_rev());
-    report.created_unix = 0;
     report.set_config("suite", "scale");
     report.set_config("keys", cfg.keys);
     report.set_config("ops", cfg.ops);
@@ -497,7 +490,6 @@ mod tests {
             assert_eq!(per_task.len(), 2);
             assert_eq!(row.ops, per_task.iter().sum::<u64>());
             assert!(row.value > 0.0, "{phase}: zero throughput");
-            assert_eq!(row.host_ns, 0, "scale rows must not carry host time");
         }
         // The load phase loaded every key exactly once.
         assert_eq!(cell.rows[0].ops, cfg.keys);

@@ -99,7 +99,7 @@ impl ServiceSuiteConfig {
             keys: knobs::int("SPASH_SERVICE_KEYS", d.keys),
             ops: knobs::int("SPASH_SERVICE_OPS", d.ops),
             shards: knobs::list("SPASH_SERVICE_SHARDS", &d.shards),
-            batch_max: knobs::int("SPASH_SERVICE_BATCH", d.batch_max as u64) as usize,
+            batch_max: knobs::positive("SPASH_SERVICE_BATCH", d.batch_max as u64) as usize,
             seed: knobs::int("SPASH_SERVICE_SEED", d.seed),
             value_bytes: d.value_bytes,
             preemptions: knobs::int("SPASH_SERVICE_PREEMPTIONS", d.preemptions as u64) as u32,
@@ -268,16 +268,11 @@ pub fn run_cell(
     }
     lats.sort_unstable();
     for (ph, p) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
+        let value = percentile(&lats, p);
         rows.push(ExperimentRow {
-            experiment: "service".into(),
-            series: name.clone(),
-            point: point.clone(),
-            phase: ph.into(),
-            unit: "ns".into(),
-            value: percentile(&lats, p),
             threads: shards as u64,
             ops: lats.len() as u64,
-            ..Default::default()
+            ..ExperimentRow::from_value("service", &name, &point, ph, "ns", value)
         });
     }
 
@@ -298,11 +293,9 @@ pub fn run_cell(
 }
 
 /// Run the full suite: every index × {eADR, ADR} × shard ladder. The
-/// report is byte-identical across same-seed runs (`created_unix` pinned
-/// to 0, `host_ns` zeroed by the batch driver).
+/// report is byte-identical across same-seed runs.
 pub fn run_suite(cfg: &ServiceSuiteConfig) -> Result<BenchReport, String> {
     let mut report = BenchReport::new(&short_rev());
-    report.created_unix = 0;
     report.set_config("suite", "service");
     report.set_config("keys", cfg.keys);
     report.set_config("ops", cfg.ops);
@@ -376,7 +369,6 @@ mod tests {
         assert_eq!(phases, ["load", "open", "p50", "p99", "p999", "saturate"]);
         for r in &cell.rows {
             assert_eq!(r.threads, 2);
-            assert_eq!(r.host_ns, 0, "service rows must not carry host time");
         }
         // Tail ordering: p50 <= p99 <= p999, and the open loop really
         // queued (positive latencies).

@@ -1,5 +1,4 @@
-//! Small statistics helpers shared by the latency experiments and the
-//! perf-regression suite.
+//! Small statistics helpers for the latency rows.
 
 /// Nearest-rank percentile of an ascending-sorted slice, `p` in `[0, 1]`.
 /// Returns 0.0 for an empty slice. Debug builds assert the input really is
@@ -18,18 +17,6 @@ pub fn percentile(sorted: &[u64], p: f64) -> f64 {
     sorted[i] as f64
 }
 
-/// Median of an *unsorted* slice of host-time samples (sorts a copy).
-/// Even sample counts take the lower middle element so the result is
-/// always one of the observed values.
-pub fn median(samples: &[u64]) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut v = samples.to_vec();
-    v.sort_unstable();
-    v[(v.len() - 1) / 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,7 +24,6 @@ mod tests {
     #[test]
     fn empty_slice_is_zero() {
         assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(median(&[]), 0);
     }
 
     #[test]
@@ -68,12 +54,5 @@ mod tests {
     #[cfg(debug_assertions)]
     fn unsorted_input_asserts_in_debug() {
         percentile(&[3, 1, 2], 0.5);
-    }
-
-    #[test]
-    fn median_takes_lower_middle() {
-        assert_eq!(median(&[5]), 5);
-        assert_eq!(median(&[9, 1, 5]), 5);
-        assert_eq!(median(&[4, 1, 3, 2]), 2);
     }
 }

@@ -44,6 +44,24 @@ fn unparseable_value_exits_2_naming_the_knob() {
     assert_rejected(&out, "SPASH_BENCH_THREADS", "comma list");
 }
 
+/// A zero count or ladder element is refused up front, before anything
+/// runs: accepted, the thread, shard and batch values end in an
+/// `assert!(… >= 1)` panic (exit 101) partway through a suite, and a
+/// zero repeat count would run one repeat while echoing `"repeats": "0"`.
+#[test]
+fn zero_counts_exit_2_naming_the_knob() {
+    for (cmd, knob, value) in [
+        ("scale", "SPASH_SCALE_THREADS", "0"),
+        ("service", "SPASH_SERVICE_SHARDS", "2,0"),
+        ("service", "SPASH_SERVICE_BATCH", "0"),
+        ("fig7", "SPASH_BENCH_THREADS", "1,0"),
+        ("perf", "SPASH_PERF_REPEATS", "0"),
+    ] {
+        let out = spash_bench(&[cmd, "--out", "/dev/null"], &[(knob, value)]);
+        assert_rejected(&out, knob, "positive");
+    }
+}
+
 #[test]
 fn unknown_choice_exits_2_listing_the_choices() {
     let out = spash_bench(&["crashpoints"], &[("SPASH_CRASH_TARGETS", "basline")]);

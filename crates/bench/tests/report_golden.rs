@@ -14,12 +14,11 @@ use spash_pmem::StatsSnapshot;
 
 const FIXTURE: &str = include_str!("fixtures/bench_golden.json");
 
-/// A fully pinned report: every field fixed, including the timestamp.
+/// A fully pinned report: every field fixed.
 fn golden_report() -> BenchReport {
     let mut rep = BenchReport {
         schema: report::SCHEMA_VERSION,
         rev: "cafef00d".into(),
-        created_unix: 1_750_000_000,
         config: Vec::new(),
         assertions: Vec::new(),
         rows: Vec::new(),
@@ -37,7 +36,6 @@ fn golden_report() -> BenchReport {
         threads: 1,
         ops: 20_000,
         elapsed_ns: 13_333_333,
-        host_ns: 7_000_000,
         counters: StatsSnapshot {
             cl_reads: 123_456,
             cl_writes: 65_432,
@@ -65,7 +63,6 @@ fn golden_report() -> BenchReport {
         threads: 1,
         ops: 10_000,
         elapsed_ns: 4_444_444,
-        host_ns: 3_000_000,
         counters: StatsSnapshot {
             cl_reads: 11_000,
             read_hits: 9_000,
@@ -93,6 +90,25 @@ fn fixture_round_trips_through_the_compare_parser() {
     assert_eq!(parsed, golden_report());
     // Re-render: byte-stable through a full round trip.
     assert_eq!(parsed.to_json(), FIXTURE);
+}
+
+/// Reports written while the schema still carried the host clock (a
+/// `created_unix` header and a per-row `host_ns`) parse to the same
+/// report: the parser ignores keys it does not read, so baselines from
+/// before the fields were dropped still compare.
+#[test]
+fn retired_host_clock_fields_are_ignored() {
+    let old = FIXTURE
+        .replace(
+            "\"rev\": \"cafef00d\",",
+            "\"rev\": \"cafef00d\",\n  \"created_unix\": 1750000000,",
+        )
+        .replace(
+            "\"elapsed_ns\": 13333333,",
+            "\"elapsed_ns\": 13333333,\n      \"host_ns\": 7000000,",
+        );
+    assert_eq!(old.lines().count(), FIXTURE.lines().count() + 2);
+    assert_eq!(BenchReport::from_json(&old).unwrap(), golden_report());
 }
 
 #[test]

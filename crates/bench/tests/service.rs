@@ -40,11 +40,9 @@ fn tiny() -> ServiceSuiteConfig {
     }
 }
 
-/// Wrap rows in a report pinned for byte comparison (what the suite
-/// itself does: informational timestamp zeroed).
+/// Wrap rows in a report for byte comparison.
 fn report_from(rows: Vec<ExperimentRow>) -> BenchReport {
     let mut r = BenchReport::new("test");
-    r.created_unix = 0;
     r.set_config("suite", "service-test");
     r.rows = rows;
     r
