@@ -7,7 +7,8 @@ use std::process::exit;
 
 use spash_analysis::{roster, Select, Sizing};
 use spash_bench::experiments::{fig1, fig10, fig11, fig12, fig7, fig8, fig9};
-use spash_bench::report::join_ladder;
+use spash_bench::report::{join_ladder, short_rev};
+use spash_bench::suite::{PERF, SCALE, SERVICE};
 use spash_bench::{knobs, perf, scale, service, BenchReport, ExperimentRow, Scale};
 use spash_pmem::PersistenceDomain::{self, Adr, Eadr};
 
@@ -84,15 +85,15 @@ pub fn sched(args: &[String]) {
         None,
     );
     let mutate = mutation.is_some();
-    let threads = knobs::int("SPASH_SCHED_THREADS", 3) as usize;
-    let ops = knobs::int("SPASH_SCHED_OPS", 8);
-    let keys = knobs::int("SPASH_SCHED_KEYS", if mutate { 4 } else { 12 });
+    let threads = knobs::positive("SPASH_SCHED_THREADS", 3) as usize;
+    let ops = knobs::positive("SPASH_SCHED_OPS", 8);
+    let keys = knobs::positive("SPASH_SCHED_KEYS", if mutate { 4 } else { 12 });
     let prefill = knobs::int("SPASH_SCHED_PREFILL", if mutate { 0 } else { keys / 2 });
     let seed0 = knobs::int("SPASH_SCHED_SEED0", 1);
     let preemptions = knobs::int("SPASH_SCHED_PREEMPTIONS", 24) as u32;
 
     let mut pm = spash_pmem::PmConfig::small_test();
-    pm.arena_size = knobs::int("SPASH_SCHED_ARENA_MB", 48) << 20;
+    pm.arena_size = knobs::positive("SPASH_SCHED_ARENA_MB", 48) << 20;
     pm.domain = knobs::choice("SPASH_SCHED_DOMAIN", &[("eadr", Eadr), ("adr", Adr)], Eadr);
     if pm.domain == Adr {
         pm.fidelity = spash_pmem::CrashFidelity::Full;
@@ -227,10 +228,10 @@ pub fn crashpoints() {
     let mut failed = false;
     for &domain in domains_knob("SPASH_CRASH_DOMAIN", &[Eadr, Adr]) {
         let mut cfg = SweepConfig::ci(domain);
-        cfg.pm.arena_size = knobs::int("SPASH_CRASH_ARENA_MB", 256) << 20;
+        cfg.pm.arena_size = knobs::positive("SPASH_CRASH_ARENA_MB", 256) << 20;
         cfg.seed = knobs::int("SPASH_CRASH_SEED", 0xC0FFEE);
-        cfg.n_ops = knobs::int("SPASH_CRASH_OPS", 10_000);
-        cfg.key_space = knobs::int("SPASH_CRASH_KEYS", 2_000);
+        cfg.n_ops = knobs::positive("SPASH_CRASH_OPS", 10_000);
+        cfg.key_space = knobs::positive("SPASH_CRASH_KEYS", 2_000);
         cfg.exhaustive_limit = knobs::int("SPASH_CRASH_EXHAUSTIVE", 5_000);
         cfg.max_points = knobs::int("SPASH_CRASH_POINTS", 2_000);
 
@@ -302,8 +303,8 @@ pub fn san() {
     for &domain in domains_knob("SPASH_SAN_DOMAIN", &[Adr, Eadr]) {
         let mut cfg = SanRunConfig::full(domain);
         cfg.seed = knobs::int("SPASH_SAN_SEED", cfg.seed);
-        cfg.n_ops = knobs::int("SPASH_SAN_OPS", cfg.n_ops);
-        cfg.key_space = knobs::int("SPASH_SAN_KEYS", cfg.key_space);
+        cfg.n_ops = knobs::positive("SPASH_SAN_OPS", cfg.n_ops);
+        cfg.key_space = knobs::positive("SPASH_SAN_KEYS", cfg.key_space);
         for target in roster(Sizing::Sweep, which) {
             let r = run_san(&target, &cfg);
             println!("{}", r.summary());
@@ -374,14 +375,7 @@ fn lin_check_verdict(cmd: &str, failures: Vec<String>, ok: &str) -> ! {
 
 /// `spash-bench perf [--out <path>]`: the fixed-seed regression suite.
 pub fn perf(args: &[String]) {
-    gated_suite("perf", "", args, &[], |_| {
-        let cfg = perf::PerfConfig::from_env();
-        println!(
-            "# perf: keys={} ops={} repeats={} seed={:#x}",
-            cfg.keys, cfg.ops, cfg.repeats, cfg.seed
-        );
-        perf::run_suite(&cfg)
-    });
+    gated_suite("perf", "", args, &[], |_| perf::run_suite(&PERF));
 }
 
 /// `spash-bench scale [--out <path>] [--assert] [--lin-check]`: the
@@ -403,14 +397,9 @@ pub fn scale(args: &[String]) {
                 let ok = "every index linearizes under the batch driver";
                 lin_check_verdict("scale", scale::lin_check_all(&cfg), ok);
             }
-            let cfg = scale::ScaleConfig::from_env();
-            println!(
-                "# scale: keys={} ops={} threads={:?} seed={:#x} preemptions={}",
-                cfg.keys, cfg.ops, cfg.threads, cfg.seed, cfg.preemptions
-            );
-            let report = scale::run_suite(&cfg)?;
+            let report = scale::run_suite(&SCALE)?;
             if bare.contains(&"--assert") {
-                let bad = scale::check_claims(&report, &cfg);
+                let bad = scale::check_claims(&report, &SCALE);
                 for b in &bad {
                     eprintln!("CLAIM FAILED: {b}");
                 }
@@ -438,12 +427,7 @@ pub fn service(args: &[String]) {
             let ok = "every index linearizes through the batched front-end";
             lin_check_verdict("service", service::lin_check_all(&cfg), ok);
         }
-        let cfg = service::ServiceSuiteConfig::from_env();
-        println!(
-            "# service: keys={} ops={} shards={:?} batch_max={} seed={:#x} gap={}ns",
-            cfg.keys, cfg.ops, cfg.shards, cfg.batch_max, cfg.seed, cfg.mean_gap_ns
-        );
-        service::run_suite(&cfg)
+        service::run_suite(&SERVICE)
     });
 }
 
@@ -520,7 +504,7 @@ pub fn figures(args: &[String]) {
             "# scale: keys={} ops={} threads={:?}",
             scale.keys, scale.ops, scale.threads
         );
-        let mut report = BenchReport::new(&perf::short_rev());
+        let mut report = BenchReport::new(&short_rev());
         report.set_config("keys", scale.keys);
         report.set_config("ops", scale.ops);
         report.set_config("threads", join_ladder(&scale.threads));

@@ -37,32 +37,34 @@ fn run_one(scale: &Scale, zipf: bool, strategy: Strategy, size: u64) -> f64 {
     let n_blocks = REGION / size;
     let hot_cut = (n_blocks / 100).max(1);
     let threads = scale.max_threads();
-    let cell = Cell::new(1, strategy as usize, size as usize, threads);
+    let cell = Cell::figure(1, strategy as usize, size as usize, threads);
     let ops = scale.ops / 2;
     let z = zipf.then(|| Zipfian::new(n_blocks, 0.99));
-    let r = cell.tasks(&dev, usize::from(zipf), |tid, ctx| {
-        let mut rng = Rng64::new(0xf161 + tid as u64);
-        let buf = vec![0xabu8; size as usize];
-        let per = ops / threads as u64;
-        for _ in 0..per {
-            let block = match &z {
-                None => rng.below(n_blocks),
-                Some(z) => z.rank(rng.next_f64()),
-            };
-            let addr = PmAddr(block * size);
-            ctx.write_bytes(addr, &buf);
-            let flush = match strategy {
-                Strategy::WriteF => true,
-                Strategy::WriteNf => false,
-                Strategy::Hot1Nf => block >= hot_cut,
-            };
-            if flush {
-                ctx.flush_range(addr, size);
-                ctx.fence();
+    let (r, _) = cell
+        .tasks(&dev, usize::from(zipf), |tid, ctx| {
+            let mut rng = Rng64::new(0xf161 + tid as u64);
+            let buf = vec![0xabu8; size as usize];
+            let per = ops / threads as u64;
+            for _ in 0..per {
+                let block = match &z {
+                    None => rng.below(n_blocks),
+                    Some(z) => z.rank(rng.next_f64()),
+                };
+                let addr = PmAddr(block * size);
+                ctx.write_bytes(addr, &buf);
+                let flush = match strategy {
+                    Strategy::WriteF => true,
+                    Strategy::WriteNf => false,
+                    Strategy::Hot1Nf => block >= hot_cut,
+                };
+                if flush {
+                    ctx.flush_range(addr, size);
+                    ctx.fence();
+                }
             }
-        }
-        per
-    });
+            per
+        })
+        .unwrap();
     r.gbps(r.ops * size)
 }
 

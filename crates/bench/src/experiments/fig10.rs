@@ -29,20 +29,20 @@ pub fn run_one(scale: &Scale, figure: u8, kind: IndexKind, value: ValueSize) -> 
         ValueSize::Inline => (0, 16),
         ValueSize::Fixed(n) => (n, n as u64),
     };
-    let cell = Cell::new(figure, kind as usize, point, scale.max_threads());
+    let cell = Cell::figure(figure, kind as usize, point, scale.max_threads());
     let dev = bench_device(scale.keys, vbytes);
     let idx = build_index(&dev, kind);
     let index = idx.as_ref();
     let cfg = WorkloadConfig::new(scale.keys, Distribution::Zipfian, Mix::BALANCED, value);
     let mut out = Vec::with_capacity(PHASES.len());
 
-    out.push(cell.load(&dev, 0, index, &cfg));
+    out.push(cell.load(&dev, 0, index, &cfg).unwrap().0);
     for (p, (_, mix)) in PHASES.iter().enumerate().skip(1) {
         let cfg = WorkloadConfig {
             mix: mix.unwrap(),
             ..cfg.clone()
         };
-        out.push(cell.mix(&dev, p, index, &cfg, scale.ops));
+        out.push(cell.mix(&dev, p, index, &cfg, scale.ops, false).unwrap().0);
     }
     out
 }

@@ -29,7 +29,7 @@ pub fn run_a(scale: &Scale) -> Vec<ExperimentRow> {
         let mut vals = Vec::new();
         let mut traffic = Vec::new();
         for (series, &var) in variants.iter().enumerate() {
-            let cell = Cell::new(120, series, vs, threads);
+            let cell = Cell::figure(120, series, vs, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Zipfian,
@@ -48,8 +48,10 @@ pub fn run_a(scale: &Scale) -> Vec<ExperimentRow> {
             };
             let dev = bench_device(scale.keys, vs as u64);
             let idx = build_spash_variant(&dev, cfg);
-            cell.load(&dev, 0, idx.as_ref(), &wcfg);
-            let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
+            cell.load(&dev, 0, idx.as_ref(), &wcfg).unwrap();
+            let (r, _) = cell
+                .mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops, false)
+                .unwrap();
             out.push(ExperimentRow::from_phase(
                 "fig12a",
                 var,
@@ -97,7 +99,7 @@ pub fn run_b(scale: &Scale) -> Vec<ExperimentRow> {
         let mut vals = Vec::new();
         let mut traffic = Vec::new();
         for (series, &var) in variants.iter().enumerate() {
-            let cell = Cell::new(121, series, vs, threads);
+            let cell = Cell::figure(121, series, vs, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Uniform,
@@ -106,7 +108,7 @@ pub fn run_b(scale: &Scale) -> Vec<ExperimentRow> {
             );
             let dev = bench_device(scale.keys, vs as u64);
             let idx = build_spash_variant(&dev, ablation_config(var));
-            let r = cell.load(&dev, 0, idx.as_ref(), &wcfg);
+            let (r, _) = cell.load(&dev, 0, idx.as_ref(), &wcfg).unwrap();
             out.push(ExperimentRow::from_phase(
                 "fig12b",
                 var,
@@ -154,7 +156,7 @@ pub fn run_c(scale: &Scale) -> Vec<ExperimentRow> {
     for (point, (label, mix)) in mixes.into_iter().enumerate() {
         let mut vals = Vec::new();
         for (series, &var) in variants.iter().enumerate() {
-            let cell = Cell::new(122, series, point, threads);
+            let cell = Cell::figure(122, series, point, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Zipfian,
@@ -163,8 +165,10 @@ pub fn run_c(scale: &Scale) -> Vec<ExperimentRow> {
             );
             let dev = bench_device(scale.keys, 16);
             let idx = build_spash_variant(&dev, ablation_config(var));
-            cell.load(&dev, 0, idx.as_ref(), &wcfg);
-            let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
+            cell.load(&dev, 0, idx.as_ref(), &wcfg).unwrap();
+            let (r, _) = cell
+                .mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops, false)
+                .unwrap();
             out.push(ExperimentRow::from_phase(
                 "fig12c",
                 var,
@@ -200,7 +204,7 @@ pub fn run_d(scale: &Scale) -> Vec<ExperimentRow> {
         let mut tput = Vec::new();
         let mut lat = Vec::new();
         for &pd in &depths {
-            let cell = Cell::new(123, pd, threads, threads);
+            let cell = Cell::figure(123, pd, threads, threads);
             let wcfg = WorkloadConfig::new(
                 scale.keys,
                 Distribution::Zipfian,
@@ -215,9 +219,11 @@ pub fn run_d(scale: &Scale) -> Vec<ExperimentRow> {
                     ..SpashConfig::default()
                 },
             );
-            cell.load(&dev, 0, idx.as_ref(), &wcfg);
+            cell.load(&dev, 0, idx.as_ref(), &wcfg).unwrap();
             dev.invalidate_cache();
-            let r = cell.mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops);
+            let (r, _) = cell
+                .mix(&dev, 1, idx.as_ref(), &wcfg, scale.ops, false)
+                .unwrap();
             out.push(ExperimentRow::from_phase(
                 "fig12d",
                 &format!("PD{pd}"),

@@ -26,27 +26,33 @@ pub fn run_one(scale: &Scale, kind: IndexKind, threads: usize) -> [PhaseResult; 
         ValueSize::Inline,
     );
     let keys = load_keys(&cfg);
-    let cell = Cell::new(7, kind as usize, threads, threads);
+    let cell = Cell::figure(7, kind as usize, threads, threads);
 
     // Insert phase: the load itself, partitioned over threads.
-    let insert = cell.load(&dev, 0, index, &cfg);
-    let search = cell.mix(&dev, 1, index, &cfg, scale.ops);
+    let insert = cell.load(&dev, 0, index, &cfg).unwrap().0;
+    let search = cell.mix(&dev, 1, index, &cfg, scale.ops, false).unwrap().0;
     let ucfg = WorkloadConfig {
         mix: Mix::UPDATE_ONLY,
         ..cfg.clone()
     };
-    let update = cell.mix(&dev, 2, index, &ucfg, scale.ops);
+    let update = cell.mix(&dev, 2, index, &ucfg, scale.ops, false).unwrap().0;
 
     // Delete phase: each thread deletes its own loaded keys (each key
     // exactly once).
-    let delete = cell.tasks(&dev, 3, |tid, ctx| {
-        let mine = my_chunk(&keys, threads, tid);
-        let n = (mine.len() as u64).min(scale.ops / threads as u64 + 1);
-        for &k in &mine[..n as usize] {
-            assert!(index.remove(ctx, k), "{}: delete of loaded key {k}", index.name());
-        }
-        n
-    });
+    let (delete, _) = cell
+        .tasks(&dev, 3, |tid, ctx| {
+            let mine = my_chunk(&keys, threads, tid);
+            let n = (mine.len() as u64).min(scale.ops / threads as u64 + 1);
+            for &k in &mine[..n as usize] {
+                assert!(
+                    index.remove(ctx, k),
+                    "{}: delete of loaded key {k}",
+                    index.name()
+                );
+            }
+            n
+        })
+        .unwrap();
 
     [insert, search, update, delete]
 }

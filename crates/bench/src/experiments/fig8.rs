@@ -33,27 +33,29 @@ pub fn run_one(scale: &Scale, kind: IndexKind) -> AccessCounts {
         ValueSize::Inline,
     );
     let keys = load_keys(&cfg);
-    let cell = Cell::new(8, kind as usize, 0, threads);
+    let cell = Cell::figure(8, kind as usize, 0, threads);
 
-    let insert = cell.load(&dev, 0, index, &cfg);
+    let insert = cell.load(&dev, 0, index, &cfg).unwrap().0;
     // Evict everything so steady-state (cold) access counts are measured,
     // like the paper's 20M-key working set exceeding the LLC.
     dev.invalidate_cache();
-    let search = cell.mix(&dev, 1, index, &cfg, scale.ops);
+    let search = cell.mix(&dev, 1, index, &cfg, scale.ops, false).unwrap().0;
     dev.invalidate_cache();
     let ucfg = WorkloadConfig {
         mix: Mix::UPDATE_ONLY,
         ..cfg.clone()
     };
-    let update = cell.mix(&dev, 2, index, &ucfg, scale.ops);
+    let update = cell.mix(&dev, 2, index, &ucfg, scale.ops, false).unwrap().0;
     dev.invalidate_cache();
-    let delete = cell.tasks(&dev, 3, |tid, ctx| {
-        let mine = my_chunk(&keys, threads, tid);
-        for &k in mine {
-            index.remove(ctx, k);
-        }
-        mine.len() as u64
-    });
+    let (delete, _) = cell
+        .tasks(&dev, 3, |tid, ctx| {
+            let mine = my_chunk(&keys, threads, tid);
+            for &k in mine {
+                index.remove(ctx, k);
+            }
+            mine.len() as u64
+        })
+        .unwrap();
     AccessCounts {
         insert,
         search,

@@ -1,7 +1,8 @@
 //! One module per figure/table of the paper's evaluation (§VI), plus the
-//! phase helpers they share with the gated suites: every multi-task phase
-//! is a cooperative batch (`harness::run_scheduled`) — the partitioned
-//! `load`, the stream-driven `mix`, or a figure's own [`Cell::tasks`] body.
+//! [`Cell`] they share with the gated suites: every phase is a
+//! cooperative batch (`harness::run_scheduled`) — the partitioned
+//! [`Cell::load`], the stream-driven [`Cell::mix`], or a figure's own
+//! [`Cell::tasks`] body.
 //!
 //! Every figure row is therefore a pure function of the `SPASH_BENCH_*`
 //! scale: each figure's `run` returns its rows, `spash-bench all` writes
@@ -21,7 +22,6 @@ use std::sync::Arc;
 
 use spash_index_api::{BatchOp, BatchResult, IndexError, PersistentIndex};
 use spash_pmem::{MemCtx, PmAddr, PmDevice};
-use spash_sched::SchedConfig;
 use spash_workloads::{load_keys, OpStream, WorkOp, WorkloadConfig};
 
 use crate::harness::{phase_sched, run_scheduled, PhaseResult, TaskBody};
@@ -82,69 +82,14 @@ pub fn my_chunk<T>(items: &[T], threads: usize, tid: usize) -> &[T] {
 }
 
 /// A scheduled phase's outcome: the phase result plus per-task op counts.
-pub(crate) type Scheduled = Result<(PhaseResult, Vec<u64>), String>;
-
-/// The load phase: `threads` tasks insert their own chunk of `cfg`'s
-/// load keys concurrently, values from `cfg`'s generator. A task stops at
-/// the first `OutOfMemory` (Halo's documented DRAM-exhaustion failure
-/// mode) and counts what it inserted; any other failure is a bug and
-/// panics.
-pub(crate) fn load(
-    dev: &Arc<PmDevice>,
-    sched: &SchedConfig,
-    index: &dyn PersistentIndex,
-    cfg: &WorkloadConfig,
-    threads: usize,
-) -> Scheduled {
-    let keys = load_keys(cfg);
-    let bodies = (0..threads)
-        .map(|t| -> TaskBody {
-            let mine = my_chunk(&keys, threads, t);
-            let mut vals = OpStream::new(cfg, t as u64);
-            Box::new(move |ctx| {
-                let mut done = 0;
-                for &k in mine {
-                    match index.insert(ctx, k, &vals.expected_value(k)) {
-                        Ok(()) => done += 1,
-                        Err(IndexError::OutOfMemory) => break,
-                        Err(e) => panic!("{}: load insert of {k} failed: {e:?}", index.name()),
-                    }
-                }
-                done
-            })
-        })
-        .collect();
-    run_scheduled(dev, sched, bodies)
-}
-
-/// A run phase: one task per stream, each executing `per_ops` operations
-/// of it through [`exec_stream`].
-pub(crate) fn mix(
-    dev: &Arc<PmDevice>,
-    sched: &SchedConfig,
-    index: &dyn PersistentIndex,
-    streams: Vec<OpStream>,
-    per_ops: u64,
-) -> Scheduled {
-    let bodies = streams
-        .into_iter()
-        .map(|mut stream| -> TaskBody {
-            Box::new(move |ctx| {
-                let n = exec_stream(index, ctx, &mut stream, per_ops);
-                maybe_inflate(ctx);
-                n
-            })
-        })
-        .collect();
-    run_scheduled(dev, sched, bodies)
-}
+pub type Scheduled = Result<(PhaseResult, Vec<u64>), String>;
 
 /// Test canary (see `crates/bench/tests/scale.rs`): when armed, every
-/// run-phase (`mix`) task ends with a burst of identity RMWs on one shared PM
-/// line. The or-with-0 leaves the data untouched, but each RMW is a
-/// modelled line-ownership transfer — extra sync points, extra cacheline
-/// traffic, inflated virtual time — exactly the signature of accidental
-/// contention, which the exact compare gate must flag.
+/// run-phase ([`Cell::mix`]) task ends with a burst of identity RMWs on
+/// one shared PM line. The or-with-0 leaves the data untouched, but each
+/// RMW is a modelled line-ownership transfer — extra sync points, extra
+/// cacheline traffic, inflated virtual time — exactly the signature of
+/// accidental contention, which the exact compare gate must flag.
 static INFLATE_CONTENTION: AtomicBool = AtomicBool::new(false);
 
 /// Arm/disarm the contention-inflation canary; returns the old state.
@@ -162,45 +107,47 @@ fn maybe_inflate(ctx: &mut MemCtx) {
     }
 }
 
-/// One figure cell: what was built for a (figure, series, x-axis point)
-/// and how many simulated threads run it. Each phase of the cell is one
-/// cooperative batch whose scheduler seed is a pure function of this
-/// identity and the phase ordinal (base and preemption budget are the
-/// `scale` suite's), so a figure row depends on nothing but the
-/// `SPASH_BENCH_*` scale.
+/// One cell of the catalog every gated report is measured in: a seed, a
+/// preemption budget, an identity and how many simulated threads run
+/// each phase. Each phase is one cooperative batch whose scheduler seed
+/// is a pure function of the cell and the phase ordinal, so a row
+/// depends on nothing but the suite's sizes. This is the one place a
+/// phase's scheduler is derived and run. Figures build theirs with
+/// [`Cell::figure`], the `perf`, `scale` and `service` sweeps with
+/// [`crate::suite::Point::new`].
 #[derive(Clone, Copy, Debug)]
 pub struct Cell {
-    figure: usize,
-    series: usize,
-    point: usize,
-    threads: usize,
+    pub(crate) seed: u64,
+    pub(crate) preemptions: u32,
+    /// `[series, group, point]`: a figure's `[series, figure, x-axis
+    /// point]`, a suite's `[target, domain, ladder value]`.
+    pub(crate) id: [usize; 3],
+    pub(crate) threads: usize,
 }
 
 impl Cell {
-    /// `figure` is the figure number (Fig 12's panels a–d: 120–123).
-    pub fn new(figure: u8, series: usize, point: usize, threads: usize) -> Self {
+    /// A figure cell. `figure` is the figure number (Fig 12's panels
+    /// a–d: 120–123).
+    pub fn figure(figure: u8, series: usize, point: usize, threads: usize) -> Self {
         Self {
-            figure: figure.into(),
-            series,
-            point,
+            seed: 0x5eed,
+            preemptions: 64,
+            id: [series, figure.into(), point],
             threads,
         }
     }
 
-    fn sched(&self, phase: usize) -> SchedConfig {
-        phase_sched(0x5eed, [self.series, self.figure, self.point], phase, 64)
-    }
-
-    /// A figure has no error path: a phase that did not complete (task
-    /// panic, step valve) ends the run, naming the cell.
-    fn done(&self, phase: usize, r: Scheduled) -> PhaseResult {
-        let (r, _per_task) = r.unwrap_or_else(|e| panic!("{self:?} phase {phase}: {e}"));
-        r
+    /// Phase `phase` as `bodies`, one cooperative task each. A phase that
+    /// did not complete (task panic, step valve) is an error naming the
+    /// cell.
+    pub fn run(&self, dev: &Arc<PmDevice>, phase: usize, bodies: Vec<TaskBody<'_>>) -> Scheduled {
+        let sched = phase_sched(self.seed, self.id, phase, self.preemptions);
+        run_scheduled(dev, &sched, bodies).map_err(|e| format!("{self:?} phase {phase}: {e}"))
     }
 
     /// Phase `phase` as `threads` tasks of `body(tid, ctx)`, which
     /// returns the number of operations it performed.
-    pub fn tasks<F>(&self, dev: &Arc<PmDevice>, phase: usize, body: F) -> PhaseResult
+    pub fn tasks<F>(&self, dev: &Arc<PmDevice>, phase: usize, body: F) -> Scheduled
     where
         F: Fn(usize, &mut MemCtx) -> u64 + Sync,
     {
@@ -208,23 +155,46 @@ impl Cell {
         let bodies = (0..self.threads)
             .map(|tid| -> TaskBody { Box::new(move |ctx| body(tid, ctx)) })
             .collect();
-        self.done(phase, run_scheduled(dev, &self.sched(phase), bodies))
+        self.run(dev, phase, bodies)
     }
 
-    /// Phase `phase` as the partitioned load of `cfg`'s key space.
+    /// Phase `phase` as the partitioned load of `cfg`'s key space: each
+    /// task inserts its own chunk of the load keys, values from `cfg`'s
+    /// generator. A task stops at the first `OutOfMemory` (Halo's
+    /// documented DRAM-exhaustion failure mode) and counts what it
+    /// inserted; any other failure is a bug and panics.
     pub fn load(
         &self,
         dev: &Arc<PmDevice>,
         phase: usize,
         index: &dyn PersistentIndex,
         cfg: &WorkloadConfig,
-    ) -> PhaseResult {
-        let r = load(dev, &self.sched(phase), index, cfg, self.threads);
-        self.done(phase, r)
+    ) -> Scheduled {
+        let keys = load_keys(cfg);
+        let bodies = (0..self.threads)
+            .map(|t| -> TaskBody {
+                let mine = my_chunk(&keys, self.threads, t);
+                let mut vals = OpStream::new(cfg, t as u64);
+                Box::new(move |ctx| {
+                    let mut done = 0;
+                    for &k in mine {
+                        match index.insert(ctx, k, &vals.expected_value(k)) {
+                            Ok(()) => done += 1,
+                            Err(IndexError::OutOfMemory) => break,
+                            Err(e) => panic!("{}: load insert of {k} failed: {e:?}", index.name()),
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        self.run(dev, phase, bodies)
     }
 
     /// Phase `phase` as a run of `ops` operations drawn from `cfg`, split
-    /// evenly over the cell's threads (shared key space).
+    /// evenly over the cell's threads and executed through
+    /// [`exec_stream`]: over the shared key space, or each task over its
+    /// own disjoint slice of it when `partitioned`.
     pub fn mix(
         &self,
         dev: &Arc<PmDevice>,
@@ -232,12 +202,24 @@ impl Cell {
         index: &dyn PersistentIndex,
         cfg: &WorkloadConfig,
         ops: u64,
-    ) -> PhaseResult {
-        let streams = (0..self.threads as u64)
-            .map(|t| OpStream::new(cfg, t))
+        partitioned: bool,
+    ) -> Scheduled {
+        let threads = self.threads as u64;
+        let bodies = (0..threads)
+            .map(|t| -> TaskBody {
+                let mut stream = if partitioned {
+                    OpStream::partitioned(cfg, t, threads)
+                } else {
+                    OpStream::new(cfg, t)
+                };
+                Box::new(move |ctx| {
+                    let n = exec_stream(index, ctx, &mut stream, ops / threads);
+                    maybe_inflate(ctx);
+                    n
+                })
+            })
             .collect();
-        let per_ops = ops / self.threads as u64;
-        self.done(phase, mix(dev, &self.sched(phase), index, streams, per_ops))
+        self.run(dev, phase, bodies)
     }
 }
 
@@ -274,8 +256,13 @@ mod tests {
         let slots_after = |threads: usize| {
             let dev = bench_device(cfg.n_keys, 16);
             let idx = build_index(&dev, IndexKind::Level);
-            let sched = phase_sched(7, [0; 3], 0, 64);
-            let (r, _) = load(&dev, &sched, idx.as_ref(), &cfg, threads).unwrap();
+            let cell = Cell {
+                seed: 7,
+                preemptions: 64,
+                id: [0; 3],
+                threads,
+            };
+            let (r, _) = cell.load(&dev, 0, idx.as_ref(), &cfg).unwrap();
             assert_eq!(r.ops, cfg.n_keys);
             idx.capacity_slots()
         };

@@ -23,7 +23,7 @@ use spash_sched::SchedConfig;
 
 use crate::knobs;
 
-/// Scale knobs, overridable from the environment (strictly — see
+/// The figures' scale, overridable from the environment (strictly — see
 /// [`crate::knobs`]) so the figure runs stay fast by default:
 /// * `SPASH_BENCH_KEYS` — load-phase keys (default 400k, paper 20M/100M);
 /// * `SPASH_BENCH_OPS` — run-phase ops (default 200k, paper 8G/100M);
@@ -38,10 +38,9 @@ pub struct Scale {
 
 impl Scale {
     pub fn from_env() -> Self {
-        knobs::reject_unknown();
         Self {
-            keys: knobs::int("SPASH_BENCH_KEYS", 400_000),
-            ops: knobs::int("SPASH_BENCH_OPS", 200_000),
+            keys: knobs::positive("SPASH_BENCH_KEYS", 400_000),
+            ops: knobs::positive("SPASH_BENCH_OPS", 200_000),
             threads: knobs::list("SPASH_BENCH_THREADS", &[1, 8, 56]),
         }
     }
@@ -92,10 +91,9 @@ impl PhaseResult {
 
 /// The scheduler configuration of one measured phase: random preemption
 /// under a seed that is a pure function of everything that identifies
-/// the phase — `cell` is `[series, group, point]` (`perf`: index, domain,
-/// 0; `scale`/`service`: index, domain, thread or shard count; figures:
-/// series, figure, x-axis point) — so no two phases share an
-/// interleaving stream and a whole suite is a pure function of `base`.
+/// the phase — `cell` is a [`crate::experiments::Cell`]'s `id`, its one
+/// caller — so no two phases share an interleaving stream and a whole
+/// suite is a pure function of `base`.
 /// The livelock valve is generous for the largest cell any suite runs:
 /// 56 tasks loading 400 k keys cross up to 49 M sync points legitimately.
 pub(crate) fn phase_sched(base: u64, cell: [usize; 3], phase: usize, preemptions: u32) -> SchedConfig {
@@ -114,7 +112,7 @@ pub(crate) fn phase_sched(base: u64, cell: [usize; 3], phase: usize, preemptions
 
 /// One cooperative task of a scheduled phase: runs on its own context and
 /// returns the number of operations it performed.
-pub(crate) type TaskBody<'a> = Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>;
+pub type TaskBody<'a> = Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>;
 
 /// Run `bodies` as cooperative tasks under [`run_batch`]: the one way
 /// this crate runs a measured phase, one task or many. The interleaving

@@ -3,12 +3,12 @@
 //! Three value forms exist — an integer (decimal or `0x` hex; a count
 //! must be positive), a comma list of positive integers, and a named
 //! choice — plus free text for revision labels. An unset knob takes its
-//! default. A knob that is set to something its form does not accept, or
-//! a variable inside one of the subcommand namespaces ([`KNOBS`]) that
-//! is not a knob at all, ends the process with exit code 2 and a message
-//! naming the knob, the value and the accepted forms: a gate that ran
-//! the wrong workload is worse than one that did not run (EXPERIMENTS.md
-//! has the knob table).
+//! default. A knob that is set to something its form does not accept, a
+//! variable inside one of the subcommand namespaces ([`KNOBS`]) that is
+//! not a knob at all, or any variable inside a [`RETIRED`] namespace ends
+//! the process with exit code 2 and a message naming the knob, the value
+//! and the accepted forms: a gate that ran the wrong workload is worse
+//! than one that did not run (EXPERIMENTS.md has the knob table).
 //!
 //! The `parse_*` functions are the pure core; [`int`], [`positive`],
 //! [`list`], [`choice`] and [`text`] read the process environment
@@ -17,10 +17,10 @@
 use std::fmt;
 
 /// Every knob the harness reads, by subcommand family:
-/// `SPASH_<FAMILY>_<SUFFIX>`. The seven namespaces are closed — any other
+/// `SPASH_<FAMILY>_<SUFFIX>`. The four namespaces are closed — any other
 /// variable inside one is a misspelling.
-pub const KNOBS: [(&str, &[&str]); 7] = [
-    ("BENCH", &["KEYS", "OPS", "SAN", "THREADS"]),
+pub const KNOBS: [(&str, &[&str]); 4] = [
+    ("BENCH", &["KEYS", "OPS", "REV", "SAN", "THREADS"]),
     (
         "CRASH",
         &[
@@ -35,9 +35,7 @@ pub const KNOBS: [(&str, &[&str]); 7] = [
             "TARGETS",
         ],
     ),
-    ("PERF", &["KEYS", "OPS", "REPEATS", "REV", "SEED"]),
     ("SAN", &["DOMAIN", "KEYS", "OPS", "SEED", "TARGETS"]),
-    ("SCALE", &["KEYS", "OPS", "PREEMPTIONS", "SEED", "THREADS"]),
     (
         "SCHED",
         &[
@@ -54,18 +52,18 @@ pub const KNOBS: [(&str, &[&str]); 7] = [
             "THREADS",
         ],
     ),
+];
+
+/// The namespaces of the suites whose sizes are constants
+/// ([`crate::suite`]), each with what replaced it. Any variable in one
+/// is refused, so an old recipe cannot silently run the default sizes.
+pub const RETIRED: [(&str, &str); 3] = [
     (
-        "SERVICE",
-        &[
-            "BATCH",
-            "GAP",
-            "KEYS",
-            "OPS",
-            "PREEMPTIONS",
-            "SEED",
-            "SHARDS",
-        ],
+        "PERF",
+        "perf runs at the constant suite::PERF; the revision label is SPASH_BENCH_REV",
     ),
+    ("SCALE", "scale runs at the constant suite::SCALE"),
+    ("SERVICE", "service runs at the constant suite::SERVICE"),
 ];
 
 /// A rejected knob: which one, what it was set to, what it accepts.
@@ -107,7 +105,7 @@ pub fn parse_int(name: &str, raw: &str) -> Result<u64, KnobError> {
     int_token(raw).ok_or_else(|| bad(name, raw, "an integer (decimal or 0x hex)"))
 }
 
-/// A count knob (repeats, batch size): a positive integer.
+/// A size knob (keys, ops, threads, arena MiB): a positive integer.
 pub fn parse_positive(name: &str, raw: &str) -> Result<u64, KnobError> {
     int_token(raw)
         .filter(|&v| v > 0)
@@ -135,13 +133,20 @@ pub fn parse_choice<T: Copy>(name: &str, raw: &str, choices: &[(&str, T)]) -> Re
 }
 
 /// Reject the first of `names` that sits in a closed namespace without
-/// being a knob.
+/// being a knob, or in a retired one.
 pub fn check_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<(), KnobError> {
     for name in names {
         let Some((family, suffix)) = name.strip_prefix("SPASH_").and_then(|r| r.split_once('_'))
         else {
             continue;
         };
+        if let Some((_, replaced)) = RETIRED.iter().find(|(f, _)| *f == family) {
+            return Err(KnobError {
+                name: name.to_string(),
+                value: None,
+                accepted: format!("the SPASH_{family}_ namespace is retired: {replaced}"),
+            });
+        }
         let Some((_, suffixes)) = KNOBS.iter().find(|(f, _)| *f == family) else {
             continue;
         };
@@ -206,8 +211,8 @@ mod tests {
         assert_eq!(parse_int("K", " 0xbeef "), Ok(0xbeef));
         assert_eq!(parse_int("K", "0XBEEF"), Ok(0xbeef));
         for raw in ["", "5b", "0x", "0xg", "-1", "1e3", "1,2"] {
-            let e = parse_int("SPASH_PERF_SEED", raw).unwrap_err();
-            assert_eq!(e.name, "SPASH_PERF_SEED");
+            let e = parse_int("SPASH_CRASH_SEED", raw).unwrap_err();
+            assert_eq!(e.name, "SPASH_CRASH_SEED");
             assert_eq!(e.value.as_deref(), Some(raw));
             assert!(e.to_string().contains("decimal or 0x hex"), "{e}");
         }
@@ -229,7 +234,7 @@ mod tests {
         assert_eq!(parse_positive("K", "8"), Ok(8));
         assert_eq!(parse_positive("K", "0x10"), Ok(16));
         for raw in ["0", "0x0", "-1", ""] {
-            let e = parse_positive("SPASH_SERVICE_BATCH", raw).unwrap_err();
+            let e = parse_positive("SPASH_CRASH_KEYS", raw).unwrap_err();
             assert!(e.to_string().contains("positive integer"), "{e}");
         }
     }
@@ -269,11 +274,22 @@ mod tests {
         assert!(e.to_string().contains("OPS"), "{e}");
         assert!(!e.to_string().contains("MUTATE"), "{e}");
         assert!(check_names(["SPASH_BENCH_"]).is_err());
+        // A retired namespace refuses every name, knob-shaped or not,
+        // naming what replaced it.
+        for name in ["SPASH_SCALE_THREADS", "SPASH_PERF_REV", "SPASH_SERVICE_X"] {
+            let e = check_names([name]).unwrap_err();
+            assert!(e.to_string().contains("retired"), "{e}");
+        }
+        let e = check_names(["SPASH_PERF_REV"]).unwrap_err();
+        assert!(e.to_string().contains("SPASH_BENCH_REV"), "{e}");
     }
 
     #[test]
-    fn all_46_knobs_are_listed_once() {
-        assert_eq!(KNOBS.iter().map(|(_, s)| s.len()).sum::<usize>(), 46);
+    fn all_30_knobs_are_listed_once() {
+        assert_eq!(KNOBS.iter().map(|(_, s)| s.len()).sum::<usize>(), 30);
+        assert!(KNOBS
+            .iter()
+            .all(|(f, _)| RETIRED.iter().all(|(r, _)| r != f)));
         for (f, suffixes) in KNOBS {
             assert!(suffixes.windows(2).all(|w| w[0] < w[1]), "{f}");
             let names: Vec<String> = suffixes.iter().map(|s| format!("SPASH_{f}_{s}")).collect();

@@ -16,6 +16,7 @@ pub mod report;
 pub mod scale;
 pub mod service;
 pub mod statskit;
+pub mod suite;
 
 // The hand-rolled JSON writer moved to `spash-analysis` so the linter's
 // machine-readable reports can share it (bench already depends on

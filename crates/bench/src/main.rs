@@ -6,7 +6,8 @@
 //!   at once. Their rows are written as a `BenchReport` JSON like the
 //!   suites' (`all` is gated against `bench/baseline_figures.json`).
 //! * `perf`, `scale`, `service` — the three fixed-seed gated suites
-//!   (DESIGN.md §§7, 8, 11). Every report (`--out <path>`, default
+//!   (DESIGN.md §§7, 8, 11), one sweep at the constant sizes in
+//!   `suite.rs`. Every report (`--out <path>`, default
 //!   `BENCH_<suite>_<rev>.json`) is a pure function of its inputs, and
 //!   `compare` holds it to exact equality against `bench/baseline*.json`.
 //! * `crashpoints`, `san`, `sched` — the crash-point sweep, the
@@ -14,8 +15,9 @@
 //!   exploration (DESIGN.md §5; recipes in EXPERIMENTS.md).
 //!
 //! Every `SPASH_*` knob is read through `spash_bench::knobs`: a bad
-//! value, an unknown choice or a misspelled name exits 2 (one table of
-//! names, defaults and accepted forms in EXPERIMENTS.md).
+//! value, an unknown choice, a misspelled name or a name in a retired
+//! namespace exits 2 (one table of names, defaults and accepted forms in
+//! EXPERIMENTS.md).
 
 mod commands;
 
@@ -24,7 +26,8 @@ usage: spash-bench <fig1|fig7|fig8|fig9|fig10|fig11|fig12[a-d]|all>... [--out P]
        spash-bench perf [--out P] | scale [--out P] [--assert] [--lin-check]
        spash-bench service [--out P] [--lin-check] | compare OLD NEW
        spash-bench crashpoints | san | sched [--seeds N]
-knobs: SPASH_<BENCH|PERF|SCALE|SERVICE|CRASH|SAN|SCHED>_* (EXPERIMENTS.md, \"Knobs\")";
+knobs: SPASH_<BENCH|CRASH|SAN|SCHED>_* (EXPERIMENTS.md, \"Knobs\");
+       perf, scale and service run at constant sizes";
 
 fn main() {
     spash_bench::knobs::reject_unknown();

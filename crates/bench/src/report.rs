@@ -20,6 +20,7 @@
 use spash_pmem::{SpanSnapshot, StatsSnapshot};
 
 use crate::json::Json;
+use crate::knobs;
 
 /// Bump when the report layout changes incompatibly; `compare` refuses to
 /// diff reports with different schema versions.
@@ -281,6 +282,42 @@ impl BenchReport {
             rows,
         })
     }
+}
+
+/// The short revision baked into the report filename and header.
+/// Precedence: `SPASH_BENCH_REV` env, `GITHUB_SHA`, `git rev-parse`,
+/// `"local"`.
+pub fn short_rev() -> String {
+    let clean = |s: &str| {
+        let t: String = s
+            .chars()
+            .filter(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '.')
+            .take(16)
+            .collect();
+        (!t.is_empty()).then_some(t)
+    };
+    if let Some(r) = knobs::text("SPASH_BENCH_REV").as_deref().and_then(clean) {
+        return r;
+    }
+    if let Some(r) = std::env::var("GITHUB_SHA")
+        .ok()
+        .as_deref()
+        .map(|s| &s[..s.len().min(8)])
+        .and_then(clean)
+    {
+        return r;
+    }
+    if let Ok(out) = std::process::Command::new("git")
+        .args(["rev-parse", "--short=8", "HEAD"])
+        .output()
+    {
+        if out.status.success() {
+            if let Some(r) = clean(String::from_utf8_lossy(&out.stdout).trim()) {
+                return r;
+            }
+        }
+    }
+    "local".into()
 }
 
 fn field_u64(v: &Json, key: &str) -> Result<u64, String> {

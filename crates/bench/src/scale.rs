@@ -34,74 +34,12 @@ use spash_pmem::{MemCtx, PersistenceDomain, PmDevice};
 use spash_sched::SchedConfig;
 use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
 
-use crate::experiments::{load, mix};
-use crate::harness::{phase_sched, run_scheduled};
+use crate::harness::run_scheduled;
 use crate::indexes::crash_targets;
-use crate::knobs;
-use crate::perf::{domain_label, short_rev, suite_pm};
-use crate::report::{join_ladder, BenchReport, ExperimentRow};
-use crate::PhaseResult;
+use crate::report::{BenchReport, ExperimentRow};
+use crate::suite::{suite_pm, sweep, Point, SuiteConfig};
 
-/// Suite scale. Like `perf`, deliberately small: contention shapes show
-/// up at any scale, and the gate's job is pinning them, not asymptotics.
-#[derive(Clone, Debug)]
-pub struct ScaleConfig {
-    /// Keys loaded per cell (key space `1..=keys`).
-    pub keys: u64,
-    /// Total run-phase ops per cell, split evenly over the tasks.
-    pub ops: u64,
-    /// The thread-count ladder (virtual tasks per cell).
-    pub threads: Vec<usize>,
-    /// Workload seed (scheduler seeds derive from it per cell × phase).
-    pub seed: u64,
-    pub value_bytes: usize,
-    /// Scheduler preemption budget per phase: blocking events always
-    /// switch for free; this bounds extra preemptions at non-blocking
-    /// sync points.
-    pub preemptions: u32,
-}
-
-impl ScaleConfig {
-    /// The pinned CI ladder. Changing any of these invalidates the
-    /// committed `bench/baseline_scale.json` (compare fails on the config
-    /// echo).
-    pub fn default_suite() -> Self {
-        Self {
-            keys: 4_000,
-            ops: 2_000,
-            threads: vec![1, 2, 4, 8],
-            seed: 0x5eed,
-            value_bytes: 16,
-            preemptions: 64,
-        }
-    }
-
-    /// Tiny variant for tier-1 tests.
-    pub fn test_small() -> Self {
-        Self {
-            keys: 600,
-            ops: 240,
-            threads: vec![2, 8],
-            seed: 0x5eed,
-            value_bytes: 16,
-            preemptions: 32,
-        }
-    }
-
-    pub fn from_env() -> Self {
-        let d = Self::default_suite();
-        Self {
-            keys: knobs::int("SPASH_SCALE_KEYS", d.keys),
-            ops: knobs::int("SPASH_SCALE_OPS", d.ops),
-            threads: knobs::list("SPASH_SCALE_THREADS", &d.threads),
-            seed: knobs::int("SPASH_SCALE_SEED", d.seed),
-            value_bytes: d.value_bytes,
-            preemptions: knobs::int("SPASH_SCALE_PREEMPTIONS", d.preemptions as u64) as u32,
-        }
-    }
-}
-
-// --- one cell: index × domain × thread count ----------------------------
+// --- one point: index × domain × thread count ---------------------------
 
 /// Rows plus the per-task op counts behind each row's `ops` total.
 pub struct CellResult {
@@ -110,88 +48,28 @@ pub struct CellResult {
     pub task_ops: Vec<(&'static str, Vec<u64>)>,
 }
 
-/// Run one index at one domain and thread count: partitioned load,
-/// partitioned-uniform run, shared-zipf run, all on the same device.
-pub fn run_cell(
-    target: &CrashTarget,
-    target_idx: usize,
-    domain: PersistenceDomain,
-    threads: usize,
-    cfg: &ScaleConfig,
-) -> Result<CellResult, String> {
-    assert!(threads >= 1);
-    let dev = PmDevice::new(suite_pm(domain));
-    let mut fmt_ctx = dev.ctx();
-    let index: Arc<dyn PersistentIndex> = Arc::from((target.format)(&mut fmt_ctx));
-    drop(fmt_ctx);
-
-    let wl = |dist: Distribution, mix: Mix| WorkloadConfig {
-        seed: cfg.seed,
-        ..WorkloadConfig::new(cfg.keys, dist, mix, ValueSize::Fixed(cfg.value_bytes))
-    };
-    let didx = usize::from(domain == PersistenceDomain::Adr);
-    let sched_for =
-        |phase| phase_sched(cfg.seed, [target_idx, didx, threads], phase, cfg.preemptions);
-    let point = format!("{}/t{}", domain_label(domain), threads);
-    let name = target.name.clone();
-    let fail = |phase: &str, e: String| format!("{name}/{point}/{phase}: {e}");
-
-    let mut rows = Vec::new();
-    let mut task_ops = Vec::new();
-    let mut push = |phase: &'static str, r: PhaseResult, per_task: Vec<u64>| {
-        assert_eq!(
-            r.ops,
-            per_task.iter().sum::<u64>(),
-            "{name}/{point}/{phase}: total ops != sum of per-task ops"
-        );
-        rows.push(ExperimentRow::from_phase(
-            "scale",
-            &name,
-            &point,
-            phase,
-            "mops",
-            r.mops(),
-            threads,
-            &r,
-        ));
-        task_ops.push((phase, per_task));
-    };
-
-    // Load: every task inserts its own rank chunk (same chunking as the
-    // partitioned run streams), concurrently under the scheduler.
-    let load_cfg = wl(Distribution::Uniform, Mix::BALANCED);
-    let (r, per_task) = load(&dev, &sched_for(0), index.as_ref(), &load_cfg, threads)
-        .map_err(|e| fail("load", e))?;
-    if r.ops != cfg.keys {
-        return Err(fail("load", format!("out of memory after {} keys", r.ops)));
-    }
-    push("load", r, per_task);
-
-    // Run phases: partitioned-uniform (disjoint slices, no key sharing)
-    // then shared-zipf (every task hammers the same hot ranks).
-    for (pi, (phase, dist, shared)) in [
-        ("uniform", Distribution::Uniform, false),
-        ("zipf", Distribution::Zipfian, true),
+/// Run one point's three phases on its device: partitioned load (every
+/// task inserts its own rank chunk), partitioned-uniform run (disjoint
+/// slices, no key sharing), shared-zipf run (every task hammers the same
+/// hot ranks).
+pub fn run_cell(p: &Point) -> Result<CellResult, String> {
+    let (r, per_task) = p.load()?;
+    let mut rows = vec![p.row("load", &r)];
+    let mut task_ops = vec![("load", per_task)];
+    for (pi, (phase, dist, partitioned)) in [
+        ("uniform", Distribution::Uniform, true),
+        ("zipf", Distribution::Zipfian, false),
     ]
     .into_iter()
     .enumerate()
     {
-        let rcfg = wl(dist, Mix::BALANCED);
-        let per_ops = (cfg.ops / threads as u64).max(1);
-        let streams = (0..threads as u64)
-            .map(|t| {
-                if shared {
-                    OpStream::new(&rcfg, t)
-                } else {
-                    OpStream::partitioned(&rcfg, t, threads as u64)
-                }
-            })
-            .collect();
-        let (r, per_task) = mix(&dev, &sched_for(1 + pi), index.as_ref(), streams, per_ops)
-            .map_err(|e| fail(phase, e))?;
-        push(phase, r, per_task);
+        let wl = p.cfg.workload(dist, Mix::BALANCED);
+        let (r, per_task) = p
+            .cell
+            .mix(&p.dev, 1 + pi, &*p.index, &wl, p.cfg.ops, partitioned)?;
+        rows.push(p.row(phase, &r));
+        task_ops.push((phase, per_task));
     }
-
     Ok(CellResult { rows, task_ops })
 }
 
@@ -199,31 +77,9 @@ pub fn run_cell(
 
 /// Run the full sweep: every target × {eADR, ADR} × ladder × phases, then
 /// derive the crossover/peak assertions. The report is byte-identical
-/// across same-seed runs.
-pub fn run_suite(cfg: &ScaleConfig) -> Result<BenchReport, String> {
-    let mut report = BenchReport::new(&short_rev());
-    report.set_config("suite", "scale");
-    report.set_config("keys", cfg.keys);
-    report.set_config("ops", cfg.ops);
-    report.set_config("seed", format!("{:#x}", cfg.seed));
-    report.set_config("threads", join_ladder(&cfg.threads));
-    report.set_config("value_bytes", cfg.value_bytes);
-    report.set_config("preemptions", cfg.preemptions);
-
-    for (ti, target) in crash_targets().iter().enumerate() {
-        for domain in [PersistenceDomain::Eadr, PersistenceDomain::Adr] {
-            for &threads in &cfg.threads {
-                let cell = run_cell(target, ti, domain, threads, cfg)?;
-                report.rows.extend(cell.rows);
-            }
-            println!(
-                "# scale: {} [{}] done ({} thread points)",
-                target.name,
-                domain_label(domain),
-                cfg.threads.len()
-            );
-        }
-    }
+/// across runs.
+pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, String> {
+    let mut report = sweep(cfg, &[], |p| run_cell(p).map(|c| c.rows))?;
     derive_assertions(&mut report, cfg);
     Ok(report)
 }
@@ -261,7 +117,7 @@ fn series_names() -> (Vec<String>, String) {
 ///
 /// These are *derived* from bit-deterministic rows, so they are
 /// themselves deterministic and `compare` gates them exactly.
-fn derive_assertions(report: &mut BenchReport, cfg: &ScaleConfig) {
+fn derive_assertions(report: &mut BenchReport, cfg: &SuiteConfig) {
     let (series, spash) = series_names();
     let mut claims: Vec<(String, String)> = Vec::new();
     for domain in ["eadr", "adr"] {
@@ -269,7 +125,7 @@ fn derive_assertions(report: &mut BenchReport, cfg: &ScaleConfig) {
             for s in &series {
                 // Peak: first ladder point attaining the max throughput.
                 let peak = cfg
-                    .threads
+                    .ladder
                     .iter()
                     .copied()
                     .max_by(|&a, &b| {
@@ -287,7 +143,7 @@ fn derive_assertions(report: &mut BenchReport, cfg: &ScaleConfig) {
                     continue;
                 }
                 let crossover = cfg
-                    .threads
+                    .ladder
                     .iter()
                     .copied()
                     .find(|&t| {
@@ -314,10 +170,10 @@ fn derive_assertions(report: &mut BenchReport, cfg: &ScaleConfig) {
 ///   both domains;
 /// * Spash wins contended zipf at the ladder top in eADR: every baseline
 ///   has a crossover (≠ "never").
-pub fn check_claims(report: &BenchReport, cfg: &ScaleConfig) -> Vec<String> {
+pub fn check_claims(report: &BenchReport, cfg: &SuiteConfig) -> Vec<String> {
     let mut bad = Vec::new();
     let (series, spash) = series_names();
-    let top = cfg.threads.iter().copied().max().unwrap_or(1).to_string();
+    let top = cfg.ladder.iter().copied().max().unwrap_or(1).to_string();
     for domain in ["eadr", "adr"] {
         for phase in ["uniform", "zipf"] {
             for s in &series {
@@ -479,9 +335,15 @@ mod tests {
 
     #[test]
     fn one_cell_has_three_phases_and_sane_rows() {
-        let cfg = ScaleConfig::test_small();
+        let cfg = SuiteConfig {
+            keys: 600,
+            ops: 240,
+            preemptions: 32,
+            ladder: &[2, 8],
+            ..crate::suite::SCALE
+        };
         let target = &crash_targets()[0];
-        let cell = run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg).unwrap();
+        let cell = run_cell(&Point::new(&cfg, target, 0, PersistenceDomain::Eadr, 2)).unwrap();
         assert_eq!(cell.rows.len(), 3);
         assert_eq!(cell.task_ops.len(), 3);
         for (row, (phase, per_task)) in cell.rows.iter().zip(&cell.task_ops) {

@@ -21,93 +21,30 @@
 //! trips this, not the lin-check) and ack conservation (every enqueued
 //! request is acked exactly once; `sum(per-shard acked) == enqueued`).
 //! The report is byte-identical across same-seed runs and compared
-//! exactly against `bench/baseline_service.json` in CI (`service-gate`).
+//! exactly against `bench/baseline_service.json` in CI (`suites-gate`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use spash_index_api::crashpoint::{CrashTarget, SweepOp};
-use spash_index_api::PersistentIndex;
-use spash_pmem::{MemCtx, PersistenceDomain, PmDevice};
+use spash_index_api::crashpoint::SweepOp;
+use spash_pmem::MemCtx;
 use spash_service::lincheck::{self, ServiceLinConfig};
 use spash_service::pool::BatchPool;
 use spash_service::{BatchReplies, ClientReq, JournalSpec, Service, ServiceConfig};
 use spash_workloads::openloop::{ArrivalGen, OpenLoopConfig};
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
+use spash_workloads::{load_keys, Distribution, Mix, OpStream};
 
-use crate::harness::{phase_sched, run_scheduled};
+use crate::harness::TaskBody;
 use crate::indexes::crash_targets;
-use crate::knobs;
-use crate::perf::{domain_label, short_rev, suite_pm};
-use crate::report::{join_ladder, BenchReport, ExperimentRow};
+use crate::report::{BenchReport, ExperimentRow};
 use crate::statskit::percentile;
+use crate::suite::{sweep, Point, SuiteConfig};
 
-/// Suite scale. Small for the same reason `scale` is: batching and
-/// queueing shapes show at any scale, and the gate's job is pinning
-/// them exactly.
-#[derive(Clone, Debug)]
-pub struct ServiceSuiteConfig {
-    /// Keys loaded per cell (load phase inserts; key space `1..=keys`).
-    pub keys: u64,
-    /// Client requests in each of the open and saturate phases.
-    pub ops: u64,
-    /// Shard-count ladder (executor tasks per cell).
-    pub shards: Vec<usize>,
-    /// Max requests coalesced under one batch fence.
-    pub batch_max: usize,
-    pub seed: u64,
-    pub value_bytes: usize,
-    pub preemptions: u32,
-    /// Open-loop client session population.
-    pub sessions: u64,
-    /// Mean virtual inter-arrival gap of the open phase, ns.
-    pub mean_gap_ns: u64,
-}
-
-impl ServiceSuiteConfig {
-    /// The pinned CI configuration. Changing any of these invalidates
-    /// the committed `bench/baseline_service.json` (compare fails on the
-    /// config echo).
-    pub fn default_suite() -> Self {
-        Self {
-            keys: 1_500,
-            ops: 1_500,
-            shards: vec![2, 4],
-            batch_max: 8,
-            seed: 0x5e41ce,
-            value_bytes: 16,
-            preemptions: 32,
-            sessions: 1 << 20,
-            mean_gap_ns: 150,
-        }
-    }
-
-    /// Tiny variant for tier-1 tests.
-    pub fn test_small() -> Self {
-        Self {
-            keys: 300,
-            ops: 240,
-            shards: vec![2],
-            batch_max: 4,
-            ..Self::default_suite()
-        }
-    }
-
-    pub fn from_env() -> Self {
-        let d = Self::default_suite();
-        Self {
-            keys: knobs::int("SPASH_SERVICE_KEYS", d.keys),
-            ops: knobs::int("SPASH_SERVICE_OPS", d.ops),
-            shards: knobs::list("SPASH_SERVICE_SHARDS", &d.shards),
-            batch_max: knobs::positive("SPASH_SERVICE_BATCH", d.batch_max as u64) as usize,
-            seed: knobs::int("SPASH_SERVICE_SEED", d.seed),
-            value_bytes: d.value_bytes,
-            preemptions: knobs::int("SPASH_SERVICE_PREEMPTIONS", d.preemptions as u64) as u32,
-            sessions: d.sessions,
-            mean_gap_ns: knobs::int("SPASH_SERVICE_GAP", d.mean_gap_ns),
-        }
-    }
-}
+/// Max requests coalesced under one batch fence.
+pub const BATCH_MAX: usize = 8;
+/// Open-loop client session population.
+pub const SESSIONS: u64 = 1 << 20;
+/// Mean virtual inter-arrival gap of the open phase, ns.
+pub const MEAN_GAP_NS: u64 = 150;
 
 /// One cell's rows plus the conservation totals behind them.
 pub struct ServiceCellResult {
@@ -122,7 +59,6 @@ pub struct ServiceCellResult {
 /// optionally collecting per-response latency, and surface the routing
 /// audit. `t0` inside each body is the executor's phase-start clock (all
 /// tasks start at the same raised floor, so latencies are comparable).
-#[allow(clippy::type_complexity)]
 fn shard_bodies<'a>(
     svc: &'a Service,
     shards: usize,
@@ -130,10 +66,10 @@ fn shard_bodies<'a>(
     // lint:allow(std-sync): host-side latency sink; locked only inside
     // `deliver`, never held across a sync point.
     latencies: Option<&'a std::sync::Mutex<Vec<u64>>>,
-) -> Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>> {
+) -> Vec<TaskBody<'a>> {
     (0..shards)
-        .map(|shard| {
-            let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a> = Box::new(move |ctx| {
+        .map(|shard| -> TaskBody<'a> {
+            Box::new(move |ctx| {
                 let t0 = ctx.now();
                 let mut on_invoke = |_: &mut [ClientReq]| {};
                 let mut deliver = |_ctx: &mut MemCtx, pool: &BatchPool, replies: BatchReplies| {
@@ -150,44 +86,25 @@ fn shard_bodies<'a>(
                 let stats = svc.run_shard(ctx, shard, &mut on_invoke, &mut deliver);
                 misroutes.fetch_add(stats.misroutes, Ordering::SeqCst);
                 stats.ops
-            });
-            b
+            })
         })
         .collect()
 }
 
-/// Run one index at one domain and shard count: load, open-loop run,
-/// saturation run, all against the same device and service instance.
-pub fn run_cell(
-    target: &CrashTarget,
-    target_idx: usize,
-    domain: PersistenceDomain,
-    shards: usize,
-    cfg: &ServiceSuiteConfig,
-) -> Result<ServiceCellResult, String> {
-    assert!(shards >= 1);
-    let pm = suite_pm(domain);
-    let dev = PmDevice::new(pm.clone());
-    let mut fmt_ctx = dev.ctx();
-    let index: Arc<dyn PersistentIndex> = Arc::from((target.format)(&mut fmt_ctx));
-    drop(fmt_ctx);
+/// Run one point's phases — load, open-loop run, saturation run — against
+/// one service instance over its index, with `p.cell.threads` shards.
+pub fn run_cell(p: &Point) -> Result<ServiceCellResult, String> {
+    let shards = p.cell.threads;
     let svc = Service::new(
-        index,
+        p.index.clone(),
         ServiceConfig {
             shards,
-            batch_max: cfg.batch_max,
-            journal: JournalSpec::at_top(pm.arena_size, shards, 1024),
+            batch_max: BATCH_MAX,
+            journal: JournalSpec::at_top(p.dev.config().arena_size, shards, 1024),
             pool_slots: shards + 1,
             pool_participants: 0,
         },
     );
-
-    let didx = usize::from(domain == PersistenceDomain::Adr);
-    let sched_for =
-        |phase| phase_sched(cfg.seed, [target_idx, didx, shards], phase, cfg.preemptions);
-    let point = format!("{}/s{}", domain_label(domain), shards);
-    let name = target.name.clone();
-    let fail = |phase: &str, e: String| format!("{name}/{point}/{phase}: {e}");
 
     let mut rows = Vec::new();
     let mut enqueued = 0u64;
@@ -204,15 +121,12 @@ pub fn run_cell(
                      rows: &mut Vec<ExperimentRow>|
      -> Result<(), String> {
         let bodies = shard_bodies(&svc, shards, &misroutes, latencies);
-        let (r, per_task) = run_scheduled(&dev, &sched_for(pi), bodies).map_err(|e| fail(phase, e))?;
-        if r.ops != per_task.iter().sum::<u64>() {
-            return Err(fail(phase, "total ops != sum of per-shard ops".into()));
-        }
+        let (r, _) = p.cell.run(&p.dev, pi, bodies)?;
         // Conservation: everything enqueued so far is acked exactly once.
         if total_acked(&svc) != enqueued {
-            return Err(fail(
-                phase,
-                format!("acked {} of {} enqueued requests", total_acked(&svc), enqueued),
+            return Err(format!(
+                "{phase}: acked {} of {enqueued} enqueued requests",
+                total_acked(&svc)
             ));
         }
         // The routing audit is a hard gate: a single misroute fails the
@@ -220,20 +134,14 @@ pub fn run_cell(
         // a consistent shift preserves per-key order).
         let mis = misroutes.load(Ordering::SeqCst);
         if mis != 0 {
-            return Err(fail(phase, format!("{mis} misrouted request(s)")));
+            return Err(format!("{phase}: {mis} misrouted request(s)"));
         }
-        rows.push(ExperimentRow::from_phase(
-            "service", &name, &point, phase, "mops", r.mops(), shards, &r,
-        ));
+        rows.push(p.row(phase, &r));
         Ok(())
     };
 
     // Load: every key as an insert request, all arrived at t=0.
-    let wl = |dist: Distribution| WorkloadConfig {
-        seed: cfg.seed,
-        ..WorkloadConfig::new(cfg.keys, dist, Mix::BALANCED, ValueSize::Fixed(cfg.value_bytes))
-    };
-    let load_cfg = wl(Distribution::Uniform);
+    let load_cfg = p.cfg.workload(Distribution::Uniform, Mix::BALANCED);
     let keys = load_keys(&load_cfg);
     let mut vals = OpStream::new(&load_cfg, 0);
     for (i, &k) in keys.iter().enumerate() {
@@ -244,42 +152,43 @@ pub fn run_cell(
 
     // Open-loop run: zipfian balanced mix, arrivals from the session
     // population at the configured mean gap.
-    let run_cfg = wl(Distribution::Zipfian);
+    let run_cfg = p.cfg.workload(Distribution::Zipfian, Mix::BALANCED);
     let mut arrivals = ArrivalGen::new(OpenLoopConfig {
-        sessions: cfg.sessions,
-        mean_gap_ns: cfg.mean_gap_ns,
-        seed: cfg.seed,
+        sessions: SESSIONS,
+        mean_gap_ns: MEAN_GAP_NS,
+        seed: p.cfg.seed,
     });
     let to_req = |stream: &mut OpStream, arrival_ns: u64, session: u64| {
         ClientReq::new(session, arrival_ns, stream.next_op().into())
     };
+    let ops = p.cfg.ops;
     let mut stream = OpStream::new(&run_cfg, 1);
-    for _ in 0..cfg.ops {
+    for _ in 0..ops {
         let a = arrivals.next_arrival();
         svc.enqueue(to_req(&mut stream, a.at_ns, a.session));
         enqueued += 1;
     }
     // lint:allow(std-sync): host-side latency sink (see shard_bodies).
-    let lat = std::sync::Mutex::new(Vec::<u64>::with_capacity(cfg.ops as usize));
+    let lat = std::sync::Mutex::new(Vec::<u64>::with_capacity(ops as usize));
     run_phase("open", 1, Some(&lat), enqueued, &mut rows)?;
     let mut lats = lat.into_inner().unwrap();
-    if lats.len() as u64 != cfg.ops {
-        return Err(fail("open", format!("{} latencies for {} requests", lats.len(), cfg.ops)));
+    if lats.len() as u64 != ops {
+        return Err(format!("open: {} latencies for {ops} requests", lats.len()));
     }
     lats.sort_unstable();
-    for (ph, p) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
-        let value = percentile(&lats, p);
+    for (ph, q) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
+        let value = percentile(&lats, q);
         rows.push(ExperimentRow {
             threads: shards as u64,
-            ops: lats.len() as u64,
-            ..ExperimentRow::from_value("service", &name, &point, ph, "ns", value)
+            ops,
+            ..ExperimentRow::from_value("service", &p.target.name, &p.name, ph, "ns", value)
         });
     }
 
     // Saturation: the same mix with every arrival at t=0 — the service
     // drains as fast as batching allows at this shard count.
     let mut stream = OpStream::new(&run_cfg, 2);
-    for i in 0..cfg.ops {
+    for i in 0..ops {
         svc.enqueue(to_req(&mut stream, 0, i));
         enqueued += 1;
     }
@@ -293,44 +202,14 @@ pub fn run_cell(
 }
 
 /// Run the full suite: every index × {eADR, ADR} × shard ladder. The
-/// report is byte-identical across same-seed runs.
-pub fn run_suite(cfg: &ServiceSuiteConfig) -> Result<BenchReport, String> {
-    let mut report = BenchReport::new(&short_rev());
-    report.set_config("suite", "service");
-    report.set_config("keys", cfg.keys);
-    report.set_config("ops", cfg.ops);
-    report.set_config("shards", join_ladder(&cfg.shards));
-    report.set_config("batch_max", cfg.batch_max);
-    report.set_config("seed", format!("{:#x}", cfg.seed));
-    report.set_config("value_bytes", cfg.value_bytes);
-    report.set_config("preemptions", cfg.preemptions);
-    report.set_config("sessions", cfg.sessions);
-    report.set_config("mean_gap_ns", cfg.mean_gap_ns);
-
-    for (ti, target) in crash_targets().iter().enumerate() {
-        for domain in [PersistenceDomain::Eadr, PersistenceDomain::Adr] {
-            for &shards in &cfg.shards {
-                let cell = run_cell(target, ti, domain, shards, cfg)?;
-                if cell.acked != cell.enqueued {
-                    return Err(format!(
-                        "{}/{}/s{shards}: acked {} of {} enqueued",
-                        target.name,
-                        domain_label(domain),
-                        cell.acked,
-                        cell.enqueued
-                    ));
-                }
-                report.rows.extend(cell.rows);
-            }
-            println!(
-                "# service: {} [{}] done ({} shard points)",
-                target.name,
-                domain_label(domain),
-                cfg.shards.len()
-            );
-        }
-    }
-    Ok(report)
+/// report is byte-identical across runs.
+pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, String> {
+    let echo = [
+        ("batch_max", BATCH_MAX.to_string()),
+        ("sessions", SESSIONS.to_string()),
+        ("mean_gap_ns", MEAN_GAP_NS.to_string()),
+    ];
+    sweep(cfg, &echo, |p| run_cell(p).map(|c| c.rows))
 }
 
 /// `spash-bench service --lin-check`: the batched front-end over every
@@ -358,9 +237,15 @@ mod tests {
 
     #[test]
     fn one_cell_has_all_phases_and_conserves_acks() {
-        let cfg = ServiceSuiteConfig::test_small();
+        let cfg = SuiteConfig {
+            keys: 300,
+            ops: 240,
+            ladder: &[2],
+            ..crate::suite::SERVICE
+        };
         let target = &crash_targets()[0];
-        let cell = run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg).unwrap();
+        let p = Point::new(&cfg, target, 0, spash_pmem::PersistenceDomain::Eadr, 2);
+        let cell = run_cell(&p).unwrap();
         // load + open + 3 percentiles + saturate.
         assert_eq!(cell.rows.len(), 6);
         assert_eq!(cell.enqueued, cfg.keys + 2 * cfg.ops);

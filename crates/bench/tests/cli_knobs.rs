@@ -1,8 +1,8 @@
 //! The built `spash-bench` refuses a mistyped knob instead of running
-//! the wrong thing: a set-but-unparseable value, an unknown choice and a
-//! misspelled name each exit 2 and name the knob on stderr (ROADMAP 4e).
-//! At the parent commit these ran seed 0x5eed, a Spash-only sweep and
-//! the default-size sweep respectively, and exited 0/1.
+//! the wrong thing: a set-but-unparseable value, an unknown choice, a
+//! misspelled name and a name in a retired namespace each exit 2 and
+//! name the knob on stderr. Accepted, they would have run the default
+//! seed, a Spash-only sweep and the default-size sweep.
 
 use std::process::{Command, Output};
 
@@ -33,31 +33,50 @@ fn assert_rejected(out: &Output, knob: &str, also: &str) {
     );
 }
 
+/// A crash sweep small enough to finish in well under a second.
+const TINY_SWEEP: [(&str, &str); 4] = [
+    ("SPASH_CRASH_OPS", "40"),
+    ("SPASH_CRASH_KEYS", "20"),
+    ("SPASH_CRASH_POINTS", "4"),
+    ("SPASH_CRASH_DOMAIN", "eadr"),
+];
+
 #[test]
 fn unparseable_value_exits_2_naming_the_knob() {
-    let out = spash_bench(
-        &["perf", "--out", "/dev/null"],
-        &[("SPASH_PERF_SEED", "0xbeefy")],
-    );
-    assert_rejected(&out, "SPASH_PERF_SEED", "0xbeefy");
+    let mut knobs = TINY_SWEEP.to_vec();
+    knobs.push(("SPASH_CRASH_SEED", "0xbeefy"));
+    let out = spash_bench(&["crashpoints"], &knobs);
+    assert_rejected(&out, "SPASH_CRASH_SEED", "0xbeefy");
     let out = spash_bench(&["fig9"], &[("SPASH_BENCH_THREADS", "1,8,5b")]);
     assert_rejected(&out, "SPASH_BENCH_THREADS", "comma list");
 }
 
-/// A zero count or ladder element is refused up front, before anything
-/// runs: accepted, the thread, shard and batch values end in an
-/// `assert!(… >= 1)` panic (exit 101) partway through a suite, and a
-/// zero repeat count would run one repeat while echoing `"repeats": "0"`.
+/// A zero size or ladder element is refused up front, before anything
+/// runs: accepted, the thread count panics in the scheduler (exit 101),
+/// a zero key space divides by zero in the generator, a zero arena fails
+/// the device's config check, and zero ops or keys in a figure run
+/// nothing and write rows of zeros.
 #[test]
 fn zero_counts_exit_2_naming_the_knob() {
-    for (cmd, knob, value) in [
-        ("scale", "SPASH_SCALE_THREADS", "0"),
-        ("service", "SPASH_SERVICE_SHARDS", "2,0"),
-        ("service", "SPASH_SERVICE_BATCH", "0"),
-        ("fig7", "SPASH_BENCH_THREADS", "1,0"),
-        ("perf", "SPASH_PERF_REPEATS", "0"),
+    for (args, knob, value) in [
+        (&["sched", "--seeds", "1"][..], "SPASH_SCHED_THREADS", "0"),
+        (&["sched", "--seeds", "1"], "SPASH_SCHED_KEYS", "0"),
+        (&["sched", "--seeds", "1"], "SPASH_SCHED_OPS", "0"),
+        (&["sched", "--seeds", "1"], "SPASH_SCHED_ARENA_MB", "0"),
+        (&["crashpoints"], "SPASH_CRASH_KEYS", "0"),
+        (&["crashpoints"], "SPASH_CRASH_OPS", "0"),
+        (&["crashpoints"], "SPASH_CRASH_ARENA_MB", "0"),
+        (&["san"], "SPASH_SAN_KEYS", "0"),
+        (&["san"], "SPASH_SAN_OPS", "0"),
+        (&["fig9", "--out", "/dev/null"], "SPASH_BENCH_KEYS", "0"),
+        (&["fig9", "--out", "/dev/null"], "SPASH_BENCH_OPS", "0"),
+        (
+            &["fig7", "--out", "/dev/null"],
+            "SPASH_BENCH_THREADS",
+            "1,0",
+        ),
     ] {
-        let out = spash_bench(&[cmd, "--out", "/dev/null"], &[(knob, value)]);
+        let out = spash_bench(args, &[(knob, value)]);
         assert_rejected(&out, knob, "positive");
     }
 }
@@ -76,22 +95,25 @@ fn unknown_name_exits_2_listing_the_family() {
     assert_rejected(&out, "SPASH_CRASH_OPZ", "OPS");
 }
 
-/// The bug the strict reader fixes: `SPASH_PERF_SEED=0xbeef` used to
-/// fall back to 0x5eed without a word while the header echoes hex.
+/// `perf`, `scale` and `service` run at constants: a recipe that still
+/// sets one of their old knobs is refused, naming what replaced it,
+/// instead of silently running the default ladder.
+#[test]
+fn retired_suite_knob_exits_2_naming_the_constant() {
+    let out = spash_bench(
+        &["scale", "--out", "/dev/null"],
+        &[("SPASH_SCALE_THREADS", "1,2")],
+    );
+    assert_rejected(&out, "SPASH_SCALE_THREADS", "suite::SCALE");
+}
+
+/// The bug the strict reader fixes: a hex seed used to fall back to the
+/// default without a word while the header echoes hex.
 #[test]
 fn hex_seed_is_accepted_and_echoed() {
-    let path = std::env::temp_dir().join(format!("cli_knobs_{}.json", std::process::id()));
-    let out = spash_bench(
-        &["perf", "--out", path.to_str().unwrap()],
-        &[
-            ("SPASH_PERF_SEED", "0xbeef"),
-            ("SPASH_PERF_KEYS", "200"),
-            ("SPASH_PERF_OPS", "40"),
-            ("SPASH_PERF_REPEATS", "1"),
-        ],
-    );
-    let report = std::fs::read_to_string(&path).unwrap_or_default();
-    let _ = std::fs::remove_file(&path);
+    let mut knobs = TINY_SWEEP.to_vec();
+    knobs.push(("SPASH_CRASH_SEED", "0xbeef"));
+    let out = spash_bench(&["crashpoints"], &knobs);
     assert!(
         out.status.success(),
         "{}",
@@ -99,11 +121,7 @@ fn hex_seed_is_accepted_and_echoed() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.starts_with("# perf: keys=200 ops=40 repeats=1 seed=0xbeef\n"),
+        stdout.starts_with("# target=Spash domain=Eadr seed=0xbeef ops=40 keys=20 "),
         "{stdout}"
-    );
-    assert!(
-        report.contains("\"0xbeef\""),
-        "seed not echoed in the report config"
     );
 }

@@ -15,7 +15,8 @@
 
 use spash_bench::experiments::set_contention_inflation;
 use spash_bench::indexes::crash_targets;
-use spash_bench::scale::{run_cell, ScaleConfig};
+use spash_bench::scale::{run_cell, CellResult};
+use spash_bench::suite::{Point, SuiteConfig, SCALE};
 use spash_bench::{compare_reports, BenchReport, ExperimentRow};
 use spash_pmem::PersistenceDomain;
 
@@ -26,15 +27,26 @@ fn scale_test_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn tiny() -> ScaleConfig {
-    ScaleConfig {
+fn tiny() -> SuiteConfig {
+    SuiteConfig {
         keys: 400,
         ops: 160,
-        threads: vec![2, 8],
-        seed: 0x5eed,
-        value_bytes: 16,
+        ladder: &[2, 8],
         preemptions: 32,
+        ..SCALE
     }
+}
+
+/// One eADR cell of the `ti`-th target at `threads` tasks.
+fn one_cell(cfg: &SuiteConfig, ti: usize, threads: usize) -> Result<CellResult, String> {
+    let target = &crash_targets()[ti];
+    run_cell(&Point::new(
+        cfg,
+        target,
+        ti,
+        PersistenceDomain::Eadr,
+        threads,
+    ))
 }
 
 /// Wrap rows in a report for byte comparison.
@@ -53,14 +65,13 @@ fn same_seed_sweeps_are_byte_identical_at_2_and_8_threads() {
     // byte-determinism claim is about the driver, not one index's luck.
     let cells: [(usize, usize); 3] = [(0, 2), (0, 8), (1, 2)];
     for (ti, threads) in cells {
-        let target = &crash_targets()[ti];
-        let a = run_cell(target, ti, PersistenceDomain::Eadr, threads, &cfg).unwrap();
-        let b = run_cell(target, ti, PersistenceDomain::Eadr, threads, &cfg).unwrap();
+        let a = one_cell(&cfg, ti, threads).unwrap();
+        let b = one_cell(&cfg, ti, threads).unwrap();
         let (ja, jb) = (report_from(a.rows).to_json(), report_from(b.rows).to_json());
         assert_eq!(
             ja, jb,
             "{} t{threads}: same-seed runs serialized differently",
-            target.name
+            crash_targets()[ti].name
         );
         let out = compare_reports(
             &BenchReport::from_json(&ja).unwrap(),
@@ -74,9 +85,8 @@ fn same_seed_sweeps_are_byte_identical_at_2_and_8_threads() {
 fn phase_ops_equal_sum_of_per_task_ops() {
     let _guard = scale_test_lock();
     let cfg = tiny();
-    let target = &crash_targets()[0];
-    for &threads in &cfg.threads {
-        let cell = run_cell(target, 0, PersistenceDomain::Eadr, threads, &cfg).unwrap();
+    for &threads in cfg.ladder {
+        let cell = one_cell(&cfg, 0, threads).unwrap();
         assert_eq!(cell.rows.len(), cell.task_ops.len());
         for (row, (phase, per_task)) in cell.rows.iter().zip(&cell.task_ops) {
             assert_eq!(per_task.len(), threads, "{phase}: one op count per task");
@@ -102,12 +112,9 @@ fn phase_ops_equal_sum_of_per_task_ops() {
 fn contention_inflation_flips_the_exact_gate() {
     let _guard = scale_test_lock();
     let cfg = tiny();
-    let target = &crash_targets()[0];
-    let clean = run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg).unwrap();
+    let clean = one_cell(&cfg, 0, 2).unwrap();
     assert!(!set_contention_inflation(true), "hook already armed");
-    let inflated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg)
-    }));
+    let inflated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| one_cell(&cfg, 0, 2)));
     set_contention_inflation(false);
     let inflated = inflated.expect("inflated cell panicked").unwrap();
 

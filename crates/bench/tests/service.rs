@@ -19,7 +19,8 @@
 //! holds `service_test_lock`.
 
 use spash_bench::indexes::crash_targets;
-use spash_bench::service::{run_cell, ServiceSuiteConfig};
+use spash_bench::service::{run_cell, ServiceCellResult};
+use spash_bench::suite::{Point, SuiteConfig, SERVICE};
 use spash_bench::{compare_reports, BenchReport, ExperimentRow};
 use spash_pmem::PersistenceDomain;
 use spash_service::testhooks;
@@ -30,14 +31,23 @@ fn service_test_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn tiny() -> ServiceSuiteConfig {
-    ServiceSuiteConfig {
+fn tiny() -> SuiteConfig {
+    SuiteConfig {
         keys: 300,
         ops: 240,
-        shards: vec![2],
-        batch_max: 4,
-        ..ServiceSuiteConfig::default_suite()
+        ladder: &[2],
+        ..SERVICE
     }
+}
+
+/// One 2-shard cell of the `ti`-th target.
+fn one_cell(
+    cfg: &SuiteConfig,
+    ti: usize,
+    domain: PersistenceDomain,
+) -> Result<ServiceCellResult, String> {
+    let target = &crash_targets()[ti];
+    run_cell(&Point::new(cfg, target, ti, domain, 2))
 }
 
 /// Wrap rows in a report for byte comparison.
@@ -60,11 +70,14 @@ fn same_seed_service_cells_are_byte_identical() {
         (0, PersistenceDomain::Adr),
         (1, PersistenceDomain::Eadr),
     ] {
-        let target = &crash_targets()[ti];
-        let a = run_cell(target, ti, domain, 2, &cfg).unwrap();
-        let b = run_cell(target, ti, domain, 2, &cfg).unwrap();
+        let a = one_cell(&cfg, ti, domain).unwrap();
+        let b = one_cell(&cfg, ti, domain).unwrap();
         let (ja, jb) = (report_from(a.rows).to_json(), report_from(b.rows).to_json());
-        assert_eq!(ja, jb, "{}: same-seed service cells serialized differently", target.name);
+        let name = &crash_targets()[ti].name;
+        assert_eq!(
+            ja, jb,
+            "{name}: same-seed service cells serialized differently"
+        );
         let out = compare_reports(
             &BenchReport::from_json(&ja).unwrap(),
             &BenchReport::from_json(&jb).unwrap(),
@@ -77,8 +90,7 @@ fn same_seed_service_cells_are_byte_identical() {
 fn every_enqueued_request_is_acked_exactly_once() {
     let _guard = service_test_lock();
     let cfg = tiny();
-    let target = &crash_targets()[0];
-    let cell = run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg).unwrap();
+    let cell = one_cell(&cfg, 0, PersistenceDomain::Eadr).unwrap();
     assert_eq!(cell.enqueued, cfg.keys + 2 * cfg.ops);
     assert_eq!(cell.acked, cell.enqueued, "acked != enqueued: lost or duplicated acks");
     // Row-level conservation: measured phase op totals must add up to
@@ -96,11 +108,10 @@ fn every_enqueued_request_is_acked_exactly_once() {
 fn latency_inflation_canary_flips_the_compare_gate() {
     let _guard = service_test_lock();
     let cfg = tiny();
-    let target = &crash_targets()[0];
-    let clean = run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg).unwrap();
+    let clean = one_cell(&cfg, 0, PersistenceDomain::Eadr).unwrap();
     assert!(!testhooks::set_inflate_dispatch(true), "hook already armed");
     let inflated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg)
+        one_cell(&cfg, 0, PersistenceDomain::Eadr)
     }));
     testhooks::set_inflate_dispatch(false);
     let inflated = inflated.expect("inflated cell panicked").unwrap();
@@ -122,10 +133,9 @@ fn latency_inflation_canary_flips_the_compare_gate() {
 fn misroute_canary_is_caught_by_the_routing_audit() {
     let _guard = service_test_lock();
     let cfg = tiny();
-    let target = &crash_targets()[0];
     assert!(!testhooks::set_misroute(true), "hook already armed");
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_cell(target, 0, PersistenceDomain::Eadr, 2, &cfg)
+        one_cell(&cfg, 0, PersistenceDomain::Eadr)
     }));
     testhooks::set_misroute(false);
     let err = match out.expect("misrouted cell panicked") {
