@@ -1,16 +1,17 @@
-//! Static and dynamic analysis for the Spash reproduction.
+//! Static analysis for the Spash reproduction, plus the one index roster
+//! and sanitizer-mode table the dynamic harnesses share.
 //!
-//! Two tools live here, both dependency-free:
-//!
-//! * [`sandrive`] — a seeded workload driver for the persistence-ordering
-//!   sanitizer (`spash_pmem::san`). It runs every index with the sanitizer
-//!   armed and reports publication-ordering violations plus the
-//!   redundant-flush / no-op-fence perf diagnostics.
-//! * [`lint`] — `spash-lint`, a source-level checker (handwritten
-//!   tokenizer, no `syn`) for the workspace's cross-cutting invariants:
-//!   no host sync primitives or host clocks in sched-instrumented code,
-//!   busy-waits through `spin_wait()`, `// SAFETY:` on every `unsafe`,
-//!   and no raw arena stores outside the instrumented platform.
+//! * [`roster`] / [`san_mode_for`] — Spash and the six baselines as crash
+//!   targets, and the persistence-ordering sanitizer mode each runs
+//!   under. The sanitizer's clean-workload gate is the crash sweep's
+//!   record pass (`spash_index_api::crashpoint`; `SPASH_CRASH_POINTS=0
+//!   spash-bench crashpoints` runs that pass alone).
+//! * [`lint`] — `spash-lint`, a dependency-free source-level checker
+//!   (handwritten tokenizer, no `syn`) for the workspace's cross-cutting
+//!   invariants: no host sync primitives or host clocks in
+//!   sched-instrumented code, busy-waits through `spin_wait()`,
+//!   `// SAFETY:` on every `unsafe`, and no raw arena stores outside the
+//!   instrumented platform.
 //!
 //! `spash-lint flow` layers a path-sensitive static analyzer on top of
 //! the same tokenizer: [`parse`] recovers per-function statement/branch
@@ -35,7 +36,6 @@ pub mod flow_rules;
 pub mod json;
 pub mod lint;
 pub mod parse;
-pub mod sandrive;
 pub mod summaries;
 
 use spash::{Spash, SpashConfig};
@@ -46,9 +46,9 @@ use spash_pmem::SanMode;
 /// How big the roster's two size-dependent members are built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sizing {
-    /// Crash sweeps, sanitizer runs, schedule exploration: Spash's small
-    /// test geometry and an 8 MiB Halo log, so splits, merges and GC
-    /// happen within a few hundred ops.
+    /// Crash sweeps (the sanitizer's record pass included) and schedule
+    /// exploration: Spash's small test geometry and an 8 MiB Halo log, so
+    /// splits, merges and GC happen within a few hundred ops.
     Sweep,
     /// The `perf`/`scale`/`service` suites: Spash's default geometry and
     /// a 64 MiB Halo log (the suites replay several write phases into it).

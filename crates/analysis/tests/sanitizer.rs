@@ -1,5 +1,7 @@
 //! Mutation canaries and clean-run gates for the persistence-ordering
-//! sanitizer.
+//! sanitizer, run through the crash sweep's record pass (`max_points =
+//! 0`: the seeded workload once, on a freshly formatted index, with the
+//! sanitizer armed and nothing injected).
 //!
 //! Each index has two canary sites compiled into its publication path
 //! (the last flush and the last fence before the operation becomes
@@ -16,23 +18,49 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use spash_analysis::all_targets;
-use spash_analysis::sandrive::{run_san, SanRunConfig, SanRunResult};
+use spash_analysis::{all_targets, san_mode_for};
+use spash_index_api::crashpoint::{run_sweep, CrashTarget, SweepConfig, SweepReport};
 use spash_pmem::san::{reset_sites, set_site, SanViolationKind};
 use spash_pmem::PersistenceDomain;
 
 static GATE: Mutex<()> = Mutex::new(());
 
-fn target_named(name: &str) -> spash_index_api::crashpoint::CrashTarget {
+/// The record-only sweep of `target` with the sanitizer armed in its
+/// mode: `ops` seeded ops (seed `0x5A17`) over `keys` keys.
+fn record_pass(
+    target: &CrashTarget,
+    domain: PersistenceDomain,
+    ops: u64,
+    keys: u64,
+    arena_mb: u64,
+) -> SweepReport {
+    let mut cfg = SweepConfig::ci(domain);
+    cfg.pm.arena_size = arena_mb << 20;
+    cfg.pm.san = Some(san_mode_for(&target.name));
+    cfg.seed = 0x5A17;
+    cfg.n_ops = ops;
+    cfg.key_space = keys;
+    cfg.max_points = 0;
+    let r = run_sweep(target, &cfg);
+    assert!(
+        r.points.is_empty(),
+        "{}: a record-only sweep injected",
+        r.target
+    );
+    r
+}
+
+fn target_named(name: &str) -> CrashTarget {
     all_targets()
         .into_iter()
         .find(|t| t.name == name)
         .unwrap_or_else(|| panic!("no crash target named {name}"))
 }
 
-/// Run `target` with one canary site suppressed, restoring the registry
-/// even if the workload panics.
-fn run_with_suppressed(target_name: &str, site: &str) -> SanRunResult {
+/// Run `target`'s quick ADR record pass with one canary site suppressed,
+/// restoring the registry even if the workload panics. Every finding is
+/// a sweep failure.
+fn run_with_suppressed(target_name: &str, site: &str) -> SweepReport {
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -42,29 +70,32 @@ fn run_with_suppressed(target_name: &str, site: &str) -> SanRunResult {
     let _restore = Restore;
     reset_sites();
     set_site(site, false);
-    run_san(
+    let r = record_pass(
         &target_named(target_name),
-        &SanRunConfig::quick(PersistenceDomain::Adr),
-    )
+        PersistenceDomain::Adr,
+        1_500,
+        256,
+        64,
+    );
+    assert!(
+        !r.record_san.clean() && !r.is_ok(),
+        "{target_name}: suppressing {site} went unnoticed"
+    );
+    r
 }
 
 /// Suppressed publication flush: the sanitizer must localize at least
 /// one `published-dirty` violation on a `DirtyUnflushed` line.
 fn assert_flush_canary_caught(target_name: &str, site: &str) {
     let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let r = run_with_suppressed(target_name, site);
+    let r = run_with_suppressed(target_name, site).record_san;
     assert!(
-        !r.report.clean(),
-        "{target_name}: suppressing {site} went unnoticed"
-    );
-    assert!(
-        r.report
-            .violations
+        r.violations
             .iter()
             .any(|v| v.kind == SanViolationKind::PublishedDirty && v.state == "DirtyUnflushed"),
         "{target_name}: suppressing {site} did not yield published-dirty \
          on a DirtyUnflushed line; got {:#?}",
-        r.report.violations
+        r.violations
     );
 }
 
@@ -73,28 +104,20 @@ fn assert_flush_canary_caught(target_name: &str, site: &str) {
 /// suppressed fence must report it as `published-unfenced`.
 fn assert_fence_canary_caught(target_name: &str, site: &str) {
     let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let r = run_with_suppressed(target_name, site);
+    let r = run_with_suppressed(target_name, site).record_san;
     assert!(
-        !r.report.clean(),
-        "{target_name}: suppressing {site} went unnoticed"
-    );
-    assert!(
-        r.report
-            .violations
-            .iter()
-            .any(|v| v.state == "FlushedUnfenced"),
+        r.violations.iter().any(|v| v.state == "FlushedUnfenced"),
         "{target_name}: suppressing {site} never caught a FlushedUnfenced \
          line; got {:#?}",
-        r.report.violations
+        r.violations
     );
     assert!(
-        r.report
-            .violations
+        r.violations
             .iter()
             .any(|v| v.kind == SanViolationKind::PublishedUnfenced),
         "{target_name}: suppressing {site} never reported \
          published-unfenced at a visibility edge; got {:#?}",
-        r.report.violations
+        r.violations
     );
 }
 
@@ -140,34 +163,30 @@ fn canary_halo_insert() {
     assert_fence_canary_caught("Halo", "halo.insert.fence");
 }
 
-/// Zero-false-positive gate: the full 10k-op acceptance workload is
-/// clean for every index under ADR (publication checks armed).
-#[test]
-fn clean_run_adr_all_targets() {
+/// Zero-false-positive gate: the full 10k-op acceptance workload (1k
+/// keys) passes the record pass for every index in `domain`.
+fn assert_clean(domain: PersistenceDomain) {
     let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     reset_sites();
-    let cfg = SanRunConfig::full(PersistenceDomain::Adr);
     for t in all_targets() {
-        let r = run_san(&t, &cfg);
-        assert!(r.clean(), "{} ADR run not clean: {}", r.name, r.summary());
+        let r = record_pass(&t, domain, 10_000, 1_000, 256);
         assert!(
-            r.report.violations.is_empty(),
-            "{}: {:#?}",
-            r.name,
-            r.report.violations
+            r.is_ok() && r.record_san.clean(),
+            "{} {domain:?} record pass not clean: {:#?}",
+            r.target,
+            r.failures
         );
     }
 }
 
-/// Zero-false-positive gate: the same workload under eADR (publication
-/// checks off, perf diagnostics still live).
+/// Publication checks armed.
+#[test]
+fn clean_run_adr_all_targets() {
+    assert_clean(PersistenceDomain::Adr);
+}
+
+/// Publication checks off, perf diagnostics still live.
 #[test]
 fn clean_run_eadr_all_targets() {
-    let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    reset_sites();
-    let cfg = SanRunConfig::full(PersistenceDomain::Eadr);
-    for t in all_targets() {
-        let r = run_san(&t, &cfg);
-        assert!(r.clean(), "{} eADR run not clean: {}", r.name, r.summary());
-    }
+    assert_clean(PersistenceDomain::Eadr);
 }

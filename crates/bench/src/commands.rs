@@ -21,15 +21,6 @@ fn targets_knob(name: &str, default: Select) -> Select {
     knobs::choice(name, &choices, default)
 }
 
-/// `eadr|adr|both`; `both` (the default) in the subcommand's own order.
-fn domains_knob(name: &str, both: &'static [PersistenceDomain]) -> &'static [PersistenceDomain] {
-    knobs::choice(
-        name,
-        &[("eadr", &[Eadr][..]), ("adr", &[Adr][..]), ("both", both)],
-        both,
-    )
-}
-
 /// `on|off` for the sanitizer that rides the sweep and the explorer.
 fn san_knob(name: &str) -> bool {
     knobs::choice(name, &[("on", true), ("off", false)], true)
@@ -62,7 +53,7 @@ pub fn sched(args: &[String]) {
 
     let want_distinct = match args {
         [] => 64,
-        [flag, n] if flag == "--seeds" => n.parse::<u64>().map_or(0, |n| n.max(1)),
+        [flag, n] if flag == "--seeds" => n.parse::<u64>().unwrap_or(0),
         _ => 0,
     };
     if want_distinct == 0 {
@@ -217,6 +208,12 @@ pub fn sched(args: &[String]) {
 /// recover, and check the survivors against a shadow model. One stat line
 /// per crash point, one summary per target; exits non-zero if any sweep
 /// reports a violation.
+///
+/// The record pass is also the persistence-ordering sanitizer's
+/// clean-workload gate (DESIGN.md, "Persistence-ordering sanitizer"):
+/// `Strict` for the six ADR-era baselines, `Relaxed` for eADR-native
+/// Spash. `SPASH_CRASH_POINTS=0` runs that pass alone; its flush,
+/// redundant-flush and no-op-fence counts are on the `# target=` line.
 pub fn crashpoints() {
     use spash_index_api::crashpoint::{run_sweep, SweepConfig};
 
@@ -225,8 +222,14 @@ pub fn crashpoints() {
     // Violations on the record pass or any recovery path are hard sweep
     // failures unless SPASH_CRASH_SAN=off.
     let san_on = san_knob("SPASH_CRASH_SAN");
+    let both: &[PersistenceDomain] = &[Eadr, Adr];
+    let domains = knobs::choice(
+        "SPASH_CRASH_DOMAIN",
+        &[("eadr", &[Eadr][..]), ("adr", &[Adr][..]), ("both", both)],
+        both,
+    );
     let mut failed = false;
-    for &domain in domains_knob("SPASH_CRASH_DOMAIN", &[Eadr, Adr]) {
+    for &domain in domains {
         let mut cfg = SweepConfig::ci(domain);
         cfg.pm.arena_size = knobs::positive("SPASH_CRASH_ARENA_MB", 256) << 20;
         cfg.seed = knobs::int("SPASH_CRASH_SEED", 0xC0FFEE);
@@ -239,14 +242,18 @@ pub fn crashpoints() {
             cfg.pm.san = san_on.then(|| spash_analysis::san_mode_for(&target.name));
             let r = run_sweep(target, &cfg);
             println!(
-                "# target={} domain={:?} seed={:#x} ops={} keys={} total_writes={} points={}",
+                "# target={} domain={:?} seed={:#x} ops={} keys={} total_writes={} points={} \
+                 flushes={} san_redundant_flushes={} san_noop_fences={}",
                 r.target,
                 r.domain,
                 cfg.seed,
                 cfg.n_ops,
                 cfg.key_space,
                 r.total_writes,
-                r.points.len()
+                r.points.len(),
+                r.record_stats.flushes,
+                r.record_stats.san_redundant_flushes,
+                r.record_stats.san_noop_fences
             );
             println!(
                 "# write_k committed_ops recovered recovery_ns \
@@ -284,38 +291,6 @@ pub fn crashpoints() {
         }
     }
     if failed {
-        exit(1);
-    }
-}
-
-/// Persistence-ordering sanitizer run (DESIGN.md, "Persistence-ordering
-/// sanitizer"; recipe in EXPERIMENTS.md): drive every index through the
-/// seeded sweep workload with the sanitizer armed — `Strict` for the six
-/// ADR-era baselines (every written line checked at every visibility
-/// edge), `Relaxed` for eADR-native Spash (only `san_ordered`-registered
-/// ranges) — and fail the run on any violation. Redundant-flush and
-/// no-op-fence perf diagnostics are reported per target.
-pub fn san() {
-    use spash_analysis::sandrive::{run_san, SanRunConfig};
-
-    let which = targets_knob("SPASH_SAN_TARGETS", Select::All);
-    let mut failed = false;
-    for &domain in domains_knob("SPASH_SAN_DOMAIN", &[Adr, Eadr]) {
-        let mut cfg = SanRunConfig::full(domain);
-        cfg.seed = knobs::int("SPASH_SAN_SEED", cfg.seed);
-        cfg.n_ops = knobs::positive("SPASH_SAN_OPS", cfg.n_ops);
-        cfg.key_space = knobs::positive("SPASH_SAN_KEYS", cfg.key_space);
-        for target in roster(Sizing::Sweep, which) {
-            let r = run_san(&target, &cfg);
-            println!("{}", r.summary());
-            for v in &r.report.violations {
-                println!("  {v}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!("sanitizer violations found");
         exit(1);
     }
 }
@@ -362,60 +337,36 @@ fn gated_suite(
     println!("# {cmd}: {} rows{claims} -> {path}", report.rows.len());
 }
 
-/// The `--lin-check` mode of `scale` and `service`: report and exit.
-fn lin_check_verdict(cmd: &str, failures: Vec<String>, ok: &str) -> ! {
-    for f in &failures {
-        eprintln!("FAIL: {f}");
-    }
-    if failures.is_empty() {
-        println!("# {cmd} lin-check: {ok}");
-    }
-    exit(i32::from(!failures.is_empty()))
-}
-
 /// `spash-bench perf [--out <path>]`: the fixed-seed regression suite.
 pub fn perf(args: &[String]) {
     gated_suite("perf", "", args, &[], |_| perf::run_suite(&PERF));
 }
 
-/// `spash-bench scale [--out <path>] [--assert] [--lin-check]`: the
-/// deterministic multi-thread scalability sweep under the cooperative
-/// scheduler (DESIGN.md, "Deterministic scalability sweep").
+/// `spash-bench scale [--out <path>] [--assert]`: the deterministic
+/// multi-thread scalability sweep under the cooperative scheduler
+/// (DESIGN.md, "Deterministic scalability sweep").
 pub fn scale(args: &[String]) {
-    gated_suite(
-        "scale",
-        "scale_",
-        args,
-        &["--assert", "--lin-check"],
-        |bare| {
-            if bare.contains(&"--lin-check") {
-                let cfg = scale::LinCheckConfig::default();
-                println!(
-                    "# scale lin-check: {} threads x {} ops, {} keys, {} schedules/index",
-                    cfg.threads, cfg.ops_per_thread, cfg.keys, cfg.schedules
-                );
-                let ok = "every index linearizes under the batch driver";
-                lin_check_verdict("scale", scale::lin_check_all(&cfg), ok);
+    gated_suite("scale", "scale_", args, &["--assert"], |bare| {
+        let report = scale::run_suite(&SCALE)?;
+        if bare.contains(&"--assert") {
+            let bad = scale::check_claims(&report, &SCALE);
+            for b in &bad {
+                eprintln!("CLAIM FAILED: {b}");
             }
-            let report = scale::run_suite(&SCALE)?;
-            if bare.contains(&"--assert") {
-                let bad = scale::check_claims(&report, &SCALE);
-                for b in &bad {
-                    eprintln!("CLAIM FAILED: {b}");
-                }
-                if !bad.is_empty() {
-                    return Err(format!("{} structural claim(s) failed", bad.len()));
-                }
-                println!("# scale: structural claims hold");
+            if !bad.is_empty() {
+                return Err(format!("{} structural claim(s) failed", bad.len()));
             }
-            Ok(report)
-        },
-    );
+            println!("# scale: structural claims hold");
+        }
+        Ok(report)
+    });
 }
 
 /// `spash-bench service [--out <path>] [--lin-check]`: the sharded
 /// batched KV front-end suite — open-loop tail latency and saturation
-/// throughput per shard count, byte-deterministic per seed.
+/// throughput per shard count, byte-deterministic per seed. `--lin-check`
+/// instead Wing–Gong-checks every index through the front-end, reports
+/// and exits.
 pub fn service(args: &[String]) {
     gated_suite("service", "service_", args, &["--lin-check"], |bare| {
         if bare.contains(&"--lin-check") {
@@ -424,8 +375,16 @@ pub fn service(args: &[String]) {
                 "# service lin-check: {} shards x {} ops, {} keys, {} schedules/index",
                 cfg.shards, cfg.ops, cfg.keys, cfg.schedules
             );
-            let ok = "every index linearizes through the batched front-end";
-            lin_check_verdict("service", service::lin_check_all(&cfg), ok);
+            let failures = service::lin_check_all(&cfg);
+            for f in &failures {
+                eprintln!("FAIL: {f}");
+            }
+            if failures.is_empty() {
+                println!(
+                    "# service lin-check: every index linearizes through the batched front-end"
+                );
+            }
+            exit(i32::from(!failures.is_empty()))
         }
         service::run_suite(&SERVICE)
     });

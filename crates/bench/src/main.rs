@@ -10,9 +10,13 @@
 //!   `suite.rs`. Every report (`--out <path>`, default
 //!   `BENCH_<suite>_<rev>.json`) is a pure function of its inputs, and
 //!   `compare` holds it to exact equality against `bench/baseline*.json`.
-//! * `crashpoints`, `san`, `sched` — the crash-point sweep, the
-//!   persistence-ordering sanitizer run and deterministic schedule
-//!   exploration (DESIGN.md §5; recipes in EXPERIMENTS.md).
+//!   `service --lin-check` is the front-end's linearizability check.
+//! * `crashpoints`, `sched` — one driver per verification property
+//!   (DESIGN.md §5; recipes in EXPERIMENTS.md): the crash-point sweep,
+//!   whose record pass is the persistence-ordering sanitizer's
+//!   clean-workload gate (`SPASH_CRASH_POINTS=0` runs that pass alone),
+//!   and deterministic schedule exploration with linearizability
+//!   checking.
 //!
 //! Every `SPASH_*` knob is read through `spash_bench::knobs`: a bad
 //! value, an unknown choice, a misspelled name or a name in a retired
@@ -23,10 +27,10 @@ mod commands;
 
 const USAGE: &str = "\
 usage: spash-bench <fig1|fig7|fig8|fig9|fig10|fig11|fig12[a-d]|all>... [--out P]
-       spash-bench perf [--out P] | scale [--out P] [--assert] [--lin-check]
+       spash-bench perf [--out P] | scale [--out P] [--assert]
        spash-bench service [--out P] [--lin-check] | compare OLD NEW
-       spash-bench crashpoints | san | sched [--seeds N]
-knobs: SPASH_<BENCH|CRASH|SAN|SCHED>_* (EXPERIMENTS.md, \"Knobs\");
+       spash-bench crashpoints | sched [--seeds N]
+knobs: SPASH_<BENCH|CRASH|SCHED>_* (EXPERIMENTS.md, \"Knobs\");
        perf, scale and service run at constant sizes";
 
 fn main() {
@@ -42,12 +46,11 @@ fn main() {
         "service" => commands::service(rest),
         "compare" => commands::compare(rest),
         "sched" => commands::sched(rest),
-        "crashpoints" | "san" if !rest.is_empty() => {
+        "crashpoints" if !rest.is_empty() => {
             eprintln!("{cmd}: takes no arguments\n{USAGE}");
             std::process::exit(2);
         }
         "crashpoints" => commands::crashpoints(),
-        "san" => commands::san(),
         _ => commands::figures(&args),
     }
 }

@@ -24,20 +24,11 @@
 //! per-series throughput peaks are computed from the rows and stored as
 //! first-class report assertions, gated exactly by `compare`.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use spash_workloads::{Distribution, Mix};
 
-use spash_index_api::crashpoint::{CrashTarget, SweepOp};
-use spash_index_api::history::{self, fingerprint, HistOp, Recorder};
-use spash_index_api::PersistentIndex;
-use spash_pmem::{MemCtx, PersistenceDomain, PmDevice};
-use spash_sched::SchedConfig;
-use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
-
-use crate::harness::run_scheduled;
 use crate::indexes::crash_targets;
 use crate::report::{BenchReport, ExperimentRow};
-use crate::suite::{suite_pm, sweep, Point, SuiteConfig};
+use crate::suite::{sweep, Point, SuiteConfig};
 
 // --- one point: index × domain × thread count ---------------------------
 
@@ -207,131 +198,10 @@ pub fn check_claims(report: &BenchReport, cfg: &SuiteConfig) -> Vec<String> {
     bad
 }
 
-// --- linearizability check of the batch driver --------------------------
-
-/// One tiny scheduled `scale` configuration per index, with every
-/// completed operation recorded and checked against the sequential map
-/// model — the multi-thread bench driver itself is lin-checked, not just
-/// the hand-written explore scenarios. Runs in CI's sched-explore job
-/// (`spash-bench scale --lin-check`).
-pub struct LinCheckConfig {
-    pub threads: usize,
-    pub ops_per_thread: u64,
-    /// Key space — small so tasks collide on keys.
-    pub keys: u64,
-    /// Ranks `0..prefill` of the load permutation are inserted
-    /// sequentially before the scheduled run (the checker's initial
-    /// state).
-    pub prefill: u64,
-    pub seed: u64,
-    pub preemptions: u32,
-    /// Distinct scheduler seeds checked per index.
-    pub schedules: u64,
-}
-
-impl Default for LinCheckConfig {
-    fn default() -> Self {
-        Self {
-            threads: 3,
-            ops_per_thread: 8,
-            keys: 12,
-            prefill: 6,
-            seed: 0x5ca1e,
-            preemptions: 24,
-            schedules: 4,
-        }
-    }
-}
-
-/// Run the lin-check for one target at one scheduler seed. Returns the
-/// recorded history length on success.
-pub fn lin_check_target(
-    target: &CrashTarget,
-    cfg: &LinCheckConfig,
-    schedule_seed: u64,
-) -> Result<usize, String> {
-    let dev = PmDevice::new(suite_pm(PersistenceDomain::Eadr));
-    let mut ctx = dev.ctx();
-    let index: Arc<dyn PersistentIndex> = Arc::from((target.format)(&mut ctx));
-
-    // The run draws from the same generator family as the sweep: a
-    // colliding mix over a tiny key space, zipfian so tasks pile onto the
-    // same hot keys.
-    let wcfg = WorkloadConfig {
-        seed: cfg.seed,
-        ..WorkloadConfig::new(
-            cfg.keys,
-            Distribution::Zipfian,
-            Mix::COLLIDING,
-            ValueSize::Inline,
-        )
-    };
-
-    // Sequential prefill builds the checker's initial model state.
-    let mut initial: HashMap<u64, u64> = HashMap::new();
-    let keys = load_keys(&wcfg);
-    let mut vals = OpStream::new(&wcfg, 0);
-    for &k in keys.iter().take(cfg.prefill as usize) {
-        let v = vals.expected_value(k);
-        if index.insert(&mut ctx, k, &v).is_ok() {
-            initial.insert(k, fingerprint(&v));
-        }
-    }
-    drop(ctx);
-
-    let recorder = Recorder::new();
-    // lint:allow(std-sync): host-side history buffer; never held across a
-    // sync point (same discipline as spash-sched's lin driver).
-    let hist = Arc::new(std::sync::Mutex::new(Vec::<HistOp>::new()));
-    let bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send>> = (0..cfg.threads)
-        .map(|t| {
-            let index = Arc::clone(&index);
-            let rec = recorder.clone();
-            let hist = Arc::clone(&hist);
-            let mut stream = OpStream::new(&wcfg, t as u64);
-            let n = cfg.ops_per_thread;
-            let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send> = Box::new(move |ctx| {
-                for _ in 0..n {
-                    let op = SweepOp::from(stream.next_op());
-                    let done = rec.run_op(index.as_ref(), ctx, t, &op);
-                    // Published immediately so completed ops survive any
-                    // valve stop; never held across a sync point.
-                    hist.lock().unwrap().push(done);
-                }
-                n
-            });
-            b
-        })
-        .collect();
-    let sched = SchedConfig::random(schedule_seed, cfg.preemptions);
-    let (_r, _ops) = run_scheduled(&dev, &sched, bodies)?;
-    let hist = Arc::try_unwrap(hist)
-        .map(|m| m.into_inner().unwrap())
-        .unwrap_or_default();
-    let n = hist.len();
-    history::check_linearizable(&hist, &initial)
-        .map_err(|v| format!("history not linearizable: {v}"))?;
-    Ok(n)
-}
-
-/// `spash-bench scale --lin-check`: every index × `schedules` seeds.
-/// Returns failure messages (empty = pass).
-pub fn lin_check_all(cfg: &LinCheckConfig) -> Vec<String> {
-    let mut failures = Vec::new();
-    for target in crash_targets() {
-        for s in 0..cfg.schedules {
-            match lin_check_target(&target, cfg, cfg.seed.wrapping_add(s)) {
-                Ok(n) => println!("# scale lin-check: {} seed {s}: {n} ops linearize", target.name),
-                Err(e) => failures.push(format!("{} seed {s}: {e}", target.name)),
-            }
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spash_pmem::PersistenceDomain;
 
     #[test]
     fn one_cell_has_three_phases_and_sane_rows() {
@@ -355,18 +225,5 @@ mod tests {
         }
         // The load phase loaded every key exactly once.
         assert_eq!(cell.rows[0].ops, cfg.keys);
-    }
-
-    #[test]
-    fn lin_check_passes_for_spash() {
-        let cfg = LinCheckConfig {
-            schedules: 2,
-            ..LinCheckConfig::default()
-        };
-        let target = &crash_targets()[0];
-        for s in 0..cfg.schedules {
-            let n = lin_check_target(target, &cfg, cfg.seed + s).unwrap();
-            assert_eq!(n, (cfg.threads as u64 * cfg.ops_per_thread) as usize);
-        }
     }
 }

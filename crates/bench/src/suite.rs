@@ -95,7 +95,7 @@ impl SuiteConfig {
 /// The device of every point. PM-bound on purpose: a small simulated
 /// cache keeps media traffic (the costs the gates guard) on every phase's
 /// critical path.
-pub(crate) fn suite_pm(domain: PersistenceDomain) -> PmConfig {
+fn suite_pm(domain: PersistenceDomain) -> PmConfig {
     PmConfig {
         arena_size: 256 << 20,
         cache_capacity: 512 << 10,

@@ -2,7 +2,8 @@
 //! the wrong thing: a set-but-unparseable value, an unknown choice, a
 //! misspelled name and a name in a retired namespace each exit 2 and
 //! name the knob on stderr. Accepted, they would have run the default
-//! seed, a Spash-only sweep and the default-size sweep.
+//! seed, a Spash-only sweep and the default-size sweep. A removed
+//! subcommand or flag, and a malformed argument, exit 2 the same way.
 
 use std::process::{Command, Output};
 
@@ -66,8 +67,6 @@ fn zero_counts_exit_2_naming_the_knob() {
         (&["crashpoints"], "SPASH_CRASH_KEYS", "0"),
         (&["crashpoints"], "SPASH_CRASH_OPS", "0"),
         (&["crashpoints"], "SPASH_CRASH_ARENA_MB", "0"),
-        (&["san"], "SPASH_SAN_KEYS", "0"),
-        (&["san"], "SPASH_SAN_OPS", "0"),
         (&["fig9", "--out", "/dev/null"], "SPASH_BENCH_KEYS", "0"),
         (&["fig9", "--out", "/dev/null"], "SPASH_BENCH_OPS", "0"),
         (
@@ -105,6 +104,49 @@ fn retired_suite_knob_exits_2_naming_the_constant() {
         &[("SPASH_SCALE_THREADS", "1,2")],
     );
     assert_rejected(&out, "SPASH_SCALE_THREADS", "suite::SCALE");
+}
+
+/// The sanitizer's clean-run gate is the crash sweep's record pass: an
+/// old `san` recipe's knob is refused, naming that recipe, instead of
+/// running a sweep at the crash defaults.
+#[test]
+fn retired_san_knob_exits_2_naming_the_record_pass_recipe() {
+    let out = spash_bench(&["crashpoints"], &[("SPASH_SAN_OPS", "1")]);
+    assert_rejected(&out, "SPASH_SAN_OPS", "SPASH_CRASH_POINTS=0");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("retired"));
+}
+
+/// Removed subcommands and flags exit 2 without running anything: `san`
+/// (folded into `crashpoints`' record pass) and `scale --lin-check`
+/// (`sched` explores the same workload shape with more schedules).
+#[test]
+fn removed_subcommand_and_flag_exit_2() {
+    for args in [
+        &["san"][..],
+        &["scale", "--lin-check", "--out", "/dev/null"],
+    ] {
+        let out = spash_bench(args, &[]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+/// `--seeds` takes a positive integer, as its usage line says; a zero
+/// used to run one schedule and exit 0.
+#[test]
+fn sched_zero_seeds_exits_2() {
+    for n in ["0", "-1", "x"] {
+        let out = spash_bench(&["sched", "--seeds", n], &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--seeds {n}: {stderr}");
+        assert!(stderr.contains("positive integer"), "{stderr}");
+        assert!(out.stdout.is_empty(), "--seeds {n} ran something");
+    }
 }
 
 /// The bug the strict reader fixes: a hex seed used to fall back to the

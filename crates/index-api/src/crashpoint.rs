@@ -9,8 +9,11 @@
 //! 1. **Record.** Run a seeded workload once on a fresh device and count
 //!    its media cacheline writes `W` (the only instants at which the
 //!    durable image changes — see `spash_pmem::fault`).
+//!    When the device carries a sanitizer, this pass is also the
+//!    sanitizer's clean-workload gate.
 //! 2. **Sweep.** For each scheduled `k ∈ 1..=W` (every `k` when
-//!    `W ≤ exhaustive_limit`, strided otherwise): rebuild the device,
+//!    `W ≤ exhaustive_limit`, strided otherwise, none when
+//!    `max_points = 0`): rebuild the device,
 //!    arm the fault plan at `k`, replay the same workload until it
 //!    unwinds, apply the configured persistence-domain semantics with
 //!    `simulate_power_failure`, run the implementation's recovery, and
@@ -37,7 +40,10 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use spash_pmem::{CrashPointHit, MemCtx, PersistenceDomain, PmConfig, PmDevice};
+use spash_pmem::{
+    CrashPointHit, MemCtx, PersistenceDomain, PmConfig, PmDevice, SanReport, StatsDelta,
+    StatsSnapshot,
+};
 
 use crate::history::{fingerprint, OpResult};
 use crate::{PersistentIndex, Rng64};
@@ -61,11 +67,20 @@ impl SweepOp {
         }
     }
 
+    /// The operation's name, for labels.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SweepOp::Insert(..) => "insert",
+            SweepOp::Update(..) => "update",
+            SweepOp::Remove(_) => "remove",
+            SweepOp::Get(_) => "get",
+        }
+    }
+
     /// Run this operation against `idx` and classify what its caller
     /// observed. The only place a `SweepOp` becomes trait calls: the
-    /// sweeps and the sanitizer driver assert the outcome
-    /// ([`Self::apply_mirrored`]), `history::Recorder` timestamps it, the
-    /// crash-schedule driver ignores it.
+    /// sweeps assert the outcome ([`Self::apply_mirrored`]),
+    /// `history::Recorder` timestamps and records it.
     pub fn apply(&self, idx: &dyn PersistentIndex, ctx: &mut MemCtx) -> OpResult {
         match self {
             SweepOp::Insert(k, v) => OpResult::of_insert(idx.insert(ctx, *k, v)),
@@ -254,6 +269,11 @@ pub struct SweepReport {
     pub failures: Vec<String>,
     /// Total violations including those past the cap.
     pub failure_count: u64,
+    /// PM counters over the record pass's workload (format excluded).
+    pub record_stats: StatsDelta,
+    /// The sanitizer's findings over the record pass (empty when the
+    /// device carries none).
+    pub record_san: SanReport,
 }
 
 impl SweepReport {
@@ -273,9 +293,11 @@ impl SweepReport {
 
     /// The sanitizer gate shared by the record pass and every recovery:
     /// each retained violation, and the count past the retention cap, is
-    /// a sweep failure.
-    fn gate_sanitizer(&mut self, dev: &PmDevice, stage: &str) {
-        let Some(san) = dev.san() else { return };
+    /// a sweep failure. Returns what it gated.
+    fn gate_sanitizer(&mut self, dev: &PmDevice, stage: &str) -> SanReport {
+        let Some(san) = dev.san() else {
+            return SanReport::default();
+        };
         san.final_check();
         let r = san.report();
         for v in &r.violations {
@@ -287,6 +309,7 @@ impl SweepReport {
                 r.dropped
             ));
         }
+        r
     }
 }
 
@@ -309,10 +332,11 @@ pub fn apply_shadow(model: &mut HashMap<u64, Vec<u8>>, op: &SweepOp) {
     }
 }
 
-/// The injection schedule: every write when the run is short, else an even
+/// The injection schedule: none when `max_points` is 0 (the sweep is its
+/// record pass only), every write when the run is short, else an even
 /// stride that always includes the first and last write.
 pub fn schedule(total_writes: u64, exhaustive_limit: u64, max_points: u64) -> Vec<u64> {
-    if total_writes == 0 {
+    if total_writes == 0 || max_points == 0 {
         return Vec::new();
     }
     if total_writes <= exhaustive_limit {
@@ -377,6 +401,8 @@ impl SweepDriver for PerOp {
     const PREFIX: &'static str = "";
     type Log = usize;
 
+    /// Single-threaded, so when a sanitizer is armed each op's label on
+    /// its violations is exact.
     fn run(
         &self,
         idx: &Arc<dyn PersistentIndex>,
@@ -384,7 +410,11 @@ impl SweepDriver for PerOp {
         ops: &[SweepOp],
         done: &mut usize,
     ) {
-        for op in ops {
+        let labelled = ctx.device().san().is_some();
+        for (i, op) in ops.iter().enumerate() {
+            if labelled {
+                ctx.san_op_label(&format!("op#{i} {}(key={})", op.kind(), op.key()));
+            }
             op.apply_mirrored(idx.as_ref(), ctx);
             *done += 1;
         }
@@ -407,17 +437,23 @@ pub fn run_sweep(target: &CrashTarget, cfg: &SweepConfig) -> SweepReport {
 /// One pass of the workload: format a fresh index on a fresh device,
 /// optionally arm the fault plan at write `arm_at`, and let the driver
 /// run until it finishes or unwinds. Returns the device, the driver's
-/// log and how the run ended.
+/// log, how the run ended and the device counters as formatted.
 fn play<D: SweepDriver>(
     driver: &D,
     target: &CrashTarget,
     cfg: &SweepConfig,
     ops: &[SweepOp],
     arm_at: Option<u64>,
-) -> (Arc<PmDevice>, D::Log, std::thread::Result<()>) {
+) -> (
+    Arc<PmDevice>,
+    D::Log,
+    std::thread::Result<()>,
+    StatsSnapshot,
+) {
     let dev = PmDevice::new(cfg.pm.clone());
     let mut ctx = dev.ctx();
     let idx: Arc<dyn PersistentIndex> = Arc::from((target.format)(&mut ctx));
+    let formatted = dev.snapshot();
     dev.faults().reset(); // count workload writes only, not format
     if let Some(k) = arm_at {
         dev.faults().arm(k);
@@ -428,7 +464,7 @@ fn play<D: SweepDriver>(
     }));
     dev.faults().disarm();
     // `idx` drops here: volatile index state dies with the "machine".
-    (dev, log, outcome)
+    (dev, log, outcome, formatted)
 }
 
 /// The record → schedule → arm → replay → power-fail → recover → audit →
@@ -448,16 +484,20 @@ pub fn run_sweep_with<D: SweepDriver>(
         unrecovered: 0,
         failures: Vec::new(),
         failure_count: 0,
+        record_stats: StatsDelta::default(),
+        record_san: SanReport::default(),
     };
 
     // Record: count the workload's media writes on an uninjected run.
-    // When `cfg.pm.san` is set this pass doubles as the sanitizer's
-    // clean-workload gate: any persistence-ordering violation over the
-    // full uninjected run is a hard sweep failure.
-    let (dev, log, outcome) = play(driver, target, cfg, &ops, None);
+    // When `cfg.pm.san` is set this pass is the sanitizer's clean-workload
+    // gate: any persistence-ordering violation over the full uninjected
+    // run is a hard sweep failure. With `max_points = 0` it is the whole
+    // sweep.
+    let (dev, log, outcome, formatted) = play(driver, target, cfg, &ops, None);
     if let Err(payload) = outcome {
         resume_unwind(payload);
     }
+    report.record_stats = dev.snapshot().since(&formatted);
     let progress = driver.progress(&log, ops.len());
     if progress.committed.len() != ops.len() || !progress.in_flight.is_empty() {
         report.fail(format!(
@@ -467,7 +507,7 @@ pub fn run_sweep_with<D: SweepDriver>(
             progress.in_flight.len()
         ));
     }
-    report.gate_sanitizer(&dev, "record pass");
+    report.record_san = report.gate_sanitizer(&dev, "record pass");
     report.total_writes = dev.faults().media_writes();
 
     for k in schedule(report.total_writes, cfg.exhaustive_limit, cfg.max_points) {
@@ -485,7 +525,7 @@ fn sweep_one<D: SweepDriver>(
     k: u64,
     report: &mut SweepReport,
 ) {
-    let (dev, log, outcome) = play(driver, target, cfg, ops, Some(k));
+    let (dev, log, outcome, _) = play(driver, target, cfg, ops, Some(k));
     match outcome {
         Ok(()) => {
             // The armed write never happened: the replay diverged from the
@@ -703,6 +743,15 @@ mod tests {
     fn schedule_is_exhaustive_when_short() {
         assert_eq!(schedule(5, 10, 100), vec![1, 2, 3, 4, 5]);
         assert_eq!(schedule(0, 10, 100), Vec::<u64>::new());
+    }
+
+    /// `max_points = 0` is a record-only sweep, whatever the run's length
+    /// and the exhaustive limit.
+    #[test]
+    fn schedule_is_empty_at_zero_points() {
+        assert_eq!(schedule(5, 10, 0), Vec::<u64>::new());
+        assert_eq!(schedule(100, 0, 0), Vec::<u64>::new());
+        assert_eq!(schedule(100_000, 5_000, 0), Vec::<u64>::new());
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! Timestamps come from one shared atomic clock ticked at every
 //! invocation and response, so they are distinct and totally ordered, and
 //! same-thread program order is automatically a sub-order of real time.
+//! The clock and the log it stamps are one [`Recorder`], the only history
+//! buffer the lin drivers keep.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,13 +140,18 @@ pub struct HistOp {
     pub resp: u64,
 }
 
-/// Shared history clock + recording helper, cloned into every simulated
-/// thread. All clones append into their own `Vec<HistOp>`; the driver
-/// concatenates after the run (order within the vec is irrelevant — the
-/// checker orders by timestamps).
+/// The one history log of a run: a shared clock and the completed
+/// operations, cloned into every simulated thread. Every clone stamps
+/// from the same clock and appends to the same log (order within it is
+/// irrelevant — the checker orders by timestamps); the driver takes the
+/// log after the run.
 #[derive(Clone, Default)]
 pub struct Recorder {
     clock: Arc<AtomicU64>,
+    // lint:allow(std-sync): host-side history log; locked only to push one
+    // completed op or to take the log, never across a sync point, so it
+    // cannot deadlock the cooperative scheduler.
+    log: Arc<std::sync::Mutex<Vec<HistOp>>>,
 }
 
 impl Recorder {
@@ -157,25 +164,35 @@ impl Recorder {
         self.clock.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Execute `op` against `idx`, timestamping the invocation and
-    /// response and classifying the outcome.
-    pub fn run_op(
-        &self,
-        idx: &dyn PersistentIndex,
-        ctx: &mut MemCtx,
-        thread: usize,
-        op: &SweepOp,
-    ) -> HistOp {
-        let inv = self.tick();
-        let result = op.apply(idx, ctx);
+    /// Record `op`, invoked at `inv`, as completed now with `result`.
+    /// Published immediately, not at task exit, so completed ops survive
+    /// an injected crash or a valve stop.
+    pub fn respond(&self, thread: usize, op: SweepOp, result: OpResult, inv: u64) {
         let resp = self.tick();
-        HistOp {
+        let done = HistOp {
             thread,
-            op: op.clone(),
+            op,
             result,
             inv,
             resp,
-        }
+        };
+        self.log
+            .lock()
+            .expect("history log: a push panicked")
+            .push(done);
+    }
+
+    /// Execute `op` against `idx` and record it, timestamping the
+    /// invocation and response and classifying the outcome.
+    pub fn run_op(&self, idx: &dyn PersistentIndex, ctx: &mut MemCtx, thread: usize, op: &SweepOp) {
+        let inv = self.tick();
+        let result = op.apply(idx, ctx);
+        self.respond(thread, op.clone(), result, inv);
+    }
+
+    /// The operations recorded so far, leaving the log empty.
+    pub fn take(&self) -> Vec<HistOp> {
+        std::mem::take(&mut *self.log.lock().expect("history log: a push panicked"))
     }
 }
 

@@ -14,12 +14,17 @@
 //! post-crash image — declining to recover or reporting an audit
 //! violation are statistics, not failures (ADR platforms legitimately
 //! tear unflushed state).
+//!
+//! The run up to the crash *is* [`run_schedule`]: the same format,
+//! prefill, task bodies and scheduler, with the fault plan wired in by
+//! `crash_at_decision`. This module adds only the power failure and the
+//! recovery.
 
 use spash_index_api::crashpoint::{panic_text, CrashTarget};
-use spash_pmem::{PmConfig, PmDevice};
+use spash_pmem::PmConfig;
 
-use crate::lin::{prefill_value, thread_workload, LinConfig};
-use crate::{run_tasks, SchedOutcome, Trace};
+use crate::lin::{run_schedule, LinConfig};
+use crate::Trace;
 
 /// Outcome of one crash-at-decision run.
 #[derive(Debug)]
@@ -51,7 +56,7 @@ impl CrashSchedOutcome {
 pub fn measure_decisions(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) -> u64 {
     let mut probe = cfg.clone();
     probe.sched.crash_at_decision = None;
-    crate::lin::run_schedule(target, pm, &probe).outcome.trace.len() as u64
+    run_schedule(target, pm, &probe).outcome.trace.len() as u64
 }
 
 /// Run `cfg` (whose `sched.crash_at_decision` must be set), crash at that
@@ -61,50 +66,22 @@ pub fn run_crash_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) 
         cfg.sched.crash_at_decision.is_some(),
         "crash-schedule run without a crash point"
     );
-    let dev = PmDevice::new(pm.clone());
-    let mut ctx = dev.ctx();
-    let idx = (target.format)(&mut ctx);
-    for k in 1..=cfg.prefill {
-        let _ = idx.insert(&mut ctx, k, &prefill_value(k));
-    }
-    // Crash ordinals are counted from the start of the *concurrent*
-    // phase; the prefill's media writes are history.
-    dev.faults().reset();
-
-    let idx: std::sync::Arc<dyn spash_index_api::PersistentIndex> = std::sync::Arc::from(idx);
-    let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(cfg.threads);
-    for t in 0..cfg.threads {
-        let ops = thread_workload(cfg, t);
-        let idx = std::sync::Arc::clone(&idx);
-        let mut tctx = dev.ctx();
-        bodies.push(Box::new(move || {
-            for op in &ops {
-                // Expected refusals (duplicate, missing, full) are normal:
-                // a crashed schedule cares about durability, not outcomes.
-                let _ = op.apply(idx.as_ref(), &mut tctx);
-            }
-        }));
-    }
-
-    let d = std::sync::Arc::clone(&dev);
-    let outcome: SchedOutcome = run_tasks(
-        &cfg.sched,
-        Some(Box::new(move || d.faults().trip_now())),
-        bodies,
-    );
-    drop(idx); // volatile index state dies with the "machine"
-
+    // A crashed schedule cares about durability, not outcomes: its
+    // history is incomplete and goes unchecked. The volatile index state
+    // died with the "machine" when the run returned.
+    let run = run_schedule(target, pm, cfg);
     let mut result = CrashSchedOutcome {
-        fired: outcome.injected_crash.is_some(),
-        write: outcome.injected_crash,
-        trace: outcome.trace,
+        fired: run.outcome.injected_crash.is_some(),
+        write: run.outcome.injected_crash,
+        trace: run.outcome.trace,
         recovery: None,
-        unexpected_panic: outcome.panics.first().cloned(),
+        unexpected_panic: run.outcome.panics.first().cloned(),
     };
     if !result.fired {
         return result;
     }
 
+    let dev = run.device;
     let _ = dev.simulate_power_failure();
     let mut rctx = dev.ctx();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (target.recover)(&mut rctx))) {

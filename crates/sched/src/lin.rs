@@ -7,13 +7,12 @@
 //! same workload generator the crash-point sweep uses. Every completed
 //! operation is timestamped and recorded; after the run the history is
 //! checked against the sequential map model with
-//! [`spash_index_api::history::check_linearizable`].
+//! [`spash_index_api::history::check_linearizable`]. The same run with
+//! [`SchedConfig::crash_at_decision`] set is the crash-at-decision
+//! driver's workload ([`crate::crashsched`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
-// lint:allow(std-sync): host-side history buffer; never held across a
-// sync point, so it cannot deadlock the cooperative scheduler.
-use std::sync::Mutex as StdMutex;
 
 use spash_index_api::crashpoint::{gen_workload, CrashTarget, SweepOp};
 use spash_index_api::history::{self, fingerprint, HistOp, Recorder, Violation};
@@ -68,6 +67,8 @@ pub struct LinRun {
     /// Persistence-ordering sanitizer findings, rendered (empty when the
     /// device ran without a sanitizer, or the run crashed/stalled).
     pub san_violations: Vec<String>,
+    /// The device the run used, for a caller that power-fails it.
+    pub device: Arc<PmDevice>,
 }
 
 impl LinRun {
@@ -94,7 +95,7 @@ pub fn prefill_value(k: u64) -> Vec<u8> {
 
 /// Per-thread workload: same generator as the crash-point sweep, whitened
 /// per thread so slices differ but stay reproducible.
-pub fn thread_workload(cfg: &LinConfig, t: usize) -> Vec<SweepOp> {
+fn thread_workload(cfg: &LinConfig, t: usize) -> Vec<SweepOp> {
     gen_workload(
         cfg.workload_seed
             .wrapping_add((t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
@@ -105,9 +106,9 @@ pub fn thread_workload(cfg: &LinConfig, t: usize) -> Vec<SweepOp> {
 
 /// Run one schedule against `target` and check the history.
 ///
-/// `crash_fn` wires the device fault plan into the scheduler when
-/// [`SchedConfig::crash_at_decision`] is set (see [`crate::crashsched`]);
-/// plain linearizability runs pass nothing and get no crash.
+/// When [`SchedConfig::crash_at_decision`] is set the device fault plan is
+/// wired into the scheduler and the run ends in an injected crash (see
+/// [`crate::crashsched`]); plain linearizability runs get no crash.
 pub fn run_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) -> LinRun {
     let dev = PmDevice::new(pm.clone());
     let mut ctx = dev.ctx();
@@ -122,10 +123,12 @@ pub fn run_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) -> Lin
             initial.insert(k, fingerprint(&v));
         }
     }
+    // Crash ordinals are counted from the start of the *concurrent*
+    // phase; the prefill's media writes are history.
+    dev.faults().reset();
 
     let idx: Arc<dyn PersistentIndex> = Arc::from(idx);
     let recorder = Recorder::new();
-    let history = Arc::new(StdMutex::new(Vec::<HistOp>::new()));
 
     // Per-task contexts are created *before* spawning, in task order, so
     // simulated-thread ids (and thus any tid-dependent behaviour) are a
@@ -135,15 +138,10 @@ pub fn run_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) -> Lin
         let ops = thread_workload(cfg, t);
         let idx = Arc::clone(&idx);
         let rec = recorder.clone();
-        let hist = Arc::clone(&history);
         let mut tctx = dev.ctx();
         bodies.push(Box::new(move || {
             for op in &ops {
-                let done = rec.run_op(idx.as_ref(), &mut tctx, t, op);
-                // Published immediately (not batched at task exit) so
-                // completed ops survive injected crashes and valve stops.
-                // The host lock is never held across a sync point.
-                hist.lock().unwrap().push(done);
+                rec.run_op(idx.as_ref(), &mut tctx, t, op);
             }
         }));
     }
@@ -156,10 +154,7 @@ pub fn run_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) -> Lin
     };
 
     let outcome = run_tasks(&cfg.sched, crash_fn, bodies);
-
-    let history = Arc::try_unwrap(history)
-        .map(|m| m.into_inner().unwrap())
-        .unwrap_or_default();
+    let history = recorder.take();
 
     // Only a clean, complete run has a checkable history: after a crash
     // or a valve stop, in-flight operations are missing by design (the
@@ -196,5 +191,6 @@ pub fn run_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) -> Lin
         initial,
         violation,
         san_violations,
+        device: dev,
     }
 }

@@ -1,8 +1,8 @@
 //! Service-level linearizability: every client operation is recorded
 //! *through the batching layer* and checked with the Wing–Gong search.
 //!
-//! The index lin-checks (`spash-sched`'s explore scenarios, the scale
-//! driver's own check) validate direct trait calls; this one validates
+//! The index lin-check (`spash-sched`'s schedule explorer) validates
+//! direct trait calls; this one validates
 //! the front-end — routing, batch formation, `run_batch` execution and
 //! batch-at-a-time delivery — because the service adds exactly the kinds
 //! of bugs a per-op check cannot see: responses attached to the wrong
@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use spash_index_api::crashpoint::{CrashTarget, SweepOp};
-use spash_index_api::history::{self, fingerprint, HistOp, OpResult, Recorder};
+use spash_index_api::history::{self, fingerprint, OpResult, Recorder};
 use spash_index_api::PersistentIndex;
 use spash_pmem::{CrashFidelity, MemCtx, PersistenceDomain, PmConfig, PmDevice};
 use spash_sched::batch::run_batch;
@@ -64,7 +64,7 @@ impl Default for ServiceLinConfig {
 fn lin_pm() -> PmConfig {
     let mut pm = PmConfig::small_test();
     // Big enough for every registered crash target (the bench suite's
-    // Halo formats a 64 MB log), same sizing as the scale lin-check.
+    // Halo formats a 64 MB log).
     pm.arena_size = 256 << 20;
     pm.cache_capacity = 256 << 10;
     pm.domain = PersistenceDomain::Eadr;
@@ -147,15 +147,11 @@ pub fn lin_check_target(
     }
 
     let recorder = Recorder::new();
-    // lint:allow(std-sync): host-side history buffer; never held across a
-    // sync point (same discipline as spash-sched's lin driver).
-    let hist = Arc::new(std::sync::Mutex::new(Vec::<HistOp>::new()));
     dev.quiesce();
     let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = (0..cfg.shards)
         .map(|shard| {
             let svc = &svc;
             let rec = recorder.clone();
-            let hist = Arc::clone(&hist);
             let mut ctx = dev.ctx();
             ctx.reset_clock();
             let t: Box<dyn FnOnce() -> u64 + Send + '_> = Box::new(move || {
@@ -167,16 +163,7 @@ pub fn lin_check_target(
                 let mut deliver = |_ctx: &mut MemCtx, pool: &BatchPool, replies: BatchReplies| {
                     for resp in &replies.responses {
                         let result = reply_result(pool, &resp.op, &resp.reply);
-                        let done = HistOp {
-                            thread: shard,
-                            op: resp.op.clone(),
-                            result,
-                            inv: resp.stamp,
-                            resp: rec.tick(),
-                        };
-                        // Published immediately so completed ops survive
-                        // any valve stop; never held across a sync point.
-                        hist.lock().unwrap().push(done);
+                        rec.respond(shard, resp.op.clone(), result, resp.stamp);
                     }
                     replies.retire(pool);
                 };
@@ -195,9 +182,7 @@ pub fn lin_check_target(
         "service lin-check lost or duplicated client ops"
     );
 
-    let hist = Arc::try_unwrap(hist)
-        .map(|m| m.into_inner().unwrap())
-        .unwrap_or_default();
+    let hist = recorder.take();
     let n = hist.len();
     if n as u64 != cfg.ops {
         return Err(format!("history holds {n} ops, expected {}", cfg.ops));

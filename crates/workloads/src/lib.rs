@@ -69,8 +69,9 @@ impl Mix {
         insert_pct: 0,
         delete_pct: 0,
     };
-    /// The lin-checks' mix: every op kind equally likely, so tasks over a
-    /// tiny key space collide on inserts, updates, removes and reads.
+    /// The service lin-check's mix: every op kind equally likely, so
+    /// tasks over a tiny key space collide on inserts, updates, removes
+    /// and reads.
     pub const COLLIDING: Mix = Mix {
         search_pct: 25,
         update_pct: 25,
@@ -99,8 +100,8 @@ pub enum WorkOp {
     Delete(u64),
 }
 
-/// The harness-side spelling of the same operation (lin-checks and the
-/// service front-end take `SweepOp`s).
+/// The harness-side spelling of the same operation (the service
+/// front-end and its lin-check take `SweepOp`s).
 impl From<WorkOp> for spash_index_api::crashpoint::SweepOp {
     fn from(op: WorkOp) -> Self {
         match op {

@@ -58,6 +58,38 @@ fn spash_adr_sweep_recovery_is_panic_free_on_torn_images() {
     assert!(r.points.iter().all(|p| p.flushed_lines == 0));
 }
 
+/// `(decision, fired, write ordinal, trace hash, recovered)` of one
+/// sampled crash.
+type DecisionCrash = (u64, bool, Option<u64>, u64, bool);
+
+/// Every sampled crash below, per schedule seed: the crash-at-decision
+/// run is the lin driver's run plus a power failure, so none of these may
+/// move when either changes shape without changing the trait calls.
+const DECISION_CRASH_PINS: [(u64, [DecisionCrash; 6]); 2] = [
+    (
+        3,
+        [
+            (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
+            (105, true, Some(4), 0x6617_dca6_8077_1195, false),
+            (209, true, Some(4), 0x3b56_df92_f9d0_6225, false),
+            (314, true, Some(5), 0xfe48_e90f_ecb7_747e, false),
+            (418, true, Some(13), 0x3f6e_493d_5dfe_dfc6, false),
+            (523, true, Some(14), 0x2056_fc6f_e019_4946, false),
+        ],
+    ),
+    (
+        11,
+        [
+            (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
+            (105, true, Some(4), 0xed6c_e572_333c_0c75, false),
+            (209, true, Some(4), 0x8444_970e_3b0c_10bc, false),
+            (314, true, Some(5), 0xe5d5_0791_8464_ff0e, false),
+            (418, true, Some(13), 0xba97_3987_d20f_f2f6, false),
+            (523, true, Some(14), 0x86a0_8e08_2b1a_e3b6, false),
+        ],
+    ),
+];
+
 /// Concurrent-crash sweep: a power failure at sampled *scheduler decision
 /// points* of a 2-thread workload (not just at media writes of a
 /// sequential one). The crash fires mid-interleaving via the device fault
@@ -73,7 +105,7 @@ fn spash_adr_crash_at_scheduler_decision_points_recovers_panic_free() {
     let pm = SweepConfig::ci(PersistenceDomain::Adr).pm;
     let target = Spash::crash_target(SpashConfig::test_default());
 
-    for seed in [3u64, 11] {
+    for (seed, pins) in DECISION_CRASH_PINS {
         let mut cfg = LinConfig::small(seed);
         cfg.threads = 2;
         cfg.ops_per_thread = 10;
@@ -83,9 +115,9 @@ fn spash_adr_crash_at_scheduler_decision_points_recovers_panic_free() {
         // Even stride including early and late points. The tail of the
         // trace is task-exit handoffs with no further sync point, so the
         // last armable ordinal sits a few decisions before the end.
-        let samples = 6u64;
+        let samples = pins.len() as u64;
         let max_d = total - cfg.threads as u64 - 1;
-        for i in 0..samples {
+        for (i, pin) in (0..samples).zip(pins) {
             let d = 1 + i * (max_d - 1) / (samples - 1);
             let mut crash_cfg = cfg.clone();
             crash_cfg.sched.crash_at_decision = Some(d);
@@ -100,6 +132,14 @@ fn spash_adr_crash_at_scheduler_decision_points_recovers_panic_free() {
                 out.unexpected_panic.as_deref().unwrap_or(""),
                 out.trace
             );
+            let got = (
+                d,
+                out.fired,
+                out.write,
+                out.trace.hash(),
+                out.recovery.is_some(),
+            );
+            assert_eq!(got, pin, "seed {seed}: crash at decision {d} moved");
         }
     }
 }

@@ -407,7 +407,8 @@ fn stale_overlay_canary_is_caught_by_linearizability_checker() {
         // state that reflects the completed update: a get returning the
         // pre-split value cannot linearize.
         let rec = Recorder::new();
-        let hist = vec![rec.run_op(&idx, &mut ctx, 0, &SweepOp::Get(k))];
+        rec.run_op(&idx, &mut ctx, 0, &SweepOp::Get(k));
+        let hist = rec.take();
         let initial: HashMap<u64, u64> =
             [(k, history::fingerprint(&fresh))].into_iter().collect();
         assert!(

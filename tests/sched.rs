@@ -13,7 +13,6 @@ use spash_repro::index_api::crashpoint::{CrashTarget, SweepOp};
 use spash_repro::index_api::history::{self, Recorder};
 use spash_repro::pmem::{PersistenceDomain, PmConfig, PmDevice};
 use spash_repro::sched::explore::{explore, ExploreConfig};
-use spash_repro::sched::lin::{run_schedule, LinConfig};
 use spash_repro::sched::{run_tasks, SchedConfig};
 use spash_repro::spash::{Spash, SpashConfig};
 
@@ -127,32 +126,27 @@ fn spash_doubling_under_readers_linearizes() {
         );
         let cap0 = idx.capacity();
         let recorder = Recorder::new();
-        let history = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
 
         let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         for (t, keys) in [(0usize, 1..=30u64), (1, 31..=60)] {
             let idx = std::sync::Arc::clone(&idx);
             let rec = recorder.clone();
-            let hist = std::sync::Arc::clone(&history);
             let mut tctx = dev.ctx();
             bodies.push(Box::new(move || {
                 for k in keys {
                     let op = SweepOp::Insert(k, spash_repro::sched::lin::prefill_value(k));
-                    let done = rec.run_op(idx.as_ref(), &mut tctx, t, &op);
-                    hist.lock().unwrap().push(done);
+                    rec.run_op(idx.as_ref(), &mut tctx, t, &op);
                 }
             }));
         }
         {
             let idx = std::sync::Arc::clone(&idx);
             let rec = recorder.clone();
-            let hist = std::sync::Arc::clone(&history);
             let mut tctx = dev.ctx();
             bodies.push(Box::new(move || {
                 for i in 0..25u64 {
                     let op = SweepOp::Get(1 + (i * 7) % 60);
-                    let done = rec.run_op(idx.as_ref(), &mut tctx, 2, &op);
-                    hist.lock().unwrap().push(done);
+                    rec.run_op(idx.as_ref(), &mut tctx, 2, &op);
                 }
             }));
         }
@@ -161,7 +155,7 @@ fn spash_doubling_under_readers_linearizes() {
         assert!(out.panics.is_empty(), "seed {seed}: {:?}", out.panics);
         assert!(out.stopped.is_none(), "seed {seed}: {:?}", out.stopped);
 
-        let hist = history.lock().unwrap();
+        let hist = recorder.take();
         history::check_linearizable(&hist, &Default::default()).unwrap_or_else(|v| {
             panic!("seed {seed}: doubling-under-readers history: {v}\ntrace = {:?}", out.trace)
         });
