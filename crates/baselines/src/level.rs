@@ -205,6 +205,34 @@ impl Level {
         true
     }
 
+    /// Make room for `key` in one of its two top-level candidates `hs` of
+    /// `t` by moving an occupant to that occupant's other top bucket
+    /// (Level hashing's one-step movement). Only used on a rehash's new
+    /// top, which no reader can reach until the rehash commits.
+    fn displace_into(&self, ctx: &mut MemCtx, t: &Table, hs: [u64; 2], key: u64, vw: u64) -> bool {
+        for h in hs {
+            let b = t.bucket(0, h);
+            for s in 0..SLOTS {
+                let slot = PmAddr(b.0 + 8 + s * 16);
+                let occupant = ctx.read_u64(slot);
+                let (o1, o2) = Self::hashes(occupant);
+                let other = if o1 % t.n_top == h % t.n_top { o2 } else { o1 };
+                if other % t.n_top == h % t.n_top {
+                    continue;
+                }
+                let ovw = ctx.read_u64(PmAddr(slot.0 + 8));
+                if self.bucket_insert(ctx, t.bucket(0, other), occupant, ovw) {
+                    ctx.write_u64(PmAddr(slot.0 + 8), vw);
+                    ctx.write_u64(slot, key);
+                    ctx.flush_range(slot, 16);
+                    ctx.fence();
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
     /// Full-table rehash: new top = 2 × old top, old top becomes the new
     /// bottom, old bottom's entries are re-inserted. Holds the global
     /// table write lock for the duration (the stall the paper measures).
@@ -255,12 +283,19 @@ impl Level {
                 let placed = self.bucket_insert(ctx, new_table.bucket(0, h1 % new_n), k, vw)
                     || self.bucket_insert(ctx, new_table.bucket(0, h2 % new_n), k, vw);
                 if !placed {
-                    // Rare; the original moves an occupant. Place in the
-                    // new bottom (= old top) via its candidates.
-                    let ok = self
-                        .bucket_insert(ctx, new_table.bucket(1, h1 % t.n_top), k, vw)
-                        || self.bucket_insert(ctx, new_table.bucket(1, h2 % t.n_top), k, vw);
+                    // Rare: place in the new bottom (= old top) via its
+                    // candidates, else move an occupant of a new-top
+                    // candidate to its other new-top bucket, as the
+                    // original does.
+                    let ok = self.bucket_insert(ctx, new_table.bucket(1, h1 % t.n_top), k, vw)
+                        || self.bucket_insert(ctx, new_table.bucket(1, h2 % t.n_top), k, vw)
+                        || self.displace_into(ctx, &new_table, [h1, h2], k, vw);
                     if !ok {
+                        // Every occupant's other bucket is full as well.
+                        // The old table is still the published one, so
+                        // the new top goes back rather than leaking.
+                        // lint:allow(flow-flush-fence): residue reaching this free is bucket_insert's canary-gated flush+fence (level.insert.*); the freed top was never published. san=none(canary gate is on outside sanitizer canary tests)
+                        self.alloc.free_region(ctx, new_top);
                         return Err(IndexError::OutOfMemory);
                     }
                 }
@@ -407,7 +442,6 @@ impl PersistentIndex for Level {
                     let b = t.bucket(lvl, i);
                     if self
                         .lock_of(lvl, i)
-                        // lint:allow(flow-flush-fence): residue reaching this release is bucket_insert/rehash canary-gated flush+fence (level.insert.*) carried around the retry loop. san=none(canary gate is on outside sanitizer canary tests)
                         .read(ctx, |ctx| self.scan(ctx, b, key).is_some())
                     {
                         dup = true;
@@ -442,11 +476,9 @@ impl PersistentIndex for Level {
                     return Ok(());
                 }
                 Out::Dup => {
-                    // lint:allow(flow-flush-fence): canary-gated residue from the failed insert round; free_val's header CAS flips its own metadata word. san=none(allocator metadata word on its own cacheline)
                     common::free_val(&self.alloc, ctx, vw);
                     return Err(IndexError::DuplicateKey);
                 }
-                // lint:allow(flow-flush-fence): canary-gated residue carried into the rehash retry; rehash re-flushes and fences everything it moves. san=none(canary gate is on outside sanitizer canary tests)
                 Out::Full(seen) => self.rehash(ctx, seen)?,
             }
         }
@@ -634,6 +666,57 @@ mod tests {
         assert!(Level::recover(&mut ctx).is_none());
         let _ = PmAllocator::format(&mut ctx, 0);
         assert!(Level::recover(&mut ctx).is_none());
+    }
+
+    #[test]
+    fn rehash_moves_an_occupant_when_all_four_candidates_are_full() {
+        // An 8-bucket top and 4-bucket bottom rehash into a 16-bucket top.
+        // Lay the old table out so that the last old-bottom entry finds
+        // both new-top candidates (buckets 2 and 3) and both new-bottom
+        // (= old top) candidates full; only moving `x` to its other
+        // new-top bucket makes room.
+        fn pick(
+            pool: &mut std::ops::RangeFrom<u64>,
+            n: usize,
+            want: impl Fn(u64, u64) -> bool,
+        ) -> Vec<u64> {
+            pool.by_ref()
+                .filter(|&k| {
+                    let (h1, h2) = Level::hashes(k);
+                    want(h1, h2)
+                })
+                .take(n)
+                .collect()
+        }
+        let (_d, mut ctx) = test_device();
+        let idx = Level::format(&mut ctx, 3).unwrap();
+        let mut pool = 1u64..;
+        // x: new-top candidates 2 and a bucket whose bottom index is 0 or
+        // 1, so the rehash moves it first.
+        let x = pick(&mut pool, 1, |h1, h2| h1 % 16 == 2 && h2 % 4 < 2)[0];
+        let s2 = pick(&mut pool, 4, |h1, h2| h1 % 16 == 2 && h2 % 16 == 3);
+        let s3 = pick(&mut pool, 4, |h1, h2| h1 % 16 == 3 && h2 % 16 == 2);
+        let mut fill = pick(&mut pool, 4, |h1, _| h1 % 8 == 2);
+        fill.extend(pick(&mut pool, 4, |h1, _| h1 % 8 == 3));
+        {
+            let t = idx.table.read();
+            let bottom = std::iter::once((x, Level::hashes(x).1))
+                .chain(s2.iter().chain(&s3).map(|&k| (k, Level::hashes(k).0)))
+                .map(|(k, h)| (1, k, h));
+            let top = fill.iter().map(|&k| (0, k, Level::hashes(k).0));
+            for (lvl, k, h) in bottom.chain(top) {
+                let vw = common::make_val(&idx.alloc, &mut ctx, k, &k.to_le_bytes()[..6]).unwrap();
+                assert!(idx.bucket_insert(&mut ctx, t.bucket(lvl, h), k, vw));
+            }
+        }
+        idx.rehash(&mut ctx, 8).unwrap();
+        assert_eq!(idx.capacity_slots(), (16 + 8) * SLOTS);
+        for &k in [x].iter().chain(&s2).chain(&s3).chain(&fill) {
+            assert_eq!(idx.get_u64(&mut ctx, k), Some(k), "key {k}");
+        }
+        let t = idx.table.read();
+        let x_home = t.bucket(0, Level::hashes(x).1);
+        assert!(idx.scan(&mut ctx, x_home, x).is_some(), "x moved to its other bucket");
     }
 
     #[test]

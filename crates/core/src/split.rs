@@ -480,9 +480,12 @@ impl Spash {
         Some(Ok(()))
     }
 
-    /// Merge `seg` (just emptied by a delete) into its buddy if both sit
-    /// at the same local depth. Best-effort: any conflict or shape
-    /// mismatch silently skips the merge.
+    /// Merge the segment routed for `h` into its buddy if it is empty and
+    /// both sit at the same local depth. Runs after every successful
+    /// remove, so the segment is usually still occupied; a plain read of
+    /// its four fp words turns that case away before any transaction.
+    /// Best-effort: any conflict or shape mismatch silently skips the
+    /// merge.
     pub(crate) fn try_merge(&self, ctx: &mut MemCtx, h: u64) {
         ctx.stats_span(spash_pmem::SPAN_COMPACTION, |ctx| self.try_merge_impl(ctx, h))
     }
@@ -509,6 +512,16 @@ impl Spash {
             return;
         }
         let parent_prefix = prefix >> 1;
+        // Advisory pre-check: a live slot always carries a non-zero slot
+        // tag (fp8 never yields 0), so a non-zero low half means the
+        // segment is occupied. The remove just wrote one of these words,
+        // so the half-line is a cache hit. A stale or zero tag only lets
+        // the transaction below run its authoritative emptiness re-check.
+        for b in 0..BUCKETS_PER_SEG {
+            if ctx.read_u64(self.fptable.word_addr(seg, b)) as u32 != 0 {
+                return;
+            }
+        }
 
         let _ = self.htm.try_transaction(ctx, |tx, ctx| {
             let routed2 = self.dir.validate(tx, ctx, h, seg)?;
@@ -651,5 +664,61 @@ mod tests {
         let plan = plan_split(&[], 2, 0).unwrap();
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[0].image.live() + plan[1].image.live(), 0);
+    }
+
+    /// The fp-word pre-check is advisory: an occupied segment whose
+    /// sidecar reads empty reaches the merge transaction, and the
+    /// transaction's 16-slot re-check turns it away.
+    #[test]
+    fn zeroed_fp_words_do_not_merge_an_occupied_segment() {
+        use crate::SpashConfig;
+        use spash_index_api::PersistentIndex;
+        use spash_pmem::{PmConfig, PmDevice};
+
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut ctx = dev.ctx();
+        let cfg = SpashConfig {
+            initial_depth: 1,
+            ..SpashConfig::test_default()
+        };
+        let idx = Spash::format(&mut ctx, cfg).unwrap();
+        let n = 2_000u64;
+        for k in 0..n {
+            idx.insert_u64(&mut ctx, k, k).unwrap();
+        }
+        // An occupied segment above the initial depth whose buddy sits at
+        // the same depth.
+        let (dir, _) = idx.dir.write_target();
+        let (seg, h) = (0..dir.entries.len())
+            .find_map(|i| {
+                let (seg, d) = unpack_entry(dir.entries[i].load(Ordering::Acquire));
+                let shift = dir.depth - d as u32;
+                let prefix = (i >> shift) as u64;
+                let buddy = ((prefix ^ 1) as usize) << shift;
+                let (bseg, bd) = unpack_entry(dir.entries[buddy].load(Ordering::Acquire));
+                let merge_shape = d > 1 && bd == d && bseg != seg;
+                (merge_shape && !idx.collect_segment(&mut ctx, seg).is_empty())
+                    .then_some((seg, prefix << (64 - d as u32)))
+            })
+            .expect("a segment with a same-depth buddy");
+        for b in 0..BUCKETS_PER_SEG {
+            Plain::ok(idx.fptable.write_word(&mut Plain, &mut ctx, seg, b, 0));
+        }
+        let (capacity, aborts) = (idx.capacity(), idx.htm_stats().explicit_aborts);
+        idx.try_merge(&mut ctx, h);
+        assert_eq!(idx.capacity(), capacity, "an occupied segment was merged");
+        assert_eq!(idx.dir.lookup(&mut ctx, h).seg(), seg);
+        assert_eq!(
+            idx.htm_stats().explicit_aborts,
+            aborts + 1,
+            "the transaction's emptiness re-check turned the merge away"
+        );
+        let mut out = Vec::new();
+        for k in 0..n {
+            out.clear();
+            assert!(idx.oracle_scan_get(&mut ctx, k, &mut out), "key {k}");
+        }
+        crate::fptable::rebuild_segment(&idx.fptable, &mut ctx, seg);
+        idx.verify_integrity(&mut ctx).unwrap();
     }
 }
