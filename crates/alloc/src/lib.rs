@@ -750,7 +750,7 @@ mod tests {
 
     #[test]
     fn recovery_finds_live_segments() {
-        let dev = PmDevice::new(PmConfig::eadr_test());
+        let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         let alloc = PmAllocator::format(&mut ctx, 0);
         let s1 = alloc.alloc_segment(&mut ctx).unwrap();
@@ -780,7 +780,7 @@ mod tests {
 
     #[test]
     fn recovery_reclaims_never_used_small_slots() {
-        let dev = PmDevice::new(PmConfig::eadr_test());
+        let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         let alloc = PmAllocator::format(&mut ctx, 0);
         let a = alloc.alloc(&mut ctx, 128).unwrap(); // 2 slots per chunk
@@ -812,7 +812,7 @@ mod tests {
 
     #[test]
     fn region_survives_recovery_scan() {
-        let dev = PmDevice::new(PmConfig::eadr_test());
+        let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         let alloc = PmAllocator::format(&mut ctx, 0);
         let r = alloc.alloc_region(&mut ctx, 300 * 256).unwrap();

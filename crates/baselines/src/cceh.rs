@@ -54,10 +54,10 @@ struct Seg {
 }
 
 impl Seg {
-    fn at(addr: PmAddr, lock_ns: u64) -> Self {
+    fn at(addr: PmAddr) -> Self {
         Self {
             addr,
-            lock: PmRwLock::new(addr, lock_ns),
+            lock: PmRwLock::new(addr),
         }
     }
 
@@ -82,11 +82,10 @@ impl Cceh {
         alloc: Arc<PmAllocator>,
         depth: u32,
     ) -> Result<Self, IndexError> {
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let n = 1usize << depth;
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
-            let seg = Self::alloc_seg(ctx, &alloc, lock_ns)?;
+            let seg = Self::alloc_seg(ctx, &alloc)?;
             HEADER.stamp(ctx, seg.addr, depth as u8, i as u64);
             entries.push((seg, depth as u8));
         }
@@ -111,11 +110,7 @@ impl Cceh {
         Self::new(ctx, alloc, depth)
     }
 
-    fn alloc_seg(
-        ctx: &mut MemCtx,
-        alloc: &PmAllocator,
-        lock_ns: u64,
-    ) -> Result<Arc<Seg>, IndexError> {
+    fn alloc_seg(ctx: &mut MemCtx, alloc: &PmAllocator) -> Result<Arc<Seg>, IndexError> {
         let addr = alloc
             .alloc_region(ctx, SEG_BYTES)
             .map_err(|_| IndexError::OutOfMemory)?;
@@ -124,7 +119,7 @@ impl Cceh {
         for off in (0..SEG_BYTES).step_by(256) {
             ctx.ntstore_bytes(PmAddr(addr.0 + off), &zeros);
         }
-        Ok(Arc::new(Seg::at(addr, lock_ns)))
+        Ok(Arc::new(Seg::at(addr)))
     }
 
     fn route(&self, ctx: &mut MemCtx, h: u64) -> (Arc<Seg>, u8, u32) {
@@ -167,7 +162,6 @@ impl Cceh {
     }
 
     fn split_impl(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
-        let lock_ns = ctx.device().config().cost.lock_ns;
         loop {
             let (seg, ld, depth) = self.route(ctx, h);
             if u32::from(ld) == depth {
@@ -180,7 +174,7 @@ impl Cceh {
                 }
                 continue;
             }
-            let new_seg = Self::alloc_seg(ctx, &self.alloc, lock_ns)?;
+            let new_seg = Self::alloc_seg(ctx, &self.alloc)?;
             let mut homeless: Vec<(u64, u64, u64)> = Vec::new();
             // lint:allow(flow-flush-fence): raced-split early return releases the seg lock while alloc_seg's zero-fill is unfenced; the fresh region is unreachable until HEADER.stamp's flush+fence commits it. san=none(zeros of an uncommitted region are recovery no-ops)
             let done = seg.lock.write(ctx, |ctx| {
@@ -317,9 +311,8 @@ impl Cceh {
         if root_len < ROOT_LEN || ctx.read_u64(root) != ROOT_MAGIC {
             return None;
         }
-        let lock_ns = ctx.device().config().cost.lock_ns;
         // Committed segments: region of the right size, both magics intact.
-        let segs = HEADER.scan_committed(ctx, &rec.regions, SEG_BYTES, |a| Seg::at(a, lock_ns))?;
+        let segs = HEADER.scan_committed(ctx, &rec.regions, SEG_BYTES, Seg::at)?;
         let idx = Self {
             alloc: Arc::new(rec.alloc),
             dir: RwLock::new(Dir::rebuild(&segs)?),

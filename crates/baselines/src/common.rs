@@ -155,9 +155,9 @@ pub struct PmRwLock {
 
 impl PmRwLock {
     /// `word` must point at an 8-byte PM location reserved for the lock.
-    pub fn new(word: PmAddr, lock_ns: u64) -> Self {
+    pub fn new(word: PmAddr) -> Self {
         Self {
-            vrw: VRwLock::new((), lock_ns),
+            vrw: VRwLock::new(()),
             word,
         }
     }
@@ -226,7 +226,7 @@ mod tests {
     fn pm_lock_counts_pm_writes_on_read() {
         let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
-        let lock = PmRwLock::new(PmAddr(4096), 18);
+        let lock = PmRwLock::new(PmAddr(4096));
         let before = dev.snapshot();
         lock.read(&mut ctx, |_| ());
         dev.flush_cache_all();

@@ -54,11 +54,11 @@ struct Seg {
 }
 
 impl Seg {
-    fn at(addr: PmAddr, lock_ns: u64) -> Self {
+    fn at(addr: PmAddr) -> Self {
         Self {
             addr,
-            rw: VRwLock::new((), lock_ns),
-            bucket_locks: (0..BUCKETS + STASH).map(|_| VLock::new((), lock_ns)).collect(),
+            rw: VRwLock::new(()),
+            bucket_locks: (0..BUCKETS + STASH).map(|_| VLock::new(())).collect(),
         }
     }
 
@@ -129,7 +129,6 @@ impl Dash {
     }
 
     fn alloc_seg(ctx: &mut MemCtx, alloc: &PmAllocator) -> Result<Arc<Seg>, IndexError> {
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let addr = alloc
             .alloc_region(ctx, SEG_BYTES)
             .map_err(|_| IndexError::OutOfMemory)?;
@@ -140,7 +139,7 @@ impl Dash {
             ctx.ntstore_bytes(PmAddr(addr.0 + off), &zeros[..n]);
             off += n as u64;
         }
-        Ok(Arc::new(Seg::at(addr, lock_ns)))
+        Ok(Arc::new(Seg::at(addr)))
     }
 
     fn route(&self, ctx: &mut MemCtx, h: u64) -> (Arc<Seg>, u8, u32) {
@@ -458,10 +457,9 @@ impl Dash {
         if root_len < ROOT_LEN || ctx.read_u64(root) != ROOT_MAGIC {
             return None;
         }
-        let lock_ns = ctx.device().config().cost.lock_ns;
         // Committed segments: region of the right (chunk-rounded) size,
         // both magics intact.
-        let segs = HEADER.scan_committed(ctx, &rec.regions, SEG_REGION, |a| Seg::at(a, lock_ns))?;
+        let segs = HEADER.scan_committed(ctx, &rec.regions, SEG_REGION, Seg::at)?;
         let dir = Dir::rebuild(&segs)?;
         if dir.depth == 0 {
             return None; // a Dash is never formatted at depth 0

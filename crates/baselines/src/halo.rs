@@ -69,7 +69,6 @@ impl Halo {
         log_bytes: u64,
         dram_budget: u64,
     ) -> Result<Self, IndexError> {
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let log_base = alloc
             .alloc_region(ctx, log_bytes)
             .map_err(|_| IndexError::OutOfMemory)?;
@@ -97,13 +96,10 @@ impl Halo {
             alloc,
             shards: (0..SHARDS)
                 .map(|_| {
-                    VRwLock::new(
-                        ShardMap {
-                            map: HashMap::new(),
-                            muts: 0,
-                        },
-                        lock_ns,
-                    )
+                    VRwLock::new(ShardMap {
+                        map: HashMap::new(),
+                        muts: 0,
+                    })
                 })
                 .collect(),
             log_base,
@@ -233,7 +229,6 @@ impl Halo {
             off += (HDR + len).div_ceil(16) * 16;
         }
 
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let mut shards: Vec<HashMap<u64, (u64, u32)>> =
             (0..SHARDS).map(|_| HashMap::new()).collect();
         for (k, v) in map {
@@ -244,7 +239,7 @@ impl Halo {
             alloc: Arc::new(rec.alloc),
             shards: shards
                 .into_iter()
-                .map(|map| VRwLock::new(ShardMap { map, muts: 0 }, lock_ns))
+                .map(|map| VRwLock::new(ShardMap { map, muts: 0 }))
                 .collect(),
             log_base,
             log_len,

@@ -83,7 +83,6 @@ impl Level {
     /// `pow` sets the initial top-level size (`2^pow` buckets; must be ≥2).
     pub fn new(ctx: &mut MemCtx, alloc: Arc<PmAllocator>, pow: u32) -> Result<Self, IndexError> {
         assert!(pow >= 2);
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let n_top = 1u64 << pow;
         let mut table = Self::alloc_table(ctx, &alloc, n_top)?;
         table.sel = 0;
@@ -94,7 +93,7 @@ impl Level {
             .alloc_region(ctx, LOCK_SHARDS as u64 * 8)
             .map_err(|_| IndexError::OutOfMemory)?;
         let locks = (0..LOCK_SHARDS)
-            .map(|i| PmRwLock::new(PmAddr(lock_region.0 + i as u64 * 8), lock_ns))
+            .map(|i| PmRwLock::new(PmAddr(lock_region.0 + i as u64 * 8)))
             .collect();
         // Persist the root: descriptor slot A, selector, magic LAST, so a
         // crash mid-format recovers as "no Level here".
@@ -364,9 +363,8 @@ impl Level {
             sel,
         };
         let entries = Self::count_entries(ctx, &table);
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let locks = (0..LOCK_SHARDS)
-            .map(|i| PmRwLock::new(PmAddr(lock_region.0 + i as u64 * 8), lock_ns))
+            .map(|i| PmRwLock::new(PmAddr(lock_region.0 + i as u64 * 8)))
             .collect();
         Some(Self {
             alloc: Arc::new(rec.alloc),

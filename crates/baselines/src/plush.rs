@@ -108,7 +108,6 @@ pub struct Plush {
 impl Plush {
     /// `pow` sets level-0 size (`2^pow` buckets).
     pub fn new(ctx: &mut MemCtx, alloc: Arc<PmAllocator>, pow: u32) -> Result<Self, IndexError> {
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let wal_base = alloc
             .alloc_region(ctx, SHARDS as u64 * WAL_BYTES)
             .map_err(|_| IndexError::OutOfMemory)?;
@@ -144,17 +143,14 @@ impl Plush {
         }
         Ok(Self {
             alloc,
-            op_locks: (0..SHARDS).map(|_| VLock::new((), lock_ns)).collect(),
+            op_locks: (0..SHARDS).map(|_| VLock::new(())).collect(),
             shards: (0..SHARDS)
                 .map(|_| {
-                    VLock::new(
-                        Shard {
-                            buf: Vec::with_capacity(BUF_CAP),
-                            wal_off: 0,
-                            flushing: false,
-                        },
-                        lock_ns,
-                    )
+                    VLock::new(Shard {
+                        buf: Vec::with_capacity(BUF_CAP),
+                        wal_off: 0,
+                        flushing: false,
+                    })
                 })
                 .collect(),
             wal_base,
@@ -459,7 +455,6 @@ impl Plush {
         if root_len < ROOT_LEN || ctx.read_u64(root) != ROOT_MAGIC {
             return None;
         }
-        let lock_ns = ctx.device().config().cost.lock_ns;
         let regions: std::collections::HashMap<u64, u64> =
             rec.regions.iter().map(|&(a, l)| (a.0, l)).collect();
 
@@ -522,19 +517,16 @@ impl Plush {
                 }
             }
             let max_seq = recs.last().map_or(wm, |r| r.0.max(wm));
-            shards.push(VLock::new(
-                Shard {
-                    buf,
-                    wal_off: max_seq * REC_BYTES,
-                    flushing: false,
-                },
-                lock_ns,
-            ));
+            shards.push(VLock::new(Shard {
+                buf,
+                wal_off: max_seq * REC_BYTES,
+                flushing: false,
+            }));
         }
 
         let idx = Self {
             alloc: Arc::new(rec.alloc),
-            op_locks: (0..SHARDS).map(|_| VLock::new((), lock_ns)).collect(),
+            op_locks: (0..SHARDS).map(|_| VLock::new(())).collect(),
             shards,
             wal_base,
             levels: RwLock::new(levels),

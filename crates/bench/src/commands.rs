@@ -86,9 +86,6 @@ pub fn sched(args: &[String]) {
     let mut pm = spash_pmem::PmConfig::small_test();
     pm.arena_size = knobs::positive("SPASH_SCHED_ARENA_MB", 48) << 20;
     pm.domain = knobs::choice("SPASH_SCHED_DOMAIN", &[("eadr", Eadr), ("adr", Adr)], Eadr);
-    if pm.domain == Adr {
-        pm.fidelity = spash_pmem::CrashFidelity::Full;
-    }
     let san_on = san_knob("SPASH_SCHED_SAN");
 
     let which = targets_knob("SPASH_SCHED_TARGETS", Select::All);

@@ -2,9 +2,7 @@
 //! §VI-D): (a) adaptive in-place update, (b) compacted-flush insertion,
 //! (c) HTM-based concurrency control, (d) pipeline depth.
 
-use std::sync::Arc;
-
-use spash::{OracleDetector, SpashConfig, UpdatePolicy};
+use spash::{SpashConfig, UpdatePolicy};
 use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::experiments::Cell;
@@ -38,9 +36,9 @@ pub fn run_a(scale: &Scale) -> Vec<ExperimentRow> {
             );
             let cfg = if var == "oracle" {
                 SpashConfig {
-                    update_policy: UpdatePolicy::Adaptive(Arc::new(OracleDetector::new(
-                        wcfg.hot_set_hashes(0.01),
-                    ))),
+                    update_policy: UpdatePolicy::Oracle(
+                        wcfg.hot_set_hashes(0.01).into_iter().collect(),
+                    ),
                     ..SpashConfig::default()
                 }
             } else {

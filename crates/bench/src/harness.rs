@@ -257,8 +257,7 @@ mod tests {
             65536
         });
         let (r, _) = run_scheduled(&dev, &phase_sched(7, [0; 3], 0, 16), vec![body]).unwrap();
-        let cost = dev.config().cost.clone();
-        let floor = r.delta.bandwidth_floor_ns(&cost);
+        let floor = r.delta.bandwidth_floor_ns(&dev.config().cost);
         assert!(r.elapsed_ns >= floor);
         assert!(floor > 0);
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::PersistentIndex;
-use spash_pmem::{CrashFidelity, PersistenceDomain, PmConfig, PmDevice};
+use spash_pmem::{PersistenceDomain, PmConfig, PmDevice};
 use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::experiments::{Cell, Scheduled};
@@ -100,9 +100,6 @@ fn suite_pm(domain: PersistenceDomain) -> PmConfig {
         arena_size: 256 << 20,
         cache_capacity: 512 << 10,
         domain,
-        // Full pre-image fidelity so `perf`'s recover phase can pull a
-        // real post-power-failure image even under ADR.
-        fidelity: CrashFidelity::Full,
         san: None,
         ..PmConfig::default()
     }

@@ -1,33 +1,26 @@
 //! Spash configuration, including the ablation switches used by the
 //! paper's in-depth analysis (§VI-D, Fig 12).
 
-use std::sync::Arc;
+use std::collections::HashSet;
 
 use spash_htm::HtmConfig;
 
-use crate::hotspot::HotnessOracle;
-
 /// How updates decide whether to issue flush instructions (Table I /
 /// Fig 12a).
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UpdatePolicy {
     /// The paper's adaptive strategy: hot → write-nf; cold ≤64 B →
-    /// write-nf; cold >64 B → asynchronous write-f.
-    Adaptive(Arc<dyn HotnessOracle>),
+    /// write-nf; cold >64 B → asynchronous write-f. Hotness comes from
+    /// the index's own hot-key detector (§III-B).
+    Adaptive,
+    /// The adaptive strategy with a zero-cost oracle for hotness: a key
+    /// is hot iff its hash is in the set (Fig 12a's "oracle hotspot
+    /// detector", fed by the workload generator's access probabilities).
+    Oracle(HashSet<u64>),
     /// "in-place update (w/ flush)": flush after every update.
     AlwaysFlush,
     /// "in-place update (w/o flush)": never flush.
     NeverFlush,
-}
-
-impl std::fmt::Debug for UpdatePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UpdatePolicy::Adaptive(_) => write!(f, "Adaptive"),
-            UpdatePolicy::AlwaysFlush => write!(f, "AlwaysFlush"),
-            UpdatePolicy::NeverFlush => write!(f, "NeverFlush"),
-        }
-    }
 }
 
 /// Insertion allocation/flush strategy for out-of-place values (Fig 12b).
@@ -57,7 +50,9 @@ pub enum ConcurrencyMode {
     WriteReadLock,
 }
 
-/// Spash configuration.
+/// Spash configuration. Plain data: the index builds its own volatile
+/// state (the hot-key detector), so indexes built from clones of one
+/// config share nothing.
 #[derive(Clone, Debug)]
 pub struct SpashConfig {
     /// Initial directory/segment depth: the table starts with
@@ -83,9 +78,7 @@ impl Default for SpashConfig {
     fn default() -> Self {
         Self {
             initial_depth: 6,
-            update_policy: UpdatePolicy::Adaptive(Arc::new(
-                crate::hotspot::PartitionedDetector::paper_default(),
-            )),
+            update_policy: UpdatePolicy::Adaptive,
             insert_policy: InsertPolicy::CompactedFlush,
             concurrency: ConcurrencyMode::Htm,
             pipeline_depth: 4,
@@ -103,24 +96,6 @@ impl SpashConfig {
             ..Self::default()
         }
     }
-
-    /// A copy whose shared *volatile* state is re-created. A plain
-    /// `clone()` shares the adaptive hot-key detector through its `Arc`,
-    /// so two indexes built from clones train one detector. Crash-sweep
-    /// replays (and post-crash recovery, where all volatile state is by
-    /// definition lost) must instead start untrained, or hotness-driven
-    /// flush decisions — and with them the media-write sequence — diverge
-    /// between runs. Custom `Adaptive` detectors are replaced by the
-    /// paper-default geometry.
-    pub fn fresh_volatile(&self) -> Self {
-        let mut c = self.clone();
-        if let UpdatePolicy::Adaptive(_) = c.update_policy {
-            c.update_policy = UpdatePolicy::Adaptive(Arc::new(
-                crate::hotspot::PartitionedDetector::paper_default(),
-            ));
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -133,18 +108,12 @@ mod tests {
         assert_eq!(c.pipeline_depth, 4, "paper §VI-D settles on PD=4");
         assert_eq!(c.concurrency, ConcurrencyMode::Htm);
         assert_eq!(c.insert_policy, InsertPolicy::CompactedFlush);
-        assert!(matches!(c.update_policy, UpdatePolicy::Adaptive(_)));
+        assert_eq!(c.update_policy, UpdatePolicy::Adaptive);
     }
 
     #[test]
     fn debug_formatting_of_policy() {
         assert_eq!(format!("{:?}", UpdatePolicy::AlwaysFlush), "AlwaysFlush");
-        assert_eq!(
-            format!(
-                "{:?}",
-                UpdatePolicy::Adaptive(Arc::new(crate::hotspot::ConstDetector(true)))
-            ),
-            "Adaptive"
-        );
+        assert_eq!(format!("{:?}", UpdatePolicy::Adaptive), "Adaptive");
     }
 }

@@ -71,14 +71,14 @@ impl Spash {
         let fmt_cfg = cfg.clone();
         CrashTarget {
             name: "Spash".into(),
-            // `fresh_volatile`: every replay (and every recovery — a real
-            // crash wipes volatile state) starts with an untrained hot-key
-            // detector, keeping the media-write sequence reproducible.
+            // Every replay and every recovery builds its own index, hot-key
+            // detector included, so the media-write sequence is
+            // reproducible.
             format: Box::new(move |ctx| {
-                Box::new(Spash::format(ctx, fmt_cfg.fresh_volatile()).expect("format Spash"))
+                Box::new(Spash::format(ctx, fmt_cfg.clone()).expect("format Spash"))
             }),
             recover: Box::new(move |ctx| {
-                let idx = Spash::recover(ctx, cfg.fresh_volatile())?;
+                let idx = Spash::recover(ctx, cfg.clone())?;
                 let mut audit_error = idx.verify_integrity(ctx).err().map(|e| e.to_string());
                 let (leaked_allocs, census_err) = idx.audit_heap(ctx);
                 if audit_error.is_none() {

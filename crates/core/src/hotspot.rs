@@ -9,21 +9,14 @@
 //! The default 4096×2 = 8 K entries matches the paper's ablation ("a small
 //! hot-key list with 8K entries (each partition has two hot-keys)").
 //!
-//! An [`OracleDetector`] with zero lookup cost is provided for the Fig 12a
-//! comparison, fed by the workload generator's true access probabilities.
+//! Each [`crate::Spash`] owns one detector, built untrained with the
+//! index: it is volatile state, so a recovered index starts cold too. Fig
+//! 12a's zero-cost oracle is [`crate::UpdatePolicy::Oracle`], not a
+//! detector.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spash_pmem::MemCtx;
-
-/// Decides whether a key is hot. Implementations must be cheap: this runs
-/// on every update.
-pub trait HotnessOracle: Send + Sync {
-    /// Record an access to a key with hash `h` and report whether the key
-    /// is currently considered hot.
-    fn access(&self, ctx: &mut MemCtx, h: u64) -> bool;
-}
 
 /// One partition entry: `[tick:16][sig:48]`, packed so access is a single
 /// atomic op. `sig` is the hash's low 48 bits; tick is a per-partition
@@ -65,8 +58,10 @@ impl PartitionedDetector {
 
 const SIG_MASK: u64 = (1 << 48) - 1;
 
-impl HotnessOracle for PartitionedDetector {
-    fn access(&self, ctx: &mut MemCtx, h: u64) -> bool {
+impl PartitionedDetector {
+    /// Record an access to a key with hash `h` and report whether the key
+    /// is currently considered hot. Runs on every adaptive update.
+    pub fn access(&self, ctx: &mut MemCtx, h: u64) -> bool {
         // The list fits in cache; one cached access worth of cost.
         ctx.charge_dram_cached();
         let pi = if self.p_bits == 0 {
@@ -105,38 +100,6 @@ impl HotnessOracle for PartitionedDetector {
         }
         part.entries[victim].store(tick << 48 | sig, Ordering::Relaxed);
         false
-    }
-}
-
-/// Zero-overhead oracle: hot iff the workload generator says so (Fig 12a's
-/// "oracle hotspot detector ... gets its access probability from our
-/// workload generator").
-pub struct OracleDetector {
-    hot: HashSet<u64>,
-}
-
-impl OracleDetector {
-    /// Build from the true hot set (key *hashes*).
-    pub fn new(hot_hashes: impl IntoIterator<Item = u64>) -> Self {
-        Self {
-            hot: hot_hashes.into_iter().collect(),
-        }
-    }
-}
-
-impl HotnessOracle for OracleDetector {
-    fn access(&self, _ctx: &mut MemCtx, h: u64) -> bool {
-        self.hot.contains(&h)
-    }
-}
-
-/// Constant answer — used by the `AlwaysFlush` / `NeverFlush` update-policy
-/// ablations, where hotness is irrelevant.
-pub struct ConstDetector(pub bool);
-
-impl HotnessOracle for ConstDetector {
-    fn access(&self, _ctx: &mut MemCtx, _h: u64) -> bool {
-        self.0
     }
 }
 
@@ -236,15 +199,5 @@ mod tests {
         }
         let rate = hot_hits as f64 / hot_total as f64;
         assert!(rate > 0.7, "hot detection rate only {rate:.2}");
-    }
-
-    #[test]
-    fn oracle_and_const_detectors() {
-        let mut c = ctx();
-        let o = OracleDetector::new([1, 2, 3]);
-        assert!(o.access(&mut c, 2));
-        assert!(!o.access(&mut c, 9));
-        assert!(ConstDetector(true).access(&mut c, 0));
-        assert!(!ConstDetector(false).access(&mut c, 0));
     }
 }

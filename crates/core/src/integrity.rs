@@ -597,7 +597,7 @@ mod tests {
     fn recovery_heals_a_torn_fp_word() {
         let dev = PmDevice::new(PmConfig {
             arena_size: 64 << 20,
-            ..PmConfig::eadr_test()
+            ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();
         let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
@@ -632,7 +632,7 @@ mod tests {
     fn sound_after_crash_recovery() {
         let dev = PmDevice::new(PmConfig {
             arena_size: 64 << 20,
-            ..PmConfig::eadr_test()
+            ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();
         let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();

@@ -55,7 +55,7 @@ pub mod split;
 pub mod testhooks;
 
 pub use config::{ConcurrencyMode, InsertPolicy, SpashConfig, UpdatePolicy};
-pub use hotspot::{ConstDetector, HotnessOracle, OracleDetector, PartitionedDetector};
+pub use hotspot::PartitionedDetector;
 pub use integrity::{IntegrityError, IntegrityReport};
 pub use ops::Spash;
 
@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn recovery_after_clean_eadr_crash() {
-        let dev = PmDevice::new(PmConfig::eadr_test());
+        let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
         for k in 0..3000u64 {
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn recovery_of_blob_values() {
-        let dev = PmDevice::new(PmConfig::eadr_test());
+        let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
         idx.insert(&mut ctx, 5, &[0x5au8; 777]).unwrap();
@@ -497,6 +497,81 @@ mod tests {
         let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         assert!(Spash::recover(&mut ctx, SpashConfig::test_default()).is_none());
+    }
+
+    /// Flush instructions that found a dirty line while `f` ran.
+    fn flushes_during(dev: &PmDevice, f: impl FnOnce()) -> u64 {
+        let before = dev.snapshot();
+        f();
+        dev.snapshot().since(&before).flushes
+    }
+
+    #[test]
+    fn indexes_built_from_one_config_do_not_share_hotness() {
+        // The hot-key detector is the index's volatile state, not the
+        // config's: a key made hot in A is still cold in B, so B's first
+        // 100 B update of it is flushed.
+        let cfg = SpashConfig::test_default();
+        let (_da, a, mut ca) = setup_with(cfg.clone());
+        let (db, b, mut cb) = setup_with(cfg);
+        let v = [7u8; 100];
+        a.insert(&mut ca, 9, &v).unwrap();
+        b.insert(&mut cb, 9, &v).unwrap();
+        for _ in 0..4 {
+            a.update(&mut ca, 9, &v).unwrap();
+        }
+        let flushed = flushes_during(&db, || b.update(&mut cb, 9, &v).unwrap());
+        assert!(flushed > 0, "a key cold in B must be flushed");
+    }
+
+    #[test]
+    fn oracle_policy_flushes_only_keys_outside_the_hot_set() {
+        let hot = spash_index_api::hash_key(1);
+        let (dev, idx, mut ctx) = setup_with(SpashConfig {
+            update_policy: UpdatePolicy::Oracle([hot].into_iter().collect()),
+            ..SpashConfig::test_default()
+        });
+        let v = [3u8; 100];
+        for k in [1, 2] {
+            idx.insert(&mut ctx, k, &v).unwrap();
+        }
+        let hot_flushes = flushes_during(&dev, || idx.update(&mut ctx, 1, &v).unwrap());
+        let cold_flushes = flushes_during(&dev, || idx.update(&mut ctx, 2, &v).unwrap());
+        assert_eq!((hot_flushes > 0, cold_flushes > 0), (false, true));
+    }
+
+    /// Under ADR an update's replacement blob must be durable before the
+    /// slot word that publishes it. Make only the slot's lines durable,
+    /// crash, and the key must read back whole, old value or new.
+    #[test]
+    fn adr_replacement_blob_is_durable_before_its_slot() {
+        let dev = PmDevice::new(PmConfig::adr_test());
+        let mut ctx = dev.ctx();
+        let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
+        let (old, new) = ([0x11u8; 16], [0x22u8; 48]);
+        idx.insert(&mut ctx, 42, &old).unwrap();
+        dev.flush_cache_all();
+        // Cold and at most 64 B: no post-commit flush; a new size class,
+        // so the update writes a replacement blob.
+        idx.update(&mut ctx, 42, &new).unwrap();
+        let h = spash_index_api::hash_key(42);
+        let seg = idx.dir.lookup(&mut ctx, h).seg();
+        let f = access::Plain::ok(idx.find(&mut access::Plain, &mut ctx, seg, 42, h))
+            .expect("key 42 is present");
+        ctx.flush(slot::key_addr(seg, f.idx));
+        ctx.flush(slot::value_addr(seg, f.idx));
+        ctx.fence();
+        drop(idx);
+        dev.simulate_power_failure();
+
+        let mut ctx = dev.ctx();
+        let idx = Spash::recover(&mut ctx, SpashConfig::test_default()).expect("recoverable");
+        let mut out = Vec::new();
+        let found = idx.get(&mut ctx, 42, &mut out);
+        assert!(
+            found && (out == old || out == new),
+            "found={found} value={out:?}"
+        );
     }
 
     #[test]

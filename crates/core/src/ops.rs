@@ -36,6 +36,7 @@ use crate::access::{Access, Plain};
 use crate::config::{ConcurrencyMode, InsertPolicy, SpashConfig, UpdatePolicy};
 use crate::dir::{Directory, Routed, VALIDATE_SLOT_CHANGED};
 use crate::fptable::FpTable;
+use crate::hotspot::PartitionedDetector;
 use crate::overlay::{CachedBucket, Overlay};
 use crate::seginfo::SegInfoTable;
 use crate::slot::{
@@ -70,6 +71,9 @@ pub struct Spash {
     pub(crate) seginfo: SegInfoTable,
     pub(crate) fptable: FpTable,
     pub(crate) overlay: Overlay,
+    /// The adaptive update policy's hot-key list (§III-B). Volatile:
+    /// every format and every recovery starts it untrained.
+    pub(crate) hotness: PartitionedDetector,
     pub(crate) cfg: SpashConfig,
     pub(crate) entries: AtomicU64,
     pub(crate) n_segments: AtomicU64,
@@ -165,7 +169,8 @@ impl Spash {
     }
 
     /// Put an index together around a formatted or recovered heap: the
-    /// one place that sizes the overlay and spells the struct.
+    /// one place that sizes the overlay, builds the volatile state and
+    /// spells the struct.
     pub(crate) fn assemble(
         dev: Arc<PmDevice>,
         alloc: Arc<PmAllocator>,
@@ -181,9 +186,9 @@ impl Spash {
             ConcurrencyMode::Htm => OVERLAY_ENTRIES,
             _ => 0,
         };
-        let lock_ns = dev.config().cost.lock_ns;
         Self {
             overlay: Overlay::new(overlay_len, alloc.layout().heap_start),
+            hotness: PartitionedDetector::paper_default(),
             htm: Htm::new(cfg.htm.clone()),
             dev,
             alloc,
@@ -194,7 +199,7 @@ impl Spash {
             n_segments: AtomicU64::new(n_segments),
             seg_locks: (0..SEG_LOCK_TABLE)
                 .map(|_| SegLock {
-                    rw: VRwLock::new((), lock_ns),
+                    rw: VRwLock::new(()),
                     ver: AtomicU64::new(0),
                 })
                 .collect(),
@@ -337,35 +342,12 @@ impl Spash {
             le[..INLINE_VALUE_LEN].copy_from_slice(value);
             return Ok(Payload::Inline(u64::from_le_bytes(le)));
         }
-        let blob_len = 16 + value.len() as u64;
-        let alloc_size = match self.cfg.insert_policy {
-            // Scattered: defeat compaction by placing every small blob in
-            // its own XPLine (conventional out-of-place insertion).
-            InsertPolicy::Scattered if blob_len <= 128 => 256,
-            _ => blob_len,
-        };
+        let alloc_size = self.blob_alloc_size(16 + value.len() as u64);
         let a = self
             .alloc
             .alloc(ctx, alloc_size)
             .map_err(|_| IndexError::OutOfMemory)?;
-        ctx.write_u64(a.addr, key);
-        ctx.write_u64(PmAddr(a.addr.0 + 8), value.len() as u64);
-        ctx.write_bytes(PmAddr(a.addr.0 + 16), value);
-        if ctx.device().config().domain == spash_pmem::PersistenceDomain::Adr {
-            // ADR downgrade: without a persistent CPU cache the blob must
-            // be durable before the slot word can publish it. Under eADR
-            // (the paper's platform) visibility is durability and this
-            // block disappears. The range is registered as
-            // publication-ordered so the sanitizer's Relaxed mode checks
-            // exactly this obligation at the next visibility edge.
-            if spash_pmem::san::site_enabled("spash.payload.flush") {
-                ctx.flush_range(a.addr, blob_len);
-            }
-            if spash_pmem::san::site_enabled("spash.payload.fence") {
-                ctx.fence();
-            }
-            ctx.san_ordered(a.addr, blob_len);
-        }
+        write_blob(ctx, a.addr, key, value);
         Ok(Payload::Blob {
             addr: a.addr,
             val_len: value.len() as u64,
@@ -1167,6 +1149,8 @@ impl Spash {
 
     pub(crate) fn blob_alloc_size(&self, blob_len: u64) -> u64 {
         match self.cfg.insert_policy {
+            // Scattered: defeat compaction by placing every small blob in
+            // its own XPLine (conventional out-of-place insertion).
             InsertPolicy::Scattered if blob_len <= 128 => 256,
             _ => blob_len,
         }
@@ -1182,10 +1166,8 @@ impl Spash {
         // Adaptive policy decision (Table I): hot → no flush; cold ≤64 B →
         // no flush; cold >64 B → async flush after commit.
         let flush_after = match &self.cfg.update_policy {
-            UpdatePolicy::Adaptive(det) => {
-                let hot = det.access(ctx, h);
-                !hot && value.len() > 64
-            }
+            UpdatePolicy::Adaptive => !self.hotness.access(ctx, h) && value.len() > 64,
+            UpdatePolicy::Oracle(hot) => !hot.contains(&h) && value.len() > 64,
             UpdatePolicy::AlwaysFlush => true,
             UpdatePolicy::NeverFlush => false,
         };
@@ -1247,7 +1229,11 @@ impl Spash {
                 }
             }
             Updated::Replaced { new, old } => {
-                if flush_after {
+                // Under ADR `write_blob` made the new blob durable before
+                // it was published, so it is clean here.
+                if flush_after
+                    && ctx.device().config().domain == spash_pmem::PersistenceDomain::Eadr
+                {
                     ctx.flush_range(new.0, 16 + value.len() as u64);
                 }
                 if !old.0.is_null() {
@@ -1327,11 +1313,34 @@ impl Spash {
             .alloc
             .alloc(ctx, need)
             .map_err(|_| IndexError::OutOfMemory)?;
-        ctx.write_u64(a.addr, key);
-        ctx.write_u64(PmAddr(a.addr.0 + 8), value.len() as u64);
-        ctx.write_bytes(PmAddr(a.addr.0 + 16), value);
+        write_blob(ctx, a.addr, key, value);
         *spare = Some((a.addr, need));
         Ok((a.addr, need))
+    }
+}
+
+/// Write an out-of-place blob `[key][len][value]` at `addr` (write-nf),
+/// before any slot word links it: the insert payload and an update's
+/// replacement blob both go through here.
+fn write_blob(ctx: &mut MemCtx, addr: PmAddr, key: u64, value: &[u8]) {
+    ctx.write_u64(addr, key);
+    ctx.write_u64(PmAddr(addr.0 + 8), value.len() as u64);
+    ctx.write_bytes(PmAddr(addr.0 + 16), value);
+    if ctx.device().config().domain == spash_pmem::PersistenceDomain::Adr {
+        // ADR downgrade: without a persistent CPU cache the blob must be
+        // durable before the slot word can publish it. Under eADR (the
+        // paper's platform) visibility is durability and this block
+        // disappears. The range is registered as publication-ordered so
+        // the sanitizer's Relaxed mode checks exactly this obligation at
+        // the next visibility edge.
+        let blob_len = 16 + value.len() as u64;
+        if spash_pmem::san::site_enabled("spash.payload.flush") {
+            ctx.flush_range(addr, blob_len);
+        }
+        if spash_pmem::san::site_enabled("spash.payload.fence") {
+            ctx.fence();
+        }
+        ctx.san_ordered(addr, blob_len);
     }
 }
 

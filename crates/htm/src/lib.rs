@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spash_pmem::schedhook::{self, SyncEvent};
-use spash_pmem::{Arena, MemCtx, PmAddr};
+use spash_pmem::{Arena, CostModel, MemCtx, PmAddr};
 
 /// Identifies one conflict-detection granule (a cacheline or a volatile
 /// location).
@@ -180,13 +180,10 @@ impl Htm {
         ctx: &mut MemCtx,
         f: impl FnOnce(&mut Tx<'_>, &mut MemCtx) -> Result<R, Abort>,
     ) -> Result<R, Abort> {
-        let cost = &ctx.device().config().cost;
-        let (begin_ns, commit_ns, abort_ns) =
-            (cost.htm_begin_ns, cost.htm_commit_ns, cost.htm_abort_ns);
         // Scheduler decision point: a transaction is about to open its
         // conflict window (`_xbegin`).
         schedhook::sync_point(SyncEvent::HtmBegin);
-        ctx.charge_compute(begin_ns);
+        ctx.charge_compute(CostModel::HTM_BEGIN_NS);
         // The attempt: the transaction and the context it runs on. The
         // transaction borrows the device through the context (its undo
         // log restores arena words) instead of holding a reference of its
@@ -218,14 +215,14 @@ impl Htm {
         match r {
             Ok(_) => {
                 self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                at.ctx.charge_compute(commit_ns);
+                at.ctx.charge_compute(CostModel::HTM_COMMIT_NS);
             }
             Err(a) => {
                 // Now, not when `at` drops: the abort's sync point below
                 // may run another task, which must find the lines free.
                 at.tx.rollback(at.ctx.device().arena());
                 self.count_abort(a);
-                at.ctx.charge_compute(abort_ns);
+                at.ctx.charge_compute(CostModel::HTM_ABORT_NS);
                 schedhook::sync_point(SyncEvent::HtmAbort);
             }
         }
@@ -257,7 +254,6 @@ impl Htm {
     // conc: region(acquire) fn=nontx_lock
     pub fn nontx_lock(&self, ctx: &mut MemCtx, id: LineId) {
         self.stats.nontx_locks.fetch_add(1, Ordering::Relaxed);
-        let cost_lock = ctx.device().config().cost.lock_ns;
         let slot = self.slot(id);
         let owner = (ctx.tid() as u64 + 1) << 1 | LOCKED;
         schedhook::sync_point(SyncEvent::LockAcquire);
@@ -271,7 +267,7 @@ impl Htm {
             {
                 let clk = ctx.clock_mut();
                 clk.sync_to(slot.release_t.load(Ordering::Acquire));
-                clk.advance(cost_lock);
+                clk.advance(CostModel::LOCK_NS);
                 return;
             }
             // Scheduler-aware wait: under real threads this is a plain
@@ -548,7 +544,7 @@ impl Tx<'_> {
         // device horizon), but the committing THREAD pays only the
         // transfer latency — lock-free commits do not inherit the previous
         // owner's timeline the way lock critical sections do.
-        let xfer = ctx.device().config().cost.line_transfer_ns;
+        let xfer = CostModel::LINE_TRANSFER_NS;
         let now = ctx.now();
         let mut horizon = 0;
         for (idx, old) in self.write_set.iter() {
@@ -817,7 +813,7 @@ mod tests {
         // the transfer latency — they do not inherit each other's whole
         // timeline the way lock critical sections do.
         let (dev, htm) = setup();
-        let xfer = dev.config().cost.line_transfer_ns;
+        let xfer = CostModel::LINE_TRANSFER_NS;
         let mut a = dev.ctx();
         let mut b = dev.ctx();
         htm.try_transaction(&mut a, |tx, ctx| {

@@ -194,7 +194,7 @@ pub struct Recovery {
 
 /// Sweep parameters.
 pub struct SweepConfig {
-    /// Platform config; `fidelity` must be `Full` for ADR sweeps.
+    /// Platform config.
     pub pm: PmConfig,
     pub seed: u64,
     pub n_ops: u64,
@@ -210,12 +210,10 @@ impl SweepConfig {
     /// A small-footprint config suitable for CI: a deliberately small CPU
     /// cache so evictions (the hard crash points) happen early and often.
     pub fn ci(domain: PersistenceDomain) -> Self {
-        use spash_pmem::CrashFidelity;
         let mut pm = PmConfig::small_test();
         pm.arena_size = 48 << 20;
         pm.cache_capacity = 256 << 10;
         pm.domain = domain;
-        pm.fidelity = CrashFidelity::Full;
         Self {
             pm,
             seed: 0xC0FFEE,

@@ -6,12 +6,13 @@
 //! decide (a) whether an access hits, (b) when media writes happen
 //! (eviction/flush), and (c) what a power failure loses under ADR.
 //!
-//! Under [`CrashFidelity::Full`] the model captures a pre-image of each
-//! line on its clean-to-dirty transition so that an ADR crash can revert
+//! Under [`PersistenceDomain::Adr`] the model captures a pre-image of each
+//! line on its clean-to-dirty transition so that a crash can revert
 //! unflushed data — the mechanism behind the crash-consistency tests.
+//! Under eADR a crash keeps every line, so nothing is captured.
 
 use crate::arena::Arena;
-use crate::config::{CrashFidelity, PersistenceDomain};
+use crate::config::PersistenceDomain;
 use crate::sync::WordLock;
 
 /// One shard's ways as parallel arrays, set-major (`set * ways + way`):
@@ -25,8 +26,7 @@ struct Shard {
     /// Only a resident way is ever dirty.
     dirty: Vec<bool>,
     /// The line's content at its clean-to-dirty transition, meaningful
-    /// while the way is dirty. Kept only under [`CrashFidelity::Full`];
-    /// empty otherwise.
+    /// while the way is dirty. Kept only under ADR; empty otherwise.
     preimage: Vec<[u8; 64]>,
     /// Accesses so far; feeds victim selection.
     tick: u64,
@@ -35,7 +35,7 @@ struct Shard {
 const HOST_LINE: usize = 64;
 
 impl Shard {
-    fn new(n_ways: usize, fidelity: CrashFidelity) -> Self {
+    fn new(n_ways: usize, domain: PersistenceDomain) -> Self {
         let tags = vec![0u64; n_ways + HOST_LINE / 8 - 1];
         // In elements; the Vec is never resized, so it stays valid.
         let pad = tags.as_ptr().align_offset(HOST_LINE);
@@ -43,9 +43,9 @@ impl Shard {
             pad: if pad < HOST_LINE / 8 { pad } else { 0 },
             tags,
             dirty: vec![false; n_ways],
-            preimage: match fidelity {
-                CrashFidelity::Full => vec![[0u8; 64]; n_ways],
-                CrashFidelity::Fast => Vec::new(),
+            preimage: match domain {
+                PersistenceDomain::Adr => vec![[0u8; 64]; n_ways],
+                PersistenceDomain::Eadr => Vec::new(),
             },
             tick: 0,
         }
@@ -83,22 +83,22 @@ pub struct CacheModel {
     shards: Vec<WordLock<Shard>>,
     sets_per_shard: usize,
     ways: usize,
-    fidelity: CrashFidelity,
+    domain: PersistenceDomain,
 }
 
 impl CacheModel {
-    pub fn new(capacity_bytes: u64, ways: usize, shards: usize, fidelity: CrashFidelity) -> Self {
+    pub fn new(capacity_bytes: u64, ways: usize, shards: usize, domain: PersistenceDomain) -> Self {
         let total_lines = (capacity_bytes / crate::CACHELINE).max(1) as usize;
         let total_sets = (total_lines / ways).max(shards);
         let sets_per_shard = total_sets.div_ceil(shards);
         let shards = (0..shards)
-            .map(|_| WordLock::new(Shard::new(sets_per_shard * ways, fidelity)))
+            .map(|_| WordLock::new(Shard::new(sets_per_shard * ways, domain)))
             .collect();
         Self {
             shards,
             sets_per_shard,
             ways,
-            fidelity,
+            domain,
         }
     }
 
@@ -111,8 +111,8 @@ impl CacheModel {
         (shard, set)
     }
 
-    /// Simulate a load or store of `line`. For stores under full fidelity,
-    /// the pre-image is captured from `arena` *before* the caller performs
+    /// Simulate a load or store of `line`. For stores under ADR, the
+    /// pre-image is captured from `arena` *before* the caller performs
     /// the store.
     pub fn access(&self, line: u64, write: bool, arena: &Arena) -> AccessResult {
         let (si, set) = self.locate(line);
@@ -121,14 +121,14 @@ impl CacheModel {
         sh.tick += 1;
         let base = set * self.ways;
         let tag = line + 1;
-        let full = self.fidelity == CrashFidelity::Full;
+        let capture = self.domain == PersistenceDomain::Adr;
         let set_tags = &mut sh.tags[sh.pad + base..][..self.ways];
 
         if let Some(j) = set_tags.iter().position(|&t| t == tag) {
             let w = base + j;
             if write && !sh.dirty[w] {
                 sh.dirty[w] = true;
-                if full {
+                if capture {
                     arena.read_line(line, &mut sh.preimage[w]);
                 }
             }
@@ -150,7 +150,7 @@ impl CacheModel {
         let evicted_dirty = (set_tags[j] != 0 && sh.dirty[w]).then(|| set_tags[j] - 1);
         set_tags[j] = tag;
         sh.dirty[w] = write;
-        if write && full {
+        if write && capture {
             arena.read_line(line, &mut sh.preimage[w]);
         }
         AccessResult {
@@ -186,31 +186,19 @@ impl CacheModel {
         }
     }
 
-    /// A power failure. Under eADR every dirty line is flushed by the
-    /// reserved energy (the flushed lines are returned so the device can
-    /// count the writebacks); under ADR every dirty line is *lost*: its
-    /// pre-image is copied back into the arena and the line is returned in
-    /// the second (reverted) list.
-    ///
-    /// Panics if ADR semantics are requested without pre-image capture.
-    pub fn power_failure(
-        &self,
-        domain: PersistenceDomain,
-        arena: &Arena,
-    ) -> (Vec<u64>, Vec<u64>) {
+    /// A power failure in the cache's persistence domain. Under eADR every
+    /// dirty line is flushed by the reserved energy (the flushed lines are
+    /// returned so the device can count the writebacks); under ADR every
+    /// dirty line is *lost*: its pre-image is copied back into the arena
+    /// and the line is returned in the second (reverted) list.
+    pub fn power_failure(&self, arena: &Arena) -> (Vec<u64>, Vec<u64>) {
         let mut writebacks = Vec::new();
         let mut reverted = Vec::new();
         for sh in &self.shards {
-            sh.lock().drain(|sh, w, line| match domain {
+            sh.lock().drain(|sh, w, line| match self.domain {
                 PersistenceDomain::Eadr => writebacks.push(line),
                 PersistenceDomain::Adr => {
-                    let img = sh.preimage.get(w).unwrap_or_else(|| {
-                        panic!(
-                            "ADR crash requested but pre-images were not captured; \
-                             use CrashFidelity::Full"
-                        )
-                    });
-                    arena.write_line(line, img);
+                    arena.write_line(line, &sh.preimage[w]);
                     reverted.push(line);
                 }
             });
@@ -252,15 +240,15 @@ mod tests {
         Arena::new(1 << 20)
     }
 
-    fn small_cache(fid: CrashFidelity) -> CacheModel {
+    fn small_cache(domain: PersistenceDomain) -> CacheModel {
         // 2 shards * 2 sets * 2 ways = 8 lines capacity.
-        CacheModel::new(8 * 64, 2, 2, fid)
+        CacheModel::new(8 * 64, 2, 2, domain)
     }
 
     #[test]
     fn miss_then_hit() {
         let a = arena();
-        let c = small_cache(CrashFidelity::Fast);
+        let c = small_cache(PersistenceDomain::Eadr);
         let r1 = c.access(5, false, &a);
         assert!(!r1.hit);
         let r2 = c.access(5, false, &a);
@@ -273,7 +261,7 @@ mod tests {
     fn dirty_eviction_reported() {
         let a = arena();
         // 1 shard, 1 set, 2 ways: lines collide aggressively.
-        let c = CacheModel::new(2 * 64, 2, 1, CrashFidelity::Fast);
+        let c = CacheModel::new(2 * 64, 2, 1, PersistenceDomain::Eadr);
         c.access(1, true, &a);
         c.access(2, true, &a);
         // Both ways hold dirty lines, so the third distinct line evicts a
@@ -287,7 +275,7 @@ mod tests {
     #[test]
     fn flush_clears_dirty_keeps_resident() {
         let a = arena();
-        let c = small_cache(CrashFidelity::Fast);
+        let c = small_cache(PersistenceDomain::Eadr);
         c.access(7, true, &a);
         assert!(c.flush(7));
         assert!(!c.flush(7)); // already clean
@@ -297,37 +285,37 @@ mod tests {
     #[test]
     fn adr_crash_reverts_unflushed_line() {
         let a = arena();
-        let c = small_cache(CrashFidelity::Full);
+        let c = small_cache(PersistenceDomain::Adr);
         let addr = crate::PmAddr(64 * 3);
         a.store_u64(addr, 111);
         c.access(3, true, &a); // capture pre-image (value 111)
         a.store_u64(addr, 222); // the actual store
-        c.power_failure(PersistenceDomain::Adr, &a);
+        c.power_failure(&a);
         assert_eq!(a.load_u64(addr), 111, "unflushed write must be lost");
     }
 
     #[test]
     fn adr_crash_keeps_flushed_line() {
         let a = arena();
-        let c = small_cache(CrashFidelity::Full);
+        let c = small_cache(PersistenceDomain::Adr);
         let addr = crate::PmAddr(64 * 3);
         a.store_u64(addr, 111);
         c.access(3, true, &a);
         a.store_u64(addr, 222);
         assert!(c.flush(3)); // clwb reached the persistence domain
-        c.power_failure(PersistenceDomain::Adr, &a);
+        c.power_failure(&a);
         assert_eq!(a.load_u64(addr), 222);
     }
 
     #[test]
     fn eadr_crash_keeps_everything() {
         let a = arena();
-        let c = small_cache(CrashFidelity::Full);
+        let c = small_cache(PersistenceDomain::Eadr);
         let addr = crate::PmAddr(64 * 3);
         a.store_u64(addr, 111);
         c.access(3, true, &a);
         a.store_u64(addr, 222);
-        let (wb, reverted) = c.power_failure(PersistenceDomain::Eadr, &a);
+        let (wb, reverted) = c.power_failure(&a);
         assert_eq!(wb, vec![3]);
         assert!(reverted.is_empty());
         assert_eq!(a.load_u64(addr), 222);
@@ -337,7 +325,7 @@ mod tests {
     fn eviction_drops_preimage_write_survives_adr_crash() {
         let a = arena();
         // Tiny cache: 1 shard, 1 set, 1 way.
-        let c = CacheModel::new(64, 1, 1, CrashFidelity::Full);
+        let c = CacheModel::new(64, 1, 1, PersistenceDomain::Adr);
         let addr = crate::PmAddr(64);
         a.store_u64(addr, 1);
         c.access(1, true, &a);
@@ -345,7 +333,7 @@ mod tests {
         // Evict line 1 by touching line 2: the writeback persists it.
         let r = c.access(2, false, &a);
         assert_eq!(r.evicted_dirty, Some(1));
-        c.power_failure(PersistenceDomain::Adr, &a);
+        c.power_failure(&a);
         assert_eq!(a.load_u64(addr), 2, "evicted (written-back) data is durable");
     }
 
@@ -376,7 +364,7 @@ mod tests {
         const LINES: u64 = 200;
         let a = arena();
         // 4 shards * 4 sets * 4 ways = 64 lines.
-        let c = CacheModel::new(64 * 64, 4, 4, CrashFidelity::Full);
+        let c = CacheModel::new(64 * 64, 4, 4, PersistenceDomain::Adr);
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         let mut s = 0x5eed_cafe_f00d_u64;
         let mut next = move || {
@@ -428,7 +416,7 @@ mod tests {
         for i in 100_000..100_500u64 {
             step(&mut h, i);
         }
-        let (flushed, reverted) = c.power_failure(PersistenceDomain::Adr, &a);
+        let (flushed, reverted) = c.power_failure(&a);
         h.lines(&flushed);
         h.lines(&reverted);
         for w in 0..LINES * 8 {
@@ -446,7 +434,7 @@ mod tests {
     #[test]
     fn flush_all_returns_dirty_lines() {
         let a = arena();
-        let c = small_cache(CrashFidelity::Fast);
+        let c = small_cache(PersistenceDomain::Eadr);
         c.access(1, true, &a);
         c.access(2, false, &a);
         c.access(3, true, &a);

@@ -17,19 +17,11 @@ pub enum PersistenceDomain {
     Eadr,
 }
 
-/// Whether the cache model keeps pre-images of dirty lines so that an
-/// ADR-mode crash can actually revert them.
-///
-/// Keeping pre-images costs a 64-byte copy on every clean-to-dirty
-/// transition; throughput benchmarks run with [`CrashFidelity::Fast`], and
-/// crash-consistency tests run with [`CrashFidelity::Full`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashFidelity {
-    /// No pre-images; `simulate_power_failure` under ADR panics.
-    Fast,
-    /// Capture pre-images; ADR crashes revert unflushed dirty lines.
-    Full,
-}
+/// Associativity of the modelled cache.
+pub const CACHE_WAYS: usize = 8;
+
+/// XPLine slots in the media's write-combining XPBuffer.
+pub const XPBUFFER_SLOTS: usize = 64;
 
 /// Configuration of the simulated platform.
 #[derive(Clone, Debug)]
@@ -39,20 +31,16 @@ pub struct PmConfig {
     /// Total modelled cache capacity in bytes across all shards. Default
     /// 64 MiB, in the spirit of the testbed's 42 MB LLC plus private L2s.
     pub cache_capacity: u64,
-    /// Associativity of the modelled cache.
-    pub cache_ways: usize,
     /// Number of cache shards (each behind its own mutex).
     pub cache_shards: usize,
-    /// Number of XPLine slots in the write-combining XPBuffer.
-    pub xpbuffer_slots: usize,
-    /// Persistence domain (ADR or eADR).
+    /// Persistence domain (ADR or eADR). Under ADR the cache model keeps
+    /// a pre-image of every dirty line, so that a power failure can revert
+    /// what was never flushed; under eADR it keeps none.
     pub domain: PersistenceDomain,
-    /// Pre-image capture mode.
-    pub fidelity: CrashFidelity,
     /// Enable the persistence-ordering sanitizer ([`crate::san`]) in the
     /// given mode. `None` (the default) costs nothing on data paths.
     pub san: Option<crate::san::SanMode>,
-    /// Latency/bandwidth constants.
+    /// Latency/bandwidth constants (associated constants of the type).
     pub cost: CostModel,
 }
 
@@ -61,13 +49,10 @@ impl Default for PmConfig {
         Self {
             arena_size: 1 << 30,
             cache_capacity: 64 << 20,
-            cache_ways: 8,
             cache_shards: 64,
-            xpbuffer_slots: 64,
             domain: PersistenceDomain::Eadr,
-            fidelity: CrashFidelity::Fast,
             san: None,
-            cost: CostModel::default(),
+            cost: CostModel,
         }
     }
 }
@@ -83,21 +68,11 @@ impl PmConfig {
         }
     }
 
-    /// Test configuration with pre-image capture and a volatile cache,
-    /// for crash-consistency tests.
+    /// [`PmConfig::small_test`] with a volatile cache, for
+    /// crash-consistency tests.
     pub fn adr_test() -> Self {
         Self {
             domain: PersistenceDomain::Adr,
-            fidelity: CrashFidelity::Full,
-            ..Self::small_test()
-        }
-    }
-
-    /// Test configuration with pre-image capture and a persistent cache.
-    pub fn eadr_test() -> Self {
-        Self {
-            domain: PersistenceDomain::Eadr,
-            fidelity: CrashFidelity::Full,
             ..Self::small_test()
         }
     }
@@ -106,9 +81,7 @@ impl PmConfig {
         let xp = crate::XPLINE;
         self.arena_size = self.arena_size.div_ceil(xp) * xp;
         assert!(self.arena_size > 0, "arena_size must be non-zero");
-        assert!(self.cache_ways > 0, "cache_ways must be non-zero");
         assert!(self.cache_shards > 0, "cache_shards must be non-zero");
-        assert!(self.xpbuffer_slots > 0, "xpbuffer_slots must be non-zero");
         self
     }
 }

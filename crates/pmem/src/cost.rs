@@ -1,82 +1,63 @@
 //! The virtual-time cost model.
 //!
 //! Every simulated thread owns a [`VClock`] that advances by charges taken
-//! from the [`CostModel`]. Throughput is computed from virtual time, not
+//! from the [`CostModel`]'s constants. Throughput is computed from virtual time, not
 //! wall-clock, so the reproduction's scalability results do not depend on
 //! how many physical cores the host has (see DESIGN.md §1/§4).
 //!
-//! The default constants are calibrated against the numbers the paper
+//! The constants are calibrated against the numbers the paper
 //! reports for its testbed (§II-A): ~15 GB/s PM write bandwidth, ~3× higher
 //! PM read bandwidth, ~5× higher DRAM write bandwidth, and a loaded PM read
 //! latency of a few hundred nanoseconds.
 
 /// Latency and bandwidth constants for the simulated platform, in
-/// nanoseconds and bytes/second.
-#[derive(Clone, Debug)]
-pub struct CostModel {
+/// nanoseconds and bytes/second. One platform is calibrated (the paper's
+/// testbed), so the model is a set of associated constants; the type
+/// itself carries no data.
+#[derive(Clone, Copy, Debug)]
+pub struct CostModel;
+
+impl CostModel {
     /// L1/L2 hit, and the cost of a plain store that hits cache.
-    pub cache_hit_ns: u64,
+    pub const CACHE_HIT_NS: u64 = 4;
     /// A DRAM access (e.g. the volatile directory, hot-key list misses).
-    pub dram_ns: u64,
+    pub const DRAM_NS: u64 = 80;
     /// A PM read miss under load (media read + on-DIMM controller).
-    pub pm_read_miss_ns: u64,
+    pub const PM_READ_MISS_NS: u64 = 300;
     /// Extra charge for a store that misses cache (read-for-ownership
     /// fetches the line from PM before the store).
-    pub pm_write_miss_ns: u64,
+    pub const PM_WRITE_MISS_NS: u64 = 240;
     /// Issuing a `clwb`-style flush (asynchronous; completion is awaited by
     /// the next fence).
-    pub flush_issue_ns: u64,
+    pub const FLUSH_ISSUE_NS: u64 = 25;
     /// Time for a flushed line to be acknowledged by the WPQ, i.e. the
     /// latency a fence pays per outstanding flush.
-    pub flush_drain_ns: u64,
+    pub const FLUSH_DRAIN_NS: u64 = 90;
     /// A non-temporal store (bypasses cache, goes straight to the WPQ).
-    pub ntstore_ns: u64,
+    pub const NTSTORE_NS: u64 = 60;
     /// An `sfence` with no outstanding flushes.
-    pub fence_ns: u64,
+    pub const FENCE_NS: u64 = 10;
     /// Starting a hardware transaction.
-    pub htm_begin_ns: u64,
+    pub const HTM_BEGIN_NS: u64 = 12;
     /// Committing a hardware transaction.
-    pub htm_commit_ns: u64,
+    pub const HTM_COMMIT_NS: u64 = 15;
     /// A transaction abort (rollback + restart overhead).
-    pub htm_abort_ns: u64,
+    pub const HTM_ABORT_NS: u64 = 60;
     /// Acquiring an uncontended lock (the contended cost emerges from
     /// virtual-time serialization).
-    pub lock_ns: u64,
+    pub const LOCK_NS: u64 = 18;
     /// Transferring a contended cacheline between cores (coherence). This
     /// is what serializes lock-free CAS/HTM commits on one line — NOT the
     /// whole enclosing operation, which is the crucial physical difference
     /// from lock-based critical sections.
-    pub line_transfer_ns: u64,
+    pub const LINE_TRANSFER_NS: u64 = 60;
     /// PM media write bandwidth in bytes/second (paper: ~15 GB/s at 256 B
     /// granularity).
-    pub pm_write_bw: f64,
+    pub const PM_WRITE_BW: f64 = 15.0e9;
     /// PM media read bandwidth in bytes/second (paper: ~3x the write BW).
-    pub pm_read_bw: f64,
+    pub const PM_READ_BW: f64 = 45.0e9;
     /// DRAM bandwidth in bytes/second (paper: ~75 GB/s).
-    pub dram_bw: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            cache_hit_ns: 4,
-            dram_ns: 80,
-            pm_read_miss_ns: 300,
-            pm_write_miss_ns: 240,
-            flush_issue_ns: 25,
-            flush_drain_ns: 90,
-            ntstore_ns: 60,
-            fence_ns: 10,
-            htm_begin_ns: 12,
-            htm_commit_ns: 15,
-            htm_abort_ns: 60,
-            lock_ns: 18,
-            line_transfer_ns: 60,
-            pm_write_bw: 15.0e9,
-            pm_read_bw: 45.0e9,
-            dram_bw: 75.0e9,
-        }
-    }
+    pub const DRAM_BW: f64 = 75.0e9;
 }
 
 /// A per-thread virtual clock, in nanoseconds since the start of the
@@ -139,12 +120,12 @@ mod tests {
 
     #[test]
     fn default_model_matches_paper_ratios() {
-        let m = CostModel::default();
+        type M = CostModel;
         // Paper §II-A: PM read BW ~3x write BW; DRAM write ~5x PM write.
-        assert!((m.pm_read_bw / m.pm_write_bw - 3.0).abs() < 0.5);
-        assert!((m.dram_bw / m.pm_write_bw - 5.0).abs() < 0.5);
+        assert!((M::PM_READ_BW / M::PM_WRITE_BW - 3.0).abs() < 0.5);
+        assert!((M::DRAM_BW / M::PM_WRITE_BW - 5.0).abs() < 0.5);
         // PM read miss must be slower than DRAM, which is slower than cache.
-        assert!(m.pm_read_miss_ns > m.dram_ns);
-        assert!(m.dram_ns > m.cache_hit_ns);
+        assert!(M::PM_READ_MISS_NS > M::DRAM_NS);
+        assert!(M::DRAM_NS > M::CACHE_HIT_NS);
     }
 }

@@ -243,7 +243,7 @@ mod tests {
     fn device_level_accounting_lands_in_the_device_block_and_in_no_span() {
         let dev = PmDevice::new(PmConfig {
             san: Some(SanMode::Strict),
-            ..PmConfig::eadr_test()
+            ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();
         let device = || dev.counters.device().snapshot();

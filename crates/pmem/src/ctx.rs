@@ -100,11 +100,6 @@ impl MemCtx {
     }
 
     #[inline]
-    fn cost(&self) -> &CostModel {
-        &self.dev.cfg.cost
-    }
-
-    #[inline]
     fn take_prefetch(&mut self, line: u64) -> Option<u64> {
         for i in 0..self.prefetch_len {
             if self.prefetch[i].0 == line {
@@ -143,7 +138,7 @@ impl MemCtx {
         if let Some(t) = self.take_prefetch(line) {
             // Data was already on its way: wait for it, don't re-fetch.
             self.clock.sync_to(t);
-            self.clock.advance(self.cost().cache_hit_ns);
+            self.clock.advance(CostModel::CACHE_HIT_NS);
             if r.hit {
                 self.counters.bump(|s| &s.read_hits, 1);
             }
@@ -151,10 +146,10 @@ impl MemCtx {
         }
         if r.hit {
             self.counters.bump(|s| &s.read_hits, 1);
-            self.clock.advance(self.cost().cache_hit_ns);
+            self.clock.advance(CostModel::CACHE_HIT_NS);
         } else {
             let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.counters);
-            self.pm_read_wait(self.cost().pm_read_miss_ns, new_xp);
+            self.pm_read_wait(CostModel::PM_READ_MISS_NS, new_xp);
         }
     }
 
@@ -165,7 +160,7 @@ impl MemCtx {
         if coalesced {
             return;
         }
-        let service = (crate::XPLINE as f64 / self.cost().pm_write_bw * 1e9) as u64;
+        let service = (crate::XPLINE as f64 / CostModel::PM_WRITE_BW * 1e9) as u64;
         let done = self.dev.media.reserve_write(self.clock.now(), service.max(1));
         self.dev.note_horizon(done);
     }
@@ -179,7 +174,7 @@ impl MemCtx {
     /// base miss latency. The queue wait is divided by the modelled MLP.
     fn pm_read_wait(&mut self, base_ns: u64, new_xpline: bool) {
         if new_xpline {
-            let service = (crate::XPLINE as f64 / self.cost().pm_read_bw * 1e9) as u64;
+            let service = (crate::XPLINE as f64 / CostModel::PM_READ_BW * 1e9) as u64;
             let start = self.dev.media.reserve_read(self.clock.now(), service.max(1));
             self.dev.note_horizon(start + service);
             let wait = start.saturating_sub(self.clock.now()) / Self::MLP;
@@ -192,7 +187,7 @@ impl MemCtx {
     /// overlap in the memory pipeline, so each extra line costs roughly a
     /// transfer slot, not a full round-trip.
     fn bulk_tail_ns(&self) -> u64 {
-        self.cost().line_transfer_ns
+        CostModel::LINE_TRANSFER_NS
     }
 
     /// Charge a cacheline *store* of `line` (write-allocate: a miss fetches
@@ -210,11 +205,11 @@ impl MemCtx {
         }
         if r.hit {
             self.counters.bump(|s| &s.write_hits, 1);
-            self.clock.advance(self.cost().cache_hit_ns);
+            self.clock.advance(CostModel::CACHE_HIT_NS);
         } else {
             // Read-for-ownership.
             let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.counters);
-            self.pm_read_wait(self.cost().pm_write_miss_ns, new_xp);
+            self.pm_read_wait(CostModel::PM_WRITE_MISS_NS, new_xp);
         }
     }
 
@@ -236,7 +231,7 @@ impl MemCtx {
     /// lock-free operations do not inherit the previous owner's timeline,
     /// unlike lock critical sections ([`crate::VLock`]).
     fn rmw_token(&mut self, line: u64) {
-        let xfer = self.cost().line_transfer_ns;
+        let xfer = CostModel::LINE_TRANSFER_NS;
         let cell = self.dev.rmw_cell(line);
         let release = cell.load(std::sync::atomic::Ordering::Acquire);
         let token = release.max(self.clock.now()) + xfer;
@@ -368,9 +363,9 @@ impl MemCtx {
                 san.on_ntstore(self.tid, line);
             }
             self.media_writeback(line);
-            self.clock.advance(self.cost().ntstore_ns);
+            self.clock.advance(CostModel::NTSTORE_NS);
         }
-        let done = self.clock.now() + self.cost().flush_drain_ns;
+        let done = self.clock.now() + CostModel::FLUSH_DRAIN_NS;
         self.outstanding_t = self.outstanding_t.max(done);
     }
 
@@ -378,7 +373,7 @@ impl MemCtx {
     /// Completion is asynchronous — awaited by the next [`MemCtx::fence`].
     pub fn flush(&mut self, addr: PmAddr) {
         let line = line_of(addr.0);
-        self.clock.advance(self.cost().flush_issue_ns);
+        self.clock.advance(CostModel::FLUSH_ISSUE_NS);
         let dirty = self.dev.cache.flush(line);
         if let Some(san) = &self.dev.san {
             crate::san::install_observer(san, self.tid);
@@ -387,7 +382,7 @@ impl MemCtx {
         if dirty {
             self.counters.bump(|s| &s.flushes, 1);
             self.media_writeback(line);
-            let done = self.clock.now() + self.cost().flush_drain_ns;
+            let done = self.clock.now() + CostModel::FLUSH_DRAIN_NS;
             self.outstanding_t = self.outstanding_t.max(done);
         }
     }
@@ -409,7 +404,7 @@ impl MemCtx {
             san.on_fence(self.tid, self.dev.counters.device());
         }
         self.clock.sync_to(self.outstanding_t);
-        self.clock.advance(self.cost().fence_ns);
+        self.clock.advance(CostModel::FENCE_NS);
     }
 
     /// Issue an asynchronous prefetch of the line holding `addr`. A later
@@ -433,10 +428,10 @@ impl MemCtx {
             // saturation artefact of DESIGN.md §13.
             self.prefetch_len -= 1;
         }
-        let service = (crate::XPLINE as f64 / self.cost().pm_read_bw * 1e9) as u64;
+        let service = (crate::XPLINE as f64 / CostModel::PM_READ_BW * 1e9) as u64;
         let start = self.dev.media.reserve_read(self.clock.now(), service.max(1));
         self.dev.note_horizon(start + service);
-        let completion = start + self.cost().pm_read_miss_ns;
+        let completion = start + CostModel::PM_READ_MISS_NS;
         self.prefetch[self.prefetch_len] = (line, completion);
         self.prefetch_len += 1;
         self.dev.media.read_line(line, &mut self.recent, &self.counters);
@@ -454,12 +449,12 @@ impl MemCtx {
     /// Charge `n` DRAM accesses (volatile directory, hot-key list, ...).
     pub fn charge_dram(&mut self, n: u64) {
         self.counters.bump(|s| &s.dram_accesses, n);
-        self.clock.advance(n * self.cost().dram_ns);
+        self.clock.advance(n * CostModel::DRAM_NS);
     }
 
     /// Charge a DRAM structure hit that stays in cache (cheap).
     pub fn charge_dram_cached(&mut self) {
-        self.clock.advance(self.cost().cache_hit_ns);
+        self.clock.advance(CostModel::CACHE_HIT_NS);
     }
 
     /// Charge `n` accesses to a small, hot DRAM-resident table (the
@@ -469,7 +464,7 @@ impl MemCtx {
     /// [`Self::charge_dram_cached`] applies to the directory.
     pub fn charge_dram_hot(&mut self, n: u64) {
         self.counters.bump(|s| &s.dram_accesses, n);
-        self.clock.advance(n * self.cost().cache_hit_ns);
+        self.clock.advance(n * CostModel::CACHE_HIT_NS);
     }
 
     /// Charge raw compute time.
@@ -570,14 +565,13 @@ mod tests {
     #[test]
     fn read_miss_then_hit_latency() {
         let mut c = ctx();
-        let cost = c.cost().clone();
         let t0 = c.now();
         c.read_u64(PmAddr(4096));
         let miss = c.now() - t0;
-        assert_eq!(miss, cost.pm_read_miss_ns);
+        assert_eq!(miss, CostModel::PM_READ_MISS_NS);
         let t1 = c.now();
         c.read_u64(PmAddr(4096));
-        assert_eq!(c.now() - t1, cost.cache_hit_ns);
+        assert_eq!(c.now() - t1, CostModel::CACHE_HIT_NS);
     }
 
     #[test]
@@ -590,7 +584,6 @@ mod tests {
     #[test]
     fn prefetch_overlaps_latency() {
         let mut c = ctx();
-        let cost = c.cost().clone();
         // Prefetch 4 distinct lines, then read them: total stall should be
         // roughly ONE miss latency, not four.
         let t0 = c.now();
@@ -602,7 +595,7 @@ mod tests {
         }
         let elapsed = c.now() - t0;
         assert!(
-            elapsed < 2 * cost.pm_read_miss_ns,
+            elapsed < 2 * CostModel::PM_READ_MISS_NS,
             "pipelined reads took {elapsed} ns, expected ~1 miss latency"
         );
 
@@ -611,7 +604,7 @@ mod tests {
         for i in 0..4u64 {
             c.read_u64(PmAddr(65536 + i * 4096));
         }
-        assert!(c.now() - t1 >= 4 * cost.pm_read_miss_ns);
+        assert!(c.now() - t1 >= 4 * CostModel::PM_READ_MISS_NS);
     }
 
     #[test]
@@ -636,11 +629,10 @@ mod tests {
     #[ignore = "prefetch table saturates: DESIGN.md §13"]
     fn unconsumed_prefetches_do_not_make_later_misses_free() {
         let mut c = ctx();
-        let cost = c.cost().clone();
         for i in 0..MAX_PREFETCH as u64 {
             c.prefetch(PmAddr(8192 + i * 64));
         }
-        c.charge_compute(10 * cost.pm_read_miss_ns);
+        c.charge_compute(10 * CostModel::PM_READ_MISS_NS);
         // Two fresh cold lines; the first is still in flight when read.
         let t0 = c.now();
         c.prefetch(PmAddr(1 << 20));
@@ -648,7 +640,7 @@ mod tests {
         c.read_u64(PmAddr(1 << 20));
         let elapsed = c.now() - t0;
         assert!(
-            elapsed >= cost.pm_read_miss_ns,
+            elapsed >= CostModel::PM_READ_MISS_NS,
             "a line prefetched {elapsed} ns ago was read as if it had arrived"
         );
     }
@@ -656,21 +648,19 @@ mod tests {
     #[test]
     fn fence_waits_for_flush_drain() {
         let mut c = ctx();
-        let cost = c.cost().clone();
         c.write_u64(PmAddr(256), 1);
         let before = c.now();
         c.flush(PmAddr(256));
         c.fence();
-        assert!(c.now() >= before + cost.flush_issue_ns + cost.flush_drain_ns);
+        assert!(c.now() >= before + CostModel::FLUSH_ISSUE_NS + CostModel::FLUSH_DRAIN_NS);
     }
 
     #[test]
     fn fence_with_nothing_outstanding_is_cheap() {
         let mut c = ctx();
-        let cost = c.cost().clone();
         let t0 = c.now();
         c.fence();
-        assert_eq!(c.now() - t0, cost.fence_ns);
+        assert_eq!(c.now() - t0, CostModel::FENCE_NS);
     }
 
     #[test]

@@ -72,11 +72,11 @@ impl PmDevice {
             arena: Arena::new(cfg.arena_size),
             cache: CacheModel::new(
                 cfg.cache_capacity,
-                cfg.cache_ways,
+                crate::config::CACHE_WAYS,
                 cfg.cache_shards,
-                cfg.fidelity,
+                cfg.domain,
             ),
-            media: Media::new(cfg.xpbuffer_slots),
+            media: Media::new(crate::config::XPBUFFER_SLOTS),
             counters: CounterRegistry::default(),
             next_tid: AtomicU32::new(0),
             vtime_floor: AtomicU64::new(0),
@@ -203,13 +203,13 @@ impl PmDevice {
     ///   drains to media.
     /// * Under eADR the reserved energy flushes every dirty cacheline.
     /// * Under ADR dirty, unflushed cachelines are reverted to their
-    ///   pre-images (requires [`crate::CrashFidelity::Full`]).
+    ///   pre-images, which the cache captures under ADR only.
     ///
     /// After this call the arena holds exactly the durable state a real
     /// machine would recover. The returned report says which lines the
     /// reserved energy flushed (eADR) or the crash reverted (ADR).
     pub fn simulate_power_failure(&self) -> CrashReport {
-        let (flushed, reverted) = self.cache.power_failure(self.cfg.domain, &self.arena);
+        let (flushed, reverted) = self.cache.power_failure(&self.arena);
         let stats = self.counters.device();
         for &line in &flushed {
             self.media.write_line(line, stats);
@@ -247,11 +247,30 @@ mod tests {
 
     #[test]
     fn eadr_power_failure_preserves_written_data() {
-        let dev = PmDevice::new(PmConfig::eadr_test());
+        let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(128), 42);
         dev.simulate_power_failure();
         assert_eq!(dev.arena().load_u64(PmAddr(128)), 42);
+    }
+
+    #[test]
+    fn adr_domain_alone_reverts_unflushed_lines() {
+        // The domain is the only setting: pre-image capture follows it.
+        let dev = PmDevice::new(PmConfig {
+            domain: PersistenceDomain::Adr,
+            ..PmConfig::small_test()
+        });
+        let mut ctx = dev.ctx();
+        ctx.write_u64(PmAddr(128), 42);
+        ctx.write_u64(PmAddr(4096), 7);
+        ctx.flush(PmAddr(4096));
+        ctx.fence();
+        let report = dev.simulate_power_failure();
+        let arena = dev.arena();
+        assert_eq!(arena.load_u64(PmAddr(128)), 0, "unflushed write is lost");
+        assert_eq!(arena.load_u64(PmAddr(4096)), 7, "flushed write survives");
+        assert_eq!(report.reverted_lines, vec![2]);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   domain and dirty lines survive. A simulated power failure
 //!   ([`PmDevice::simulate_power_failure`]) applies exactly those semantics.
 //! * **Cost accounting** — every access advances a per-thread *virtual
-//!   clock* by amounts taken from a [`CostModel`]; locks serialize in
-//!   virtual time ([`vlock`]); global media byte counters impose the
-//!   bandwidth ceiling. Benchmarks report `ops / elapsed-virtual-time`,
+//!   clock* by the [`CostModel`] constants; locks serialize in virtual
+//!   time ([`vlock`]); global media byte counters impose the bandwidth
+//!   ceiling. Benchmarks report `ops / elapsed-virtual-time`,
 //!   which reproduces the paper's throughput *shapes* on hardware that has
 //!   neither PM nor 56 cores.
 //!
@@ -43,7 +43,7 @@ pub mod sync;
 pub mod vlock;
 
 pub use arena::{Arena, PmAddr};
-pub use config::{CrashFidelity, PersistenceDomain, PmConfig};
+pub use config::{PersistenceDomain, PmConfig};
 pub use cost::{CostModel, VClock};
 pub use ctx::MemCtx;
 pub use device::{CrashReport, PmDevice};

@@ -813,7 +813,7 @@ mod tests {
     fn eadr_publication_checks_off_diagnostics_on() {
         let dev = PmDevice::new(PmConfig {
             san: Some(SanMode::Strict),
-            ..PmConfig::eadr_test()
+            ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(256), 7); // dirty publish: fine under eADR

@@ -131,11 +131,13 @@ impl StatsSnapshot {
     /// platform's bandwidth (paper §II-A). Benchmarks report
     /// `elapsed = max(max per-thread clock, bandwidth_floor_ns)`, which is
     /// what makes write-heavy workloads bandwidth-bound in the model just
-    /// as they are on real Optane.
-    pub fn bandwidth_floor_ns(&self, cost: &crate::CostModel) -> u64 {
-        let w = self.media_write_bytes as f64 / cost.pm_write_bw * 1e9;
-        let r = self.media_read_bytes as f64 / cost.pm_read_bw * 1e9;
-        let d = (self.dram_accesses * crate::CACHELINE) as f64 / cost.dram_bw * 1e9;
+    /// as they are on real Optane. The bandwidths are [`crate::CostModel`]
+    /// constants; the argument only keeps the signature callers use.
+    pub fn bandwidth_floor_ns(&self, _cost: &crate::CostModel) -> u64 {
+        type M = crate::CostModel;
+        let w = self.media_write_bytes as f64 / M::PM_WRITE_BW * 1e9;
+        let r = self.media_read_bytes as f64 / M::PM_READ_BW * 1e9;
+        let d = (self.dram_accesses * crate::CACHELINE) as f64 / M::DRAM_BW * 1e9;
         w.max(r).max(d) as u64
     }
 

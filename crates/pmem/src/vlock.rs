@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::schedhook::{self, SyncEvent};
 use crate::sync::{Mutex, RwLock};
 
-use crate::cost::VClock;
+use crate::cost::{CostModel, VClock};
 
 /// Anything carrying a virtual clock (implemented by [`crate::MemCtx`] and
 /// by `VClock` itself, for tests).
@@ -30,21 +30,18 @@ impl HasClock for VClock {
     }
 }
 
-/// A mutex whose contention is modelled in virtual time.
+/// A mutex whose contention is modelled in virtual time. An uncontended
+/// acquisition costs [`CostModel::LOCK_NS`].
 pub struct VLock<T> {
     inner: Mutex<T>,
     release_t: AtomicU64,
-    acquire_ns: u64,
 }
 
 impl<T> VLock<T> {
-    /// `acquire_ns` is the uncontended acquisition cost (usually
-    /// [`crate::CostModel::lock_ns`]).
-    pub fn new(value: T, acquire_ns: u64) -> Self {
+    pub fn new(value: T) -> Self {
         Self {
             inner: Mutex::new(value),
             release_t: AtomicU64::new(0),
-            acquire_ns,
         }
     }
 
@@ -61,7 +58,7 @@ impl<T> VLock<T> {
         {
             let clk = c.vclock();
             clk.sync_to(release);
-            clk.advance(self.acquire_ns);
+            clk.advance(CostModel::LOCK_NS);
         }
         let r = f(c, &mut guard);
         self.release_t.fetch_max(c.vclock().now(), Ordering::AcqRel);
@@ -78,16 +75,14 @@ pub struct VRwLock<T> {
     inner: RwLock<T>,
     write_release_t: AtomicU64,
     read_release_t: AtomicU64,
-    acquire_ns: u64,
 }
 
 impl<T> VRwLock<T> {
-    pub fn new(value: T, acquire_ns: u64) -> Self {
+    pub fn new(value: T) -> Self {
         Self {
             inner: RwLock::new(value),
             write_release_t: AtomicU64::new(0),
             read_release_t: AtomicU64::new(0),
-            acquire_ns,
         }
     }
 
@@ -99,7 +94,7 @@ impl<T> VRwLock<T> {
         {
             let clk = c.vclock();
             clk.sync_to(release);
-            clk.advance(self.acquire_ns);
+            clk.advance(CostModel::LOCK_NS);
         }
         let r = f(c, &guard);
         self.read_release_t.fetch_max(c.vclock().now(), Ordering::AcqRel);
@@ -119,7 +114,7 @@ impl<T> VRwLock<T> {
         {
             let clk = c.vclock();
             clk.sync_to(release);
-            clk.advance(self.acquire_ns);
+            clk.advance(CostModel::LOCK_NS);
         }
         let r = f(c, &mut guard);
         self.write_release_t.fetch_max(c.vclock().now(), Ordering::AcqRel);
@@ -133,9 +128,11 @@ impl<T> VRwLock<T> {
 mod tests {
     use super::*;
 
+    const L: u64 = CostModel::LOCK_NS;
+
     #[test]
     fn critical_sections_serialize_in_virtual_time() {
-        let lock = VLock::new(0u64, 10);
+        let lock = VLock::new(0u64);
         // Two "threads" with independent clocks, each doing 100 ns of work
         // inside the lock. The second must observe the first's release.
         let mut c1 = VClock::new();
@@ -144,31 +141,31 @@ mod tests {
             c.vclock().advance(100);
             *v += 1;
         });
-        assert_eq!(c1.now(), 110);
+        assert_eq!(c1.now(), L + 100);
         lock.with(&mut c2, |c, v| {
             c.vclock().advance(100);
             *v += 1;
         });
-        // c2 started at 0 but virtually waited until 110, then 10 acquire +
-        // 100 work.
-        assert_eq!(c2.now(), 220);
+        // c2 started at 0 but virtually waited until c1's release, then
+        // paid the acquire and 100 work.
+        assert_eq!(c2.now(), 2 * (L + 100));
     }
 
     #[test]
     fn readers_do_not_serialize_with_each_other() {
-        let lock = VRwLock::new(5u64, 10);
+        let lock = VRwLock::new(5u64);
         let mut c1 = VClock::new();
         let mut c2 = VClock::new();
         lock.read(&mut c1, |c, _| c.vclock().advance(100));
         lock.read(&mut c2, |c, _| c.vclock().advance(100));
-        // Both readers finish at 110: no serialization between them.
-        assert_eq!(c1.now(), 110);
-        assert_eq!(c2.now(), 110);
+        // Both readers finish together: no serialization between them.
+        assert_eq!(c1.now(), L + 100);
+        assert_eq!(c2.now(), L + 100);
     }
 
     #[test]
     fn writer_serializes_after_readers() {
-        let lock = VRwLock::new(0u64, 10);
+        let lock = VRwLock::new(0u64);
         let mut r = VClock::new();
         let mut w = VClock::new();
         lock.read(&mut r, |c, _| c.vclock().advance(100));
@@ -176,24 +173,24 @@ mod tests {
             c.vclock().advance(50);
             *v = 1;
         });
-        // Writer waits for the reader release at 110.
-        assert_eq!(w.now(), 170);
+        // Writer waits for the reader release.
+        assert_eq!(w.now(), 2 * L + 150);
     }
 
     #[test]
     fn reader_serializes_after_writer_only() {
-        let lock = VRwLock::new(0u64, 10);
+        let lock = VRwLock::new(0u64);
         let mut w = VClock::new();
         let mut r = VClock::new();
         lock.write(&mut w, |c, _| c.vclock().advance(100));
         lock.read(&mut r, |c, _| c.vclock().advance(5));
-        assert_eq!(r.now(), 125);
+        assert_eq!(r.now(), 2 * L + 105);
     }
 
     #[test]
     fn lock_provides_real_mutual_exclusion() {
         use std::sync::Arc;
-        let lock = Arc::new(VLock::new(0u64, 1));
+        let lock = Arc::new(VLock::new(0u64));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let l = Arc::clone(&lock);

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use spash_index_api::crashpoint::{CrashTarget, SweepOp};
 use spash_index_api::history::{self, fingerprint, OpResult, Recorder};
 use spash_index_api::PersistentIndex;
-use spash_pmem::{CrashFidelity, MemCtx, PersistenceDomain, PmConfig, PmDevice};
+use spash_pmem::{MemCtx, PersistenceDomain, PmConfig, PmDevice};
 use spash_sched::batch::run_batch;
 use spash_sched::SchedConfig;
 use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkloadConfig};
@@ -68,7 +68,6 @@ fn lin_pm() -> PmConfig {
     pm.arena_size = 256 << 20;
     pm.cache_capacity = 256 << 10;
     pm.domain = PersistenceDomain::Eadr;
-    pm.fidelity = CrashFidelity::Full;
     pm
 }
 

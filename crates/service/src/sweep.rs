@@ -43,7 +43,7 @@ use crate::{BatchReplies, ClientReq, JournalSpec, Service, ServiceConfig, ShardR
 
 /// Service sweep parameters.
 pub struct ServiceSweepConfig {
-    /// Platform config; `fidelity` must be `Full`.
+    /// Platform config.
     pub pm: PmConfig,
     pub seed: u64,
     pub n_ops: u64,

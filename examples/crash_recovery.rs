@@ -26,7 +26,7 @@ fn eadr_crash_and_recover() {
     println!("== eADR: crash + recovery of a live Spash index ==");
     let dev = PmDevice::new(PmConfig {
         arena_size: 256 << 20,
-        ..PmConfig::eadr_test()
+        ..PmConfig::small_test()
     });
     let mut ctx = dev.ctx();
     let index = Spash::format(&mut ctx, SpashConfig::default()).expect("format");
@@ -76,8 +76,8 @@ fn eadr_crash_and_recover() {
 
 fn adr_gap_demo() {
     println!("== ADR: why volatile caches need flushes ==");
-    // Full crash fidelity captures pre-images so the simulated failure can
-    // actually revert unflushed cachelines.
+    // Under ADR the cache model captures pre-images so the simulated
+    // failure can actually revert unflushed cachelines.
     let dev = PmDevice::new(PmConfig::adr_test());
     let mut ctx = dev.ctx();
 

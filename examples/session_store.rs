@@ -101,7 +101,7 @@ fn main() {
         "session store: {SESSIONS} sessions, {} ops across {WORKERS} workers, zipfian 0.99\n",
         OPS_PER_WORKER * WORKERS
     );
-    let (adaptive_mb, _) = run(SpashConfig::default().update_policy, "adaptive");
+    let (adaptive_mb, _) = run(UpdatePolicy::Adaptive, "adaptive");
     let (flush_mb, _) = run(UpdatePolicy::AlwaysFlush, "always-flush");
     println!(
         "\nadaptive in-place updates cut PM write traffic by {:.1}% \

@@ -11,9 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use spash_repro::alloc::PmAllocator;
 use spash_repro::index_api::crashpoint::schedule;
 use spash_repro::index_api::Rng64;
-use spash_repro::pmem::{
-    fault, CrashFidelity, CrashPointHit, MemCtx, PersistenceDomain, PmConfig, PmDevice,
-};
+use spash_repro::pmem::{fault, CrashPointHit, MemCtx, PersistenceDomain, PmConfig, PmDevice};
 
 fn device(domain: PersistenceDomain) -> std::sync::Arc<PmDevice> {
     let mut pm = PmConfig::small_test();
@@ -21,7 +19,6 @@ fn device(domain: PersistenceDomain) -> std::sync::Arc<PmDevice> {
     pm.cache_capacity = 8 << 10; // tiny cache: the no-flush heap only
     // touches media on evictions, so force them early and often
     pm.domain = domain;
-    pm.fidelity = CrashFidelity::Full;
     PmDevice::new(pm)
 }
 

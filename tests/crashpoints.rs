@@ -65,6 +65,9 @@ type DecisionCrash = (u64, bool, Option<u64>, u64, bool);
 /// Every sampled crash below, per schedule seed: the crash-at-decision
 /// run is the lin driver's run plus a power failure, so none of these may
 /// move when either changes shape without changing the trait calls.
+/// The write ordinals at decision 314 count the flush that makes an
+/// update's replacement blob durable before its slot publishes it under
+/// ADR (`adr_replacement_blob_is_durable_before_its_slot`).
 const DECISION_CRASH_PINS: [(u64, [DecisionCrash; 6]); 2] = [
     (
         3,
@@ -72,7 +75,7 @@ const DECISION_CRASH_PINS: [(u64, [DecisionCrash; 6]); 2] = [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
             (105, true, Some(4), 0x6617_dca6_8077_1195, false),
             (209, true, Some(4), 0x3b56_df92_f9d0_6225, false),
-            (314, true, Some(5), 0xfe48_e90f_ecb7_747e, false),
+            (314, true, Some(8), 0xfe48_e90f_ecb7_747e, false),
             (418, true, Some(13), 0x3f6e_493d_5dfe_dfc6, false),
             (523, true, Some(14), 0x2056_fc6f_e019_4946, false),
         ],
@@ -83,7 +86,7 @@ const DECISION_CRASH_PINS: [(u64, [DecisionCrash; 6]); 2] = [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
             (105, true, Some(4), 0xed6c_e572_333c_0c75, false),
             (209, true, Some(4), 0x8444_970e_3b0c_10bc, false),
-            (314, true, Some(5), 0xe5d5_0791_8464_ff0e, false),
+            (314, true, Some(8), 0xe5d5_0791_8464_ff0e, false),
             (418, true, Some(13), 0xba97_3987_d20f_f2f6, false),
             (523, true, Some(14), 0x86a0_8e08_2b1a_e3b6, false),
         ],

@@ -13,7 +13,7 @@ use spash_repro::workloads::Rng64;
 fn eadr_device() -> std::sync::Arc<PmDevice> {
     PmDevice::new(PmConfig {
         arena_size: 128 << 20,
-        ..PmConfig::eadr_test()
+        ..PmConfig::small_test()
     })
 }
 
@@ -181,11 +181,8 @@ fn adr_platform_would_lose_index_writes_without_flushes() {
 /// and the crash report names every reverted line.
 #[test]
 fn adr_crash_reverts_exactly_the_dirty_unflushed_lines() {
-    use spash_repro::pmem::{CrashFidelity, PmAddr};
-    let dev = PmDevice::new(PmConfig {
-        fidelity: CrashFidelity::Full,
-        ..PmConfig::adr_test()
-    });
+    use spash_repro::pmem::PmAddr;
+    let dev = PmDevice::new(PmConfig::adr_test());
     let mut ctx = dev.ctx();
 
     // Two lines dirtied and flushed, two dirtied and left unflushed.

@@ -48,7 +48,7 @@ fn pm() -> PmConfig {
 fn eadr() -> PmConfig {
     PmConfig {
         arena_size: 64 << 20,
-        ..PmConfig::eadr_test()
+        ..PmConfig::small_test()
     }
 }
 

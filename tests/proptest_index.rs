@@ -113,7 +113,7 @@ fn spash_state_survives_crash_for_any_op_sequence() {
         let n_ops = 1 + rng.below(199);
         let dev = PmDevice::new(PmConfig {
             arena_size: 64 << 20,
-            ..PmConfig::eadr_test()
+            ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();
         let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();

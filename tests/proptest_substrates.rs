@@ -257,7 +257,7 @@ fn eadr_crash_keeps_everything() {
     for case in 0..48u64 {
         let mut rng = Rng64::new(0xEAD + case);
         let n_writes = (1 + rng.below(59)) as usize;
-        let dev = PmDevice::new(PmConfig::eadr_test());
+        let dev = PmDevice::new(PmConfig::small_test());
         let mut ctx = dev.ctx();
         for i in 0..n_writes {
             ctx.write_u64(PmAddr(4096 + i as u64 * 64), 7 + i as u64);
@@ -282,7 +282,7 @@ fn allocator_recovery_preserves_non_overlap() {
             .collect();
         let dev = PmDevice::new(PmConfig {
             arena_size: 32 << 20,
-            ..PmConfig::eadr_test()
+            ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();
         let alloc = PmAllocator::format(&mut ctx, 0);
