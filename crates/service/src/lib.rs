@@ -13,10 +13,11 @@
 //! * **Per-shard batching with group fence coalescing** — an executor
 //!   drains up to `batch_max` *arrived* requests, runs them through
 //!   [`PersistentIndex::run_batch`], then publishes **one** journal
-//!   record covering the whole batch with a single flush+fence — the ack
-//!   durability barrier amortized across the batch, the way Halo batches
-//!   its log. A response is acked only after that fence, so "acked ⇒
-//!   durable" is checkable per batch ([`JournalSpec`], `sweep`).
+//!   record covering the whole batch under a single barrier (an
+//!   ntstore and a fence under eADR, a flush and a fence under ADR) — the
+//!   ack durability barrier amortized across the batch, the way Halo
+//!   batches its log. A response is acked only after that fence, so
+//!   "acked ⇒ durable" is checkable per batch ([`JournalSpec`], `sweep`).
 //! * **Epoch-based reclamation for batch buffers** — `get` responses
 //!   return [`pool::ValueRef`]s into a pooled batch buffer instead of
 //!   owned allocations; buffers are retired into an epoch list and only
@@ -46,16 +47,17 @@ use spash_index_api::crashpoint::SweepOp;
 use spash_index_api::history::fingerprint;
 use spash_index_api::{hash_key, BatchOp, BatchResult, IndexError, PersistentIndex};
 use spash_pmem::sync::Mutex;
-use spash_pmem::{schedhook, MemCtx, PmAddr};
+use spash_pmem::{schedhook, MemCtx, PersistenceDomain, PmAddr};
 
 use pool::{BatchBuf, BatchPool, ValueRef};
 
 /// Magic stamped (xor shard id) into every journal record line.
 pub const JOURNAL_MAGIC: u64 = 0x5350_4153_484a_4c31; // "SPASHJL1"
 
-/// Bytes per journal record: one XPLine, so an ADR record publication is
-/// a single-line flush and the record is torn-write-free (a power cut
-/// either reverts or persists the whole line).
+/// Bytes per journal record: one cache line, so a record publication is
+/// a single-line ntstore (eADR) or flush (ADR) and the record is
+/// torn-write-free (a power cut either reverts or persists the whole
+/// line).
 pub const RECORD_BYTES: u64 = 64;
 
 /// Hash-partitioned routing: which shard owns `key`. Uses the shared
@@ -161,12 +163,14 @@ impl BatchReplies {
     }
 }
 
-/// The per-shard PM journal: a ring of one-line batch records. Record
-/// `seq` of shard `s` lives at slot `seq % slots_per_shard` in shard
-/// `s`'s region. Publishing a record is the service's *only* durability
-/// barrier — one flush+fence per batch, not per operation — so a crash
-/// sweep that finds an acked record missing has caught a real lost-ack
-/// window (see [`testhooks::set_fence_dropped`]).
+/// The per-shard PM journal: a ring of one-line batch records per shard,
+/// with the shards interleaved line by line. Record `seq` of shard `s`
+/// lives at line `shards * (seq % slots_per_shard) + s` from `base`, so
+/// adjacent shards' records of the same ring position share an XPLine.
+/// Publishing a record is the service's *only* durability barrier — one
+/// ntstore + fence (eADR) or flush + fence (ADR) per batch, not per
+/// operation — so a crash sweep that finds an acked record missing has
+/// caught a real lost-ack window (see [`testhooks::set_fence_dropped`]).
 #[derive(Clone, Copy, Debug)]
 pub struct JournalSpec {
     /// Base PM address; the caller must hand the service a region
@@ -213,22 +217,40 @@ impl JournalSpec {
     }
 
     /// Write and publish the record for batch `seq`: the group-commit
-    /// edge. The record line is written, then made durable with a single
-    /// flush+fence — one barrier for however many operations the batch
-    /// carried. The armed `fence_dropped` canary skips the barrier
+    /// edge, one durability barrier for however many operations the
+    /// batch carried. Under eADR the record overwrites its whole line, so
+    /// it goes out as one non-temporal line (the five words plus three
+    /// zero words) and one fence: no read-for-ownership of a line last
+    /// touched a ring ago, no `clwb`, and no cache line taken from the
+    /// index for write-once data. Under ADR it is five cached stores, one
+    /// flush and one fence: the model makes an ntstore durable at issue
+    /// (DESIGN.md §13), which would hide a dropped fence from the ADR
+    /// crash sweep. The armed `fence_dropped` canary skips the barrier
     /// (modelling a forgotten group-commit fence): under ADR the acked
     /// record then sits in the volatile cache and a power cut loses it,
     /// which the crash sweep must flag.
     pub fn publish(&self, ctx: &mut MemCtx, shard: usize, seq: u64, count: u64, digest: u64) {
         let a = self.slot_addr(shard, seq);
-        ctx.write_u64(a, JOURNAL_MAGIC ^ shard as u64);
-        ctx.write_u64(PmAddr(a.0 + 8), seq);
-        ctx.write_u64(PmAddr(a.0 + 16), count);
-        ctx.write_u64(PmAddr(a.0 + 24), digest);
-        ctx.write_u64(PmAddr(a.0 + 32), Self::csum(shard, seq, count, digest));
+        let csum = Self::csum(shard, seq, count, digest);
+        if ctx.device().config().domain == PersistenceDomain::Eadr {
+            let mut line = [0u8; RECORD_BYTES as usize];
+            let words = [JOURNAL_MAGIC ^ shard as u64, seq, count, digest, csum];
+            for (bytes, w) in line.chunks_exact_mut(8).zip(words) {
+                bytes.copy_from_slice(&w.to_le_bytes());
+            }
+            ctx.ntstore_bytes(a, &line);
+        } else {
+            ctx.write_u64(a, JOURNAL_MAGIC ^ shard as u64);
+            ctx.write_u64(PmAddr(a.0 + 8), seq);
+            ctx.write_u64(PmAddr(a.0 + 16), count);
+            ctx.write_u64(PmAddr(a.0 + 24), digest);
+            ctx.write_u64(PmAddr(a.0 + 32), csum);
+            if !testhooks::fence_dropped() {
+                ctx.flush(a);
+            }
+        }
         if !testhooks::fence_dropped() {
-            // One line, one flush, one fence — for the whole batch.
-            ctx.flush(a);
+            // One line, one fence — for the whole batch.
             ctx.fence();
         }
     }
@@ -383,8 +405,9 @@ impl Service {
     /// Execute a prepared batch and ack it: run the operations through
     /// the index's batch entry point, copy `get` payloads into a pooled
     /// batch buffer, publish **one** journal record under **one**
-    /// flush+fence, and hand the acked responses to `deliver` (which
-    /// owns the buffer's retirement — see [`BatchReplies::retire`]).
+    /// barrier ([`JournalSpec::publish`]), and hand the acked responses
+    /// to `deliver` (which owns the buffer's retirement — see
+    /// [`BatchReplies::retire`]).
     pub fn commit_batch(
         &self,
         ctx: &mut MemCtx,
@@ -451,8 +474,8 @@ impl Service {
         let count = batch.reqs.len() as u64;
         let seq = state.seq.fetch_add(1, Ordering::SeqCst);
 
-        // The coalesced publication: one record, one flush, one fence —
-        // the whole batch's ack durability in a single barrier.
+        // The coalesced publication: one record, one fence — the whole
+        // batch's ack durability in a single barrier.
         self.cfg.journal.publish(ctx, shard, seq, count, digest);
         if !testhooks::fence_dropped() {
             stats.fences += 1;
@@ -585,6 +608,57 @@ mod tests {
         // Wrong shard, wrong seq: self-validation refuses.
         assert_eq!(j.read_record(&mut ctx, 0, 7), None);
         assert_eq!(j.read_record(&mut ctx, 1, 8), None);
+    }
+
+    /// Publish record 1 of shard 0 on a device that has already served
+    /// one publication (record 0, a different line): returns the counter
+    /// deltas and virtual ns of that one call, with the record's line
+    /// not resident beforehand.
+    fn publish_cost(
+        cfg: spash_pmem::PmConfig,
+    ) -> (spash_pmem::StatsDelta, u64, JournalSpec, MemCtx) {
+        let dev = spash_pmem::PmDevice::new(cfg);
+        let mut ctx = dev.ctx();
+        let j = JournalSpec::at_top(dev.config().arena_size, 2, 16);
+        j.publish(&mut ctx, 0, 0, 1, 0xbeef);
+        let a = j.slot_addr(0, 1);
+        assert!(!dev.is_cached(a));
+        let before = dev.snapshot();
+        let t0 = ctx.now();
+        j.publish(&mut ctx, 0, 1, 3, 0xfeed);
+        let ns = ctx.now() - t0;
+        (dev.snapshot().since(&before), ns, j, ctx)
+    }
+
+    #[test]
+    fn eadr_publish_is_one_ntstore_and_one_fence() {
+        let (d, ns, j, mut ctx) = publish_cost(spash_pmem::PmConfig::small_test());
+        assert_eq!(
+            (d.ntstores, d.flushes, d.cl_reads),
+            (1, 0, 0),
+            "eADR publication: one non-temporal line, no clwb, no read-for-ownership"
+        );
+        let a = j.slot_addr(0, 1);
+        assert!(
+            !ctx.device().is_cached(a),
+            "the record line must bypass the cache"
+        );
+        assert_eq!(ns, 160, "NTSTORE_NS + FLUSH_DRAIN_NS + FENCE_NS");
+        assert_eq!(j.read_record(&mut ctx, 0, 1), Some((3, 0xfeed)));
+        for w in 5..8 {
+            assert_eq!(ctx.device().arena().load_u64(PmAddr(a.0 + 8 * w)), 0);
+        }
+    }
+
+    #[test]
+    fn adr_publish_keeps_store_flush_fence() {
+        let (d, _, j, mut ctx) = publish_cost(spash_pmem::PmConfig::adr_test());
+        assert_eq!(
+            (d.cl_reads, d.flushes, d.ntstores),
+            (1, 1, 0),
+            "ADR publication: read-for-ownership, one clwb, no ntstore"
+        );
+        assert_eq!(j.read_record(&mut ctx, 0, 1), Some((3, 0xfeed)));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! 1. **acked ⇒ durable** — for every batch whose responses were
 //!    delivered before the crash, the journal record must validate on
-//!    the post-crash image, in *both* persistence domains (the
-//!    publication barrier is domain-robust: one flush+fence per batch).
+//!    the post-crash image, in *both* persistence domains (one barrier
+//!    per batch: an ntstore + fence under eADR, a flush + fence under
+//!    ADR).
 //!    The `fence_dropped` canary breaks exactly this — the acked record
 //!    sits dirty in the volatile cache and an ADR power cut reverts it —
 //!    and the named test `fence_dropped_canary_is_caught_by_the_adr_sweep`

@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use spash_pmem::{MemCtx, PmAddr};
 
 /// Drop the batch publication barrier: the journal record is written but
-/// neither flushed nor fenced — the forgotten group-commit fence. Under
+/// neither flushed nor fenced (under eADR its ntstore is not fenced) —
+/// the forgotten group-commit fence. Under
 /// ADR the acked record can sit dirty in the volatile cache and a power
 /// cut reverts it: acked-but-lost responses, which the service crash
 /// sweep's journal audit must flag (`sweep::run_service_sweep`, and the

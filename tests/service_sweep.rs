@@ -1,5 +1,6 @@
 //! Crashpoint coverage of fence coalescing (DESIGN.md §11): the service
-//! acks a batch only after its single coalesced journal fence, so across
+//! acks a batch only after its single coalesced journal barrier (an
+//! ntstore + fence under eADR, a flush + fence under ADR), so across
 //! every scheduled crash point
 //!
 //! * acked ⇒ durable — every acked batch's journal record validates on
@@ -8,10 +9,10 @@
 //!   the acked prefix, with keys touched by the one in-flight batch
 //!   allowed at any batch-prefix state.
 //!
-//! The `fence_dropped` mutation (publication keeps its flush but skips
-//! the fence) is the canary: under ADR the acked record can sit dirty in
-//! the volatile cache and revert at power cut, and the sweep's journal
-//! audit must flag it deterministically.
+//! The `fence_dropped` mutation (the ADR publication skips its flush and
+//! fence) is the canary: under ADR the acked record can sit dirty in the
+//! volatile cache and revert at power cut, and the sweep's journal audit
+//! must flag it deterministically.
 
 use spash_repro::index_api::crashpoint::{CheckLevel, SweepReport};
 use spash_repro::pmem::PersistenceDomain;
