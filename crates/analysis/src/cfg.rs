@@ -56,7 +56,7 @@ pub enum Ev {
         tgt: Vec<String>,
         via: Vec<String>,
     },
-    /// A PM load (`read_u64` / `read_bytes`). Not a publication edge —
+    /// A PM load (`read_u64` / `read_line` / `read_bytes`). Not a publication edge —
     /// it exists for the concurrency rules (guarded reads, inventory).
     Load { tgt: Vec<String>, via: Vec<String> },
     Flush { tgt: Vec<String> },
@@ -439,7 +439,7 @@ impl Lower {
                 tgt: addr_base(&c.args, true),
                 via: via_calls(&c.arg_calls, true),
             }),
-            "read_u64" => Some(Ev::Load {
+            "read_u64" | "read_line" => Some(Ev::Load {
                 tgt: addr_base(&c.args, false),
                 via: via_calls(&c.arg_calls, false),
             }),

@@ -516,6 +516,7 @@ fn guard_vars(
     let region_names: Vec<&str> = REGION_FNS.iter().map(|(n, _)| *n).collect();
     let reads_pm = |name: &str| {
         name == "read_u64"
+            || name == "read_line"
             || name == "read_bytes"
             || table
                 .resolve(path, name)

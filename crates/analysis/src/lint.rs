@@ -17,7 +17,7 @@
 //! | `spin-hygiene`   | no raw `yield_now` / `spin_loop`: busy-waits must route through `spin_wait()` so the scheduler can deschedule them |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment                       |
 //! | `arena-direct`   | no `arena.store_*` / `arena.write_*` outside `crates/pmem` (raw stores bypass the cache model and the sanitizer) |
-//! | `fp-probe`       | no raw key-word scan (`read_u64(key_addr(..))`) in `crates/core` from a function that never consults the fingerprint sidecar — probe paths must pre-filter via the fp word (`fptable` / `fp_word`); maintenance walkers carry a waiver |
+//! | `fp-probe`       | no raw key-word scan (`read_u64`/`read_line(key_addr(..))`, `read_segment(..)`) in `crates/core` from a function that never consults the fingerprint sidecar — probe paths must pre-filter via the fp word (`fptable` / `fp_word`); maintenance walkers carry a waiver |
 //!
 //! ## Waivers
 //!
@@ -230,17 +230,22 @@ pub fn lint_source_stats(rel_path: &str, src: &str, stats: &mut StatsMap) -> Vec
         // fp-probe: a raw key-word read in the core crate from a function
         // that never looks at the fingerprint sidecar is a probe path
         // bypassing the fp pre-filter (or an unwaived maintenance scan).
+        // A slot read is a word or a line read at `key_addr(..)`, or a
+        // whole-segment read.
+        let slot_read = ((line.contains("read_u64") || line.contains("read_line("))
+            && line.contains("key_addr("))
+            || (line.contains("read_segment(") && !contains_token(line, "fn"));
         if path.starts_with("crates/core/")
             && !lenient(i)
-            && line.contains("read_u64")
-            && line.contains("key_addr(")
+            && slot_read
             && !enclosing_fn_is_fp_aware(&stripped_lines, i)
         {
             push(
                 &mut out,
                 i,
                 RULE_FP_PROBE,
-                "raw key-word scan (`read_u64(key_addr(..))`) in a function that \
+                "raw key-word scan (`read_u64`/`read_line(key_addr(..))`, \
+                 `read_segment(..)`) in a function that \
                  never consults the fp sidecar; probe paths must pre-filter via \
                  `fptable.read` / `fp_word::*_candidates`, and deliberate \
                  fp-blind walkers (recovery, audit, oracle) need a waiver"
@@ -934,6 +939,23 @@ mod tests {
         // Outside crates/core the rule does not apply.
         let src = "fn scan(ctx: &mut MemCtx, seg: PmAddr) -> u64 {\n    ctx.read_u64(key_addr(seg, 0))\n}\n";
         assert!(lint_source("crates/baselines/src/dash.rs", src).is_empty());
+        // A blind line or segment read of the slots is a scan too; the
+        // segment reader's own definition is not a call.
+        let src = "fn scan(ctx: &mut MemCtx, seg: PmAddr) -> [u64; 8] {\n    ctx.read_line(key_addr(seg, 0))\n}\n";
+        assert_eq!(
+            rules_of(&lint_source("crates/core/src/ops.rs", src)),
+            [RULE_FP_PROBE]
+        );
+        let src = "fn scan(ctx: &mut MemCtx, seg: PmAddr) -> [u64; 32] {\n    Plain::ok(Spash::read_segment(&mut Plain, ctx, seg))\n}\n";
+        assert_eq!(
+            rules_of(&lint_source("crates/core/src/ops.rs", src)),
+            [RULE_FP_PROBE]
+        );
+        let src = "fn read_segment(ctx: &mut MemCtx, seg: PmAddr) -> u64 {\n    0\n}\n";
+        assert!(lint_source("crates/core/src/ops.rs", src).is_empty());
+        // A line read of the fp sidecar is the pre-filter, not a scan.
+        let src = "fn precheck(ctx: &mut MemCtx, a: PmAddr) -> [u64; 8] {\n    ctx.read_line(a)\n}\n";
+        assert!(lint_source("crates/core/src/ops.rs", src).is_empty());
         // Writes and prefetches are not scans.
         let src = "fn put(ctx: &mut MemCtx, seg: PmAddr) {\n    ctx.write_u64(key_addr(seg, 0), 7);\n    ctx.prefetch(key_addr(seg, 0));\n}\n";
         assert!(lint_source("crates/core/src/ops.rs", src).is_empty());

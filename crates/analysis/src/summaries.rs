@@ -65,7 +65,7 @@ pub struct FnSummary {
     pub flushes: bool,
     pub fences: bool,
     pub may_publish: bool,
-    /// Reads PM (`read_u64`/`read_bytes`), transitively.
+    /// Reads PM (`read_u64`/`read_line`/`read_bytes`), transitively.
     pub reads_pm: bool,
     /// Plain-stores to PM whose address is not a fresh local allocation,
     /// transitively — the accesses the lockset rule cares about (RMWs

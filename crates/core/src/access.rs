@@ -29,6 +29,9 @@ use crate::overlay::Overlay;
 pub(crate) trait Access {
     fn read_u64(&mut self, ctx: &mut MemCtx, addr: PmAddr) -> Result<u64, Abort>;
 
+    /// Load the eight words of the line holding `addr` as one access.
+    fn read_line(&mut self, ctx: &mut MemCtx, addr: PmAddr) -> Result<[u64; 8], Abort>;
+
     fn write_u64(&mut self, ctx: &mut MemCtx, addr: PmAddr, v: u64) -> Result<(), Abort>;
 
     /// Conflict-check a line the body reads in bulk (blob payloads).
@@ -56,6 +59,11 @@ impl Access for Tx<'_> {
     #[inline]
     fn read_u64(&mut self, ctx: &mut MemCtx, addr: PmAddr) -> Result<u64, Abort> {
         Tx::read_u64(self, ctx, addr)
+    }
+
+    #[inline]
+    fn read_line(&mut self, ctx: &mut MemCtx, addr: PmAddr) -> Result<[u64; 8], Abort> {
+        Tx::read_line(self, ctx, addr)
     }
 
     #[inline]
@@ -100,6 +108,11 @@ impl Access for Plain {
     #[inline]
     fn read_u64(&mut self, ctx: &mut MemCtx, addr: PmAddr) -> Result<u64, Abort> {
         Ok(ctx.read_u64(addr))
+    }
+
+    #[inline]
+    fn read_line(&mut self, ctx: &mut MemCtx, addr: PmAddr) -> Result<[u64; 8], Abort> {
+        Ok(ctx.read_line(addr))
     }
 
     #[inline]

@@ -2,11 +2,11 @@
 //!
 //! Segments are headerless 256-byte XPLines with no spare bits, so the
 //! 8-bit probe tags live in a sidecar in the allocator's reserved region,
-//! right after the [`crate::seginfo`] records: four packed
-//! [`crate::slot::fp_word`] words (32 bytes) per segment-capable chunk,
-//! one word per bucket. A probe reads exactly one sidecar word — half a
-//! cacheline shared with the buddy chunk — and only touches the bucket
-//! line when a tag byte matches.
+//! from the first cacheline after the [`crate::seginfo`] records: four
+//! packed [`crate::slot::fp_word`] words (32 bytes) per segment-capable
+//! chunk, one word per bucket. A segment's four words are half a
+//! cacheline shared with the buddy chunk. A probe reads exactly one
+//! sidecar word and only touches the bucket line when a tag byte matches.
 //!
 //! Tags are *hints*: the slot key words stay authoritative, every tag
 //! match is re-verified against the slot, and recovery rebuilds the whole
@@ -24,6 +24,7 @@ use crate::slot::{
     BUCKETS_PER_SEG, SEG_SIZE,
 };
 use crate::access::{Access, Plain};
+use crate::ops::Spash;
 use spash_htm::Abort;
 use spash_pmem::{MemCtx, PmAddr};
 
@@ -210,23 +211,23 @@ pub fn rebuild_words(
 }
 
 /// Convenience: rebuild and install one segment's fp words from its
-/// current slot contents, reading blob keys through `ctx` (recovery).
-pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr) {
-    let mut words = [(0u64, 0u64); 16];
-    for idx in 0..slot::SLOTS_PER_SEG {
-        words[idx as usize] = (
-            ctx.read_u64(slot::key_addr(seg, idx)),
-            ctx.read_u64(slot::value_addr(seg, idx)),
-        );
-    }
-    let fp = rebuild_words(&words, |kw| match SlotKey::unpack(kw) {
-        SlotKey::Empty => None,
-        SlotKey::Inline { key, .. } => Some(spash_index_api::hash_key(key)),
-        SlotKey::Ptr { addr, .. } => Some(spash_index_api::hash_key(ctx.read_u64(addr))),
-    });
+/// current slot contents, reading the segment as its four lines and blob
+/// keys through `ctx` (recovery). Returns the number of live slots, so
+/// recovery counts entries from the same image.
+pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr) -> u64 {
+    // lint:allow(fp-probe): recovery rebuilds the sidecar from every slot; the sidecar is what is being computed
+    let image = Plain::ok(Spash::read_segment(&mut Plain, ctx, seg));
+    let words: [(u64, u64); slot::SLOTS_PER_SEG as usize] =
+        std::array::from_fn(|i| (image[2 * i], image[2 * i + 1]));
+    let live = words
+        .iter()
+        .filter(|&&(kw, _)| !SlotKey::unpack(kw).is_empty())
+        .count();
+    let fp = rebuild_words(&words, |kw| Spash::hash_of_kw(ctx, kw));
     for b in 0..BUCKETS_PER_SEG {
         Plain::ok(table.write_word(&mut Plain, ctx, seg, b, fp[b as usize]));
     }
+    live as u64
 }
 
 #[cfg(test)]
@@ -294,6 +295,33 @@ mod tests {
         let mut words = seg_words_with(&[(2, ko)]);
         words[1].1 = value_word::with_hint(0, slot::make_hint(ho, 2));
         assert_eq!(fp_word::hint_tag(rebuild_words(&words, inline_hash)[0], 1), 0);
+    }
+
+    /// The merge pre-check reads a segment's four fp words as one line,
+    /// so no segment's words may straddle two.
+    #[test]
+    fn every_segments_fp_words_share_one_line() {
+        use spash_pmem::{line_of, PmConfig, PmDevice};
+        // Two arenas whose seginfo tables end at different offsets
+        // within a line (32 B and 8 B past a line boundary).
+        for arena_size in [16 << 20, 32 << 20] {
+            let dev = PmDevice::new(PmConfig {
+                arena_size,
+                ..PmConfig::small_test()
+            });
+            let mut ctx = dev.ctx();
+            let idx = Spash::format(&mut ctx, crate::SpashConfig::test_default()).unwrap();
+            let l = idx.alloc.layout();
+            for chunk in 0..l.n_chunks {
+                let seg = l.chunk_addr(chunk);
+                assert_eq!(
+                    line_of(idx.fptable.word_addr(seg, 0).0),
+                    line_of(idx.fptable.word_addr(seg, 3).0),
+                    "chunk {chunk} of {} in a {arena_size} B arena",
+                    l.n_chunks
+                );
+            }
+        }
     }
 
     #[test]

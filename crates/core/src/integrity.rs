@@ -293,12 +293,7 @@ impl Spash {
                     ctx.read_u64(value_addr(seg, idx)),
                 );
             }
-            let expected_fp = crate::fptable::rebuild_words(&words, |kw| match SlotKey::unpack(kw)
-            {
-                SlotKey::Empty => None,
-                SlotKey::Inline { key, .. } => Some(hash_key(key)),
-                SlotKey::Ptr { addr, .. } => Some(hash_key(ctx.read_u64(addr))),
-            });
+            let expected_fp = crate::fptable::rebuild_words(&words, |kw| Self::hash_of_kw(ctx, kw));
             for b in 0..slot::BUCKETS_PER_SEG {
                 let found = ctx.read_u64(self.fptable.word_addr(seg, b));
                 if found != expected_fp[b as usize] {

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use spash_alloc::PmAllocator;
 use spash_htm::{Abort, Htm, LineId, Tx};
 use spash_index_api::{hash_key, IndexError};
-use spash_pmem::{MemCtx, PmAddr, PmDevice, VRwLock};
+use spash_pmem::{MemCtx, PmAddr, PmDevice, VRwLock, CACHELINE};
 
 use crate::access::{Access, Plain};
 use crate::config::{ConcurrencyMode, InsertPolicy, SpashConfig, UpdatePolicy};
@@ -153,15 +153,17 @@ impl Spash {
     }
 
     /// The reserved area's layout: one seg-info record per possible
-    /// chunk, then the fingerprint sidecar.
+    /// chunk, then the fingerprint sidecar, starting on a cacheline so
+    /// that no segment's four fp words straddle two lines.
     pub(crate) fn tables(alloc: &PmAllocator) -> (SegInfoTable, FpTable) {
         let l = alloc.layout();
         let (res_base, res_len) = alloc.reserved();
+        let fp_base = (res_base.0 + l.n_chunks * 8).next_multiple_of(CACHELINE);
         (
             SegInfoTable::new(res_base, res_len, l.heap_start, l.n_chunks),
             FpTable::new(
-                PmAddr(res_base.0 + l.n_chunks * 8),
-                res_len - l.n_chunks * 8,
+                PmAddr(fp_base),
+                res_base.0 + res_len - fp_base,
                 l.heap_start,
                 l.n_chunks,
             ),
@@ -315,13 +317,16 @@ impl Spash {
             Some(i) => b * SLOTS_PER_BUCKET + i as u8,
             None => return Placement::Full,
         };
+        // Placement hunts *empty* slots on the mutation path: fp tags
+        // pre-filter occupied matches, not free space.
         for &ob in &probe_order(b)[1..] {
-            for s in bucket_slots(ob) {
-                // lint:allow(fp-probe): placement hunts *empty* slots on the mutation path; fp tags pre-filter occupied matches, not free space
-                let kw = ctx.read_u64(key_addr(seg, s));
-                if SlotKey::unpack(kw).is_empty() {
-                    return Placement::Overflow { idx: s, hint_slot };
-                }
+            let words = Plain::ok(self.read_bucket(&mut Plain, ctx, seg, ob));
+            if let Some(j) = words
+                .iter()
+                .position(|&(kw, _)| SlotKey::unpack(kw).is_empty())
+            {
+                let idx = ob * SLOTS_PER_BUCKET + j as u8;
+                return Placement::Overflow { idx, hint_slot };
             }
         }
         Placement::Full
@@ -539,8 +544,8 @@ impl Spash {
     // step-5 bodies, generic over the access seam
     // =====================================================================
 
-    /// Read bucket `b` of `seg`: steps 2–3 of the execution flow. One
-    /// cacheline of PM traffic.
+    /// Read bucket `b` of `seg`: steps 2–3 of the execution flow. The
+    /// bucket is one cacheline, read as one access.
     pub(crate) fn read_bucket<A: Access>(
         &self,
         a: &mut A,
@@ -548,15 +553,24 @@ impl Spash {
         seg: PmAddr,
         b: u8,
     ) -> Result<BucketWords, Abort> {
-        let mut out = [(0u64, 0u64); SLOTS_PER_BUCKET as usize];
-        for (i, s) in bucket_slots(b).enumerate() {
-            out[i] = (
-                // lint:allow(fp-probe): shared bucket reader; probe callers pre-filter via the fp word (probe), mutation prep reads the line unconditionally
-                a.read_u64(ctx, key_addr(seg, s))?,
-                a.read_u64(ctx, value_addr(seg, s))?,
-            );
+        // lint:allow(fp-probe): shared bucket reader; probe callers pre-filter via the fp word (probe), mutation prep reads the line unconditionally
+        let line = a.read_line(ctx, key_addr(seg, b * SLOTS_PER_BUCKET))?;
+        Ok(std::array::from_fn(|i| (line[2 * i], line[2 * i + 1])))
+    }
+
+    /// Read all 32 words of `seg` as its four bucket lines (split
+    /// snapshot and validation, merge emptiness re-check, recovery).
+    pub(crate) fn read_segment<A: Access>(
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+    ) -> Result<[u64; 32], Abort> {
+        let mut words = [0u64; 32];
+        for (b, bucket) in words.chunks_exact_mut(8).enumerate() {
+            // lint:allow(fp-probe): the whole-segment reader; every caller walks all 16 slots by design and carries its own waiver
+            bucket.copy_from_slice(&a.read_line(ctx, key_addr(seg, b as u8 * SLOTS_PER_BUCKET))?);
         }
-        Ok(out)
+        Ok(words)
     }
 
     /// Does the key word match `key`? Dereferences the blob for pointer
@@ -574,6 +588,16 @@ impl Spash {
             SlotKey::Inline { key: k, .. } => k == key && key <= MAX_INLINE_KEY,
             SlotKey::Ptr { addr, fp } => fp == fp14(h) && a.read_u64(ctx, addr)? == key,
         })
+    }
+
+    /// The hash of the key a key word holds, reading the blob's key for
+    /// pointer entries; `None` for an empty slot.
+    pub(crate) fn hash_of_kw(ctx: &mut MemCtx, kw: u64) -> Option<u64> {
+        match SlotKey::unpack(kw) {
+            SlotKey::Empty => None,
+            SlotKey::Inline { key, .. } => Some(hash_key(key)),
+            SlotKey::Ptr { addr, .. } => Some(hash_key(ctx.read_u64(addr))),
+        }
     }
 
     /// Locate `key` in `seg`. See [`Self::probe`].

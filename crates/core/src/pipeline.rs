@@ -14,7 +14,8 @@
 //!   only blob lines, whose addresses come from the *cached* key words;
 //! * other `Get`s prefetch the fp sidecar word *and* the bucket line
 //!   together, so the two fetches share one miss window; the stage-2 peek
-//!   of the fp word then decides which candidate key words to read. A
+//!   of the fp word then decides whether the bucket line is read and
+//!   which of its key words are candidates. A
 //!   tag-clean negative still *reads* only the fp word — the speculative
 //!   bucket fetch is discarded, trading a line of read bandwidth for not
 //!   serializing two dependent PM round-trips per probe;
@@ -122,30 +123,23 @@ impl Spash {
                     }
                 }
             }
-            // Stage 2b: read candidate key words and prefetch blob lines
-            // for pointer entries (step 4 overlap).
+            // Stage 2b: read the bucket line of every tag-matching probe
+            // and every mutation (one access each), and prefetch blob
+            // lines for the candidate pointer entries (step 4 overlap).
             for (i, plan) in plans.iter().enumerate() {
-                match *plan {
-                    Plan::OverlayHit => {}
-                    Plan::Probe { seg, b, .. } => {
-                        let mask = masks[i];
-                        for j in 0..SLOTS_PER_BUCKET {
-                            if mask & (1 << j) == 0 {
-                                continue;
-                            }
-                            let kw = ctx.read_u64(key_addr(seg, b * SLOTS_PER_BUCKET + j));
-                            if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(kw) {
-                                self.prefetch(ctx, addr);
-                            }
-                        }
+                let (seg, b, mask) = match *plan {
+                    Plan::OverlayHit => continue,
+                    Plan::Probe { seg, b, .. } if masks[i] != 0 => (seg, b, masks[i]),
+                    Plan::Probe { .. } => continue,
+                    Plan::Mutate { seg, b } => (seg, b, 0b1111),
+                };
+                let line = ctx.read_line(key_addr(seg, b * SLOTS_PER_BUCKET));
+                for j in 0..SLOTS_PER_BUCKET as usize {
+                    if mask & (1 << j) == 0 {
+                        continue;
                     }
-                    Plan::Mutate { seg, b } => {
-                        for s in crate::slot::bucket_slots(b) {
-                            let kw = ctx.read_u64(key_addr(seg, s));
-                            if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(kw) {
-                                self.prefetch(ctx, addr);
-                            }
-                        }
+                    if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(line[2 * j]) {
+                        self.prefetch(ctx, addr);
                     }
                 }
             }

@@ -30,7 +30,6 @@ use spash_pmem::MemCtx;
 use crate::config::SpashConfig;
 use crate::dir::Directory;
 use crate::ops::Spash;
-use crate::slot::{key_addr, SlotKey, SLOTS_PER_SEG};
 
 impl Spash {
     /// Rebuild the index from a crashed (or cleanly stopped) device.
@@ -51,14 +50,10 @@ impl Spash {
             match seginfo.read(ctx, seg) {
                 Some((depth, prefix)) => {
                     triples.push((seg, depth, prefix));
-                    for idx in 0..SLOTS_PER_SEG {
-                        if !SlotKey::unpack(ctx.read_u64(key_addr(seg, idx))).is_empty() {
-                            entries += 1;
-                        }
-                    }
                     // Rebuild the fp sidecar from the slots (heals any
-                    // tag torn between publication and the crash).
-                    crate::fptable::rebuild_segment(&fptable, ctx, seg);
+                    // tag torn between publication and the crash); the
+                    // same segment image counts the live entries.
+                    entries += crate::fptable::rebuild_segment(&fptable, ctx, seg);
                 }
                 None => {
                     // Allocated by an uncommitted split: reclaim.

@@ -21,14 +21,14 @@
 use std::sync::atomic::Ordering;
 
 use spash_htm::Abort;
-use spash_index_api::{hash_key, IndexError};
-use spash_pmem::{MemCtx, PmAddr};
+use spash_index_api::IndexError;
+use spash_pmem::{MemCtx, PmAddr, CACHELINE};
 
 use crate::access::{Access, Plain};
 use crate::dir::{pack_entry, unpack_entry};
 use crate::ops::{Spash, AB_STATE_CHANGED};
 use crate::slot::{
-    bucket_of, bucket_slots, fp8, fp_word, key_addr, make_hint, probe_order, value_word,
+    bucket_of, bucket_slots, fp8, fp_word, make_hint, probe_order, value_word,
     SlotKey, BUCKETS_PER_SEG, SLOTS_PER_SEG,
 };
 
@@ -185,20 +185,14 @@ impl Spash {
         ctx: &mut MemCtx,
         seg: PmAddr,
     ) -> ([u64; 32], Vec<SplitEntry>) {
-        let mut words = [0u64; 32];
-        for (w, word) in words.iter_mut().enumerate() {
-            *word = ctx.read_u64(PmAddr(seg.0 + w as u64 * 8));
-        }
+        // lint:allow(fp-probe): the split snapshot parses every live slot of the segment; it is a rewrite, not a probe
+        let words = Plain::ok(Self::read_segment(&mut Plain, ctx, seg));
         let mut out = Vec::with_capacity(SLOTS_PER_SEG as usize);
-        for idx in 0..SLOTS_PER_SEG {
-            let kw = words[idx as usize * 2];
-            let vw = words[idx as usize * 2 + 1];
-            let h = match SlotKey::unpack(kw) {
-                SlotKey::Empty => continue,
-                SlotKey::Inline { key, .. } => hash_key(key),
-                SlotKey::Ptr { addr, .. } => hash_key(ctx.read_u64(addr)),
-            };
-            out.push((kw, value_word::payload(vw), h));
+        for slot in words.chunks_exact(2) {
+            let (kw, vw) = (slot[0], slot[1]);
+            if let Some(h) = Self::hash_of_kw(ctx, kw) {
+                out.push((kw, value_word::payload(vw), h));
+            }
         }
         (words, out)
     }
@@ -312,10 +306,9 @@ impl Spash {
                     }
                     // Validate the snapshot: any concurrent mutation of the
                     // segment must restart the planning.
-                    for w in 0..32u64 {
-                        if tx.read_u64(ctx, PmAddr(seg.0 + w * 8))? != entries_snapshot[w as usize] {
-                            return tx.abort(AB_STATE_CHANGED);
-                        }
+                    // lint:allow(fp-probe): split validation compares the whole segment against its snapshot; every slot must be observed
+                    if Self::read_segment(tx, ctx, seg)? != entries_snapshot {
+                        return tx.abort(AB_STATE_CHANGED);
                     }
                     self.install_children(tx, ctx, &plan, &addrs)?;
                     // Repoint the directory entries of each child's range.
@@ -514,13 +507,18 @@ impl Spash {
         let parent_prefix = prefix >> 1;
         // Advisory pre-check: a live slot always carries a non-zero slot
         // tag (fp8 never yields 0), so a non-zero low half means the
-        // segment is occupied. The remove just wrote one of these words,
-        // so the half-line is a cache hit. A stale or zero tag only lets
-        // the transaction below run its authoritative emptiness re-check.
-        for b in 0..BUCKETS_PER_SEG {
-            if ctx.read_u64(self.fptable.word_addr(seg, b)) as u32 != 0 {
-                return;
-            }
+        // segment is occupied. The four words are half of one line (the
+        // sidecar is line-aligned), which the remove just wrote: one
+        // cache hit. A stale or zero tag only lets the transaction below
+        // run its authoritative emptiness re-check.
+        let fp0 = self.fptable.word_addr(seg, 0);
+        let at = (fp0.0 % CACHELINE / 8) as usize;
+        let fp_line = ctx.read_line(fp0);
+        if fp_line[at..at + BUCKETS_PER_SEG as usize]
+            .iter()
+            .any(|&w| w as u32 != 0)
+        {
+            return;
         }
 
         let _ = self.htm.try_transaction(ctx, |tx, ctx| {
@@ -528,12 +526,11 @@ impl Spash {
             if routed2.local_depth() != d || routed2.dir.gen != target.gen {
                 return tx.abort(AB_STATE_CHANGED);
             }
-            // The segment must still be empty.
-            for idx in 0..SLOTS_PER_SEG {
-                // lint:allow(fp-probe): transactional emptiness re-check before merge; every slot must be observed, not a probe
-                if tx.read_u64(ctx, key_addr(seg, idx))? != 0 {
-                    return tx.abort(AB_STATE_CHANGED);
-                }
+            // The segment must still be empty: every key word zero.
+            // lint:allow(fp-probe): transactional emptiness re-check before merge; every slot must be observed, not a probe
+            let words = Self::read_segment(tx, ctx, seg)?;
+            if words.iter().step_by(2).any(|&kw| kw != 0) {
+                return tx.abort(AB_STATE_CHANGED);
             }
             // Buddy must still be at depth d.
             let bcell = &target.entries[buddy_idx];
@@ -580,6 +577,7 @@ impl Spash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spash_index_api::hash_key;
 
     fn inline_entry(key: u64) -> SplitEntry {
         let h = hash_key(key);

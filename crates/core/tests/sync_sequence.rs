@@ -184,8 +184,8 @@ fn sync_event_stream_of_a_seeded_workload_is_pinned() {
             3_728,
             1_898_707_696_300_657_924,
             384,
-            218_390,
-            15_495_121_888_393_401_705
+            154_224,
+            6_015_806_374_164_464_596
         ),
     );
 }

@@ -478,6 +478,14 @@ impl Tx<'_> {
         Ok(ctx.read_u64(addr))
     }
 
+    /// Transactionally load the eight words of the line holding `addr`:
+    /// one read-set entry and one conflict check for the whole line, as
+    /// RTM tracks it.
+    pub fn read_line(&mut self, ctx: &mut MemCtx, addr: PmAddr) -> Result<[u64; 8], Abort> {
+        self.read_guard(LineId::of_pm(addr))?;
+        Ok(ctx.read_line(addr))
+    }
+
     /// Transactionally store a u64 to PM (undo-logged).
     pub fn write_u64(&mut self, ctx: &mut MemCtx, addr: PmAddr, v: u64) -> Result<(), Abort> {
         self.write_guard(LineId::of_pm(addr))?;
@@ -777,6 +785,44 @@ mod tests {
             Ok(())
         });
         assert!(matches!(r, Err(Abort::Conflict(_))), "read validation must fail");
+    }
+
+    #[test]
+    fn read_line_is_one_read_set_entry() {
+        let (dev, htm) = setup();
+        let mut ctx = dev.ctx();
+        dev.arena().store_u64(PmAddr(64 + 24), 9);
+        htm.try_transaction(&mut ctx, |tx, ctx| {
+            let words = tx.read_line(ctx, PmAddr(64))?;
+            assert_eq!(words[3], 9);
+            assert_eq!(tx.footprint(), 1);
+            // A word read of the same line adds nothing.
+            tx.read_u64(ctx, PmAddr(64 + 56))?;
+            assert_eq!(tx.footprint(), 1);
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_commit_to_any_word_of_a_read_line_aborts_the_reader() {
+        let (dev, htm) = setup();
+        let mut a = dev.ctx();
+        let mut b = dev.ctx();
+        for w in 0..8u64 {
+            let r: Result<(), Abort> = htm.try_transaction(&mut a, |tx, ctx| {
+                tx.read_line(ctx, PmAddr(128))?;
+                htm.try_transaction(&mut b, |txb, ctxb| {
+                    txb.write_u64(ctxb, PmAddr(128 + w * 8), w + 1)
+                })
+                .unwrap();
+                Ok(())
+            });
+            assert!(
+                matches!(r, Err(Abort::Conflict(_))),
+                "a commit to word {w} must fail the line reader's validation"
+            );
+        }
     }
 
     #[test]

@@ -219,6 +219,17 @@ impl MemCtx {
         self.dev.arena.load_u64(addr)
     }
 
+    /// Load the eight words of the cacheline holding `addr`, in address
+    /// order. One modelled access — one hit or miss, one charge, one
+    /// pending prefetch consumed — however many of the words the caller
+    /// then uses: the hardware moves the line, not the word.
+    pub fn read_line(&mut self, addr: PmAddr) -> [u64; 8] {
+        let line = line_of(addr.0);
+        self.touch_read(line);
+        let base = line * CACHELINE;
+        std::array::from_fn(|w| self.dev.arena.load_u64(PmAddr(base + w as u64 * 8)))
+    }
+
     /// Store an aligned u64 to PM (a write-nf: no flush is implied).
     pub fn write_u64(&mut self, addr: PmAddr, v: u64) {
         self.touch_write(line_of(addr.0));
@@ -571,6 +582,53 @@ mod tests {
         assert_eq!(miss, CostModel::PM_READ_MISS_NS);
         let t1 = c.now();
         c.read_u64(PmAddr(4096));
+        assert_eq!(c.now() - t1, CostModel::CACHE_HIT_NS);
+    }
+
+    #[test]
+    fn read_line_returns_the_words_of_eight_word_reads() {
+        let mut c = ctx();
+        for w in 0..8u64 {
+            c.write_u64(PmAddr(4096 + w * 8), 0x1111 * (w + 1));
+        }
+        let words: [u64; 8] = std::array::from_fn(|w| c.read_u64(PmAddr(4096 + w as u64 * 8)));
+        assert_eq!(c.read_line(PmAddr(4096)), words);
+        // Any address inside the line names the whole line.
+        assert_eq!(c.read_line(PmAddr(4096 + 40)), words);
+    }
+
+    #[test]
+    fn read_line_is_one_access_and_one_charge() {
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut c = dev.ctx();
+        let before = dev.snapshot();
+        let t0 = c.now();
+        c.read_line(PmAddr(8192));
+        assert_eq!(c.now() - t0, CostModel::PM_READ_MISS_NS, "one miss");
+        let d = dev.snapshot().since(&before);
+        assert_eq!((d.cl_reads, d.read_hits), (1, 0));
+        let t1 = c.now();
+        c.read_line(PmAddr(8192));
+        assert_eq!(c.now() - t1, CostModel::CACHE_HIT_NS, "one hit");
+        let d = dev.snapshot().since(&before);
+        assert_eq!((d.cl_reads, d.read_hits), (1, 1));
+    }
+
+    #[test]
+    fn read_line_consumes_a_pending_prefetch_once() {
+        let mut c = ctx();
+        c.prefetch(PmAddr(16384));
+        assert_eq!(c.prefetch_len, 1);
+        let t0 = c.now();
+        c.read_line(PmAddr(16384));
+        // Waited for the prefetch to land, then paid one hit.
+        assert_eq!(
+            c.now() - t0,
+            CostModel::PM_READ_MISS_NS - 1 + CostModel::CACHE_HIT_NS
+        );
+        assert_eq!(c.prefetch_len, 0, "the entry is retired by the one read");
+        let t1 = c.now();
+        c.read_line(PmAddr(16384));
         assert_eq!(c.now() - t1, CostModel::CACHE_HIT_NS);
     }
 

@@ -65,30 +65,34 @@ type DecisionCrash = (u64, bool, Option<u64>, u64, bool);
 /// Every sampled crash below, per schedule seed: the crash-at-decision
 /// run is the lin driver's run plus a power failure, so none of these may
 /// move when either changes shape without changing the trait calls.
-/// The write ordinals at decision 314 count the flush that makes an
-/// update's replacement blob durable before its slot publishes it under
-/// ADR (`adr_replacement_blob_is_durable_before_its_slot`).
+/// The samples are an even stride over the schedule's decisions, so they
+/// move whenever an operation emits a different number of sync points
+/// (one `HtmAcquire` per line a transaction reads, not per word). The
+/// write ordinals count every media write before the crash, including
+/// the flush that makes an update's replacement blob durable before its
+/// slot publishes it under ADR
+/// (`adr_replacement_blob_is_durable_before_its_slot`).
 const DECISION_CRASH_PINS: [(u64, [DecisionCrash; 6]); 2] = [
     (
         3,
         [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
-            (105, true, Some(4), 0x6617_dca6_8077_1195, false),
-            (209, true, Some(4), 0x3b56_df92_f9d0_6225, false),
-            (314, true, Some(8), 0xfe48_e90f_ecb7_747e, false),
-            (418, true, Some(13), 0x3f6e_493d_5dfe_dfc6, false),
-            (523, true, Some(14), 0x2056_fc6f_e019_4946, false),
+            (67, true, Some(4), 0x989e_d122_460a_9986, false),
+            (133, true, Some(8), 0x5535_4d5e_1542_c829, false),
+            (200, true, Some(14), 0x0966_45a7_7524_d8d5, false),
+            (266, true, Some(14), 0x1b9e_bef3_2d68_94ff, false),
+            (333, true, Some(14), 0xfb16_769c_e085_7ac0, false),
         ],
     ),
     (
         11,
         [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
-            (105, true, Some(4), 0xed6c_e572_333c_0c75, false),
-            (209, true, Some(4), 0x8444_970e_3b0c_10bc, false),
-            (314, true, Some(8), 0xe5d5_0791_8464_ff0e, false),
-            (418, true, Some(13), 0xba97_3987_d20f_f2f6, false),
-            (523, true, Some(14), 0x86a0_8e08_2b1a_e3b6, false),
+            (68, true, Some(4), 0x0af3_840d_bbf1_5170, false),
+            (135, true, Some(4), 0x30bc_c44f_0117_4a5a, false),
+            (202, true, Some(7), 0x88c1_ebf3_a00d_c447, false),
+            (269, true, Some(13), 0xba36_8d0c_954f_9099, false),
+            (337, true, Some(14), 0x4934_a742_5f80_3735, false),
         ],
     ),
 ];
