@@ -85,6 +85,7 @@ impl Cceh {
         let n = 1usize << depth;
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
+            // lint:allow(flow-flush-fence): the previous iteration's HEADER.stamp is unflushed only under the skip-stamp-flush testhook, the ADR crash sweep's check-level canary; a healthy stamp flushes and fences its header. san=none(testhook off outside its canary test)
             let seg = Self::alloc_seg(ctx, &alloc)?;
             HEADER.stamp(ctx, seg.addr, depth as u8, i as u64);
             entries.push((seg, depth as u8));

@@ -211,8 +211,9 @@ pub fn sched(args: &[String]) {
 /// `Strict` for the six ADR-era baselines, `Relaxed` for eADR-native
 /// Spash. `SPASH_CRASH_POINTS=0` runs that pass alone; its flush,
 /// redundant-flush and no-op-fence counts are on the `# target=` line.
+/// Each target is checked at its own `CheckLevel::for_target` level.
 pub fn crashpoints() {
-    use spash_index_api::crashpoint::{run_sweep, SweepConfig};
+    use spash_index_api::crashpoint::{run_sweep, CheckLevel, SweepConfig};
 
     spash_pmem::fault::silence_crash_point_panics();
     let which = targets_knob("SPASH_CRASH_TARGETS", Select::Spash);
@@ -237,6 +238,7 @@ pub fn crashpoints() {
 
         for target in &roster(Sizing::Sweep, which) {
             cfg.pm.san = san_on.then(|| spash_analysis::san_mode_for(&target.name));
+            cfg.check = CheckLevel::for_target(&target.name, domain);
             let r = run_sweep(target, &cfg);
             println!(
                 "# target={} domain={:?} seed={:#x} ops={} keys={} total_writes={} points={} \

@@ -40,6 +40,10 @@ pub(crate) trait Access {
     /// Load a volatile cell (directory entry, overlay generation).
     fn read_volatile_u64(&mut self, id: LineId, cell: &AtomicU64) -> Result<u64, Abort>;
 
+    /// Store a volatile cell (directory entry): undo-logged inside a
+    /// transaction, a plain release store everywhere else.
+    fn write_volatile_u64(&mut self, id: LineId, cell: &AtomicU64, v: u64) -> Result<(), Abort>;
+
     /// Invalidate overlay entries caching `seg`: the undo-logged `tx_seq`
     /// generation inside a transaction, `nt_seq` everywhere else.
     fn bump_overlay(
@@ -79,6 +83,11 @@ impl Access for Tx<'_> {
     #[inline]
     fn read_volatile_u64(&mut self, id: LineId, cell: &AtomicU64) -> Result<u64, Abort> {
         Tx::read_volatile_u64(self, id, cell)
+    }
+
+    #[inline]
+    fn write_volatile_u64(&mut self, id: LineId, cell: &AtomicU64, v: u64) -> Result<(), Abort> {
+        Tx::write_volatile_u64(self, id, cell, v)
     }
 
     #[inline]
@@ -129,6 +138,12 @@ impl Access for Plain {
     #[inline]
     fn read_volatile_u64(&mut self, _id: LineId, cell: &AtomicU64) -> Result<u64, Abort> {
         Ok(cell.load(Ordering::Acquire))
+    }
+
+    #[inline]
+    fn write_volatile_u64(&mut self, _id: LineId, cell: &AtomicU64, v: u64) -> Result<(), Abort> {
+        cell.store(v, Ordering::Release);
+        Ok(())
     }
 
     #[inline]

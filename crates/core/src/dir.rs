@@ -26,6 +26,7 @@
 //! against that id, so a stage copy or a split that moves the entry always
 //! fails their validation (§IV-A's validation step).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -86,6 +87,25 @@ impl DirInner {
     #[inline]
     pub fn line_id(&self, idx: usize) -> LineId {
         LineId::volatile(self.gen << 24 | (idx / PARTITION) as u64)
+    }
+
+    /// Point every entry of the `depth`-bit prefix `prefix`'s range at
+    /// `seg` (local depth `depth`) through `a`, and return that index
+    /// range: a split repoints one range per child, a merge its parent's.
+    pub(crate) fn repoint<A: Access>(
+        &self,
+        a: &mut A,
+        prefix: u64,
+        depth: u8,
+        seg: PmAddr,
+    ) -> Result<Range<usize>, Abort> {
+        let shift = self.depth - depth as u32;
+        let first = (prefix as usize) << shift;
+        let range = first..first + (1 << shift);
+        for idx in range.clone() {
+            a.write_volatile_u64(self.line_id(idx), &self.entries[idx], pack_entry(seg, depth))?;
+        }
+        Ok(range)
     }
 }
 
@@ -425,46 +445,6 @@ impl Directory {
             None => (cur, None),
         }
     }
-
-    /// Attempt to halve the directory (the paper handles halving
-    /// "similarly" to doubling; merges call this opportunistically).
-    /// Succeeds only when no doubling is active and every entry pair is
-    /// identical (no segment needs the last prefix bit). In-flight
-    /// transactions against the retired generation are safe: entry values
-    /// are unchanged (reads validate fine), and splits abort through
-    /// `tx_write_safe`'s generation check.
-    pub fn try_halve(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.job.is_some() || st.current.depth == 0 {
-            return false;
-        }
-        let cur = &st.current;
-        let half = cur.entries.len() / 2;
-        for i in 0..half {
-            if cur.entries[2 * i].load(Ordering::Acquire)
-                != cur.entries[2 * i + 1].load(Ordering::Acquire)
-            {
-                return false;
-            }
-        }
-        let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
-        let new = DirInner::new(cur.depth - 1, gen);
-        for i in 0..half {
-            new.entries[i].store(cur.entries[2 * i].load(Ordering::Acquire), Ordering::Relaxed);
-        }
-        st.current = Arc::new(new);
-        true
-    }
-
-    /// Total number of directory entries (diagnostics).
-    pub fn len(&self) -> usize {
-        self.state.lock().current.entries.len()
-    }
-
-    /// True when empty (never — directories always have ≥1 entry).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Explicit-abort code: the routed segment no longer matches the
@@ -597,35 +577,6 @@ mod tests {
             Ok(())
         });
         assert!(matches!(res, Err(Abort::Conflict(_))));
-    }
-
-    #[test]
-    fn halving_reverses_doubling() {
-        let dev = PmDevice::new(PmConfig::small_test());
-        let mut ctx = dev.ctx();
-        let htm = Htm::new(HtmConfig::default());
-        let segs: Vec<PmAddr> = (0..4).map(seg).collect();
-        let d = Directory::new(2, &segs);
-        let job = d.begin_doubling(&mut ctx);
-        d.drive_doubling(&mut ctx, &htm, &job);
-        assert_eq!(d.depth(), 3);
-        // Post-doubling every pair is identical — halving must succeed
-        // exactly once (back to depth 2, where entries differ again).
-        assert!(d.try_halve());
-        assert_eq!(d.depth(), 2);
-        assert!(!d.try_halve(), "distinct entries must block halving");
-        for i in 0..4u64 {
-            assert_eq!(d.lookup(&mut ctx, i << 62).seg(), seg(i));
-        }
-    }
-
-    #[test]
-    fn halving_refuses_during_doubling() {
-        let dev = PmDevice::new(PmConfig::small_test());
-        let mut ctx = dev.ctx();
-        let d = Directory::new(1, &[seg(0), seg(0)]);
-        let _job = d.begin_doubling(&mut ctx);
-        assert!(!d.try_halve(), "active doubling must block halving");
     }
 
     #[test]

@@ -394,9 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_deletes_merges_and_halving() {
-        // Deletes from many threads drive merges and directory halving
-        // while readers verify surviving keys.
+    fn concurrent_deletes_and_merges() {
+        // Deletes from many threads drive merges while readers verify
+        // surviving keys.
         let dev = PmDevice::new(PmConfig {
             arena_size: 64 << 20,
             ..PmConfig::small_test()

@@ -449,20 +449,16 @@ impl Spash {
                     // the segment — they all read-guard one of these ids.
                     self.fallbacks.fetch_add(1, Ordering::Relaxed);
                     let ids = routed_of(&p).fallback_lock_ids();
-                    for &id in &ids {
-                        self.htm.nontx_lock(ctx, id);
-                    }
-                    // Re-prepare under the locks; the routing must still
-                    // be the one we locked.
-                    let p2 = prep(self, ctx);
-                    let r = if routed_of(&p2).fallback_lock_ids() == ids {
-                        plain_body(self, &mut Plain, ctx, &p2).ok()
-                    } else {
-                        None
-                    };
-                    for &id in ids.iter().rev() {
-                        self.htm.nontx_unlock(ctx, id);
-                    }
+                    let r = self.with_nontx_locks(ctx, &ids, |ctx| {
+                        // Re-prepare under the locks; the routing must
+                        // still be the one we locked.
+                        let p2 = prep(self, ctx);
+                        if routed_of(&p2).fallback_lock_ids() == ids {
+                            plain_body(self, &mut Plain, ctx, &p2).ok()
+                        } else {
+                            None
+                        }
+                    });
                     match r {
                         Some(r) => return r,
                         None => conflicts = 0,
@@ -470,6 +466,25 @@ impl Spash {
                 }
             }
         }
+    }
+
+    /// Run `f` holding the non-transactional locks `ids` (the §IV-A
+    /// fallback of an operation or a split): taken in ascending order, so
+    /// two fallbacks cannot deadlock, and released in descending order.
+    pub(crate) fn with_nontx_locks<R>(
+        &self,
+        ctx: &mut MemCtx,
+        ids: &[LineId],
+        f: impl FnOnce(&mut MemCtx) -> R,
+    ) -> R {
+        for &id in ids {
+            self.htm.nontx_lock(ctx, id);
+        }
+        let r = f(ctx);
+        for &id in ids.iter().rev() {
+            self.htm.nontx_unlock(ctx, id);
+        }
+        r
     }
 
     fn lock_region<P, R>(

@@ -5,7 +5,8 @@
 //! the first child, repoints the covering directory entries, and records
 //! the children in the segment-info table — all inside **one** HTM
 //! transaction, so concurrent operations either see the old segment or the
-//! new ones, never a mixture. The footprint is a handful of cachelines:
+//! new ones, never a mixture. (After a capacity abort the same body runs
+//! under the §IV-A partition locks instead.) The footprint is a handful of cachelines:
 //! exactly why fine-grained (XPLine-sized) segments are HTM-compatible
 //! where CCEH's 16 KiB segments are not (§III-A).
 //!
@@ -25,7 +26,7 @@ use spash_index_api::IndexError;
 use spash_pmem::{MemCtx, PmAddr, CACHELINE};
 
 use crate::access::{Access, Plain};
-use crate::dir::{pack_entry, unpack_entry};
+use crate::dir::{unpack_entry, Routed};
 use crate::ops::{Spash, AB_STATE_CHANGED};
 use crate::slot::{
     bucket_of, bucket_slots, fp8, fp_word, make_hint, probe_order, value_word,
@@ -120,6 +121,17 @@ pub(crate) struct ChildPlan {
     pub image: SegImage,
 }
 
+/// A split's preparation: the routed segment, the snapshot its plan was
+/// made from, the plan, and the children's addresses (child 0 is the
+/// parent's own XPLine).
+struct SplitPrep {
+    routed: Routed,
+    snapshot: [u64; 32],
+    plan: Vec<ChildPlan>,
+    addrs: Vec<PmAddr>,
+    max_child_depth: u8,
+}
+
 /// How many extra prefix bits a single split may consume before giving up
 /// (astronomically unlikely to be hit with a bijective hash).
 const MAX_EXTRA_DEPTH: u8 = 10;
@@ -197,14 +209,11 @@ impl Spash {
         (words, out)
     }
 
-    /// Parse the live entries of `seg` (used by merge emptiness checks).
-    pub(crate) fn collect_segment(&self, ctx: &mut MemCtx, seg: PmAddr) -> Vec<SplitEntry> {
-        self.snapshot_segment(ctx, seg).1
-    }
-
-    /// Split the segment currently routed for hash `h`.
+    /// Split the segment currently routed for hash `h`. Returns once *a*
+    /// split happened or the routing changed (the caller re-runs its
+    /// insert either way).
     pub(crate) fn split(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
-        ctx.stats_span(spash_pmem::SPAN_SPLIT, |ctx| self.split_htm(ctx, h))
+        ctx.stats_span(spash_pmem::SPAN_SPLIT, |ctx| self.split_impl(ctx, h))
     }
 
     /// Install the planned child images at `addrs` (parent rewritten in
@@ -239,129 +248,60 @@ impl Spash {
         Ok(())
     }
 
-    /// HTM-protected split. Retries internally on conflicts; returns
-    /// once *a* split happened or the routing changed (the caller re-runs
-    /// its insert either way).
-    fn split_htm(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
+    /// One preparation, one body, one retry loop. The body runs as an
+    /// HTM transaction: a stale plan re-prepares, a conflict waits for
+    /// the owner and retries. A capacity abort (a very wide directory
+    /// range) switches the rest of the split to the lock fallback: the
+    /// same body through [`Plain`] under the non-transactional locks of
+    /// every directory partition covering the routed segment, with any
+    /// active doubling driven to completion first. Stage copies of a
+    /// locked partition wait for its lock, so under the locks the body's
+    /// final `tx_write_safe` check cannot fail after its plain writes.
+    fn split_impl(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
+        let mut locked = false;
         loop {
-            let routed = self.dir.lookup(ctx, h);
-            let seg = routed.seg();
-            let d = routed.local_depth();
-
-            // Grow the directory until the split fits. The initiating
-            // thread drives every stage ("doubling thread"); concurrent
-            // splits complete the stages they need collaboratively.
-            let (target, job) = self.dir.write_target();
-            if (d as u32) >= target.depth {
-                let job = self.dir.begin_doubling(ctx);
-                self.dir.drive_doubling(ctx, &self.htm, &job);
-                continue;
-            }
-            // If a doubling is active, make sure the stages covering this
-            // segment's old-directory range are complete so the split can
-            // write the new directory.
-            if let Some(job) = &job {
-                let d_old = job.old.depth;
-                if (d as u32) <= d_old {
-                    let prefix = if d == 0 { 0 } else { h >> (64 - d as u32) };
-                    let first = (prefix << (d_old - d as u32)) as usize;
-                    let last = (((prefix + 1) << (d_old - d as u32)) - 1) as usize;
-                    self.dir.ensure_range_done(ctx, &self.htm, job, first, last);
+            if locked {
+                if let (_, Some(job)) = self.dir.write_target() {
+                    self.dir.drive_doubling(ctx, &self.htm, &job);
                 }
             }
-
-            let (entries_snapshot, entries) = self.snapshot_segment(ctx, seg);
-            let prefix = if d == 0 { 0 } else { h >> (64 - d as u32) };
-            let plan = plan_split(&entries, d, prefix)?;
-            let max_child_depth = plan.iter().map(|c| c.depth).max().unwrap_or(d + 1);
-            if (max_child_depth as u32) > self.dir.write_target().0.depth {
-                let job = self.dir.begin_doubling(ctx);
-                self.dir.drive_doubling(ctx, &self.htm, &job);
+            let Some(p) = self.prepare_split(ctx, h)? else {
                 continue;
-            }
-
-            // Child 0 reuses the parent XPLine; the rest are fresh.
-            let mut addrs = vec![seg];
-            for _ in 1..plan.len() {
-                match self.alloc.alloc_segment(ctx) {
-                    Ok(a) => addrs.push(a),
-                    Err(_) => {
-                        for &a in &addrs[1..] {
-                            self.alloc.free_segment(ctx, a);
-                        }
-                        return Err(IndexError::OutOfMemory);
+            };
+            let seg = p.routed.seg();
+            let r = if locked {
+                let ids = p.routed.fallback_lock_ids();
+                self.with_nontx_locks(ctx, &ids, |ctx| {
+                    // The routing must still be the one we locked.
+                    if self.dir.lookup(ctx, h).fallback_lock_ids() != ids {
+                        return Err(Abort::Explicit(AB_STATE_CHANGED));
                     }
-                }
-            }
-
-            let r = self.exclude_lock_mode_ops(ctx, seg, |ctx| {
-                self.htm.try_transaction(ctx, |tx, ctx| {
-                    let routed2 = self.dir.validate(tx, ctx, h, seg)?;
-                    if routed2.local_depth() != d {
-                        return tx.abort(AB_STATE_CHANGED);
-                    }
-                    let dir_depth = routed2.dir.depth;
-                    if (max_child_depth as u32) > dir_depth {
-                        return tx.abort(AB_STATE_CHANGED);
-                    }
-                    // Validate the snapshot: any concurrent mutation of the
-                    // segment must restart the planning.
-                    // lint:allow(fp-probe): split validation compares the whole segment against its snapshot; every slot must be observed
-                    if Self::read_segment(tx, ctx, seg)? != entries_snapshot {
-                        return tx.abort(AB_STATE_CHANGED);
-                    }
-                    self.install_children(tx, ctx, &plan, &addrs)?;
-                    // Repoint the directory entries of each child's range.
-                    let mut first_idx = usize::MAX;
-                    let mut last_idx = 0usize;
-                    for (ci, child) in plan.iter().enumerate() {
-                        let span = 1usize << (dir_depth - child.depth as u32);
-                        let base_idx = (child.prefix as usize) << (dir_depth - child.depth as u32);
-                        for i in 0..span {
-                            let idx = base_idx + i;
-                            let cell = &routed2.dir.entries[idx];
-                            tx.write_volatile_u64(
-                                routed2.dir.line_id(idx),
-                                cell,
-                                pack_entry(addrs[ci], child.depth),
-                            )?;
-                            first_idx = first_idx.min(idx);
-                            last_idx = last_idx.max(idx);
-                        }
-                        ctx.charge_dram(span.div_ceil(8) as u64);
-                    }
-                    // With the write guards held, make sure every written
-                    // partition is still authoritative (a stage copy finishing
-                    // just before we took the guards would otherwise strand
-                    // these writes in a dead generation).
-                    if !self.dir.tx_write_safe(&routed2.dir, first_idx, last_idx) {
-                        return tx.abort(AB_STATE_CHANGED);
-                    }
-                    Ok(())
+                    self.exclude_lock_mode_ops(ctx, seg, |ctx| {
+                        self.install_split(&mut Plain, ctx, h, &p)
+                    })
                 })
-            });
-
+            } else {
+                self.exclude_lock_mode_ops(ctx, seg, |ctx| {
+                    self.htm
+                        .try_transaction(ctx, |tx, ctx| self.install_split(tx, ctx, h, &p))
+                })
+            };
             match r {
                 Ok(()) => {
                     self.n_segments
-                        .fetch_add(plan.len() as u64 - 1, Ordering::Relaxed);
+                        .fetch_add(p.plan.len() as u64 - 1, Ordering::Relaxed);
                     return Ok(());
                 }
                 Err(abort) => {
-                    for &a in &addrs[1..] {
+                    for &a in &p.addrs[1..] {
                         self.alloc.free_segment(ctx, a);
                     }
                     match abort {
-                        Abort::Explicit(_) => continue, // plan went stale
-                        Abort::Conflict(slot) => {
-                            self.htm.wait_slot(slot);
-                            continue;
-                        }
+                        Abort::Explicit(_) => {} // plan went stale
+                        Abort::Conflict(slot) => self.htm.wait_slot(slot),
                         Abort::Capacity => {
-                            // A very wide directory range; fall back to
-                            // partition locks.
-                            self.split_locked(ctx, h)?;
-                            return Ok(());
+                            self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                            locked = true;
                         }
                     }
                 }
@@ -369,84 +309,48 @@ impl Spash {
         }
     }
 
-    /// Capacity-abort fallback: redo the split under non-transactional
-    /// partition locks (ordered, to avoid deadlock between two fallback
-    /// splits).
-    fn split_locked(&self, ctx: &mut MemCtx, h: u64) -> Result<(), IndexError> {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        loop {
-            // No doubling may be active for the simple locked path; drive
-            // any active job to completion first.
-            {
-                let (_, job) = self.dir.write_target();
-                if let Some(job) = &job {
-                    self.dir.drive_doubling(ctx, &self.htm, job);
-                }
-            }
-            let routed = self.dir.lookup(ctx, h);
-            let seg = routed.seg();
-            let d = routed.local_depth();
-            let (target, job) = self.dir.write_target();
-            if job.is_some() {
-                continue;
-            }
-            if (d as u32) >= target.depth {
-                let job = self.dir.begin_doubling(ctx);
-                self.dir.drive_doubling(ctx, &self.htm, &job);
-                continue;
-            }
-            let dir_depth = target.depth;
-            let prefix = if d == 0 { 0 } else { h >> (64 - d as u32) };
-            let first = (prefix << (dir_depth - d as u32)) as usize;
-            let last = (((prefix + 1) << (dir_depth - d as u32)) - 1) as usize;
-            let first_part = first / crate::dir::PARTITION;
-            let last_part = last / crate::dir::PARTITION;
-            let ids: Vec<_> = (first_part..=last_part).map(|p| target.line_id(p * 8)).collect();
-            for &id in &ids {
-                self.htm.nontx_lock(ctx, id);
-            }
-            // Re-verify routing under the locks.
-            let routed2 = self.dir.lookup(ctx, h);
-            let still = routed2.seg() == seg
-                && routed2.local_depth() == d
-                && routed2.dir.gen == target.gen;
-            let done = if still {
-                self.exclude_lock_mode_ops(ctx, seg, |ctx| {
-                    self.split_under_locks(ctx, seg, d, prefix, &target)
-                })
-            } else {
-                None
-            };
-            for &id in ids.iter().rev() {
-                self.htm.nontx_unlock(ctx, id);
-            }
-            if let Some(r) = done {
-                return r;
-            }
-        }
-    }
-
-    /// [`Self::split_locked`] with the partition locks held: plan,
-    /// install and repoint `target`'s entries with plain accesses.
-    /// `None` = the plan needs a deeper directory; restart.
-    fn split_under_locks(
-        &self,
-        ctx: &mut MemCtx,
-        seg: PmAddr,
-        d: u8,
-        prefix: u64,
-        target: &crate::dir::DirInner,
-    ) -> Option<Result<(), IndexError>> {
-        let entries = self.collect_segment(ctx, seg);
-        let plan = match plan_split(&entries, d, prefix) {
-            Ok(p) => p,
-            Err(e) => return Some(Err(e)),
+    /// The split's preparation: route `h`, make sure the directory is
+    /// deep enough for the split, snapshot and plan the segment, and
+    /// allocate the children. `Ok(None)`: the directory grew, so route
+    /// again.
+    fn prepare_split(&self, ctx: &mut MemCtx, h: u64) -> Result<Option<SplitPrep>, IndexError> {
+        let routed = self.dir.lookup(ctx, h);
+        let seg = routed.seg();
+        let d = routed.local_depth();
+        let prefix = if d == 0 { 0 } else { h >> (64 - d as u32) };
+        // Grow the directory until the split fits. The initiating thread
+        // drives every stage ("doubling thread"); concurrent splits
+        // complete the stages they need collaboratively.
+        let double = |ctx: &mut MemCtx| {
+            let job = self.dir.begin_doubling(ctx);
+            self.dir.drive_doubling(ctx, &self.htm, &job);
         };
-        let dir_depth = target.depth;
-        let max_child_depth = plan.iter().map(|c| c.depth).max().unwrap_or(d + 1);
-        if (max_child_depth as u32) > dir_depth {
-            return None;
+        let (target, job) = self.dir.write_target();
+        if (d as u32) >= target.depth {
+            double(ctx);
+            return Ok(None);
         }
+        // If a doubling is active, make sure the stages covering this
+        // segment's old-directory range are complete so the split can
+        // write the new directory.
+        if let Some(job) = &job {
+            let d_old = job.old.depth;
+            if (d as u32) <= d_old {
+                let first = (prefix << (d_old - d as u32)) as usize;
+                let last = (((prefix + 1) << (d_old - d as u32)) - 1) as usize;
+                self.dir.ensure_range_done(ctx, &self.htm, job, first, last);
+            }
+        }
+
+        let (snapshot, entries) = self.snapshot_segment(ctx, seg);
+        let plan = plan_split(&entries, d, prefix)?;
+        let max_child_depth = plan.iter().map(|c| c.depth).max().unwrap_or(d + 1);
+        if (max_child_depth as u32) > self.dir.write_target().0.depth {
+            double(ctx);
+            return Ok(None);
+        }
+
+        // Child 0 reuses the parent XPLine; the rest are fresh.
         let mut addrs = vec![seg];
         for _ in 1..plan.len() {
             match self.alloc.alloc_segment(ctx) {
@@ -455,22 +359,62 @@ impl Spash {
                     for &a in &addrs[1..] {
                         self.alloc.free_segment(ctx, a);
                     }
-                    return Some(Err(IndexError::OutOfMemory));
+                    return Err(IndexError::OutOfMemory);
                 }
             }
         }
-        Plain::ok(self.install_children(&mut Plain, ctx, &plan, &addrs));
-        for (child, &addr) in plan.iter().zip(&addrs) {
-            let span = 1usize << (dir_depth - child.depth as u32);
-            let base_idx = (child.prefix as usize) << (dir_depth - child.depth as u32);
-            for i in 0..span {
-                target.entries[base_idx + i].store(pack_entry(addr, child.depth), Ordering::Release);
-            }
-            ctx.charge_dram(span.div_ceil(8) as u64);
+        Ok(Some(SplitPrep {
+            routed,
+            snapshot,
+            plan,
+            addrs,
+            max_child_depth,
+        }))
+    }
+
+    /// The split's step 5, one body for the transaction and the lock
+    /// fallback: validate the route, the segment's depth and the
+    /// preparation's snapshot, install the children, repoint each
+    /// child's directory range, and make sure every written partition is
+    /// still authoritative.
+    fn install_split<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        h: u64,
+        p: &SplitPrep,
+    ) -> Result<(), Abort> {
+        let seg = p.routed.seg();
+        let routed = self.dir.validate(a, ctx, h, seg)?;
+        if routed.local_depth() != p.routed.local_depth() {
+            return a.abort(AB_STATE_CHANGED);
         }
-        self.n_segments
-            .fetch_add(plan.len() as u64 - 1, Ordering::Relaxed);
-        Some(Ok(()))
+        let dir = &routed.dir;
+        if (p.max_child_depth as u32) > dir.depth {
+            return a.abort(AB_STATE_CHANGED);
+        }
+        // Validate the snapshot: any concurrent mutation of the segment
+        // must restart the planning.
+        // lint:allow(fp-probe): split validation compares the whole segment against its snapshot; every slot must be observed
+        if Self::read_segment(a, ctx, seg)? != p.snapshot {
+            return a.abort(AB_STATE_CHANGED);
+        }
+        self.install_children(a, ctx, &p.plan, &p.addrs)?;
+        let (mut first, mut last) = (usize::MAX, 0);
+        for (child, &addr) in p.plan.iter().zip(&p.addrs) {
+            let range = dir.repoint(a, child.prefix, child.depth, addr)?;
+            first = first.min(range.start);
+            last = last.max(range.end - 1);
+            ctx.charge_dram(range.len().div_ceil(8) as u64);
+        }
+        // With the write guards held, make sure every written partition
+        // is still authoritative (a stage copy finishing just before we
+        // took the guards would otherwise strand these writes in a dead
+        // generation).
+        if !self.dir.tx_write_safe(dir, first, last) {
+            return a.abort(AB_STATE_CHANGED);
+        }
+        Ok(())
     }
 
     /// Merge the segment routed for `h` into its buddy if it is empty and
@@ -540,20 +484,11 @@ impl Spash {
                 return tx.abort(AB_STATE_CHANGED);
             }
             // Repoint the parent's whole range at the buddy, depth d-1.
-            let span = 1usize << (dir_depth - (d as u32 - 1));
-            let base_idx = (parent_prefix as usize) << (dir_depth - (d as u32 - 1));
-            for i in 0..span {
-                let idx = base_idx + i;
-                tx.write_volatile_u64(
-                    target.line_id(idx),
-                    &target.entries[idx],
-                    pack_entry(buddy_seg, d - 1),
-                )?;
-            }
-            if !self.dir.tx_write_safe(&target, base_idx, base_idx + span - 1) {
+            let range = target.repoint(tx, parent_prefix, d - 1, buddy_seg)?;
+            if !self.dir.tx_write_safe(&target, range.start, range.end - 1) {
                 return tx.abort(AB_STATE_CHANGED);
             }
-            ctx.charge_dram(span.div_ceil(8) as u64);
+            ctx.charge_dram(range.len().div_ceil(8) as u64);
             self.seginfo.clear(tx, ctx, seg)?;
             self.seginfo.set(tx, ctx, buddy_seg, d - 1, parent_prefix)?;
             // The freed segment's cached (empty) bucket images must die
@@ -567,9 +502,6 @@ impl Spash {
         .map(|()| {
             self.alloc.free_segment(ctx, seg);
             self.n_segments.fetch_sub(1, Ordering::Relaxed);
-            // Directory halving, the reverse of doubling (§IV-B): shrink
-            // the table once no segment needs the deepest prefix bit.
-            while self.dir.try_halve() {}
         });
     }
 }
@@ -695,7 +627,7 @@ mod tests {
                 let buddy = ((prefix ^ 1) as usize) << shift;
                 let (bseg, bd) = unpack_entry(dir.entries[buddy].load(Ordering::Acquire));
                 let merge_shape = d > 1 && bd == d && bseg != seg;
-                (merge_shape && !idx.collect_segment(&mut ctx, seg).is_empty())
+                (merge_shape && !idx.snapshot_segment(&mut ctx, seg).1.is_empty())
                     .then_some((seg, prefix << (64 - d as u32)))
             })
             .expect("a segment with a same-depth buddy");

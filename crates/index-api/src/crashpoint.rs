@@ -163,6 +163,20 @@ pub enum CheckLevel {
     NoCorruption,
 }
 
+impl CheckLevel {
+    /// The level a sweep holds the target named `target` to in `domain`.
+    /// Under eADR every index must recover exactly. Under ADR so must the
+    /// six ADR-era baselines — surviving a volatile cache is what their
+    /// flushes are for — while eADR-native Spash, which issues none, is
+    /// held to [`CheckLevel::NoCorruption`].
+    pub fn for_target(target: &str, domain: PersistenceDomain) -> Self {
+        match domain {
+            PersistenceDomain::Adr if target.starts_with("Spash") => Self::NoCorruption,
+            _ => Self::Exact,
+        }
+    }
+}
+
 /// What one index implementation plugs into the sweep.
 pub struct CrashTarget {
     /// Display name ("Spash", "CCEH", ...).
@@ -221,10 +235,9 @@ impl SweepConfig {
             key_space: 400,
             exhaustive_limit: 5_000,
             max_points: 250,
-            check: match domain {
-                PersistenceDomain::Eadr => CheckLevel::Exact,
-                PersistenceDomain::Adr => CheckLevel::NoCorruption,
-            },
+            // Spash's level; a sweep over another index takes that
+            // index's own (`CheckLevel::for_target`).
+            check: CheckLevel::for_target("Spash", domain),
         }
     }
 }

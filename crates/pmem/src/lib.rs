@@ -85,9 +85,3 @@ pub fn host_prefetch<T>(p: *const T) {
 pub fn line_of(addr: u64) -> u64 {
     addr / CACHELINE
 }
-
-/// XPLine index of a byte address.
-#[inline]
-pub fn xpline_of(addr: u64) -> u64 {
-    addr / XPLINE
-}

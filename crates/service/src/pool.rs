@@ -231,15 +231,6 @@ impl BatchPool {
     pub fn free_slots(&self) -> usize {
         self.free.lock().len()
     }
-
-    /// Slots in the retired (epoch limbo) list.
-    pub fn retired_slots(&self) -> usize {
-        self.retired.lock().len()
-    }
-
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
 }
 
 #[cfg(test)]

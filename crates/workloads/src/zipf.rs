@@ -12,7 +12,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipfian {
@@ -31,7 +30,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -62,11 +60,6 @@ impl Zipfian {
     /// Number of items.
     pub fn n(&self) -> u64 {
         self.n
-    }
-
-    /// ζ(2)/ζ(n) diagnostic accessor (used in tests).
-    pub fn zeta2_over_zetan(&self) -> f64 {
-        self.zeta2 / self.zetan
     }
 }
 

@@ -185,22 +185,15 @@ fn spash_has_the_fewest_pm_accesses_per_search() {
 }
 
 /// Crash-point sweep over every baseline (sampled schedule; Spash's
-/// exhaustive sweeps live in tests/crashpoints.rs): under eADR, each
+/// exhaustive sweeps live in tests/crashpoints.rs): in both domains, each
 /// baseline's recovery must restore exactly the committed prefix at every
-/// injected crash, and its heap audit must find no corruption.
+/// injected crash, and its heap audit must find no corruption. Under ADR
+/// that is what the baselines' flushes are for.
 #[test]
 fn baseline_crash_sweeps_recover_committed_prefix() {
     use spash_repro::index_api::crashpoint::{run_sweep, CheckLevel, CrashTarget, SweepConfig};
     use spash_repro::pmem::PersistenceDomain;
 
-    let mut cfg = SweepConfig::ci(PersistenceDomain::Eadr);
-    assert_eq!(cfg.check, CheckLevel::Exact);
-    // Sampled: a short workload and a strided schedule keep six sweeps
-    // CI-sized; EXPERIMENTS.md has the full-scale recipe.
-    cfg.n_ops = 250;
-    cfg.key_space = 96;
-    cfg.exhaustive_limit = 40;
-    cfg.max_points = 40;
     let targets: Vec<CrashTarget> = vec![
         Cceh::crash_target(1),
         Dash::crash_target(1),
@@ -209,23 +202,37 @@ fn baseline_crash_sweeps_recover_committed_prefix() {
         Plush::crash_target(4),
         Halo::crash_target(8 << 20, u64::MAX),
     ];
-    for t in &targets {
+    for (domain, t) in [PersistenceDomain::Eadr, PersistenceDomain::Adr]
+        .into_iter()
+        .flat_map(|d| targets.iter().map(move |t| (d, t)))
+    {
+        let mut cfg = SweepConfig::ci(domain);
+        cfg.check = CheckLevel::for_target(&t.name, domain);
+        assert_eq!(cfg.check, CheckLevel::Exact);
+        // Sampled: a short workload and a strided schedule keep twelve
+        // sweeps CI-sized; EXPERIMENTS.md has the full-scale recipe.
+        cfg.n_ops = 250;
+        cfg.key_space = 96;
+        cfg.exhaustive_limit = 40;
+        cfg.max_points = 40;
         let r = run_sweep(t, &cfg);
-        assert!(r.total_writes > 0, "{}: workload produced no media writes", r.target);
-        assert!(!r.points.is_empty(), "{}: no crash points injected", r.target);
+        let who = format!("{}/{domain:?}", r.target);
+        assert!(
+            r.total_writes > 0,
+            "{who}: workload produced no media writes"
+        );
+        assert!(!r.points.is_empty(), "{who}: no crash points injected");
         assert!(
             r.is_ok(),
-            "{}: {} of {} crash points failed:\n{}",
-            r.target,
+            "{who}: {} of {} crash points failed:\n{}",
             r.failure_count,
             r.points.len(),
             r.failures.join("\n")
         );
-        assert_eq!(r.unrecovered, 0, "{}: unrecoverable points", r.target);
+        assert_eq!(r.unrecovered, 0, "{who}: unrecoverable points");
         assert!(
             r.points.iter().all(|p| p.recovered && p.audit_ok),
-            "{}: audit failures",
-            r.target
+            "{who}: audit failures"
         );
     }
 }

@@ -150,3 +150,38 @@ fn spash_adr_crash_at_scheduler_decision_points_recovers_panic_free() {
         }
     }
 }
+
+/// The ADR sweep holds the ADR-era baselines to exact recovery. With
+/// `Header::stamp`'s flush skipped (sanitizer off), a volatile cache
+/// loses the headers that commit CCEH's segments: the domain-only level
+/// (`NoCorruption`) passes that, CCEH's own level must not.
+#[test]
+fn adr_sweep_catches_a_skipped_baseline_publication_flush() {
+    use spash_repro::baselines::{testhooks, Cceh};
+
+    let target = Cceh::crash_target(1);
+    let mut cfg = SweepConfig::ci(PersistenceDomain::Adr);
+    assert!(cfg.pm.san.is_none());
+    cfg.n_ops = 250;
+    cfg.key_space = 96;
+    cfg.exhaustive_limit = 40;
+    cfg.max_points = 40;
+    // Disarm even when an assertion below unwinds.
+    struct Disarm(bool);
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            testhooks::set_skip_stamp_flush(self.0);
+        }
+    }
+    let _disarm = Disarm(testhooks::set_skip_stamp_flush(true));
+    cfg.check = CheckLevel::NoCorruption;
+    report_failures("CCEH/ADR, NoCorruption", &run_sweep(&target, &cfg));
+    cfg.check = CheckLevel::for_target(&target.name, PersistenceDomain::Adr);
+    assert_eq!(cfg.check, CheckLevel::Exact);
+    let r = run_sweep(&target, &cfg);
+    assert!(
+        !r.is_ok(),
+        "CCEH/ADR without the header flush passed exact recovery at {} points",
+        r.points.len()
+    );
+}

@@ -114,7 +114,7 @@ fn battery(ctx: &mut MemCtx, churn_ops: u64) -> (u64, u64, Spash) {
         }
     };
     // 4 initial segments hold 64 slots: 600 keys force many splits and
-    // a few directory doublings, all through `split_locked`.
+    // a few directory doublings, all through the split's lock fallback.
     for k in 1..=600u64 {
         let v = gen_val(&mut rng, k);
         idx.insert(ctx, k, &v).unwrap();
