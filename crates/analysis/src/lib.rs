@@ -37,6 +37,7 @@ pub mod json;
 pub mod lint;
 pub mod parse;
 pub mod summaries;
+pub mod tree;
 
 use spash::{Spash, SpashConfig};
 use spash_baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};

@@ -213,14 +213,13 @@ pub fn parse_functions(stripped: &str) -> Vec<Func> {
     p.fns
 }
 
-/// Find the name of the function whose item (from its `fn` line to its
-/// closing brace) covers 1-based `line`, innermost match winning.
-pub fn enclosing_fn(funcs: &[Func], line: usize) -> Option<&str> {
+/// Find the function whose item (from its `fn` line to its closing
+/// brace) covers 1-based `line`, innermost match winning.
+pub fn enclosing_fn(funcs: &[Func], line: usize) -> Option<&Func> {
     funcs
         .iter()
         .filter(|f| f.line <= line && line <= f.end_line)
         .min_by_key(|f| f.end_line - f.line)
-        .map(|f| f.name.as_str())
 }
 
 /// Collect the names of all calls in a statement slice, recursively.
@@ -1242,9 +1241,10 @@ mod tests {
     fn enclosing_fn_lookup() {
         let src = "fn a() {\n  one();\n}\nfn b() {\n  two();\n}\n";
         let fs = parse(src);
-        assert_eq!(enclosing_fn(&fs, 2), Some("a"));
-        assert_eq!(enclosing_fn(&fs, 5), Some("b"));
-        assert_eq!(enclosing_fn(&fs, 99), None);
+        let name = |line| enclosing_fn(&fs, line).map(|f| f.name.as_str());
+        assert_eq!(name(2), Some("a"));
+        assert_eq!(name(5), Some("b"));
+        assert_eq!(name(99), None);
     }
 
     #[test]

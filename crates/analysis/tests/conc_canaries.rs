@@ -9,9 +9,17 @@
 //! analyzer has lost teeth.
 
 use spash_analysis::conc_rules::{
-    check_files_conc, WordRow, RULE_CONC_ATOMICITY, RULE_CONC_LOCKSET, RULE_CONC_XREF,
+    run, WordRow, RULE_CONC_ATOMICITY, RULE_CONC_LOCKSET, RULE_CONC_XREF,
 };
 use spash_analysis::lint::Finding;
+use spash_analysis::tree::{Sink, Tree};
+
+/// The conc family's findings and inventory over synthetic files.
+fn check_files_conc(files: &[(String, String)]) -> (Vec<Finding>, Vec<WordRow>) {
+    let mut sink = Sink::default();
+    let inventory = run(&Tree::from_files(files.to_vec()), &mut sink);
+    (sink.finish().0, inventory)
+}
 
 fn conc(src: &str) -> (Vec<Finding>, Vec<WordRow>) {
     check_files_conc(&[("crates/baselines/src/x.rs".to_string(), src.to_string())])

@@ -7,19 +7,25 @@
 //! future refactor of the parser, CFG builder, or dataflow rules makes
 //! any of these pass silently, the analyzer has lost teeth.
 
-use spash_analysis::flow_rules::{
-    check_files, check_files_stats, RULE_FLUSH_FENCE, RULE_HTM_CLWB, RULE_PUBLISH_INIT,
-};
+use spash_analysis::flow_rules::{check, RULE_FLUSH_FENCE, RULE_HTM_CLWB, RULE_PUBLISH_INIT};
 use spash_analysis::lint::{report_json, Finding};
+use spash_analysis::tree::{Sink, Tree};
+
+/// The flow rules' findings for one synthetic file at `path`.
+fn check_file(path: &str, src: &str) -> Vec<Finding> {
+    let mut sink = Sink::default();
+    check(&Tree::from_files([(path, src)]), &mut sink);
+    sink.finish().0
+}
 
 /// Check one synthetic file under the strict ADR model.
 fn adr(src: &str) -> Vec<Finding> {
-    check_files(&[("crates/baselines/src/x.rs".to_string(), src.to_string())])
+    check_file("crates/baselines/src/x.rs", src)
 }
 
 /// Check one synthetic file under the eADR model (HTM rule only).
 fn eadr(src: &str) -> Vec<Finding> {
-    check_files(&[("crates/core/src/x.rs".to_string(), src.to_string())])
+    check_file("crates/core/src/x.rs", src)
 }
 
 fn fires(f: &[Finding], rule: &str, line: usize) -> bool {
@@ -152,16 +158,16 @@ fn canary_early_return_crosses_lock_release() {
 // fixture over canary 1's output (schema 2: per-rule stats included).
 #[test]
 fn flow_json_report_is_byte_stable() {
-    let mut stats = spash_analysis::lint::StatsMap::new();
-    let f = check_files_stats(
-        &[(
-            "crates/baselines/src/x.rs".to_string(),
-            "fn f(ctx: &mut MemCtx) {\n  ctx.write_u64(a, v);\n  ctx.cas_u64(d, x, y);\n}"
-                .to_string(),
-        )],
-        &mut stats,
+    let mut sink = Sink::default();
+    check(
+        &Tree::from_files([(
+            "crates/baselines/src/x.rs",
+            "fn f(ctx: &mut MemCtx) {\n  ctx.write_u64(a, v);\n  ctx.cas_u64(d, x, y);\n}",
+        )]),
+        &mut sink,
     );
-    let got = report_json("flow", 1, &f, &stats).render();
+    let (f, stats) = sink.finish();
+    let got = report_json("flow", 1, &f, &stats, None).render();
     let want = concat!(
         "{\n",
         "  \"schema\": 2,\n",
