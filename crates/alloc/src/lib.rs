@@ -45,6 +45,21 @@ const ST_LARGE_CONT: u8 = 0xE1;
 const ST_REGION: u8 = 0xD0;
 const ST_REGION_CONT: u8 = 0xD1;
 
+/// A chunk header as the recovery walk decodes it.
+enum Chunk {
+    Free,
+    Segment,
+    /// The start of a large allocation.
+    Large,
+    /// The start of a region run.
+    Region,
+    /// A small-class chunk: class index and slot bitmap.
+    Small(usize, u16),
+    /// The interior of a run (or a corrupted start, or an unknown
+    /// state): live, but holding nothing to list.
+    Other,
+}
+
 /// Errors from the allocator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocError {
@@ -219,54 +234,27 @@ impl PmAllocator {
         let mut regions = Vec::new();
         let mut free_chunks = Vec::new();
         let mut frontier = 0;
-        let mut i = 0;
-        while i < l.n_chunks {
-            let h = alloc.header_get(ctx, i);
-            let state = (h >> 24) as u8;
-            match state {
-                ST_FREE => free_chunks.push(i),
-                ST_SEGMENT => {
-                    segments.push(l.chunk_addr(i));
-                    frontier = i + 1;
+        Self::walk_headers(ctx, &l, |i, len, chunk| {
+            match chunk {
+                Chunk::Free => {
+                    free_chunks.push(i);
+                    return;
                 }
-                ST_LARGE => {
-                    let len = ((h >> 16) & 0xff) as u64;
-                    i += len.max(1);
-                    frontier = i;
-                    continue;
-                }
-                ST_REGION => {
-                    let len = (h & 0xff_ffff) as u64;
-                    regions.push((l.chunk_addr(i), len.max(1) * CHUNK));
-                    i += len.max(1);
-                    frontier = i;
-                    continue;
-                }
-                ST_LARGE_CONT | ST_REGION_CONT => {
-                    // Interior marker (or a corrupted start); treat
-                    // conservatively as live.
-                    frontier = i + 1;
-                }
-                _ => {
-                    // Small-class chunk: recover its free slots.
-                    let class = (state - 1) as usize;
-                    if class < SMALL_CLASSES.len() {
-                        let bitmap = (h & 0xffff) as u16;
-                        let slots = (CHUNK / SMALL_CLASSES[class]) as u32;
-                        let mut th = alloc.threads[i as usize % alloc.n_thread_shards].lock();
-                        for s in 0..slots {
-                            if bitmap & (1 << s) == 0 {
-                                th.free_slots[class].push(PmAddr(
-                                    l.chunk_addr(i).0 + s as u64 * SMALL_CLASSES[class],
-                                ));
-                            }
+                Chunk::Segment => segments.push(l.chunk_addr(i)),
+                Chunk::Region => regions.push((l.chunk_addr(i), len * CHUNK)),
+                Chunk::Large | Chunk::Other => {}
+                Chunk::Small(class, bitmap) => {
+                    // Recover the chunk's free slots.
+                    let mut th = alloc.threads[i as usize % alloc.n_thread_shards].lock();
+                    for (s, addr) in Self::slots(&l, i, class) {
+                        if bitmap & (1 << s) == 0 {
+                            th.free_slots[class].push(addr);
                         }
                     }
-                    frontier = i + 1;
                 }
             }
-            i += 1;
-        }
+            frontier = i + len;
+        });
         // Chunks past the frontier were never allocated; list only the
         // free chunks *below* it to keep the free list small.
         free_chunks.retain(|&c| c < frontier);
@@ -284,45 +272,51 @@ impl PmAllocator {
     /// can run on a post-crash image before — or instead of — recovery.
     pub fn census(ctx: &mut MemCtx) -> Option<HeapCensus> {
         let (_, l) = layout::read_superblock(ctx)?;
-        let probe = Self::from_layout(l);
         let mut out = HeapCensus::default();
-        let mut i = 0;
-        while i < l.n_chunks {
-            let h = probe.header_get(ctx, i);
-            let state = (h >> 24) as u8;
-            match state {
-                ST_FREE | ST_LARGE_CONT | ST_REGION_CONT => {}
-                ST_SEGMENT => out.segments.push(l.chunk_addr(i)),
-                ST_LARGE => {
-                    let len = ((h >> 16) & 0xff) as u64;
-                    out.large.push((l.chunk_addr(i), len.max(1) * CHUNK));
-                    i += len.max(1);
-                    continue;
-                }
-                ST_REGION => {
-                    let len = (h & 0xff_ffff) as u64;
-                    out.regions.push((l.chunk_addr(i), len.max(1) * CHUNK));
-                    i += len.max(1);
-                    continue;
-                }
-                _ => {
-                    let class = (state - 1) as usize;
-                    if class < SMALL_CLASSES.len() {
-                        let bitmap = (h & 0xffff) as u16;
-                        let size = SMALL_CLASSES[class];
-                        let slots = (CHUNK / size) as u32;
-                        for s in 0..slots {
-                            if bitmap & (1 << s) != 0 {
-                                out.small_slots
-                                    .push((PmAddr(l.chunk_addr(i).0 + s as u64 * size), size));
-                            }
-                        }
+        Self::walk_headers(ctx, &l, |i, len, chunk| match chunk {
+            Chunk::Free | Chunk::Other => {}
+            Chunk::Segment => out.segments.push(l.chunk_addr(i)),
+            Chunk::Large => out.large.push((l.chunk_addr(i), len * CHUNK)),
+            Chunk::Region => out.regions.push((l.chunk_addr(i), len * CHUNK)),
+            Chunk::Small(class, bitmap) => {
+                for (s, addr) in Self::slots(&l, i, class) {
+                    if bitmap & (1 << s) != 0 {
+                        out.small_slots.push((addr, SMALL_CLASSES[class]));
                     }
                 }
             }
-            i += 1;
-        }
+        });
         Some(out)
+    }
+
+    /// The one walk over the chunk-header table, shared by recovery and
+    /// the census: one modelled header read per visited chunk, in chunk
+    /// order. A large or region run is visited once, at its start, with
+    /// its length in chunks (at least 1), and its interior is skipped;
+    /// every other chunk has length 1.
+    fn walk_headers(ctx: &mut MemCtx, l: &Layout, mut visit: impl FnMut(u64, u64, Chunk)) {
+        let mut i = 0;
+        while i < l.n_chunks {
+            let h = Self::header_get(l, ctx, i);
+            let (chunk, len) = match (h >> 24) as u8 {
+                ST_FREE => (Chunk::Free, 1),
+                ST_SEGMENT => (Chunk::Segment, 1),
+                ST_LARGE => (Chunk::Large, ((h >> 16) & 0xff).max(1) as u64),
+                ST_REGION => (Chunk::Region, (h & 0xff_ffff).max(1) as u64),
+                state if ((state - 1) as usize) < SMALL_CLASSES.len() => {
+                    (Chunk::Small((state - 1) as usize, h as u16), 1)
+                }
+                _ => (Chunk::Other, 1),
+            };
+            visit(i, len, chunk);
+            i += len;
+        }
+    }
+
+    /// The slots of small-class chunk `chunk`: (slot index, address).
+    fn slots(l: &Layout, chunk: u64, class: usize) -> impl Iterator<Item = (u32, PmAddr)> {
+        let (base, size) = (l.chunk_addr(chunk).0, SMALL_CLASSES[class]);
+        (0..(CHUNK / size) as u32).map(move |s| (s, PmAddr(base + s as u64 * size)))
     }
 
     /// The arena layout.
@@ -338,8 +332,8 @@ impl PmAllocator {
     // ---- chunk header helpers -------------------------------------------
 
     /// Header entries are 4-byte fields packed two-per-u64.
-    fn header_get(&self, ctx: &mut MemCtx, chunk: u64) -> u32 {
-        let byte = self.layout.header_addr(chunk);
+    fn header_get(l: &Layout, ctx: &mut MemCtx, chunk: u64) -> u32 {
+        let byte = l.header_addr(chunk);
         Self::header_field(byte, ctx.read_u64(PmAddr(byte & !7)))
     }
 
@@ -486,7 +480,7 @@ impl PmAllocator {
                 }
                 drop(th);
                 // Persist the slot bit.
-                let h = self.header_get(ctx, chunk);
+                let h = Self::header_get(&self.layout, ctx, chunk);
                 self.header_set(ctx, chunk, h | 1 << slot);
                 let base = self.layout.chunk_addr(chunk);
                 return Ok(SmallAlloc {
@@ -565,7 +559,7 @@ impl PmAllocator {
     /// Free a region allocated with [`PmAllocator::alloc_region`].
     pub fn free_region(&self, ctx: &mut MemCtx, addr: PmAddr) {
         let start = self.layout.chunk_of(addr);
-        let h = self.header_get(ctx, start);
+        let h = Self::header_get(&self.layout, ctx, start);
         debug_assert_eq!((h >> 24) as u8, ST_REGION, "free_region of non-region");
         let len = (h & 0xff_ffff) as u64;
         self.header_set(ctx, start, 0);
@@ -595,7 +589,7 @@ impl PmAllocator {
             return;
         }
         let start = self.layout.chunk_of(addr);
-        let h = self.header_get(ctx, start);
+        let h = Self::header_get(&self.layout, ctx, start);
         debug_assert_eq!((h >> 24) as u8, ST_LARGE, "free of non-allocation");
         let len = ((h >> 16) & 0xff) as u64;
         for i in 0..len {
