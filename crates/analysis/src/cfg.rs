@@ -458,7 +458,7 @@ impl Lower {
                 via: c.arg_calls.first().cloned().unwrap_or_default(),
             }),
             // Sanitizer bookkeeping, not memory traffic.
-            "san_forgive" | "san_transient" | "san_ordered" | "san_tag" | "san_op_label" => {
+            "san_forgive" | "san_transient" | "san_tag" | "san_op_label" => {
                 Some(Ev::Nop)
             }
             _ => None,

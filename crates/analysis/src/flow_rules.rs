@@ -16,13 +16,13 @@
 //!   pointed-to PM writes are not yet fenced on some path (the classic
 //!   "publish a half-initialized node via CAS" bug).
 //!
-//! **Memory models.** The analysis mirrors `san_mode_for`: the six
-//! baselines and the allocator are ADR-era flush+fence designs and get
-//! the strict rules; `crates/core` and `crates/htm` are the eADR-native
-//! Spash fast path, which *deliberately* never flushes before
-//! publication — there the ADR rules are off (its ADR downgrade path is
-//! data-dependent and owned by the dynamic sanitizer) and only the HTM
-//! rule applies. Everything else (platform, bench, tests) is exempt.
+//! **Memory models.** The analysis mirrors `CheckLevel::for_target`: the
+//! six baselines and the allocator are ADR-era flush+fence designs, held
+//! to exact recovery under ADR, and get the ADR rules; `crates/core` and
+//! `crates/htm` are the eADR-native Spash fast path, which claims no ADR
+//! durability and *deliberately* never flushes before publication — there
+//! the ADR rules are off and only the HTM rule applies. Everything else
+//! (platform, bench, tests) is exempt.
 //!
 //! **Waivers.** Findings reuse the classic `lint:allow(rule): reason`
 //! syntax. Flow waivers additionally must triage against the dynamic
@@ -53,9 +53,9 @@ pub enum MemModel {
     Exempt,
 }
 
-/// Model per workspace-relative path. Mirrors `crate::san_mode_for`:
-/// strict for the ADR-era baselines (and the allocator they share),
-/// relaxed for the eADR-native Spash core.
+/// Model per workspace-relative path. Mirrors `CheckLevel::for_target`:
+/// ADR for the ADR-era baselines (and the allocator they share), eADR
+/// for the Spash core, which claims nothing under ADR.
 pub fn model_for(rel_path: &str) -> MemModel {
     let p = rel_path.replace('\\', "/");
     if is_test_path(&p) {

@@ -1,11 +1,11 @@
 //! Static analysis for the Spash reproduction, plus the one index roster
-//! and sanitizer-mode table the dynamic harnesses share.
+//! the dynamic harnesses share.
 //!
-//! * [`roster`] / [`san_mode_for`] — Spash and the six baselines as crash
-//!   targets, and the persistence-ordering sanitizer mode each runs
-//!   under. The sanitizer's clean-workload gate is the crash sweep's
-//!   record pass (`spash_index_api::crashpoint`; `SPASH_CRASH_POINTS=0
-//!   spash-bench crashpoints` runs that pass alone).
+//! * [`roster`] — Spash and the six baselines as crash targets. Which of
+//!   them arm the persistence-ordering sanitizer in which domain is
+//!   `CheckLevel::arms_sanitizer`. The sanitizer's clean-workload gate is
+//!   the crash sweep's record pass (`spash_index_api::crashpoint`;
+//!   `SPASH_CRASH_POINTS=0 spash-bench crashpoints` runs that pass alone).
 //! * [`lint`] — `spash-lint`, a dependency-free source-level checker
 //!   (handwritten tokenizer, no `syn`) for the workspace's cross-cutting
 //!   invariants: no host sync primitives or host clocks in
@@ -42,7 +42,6 @@ pub mod tree;
 use spash::{Spash, SpashConfig};
 use spash_baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_index_api::crashpoint::CrashTarget;
-use spash_pmem::SanMode;
 
 /// How big the roster's two size-dependent members are built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,20 +91,4 @@ pub fn roster(sizing: Sizing, select: Select) -> Vec<CrashTarget> {
 /// The full sweep-sized roster (the sanitizer suites' name for it).
 pub fn all_targets() -> Vec<CrashTarget> {
     roster(Sizing::Sweep, Select::All)
-}
-
-/// The sanitizer mode appropriate for an index, keyed by target name.
-///
-/// Spash is eADR-native: its data path deliberately issues no flushes, so
-/// under `Strict` every publication would be flagged. It runs `Relaxed`,
-/// where only ranges it explicitly registers with `san_ordered` (its ADR
-/// downgrade path) are checked. The six baselines are ADR-era flush+fence
-/// designs and must survive `Strict`: every line they write is checked at
-/// every visibility edge.
-pub fn san_mode_for(target_name: &str) -> SanMode {
-    if target_name.starts_with("Spash") {
-        SanMode::Relaxed
-    } else {
-        SanMode::Strict
-    }
 }

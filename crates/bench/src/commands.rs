@@ -10,6 +10,7 @@ use spash_bench::experiments::{fig1, fig10, fig11, fig12, fig7, fig8, fig9};
 use spash_bench::report::{join_ladder, short_rev};
 use spash_bench::suite::{PERF, SCALE, SERVICE};
 use spash_bench::{knobs, perf, scale, service, BenchReport, ExperimentRow, Scale};
+use spash_index_api::crashpoint::CheckLevel;
 use spash_pmem::PersistenceDomain::{self, Adr, Eadr};
 
 fn targets_knob(name: &str, default: Select) -> Select {
@@ -19,11 +20,6 @@ fn targets_knob(name: &str, default: Select) -> Select {
         ("all", Select::All),
     ];
     knobs::choice(name, &choices, default)
-}
-
-/// `on|off` for the sanitizer that rides the sweep and the explorer.
-fn san_knob(name: &str) -> bool {
-    knobs::choice(name, &[("on", true), ("off", false)], true)
 }
 
 /// Deterministic schedule exploration with linearizability checking
@@ -86,7 +82,7 @@ pub fn sched(args: &[String]) {
     let mut pm = spash_pmem::PmConfig::small_test();
     pm.arena_size = knobs::positive("SPASH_SCHED_ARENA_MB", 48) << 20;
     pm.domain = knobs::choice("SPASH_SCHED_DOMAIN", &[("eadr", Eadr), ("adr", Adr)], Eadr);
-    let san_on = san_knob("SPASH_SCHED_SAN");
+    let san_on = knobs::on_off("SPASH_SCHED_SAN", true);
 
     let which = targets_knob("SPASH_SCHED_TARGETS", Select::All);
     let mut targets = roster(Sizing::Sweep, if mutate { Select::All } else { which });
@@ -119,12 +115,13 @@ pub fn sched(args: &[String]) {
     arm(true);
     let mut failed = false;
     for target in &targets {
-        // Persistence-ordering sanitizer rides every explored schedule;
-        // its findings are replayable SeedFailures like any other
-        // ordering violation. Publication checks fire when
-        // SPASH_SCHED_DOMAIN=adr; SPASH_SCHED_SAN=off disarms.
+        // Persistence-ordering sanitizer rides every explored schedule
+        // of a target that claims durability in the domain; its findings
+        // are replayable SeedFailures like any other ordering violation.
+        // Publication checks fire when SPASH_SCHED_DOMAIN=adr;
+        // SPASH_SCHED_SAN=off disarms.
         let mut pm = pm.clone();
-        pm.san = san_on.then(|| spash_analysis::san_mode_for(&target.name));
+        pm.san = san_on && CheckLevel::arms_sanitizer(&target.name, pm.domain);
         let mut distinct = std::collections::HashSet::new();
         let mut schedules = 0u64;
         let mut violations: Vec<SeedFailure> = Vec::new();
@@ -207,19 +204,20 @@ pub fn sched(args: &[String]) {
 /// reports a violation.
 ///
 /// The record pass is also the persistence-ordering sanitizer's
-/// clean-workload gate (DESIGN.md, "Persistence-ordering sanitizer"):
-/// `Strict` for the six ADR-era baselines, `Relaxed` for eADR-native
-/// Spash. `SPASH_CRASH_POINTS=0` runs that pass alone; its flush,
+/// clean-workload gate (DESIGN.md, "Persistence-ordering sanitizer"),
+/// armed wherever the target is held to `CheckLevel::Exact`: every
+/// baseline in both domains, Spash under eADR only.
+/// `SPASH_CRASH_POINTS=0` runs that pass alone; its flush,
 /// redundant-flush and no-op-fence counts are on the `# target=` line.
 /// Each target is checked at its own `CheckLevel::for_target` level.
 pub fn crashpoints() {
-    use spash_index_api::crashpoint::{run_sweep, CheckLevel, SweepConfig};
+    use spash_index_api::crashpoint::{run_sweep, SweepConfig};
 
     spash_pmem::fault::silence_crash_point_panics();
     let which = targets_knob("SPASH_CRASH_TARGETS", Select::Spash);
     // Violations on the record pass or any recovery path are hard sweep
     // failures unless SPASH_CRASH_SAN=off.
-    let san_on = san_knob("SPASH_CRASH_SAN");
+    let san_on = knobs::on_off("SPASH_CRASH_SAN", true);
     let both: &[PersistenceDomain] = &[Eadr, Adr];
     let domains = knobs::choice(
         "SPASH_CRASH_DOMAIN",
@@ -237,7 +235,7 @@ pub fn crashpoints() {
         cfg.max_points = knobs::int("SPASH_CRASH_POINTS", 2_000);
 
         for target in &roster(Sizing::Sweep, which) {
-            cfg.pm.san = san_on.then(|| spash_analysis::san_mode_for(&target.name));
+            cfg.pm.san = san_on && CheckLevel::arms_sanitizer(&target.name, domain);
             cfg.check = CheckLevel::for_target(&target.name, domain);
             let r = run_sweep(target, &cfg);
             println!(

@@ -7,7 +7,7 @@ use spash::{ConcurrencyMode, InsertPolicy, Spash, SpashConfig, UpdatePolicy};
 use spash_baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::PersistentIndex;
-use spash_pmem::{PmConfig, PmDevice, SanMode};
+use spash_pmem::{PmConfig, PmDevice};
 
 use crate::knobs;
 
@@ -88,15 +88,7 @@ pub fn bench_device(keys: u64, value_bytes: u64) -> Arc<PmDevice> {
     // Optional: arm the persistence-ordering sanitizer for any benchmark
     // run. Diagnostics (redundant flushes / no-op fences) are printed by
     // `run_scheduled` when the counters move.
-    let san = knobs::choice(
-        "SPASH_BENCH_SAN",
-        &[
-            ("strict", Some(SanMode::Strict)),
-            ("relaxed", Some(SanMode::Relaxed)),
-            ("off", None),
-        ],
-        None,
-    );
+    let san = knobs::on_off("SPASH_BENCH_SAN", false);
     PmDevice::new(PmConfig {
         arena_size: arena,
         cache_capacity: cache,

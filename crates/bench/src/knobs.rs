@@ -199,6 +199,11 @@ pub fn choice<T: Copy>(name: &str, choices: &[(&str, T)], default: T) -> T {
     text(name).map_or(default, |raw| or_exit(parse_choice(name, &raw, choices)))
 }
 
+/// An `on|off` switch: the one spelling of the three sanitizer knobs.
+pub fn on_off(name: &str, default: bool) -> bool {
+    choice(name, &[("on", true), ("off", false)], default)
+}
+
 /// Exit 2 if the environment holds a misspelled knob.
 pub fn reject_unknown() {
     let names: Vec<String> = std::env::vars_os()

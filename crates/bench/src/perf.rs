@@ -14,7 +14,7 @@
 //! format/recover pair the crash sweeps use — so the suite also times a
 //! real recovery (power failure + rebuild) per index and domain.
 
-use spash_pmem::PersistenceDomain;
+use spash_index_api::crashpoint::CheckLevel;
 use spash_workloads::{Distribution, Mix};
 
 use crate::harness::TaskBody;
@@ -87,8 +87,7 @@ fn phases(p: &Point) -> Result<Vec<ExperimentRow>, String> {
     // it with audit findings — is legal and recorded, not fatal
     // (`CheckLevel::NoCorruption`). The recovery *attempt* is still
     // measured — its counters are deterministic and gate-worthy.
-    let torn_ok = p.domain == PersistenceDomain::Adr
-        && spash_analysis::san_mode_for(&p.target.name) == spash_pmem::SanMode::Relaxed;
+    let torn_ok = CheckLevel::for_target(&p.target.name, p.domain) == CheckLevel::NoCorruption;
     let who = format!("{}/{}", p.target.name, p.name);
     match recovered {
         Some(rec) => {

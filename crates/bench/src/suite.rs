@@ -100,7 +100,6 @@ fn suite_pm(domain: PersistenceDomain) -> PmConfig {
         arena_size: 256 << 20,
         cache_capacity: 512 << 10,
         domain,
-        san: None,
         ..PmConfig::default()
     }
 }

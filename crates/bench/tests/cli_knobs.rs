@@ -88,6 +88,25 @@ fn unknown_choice_exits_2_listing_the_choices() {
     assert_rejected(&out, "SPASH_SCHED_DOMAIN", "eadr|adr");
 }
 
+/// The three sanitizer knobs share one spelling, `on|off`: the figures'
+/// old mode names are gone with the mode they chose. A figure reads its
+/// knob when it builds its first device, after the scale header and
+/// before any row.
+#[test]
+fn sanitizer_knobs_take_on_or_off() {
+    for mode in ["strict", "relaxed"] {
+        let out = spash_bench(&["fig9", "--out", "/dev/null"], &[("SPASH_BENCH_SAN", mode)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.contains("SPASH_BENCH_SAN") && stderr.contains("on|off"), "{stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.lines().all(|l| l.starts_with("# scale:")), "{stdout}");
+        let mut knobs = TINY_SWEEP.to_vec();
+        knobs.push(("SPASH_CRASH_SAN", mode));
+        assert_rejected(&spash_bench(&["crashpoints"], &knobs), "SPASH_CRASH_SAN", "on|off");
+    }
+}
+
 #[test]
 fn unknown_name_exits_2_listing_the_family() {
     let out = spash_bench(&["crashpoints"], &[("SPASH_CRASH_OPZ", "10")]);

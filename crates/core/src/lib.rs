@@ -540,40 +540,6 @@ mod tests {
         assert_eq!((hot_flushes > 0, cold_flushes > 0), (false, true));
     }
 
-    /// Under ADR an update's replacement blob must be durable before the
-    /// slot word that publishes it. Make only the slot's lines durable,
-    /// crash, and the key must read back whole, old value or new.
-    #[test]
-    fn adr_replacement_blob_is_durable_before_its_slot() {
-        let dev = PmDevice::new(PmConfig::adr_test());
-        let mut ctx = dev.ctx();
-        let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
-        let (old, new) = ([0x11u8; 16], [0x22u8; 48]);
-        idx.insert(&mut ctx, 42, &old).unwrap();
-        dev.flush_cache_all();
-        // Cold and at most 64 B: no post-commit flush; a new size class,
-        // so the update writes a replacement blob.
-        idx.update(&mut ctx, 42, &new).unwrap();
-        let h = spash_index_api::hash_key(42);
-        let seg = idx.dir.lookup(&mut ctx, h).seg();
-        let f = access::Plain::ok(idx.find(&mut access::Plain, &mut ctx, seg, 42, h))
-            .expect("key 42 is present");
-        ctx.flush(slot::key_addr(seg, f.idx));
-        ctx.flush(slot::value_addr(seg, f.idx));
-        ctx.fence();
-        drop(idx);
-        dev.simulate_power_failure();
-
-        let mut ctx = dev.ctx();
-        let idx = Spash::recover(&mut ctx, SpashConfig::test_default()).expect("recoverable");
-        let mut out = Vec::new();
-        let found = idx.get(&mut ctx, 42, &mut out);
-        assert!(
-            found && (out == old || out == new),
-            "found={found} value={out:?}"
-        );
-    }
-
     #[test]
     fn htm_commits_dominate_aborts_single_thread() {
         let (_d, idx, mut ctx) = setup();

@@ -1052,13 +1052,7 @@ impl Spash {
                     ..
                 } = payload
                 {
-                    // Under ADR the downgrade in `make_payload` already
-                    // flushed + fenced every blob before it was published,
-                    // so the whole chunk is clean here and the XPLine
-                    // flush would be redundant (sanitizer diagnostic).
-                    if self.cfg.insert_policy == InsertPolicy::CompactedFlush
-                        && ctx.device().config().domain == spash_pmem::PersistenceDomain::Eadr
-                    {
+                    if self.cfg.insert_policy == InsertPolicy::CompactedFlush {
                         ctx.flush_range(c, spash_alloc::CHUNK);
                     }
                 }
@@ -1268,11 +1262,7 @@ impl Spash {
                 }
             }
             Updated::Replaced { new, old } => {
-                // Under ADR `write_blob` made the new blob durable before
-                // it was published, so it is clean here.
-                if flush_after
-                    && ctx.device().config().domain == spash_pmem::PersistenceDomain::Eadr
-                {
+                if flush_after {
                     ctx.flush_range(new.0, 16 + value.len() as u64);
                 }
                 if !old.0.is_null() {
@@ -1360,27 +1350,14 @@ impl Spash {
 
 /// Write an out-of-place blob `[key][len][value]` at `addr` (write-nf),
 /// before any slot word links it: the insert payload and an update's
-/// replacement blob both go through here.
+/// replacement blob both go through here. Under eADR (the paper's
+/// platform) visibility is durability, so nothing is flushed or fenced;
+/// on an ADR platform this leaves the blob volatile, which is why Spash
+/// under ADR is a negative control (`CheckLevel::for_target`).
 fn write_blob(ctx: &mut MemCtx, addr: PmAddr, key: u64, value: &[u8]) {
     ctx.write_u64(addr, key);
     ctx.write_u64(PmAddr(addr.0 + 8), value.len() as u64);
     ctx.write_bytes(PmAddr(addr.0 + 16), value);
-    if ctx.device().config().domain == spash_pmem::PersistenceDomain::Adr {
-        // ADR downgrade: without a persistent CPU cache the blob must be
-        // durable before the slot word can publish it. Under eADR (the
-        // paper's platform) visibility is durability and this block
-        // disappears. The range is registered as publication-ordered so
-        // the sanitizer's Relaxed mode checks exactly this obligation at
-        // the next visibility edge.
-        let blob_len = 16 + value.len() as u64;
-        if spash_pmem::san::site_enabled("spash.payload.flush") {
-            ctx.flush_range(addr, blob_len);
-        }
-        if spash_pmem::san::site_enabled("spash.payload.fence") {
-            ctx.fence();
-        }
-        ctx.san_ordered(addr, blob_len);
-    }
 }
 
 /// A value extracted by a lookup.

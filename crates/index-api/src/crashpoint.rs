@@ -175,6 +175,14 @@ impl CheckLevel {
             _ => Self::Exact,
         }
     }
+
+    /// Whether a run of `target` in `domain` arms the persistence-ordering
+    /// sanitizer: exactly when the target is held to [`CheckLevel::Exact`]
+    /// there. A target that claims no durability in a domain has no
+    /// publication order to check.
+    pub fn arms_sanitizer(target: &str, domain: PersistenceDomain) -> bool {
+        Self::for_target(target, domain) == Self::Exact
+    }
 }
 
 /// What one index implementation plugs into the sweep.

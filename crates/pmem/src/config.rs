@@ -37,9 +37,9 @@ pub struct PmConfig {
     /// a pre-image of every dirty line, so that a power failure can revert
     /// what was never flushed; under eADR it keeps none.
     pub domain: PersistenceDomain,
-    /// Enable the persistence-ordering sanitizer ([`crate::san`]) in the
-    /// given mode. `None` (the default) costs nothing on data paths.
-    pub san: Option<crate::san::SanMode>,
+    /// Enable the persistence-ordering sanitizer ([`crate::san`]). Off
+    /// (the default) costs nothing on data paths.
+    pub san: bool,
     /// Latency/bandwidth constants (associated constants of the type).
     pub cost: CostModel,
 }
@@ -51,7 +51,7 @@ impl Default for PmConfig {
             cache_capacity: 64 << 20,
             cache_shards: 64,
             domain: PersistenceDomain::Eadr,
-            san: None,
+            san: false,
             cost: CostModel,
         }
     }

@@ -162,7 +162,7 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use crate::span::{SpanSnapshot, SPAN_COMPACTION, SPAN_NAMES, SPAN_PROBE, SPAN_SPLIT};
-    use crate::{PmAddr, PmConfig, PmDevice, SanMode};
+    use crate::{PmAddr, PmConfig, PmDevice};
 
     fn span(dev: &PmDevice, name: &str) -> SpanSnapshot {
         let at = SPAN_NAMES.iter().position(|n| *n == name).unwrap();
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn device_level_accounting_lands_in_the_device_block_and_in_no_span() {
         let dev = PmDevice::new(PmConfig {
-            san: Some(SanMode::Strict),
+            san: true,
             ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();

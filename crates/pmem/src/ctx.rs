@@ -538,15 +538,6 @@ impl MemCtx {
         }
     }
 
-    /// Declare that `[addr, addr+len)` must be fully persisted before
-    /// this thread's next visibility edge (checked in
-    /// [`crate::san::SanMode::Relaxed`] under ADR).
-    pub fn san_ordered(&self, addr: PmAddr, len: u64) {
-        if let Some(san) = &self.dev.san {
-            san.register_ordered(self.tid, addr.0, len);
-        }
-    }
-
     /// Tag `[addr, addr+len)` with an allocation-region name for
     /// sanitizer violation rendering.
     pub fn san_tag(&self, addr: PmAddr, len: u64, tag: &str) {

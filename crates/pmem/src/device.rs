@@ -83,7 +83,7 @@ impl PmDevice {
             sim_horizon: AtomicU64::new(0),
             rmw_release: (0..(1 << 20)).map(|_| AtomicU64::new(0)).collect(),
             faults: FaultPlan::default(),
-            san: cfg.san.map(|mode| Arc::new(San::new(mode, cfg.domain))),
+            san: cfg.san.then(|| Arc::new(San::new(cfg.domain))),
             cfg,
         })
     }

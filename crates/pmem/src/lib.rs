@@ -48,7 +48,7 @@ pub use cost::{CostModel, VClock};
 pub use ctx::MemCtx;
 pub use device::{CrashReport, PmDevice};
 pub use fault::{CrashPointHit, FaultPlan};
-pub use san::{San, SanMode, SanReport, SanViolation, SanViolationKind};
+pub use san::{San, SanReport, SanViolation, SanViolationKind};
 pub use schedhook::{SchedHook, SyncEvent};
 pub use span::{SpanSnapshot, SPAN_COMPACTION, SPAN_LOG_REPLAY, SPAN_NAMES, SPAN_PROBE, SPAN_SPLIT};
 pub use stats::{StatsDelta, StatsSnapshot};

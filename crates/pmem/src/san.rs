@@ -18,22 +18,19 @@
 //! missing fence is invisible to the crash-point sweep and only this
 //! state machine can localize it.)
 //!
-//! What gets reported, parameterized by persistence domain and
-//! [`SanMode`]:
+//! What gets reported, parameterized by persistence domain:
 //!
 //! * **Publication violations** (hard failures, ADR only): at every
 //!   *visibility edge* — VLock/VRwLock release, atomic RMW, HTM commit,
 //!   observed via the [`crate::schedhook`] `SyncEvent` stream — lines the
 //!   publishing thread wrote that are still `DirtyUnflushed` or
-//!   `FlushedUnfenced`. In [`SanMode::Strict`] every non-transient written
-//!   line is checked (the discipline ADR-era indexes like CCEH/Dash/Level
-//!   claim); in [`SanMode::Relaxed`] only ranges explicitly registered
-//!   with [`crate::MemCtx::san_ordered`] are checked (Spash is eADR-native
-//!   and deliberately publishes unflushed data — only its ADR-gated
-//!   publication-ordering paths promise store→flush→fence).
-//! * **Write-after-flush-before-fence** (hard failure in `Strict` under
-//!   ADR): a store to a line whose flush has not yet been fenced — the
-//!   fence no longer covers the line's latest contents.
+//!   `FlushedUnfenced`. Every non-transient written line is checked: the
+//!   discipline ADR-era indexes like CCEH/Dash/Level claim. A design that
+//!   claims no ADR durability (eADR-native Spash) is not armed under ADR
+//!   at all (`CheckLevel::arms_sanitizer` decides).
+//! * **Write-after-flush-before-fence** (hard failure under ADR): a store
+//!   to a line whose flush has not yet been fenced — the fence no longer
+//!   covers the line's latest contents.
 //! * **Redundant flushes / no-op fences** (perf diagnostics, both
 //!   domains): a `clwb` that found the line clean, and an `sfence` with
 //!   no outstanding flush or ntstore — pure wasted PM-ordering cost,
@@ -64,18 +61,6 @@ use crate::device::CrashReport;
 use crate::schedhook::SyncEvent;
 use crate::stats::{CounterSink, PmStats};
 use crate::CACHELINE;
-
-/// How strictly publication edges are checked (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SanMode {
-    /// Every non-transient line a thread wrote must be `Persisted` before
-    /// that thread's next visibility edge (ADR-era flush+fence designs).
-    Strict,
-    /// Only ranges registered via [`crate::MemCtx::san_ordered`] are
-    /// checked at the next edge (eADR-native designs with ADR-gated
-    /// publication ordering, i.e. Spash).
-    Relaxed,
-}
 
 /// Shadow persistence state of one cacheline. `Clean` is represented by
 /// absence from the map.
@@ -186,9 +171,6 @@ struct TidState {
     pending: HashSet<u64>,
     /// An ntstore since the last fence (makes the next fence meaningful).
     nt_unfenced: bool,
-    /// `(first_line, last_line)` ranges registered for the next edge
-    /// ([`SanMode::Relaxed`] publication checks).
-    ordered: Vec<(u64, u64)>,
     /// Harness-set operation label.
     op: Option<String>,
 }
@@ -211,22 +193,16 @@ const MAX_VIOLATIONS: usize = 64;
 /// The per-device sanitizer. Created by [`crate::PmDevice::new`] when
 /// [`crate::PmConfig::san`] is set; all hooks are no-ops when absent.
 pub struct San {
-    mode: SanMode,
     domain: PersistenceDomain,
     inner: Mutex<Inner>,
 }
 
 impl San {
-    pub(crate) fn new(mode: SanMode, domain: PersistenceDomain) -> Self {
+    pub(crate) fn new(domain: PersistenceDomain) -> Self {
         Self {
-            mode,
             domain,
             inner: Mutex::new(Inner::default()),
         }
-    }
-
-    pub fn mode(&self) -> SanMode {
-        self.mode
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -284,10 +260,7 @@ impl San {
             if let Some(t) = inner.tids.get_mut(&by) {
                 t.pending.remove(&line);
             }
-            if self.checks_publication()
-                && self.mode == SanMode::Strict
-                && !inner.transient.contains(&line)
-            {
+            if self.checks_publication() && !inner.transient.contains(&line) {
                 let v = SanViolation {
                     kind: SanViolationKind::WriteAfterFlushBeforeFence,
                     line,
@@ -421,18 +394,10 @@ impl San {
         // fence is still accounted (the no-op-fence diagnostic stays
         // exact).
         wrote.extend(ts.pending.iter().copied());
-        let ordered = std::mem::take(&mut ts.ordered);
         if !self.checks_publication() {
             return;
         }
-        let candidates: Vec<u64> = match self.mode {
-            SanMode::Strict => wrote,
-            SanMode::Relaxed => ordered
-                .iter()
-                .flat_map(|&(first, last)| first..=last)
-                .collect(),
-        };
-        for line in candidates {
+        for line in wrote {
             if inner.transient.contains(&line) {
                 continue;
             }
@@ -494,7 +459,6 @@ impl San {
         for ts in inner.tids.values_mut() {
             ts.wrote.clear();
             ts.pending.clear();
-            ts.ordered.clear();
             ts.nt_unfenced = false;
         }
         lost
@@ -513,7 +477,6 @@ impl San {
         for ts in inner.tids.values_mut() {
             ts.pending.clear();
             ts.wrote.clear();
-            ts.ordered.clear();
             ts.nt_unfenced = false;
         }
     }
@@ -549,17 +512,6 @@ impl San {
                 t.pending.remove(&line);
             }
         }
-    }
-
-    /// Register `[addr, addr+len)` as *publication-ordered* for `tid`:
-    /// at that thread's next visibility edge, every line of the range
-    /// must be `Persisted` ([`SanMode::Relaxed`] checks only these).
-    pub fn register_ordered(&self, tid: u32, addr: u64, len: u64) {
-        if len == 0 || !self.checks_publication() {
-            return;
-        }
-        let range = (crate::line_of(addr), crate::line_of(addr + len - 1));
-        self.lock().tids.entry(tid).or_default().ordered.push(range);
     }
 
     /// Tag `[addr, addr+len)` with an allocation-region name used in
@@ -712,9 +664,9 @@ mod tests {
     use super::*;
     use crate::{MemCtx, PmAddr, PmConfig, PmDevice};
 
-    fn adr_strict() -> Arc<PmDevice> {
+    fn adr_sanitized() -> Arc<PmDevice> {
         PmDevice::new(PmConfig {
-            san: Some(SanMode::Strict),
+            san: true,
             ..PmConfig::adr_test()
         })
     }
@@ -727,7 +679,7 @@ mod tests {
 
     #[test]
     fn disciplined_publication_is_clean() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         let mut ctx = dev.ctx();
         write_flush_fence(&mut ctx, 256);
         ctx.cas_u64(PmAddr(512), 0, 1).unwrap();
@@ -740,7 +692,7 @@ mod tests {
 
     #[test]
     fn published_dirty_is_caught_at_rmw_edge() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(256), 7); // no flush
         ctx.cas_u64(PmAddr(512), 0, 1).unwrap();
@@ -754,7 +706,7 @@ mod tests {
 
     #[test]
     fn published_unfenced_is_caught() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(256), 7);
         ctx.flush(PmAddr(256)); // no fence
@@ -767,7 +719,7 @@ mod tests {
 
     #[test]
     fn write_after_flush_before_fence_is_caught() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(256), 7);
         ctx.flush(PmAddr(256));
@@ -782,7 +734,7 @@ mod tests {
 
     #[test]
     fn transient_lines_are_exempt() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         dev.san().unwrap().mark_transient(256, 8);
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(256), 7);
@@ -797,7 +749,7 @@ mod tests {
 
     #[test]
     fn redundant_flush_and_noop_fence_counted() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(256), 7);
         ctx.flush(PmAddr(256));
@@ -812,7 +764,7 @@ mod tests {
     #[test]
     fn eadr_publication_checks_off_diagnostics_on() {
         let dev = PmDevice::new(PmConfig {
-            san: Some(SanMode::Strict),
+            san: true,
             ..PmConfig::small_test()
         });
         let mut ctx = dev.ctx();
@@ -825,28 +777,8 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_checks_only_ordered_ranges() {
-        let dev = PmDevice::new(PmConfig {
-            san: Some(SanMode::Relaxed),
-            ..PmConfig::adr_test()
-        });
-        let mut ctx = dev.ctx();
-        // Unordered dirty publish: allowed in Relaxed.
-        ctx.write_u64(PmAddr(256), 7);
-        ctx.cas_u64(PmAddr(512), 0, 1).unwrap();
-        assert!(dev.san().unwrap().report().clean());
-        // Ordered range left dirty: flagged.
-        ctx.write_u64(PmAddr(2048), 9);
-        ctx.san_ordered(PmAddr(2048), 8);
-        ctx.cas_u64(PmAddr(512), 1, 2).unwrap();
-        let r = dev.san().unwrap().report();
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].kind, SanViolationKind::PublishedDirty);
-    }
-
-    #[test]
     fn crash_reports_reverted_lines_with_tags() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         dev.san().unwrap().tag_region(256, 64, "canary-region");
         let mut ctx = dev.ctx();
         ctx.write_u64(PmAddr(256), 7); // dirty at crash
@@ -860,7 +792,7 @@ mod tests {
 
     #[test]
     fn ntstore_is_immediately_persisted() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         let mut ctx = dev.ctx();
         ctx.ntstore_bytes(PmAddr(4096), &[3u8; 64]);
         ctx.cas_u64(PmAddr(512), 0, 1).unwrap();
@@ -887,7 +819,7 @@ mod tests {
 
     #[test]
     fn violation_rendering_names_state() {
-        let dev = adr_strict();
+        let dev = adr_sanitized();
         let mut ctx = dev.ctx();
         dev.san().unwrap().set_op_label(ctx.tid(), "insert k=5");
         dev.san().unwrap().tag_region(192, 128, "seg");

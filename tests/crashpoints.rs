@@ -68,31 +68,31 @@ type DecisionCrash = (u64, bool, Option<u64>, u64, bool);
 /// The samples are an even stride over the schedule's decisions, so they
 /// move whenever an operation emits a different number of sync points
 /// (one `HtmAcquire` per line a transaction reads, not per word). The
-/// write ordinals count every media write before the crash, including
-/// the flush that makes an update's replacement blob durable before its
-/// slot publishes it under ADR
-/// (`adr_replacement_blob_is_durable_before_its_slot`).
+/// write ordinals count every media write before the crash. Spash issues
+/// no flush under ADR that it does not issue under eADR
+/// (`spash_issues_the_same_writes_and_flushes_in_both_domains`), so
+/// Spash's ADR image is never recoverable here.
 const DECISION_CRASH_PINS: [(u64, [DecisionCrash; 6]); 2] = [
     (
         3,
         [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
-            (67, true, Some(4), 0x989e_d122_460a_9986, false),
-            (133, true, Some(8), 0x5535_4d5e_1542_c829, false),
-            (200, true, Some(14), 0x0966_45a7_7524_d8d5, false),
-            (266, true, Some(14), 0x1b9e_bef3_2d68_94ff, false),
-            (333, true, Some(14), 0xfb16_769c_e085_7ac0, false),
+            (65, true, Some(1), 0xf9b7_80a3_a668_73b4, false),
+            (129, true, Some(2), 0xfafa_dac0_1f63_0075, false),
+            (193, true, Some(2), 0xd132_350e_29a6_e835, false),
+            (257, true, Some(7), 0x7d2b_ac5f_31af_e354, false),
+            (322, true, Some(8), 0xb76a_37d9_a79d_2936, false),
         ],
     ),
     (
         11,
         [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
-            (68, true, Some(4), 0x0af3_840d_bbf1_5170, false),
-            (135, true, Some(4), 0x30bc_c44f_0117_4a5a, false),
-            (202, true, Some(7), 0x88c1_ebf3_a00d_c447, false),
-            (269, true, Some(13), 0xba36_8d0c_954f_9099, false),
-            (337, true, Some(14), 0x4934_a742_5f80_3735, false),
+            (65, true, Some(1), 0x9f36_0361_c152_7a95, false),
+            (129, true, Some(5), 0x69bb_cdeb_d123_0c9c, false),
+            (194, true, Some(8), 0xb310_68ee_7c11_41be, false),
+            (258, true, Some(8), 0x37ed_208a_adea_9417, false),
+            (323, true, Some(8), 0x45d3_e677_f3cc_b81e, false),
         ],
     ),
 ];
@@ -161,7 +161,7 @@ fn adr_sweep_catches_a_skipped_baseline_publication_flush() {
 
     let target = Cceh::crash_target(1);
     let mut cfg = SweepConfig::ci(PersistenceDomain::Adr);
-    assert!(cfg.pm.san.is_none());
+    assert!(!cfg.pm.san);
     cfg.n_ops = 250;
     cfg.key_space = 96;
     cfg.exhaustive_limit = 40;
