@@ -45,6 +45,14 @@ const ST_LARGE_CONT: u8 = 0xE1;
 const ST_REGION: u8 = 0xD0;
 const ST_REGION_CONT: u8 = 0xD1;
 
+/// Chunk headers per cacheline of the header table, which starts on an
+/// XPLine boundary.
+const HEADERS_PER_LINE: u64 = spash_pmem::CACHELINE / layout::HDR_BYTES;
+/// Header lines the header walk keeps in flight ahead of the line it
+/// decodes: eight lines (two XPLines) cover the PM read latency with
+/// half the 16-entry prefetch table to spare.
+const HEADER_LOOKAHEAD: u64 = 8;
+
 /// A chunk header as the recovery walk decodes it.
 enum Chunk {
     Free,
@@ -290,26 +298,54 @@ impl PmAllocator {
     }
 
     /// The one walk over the chunk-header table, shared by recovery and
-    /// the census: one modelled header read per visited chunk, in chunk
-    /// order. A large or region run is visited once, at its start, with
-    /// its length in chunks (at least 1), and its interior is skipped;
-    /// every other chunk has length 1.
+    /// the census, as a prefetch pipeline (§III-D): one modelled
+    /// `read_line` per header line ([`HEADERS_PER_LINE`] headers), in
+    /// table order, with the next [`HEADER_LOOKAHEAD`] lines in flight.
+    /// Every header line is read, so every line prefetched is consumed
+    /// before the walk returns. Chunks are visited in chunk order: a large
+    /// or region run is visited once, at its start, with its length in
+    /// chunks (at least 1), and its interior is skipped; every other chunk
+    /// has length 1.
+    ///
+    /// The walk starts with an empty prefetch table (recovery and the
+    /// census run on a fresh context) and never issues a prefetch into a
+    /// full one.
     fn walk_headers(ctx: &mut MemCtx, l: &Layout, mut visit: impl FnMut(u64, u64, Chunk)) {
+        let lines = l.n_chunks.div_ceil(HEADERS_PER_LINE);
+        let line_addr = |k: u64| PmAddr(l.header_addr(k * HEADERS_PER_LINE));
+        for k in 0..lines.min(HEADER_LOOKAHEAD) {
+            assert!(ctx.prefetch_room() > 0, "prefetch table full");
+            ctx.prefetch(line_addr(k));
+        }
         let mut i = 0;
-        while i < l.n_chunks {
-            let h = Self::header_get(l, ctx, i);
-            let (chunk, len) = match (h >> 24) as u8 {
-                ST_FREE => (Chunk::Free, 1),
-                ST_SEGMENT => (Chunk::Segment, 1),
-                ST_LARGE => (Chunk::Large, ((h >> 16) & 0xff).max(1) as u64),
-                ST_REGION => (Chunk::Region, (h & 0xff_ffff).max(1) as u64),
-                state if ((state - 1) as usize) < SMALL_CLASSES.len() => {
-                    (Chunk::Small((state - 1) as usize, h as u16), 1)
-                }
-                _ => (Chunk::Other, 1),
-            };
-            visit(i, len, chunk);
-            i += len;
+        for k in 0..lines {
+            let words = ctx.read_line(line_addr(k));
+            if k + HEADER_LOOKAHEAD < lines {
+                assert!(ctx.prefetch_room() > 0, "prefetch table full");
+                ctx.prefetch(line_addr(k + HEADER_LOOKAHEAD));
+            }
+            let end = ((k + 1) * HEADERS_PER_LINE).min(l.n_chunks);
+            while i < end {
+                let byte = l.header_addr(i);
+                let h = Self::header_field(byte, words[(byte / 8 % 8) as usize]);
+                let (chunk, len) = Self::decode(h);
+                visit(i, len, chunk);
+                i += len;
+            }
+        }
+    }
+
+    /// A chunk header's state and its run length in chunks.
+    fn decode(h: u32) -> (Chunk, u64) {
+        match (h >> 24) as u8 {
+            ST_FREE => (Chunk::Free, 1),
+            ST_SEGMENT => (Chunk::Segment, 1),
+            ST_LARGE => (Chunk::Large, ((h >> 16) & 0xff).max(1) as u64),
+            ST_REGION => (Chunk::Region, (h & 0xff_ffff).max(1) as u64),
+            state if ((state - 1) as usize) < SMALL_CLASSES.len() => {
+                (Chunk::Small((state - 1) as usize, h as u16), 1)
+            }
+            _ => (Chunk::Other, 1),
         }
     }
 
@@ -740,6 +776,42 @@ mod tests {
             assert!(n < 100_000, "never exhausted");
         }
         assert!(n > 0);
+    }
+
+    /// The header walk reads the table a line at a time: on a cold cache
+    /// the census fetches each header line once (by its prefetch) and
+    /// reads it once (consuming the prefetch), however many chunks a run
+    /// lets the walk skip, and leaves no prefetch pending.
+    #[test]
+    fn header_walk_is_one_access_per_header_line() {
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut ctx = dev.ctx();
+        let alloc = PmAllocator::format(&mut ctx, 1024);
+        let l = *alloc.layout();
+        let seg = alloc.alloc_segment(&mut ctx).unwrap();
+        let blob = alloc.alloc(&mut ctx, 40).unwrap().addr;
+        // A large run that skips part of a header line, and a region
+        // that skips whole lines.
+        let big = alloc.alloc(&mut ctx, 20 * CHUNK).unwrap().addr;
+        let region = alloc.alloc_region(&mut ctx, 100 * CHUNK).unwrap();
+        let tail = alloc.alloc_segment(&mut ctx).unwrap();
+        dev.simulate_power_failure();
+
+        let mut ctx = dev.ctx();
+        let room = ctx.prefetch_room();
+        let before = dev.snapshot();
+        let census = PmAllocator::census(&mut ctx).unwrap();
+        let d = dev.snapshot().since(&before);
+        let lines = l.n_chunks.div_ceil(HEADERS_PER_LINE);
+        assert!(lines > HEADER_LOOKAHEAD);
+        // The superblock adds one line fetch and six more word reads.
+        assert_eq!(d.cl_reads, lines + 1, "one fetch per header line");
+        assert_eq!(d.read_hits, lines + 6, "one read per header line");
+        assert_eq!(ctx.prefetch_room(), room, "a header prefetch was never read");
+        assert_eq!(census.segments, vec![seg, tail]);
+        assert_eq!(census.large, vec![(big, 20 * CHUNK)]);
+        assert_eq!(census.regions, vec![(region, 100 * CHUNK)]);
+        assert_eq!(census.small_slots, vec![(blob, 48)]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::slot::{
 use crate::access::{Access, Plain};
 use crate::ops::Spash;
 use spash_htm::Abort;
-use spash_pmem::{MemCtx, PmAddr};
+use spash_pmem::{line_of, MemCtx, PmAddr, CACHELINE};
 
 /// Sidecar bytes per segment-capable chunk: one u64 per bucket.
 pub const FP_BYTES_PER_SEG: u64 = BUCKETS_PER_SEG as u64 * 8;
@@ -167,15 +167,16 @@ impl FpTable {
 /// applies it) and the integrity walker (which checks the live table
 /// against it exactly).
 ///
-/// `hash_of_kw` resolves a key word to its key hash — inline keys hash
-/// directly; `Ptr` keys need the blob's key read from PM, which the
-/// caller owns (it also lets the walker reuse hashes it already read).
-/// The rule ignores the wrong-tag mutation by construction (tags are
-/// *computed*, not copied), which is exactly why recovery heals the
-/// canary's corruption and the walker catches it.
+/// `hash_of` resolves occupied slot `idx` to its key hash — inline keys
+/// hash directly; `Ptr` keys need the blob's key read from PM, which the
+/// caller owns (recovery resolves every slot once, up front, through a
+/// prefetch window; the walker reads the blob at each call). The rule
+/// ignores the wrong-tag mutation by construction (tags are *computed*,
+/// not copied), which is exactly why recovery heals the canary's
+/// corruption and the walker catches it.
 pub fn rebuild_words(
     words: &[(u64, u64); 16],
-    mut hash_of_kw: impl FnMut(u64) -> Option<u64>,
+    mut hash_of: impl FnMut(usize) -> Option<u64>,
 ) -> [u64; 4] {
     let mut fp = [0u64; 4];
     for b in 0..BUCKETS_PER_SEG {
@@ -183,7 +184,7 @@ pub fn rebuild_words(
             let (kw, vw) = words[idx as usize];
             // Slot tag: fp8 of the resident key.
             if !SlotKey::unpack(kw).is_empty() {
-                if let Some(h) = hash_of_kw(kw) {
+                if let Some(h) = hash_of(idx as usize) {
                     fp[b as usize] = fp_word::with_slot_tag(fp[b as usize], j as u8, fp8(h));
                 }
             }
@@ -200,7 +201,7 @@ pub fn rebuild_words(
             if SlotKey::unpack(tkw).is_empty() || t / 4 == b {
                 continue;
             }
-            if let Some(th) = hash_of_kw(tkw) {
+            if let Some(th) = hash_of(t as usize) {
                 if hint_matches(hint, th) == Some(t) && bucket_of(th) == b {
                     fp[b as usize] = fp_word::with_hint_tag(fp[b as usize], j as u8, fp8(th));
                 }
@@ -210,24 +211,44 @@ pub fn rebuild_words(
     fp
 }
 
-/// Convenience: rebuild and install one segment's fp words from its
-/// current slot contents, reading the segment as its four lines and blob
-/// keys through `ctx` (recovery). Returns the number of live slots, so
-/// recovery counts entries from the same image.
-pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr) -> u64 {
-    // lint:allow(fp-probe): recovery rebuilds the sidecar from every slot; the sidecar is what is being computed
-    let image = Plain::ok(Spash::read_segment(&mut Plain, ctx, seg));
+/// Rebuild and install one segment's fp words from `image`, the
+/// segment's 32 words as recovery read them, and return the number of
+/// live slots, so recovery counts entries from the same image. The
+/// caller has already read the segment's fp line with `read_line` (a
+/// write does not consume a pending prefetch of it).
+///
+/// Each slot's hash is resolved once — an overflow target's blob key is
+/// not read again for its hint — and the blob keys of `Ptr` slots are
+/// read through a prefetch window: the distinct blob-key lines of the
+/// slots not yet resolved are kept in flight as far as the prefetch
+/// table has room, so the segment pays about one PM latency for all of
+/// them instead of one per key. Every line prefetched here is read
+/// before this returns.
+pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr, image: &[u64; 32]) -> u64 {
     let words: [(u64, u64); slot::SLOTS_PER_SEG as usize] =
         std::array::from_fn(|i| (image[2 * i], image[2 * i + 1]));
-    let live = words
-        .iter()
-        .filter(|&&(kw, _)| !SlotKey::unpack(kw).is_empty())
-        .count();
-    let fp = rebuild_words(&words, |kw| Spash::hash_of_kw(ctx, kw));
+    let blob_line = |i: usize| match SlotKey::unpack(words[i].0) {
+        SlotKey::Ptr { addr, .. } => Some(line_of(addr.0)),
+        _ => None,
+    };
+    let mut hashes = [None; slot::SLOTS_PER_SEG as usize];
+    let mut ahead = 0;
+    for (i, h) in hashes.iter_mut().enumerate() {
+        while ahead < words.len() && ctx.prefetch_room() > 0 {
+            if let Some(line) = blob_line(ahead) {
+                if !(0..ahead).any(|j| blob_line(j) == Some(line)) {
+                    ctx.prefetch(PmAddr(line * CACHELINE));
+                }
+            }
+            ahead += 1;
+        }
+        *h = Spash::hash_of_kw(ctx, words[i].0);
+    }
+    let fp = rebuild_words(&words, |i| hashes[i]);
     for b in 0..BUCKETS_PER_SEG {
         Plain::ok(table.write_word(&mut Plain, ctx, seg, b, fp[b as usize]));
     }
-    live as u64
+    hashes.iter().flatten().count() as u64
 }
 
 #[cfg(test)]
@@ -245,8 +266,9 @@ mod tests {
         words
     }
 
-    fn inline_hash(kw: u64) -> Option<u64> {
-        match SlotKey::unpack(kw) {
+    /// The hash of slot `idx`'s inline key.
+    fn inline_hash(words: &[(u64, u64); 16]) -> impl Fn(usize) -> Option<u64> + '_ {
+        |idx| match SlotKey::unpack(words[idx].0) {
             SlotKey::Empty => None,
             SlotKey::Inline { key, .. } => Some(hash_key(key)),
             SlotKey::Ptr { .. } => unreachable!("test uses inline keys only"),
@@ -263,7 +285,7 @@ mod tests {
         let k0 = key_in_bucket(0, 1);
         let k2 = key_in_bucket(2, 2);
         let words = seg_words_with(&[(0, k0), (9, k2)]);
-        let fp = rebuild_words(&words, inline_hash);
+        let fp = rebuild_words(&words, inline_hash(&words));
         assert_eq!(fp_word::slot_tag(fp[0], 0), fp8(hash_key(k0)));
         assert_eq!(fp_word::slot_tag(fp[2], 1), fp8(hash_key(k2)));
         assert_eq!(fp[1], 0);
@@ -278,7 +300,7 @@ mod tests {
         let ho = hash_key(ko);
         let mut words = seg_words_with(&[(6, ko)]);
         words[2].1 = value_word::with_hint(0, slot::make_hint(ho, 6));
-        let fp = rebuild_words(&words, inline_hash);
+        let fp = rebuild_words(&words, inline_hash(&words));
         assert_eq!(fp_word::hint_tag(fp[0], 2), fp8(ho), "live hint tagged");
         assert_eq!(fp_word::slot_tag(fp[1], 2), fp8(ho), "overflow slot tagged too");
     }
@@ -290,11 +312,11 @@ mod tests {
         // Hint to an *empty* slot.
         let mut words = [(0u64, 0u64); 16];
         words[1].1 = value_word::with_hint(0, slot::make_hint(ho, 6));
-        assert_eq!(rebuild_words(&words, inline_hash)[0], 0);
+        assert_eq!(rebuild_words(&words, inline_hash(&words))[0], 0);
         // Hint whose target sits in the main bucket itself (not overflow).
         let mut words = seg_words_with(&[(2, ko)]);
         words[1].1 = value_word::with_hint(0, slot::make_hint(ho, 2));
-        assert_eq!(fp_word::hint_tag(rebuild_words(&words, inline_hash)[0], 1), 0);
+        assert_eq!(fp_word::hint_tag(rebuild_words(&words, inline_hash(&words))[0], 1), 0);
     }
 
     /// The merge pre-check reads a segment's four fp words as one line,
@@ -333,7 +355,7 @@ mod tests {
         let mut words = seg_words_with(&[(5, k_main), (10, k_over)]);
         let ho = hash_key(k_over);
         words[4].1 = value_word::with_hint(words[4].1, slot::make_hint(ho, 10));
-        let fp = rebuild_words(&words, inline_hash);
+        let fp = rebuild_words(&words, inline_hash(&words));
         assert!(fp_word::any_match(fp[1], fp8(hash_key(k_main))));
         assert!(fp_word::any_match(fp[1], fp8(ho)));
     }

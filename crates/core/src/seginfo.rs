@@ -44,7 +44,7 @@ impl SegInfoTable {
         }
     }
 
-    fn record_addr(&self, seg: PmAddr) -> PmAddr {
+    pub(crate) fn record_addr(&self, seg: PmAddr) -> PmAddr {
         debug_assert!(seg.0 >= self.heap_start);
         let chunk = (seg.0 - self.heap_start) / 256;
         debug_assert!(chunk < self.n_chunks);

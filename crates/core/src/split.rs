@@ -648,7 +648,8 @@ mod tests {
             out.clear();
             assert!(idx.oracle_scan_get(&mut ctx, k, &mut out), "key {k}");
         }
-        crate::fptable::rebuild_segment(&idx.fptable, &mut ctx, seg);
+        let image = Plain::ok(Spash::read_segment(&mut Plain, &mut ctx, seg));
+        crate::fptable::rebuild_segment(&idx.fptable, &mut ctx, seg, &image);
         idx.verify_integrity(&mut ctx).unwrap();
     }
 }

@@ -99,6 +99,13 @@ impl MemCtx {
         self.prefetch_len = 0;
     }
 
+    /// Free entries in the in-flight prefetch table. A walker that must
+    /// read back everything it prefetches sizes its lookahead by this, so
+    /// it never issues a prefetch into a full table (DESIGN.md §13).
+    pub fn prefetch_room(&self) -> usize {
+        MAX_PREFETCH - self.prefetch_len
+    }
+
     #[inline]
     fn take_prefetch(&mut self, line: u64) -> Option<u64> {
         for i in 0..self.prefetch_len {
