@@ -7,21 +7,30 @@
 //! cache so they can be flushed back in one XPLine (compacted-flush).
 //!
 //! Persistent state (crash-recoverable):
-//! * a superblock describing the arena layout ([`layout`]);
+//! * a superblock describing the arena layout ([`layout`]), and a
+//!   high-water mark: every chunk ever allocated lies below it. The
+//!   frontier raises it in steps of 1 024 chunks before it hands out a
+//!   chunk at or past it (under ADR the new mark is flushed and fenced
+//!   first), and nothing lowers it, so the recovery walk reads the header
+//!   lines below the mark only and stays proportional to the chunks in
+//!   use, not to the arena;
 //! * a 4-byte header per 256-byte heap chunk: state (free / small class /
 //!   segment / large run) plus, for small chunks, a 16-bit slot bitmap.
 //!
 //! Volatile state (rebuilt by [`PmAllocator::recover`]):
 //! * per-thread active chunks and slot free-caches per size class;
-//! * a global free-chunk list and allocation frontier.
+//! * a global free-chunk list and allocation frontier;
+//! * a mirror of the high-water mark, so a run that ends below it never
+//!   takes the lock that raises it.
 //!
 //! Slots freed into a thread's cache keep their persistent bitmap bit set;
 //! a crash leaks at most those cached slots (bounded, documented — DCMM
 //! makes the same trade).
 
 pub mod layout;
+pub mod testhooks;
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spash_pmem::sync::Mutex;
@@ -51,7 +60,11 @@ const HEADERS_PER_LINE: u64 = spash_pmem::CACHELINE / layout::HDR_BYTES;
 /// Header lines the header walk keeps in flight ahead of the line it
 /// decodes: eight lines (two XPLines) cover the PM read latency with
 /// half the 16-entry prefetch table to spare.
-const HEADER_LOOKAHEAD: u64 = 8;
+const HEADER_LOOKAHEAD: usize = 8;
+/// Chunks the high-water mark rises by at a time: 64 header lines, so a
+/// raise (one superblock store, plus its flush and fence under ADR) comes
+/// once per 256 KiB of heap the frontier crosses.
+const HIGH_WATER_STEP: u64 = 1024;
 
 /// A chunk header as the recovery walk decodes it.
 enum Chunk {
@@ -123,6 +136,11 @@ struct Global {
 pub struct PmAllocator {
     layout: Layout,
     frontier: AtomicU64,
+    /// The persisted high-water mark's volatile mirror: published only
+    /// after the mark it mirrors is durable.
+    high_water: AtomicU64,
+    /// Serializes raises of the high-water mark.
+    mark_lock: Mutex<()>,
     global: Mutex<Global>,
     threads: Vec<Mutex<ThreadHeap>>,
     n_thread_shards: usize,
@@ -213,14 +231,16 @@ impl PmAllocator {
         if l.reserved_len > 0 {
             ctx.san_tag(PmAddr(l.reserved_start), l.reserved_len, "reserved");
         }
-        Self::from_layout(l)
+        Self::from_layout(l, 0)
     }
 
-    fn from_layout(l: Layout) -> Self {
+    fn from_layout(l: Layout, high_water: u64) -> Self {
         let n_thread_shards = 64;
         Self {
             layout: l,
             frontier: AtomicU64::new(0),
+            high_water: AtomicU64::new(high_water),
+            mark_lock: Mutex::new(()),
             global: Mutex::new(Global {
                 free_chunks: Vec::new(),
                 free_runs: Vec::new(),
@@ -236,13 +256,13 @@ impl PmAllocator {
     /// crash (or clean restart). Returns the allocator plus the list of
     /// live index segments.
     pub fn recover(ctx: &mut MemCtx) -> Option<RecoveredHeap> {
-        let (_, l) = layout::read_superblock(ctx)?;
-        let alloc = Self::from_layout(l);
+        let (l, mark) = layout::read_superblock(ctx)?;
+        let alloc = Self::from_layout(l, mark);
         let mut segments = Vec::new();
         let mut regions = Vec::new();
         let mut free_chunks = Vec::new();
         let mut frontier = 0;
-        Self::walk_headers(ctx, &l, |i, len, chunk| {
+        Self::walk_headers(ctx, &l, mark, |i, len, chunk| {
             match chunk {
                 Chunk::Free => {
                     free_chunks.push(i);
@@ -279,9 +299,9 @@ impl PmAllocator {
     /// Purely observational (no volatile state is built or mutated), so it
     /// can run on a post-crash image before — or instead of — recovery.
     pub fn census(ctx: &mut MemCtx) -> Option<HeapCensus> {
-        let (_, l) = layout::read_superblock(ctx)?;
+        let (l, mark) = layout::read_superblock(ctx)?;
         let mut out = HeapCensus::default();
-        Self::walk_headers(ctx, &l, |i, len, chunk| match chunk {
+        Self::walk_headers(ctx, &l, mark, |i, len, chunk| match chunk {
             Chunk::Free | Chunk::Other => {}
             Chunk::Segment => out.segments.push(l.chunk_addr(i)),
             Chunk::Large => out.large.push((l.chunk_addr(i), len * CHUNK)),
@@ -300,32 +320,45 @@ impl PmAllocator {
     /// The one walk over the chunk-header table, shared by recovery and
     /// the census, as a prefetch pipeline (§III-D): one modelled
     /// `read_line` per header line ([`HEADERS_PER_LINE`] headers), in
-    /// table order, with the next [`HEADER_LOOKAHEAD`] lines in flight.
-    /// Every header line is read, so every line prefetched is consumed
-    /// before the walk returns. Chunks are visited in chunk order: a large
-    /// or region run is visited once, at its start, with its length in
-    /// chunks (at least 1), and its interior is skipped; every other chunk
-    /// has length 1.
+    /// table order, with up to [`HEADER_LOOKAHEAD`] lines in flight. It
+    /// covers the chunks below the persisted high-water `mark` only:
+    /// every header from the mark on is free. Chunks are visited in chunk
+    /// order: a large or region run is visited once, at its start, with
+    /// its length in chunks (at least 1), and its interior is skipped;
+    /// every other chunk has length 1.
     ///
-    /// The walk starts with an empty prefetch table (recovery and the
-    /// census run on a fresh context) and never issues a prefetch into a
-    /// full one.
-    fn walk_headers(ctx: &mut MemCtx, l: &Layout, mut visit: impl FnMut(u64, u64, Chunk)) {
-        let lines = l.n_chunks.div_ceil(HEADERS_PER_LINE);
+    /// A line wholly inside a run already decoded is not fetched, unless
+    /// it was in flight before the run's start was decoded: every line
+    /// prefetched is read, so every prefetch is consumed before the walk
+    /// returns. The walk starts with an empty prefetch table (recovery
+    /// and the census run on a fresh context) and never issues a prefetch
+    /// into a full one.
+    fn walk_headers(
+        ctx: &mut MemCtx,
+        l: &Layout,
+        mark: u64,
+        mut visit: impl FnMut(u64, u64, Chunk),
+    ) {
+        let lines = mark.div_ceil(HEADERS_PER_LINE);
         let line_addr = |k: u64| PmAddr(l.header_addr(k * HEADERS_PER_LINE));
-        for k in 0..lines.min(HEADER_LOOKAHEAD) {
-            assert!(ctx.prefetch_room() > 0, "prefetch table full");
-            ctx.prefetch(line_addr(k));
-        }
-        let mut i = 0;
-        for k in 0..lines {
-            let words = ctx.read_line(line_addr(k));
-            if k + HEADER_LOOKAHEAD < lines {
+        let mut in_flight = VecDeque::with_capacity(HEADER_LOOKAHEAD);
+        // `next`: the first line neither prefetched nor skipped; `i`: the
+        // next chunk to visit.
+        let (mut next, mut i) = (0, 0);
+        loop {
+            next = next.max(i / HEADERS_PER_LINE);
+            while in_flight.len() < HEADER_LOOKAHEAD && next < lines {
                 assert!(ctx.prefetch_room() > 0, "prefetch table full");
-                ctx.prefetch(line_addr(k + HEADER_LOOKAHEAD));
+                ctx.prefetch(line_addr(next));
+                in_flight.push_back(next);
+                next += 1;
             }
-            let end = ((k + 1) * HEADERS_PER_LINE).min(l.n_chunks);
-            while i < end {
+            let Some(k) = in_flight.pop_front() else {
+                break;
+            };
+            let words = ctx.read_line(line_addr(k));
+            let line_end = ((k + 1) * HEADERS_PER_LINE).min(mark);
+            while i < line_end {
                 let byte = l.header_addr(i);
                 let h = Self::header_field(byte, words[(byte / 8 % 8) as usize]);
                 let (chunk, len) = Self::decode(h);
@@ -333,6 +366,25 @@ impl PmAllocator {
                 i += len;
             }
         }
+    }
+
+    /// The high-water invariant: no header at or above the persisted mark
+    /// is non-free. Read from the arena with no modelled access, so the
+    /// crash audits can check it at every crash point without moving the
+    /// virtual clock. An unformatted arena has nothing to check.
+    pub fn check_high_water(ctx: &MemCtx) -> Result<(), String> {
+        let Some((l, mark)) = layout::peek_superblock(ctx) else {
+            return Ok(());
+        };
+        for c in mark..l.n_chunks {
+            let h = Self::header_peek(&l, ctx, c);
+            if h != 0 {
+                return Err(format!(
+                    "chunk {c} has header {h:#010x} at or above the persisted high-water mark {mark}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// A chunk header's state and its run length in chunks.
@@ -375,8 +427,8 @@ impl PmAllocator {
 
     /// The header as the arena holds it, with no modelled access: for
     /// assertions, which must not move the virtual clock.
-    fn header_peek(&self, ctx: &MemCtx, chunk: u64) -> u32 {
-        let byte = self.layout.header_addr(chunk);
+    fn header_peek(l: &Layout, ctx: &MemCtx, chunk: u64) -> u32 {
+        let byte = l.header_addr(chunk);
         Self::header_field(byte, ctx.device().arena().load_u64(PmAddr(byte & !7)))
     }
 
@@ -417,34 +469,60 @@ impl PmAllocator {
 
     // ---- chunk acquisition ----------------------------------------------
 
-    fn take_run(&self, len: u64) -> Result<u64, AllocError> {
+    /// Take a run of `len` free chunks and publish `header` as its start
+    /// chunk's header. A run from the frontier is first covered by the
+    /// high-water mark.
+    fn take_run(&self, ctx: &mut MemCtx, len: u64, header: u32) -> Result<u64, AllocError> {
         debug_assert!(len >= 1);
-        {
+        let reused = {
             let mut g = self.global.lock();
             if len == 1 {
-                if let Some(c) = g.free_chunks.pop() {
-                    return Ok(c);
-                }
-            } else if let Some(pos) = g.free_runs.iter().position(|&(l, _)| l as u64 == len) {
-                let (_, c) = g.free_runs.swap_remove(pos);
-                return Ok(c);
+                g.free_chunks.pop()
+            } else {
+                let pos = g.free_runs.iter().position(|&(l, _)| l as u64 == len);
+                pos.map(|pos| g.free_runs.swap_remove(pos).1)
             }
-        }
-        let start = self.frontier.fetch_add(len, Ordering::Relaxed);
-        if start + len > self.layout.n_chunks {
-            // Roll the frontier back so later smaller requests can fit.
-            self.frontier.fetch_sub(len, Ordering::Relaxed);
-            return Err(AllocError::OutOfMemory);
-        }
+        };
+        let start = match reused {
+            Some(c) => c,
+            None => {
+                let start = self.frontier.fetch_add(len, Ordering::Relaxed);
+                if start + len > self.layout.n_chunks {
+                    // Roll the frontier back so later smaller requests can fit.
+                    self.frontier.fetch_sub(len, Ordering::Relaxed);
+                    return Err(AllocError::OutOfMemory);
+                }
+                self.cover(ctx, start + len);
+                start
+            }
+        };
+        // lint:allow(flow-flush-fence): the only store before this header CAS is cover's high-water mark, which write_high_water flushes and fences under ADR; eADR needs no flush, and only the skip-mark-flush testhook leaves it unflushed under ADR. san=none(testhook off outside its canary test)
+        self.header_set(ctx, start, header);
         Ok(start)
+    }
+
+    /// Make the persisted high-water mark cover every chunk below `end`
+    /// before any of them is handed out: raise it to the next multiple of
+    /// [`HIGH_WATER_STEP`], durably, then publish the mirror. A run that
+    /// ends at or below the mirror takes no lock. The mark never falls.
+    fn cover(&self, ctx: &mut MemCtx, end: u64) {
+        if end <= self.high_water.load(Ordering::Acquire) {
+            return;
+        }
+        let _raise = self.mark_lock.lock();
+        if end <= self.high_water.load(Ordering::Acquire) {
+            return;
+        }
+        let mark = end.next_multiple_of(HIGH_WATER_STEP).min(self.layout.n_chunks);
+        layout::write_high_water(ctx, mark);
+        self.high_water.store(mark, Ordering::Release);
     }
 
     // ---- public allocation API ------------------------------------------
 
     /// Allocate one 256-byte, XPLine-aligned index segment.
     pub fn alloc_segment(&self, ctx: &mut MemCtx) -> Result<PmAddr, AllocError> {
-        let c = self.take_run(1)?;
-        self.header_set(ctx, c, Self::pack_header(ST_SEGMENT, 0, 0));
+        let c = self.take_run(ctx, 1, Self::pack_header(ST_SEGMENT, 0, 0))?;
         let addr = self.layout.chunk_addr(c);
         ctx.san_tag(addr, CHUNK, "segment");
         Ok(addr)
@@ -456,7 +534,7 @@ impl PmAllocator {
         // Checked on the arena, not through the model: a modelled read
         // here would give debug builds a sync point and a cache access
         // that release builds do not have.
-        debug_assert_eq!((self.header_peek(ctx, c) >> 24) as u8, ST_SEGMENT);
+        debug_assert_eq!((Self::header_peek(&self.layout, ctx, c) >> 24) as u8, ST_SEGMENT);
         self.header_set(ctx, c, Self::pack_header(ST_FREE, 0, 0));
         self.global.lock().free_chunks.push(c);
     }
@@ -477,8 +555,7 @@ impl PmAllocator {
         if nchunks > 255 {
             return Err(AllocError::TooLarge);
         }
-        let start = self.take_run(nchunks)?;
-        self.header_set(ctx, start, Self::pack_header(ST_LARGE, nchunks as u8, 0));
+        let start = self.take_run(ctx, nchunks, Self::pack_header(ST_LARGE, nchunks as u8, 0))?;
         for i in 1..nchunks {
             self.header_set(ctx, start + i, Self::pack_header(ST_LARGE_CONT, 0, 0));
         }
@@ -527,8 +604,7 @@ impl PmAllocator {
         }
 
         // 3. Open a fresh chunk.
-        let chunk = self.take_run(1)?;
-        self.header_set(ctx, chunk, Self::pack_header(class as u8 + 1, 0, 0b1));
+        let chunk = self.take_run(ctx, 1, Self::pack_header(class as u8 + 1, 0, 0b1))?;
         ctx.san_tag(
             self.layout.chunk_addr(chunk),
             CHUNK,
@@ -570,12 +646,11 @@ impl PmAllocator {
         if nchunks >= 1 << 24 {
             return Err(AllocError::TooLarge);
         }
-        let start = self.take_run(nchunks)?;
-        self.header_set(
+        let start = self.take_run(
             ctx,
-            start,
+            nchunks,
             (ST_REGION as u32) << 24 | (nchunks as u32 & 0xff_ffff),
-        );
+        )?;
         // Continuation headers are only needed so a recovery scan can skip
         // the run; write one per 64 chunks to bound format cost, plus the
         // final chunk.
@@ -778,10 +853,23 @@ mod tests {
         assert!(n > 0);
     }
 
+    /// Census `dev`'s durable image on a fresh context: the census and
+    /// its `(cl_reads, read_hits)`, with the prefetch table checked empty
+    /// afterwards.
+    fn cold_census(dev: &Arc<PmDevice>) -> (HeapCensus, u64, u64) {
+        let mut ctx = dev.ctx();
+        let room = ctx.prefetch_room();
+        let before = dev.snapshot();
+        let census = PmAllocator::census(&mut ctx).unwrap();
+        let d = dev.snapshot().since(&before);
+        assert_eq!(ctx.prefetch_room(), room, "a header prefetch was never read");
+        (census, d.cl_reads, d.read_hits)
+    }
+
     /// The header walk reads the table a line at a time: on a cold cache
-    /// the census fetches each header line once (by its prefetch) and
-    /// reads it once (consuming the prefetch), however many chunks a run
-    /// lets the walk skip, and leaves no prefetch pending.
+    /// the census fetches each header line below the high-water mark once
+    /// (by its prefetch) and reads it once (consuming the prefetch), and
+    /// leaves no prefetch pending.
     #[test]
     fn header_walk_is_one_access_per_header_line() {
         let dev = PmDevice::new(PmConfig::small_test());
@@ -797,21 +885,110 @@ mod tests {
         let tail = alloc.alloc_segment(&mut ctx).unwrap();
         dev.simulate_power_failure();
 
-        let mut ctx = dev.ctx();
-        let room = ctx.prefetch_room();
-        let before = dev.snapshot();
-        let census = PmAllocator::census(&mut ctx).unwrap();
-        let d = dev.snapshot().since(&before);
-        let lines = l.n_chunks.div_ceil(HEADERS_PER_LINE);
-        assert!(lines > HEADER_LOOKAHEAD);
-        // The superblock adds one line fetch and six more word reads.
-        assert_eq!(d.cl_reads, lines + 1, "one fetch per header line");
-        assert_eq!(d.read_hits, lines + 6, "one read per header line");
-        assert_eq!(ctx.prefetch_room(), room, "a header prefetch was never read");
+        let (census, cl_reads, read_hits) = cold_census(&dev);
+        let lines = HIGH_WATER_STEP.div_ceil(HEADERS_PER_LINE);
+        assert!(lines > HEADER_LOOKAHEAD as u64 && HIGH_WATER_STEP < l.n_chunks);
+        // The superblock adds one line fetch, read as a miss.
+        assert_eq!(cl_reads, lines + 1, "one fetch per header line");
+        assert_eq!(read_hits, lines, "one read per header line");
         assert_eq!(census.segments, vec![seg, tail]);
         assert_eq!(census.large, vec![(big, 20 * CHUNK)]);
         assert_eq!(census.regions, vec![(region, 100 * CHUNK)]);
         assert_eq!(census.small_slots, vec![(blob, 48)]);
+    }
+
+    /// The walk ends at the persisted high-water mark, not at the end of
+    /// the table, and the mark only rises: a region freed at the frontier
+    /// rolls the frontier back but leaves the mark where it was, in PM and
+    /// in the mirror recovery rebuilds.
+    #[test]
+    fn header_walk_stops_at_the_high_water_mark() {
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut ctx = dev.ctx();
+        let alloc = PmAllocator::format(&mut ctx, 1024);
+        let n_chunks = alloc.layout().n_chunks;
+        let seg = alloc.alloc_segment(&mut ctx).unwrap();
+        let mark = |ctx: &MemCtx| layout::peek_superblock(ctx).unwrap().1;
+        assert_eq!(mark(&ctx), HIGH_WATER_STEP);
+        assert!(n_chunks > 4 * HIGH_WATER_STEP, "the arena is nearly empty");
+
+        // Cross one step, then free back to below it.
+        let region = alloc.alloc_region(&mut ctx, HIGH_WATER_STEP * CHUNK).unwrap();
+        assert_eq!(alloc.frontier_chunks(), HIGH_WATER_STEP + 1);
+        assert_eq!(mark(&ctx), 2 * HIGH_WATER_STEP);
+        alloc.free_region(&mut ctx, region);
+        assert_eq!(alloc.frontier_chunks(), 1, "the free rolled the frontier back");
+        assert_eq!(mark(&ctx), 2 * HIGH_WATER_STEP, "the mark never falls");
+        dev.simulate_power_failure();
+
+        let (census, cl_reads, _) = cold_census(&dev);
+        assert_eq!(census.segments, vec![seg]);
+        assert_eq!(census.total(), 1);
+        let lines = (2 * HIGH_WATER_STEP).div_ceil(HEADERS_PER_LINE);
+        assert_eq!(cl_reads, lines + 1, "the walk read past the mark");
+        let mut ctx = dev.ctx();
+        let rec = PmAllocator::recover(&mut ctx).unwrap();
+        assert_eq!(rec.alloc.high_water.load(Ordering::Relaxed), 2 * HIGH_WATER_STEP);
+        assert_eq!(rec.alloc.frontier_chunks(), 1);
+        assert_eq!(PmAllocator::check_high_water(&ctx), Ok(()));
+    }
+
+    /// A region start lets the walk skip the header lines wholly inside
+    /// the region: those already in flight are still read, the rest are
+    /// never fetched, and no prefetch is left pending.
+    #[test]
+    fn header_walk_skips_the_lines_inside_a_run() {
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut ctx = dev.ctx();
+        let alloc = PmAllocator::format(&mut ctx, 1024);
+        let seg = alloc.alloc_segment(&mut ctx).unwrap();
+        // Chunks 1..=640: header lines 0..=40, of which 1..=39 lie wholly
+        // inside the region, far more than the lookahead.
+        let span = 40 * HEADERS_PER_LINE;
+        let region = alloc.alloc_region(&mut ctx, span * CHUNK).unwrap();
+        let tail = alloc.alloc_segment(&mut ctx).unwrap();
+        dev.simulate_power_failure();
+
+        let (census, cl_reads, read_hits) = cold_census(&dev);
+        assert_eq!(census.segments, vec![seg, tail]);
+        assert_eq!(census.regions, vec![(region, span * CHUNK)]);
+        // Line 0 decodes the region's start with lines 1..=7 in flight;
+        // lines 8..=39 are never fetched.
+        let lines = HIGH_WATER_STEP.div_ceil(HEADERS_PER_LINE);
+        let skipped = 39 - (HEADER_LOOKAHEAD as u64 - 1);
+        assert_eq!(cl_reads, lines - skipped + 1);
+        assert_eq!(read_hits, lines - skipped);
+    }
+
+    /// A power failure is a phase boundary: a census before the cut queues
+    /// media reads past the virtual-time floor, and recovery must not wait
+    /// behind them.
+    #[test]
+    fn recovery_time_does_not_depend_on_reads_before_the_cut() {
+        let recover_ns = |census_first: bool| {
+            let dev = PmDevice::new(PmConfig::small_test());
+            let mut ctx = dev.ctx();
+            let alloc = PmAllocator::format(&mut ctx, 1024);
+            for i in 0..3 * HIGH_WATER_STEP {
+                match i % 3 {
+                    0 => drop(alloc.alloc_segment(&mut ctx).unwrap()),
+                    1 => drop(alloc.alloc(&mut ctx, 40).unwrap()),
+                    _ => drop(alloc.alloc(&mut ctx, 600).unwrap()),
+                }
+            }
+            // A phase boundary, as a benchmark harness draws one; the
+            // census then starts at the floor and queues reads past it.
+            dev.raise_vtime_floor(ctx.now().max(dev.sim_horizon()));
+            if census_first {
+                PmAllocator::census(&mut dev.ctx()).unwrap();
+            }
+            dev.simulate_power_failure();
+            let mut ctx = dev.ctx();
+            let t0 = ctx.now();
+            PmAllocator::recover(&mut ctx).unwrap();
+            ctx.now() - t0
+        };
+        assert_eq!(recover_ns(true), recover_ns(false));
     }
 
     #[test]

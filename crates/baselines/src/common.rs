@@ -124,9 +124,11 @@ pub fn make_val(
 
 /// The tail of every baseline's crash-sweep recovery: census the heap and
 /// audit it ([`spash_alloc::HeapCensus::audit`]) against the addresses the
-/// recovered index can reach (region starts and blob addresses). The
-/// caller has already walked the index for `reachable`; the census reads
-/// come second, an order `perf`'s `recover` rows time.
+/// recovered index can reach (region starts and blob addresses), then
+/// check the allocator's high-water invariant
+/// ([`PmAllocator::check_high_water`]). The caller has already walked the
+/// index for `reachable`; the census reads come second, an order `perf`'s
+/// `recover` rows time.
 pub(crate) fn audited(
     ctx: &mut MemCtx,
     index: impl PersistentIndex + 'static,
@@ -136,6 +138,7 @@ pub(crate) fn audited(
         Some(census) => census.audit(reachable),
         None => (0, Some("no formatted heap found".into())),
     };
+    let audit_error = audit_error.or_else(|| PmAllocator::check_high_water(ctx).err());
     Recovery {
         index: Box::new(index),
         leaked_allocs,

@@ -13,7 +13,9 @@
 //!    cannot reach are *counted* as leaks. Leaks are expected in bounded
 //!    numbers: the DCMM frees small slots into volatile caches without
 //!    clearing the persistent bits (DESIGN.md), and an in-flight operation
-//!    can lose its freshly allocated blob to the crash.
+//!    can lose its freshly allocated blob to the crash. The heap's books
+//!    must also keep the allocator's high-water invariant: no header at or
+//!    above the persisted mark is in use.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -56,14 +58,17 @@ impl Spash {
         reachable
     }
 
-    /// Heap-census audit ([`spash_alloc::HeapCensus::audit`]): returns
+    /// Heap-census audit ([`spash_alloc::HeapCensus::audit`]), then the
+    /// allocator's high-water invariant
+    /// ([`PmAllocator::check_high_water`]): returns
     /// `(leaked_allocations, corruption)`. The census reads come before
     /// the reachability walk, an order `perf`'s `recover` rows time.
     pub fn audit_heap(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        match PmAllocator::census(ctx) {
+        let (leaked, err) = match PmAllocator::census(ctx) {
             Some(census) => census.audit(&self.reachable(ctx)),
             None => (0, Some("no formatted heap found".into())),
-        }
+        };
+        (leaked, err.or_else(|| PmAllocator::check_high_water(ctx).err()))
     }
 
     /// Spash as a [`CrashTarget`] for the crash-point sweep.

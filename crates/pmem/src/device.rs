@@ -208,7 +208,13 @@ impl PmDevice {
     /// After this call the arena holds exactly the durable state a real
     /// machine would recover. The returned report says which lines the
     /// reserved energy flushed (eADR) or the crash reverted (ADR).
+    ///
+    /// The cut is also a phase boundary: the virtual-time floor rises to
+    /// the furthest token, so nothing issued before the cut (a media read
+    /// queued ahead, a contended line) is still pending for the contexts
+    /// that recover.
     pub fn simulate_power_failure(&self) -> CrashReport {
+        self.raise_vtime_floor(self.sim_horizon());
         let (flushed, reverted) = self.cache.power_failure(&self.arena);
         let stats = self.counters.device();
         for &line in &flushed {
