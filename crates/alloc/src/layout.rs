@@ -19,6 +19,7 @@
 //! mark: no chunk at or above it has ever been allocated, so every header
 //! from the mark on is free and the recovery walk stops there.
 
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, XPLINE};
 
 /// Magic value identifying a formatted arena.
@@ -119,7 +120,7 @@ pub fn write_high_water(ctx: &mut MemCtx, mark: u64) {
     // lint:allow(conc-lockset): one writer at a time, under PmAllocator's mark_lock (a guard the lowering does not model as a region); the volatile mirror is published only after this store is durable. sched=none(the mark rises only when the frontier crosses 1 024 chunks, past the explored workloads)
     ctx.write_u64(PmAddr(SB_HIGH_WATER), mark);
     if ctx.device().config().domain == spash_pmem::PersistenceDomain::Adr
-        && !crate::testhooks::skip_mark_flush()
+        && !canary::armed(Canary::SkipMarkFlush)
     {
         ctx.flush(PmAddr(SB_HIGH_WATER));
         ctx.fence();

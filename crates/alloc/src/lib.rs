@@ -28,7 +28,6 @@
 //! makes the same trade).
 
 pub mod layout;
-pub mod testhooks;
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -496,7 +495,7 @@ impl PmAllocator {
                 start
             }
         };
-        // lint:allow(flow-flush-fence): the only store before this header CAS is cover's high-water mark, which write_high_water flushes and fences under ADR; eADR needs no flush, and only the skip-mark-flush testhook leaves it unflushed under ADR. san=none(testhook off outside its canary test)
+        // lint:allow(flow-flush-fence): the only store before this header CAS is cover's high-water mark, which write_high_water flushes and fences under ADR; eADR needs no flush, and only the SkipMarkFlush canary leaves it unflushed under ADR. san=none(canary off outside its test)
         self.header_set(ctx, start, header);
         Ok(start)
     }

@@ -40,7 +40,7 @@ fn usage() {
     println!("waive: // lint:allow(<rule>): <reason>   (line or block above)");
     println!("       // lint:allow-file(<rule>): <reason>");
     println!("flow waivers must cite their dynamic twin: san=<file>::<fn> or san=none(<why>)");
-    println!("conc waivers must cite theirs: sched=<index|testhook>, san=<file>::<fn>, or sched=none(<why>)");
+    println!("conc waivers must cite theirs: sched=<index|canary>, san=<file>::<fn>, or sched=none(<why>)");
 }
 
 fn main() -> ExitCode {

@@ -20,10 +20,11 @@
 //!   check-then-act race PR 2's scheduler found dynamically.
 //! * [`RULE_CONC_XREF`] — every `conc-*` waiver must cite the dynamic
 //!   twin that covers the same interleaving: `sched=<witness>` (an index
-//!   name the scheduler explores or a race testhook), `san=<file>::<fn>`
-//!   (a sanitizer forgive site, validated against the same map as the
-//!   flow cross-check), or `none(<why>)`. Reverse direction: every race
-//!   testhook consulted by non-test source must be cited by at least one
+//!   name the scheduler explores or a mutation canary, a variant of
+//!   `spash_pmem::canary::Canary`), `san=<file>::<fn>` (a sanitizer
+//!   forgive site, validated against the same map as the flow
+//!   cross-check), or `none(<why>)`. Reverse direction: every racy
+//!   canary consulted by non-test source must be cited by at least one
 //!   conc waiver.
 //! * [`RULE_CONC_SYNC_MODEL`] — the lowering's region-function table
 //!   ([`crate::cfg::REGION_FNS`]) is cross-checked against
@@ -819,16 +820,34 @@ pub fn run(tree: &Tree, sink: &mut Sink) -> Vec<WordRow> {
 // Waiver cross-check against the dynamic twins.
 // ---------------------------------------------------------------------------
 
-/// `conc-*` waivers must cite a dynamic witness; race testhooks consulted
+/// Where the mutation canaries are declared.
+const CANARY_FILE: &str = "crates/pmem/src/canary.rs";
+
+/// The variants of the `Canary` enum in [`CANARY_FILE`], if that file is
+/// in the tree.
+fn canary_variants(tree: &Tree) -> Vec<&str> {
+    let Some(file) = tree.files.iter().find(|f| f.path == CANARY_FILE) else {
+        return Vec::new();
+    };
+    let Some(start) = file.stripped.find("pub enum Canary {") else {
+        return Vec::new();
+    };
+    let body = &file.stripped[start + "pub enum Canary {".len()..];
+    body[..body.find('}').unwrap_or(body.len())]
+        .split(',')
+        .map(str::trim)
+        .filter(|v| !v.is_empty())
+        .collect()
+}
+
+/// `conc-*` waivers must cite a dynamic witness; racy canaries consulted
 /// by non-test source must be cited by some waiver (both directions,
 /// mirroring the flow rules' `san_forgive` cross-check).
 fn crosscheck(tree: &Tree, sink: &mut Sink) {
     // Valid `sched=` witnesses: the index names the scheduler explores
-    // plus every race-testhook function defined in a `testhooks` module.
+    // plus every mutation canary.
     let mut witnesses: BTreeSet<&str> = SCHED_INDEXES.iter().copied().collect();
-    for f in tree.files.iter().filter(|f| f.stem().contains("testhooks")) {
-        witnesses.extend(f.funcs.iter().map(|g| g.name.as_str()));
-    }
+    witnesses.extend(canary_variants(tree));
 
     let mut cited: BTreeSet<String> = BTreeSet::new();
     for (file, line, reason) in tree.waivers("conc-", RULE_CONC_XREF, sink) {
@@ -849,7 +868,7 @@ fn crosscheck(tree: &Tree, sink: &mut Sink) {
             }
             format!(
                 "waiver cites sched={w}, which is neither a scheduler-explored \
-                 index nor a race testhook"
+                 index nor a mutation canary"
             )
         } else if let Some(k) = token_after("san=") {
             if tree.san_sites().contains_key(&k) {
@@ -857,21 +876,20 @@ fn crosscheck(tree: &Tree, sink: &mut Sink) {
             }
             format!("waiver cites san={k}, but no such san_forgive site exists")
         } else {
-            "conc waiver must cite its dynamic twin: sched=<index|testhook>, \
+            "conc waiver must cite its dynamic twin: sched=<index|canary>, \
              san=<file>::<fn>, or sched=none(<why>)"
                 .to_string()
         };
         sink.push(file, line, RULE_CONC_XREF, msg);
     }
 
-    // Reverse: race testhooks consulted from real (non-test, non-hook)
-    // source represent deliberately-unfixed races; each must be pinned
-    // by a waiver citing it.
-    for hook in witnesses.iter().filter(|w| w.contains("racy")) {
+    // Reverse: racy canaries consulted from real (non-test) source
+    // represent deliberately-unfixed races; each must be pinned by a
+    // waiver citing it.
+    for hook in witnesses.iter().filter(|w| w.contains("Racy")) {
         let used = tree.files.iter().find(|f| {
             (f.path.starts_with("crates/baselines/") || f.path.starts_with("crates/core/"))
                 && !f.is_test
-                && !f.stem().contains("testhooks")
                 && f.stripped.contains(hook)
         });
         if let Some(file) = used {
@@ -882,7 +900,7 @@ fn crosscheck(tree: &Tree, sink: &mut Sink) {
                     .position(|l| l.contains(hook))
                     .map_or(1, |i| i + 1);
                 let msg = format!(
-                    "race testhook `{hook}` is consulted here but no conc waiver cites \
+                    "racy canary `{hook}` is consulted here but no conc waiver cites \
                      sched={hook}; the deliberate race must be pinned to its witness"
                 );
                 sink.push(file, line, RULE_CONC_XREF, msg);
@@ -1083,6 +1101,35 @@ mod tests {
             "// lint:allow(conc-lockset): racy by design sched=Halo\nfn g() {}".to_string(),
         )];
         let (f, _) = check_files_conc(&files);
+        assert!(f.iter().all(|x| x.rule != RULE_CONC_XREF), "{f:?}");
+    }
+
+    /// A canary is a witness, and a racy one consulted by index code must
+    /// be cited by a waiver.
+    #[test]
+    fn racy_canary_is_a_witness_that_must_be_cited() {
+        let registry = (
+            CANARY_FILE.to_string(),
+            "pub enum Canary {\n    /// doc\n    FooRacyPut,\n    Other,\n}".to_string(),
+        );
+        let consulted = "fn put() { if canary::armed(Canary::FooRacyPut) {} }";
+        let uncited = vec![
+            registry.clone(),
+            ("crates/baselines/src/x.rs".to_string(), consulted.to_string()),
+        ];
+        let (f, _) = check_files_conc(&uncited);
+        assert!(
+            f.iter().any(|x| x.rule == RULE_CONC_XREF && x.msg.contains("FooRacyPut")),
+            "{f:?}"
+        );
+        let cited = vec![
+            registry,
+            (
+                "crates/baselines/src/x.rs".to_string(),
+                format!("// lint:allow(conc-lockset): deliberate sched=FooRacyPut\n{consulted}"),
+            ),
+        ];
+        let (f, _) = check_files_conc(&cited);
         assert!(f.iter().all(|x| x.rule != RULE_CONC_XREF), "{f:?}");
     }
 

@@ -203,7 +203,7 @@ impl Tree {
     }
 }
 
-/// The `<file>::<fn>` (or index, or testhook) token a `san=` / `sched=`
+/// The `<file>::<fn>` (or index, or canary) token a `san=` / `sched=`
 /// citation starts with.
 pub(crate) fn citation(rest: &str) -> String {
     rest.chars()

@@ -5,27 +5,25 @@
 //!
 //! Each of the six baselines has two canary sites compiled into its
 //! publication path (the last flush and the last fence before the
-//! operation becomes visible), gated on [`spash_pmem::san::site_enabled`].
-//! Spash issues no publication flush, so it has none: it claims no ADR
-//! durability and is not armed under ADR. Suppressing the
-//! flush must surface as a `published-dirty` violation on a
+//! operation becomes visible), skipped under [`Canary::SkipInsertFlush`]
+//! and [`Canary::SkipInsertFence`]. A record pass runs one target, so
+//! arming a canary suppresses that target's site alone. Spash issues no
+//! publication flush, so it has none: it claims no ADR durability and is
+//! not armed under ADR. Suppressing the flush must surface as a `published-dirty` violation on a
 //! `DirtyUnflushed` cacheline; suppressing the fence must surface as the
 //! line being caught in `FlushedUnfenced` (`published-unfenced` at the
 //! next visibility edge, or `write-after-flush-before-fence` if a store
 //! gets there first).
 //!
-//! The site registry is process-global, so every test here serializes on
-//! one mutex: a canary left armed would poison a concurrently running
-//! clean-run gate.
-
-use std::sync::{Mutex, PoisonError};
+//! The canaries are process-global, so a clean-run gate holds the
+//! switchboard with nothing armed: a canary armed concurrently would
+//! poison it.
 
 use spash_analysis::all_targets;
 use spash_index_api::crashpoint::{run_sweep, CheckLevel, CrashTarget, SweepConfig, SweepReport};
-use spash_pmem::san::{reset_sites, set_site, SanViolationKind};
+use spash_pmem::canary::{self, Canary};
+use spash_pmem::san::SanViolationKind;
 use spash_pmem::PersistenceDomain;
-
-static GATE: Mutex<()> = Mutex::new(());
 
 /// The record-only sweep of `target`, with the sanitizer armed iff the
 /// target claims durability in `domain` ([`CheckLevel::arms_sanitizer`]):
@@ -60,19 +58,10 @@ fn target_named(name: &str) -> CrashTarget {
         .unwrap_or_else(|| panic!("no crash target named {name}"))
 }
 
-/// Run `target`'s quick ADR record pass with one canary site suppressed,
-/// restoring the registry even if the workload panics. Every finding is
-/// a sweep failure.
-fn run_with_suppressed(target_name: &str, site: &str) -> SweepReport {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            reset_sites();
-        }
-    }
-    let _restore = Restore;
-    reset_sites();
-    set_site(site, false);
+/// Run `target`'s quick ADR record pass with `site` suppressed. Every
+/// finding is a sweep failure.
+fn run_with_suppressed(target_name: &str, site: Canary) -> SweepReport {
+    let _c = canary::arm(site);
     let r = record_pass(
         &target_named(target_name),
         PersistenceDomain::Adr,
@@ -82,21 +71,20 @@ fn run_with_suppressed(target_name: &str, site: &str) -> SweepReport {
     );
     assert!(
         !r.record_san.clean() && !r.is_ok(),
-        "{target_name}: suppressing {site} went unnoticed"
+        "{target_name}: {site:?} went unnoticed"
     );
     r
 }
 
 /// Suppressed publication flush: the sanitizer must localize at least
 /// one `published-dirty` violation on a `DirtyUnflushed` line.
-fn assert_flush_canary_caught(target_name: &str, site: &str) {
-    let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let r = run_with_suppressed(target_name, site).record_san;
+fn assert_flush_canary_caught(target_name: &str) {
+    let r = run_with_suppressed(target_name, Canary::SkipInsertFlush).record_san;
     assert!(
         r.violations
             .iter()
             .any(|v| v.kind == SanViolationKind::PublishedDirty && v.state == "DirtyUnflushed"),
-        "{target_name}: suppressing {site} did not yield published-dirty \
+        "{target_name}: the skipped flush did not yield published-dirty \
          on a DirtyUnflushed line; got {:#?}",
         r.violations
     );
@@ -105,12 +93,11 @@ fn assert_flush_canary_caught(target_name: &str, site: &str) {
 /// Suppressed publication fence: the sanitizer must catch the line in
 /// `FlushedUnfenced`, and the first visibility edge after the
 /// suppressed fence must report it as `published-unfenced`.
-fn assert_fence_canary_caught(target_name: &str, site: &str) {
-    let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let r = run_with_suppressed(target_name, site).record_san;
+fn assert_fence_canary_caught(target_name: &str) {
+    let r = run_with_suppressed(target_name, Canary::SkipInsertFence).record_san;
     assert!(
         r.violations.iter().any(|v| v.state == "FlushedUnfenced"),
-        "{target_name}: suppressing {site} never caught a FlushedUnfenced \
+        "{target_name}: the skipped fence never caught a FlushedUnfenced \
          line; got {:#?}",
         r.violations
     );
@@ -118,7 +105,7 @@ fn assert_fence_canary_caught(target_name: &str, site: &str) {
         r.violations
             .iter()
             .any(|v| v.kind == SanViolationKind::PublishedUnfenced),
-        "{target_name}: suppressing {site} never reported \
+        "{target_name}: the skipped fence never reported \
          published-unfenced at a visibility edge; got {:#?}",
         r.violations
     );
@@ -126,46 +113,45 @@ fn assert_fence_canary_caught(target_name: &str, site: &str) {
 
 #[test]
 fn canary_cceh_insert() {
-    assert_flush_canary_caught("CCEH", "cceh.insert.flush");
-    assert_fence_canary_caught("CCEH", "cceh.insert.fence");
+    assert_flush_canary_caught("CCEH");
+    assert_fence_canary_caught("CCEH");
 }
 
 #[test]
 fn canary_dash_insert() {
-    assert_flush_canary_caught("Dash", "dash.insert.flush");
-    assert_fence_canary_caught("Dash", "dash.insert.fence");
+    assert_flush_canary_caught("Dash");
+    assert_fence_canary_caught("Dash");
 }
 
 #[test]
 fn canary_level_insert() {
-    assert_flush_canary_caught("Level", "level.insert.flush");
-    assert_fence_canary_caught("Level", "level.insert.fence");
+    assert_flush_canary_caught("Level");
+    assert_fence_canary_caught("Level");
 }
 
 #[test]
 fn canary_clevel_insert() {
-    assert_flush_canary_caught("CLevel", "clevel.insert.flush");
-    assert_fence_canary_caught("CLevel", "clevel.insert.fence");
+    assert_flush_canary_caught("CLevel");
+    assert_fence_canary_caught("CLevel");
 }
 
 #[test]
 fn canary_plush_insert() {
-    assert_flush_canary_caught("Plush", "plush.insert.flush");
-    assert_fence_canary_caught("Plush", "plush.insert.fence");
+    assert_flush_canary_caught("Plush");
+    assert_fence_canary_caught("Plush");
 }
 
 #[test]
 fn canary_halo_insert() {
-    assert_flush_canary_caught("Halo", "halo.insert.flush");
-    assert_fence_canary_caught("Halo", "halo.insert.fence");
+    assert_flush_canary_caught("Halo");
+    assert_fence_canary_caught("Halo");
 }
 
 /// Zero-false-positive gate: the full 10k-op acceptance workload (1k
 /// keys) passes the record pass for every index in `domain`, armed where
 /// [`CheckLevel::arms_sanitizer`] says so.
 fn assert_clean(domain: PersistenceDomain) {
-    let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    reset_sites();
+    let _quiet = canary::disarmed();
     for t in all_targets() {
         let r = record_pass(&t, domain, 10_000, 1_000, 256);
         assert!(
@@ -196,8 +182,7 @@ fn clean_run_eadr_all_targets() {
 /// CI's sampled ADR sweep over the baselines at these sizes.
 #[test]
 fn dash_adr_recoveries_are_clean() {
-    let _g = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    reset_sites();
+    let _quiet = canary::disarmed();
     let target = target_named("Dash");
     let mut cfg = SweepConfig::ci(PersistenceDomain::Adr);
     cfg.pm.arena_size = 64 << 20;

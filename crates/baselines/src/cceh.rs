@@ -25,6 +25,7 @@ use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr};
 #[cfg(test)]
 use spash_pmem::PmDevice;
@@ -85,7 +86,7 @@ impl Cceh {
         let n = 1usize << depth;
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
-            // lint:allow(flow-flush-fence): the previous iteration's HEADER.stamp is unflushed only under the skip-stamp-flush testhook, the ADR crash sweep's check-level canary; a healthy stamp flushes and fences its header. san=none(testhook off outside its canary test)
+            // lint:allow(flow-flush-fence): the previous iteration's HEADER.stamp is unflushed only under the SkipStampFlush canary, the ADR crash sweep's check-level canary; a healthy stamp flushes and fences its header. san=none(canary off outside its test)
             let seg = Self::alloc_seg(ctx, &alloc)?;
             HEADER.stamp(ctx, seg.addr, depth as u8, i as u64);
             entries.push((seg, depth as u8));
@@ -258,7 +259,7 @@ impl Cceh {
                 Full,
                 Moved,
             }
-            // lint:allow(flow-flush-fence): slot flush+fence are mutation-canary gated (cceh.insert.*), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
+            // lint:allow(flow-flush-fence): slot flush+fence are mutation-canary gated (SkipInsertFlush/SkipInsertFence), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
             let out = seg.lock.write(ctx, |ctx| {
                 // Re-route under the lock: the segment may have split.
                 if !self.dir.read().still_routes(h, &seg, depth) {
@@ -272,12 +273,11 @@ impl Cceh {
                     Some(s) => {
                         ctx.write_u64(PmAddr(seg.slot_addr(s).0 + 8), vw);
                         ctx.write_u64(seg.slot_addr(s), key);
-                        // Mutation-canary sites (tests/sanitizer.rs):
-                        // always enabled outside the canary tests.
-                        if spash_pmem::san::site_enabled("cceh.insert.flush") {
+                        // The publication flush and fence (the sanitizer canaries skip them).
+                        if !canary::armed(Canary::SkipInsertFlush) {
                             ctx.flush_range(seg.slot_addr(s), 16);
                         }
-                        if spash_pmem::san::site_enabled("cceh.insert.fence") {
+                        if !canary::armed(Canary::SkipInsertFence) {
                             ctx.fence();
                         }
                         Out::Done

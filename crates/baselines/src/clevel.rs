@@ -18,6 +18,7 @@ use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr};
 
 use crate::common;
@@ -265,12 +266,11 @@ impl CLevel {
                 for s in 0..SLOTS {
                     let sa = newest.slot(b, s);
                     if ctx.read_u64(sa) == 0 && ctx.cas_u64(sa, 0, word).is_ok() {
-                        // Mutation-canary sites (tests/sanitizer.rs):
-                        // always enabled outside the canary tests.
-                        if spash_pmem::san::site_enabled("clevel.insert.flush") {
+                        // The publication flush and fence (the sanitizer canaries skip them).
+                        if !canary::armed(Canary::SkipInsertFlush) {
                             ctx.flush(sa);
                         }
-                        if spash_pmem::san::site_enabled("clevel.insert.fence") {
+                        if !canary::armed(Canary::SkipInsertFence) {
                             ctx.fence();
                         }
                         placed = Some((sa, b));

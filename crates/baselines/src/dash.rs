@@ -21,6 +21,7 @@ use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, VLock, VRwLock};
 
 use crate::common::{self, EMPTY_KEY};
@@ -104,7 +105,7 @@ impl Dash {
         let n = 1usize << depth;
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
-            // lint:allow(flow-flush-fence): the previous iteration's HEADER.stamp is unflushed only under the skip-stamp-flush testhook, the ADR crash sweep's check-level canary; a healthy stamp flushes and fences its header. san=none(testhook off outside its canary test)
+            // lint:allow(flow-flush-fence): the previous iteration's HEADER.stamp is unflushed only under the SkipStampFlush canary, the ADR crash sweep's check-level canary; a healthy stamp flushes and fences its header. san=none(canary off outside its test)
             let seg = Self::alloc_seg(ctx, &alloc)?;
             HEADER.stamp(ctx, seg.addr, depth as u8, i as u64);
             entries.push((seg, depth as u8));
@@ -231,12 +232,11 @@ impl Dash {
         ctx.write_bytes(PmAddr(seg.fp_addr(b).0 + free), &fp);
         ctx.write_u64(seg.meta_addr(b), bitmap | 1 << free);
         ctx.write_u64(seg.ver_addr(b), v + 2);
-        // Mutation-canary sites (tests/sanitizer.rs): always enabled
-        // outside the canary tests.
-        if spash_pmem::san::site_enabled("dash.insert.flush") {
+        // The publication flush and fence (the sanitizer canaries skip them).
+        if !canary::armed(Canary::SkipInsertFlush) {
             ctx.flush_range(seg.bucket_addr(b), 32);
         }
-        if spash_pmem::san::site_enabled("dash.insert.fence") {
+        if !canary::armed(Canary::SkipInsertFence) {
             ctx.fence();
         }
         true
@@ -283,7 +283,7 @@ impl Dash {
                 Full,
                 Moved,
             }
-            // lint:allow(flow-flush-fence): bucket_insert's slot flush+fence are canary-gated (dash.insert.*) and the PM seqlock bump is concurrency metadata recovery never reads. san=none(canary gate is on outside sanitizer canary tests)
+            // lint:allow(flow-flush-fence): bucket_insert's slot flush+fence are canary-gated (SkipInsertFlush/SkipInsertFence) and the PM seqlock bump is concurrency metadata recovery never reads. san=none(canary gate is on outside sanitizer canary tests)
             let out = seg.rw.read(ctx, |ctx, _| {
                 // Validate routing under the structural lock.
                 if !self.dir.read().still_routes(h, &seg, depth) {

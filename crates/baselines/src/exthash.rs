@@ -21,6 +21,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr};
 
 const PREFIX_MASK: u64 = (1 << 40) - 1;
@@ -157,7 +158,7 @@ impl Header {
         let meta = PmAddr(seg.0 + self.offset);
         ctx.write_u64(meta, self.magic1 << 48 | u64::from(ld) << 40 | prefix);
         ctx.write_u64(PmAddr(meta.0 + 8), self.magic2);
-        if !crate::testhooks::skip_stamp_flush() {
+        if !canary::armed(Canary::SkipStampFlush) {
             ctx.flush_range(meta, 16);
         }
         ctx.fence();

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use spash_alloc::PmAllocator;
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, VRwLock};
 
 use crate::common;
@@ -140,12 +141,11 @@ impl Halo {
         ctx.flush_range(PmAddr(a + 8), 8 + value.len() as u64);
         ctx.fence();
         ctx.write_u64(PmAddr(a), key);
-        // Mutation-canary sites (tests/sanitizer.rs): always enabled
-        // outside the canary tests.
-        if spash_pmem::san::site_enabled("halo.insert.flush") {
+        // The publication flush and fence (the sanitizer canaries skip them).
+        if !canary::armed(Canary::SkipInsertFlush) {
             ctx.flush(PmAddr(a));
         }
-        if spash_pmem::san::site_enabled("halo.insert.fence") {
+        if !canary::armed(Canary::SkipInsertFence) {
             ctx.fence();
         }
         let _ = EXTENT; // extent-grained allocation folded into the head bump
@@ -287,8 +287,8 @@ impl PersistentIndex for Halo {
         }
         let h = hash_key(key);
         let len = value.len() as u32;
-        // lint:allow(conc-atomicity): deliberately split dup-check/append critical sections — checker-validation variant gated off in production, pinned to its witness sched=halo_racy_insert
-        if crate::testhooks::halo_racy_insert() {
+        // lint:allow(conc-atomicity): deliberately split dup-check/append critical sections — checker-validation variant gated off in production, pinned to its witness sched=HaloRacyInsert
+        if canary::armed(Canary::HaloRacyInsert) {
             // Deliberately broken variant (checker validation only): the
             // duplicate check and the append are in separate critical
             // sections with a schedulable window between them, so two
@@ -301,7 +301,7 @@ impl PersistentIndex for Halo {
                 return Err(IndexError::DuplicateKey);
             }
             spash_pmem::schedhook::sync_point(spash_pmem::SyncEvent::TestRace);
-            // lint:allow(flow-flush-fence): log_append's commit-word flush+fence are canary-gated (halo.insert.*), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
+            // lint:allow(flow-flush-fence): log_append's commit-word flush+fence are canary-gated (SkipInsertFlush/SkipInsertFence), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
             let r = self.shards[Self::shard_of(h)].write(ctx, |ctx, sh| {
                 let off = self.log_append(ctx, key, value)?;
                 sh.map.insert(key, (off, len));
@@ -316,7 +316,7 @@ impl PersistentIndex for Halo {
         // Check-then-append under the shard lock: appending a doomed
         // entry first (and invalidating it on failure) would let a crash
         // between the two resurrect a value the operation never committed.
-        // lint:allow(flow-flush-fence): log_append's commit-word flush+fence are canary-gated (halo.insert.*), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
+        // lint:allow(flow-flush-fence): log_append's commit-word flush+fence are canary-gated (SkipInsertFlush/SkipInsertFence), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
         let r = self.shards[Self::shard_of(h)].write(ctx, |ctx, sh| {
             ctx.charge_dram(1);
             if sh.map.contains_key(&key) {
@@ -336,7 +336,7 @@ impl PersistentIndex for Halo {
     fn update(&self, ctx: &mut MemCtx, key: u64, value: &[u8]) -> Result<(), IndexError> {
         let h = hash_key(key);
         let len = value.len() as u32;
-        // lint:allow(flow-flush-fence): log_append's commit-word flush+fence are canary-gated (halo.insert.*), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
+        // lint:allow(flow-flush-fence): log_append's commit-word flush+fence are canary-gated (SkipInsertFlush/SkipInsertFence), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
         let old = self.shards[Self::shard_of(h)].write(ctx, |ctx, sh| {
             ctx.charge_dram(1);
             if !sh.map.contains_key(&key) {

@@ -22,6 +22,7 @@ use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr};
 
 use crate::common::{self, PmRwLock};
@@ -193,12 +194,11 @@ impl Level {
         ctx.flush_range(PmAddr(b.0 + 8 + free * 16), 16);
         ctx.fence();
         ctx.write_u64(b, bitmap | 1 << free); // metadata PM write
-        // Mutation-canary sites (tests/sanitizer.rs): always enabled
-        // outside the canary tests.
-        if spash_pmem::san::site_enabled("level.insert.flush") {
+        // The publication flush and fence (the sanitizer canaries skip them).
+        if !canary::armed(Canary::SkipInsertFlush) {
             ctx.flush(b);
         }
-        if spash_pmem::san::site_enabled("level.insert.fence") {
+        if !canary::armed(Canary::SkipInsertFence) {
             ctx.fence();
         }
         true
@@ -293,7 +293,7 @@ impl Level {
                         // Every occupant's other bucket is full as well.
                         // The old table is still the published one, so
                         // the new top goes back rather than leaking.
-                        // lint:allow(flow-flush-fence): residue reaching this free is bucket_insert's canary-gated flush+fence (level.insert.*); the freed top was never published. san=none(canary gate is on outside sanitizer canary tests)
+                        // lint:allow(flow-flush-fence): residue reaching this free is bucket_insert's canary-gated flush+fence (SkipInsertFlush/SkipInsertFence); the freed top was never published. san=none(canary gate is on outside sanitizer canary tests)
                         self.alloc.free_region(ctx, new_top);
                         return Err(IndexError::OutOfMemory);
                     }
@@ -454,7 +454,7 @@ impl PersistentIndex for Level {
                         let b = t.bucket(lvl, i);
                         if self
                             .lock_of(lvl, i)
-                            // lint:allow(flow-flush-fence): bucket_insert's slot flush+fence are canary-gated (level.insert.*), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
+                            // lint:allow(flow-flush-fence): bucket_insert's slot flush+fence are canary-gated (SkipInsertFlush/SkipInsertFence), always enabled outside tests/sanitizer.rs. san=none(canary gate is on outside sanitizer canary tests)
                             .write(ctx, |ctx| self.bucket_insert(ctx, b, key, vw))
                         {
                             done = true;

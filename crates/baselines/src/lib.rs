@@ -24,7 +24,6 @@ mod exthash;
 pub mod halo;
 pub mod level;
 pub mod plush;
-pub mod testhooks;
 
 pub use cceh::Cceh;
 pub use clevel::CLevel;

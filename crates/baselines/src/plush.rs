@@ -25,6 +25,7 @@ use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
 use spash_index_api::crashpoint::CrashTarget;
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, VLock};
 
 use crate::common::{self};
@@ -194,12 +195,11 @@ impl Plush {
         ctx.write_u64(PmAddr(base + 8), k);
         ctx.write_u64(PmAddr(base + 16), vw);
         ctx.write_u64(PmAddr(base + 24), seq);
-        // Mutation-canary sites (tests/sanitizer.rs): always enabled
-        // outside the canary tests.
-        if spash_pmem::san::site_enabled("plush.insert.flush") {
+        // The publication flush and fence (the sanitizer canaries skip them).
+        if !canary::armed(Canary::SkipInsertFlush) {
             ctx.flush_range(PmAddr(base), REC_BYTES);
         }
-        if spash_pmem::san::site_enabled("plush.insert.fence") {
+        if !canary::armed(Canary::SkipInsertFence) {
             ctx.fence();
         }
         *off += REC_BYTES;

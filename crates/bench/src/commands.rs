@@ -11,6 +11,7 @@ use spash_bench::report::{join_ladder, short_rev};
 use spash_bench::suite::{PERF, SCALE, SERVICE};
 use spash_bench::{knobs, perf, scale, service, BenchReport, ExperimentRow, Scale};
 use spash_index_api::crashpoint::CheckLevel;
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::PersistenceDomain::{self, Adr, Eadr};
 
 fn targets_knob(name: &str, default: Select) -> Select {
@@ -44,8 +45,8 @@ pub fn sched(args: &[String]) {
     use spash_sched::lin::LinConfig;
     use spash_sched::SchedConfig;
 
-    /// A checker canary: the one target it breaks and the hook arming it.
-    type Mutation = Option<(&'static str, fn(bool) -> bool)>;
+    /// A checker canary: the one target it breaks and the bug it plants.
+    type Mutation = Option<(&'static str, Canary)>;
 
     let want_distinct = match args {
         [] => 64,
@@ -58,8 +59,8 @@ pub fn sched(args: &[String]) {
     }
 
     spash_sched::silence_sched_panics();
-    let halo: Mutation = Some(("Halo", spash_baselines::testhooks::set_halo_racy_insert));
-    let fp: Mutation = Some(("Spash", spash::testhooks::set_fp_wrong_tag));
+    let halo: Mutation = Some(("Halo", Canary::HaloRacyInsert));
+    let fp: Mutation = Some(("Spash", Canary::FpWrongTag));
     let mutation = knobs::choice(
         "SPASH_SCHED_MUTATE",
         &[
@@ -89,12 +90,6 @@ pub fn sched(args: &[String]) {
     if let Some((broken, _)) = mutation {
         targets.retain(|t| t.name == broken);
     }
-    let arm = |on: bool| {
-        if let Some((_, hook)) = mutation {
-            hook(on);
-        }
-    };
-
     let lin = LinConfig {
         threads,
         ops_per_thread: ops,
@@ -112,7 +107,7 @@ pub fn sched(args: &[String]) {
     );
     println!("# target schedules distinct violations panics stopped");
 
-    arm(true);
+    let _armed = mutation.map(|(_, c)| canary::arm(c));
     let mut failed = false;
     for target in &targets {
         // Persistence-ordering sanitizer rides every explored schedule
@@ -190,7 +185,6 @@ pub fn sched(args: &[String]) {
             failed = true;
         }
     }
-    arm(false);
     if failed {
         exit(1);
     }

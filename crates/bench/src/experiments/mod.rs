@@ -17,11 +17,10 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use spash_index_api::{BatchOp, BatchResult, IndexError, PersistentIndex};
-use spash_pmem::{MemCtx, PmAddr, PmDevice};
+use spash_pmem::{MemCtx, PmDevice};
 use spash_workloads::{load_keys, OpStream, WorkOp, WorkloadConfig};
 
 use crate::harness::{phase_sched, run_scheduled, PhaseResult, TaskBody};
@@ -83,29 +82,6 @@ pub fn my_chunk<T>(items: &[T], threads: usize, tid: usize) -> &[T] {
 
 /// A scheduled phase's outcome: the phase result plus per-task op counts.
 pub type Scheduled = Result<(PhaseResult, Vec<u64>), String>;
-
-/// Test canary (see `crates/bench/tests/scale.rs`): when armed, every
-/// run-phase ([`Cell::mix`]) task ends with a burst of identity RMWs on
-/// one shared PM line. The or-with-0 leaves the data untouched, but each
-/// RMW is a modelled line-ownership transfer — extra sync points, extra
-/// cacheline traffic, inflated virtual time — exactly the signature of
-/// accidental contention, which the exact compare gate must flag.
-static INFLATE_CONTENTION: AtomicBool = AtomicBool::new(false);
-
-/// Arm/disarm the contention-inflation canary; returns the old state.
-/// Process-global: serialize tests that touch it.
-pub fn set_contention_inflation(on: bool) -> bool {
-    INFLATE_CONTENTION.swap(on, Ordering::SeqCst)
-}
-
-fn maybe_inflate(ctx: &mut MemCtx) {
-    if INFLATE_CONTENTION.load(Ordering::SeqCst) {
-        for _ in 0..16 {
-            // Identity RMW: full contention cost, no data change.
-            ctx.fetch_or_u64(PmAddr(64), 0);
-        }
-    }
-}
 
 /// One cell of the catalog every gated report is measured in: a seed, a
 /// preemption budget, an identity and how many simulated threads run
@@ -212,11 +188,7 @@ impl Cell {
                 } else {
                     OpStream::new(cfg, t)
                 };
-                Box::new(move |ctx| {
-                    let n = exec_stream(index, ctx, &mut stream, ops / threads);
-                    maybe_inflate(ctx);
-                    n
-                })
+                Box::new(move |ctx| exec_stream(index, ctx, &mut stream, ops / threads))
             })
             .collect();
         self.run(dev, phase, bodies)

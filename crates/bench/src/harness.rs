@@ -17,7 +17,8 @@
 use std::sync::Arc;
 
 use spash_index_api::hash_key;
-use spash_pmem::{MemCtx, PmDevice, SpanSnapshot, StatsDelta};
+use spash_pmem::canary::{self, Canary};
+use spash_pmem::{MemCtx, PmAddr, PmDevice, SpanSnapshot, StatsDelta};
 use spash_sched::batch::run_batch;
 use spash_sched::SchedConfig;
 
@@ -128,6 +129,10 @@ pub type TaskBody<'a> = Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>;
 /// start`; the floor then advances to the phase's end so virtual
 /// timestamps persisted in lock/HTM metadata by this phase can never
 /// stall the next one.
+///
+/// The armed [`Canary::InflateContention`] ends every task with 16
+/// identity RMWs on one shared line: every gate built on this runner
+/// must then reject the phase.
 pub(crate) fn run_scheduled<'a>(
     dev: &Arc<PmDevice>,
     sched: &SchedConfig,
@@ -144,6 +149,12 @@ pub(crate) fn run_scheduled<'a>(
             ctx.reset_clock();
             let t: Box<dyn FnOnce() -> (u64, u64) + Send + 'a> = Box::new(move || {
                 let ops = body(&mut ctx);
+                if canary::armed(Canary::InflateContention) {
+                    for _ in 0..16 {
+                        // Identity RMW: full contention cost, no data change.
+                        ctx.fetch_or_u64(PmAddr(64), 0);
+                    }
+                }
                 (ops, ctx.now())
             });
             t

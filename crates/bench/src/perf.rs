@@ -27,7 +27,7 @@ pub const REPEATS: usize = 3;
 
 /// One index × domain: load, three run phases, power failure, recovery.
 /// Returns rows in phase order.
-fn phases(p: &Point) -> Result<Vec<ExperimentRow>, String> {
+pub fn run_cell(p: &Point) -> Result<Vec<ExperimentRow>, String> {
     let (r, _) = p.load()?;
     let mut rows = vec![p.row("load", &r)];
     for (pi, (phase, dist, mix)) in [
@@ -107,9 +107,9 @@ fn phases(p: &Point) -> Result<Vec<ExperimentRow>, String> {
 /// state and the gate's exact compare is meaningless.
 pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, String> {
     sweep(cfg, &[("repeats", REPEATS.to_string())], |p| {
-        let rows = phases(p)?;
+        let rows = run_cell(p)?;
         for i in 1..REPEATS {
-            let again = phases(&p.again())?;
+            let again = run_cell(&p.again())?;
             if let Some((a, _)) = rows.iter().zip(&again).find(|(a, b)| a != b) {
                 return Err(format!(
                     "{}: repeat {i} disagrees with repeat 0 — run is not deterministic",
@@ -135,7 +135,7 @@ mod tests {
             ops: 600,
             ..PERF
         };
-        sweep(&cfg, &[], phases).unwrap()
+        sweep(&cfg, &[], run_cell).unwrap()
     }
 
     #[test]

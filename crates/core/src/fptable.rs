@@ -15,7 +15,7 @@
 //! equal to the rebuild rule (checked by the integrity walker): a torn
 //! tag can only exist transiently between a crash and recovery.
 //!
-//! Under the [`crate::testhooks::fp_wrong_tag`] mutation every tag
+//! Under the [`Canary::FpWrongTag`] mutation every tag
 //! *stored* through this table is corrupted while probes keep computing
 //! the true tag — the canary the oracle battery must catch.
 
@@ -26,6 +26,7 @@ use crate::slot::{
 use crate::access::{Access, Plain};
 use crate::ops::Spash;
 use spash_htm::Abort;
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{line_of, MemCtx, PmAddr, CACHELINE};
 
 /// Sidecar bytes per segment-capable chunk: one u64 per bucket.
@@ -38,7 +39,7 @@ pub const FP_BYTES_PER_SEG: u64 = BUCKETS_PER_SEG as u64 * 8;
 /// builder so the canary covers tag writes on every path.
 #[inline]
 pub(crate) fn stored_tag(tag: u8) -> u8 {
-    if tag != 0 && crate::testhooks::fp_wrong_tag() {
+    if tag != 0 && canary::armed(Canary::FpWrongTag) {
         let t = tag ^ 0x55;
         if t == 0 {
             0xff

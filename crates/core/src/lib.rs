@@ -52,7 +52,6 @@ pub mod recovery;
 pub mod seginfo;
 pub mod slot;
 pub mod split;
-pub mod testhooks;
 
 pub use config::{ConcurrencyMode, InsertPolicy, SpashConfig, UpdatePolicy};
 pub use hotspot::PartitionedDetector;

@@ -36,7 +36,7 @@
 //! device cache, which inverts the physics the paper measures (§II-A:
 //! DRAM reads are ~3× cheaper than PM reads at equal hit rates).
 //!
-//! Under the [`crate::testhooks::overlay_stale`] mutation the split and
+//! Under the [`spash_pmem::canary::Canary::OverlayStale`] mutation the split and
 //! merge paths skip their generation bumps, so entries keep validating
 //! against pre-split segments — the staleness canary the oracle battery
 //! and the linearizability checker must catch.
@@ -101,8 +101,8 @@ pub struct CachedBucket {
 }
 
 /// The overlay cache plus the two generation tables. Constructed once per
-/// index; disabled (`entries` empty) when the config says 0 or the
-/// concurrency mode is not HTM.
+/// index: `OVERLAY_ENTRIES` entries under HTM, none (disabled) in the
+/// lock modes, which keep their seqlock/read-lock protocols.
 pub struct Overlay {
     entries: Box<[Entry]>,
     /// `log2(entries / 4)`: route bits taken from the top of the hash.

@@ -17,6 +17,7 @@
 //!
 //! Out-of-place blobs are `[key: u64][len: u64][value bytes…]`.
 
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::PmAddr;
 
 /// Segment size in bytes — exactly one XPLine.
@@ -145,12 +146,12 @@ pub mod value_word {
 /// bucket bits (0–1), `fp14` (3–16) and `fp12` (3–14), so tag collisions
 /// are independent of the in-slot fingerprints the tag pre-filters.
 ///
-/// Under the [`crate::testhooks::fp_collide`] mutation every hash maps to
+/// Under the [`Canary::FpCollide`] mutation every hash maps to
 /// the same tag: the filter degenerates to "every slot is a candidate",
 /// which must not change any result (candidate supersets only).
 #[inline]
 pub fn fp8(hash: u64) -> u8 {
-    if crate::testhooks::fp_collide() {
+    if canary::armed(Canary::FpCollide) {
         return 1;
     }
     let t = ((hash >> 17) & 0xff) as u8;

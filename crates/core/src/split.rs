@@ -23,6 +23,7 @@ use std::sync::atomic::Ordering;
 
 use spash_htm::Abort;
 use spash_index_api::IndexError;
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, CACHELINE};
 
 use crate::access::{Access, Plain};
@@ -240,7 +241,7 @@ impl Spash {
             }
             self.seginfo.set(a, ctx, base, child.depth, child.prefix)?;
         }
-        if !crate::testhooks::overlay_stale() {
+        if !canary::armed(Canary::OverlayStale) {
             for &seg in addrs {
                 a.bump_overlay(ctx, &self.overlay, seg)?;
             }
@@ -494,7 +495,7 @@ impl Spash {
             // The freed segment's cached (empty) bucket images must die
             // with it: its address may be reallocated and refilled while
             // a stale overlay entry still claims its buckets are empty.
-            if !crate::testhooks::overlay_stale() {
+            if !canary::armed(Canary::OverlayStale) {
                 self.overlay.tx_bump(tx, ctx, seg)?;
             }
             Ok(())

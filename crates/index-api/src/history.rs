@@ -11,7 +11,7 @@
 //! exactly the observed outcomes. If no witness exists the history is not
 //! linearizable and the schedule that produced it is a genuine
 //! concurrency bug (or an injected mutation; see
-//! `spash_baselines::testhooks`).
+//! `spash_pmem::canary`).
 //!
 //! The search is Wing & Gong's DFS over permutations, pruned two ways:
 //!

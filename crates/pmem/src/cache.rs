@@ -111,10 +111,18 @@ impl CacheModel {
         (shard, set)
     }
 
-    /// Simulate a load or store of `line`. For stores under ADR, the
-    /// pre-image is captured from `arena` *before* the caller performs
-    /// the store.
-    pub fn access(&self, line: u64, write: bool, arena: &Arena) -> AccessResult {
+    /// Simulate a load or store of `line`. A store under ADR captures
+    /// the line's pre-image on its clean-to-dirty transition: `pre` when
+    /// the caller copied the line before a store it already made (a
+    /// successful CAS), else the line as `arena` holds it now, so the
+    /// caller must perform its store *after* this call.
+    pub fn access(
+        &self,
+        line: u64,
+        write: bool,
+        arena: &Arena,
+        pre: Option<&[u8; 64]>,
+    ) -> AccessResult {
         let (si, set) = self.locate(line);
         let mut sh = self.shards[si].lock();
         let sh = &mut *sh;
@@ -122,6 +130,10 @@ impl CacheModel {
         let base = set * self.ways;
         let tag = line + 1;
         let capture = self.domain == PersistenceDomain::Adr;
+        let capture_into = |buf: &mut [u8; 64]| match pre {
+            Some(p) => *buf = *p,
+            None => arena.read_line(line, buf),
+        };
         let set_tags = &mut sh.tags[sh.pad + base..][..self.ways];
 
         if let Some(j) = set_tags.iter().position(|&t| t == tag) {
@@ -129,7 +141,7 @@ impl CacheModel {
             if write && !sh.dirty[w] {
                 sh.dirty[w] = true;
                 if capture {
-                    arena.read_line(line, &mut sh.preimage[w]);
+                    capture_into(&mut sh.preimage[w]);
                 }
             }
             return AccessResult {
@@ -151,7 +163,7 @@ impl CacheModel {
         set_tags[j] = tag;
         sh.dirty[w] = write;
         if write && capture {
-            arena.read_line(line, &mut sh.preimage[w]);
+            capture_into(&mut sh.preimage[w]);
         }
         AccessResult {
             hit: false,
@@ -162,7 +174,7 @@ impl CacheModel {
     /// Install `line` as clean-resident without charging (prefetch
     /// completion). Returns an evicted dirty line, if any.
     pub fn install_clean(&self, line: u64, arena: &Arena) -> Option<u64> {
-        let r = self.access(line, false, arena);
+        let r = self.access(line, false, arena, None);
         r.evicted_dirty
     }
 
@@ -249,9 +261,9 @@ mod tests {
     fn miss_then_hit() {
         let a = arena();
         let c = small_cache(PersistenceDomain::Eadr);
-        let r1 = c.access(5, false, &a);
+        let r1 = c.access(5, false, &a, None);
         assert!(!r1.hit);
-        let r2 = c.access(5, false, &a);
+        let r2 = c.access(5, false, &a, None);
         assert!(r2.hit);
         assert!(c.is_resident(5));
         assert!(!c.is_resident(6));
@@ -262,13 +274,13 @@ mod tests {
         let a = arena();
         // 1 shard, 1 set, 2 ways: lines collide aggressively.
         let c = CacheModel::new(2 * 64, 2, 1, PersistenceDomain::Eadr);
-        c.access(1, true, &a);
-        c.access(2, true, &a);
+        c.access(1, true, &a, None);
+        c.access(2, true, &a, None);
         // Both ways hold dirty lines, so the third distinct line evicts a
         // dirty victim. Which one is pseudo-random by design (paper
         // Observation 2) — a hash of the shard's access count and the
         // line; here it selects line 1.
-        let r = c.access(3, true, &a);
+        let r = c.access(3, true, &a, None);
         assert_eq!(r.evicted_dirty, Some(1));
     }
 
@@ -276,7 +288,7 @@ mod tests {
     fn flush_clears_dirty_keeps_resident() {
         let a = arena();
         let c = small_cache(PersistenceDomain::Eadr);
-        c.access(7, true, &a);
+        c.access(7, true, &a, None);
         assert!(c.flush(7));
         assert!(!c.flush(7)); // already clean
         assert!(c.is_resident(7));
@@ -288,7 +300,7 @@ mod tests {
         let c = small_cache(PersistenceDomain::Adr);
         let addr = crate::PmAddr(64 * 3);
         a.store_u64(addr, 111);
-        c.access(3, true, &a); // capture pre-image (value 111)
+        c.access(3, true, &a, None); // capture pre-image (value 111)
         a.store_u64(addr, 222); // the actual store
         c.power_failure(&a);
         assert_eq!(a.load_u64(addr), 111, "unflushed write must be lost");
@@ -300,7 +312,7 @@ mod tests {
         let c = small_cache(PersistenceDomain::Adr);
         let addr = crate::PmAddr(64 * 3);
         a.store_u64(addr, 111);
-        c.access(3, true, &a);
+        c.access(3, true, &a, None);
         a.store_u64(addr, 222);
         assert!(c.flush(3)); // clwb reached the persistence domain
         c.power_failure(&a);
@@ -313,7 +325,7 @@ mod tests {
         let c = small_cache(PersistenceDomain::Eadr);
         let addr = crate::PmAddr(64 * 3);
         a.store_u64(addr, 111);
-        c.access(3, true, &a);
+        c.access(3, true, &a, None);
         a.store_u64(addr, 222);
         let (wb, reverted) = c.power_failure(&a);
         assert_eq!(wb, vec![3]);
@@ -328,10 +340,10 @@ mod tests {
         let c = CacheModel::new(64, 1, 1, PersistenceDomain::Adr);
         let addr = crate::PmAddr(64);
         a.store_u64(addr, 1);
-        c.access(1, true, &a);
+        c.access(1, true, &a, None);
         a.store_u64(addr, 2);
         // Evict line 1 by touching line 2: the writeback persists it.
-        let r = c.access(2, false, &a);
+        let r = c.access(2, false, &a, None);
         assert_eq!(r.evicted_dirty, Some(1));
         c.power_failure(&a);
         assert_eq!(a.load_u64(addr), 2, "evicted (written-back) data is durable");
@@ -388,7 +400,7 @@ mod tests {
             match r % 100 {
                 0..=79 => {
                     let write = r % 100 >= 50;
-                    let res = c.access(line, write, &a);
+                    let res = c.access(line, write, &a, None);
                     h.word(saw(0, res.hit));
                     saw(1, res.evicted_dirty.is_some());
                     h.word(res.evicted_dirty.map_or(u64::MAX, |l| l));
@@ -435,9 +447,9 @@ mod tests {
     fn flush_all_returns_dirty_lines() {
         let a = arena();
         let c = small_cache(PersistenceDomain::Eadr);
-        c.access(1, true, &a);
-        c.access(2, false, &a);
-        c.access(3, true, &a);
+        c.access(1, true, &a, None);
+        c.access(2, false, &a, None);
+        c.access(3, true, &a, None);
         let mut dirty = c.flush_all();
         dirty.sort_unstable();
         assert_eq!(dirty, vec![1, 3]);

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use crate::arena::PmAddr;
+use crate::config::PersistenceDomain;
 use crate::cost::{CostModel, VClock};
 use crate::counters::CtxCounters;
 use crate::device::PmDevice;
@@ -134,7 +135,7 @@ impl MemCtx {
     /// Charge a cacheline *load* of `line`. The functional load itself is
     /// done by the caller against the arena.
     fn touch_read(&mut self, line: u64) {
-        let r = self.dev.cache.access(line, false, &self.dev.arena);
+        let r = self.dev.cache.access(line, false, &self.dev.arena, None);
         if let (Some(san), Some(victim)) = (&self.dev.san, r.evicted_dirty) {
             san.on_evict(victim);
         }
@@ -199,9 +200,10 @@ impl MemCtx {
 
     /// Charge a cacheline *store* of `line` (write-allocate: a miss fetches
     /// the line first). Must be called *before* the arena store so the
-    /// pre-image capture sees the old data.
-    fn touch_write(&mut self, line: u64) {
-        let r = self.dev.cache.access(line, true, &self.dev.arena);
+    /// pre-image capture sees the old data, unless the caller copied the
+    /// line before its store and hands that copy in as `pre`.
+    fn touch_write(&mut self, line: u64, pre: Option<&[u8; 64]>) {
+        let r = self.dev.cache.access(line, true, &self.dev.arena, pre);
         if let Some(san) = &self.dev.san {
             crate::san::install_observer(san, self.tid);
             san.on_write(self.tid, line, r.evicted_dirty);
@@ -239,7 +241,7 @@ impl MemCtx {
 
     /// Store an aligned u64 to PM (a write-nf: no flush is implied).
     pub fn write_u64(&mut self, addr: PmAddr, v: u64) {
-        self.touch_write(line_of(addr.0));
+        self.touch_write(line_of(addr.0), None);
         self.dev.arena.store_u64(addr, v);
     }
 
@@ -265,12 +267,20 @@ impl MemCtx {
         let line = line_of(addr.0);
         crate::schedhook::sync_point(crate::SyncEvent::AtomicRmw(line));
         self.rmw_token(line);
+        // The charge depends on the outcome, so it follows the CAS; under
+        // ADR the line is copied first, so that a power cut can revert a
+        // successful CAS that dirtied a clean line.
+        let pre = (self.dev.config().domain == PersistenceDomain::Adr).then(|| {
+            let mut pre = [0u8; 64];
+            self.dev.arena.read_line(line, &mut pre);
+            pre
+        });
         let res = self.dev.arena.cas_u64(addr, current, new);
         // A failed CMPXCHG takes the line for ownership but stores
         // nothing: the line stays clean, so charge it as a read. Only a
         // successful CAS dirties the line (and owes a flush under ADR).
         if res.is_ok() {
-            self.touch_write(line);
+            self.touch_write(line, pre.as_ref());
         } else {
             self.touch_read(line);
         }
@@ -282,7 +292,7 @@ impl MemCtx {
         let line = line_of(addr.0);
         crate::schedhook::sync_point(crate::SyncEvent::AtomicRmw(line));
         self.rmw_token(line);
-        self.touch_write(line);
+        self.touch_write(line, None);
         self.dev.arena.fetch_or_u64(addr, bits)
     }
 
@@ -291,7 +301,7 @@ impl MemCtx {
         let line = line_of(addr.0);
         crate::schedhook::sync_point(crate::SyncEvent::AtomicRmw(line));
         self.rmw_token(line);
-        self.touch_write(line);
+        self.touch_write(line, None);
         self.dev.arena.fetch_and_u64(addr, bits)
     }
 
@@ -331,10 +341,10 @@ impl MemCtx {
         let first = line_of(addr.0);
         for line in first..=line_of(addr.0 + data.len() as u64 - 1) {
             if line == first {
-                self.touch_write(line);
+                self.touch_write(line, None);
             } else {
                 let t0 = self.clock.now();
-                self.touch_write(line);
+                self.touch_write(line, None);
                 let charged = self.clock.now() - t0;
                 if charged > self.bulk_tail_ns() {
                     self.clock = {

@@ -290,6 +290,21 @@ mod tests {
     }
 
     #[test]
+    fn adr_power_failure_reverts_an_unflushed_cas() {
+        let dev = PmDevice::new(PmConfig::adr_test());
+        let mut ctx = dev.ctx();
+        // A clean resident line (flushed) and a line never touched.
+        ctx.write_u64(PmAddr(128), 5);
+        ctx.flush(PmAddr(128));
+        ctx.fence();
+        assert_eq!(ctx.cas_u64(PmAddr(128), 5, 9), Ok(5));
+        assert_eq!(ctx.cas_u64(PmAddr(4096), 0, 7), Ok(0));
+        dev.simulate_power_failure();
+        assert_eq!(dev.arena().load_u64(PmAddr(128)), 5, "CAS on a clean line");
+        assert_eq!(dev.arena().load_u64(PmAddr(4096)), 0, "CAS on a cold line");
+    }
+
+    #[test]
     fn adr_power_failure_keeps_flushed_data() {
         let dev = PmDevice::new(PmConfig::adr_test());
         let mut ctx = dev.ctx();

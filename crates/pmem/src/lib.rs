@@ -28,6 +28,7 @@
 
 pub mod arena;
 pub mod cache;
+pub mod canary;
 pub mod config;
 pub mod cost;
 mod counters;

@@ -50,7 +50,6 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 // lint:allow(std-sync): the sanitizer must observe `crate::sync` locks
 // without recursing into their schedhook sync points; poison is handled
 // explicitly at every acquisition.
@@ -610,55 +609,6 @@ fn observe_edge(ev: SyncEvent) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Mutation-canary site registry: named flush/fence sites that tests can
-// switch off to prove the sanitizer localizes the resulting violation.
-// Process-global (like `spash-baselines::testhooks`); tests that disable
-// sites must serialize themselves.
-
-static ANY_SITE_DISABLED: AtomicBool = AtomicBool::new(false);
-static SITE_GEN: AtomicU64 = AtomicU64::new(0);
-
-fn sites() -> &'static Mutex<HashMap<String, bool>> {
-    // lint:allow(std-sync): process-global registry, no schedhook
-    // interaction wanted while a scheduler hook is active.
-    static SITES: std::sync::OnceLock<Mutex<HashMap<String, bool>>> = std::sync::OnceLock::new();
-    SITES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Is the named flush/fence site enabled? Production default: `true`
-/// for every name; a single atomic load when no test has disabled any
-/// site.
-#[inline]
-pub fn site_enabled(name: &str) -> bool {
-    if !ANY_SITE_DISABLED.load(Ordering::Relaxed) {
-        return true;
-    }
-    sites()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(name)
-        .copied()
-        .unwrap_or(true)
-}
-
-/// Enable/disable a named site (mutation canaries only).
-pub fn set_site(name: &str, enabled: bool) {
-    let mut map = sites().lock().unwrap_or_else(PoisonError::into_inner);
-    map.insert(name.to_string(), enabled);
-    let any_disabled = map.values().any(|&v| !v);
-    ANY_SITE_DISABLED.store(any_disabled, Ordering::Relaxed);
-    SITE_GEN.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Re-enable every site.
-pub fn reset_sites() {
-    let mut map = sites().lock().unwrap_or_else(PoisonError::into_inner);
-    map.clear();
-    ANY_SITE_DISABLED.store(false, Ordering::Relaxed);
-    SITE_GEN.fetch_add(1, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,16 +755,6 @@ mod tests {
         let before = dev.snapshot();
         ctx.fence();
         assert_eq!(dev.snapshot().since(&before).san_noop_fences, 0);
-    }
-
-    #[test]
-    fn sites_default_enabled_and_toggle() {
-        assert!(site_enabled("san-test.some.site"));
-        set_site("san-test.some.site", false);
-        assert!(!site_enabled("san-test.some.site"));
-        assert!(site_enabled("san-test.other.site"));
-        reset_sites();
-        assert!(site_enabled("san-test.some.site"));
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub enum SyncEvent {
     HtmCommit,
     /// An HTM transaction attempt aborted (conflict/capacity/explicit).
     HtmAbort,
-    /// A test-only interleaving point inserted by a mutation hook (see
-    /// `spash-baselines::testhooks`). Never emitted by production code.
+    /// A test-only interleaving point inserted by a mutation canary (see
+    /// [`crate::canary::Canary::HaloRacyInsert`]). Never emitted by
+    /// production code.
     TestRace,
 }
 

@@ -29,15 +29,15 @@
 //!   arrived, so tail latency under a 10⁶-session open-loop workload is
 //!   a deterministic function of the seed.
 //!
-//! Verification hooks ship with the layer, not after it: every mutation
-//! canary in [`testhooks`] (dropped batch fence, cross-shard misroute,
-//! premature reclamation) is caught by a named test or gate — see
-//! `sweep`, `lincheck`, and `crates/bench/tests/service.rs`.
+//! Verification hooks ship with the layer, not after it: each of the
+//! service's mutation canaries ([`Canary::FenceDropped`],
+//! [`Canary::Misroute`], [`Canary::ReclaimEarly`]) is caught by a named
+//! test or gate — see `sweep`, `lincheck`, and
+//! `crates/bench/tests/service.rs`.
 
 pub mod lincheck;
 pub mod pool;
 pub mod sweep;
-pub mod testhooks;
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +46,7 @@ use std::sync::Arc;
 use spash_index_api::crashpoint::SweepOp;
 use spash_index_api::history::fingerprint;
 use spash_index_api::{hash_key, BatchOp, BatchResult, IndexError, PersistentIndex};
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::sync::Mutex;
 use spash_pmem::{schedhook, MemCtx, PersistenceDomain, PmAddr};
 
@@ -63,13 +64,13 @@ pub const RECORD_BYTES: u64 = 64;
 /// Hash-partitioned routing: which shard owns `key`. Uses the shared
 /// avalanche mixer, folded from a different bit range than the indexes'
 /// own bucket/directory bits so shard choice and bucket choice stay
-/// independent. The `misroute` canary (when armed) consistently shifts
+/// independent. The [`Canary::Misroute`] canary (when armed) consistently shifts
 /// the route by one shard — per-key order survives (the check the
 /// linearizability test can NOT catch), which is exactly why the
 /// executor-side routing audit exists ([`ShardRunStats::misroutes`]).
 pub fn route(key: u64, shards: usize) -> usize {
     let clean = route_clean(key, shards);
-    if testhooks::misroute() {
+    if canary::armed(Canary::Misroute) {
         (clean + 1) % shards
     } else {
         clean
@@ -170,7 +171,7 @@ impl BatchReplies {
 /// Publishing a record is the service's *only* durability barrier — one
 /// ntstore + fence (eADR) or flush + fence (ADR) per batch, not per
 /// operation — so a crash sweep that finds an acked record missing has
-/// caught a real lost-ack window (see [`testhooks::set_fence_dropped`]).
+/// caught a real lost-ack window (see [`Canary::FenceDropped`]).
 #[derive(Clone, Copy, Debug)]
 pub struct JournalSpec {
     /// Base PM address; the caller must hand the service a region
@@ -225,7 +226,7 @@ impl JournalSpec {
     /// index for write-once data. Under ADR it is five cached stores, one
     /// flush and one fence: the model makes an ntstore durable at issue
     /// (DESIGN.md §13), which would hide a dropped fence from the ADR
-    /// crash sweep. The armed `fence_dropped` canary skips the barrier
+    /// crash sweep. The armed [`Canary::FenceDropped`] canary skips the barrier
     /// (modelling a forgotten group-commit fence): under ADR the acked
     /// record then sits in the volatile cache and a power cut loses it,
     /// which the crash sweep must flag.
@@ -245,11 +246,11 @@ impl JournalSpec {
             ctx.write_u64(PmAddr(a.0 + 16), count);
             ctx.write_u64(PmAddr(a.0 + 24), digest);
             ctx.write_u64(PmAddr(a.0 + 32), csum);
-            if !testhooks::fence_dropped() {
+            if !canary::armed(Canary::FenceDropped) {
                 ctx.flush(a);
             }
         }
-        if !testhooks::fence_dropped() {
+        if !canary::armed(Canary::FenceDropped) {
             // One line, one fence — for the whole batch.
             ctx.fence();
         }
@@ -306,7 +307,7 @@ pub struct ShardRunStats {
     /// Batches published (= journal records written).
     pub batches: u64,
     /// Durability barriers issued — equals `batches` unless the
-    /// `fence_dropped` canary is armed.
+    /// [`Canary::FenceDropped`] canary is armed.
     pub fences: u64,
     /// Requests observed whose canonical route is NOT this shard: the
     /// routing audit. Always 0 in a healthy service; the bench cell
@@ -381,7 +382,6 @@ impl Service {
     /// up to `batch_max`. Returns `None` when the queue is empty. `t0`
     /// is the executor's phase-start clock — arrivals are relative to it.
     pub fn begin_batch(&self, ctx: &mut MemCtx, shard: usize, t0: u64) -> Option<PreparedBatch> {
-        testhooks::maybe_inflate_dispatch(ctx);
         let mut q = self.shards[shard].queue.lock();
         let head_due = t0.saturating_add(q.front()?.arrival_ns);
         if head_due > ctx.now() {
@@ -477,7 +477,7 @@ impl Service {
         // The coalesced publication: one record, one fence — the whole
         // batch's ack durability in a single barrier.
         self.cfg.journal.publish(ctx, shard, seq, count, digest);
-        if !testhooks::fence_dropped() {
+        if !canary::armed(Canary::FenceDropped) {
             stats.fences += 1;
         }
 

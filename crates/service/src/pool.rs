@@ -18,15 +18,14 @@
 //! reference that *does* outlive its slot (only possible when the
 //! invariant is broken) fails its generation check in
 //! [`BatchPool::resolve`] instead of silently reading recycled bytes.
-//! The `reclaim_early` canary ([`crate::testhooks::set_reclaim_early`])
-//! breaks exactly this invariant — reclamation ignores pins — and the
-//! named canary test must observe the resulting [`ReclaimViolation`].
+//! The [`Canary::ReclaimEarly`] canary breaks exactly this invariant —
+//! reclamation ignores pins — and the named canary test must observe the
+//! resulting [`ReclaimViolation`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use spash_pmem::canary::{self, Canary};
 use spash_pmem::sync::Mutex;
-
-use crate::testhooks;
 
 /// A pin slot value meaning "not pinned".
 const QUIESCENT: u64 = u64::MAX;
@@ -142,10 +141,10 @@ impl BatchPool {
 
     /// The reclamation frontier: retired slots with `epoch < min_pin`
     /// are unreachable by every pinned consumer. The armed
-    /// `reclaim_early` canary ignores pins — the use-after-free window
+    /// [`Canary::ReclaimEarly`] canary ignores pins — the use-after-free window
     /// the named canary test must catch.
     fn min_pin(&self) -> u64 {
-        if testhooks::reclaim_early() {
+        if canary::armed(Canary::ReclaimEarly) {
             return QUIESCENT;
         }
         self.pins

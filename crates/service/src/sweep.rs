@@ -9,7 +9,7 @@
 //!    the post-crash image, in *both* persistence domains (one barrier
 //!    per batch: an ntstore + fence under eADR, a flush + fence under
 //!    ADR).
-//!    The `fence_dropped` canary breaks exactly this — the acked record
+//!    The `FenceDropped` canary breaks exactly this — the acked record
 //!    sits dirty in the volatile cache and an ADR power cut reverts it —
 //!    and the named test `fence_dropped_canary_is_caught_by_the_adr_sweep`
 //!    requires this audit to flag it.

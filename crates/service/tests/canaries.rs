@@ -1,22 +1,14 @@
 //! The reclamation use-after-free canary (DESIGN.md §11): the epoch
 //! pool's invariant is that a slot retired at epoch `e` recycles only
-//! once `e < min(active pins)`. The `reclaim_early` hook makes the pool
+//! once `e < min(active pins)`. The `ReclaimEarly` canary makes the pool
 //! ignore pins — exactly the use-after-free window the generation check
 //! in `BatchPool::resolve` exists to catch.
 
+use spash_pmem::canary::{self, Canary};
 use spash_service::pool::BatchPool;
-use spash_service::testhooks;
-
-/// Serializes hook-arming tests: the canary hooks are process-global.
-fn hook_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 #[test]
 fn reclamation_window_canary_is_caught() {
-    let _guard = hook_lock();
-
     // Clean run: a pinned consumer's reference survives retirement — the
     // pin blocks recycling, so the resolve sees the original bytes.
     {
@@ -38,8 +30,8 @@ fn reclamation_window_canary_is_caught() {
     // Armed run: reclamation ignores the pin, the slot recycles under
     // the reader's feet, and the generation check must report the
     // violation instead of silently serving recycled bytes.
-    assert!(!testhooks::set_reclaim_early(true), "hook already armed");
-    let outcome = std::panic::catch_unwind(|| {
+    let (recycled_despite_pin, resolve) = {
+        let _c = canary::arm(Canary::ReclaimEarly);
         let pool = BatchPool::new(1, 1);
         pool.pin(0);
         let buf = pool.acquire().unwrap();
@@ -47,10 +39,7 @@ fn reclamation_window_canary_is_caught() {
         pool.retire(buf);
         let stolen = pool.acquire();
         (stolen.is_some(), pool.resolve(&r, &mut Vec::new()))
-    });
-    testhooks::set_reclaim_early(false);
-
-    let (recycled_despite_pin, resolve) = outcome.expect("armed pool run panicked");
+    };
     assert!(
         recycled_despite_pin,
         "canary armed but the retired slot was not recycled early"

@@ -157,7 +157,8 @@ fn spash_adr_crash_at_scheduler_decision_points_recovers_panic_free() {
 /// (`NoCorruption`) passes that, CCEH's own level must not.
 #[test]
 fn adr_sweep_catches_a_skipped_baseline_publication_flush() {
-    use spash_repro::baselines::{testhooks, Cceh};
+    use spash_repro::baselines::Cceh;
+    use spash_repro::pmem::canary::{self, Canary};
 
     let target = Cceh::crash_target(1);
     let mut cfg = SweepConfig::ci(PersistenceDomain::Adr);
@@ -166,14 +167,7 @@ fn adr_sweep_catches_a_skipped_baseline_publication_flush() {
     cfg.key_space = 96;
     cfg.exhaustive_limit = 40;
     cfg.max_points = 40;
-    // Disarm even when an assertion below unwinds.
-    struct Disarm(bool);
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            testhooks::set_skip_stamp_flush(self.0);
-        }
-    }
-    let _disarm = Disarm(testhooks::set_skip_stamp_flush(true));
+    let _c = canary::arm(Canary::SkipStampFlush);
     cfg.check = CheckLevel::NoCorruption;
     report_failures("CCEH/ADR, NoCorruption", &run_sweep(&target, &cfg));
     cfg.check = CheckLevel::for_target(&target.name, PersistenceDomain::Adr);

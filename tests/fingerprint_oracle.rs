@@ -10,33 +10,34 @@
 //! 2. a reference `HashMap` model.
 //!
 //! The battery runs across random seeds, forced tag collisions
-//! (`testhooks::set_fp_collide`, which degrades every tag to the same
+//! (`Canary::FpCollide`, which degrades every tag to the same
 //! value so the filter admits everything), splits/merges, and
 //! crash/recover cycles. Two mutation canaries prove the battery and the
 //! linearizability checker have teeth:
 //!
-//! * **wrong-tag** (`testhooks::set_fp_wrong_tag`): corrupts every tag on
+//! * **wrong-tag** (`Canary::FpWrongTag`): corrupts every tag on
 //!   its way into the persistent fp table → fingerprinted probes go
 //!   false-negative while the oracle still finds the keys, and the
 //!   integrity walker reports `FpWordMismatch`;
-//! * **stale-cache** (`testhooks::set_overlay_stale`): splits/merges skip
+//! * **stale-cache** (`Canary::OverlayStale`): splits/merges skip
 //!   overlay invalidation → a cached bucket image survives its segment's
 //!   split and serves pre-split values after a post-split update.
 //!
-//! The canary hooks are process-global, so every test holds
-//! [`hook_lock`] — the healthy batteries too, or a concurrently armed
-//! canary corrupts them — and a test that flips a hook restores it even
-//! on panic. Regression seeds for the sibling property suites live in
+//! The canaries are process-global: a canary test holds the one it arms
+//! (disarmed again even on panic), and a healthy battery holds the
+//! switchboard with nothing armed, or a concurrently armed canary would
+//! corrupt it. Regression seeds for the sibling property suites live in
 //! `tests/proptest_substrates.proptest-regressions`.
 
 use std::collections::HashMap;
 
 use spash_repro::index_api::history::{self, Recorder};
 use spash_repro::index_api::{crashpoint::SweepOp, PersistentIndex, Rng64};
+use spash_repro::pmem::canary::{self, Canary};
 use spash_repro::pmem::{PmConfig, PmDevice};
 use spash_repro::sched::explore::{explore, ExploreConfig};
 use spash_repro::spash::integrity::IntegrityError;
-use spash_repro::spash::{testhooks, Spash, SpashConfig};
+use spash_repro::spash::{Spash, SpashConfig};
 
 fn pm() -> PmConfig {
     PmConfig {
@@ -49,23 +50,6 @@ fn eadr() -> PmConfig {
     PmConfig {
         arena_size: 64 << 20,
         ..PmConfig::small_test()
-    }
-}
-
-/// Serializes tests that flip a process-global test hook.
-fn hook_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Run `f` with `set(true)` held, restoring the previous value even if
-/// `f` panics.
-fn with_hook(set: fn(bool) -> bool, f: impl FnOnce() + std::panic::UnwindSafe) {
-    let was = set(true);
-    let r = std::panic::catch_unwind(f);
-    set(was);
-    if let Err(p) = r {
-        std::panic::resume_unwind(p);
     }
 }
 
@@ -164,7 +148,7 @@ fn churn(
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_seeds() {
-    let _guard = hook_lock();
+    let _quiet = canary::disarmed();
     for case in 0..12u64 {
         let dev = PmDevice::new(pm());
         let mut ctx = dev.ctx();
@@ -179,27 +163,26 @@ fn fingerprinted_path_matches_oracle_across_seeds() {
 
 #[test]
 fn fingerprinted_path_matches_oracle_under_forced_tag_collisions() {
-    let _guard = hook_lock();
-    with_hook(testhooks::set_fp_collide, || {
-        // Every tag degrades to the same value: the filter admits every
-        // occupied slot, so the probe path must still disambiguate by
-        // full key compare — and stay oracle-identical.
-        let dev = PmDevice::new(pm());
-        let mut ctx = dev.ctx();
-        let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
-        let mut model = HashMap::new();
-        let mut rng = Rng64::new(0xC0111DE);
-        churn(&idx, &mut ctx, &mut model, &mut rng, 600, 150, "fp-collide");
-        // Tags were computed with the hook on throughout, so the walker's
-        // rebuild rule (also hook-aware) must still match exactly.
-        idx.verify_integrity(&mut ctx)
-            .unwrap_or_else(|e| panic!("fp-collide: integrity: {e}"));
-    });
+    let _c = canary::arm(Canary::FpCollide);
+    // Every tag degrades to the same value: the filter admits every
+    // occupied slot, so the probe path must still disambiguate by
+    // full key compare — and stay oracle-identical.
+    let dev = PmDevice::new(pm());
+    let mut ctx = dev.ctx();
+    let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
+    let mut model = HashMap::new();
+    let mut rng = Rng64::new(0xC0111DE);
+    churn(&idx, &mut ctx, &mut model, &mut rng, 600, 150, "fp-collide");
+    // Tags were computed with the canary armed throughout, so the
+    // walker's rebuild rule (which consults it too) must still match
+    // exactly.
+    idx.verify_integrity(&mut ctx)
+        .unwrap_or_else(|e| panic!("fp-collide: integrity: {e}"));
 }
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_splits() {
-    let _guard = hook_lock();
+    let _quiet = canary::disarmed();
     let dev = PmDevice::new(pm());
     let mut ctx = dev.ctx();
     let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
@@ -228,7 +211,7 @@ fn fingerprinted_path_matches_oracle_across_splits() {
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_crash_recover_cycles() {
-    let _guard = hook_lock();
+    let _quiet = canary::disarmed();
     let dev = PmDevice::new(eadr());
     let mut model = HashMap::new();
     let mut rng = Rng64::new(0xCAFE);
@@ -257,57 +240,53 @@ fn fingerprinted_path_matches_oracle_across_crash_recover_cycles() {
 }
 
 // =====================================================================
-// Mutation canaries: each hook must flip its detecting suite.
+// Mutation canaries: each must flip its detecting suite.
 // =====================================================================
 
 #[test]
 fn wrong_tag_canary_is_caught_by_oracle_battery() {
-    let _guard = hook_lock();
-    with_hook(testhooks::set_fp_wrong_tag, || {
-        let dev = PmDevice::new(pm());
-        let mut ctx = dev.ctx();
-        let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
-        let mut divergences = 0u64;
-        for k in 1..=200u64 {
-            idx.insert(&mut ctx, k, &k.to_le_bytes()[..6]).unwrap();
-            let mut via_fp = Vec::new();
-            let mut via_oracle = Vec::new();
-            let hit_fp = idx.get(&mut ctx, k, &mut via_fp);
-            let hit_oracle = idx.oracle_scan_get(&mut ctx, k, &mut via_oracle);
-            assert!(hit_oracle, "oracle must find key {k} regardless of tags");
-            if !hit_fp {
-                divergences += 1;
-            }
+    let _c = canary::arm(Canary::FpWrongTag);
+    let dev = PmDevice::new(pm());
+    let mut ctx = dev.ctx();
+    let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
+    let mut divergences = 0u64;
+    for k in 1..=200u64 {
+        idx.insert(&mut ctx, k, &k.to_le_bytes()[..6]).unwrap();
+        let mut via_fp = Vec::new();
+        let mut via_oracle = Vec::new();
+        let hit_fp = idx.get(&mut ctx, k, &mut via_fp);
+        let hit_oracle = idx.oracle_scan_get(&mut ctx, k, &mut via_oracle);
+        assert!(hit_oracle, "oracle must find key {k} regardless of tags");
+        if !hit_fp {
+            divergences += 1;
         }
-        assert!(
-            divergences > 0,
-            "wrong-tag canary: fingerprinted path never diverged from the oracle"
-        );
-        // The integrity walker recomputes tags from slots, so the
-        // corrupted sidecar must be flagged as a mismatch.
-        match idx.verify_integrity(&mut ctx) {
-            Err(IntegrityError::FpWordMismatch { .. }) => {}
-            other => panic!("wrong-tag canary: expected FpWordMismatch, got {other:?}"),
-        }
-    });
+    }
+    assert!(
+        divergences > 0,
+        "wrong-tag canary: fingerprinted path never diverged from the oracle"
+    );
+    // The integrity walker recomputes tags from slots, so the
+    // corrupted sidecar must be flagged as a mismatch.
+    match idx.verify_integrity(&mut ctx) {
+        Err(IntegrityError::FpWordMismatch { .. }) => {}
+        other => panic!("wrong-tag canary: expected FpWordMismatch, got {other:?}"),
+    }
 }
 
 #[test]
 fn wrong_tag_canary_is_caught_by_linearizability_checker() {
-    let _guard = hook_lock();
-    with_hook(testhooks::set_fp_wrong_tag, || {
-        // Completed inserts whose keys then read as absent cannot
-        // linearize; the explorer must find violations.
-        let mut cfg = ExploreConfig::ci(8);
-        cfg.lin.key_space = 8;
-        cfg.lin.prefill = 0;
-        let report = explore(&Spash::crash_target(SpashConfig::test_default()), &pm(), &cfg);
-        assert!(
-            !report.violations.is_empty(),
-            "wrong-tag canary survived {} schedules — the checker caught nothing",
-            report.schedules
-        );
-    });
+    let _c = canary::arm(Canary::FpWrongTag);
+    // Completed inserts whose keys then read as absent cannot
+    // linearize; the explorer must find violations.
+    let mut cfg = ExploreConfig::ci(8);
+    cfg.lin.key_space = 8;
+    cfg.lin.prefill = 0;
+    let report = explore(&Spash::crash_target(SpashConfig::test_default()), &pm(), &cfg);
+    assert!(
+        !report.violations.is_empty(),
+        "wrong-tag canary survived {} schedules — the checker caught nothing",
+        report.schedules
+    );
 }
 
 /// Adaptive stale-overlay hunt.
@@ -370,9 +349,9 @@ fn stale_overlay_hunt(
 
 #[test]
 fn stale_overlay_canary_is_caught_by_oracle_battery() {
-    let _guard = hook_lock();
     // Healthy run: invalidation works, every post-split read is fresh.
     {
+        let _quiet = canary::disarmed();
         let dev = PmDevice::new(pm());
         let mut ctx = dev.ctx();
         let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
@@ -383,37 +362,34 @@ fn stale_overlay_canary_is_caught_by_oracle_battery() {
         );
         idx.verify_integrity(&mut ctx).unwrap();
     }
-    with_hook(testhooks::set_overlay_stale, || {
-        let dev = PmDevice::new(pm());
-        let mut ctx = dev.ctx();
-        let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
-        assert!(
-            stale_overlay_hunt(&idx, &mut ctx).is_some(),
-            "stale-cache canary: overlay never served a pre-split value"
-        );
-    });
+    let _c = canary::arm(Canary::OverlayStale);
+    let dev = PmDevice::new(pm());
+    let mut ctx = dev.ctx();
+    let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
+    assert!(
+        stale_overlay_hunt(&idx, &mut ctx).is_some(),
+        "stale-cache canary: overlay never served a pre-split value"
+    );
 }
 
 #[test]
 fn stale_overlay_canary_is_caught_by_linearizability_checker() {
-    let _guard = hook_lock();
-    with_hook(testhooks::set_overlay_stale, || {
-        let dev = PmDevice::new(pm());
-        let mut ctx = dev.ctx();
-        let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
-        let (k, fresh) = stale_overlay_hunt(&idx, &mut ctx)
-            .expect("stale-cache canary: hunt found no stale read to record");
-        // Record the stale read as a one-op history against an initial
-        // state that reflects the completed update: a get returning the
-        // pre-split value cannot linearize.
-        let rec = Recorder::new();
-        rec.run_op(&idx, &mut ctx, 0, &SweepOp::Get(k));
-        let hist = rec.take();
-        let initial: HashMap<u64, u64> =
-            [(k, history::fingerprint(&fresh))].into_iter().collect();
-        assert!(
-            history::check_linearizable(&hist, &initial).is_err(),
-            "stale-cache canary: stale read of key {k} linearized — the checker caught nothing"
-        );
-    });
+    let _c = canary::arm(Canary::OverlayStale);
+    let dev = PmDevice::new(pm());
+    let mut ctx = dev.ctx();
+    let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
+    let (k, fresh) = stale_overlay_hunt(&idx, &mut ctx)
+        .expect("stale-cache canary: hunt found no stale read to record");
+    // Record the stale read as a one-op history against an initial
+    // state that reflects the completed update: a get returning the
+    // pre-split value cannot linearize.
+    let rec = Recorder::new();
+    rec.run_op(&idx, &mut ctx, 0, &SweepOp::Get(k));
+    let hist = rec.take();
+    let initial: HashMap<u64, u64> =
+        [(k, history::fingerprint(&fresh))].into_iter().collect();
+    assert!(
+        history::check_linearizable(&hist, &initial).is_err(),
+        "stale-cache canary: stale read of key {k} linearized — the checker caught nothing"
+    );
 }

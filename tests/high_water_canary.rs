@@ -1,11 +1,12 @@
 //! The allocator's high-water mark under the ADR crash sweep. It has its
-//! own test binary because its mutation switch is process-wide and
-//! touches every allocator on an ADR device: in a shared binary it would
-//! move the media writes that other sweeps pin.
+//! own test binary because its canary is process-wide and touches every
+//! allocator on an ADR device: in a shared binary it would move the
+//! media writes that other sweeps pin.
 
-use spash_repro::alloc::{testhooks, PmAllocator};
+use spash_repro::alloc::PmAllocator;
 use spash_repro::baselines::Cceh;
 use spash_repro::index_api::crashpoint::{run_sweep, CheckLevel, SweepConfig};
+use spash_repro::pmem::canary::{self, Canary};
 use spash_repro::pmem::{PersistenceDomain, PmDevice};
 
 /// The mark must be durable before the headers it covers. With its ADR
@@ -13,7 +14,7 @@ use spash_repro::pmem::{PersistenceDomain, PmDevice};
 /// the flushed headers above it survive. The high-water invariant names
 /// the first such header, and CCEH's exact ADR sweep fails: its recovery
 /// walk stops at the reverted mark and finds none of CCEH's regions.
-/// Without the hook the same sweep passes and the invariant holds at
+/// Without the canary the same sweep passes and the invariant holds at
 /// every point.
 #[test]
 fn adr_sweep_catches_a_skipped_high_water_flush() {
@@ -34,14 +35,7 @@ fn adr_sweep_catches_a_skipped_high_water_flush() {
     );
     assert!(r.points.iter().all(|p| p.audit_ok));
 
-    // Disarm even when an assertion below unwinds.
-    struct Disarm(bool);
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            testhooks::set_skip_mark_flush(self.0);
-        }
-    }
-    let _disarm = Disarm(testhooks::set_skip_mark_flush(true));
+    let _c = canary::arm(Canary::SkipMarkFlush);
     let dev = PmDevice::new(cfg.pm.clone());
     let mut ctx = dev.ctx();
     let alloc = PmAllocator::format(&mut ctx, 0);

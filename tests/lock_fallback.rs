@@ -22,23 +22,16 @@ use std::time::Duration;
 
 use spash_repro::htm::HtmConfig;
 use spash_repro::index_api::{PersistentIndex, Rng64};
+use spash_repro::pmem::canary::{self, Canary};
 use spash_repro::pmem::{MemCtx, PmConfig, PmDevice};
 use spash_repro::spash::integrity::IntegrityError;
-use spash_repro::spash::{testhooks, Spash, SpashConfig};
+use spash_repro::spash::{Spash, SpashConfig};
 
 fn pm() -> PmConfig {
     PmConfig {
         arena_size: 64 << 20,
         ..PmConfig::small_test()
     }
-}
-
-/// Serializes the tests of this binary: the wrong-tag hook is
-/// process-global and would corrupt a concurrently running healthy
-/// battery.
-fn hook_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Run `f` on a worker thread; fail if it has not finished in `secs`.
@@ -151,7 +144,7 @@ fn battery(ctx: &mut MemCtx, churn_ops: u64) -> (u64, u64, Spash) {
 
 #[test]
 fn large_value_update_in_place_reaches_the_lock_fallback() {
-    let _guard = hook_lock();
+    let _quiet = canary::disarmed();
     watchdog(60, "50 000-byte in-place update", || {
         let dev = PmDevice::new(pm());
         let mut ctx = dev.ctx();
@@ -172,7 +165,7 @@ fn large_value_update_in_place_reaches_the_lock_fallback() {
 
 #[test]
 fn every_operation_through_the_lock_fallback_matches_oracle_and_model() {
-    let _guard = hook_lock();
+    let _quiet = canary::disarmed();
     watchdog(120, "forced-fallback battery", || {
         let dev = PmDevice::new(pm());
         let mut ctx = dev.ctx();
@@ -190,28 +183,21 @@ fn every_operation_through_the_lock_fallback_matches_oracle_and_model() {
 
 #[test]
 fn wrong_tag_canary_is_caught_on_the_fallback_path() {
-    let _guard = hook_lock();
-    let was = testhooks::set_fp_wrong_tag(true);
-    let r = std::panic::catch_unwind(|| {
-        watchdog(120, "forced-fallback battery (wrong-tag)", || {
-            let dev = PmDevice::new(pm());
-            let mut ctx = dev.ctx();
-            // Load phase only: with live keys invisible to probes, churn
-            // would double-insert them and the shadow map stops applying.
-            let (_, wrong, idx) = battery(&mut ctx, 0);
-            // Tags written through the plain accessor (slot tags, hint
-            // tags, locked-split images) are corrupted like transactional
-            // ones: fp-filtered probes miss live keys the oracle finds…
-            assert!(wrong > 0, "wrong-tag canary never diverged on the fallback path");
-            // …and the walker's rebuild rule flags the sidecar.
-            match idx.verify_integrity(&mut ctx) {
-                Err(IntegrityError::FpWordMismatch { .. }) => {}
-                other => panic!("expected FpWordMismatch, got {other:?}"),
-            }
-        })
+    let _c = canary::arm(Canary::FpWrongTag);
+    watchdog(120, "forced-fallback battery (wrong-tag)", || {
+        let dev = PmDevice::new(pm());
+        let mut ctx = dev.ctx();
+        // Load phase only: with live keys invisible to probes, churn
+        // would double-insert them and the shadow map stops applying.
+        let (_, wrong, idx) = battery(&mut ctx, 0);
+        // Tags written through the plain accessor (slot tags, hint
+        // tags, locked-split images) are corrupted like transactional
+        // ones: fp-filtered probes miss live keys the oracle finds…
+        assert!(wrong > 0, "wrong-tag canary never diverged on the fallback path");
+        // …and the walker's rebuild rule flags the sidecar.
+        match idx.verify_integrity(&mut ctx) {
+            Err(IntegrityError::FpWordMismatch { .. }) => {}
+            other => panic!("expected FpWordMismatch, got {other:?}"),
+        }
     });
-    testhooks::set_fp_wrong_tag(was);
-    if let Err(p) = r {
-        std::panic::resume_unwind(p);
-    }
 }

@@ -240,7 +240,8 @@ fn hints_never_collide_with_empty() {
 /// replayed run must also reproduce the *violation* itself.
 #[test]
 fn failing_schedule_seeds_replay_byte_identical_histories() {
-    use spash_repro::baselines::{testhooks, Halo};
+    use spash_repro::baselines::Halo;
+    use spash_repro::pmem::canary::{self, Canary};
     use spash_repro::sched::lin::{run_schedule, LinConfig};
     use spash_repro::sched::SchedConfig;
 
@@ -273,40 +274,34 @@ fn failing_schedule_seeds_replay_byte_identical_histories() {
 
     // Broken target: hunt for failing seeds, then require each failure to
     // replay byte-identically, violation included.
-    let was = testhooks::set_halo_racy_insert(true);
-    let result = std::panic::catch_unwind(|| {
-        let target = Halo::crash_target(8 << 20, u64::MAX);
-        let mut failing = 0u32;
-        for seed in 0..96u64 {
-            let mut cfg = LinConfig::small(seed);
-            cfg.key_space = 4;
-            cfg.prefill = 0;
-            let run = run_schedule(&target, &pm, &cfg);
-            if run.violation.is_none() {
-                continue;
-            }
-            failing += 1;
-            let mut replay = cfg.clone();
-            replay.sched = SchedConfig::replay(run.outcome.trace.clone());
-            let rerun = run_schedule(&target, &pm, &replay);
-            assert_eq!(run.outcome.trace, rerun.outcome.trace, "seed {seed}");
-            assert_eq!(
-                run.encoded_history(),
-                rerun.encoded_history(),
-                "seed {seed}: failing history is not byte-identical on replay"
-            );
-            assert!(
-                rerun.violation.is_some(),
-                "seed {seed}: replay lost the linearizability violation"
-            );
-            if failing >= 3 {
-                break;
-            }
+    let _c = canary::arm(Canary::HaloRacyInsert);
+    let target = Halo::crash_target(8 << 20, u64::MAX);
+    let mut failing = 0u32;
+    for seed in 0..96u64 {
+        let mut cfg = LinConfig::small(seed);
+        cfg.key_space = 4;
+        cfg.prefill = 0;
+        let run = run_schedule(&target, &pm, &cfg);
+        if run.violation.is_none() {
+            continue;
         }
-        assert!(failing > 0, "mutation produced no failing seeds in 96 tries");
-    });
-    testhooks::set_halo_racy_insert(was);
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
+        failing += 1;
+        let mut replay = cfg.clone();
+        replay.sched = SchedConfig::replay(run.outcome.trace.clone());
+        let rerun = run_schedule(&target, &pm, &replay);
+        assert_eq!(run.outcome.trace, rerun.outcome.trace, "seed {seed}");
+        assert_eq!(
+            run.encoded_history(),
+            rerun.encoded_history(),
+            "seed {seed}: failing history is not byte-identical on replay"
+        );
+        assert!(
+            rerun.violation.is_some(),
+            "seed {seed}: replay lost the linearizability violation"
+        );
+        if failing >= 3 {
+            break;
+        }
     }
+    assert!(failing > 0, "mutation produced no failing seeds in 96 tries");
 }

@@ -8,10 +8,11 @@
 //! decision trace; `spash-bench sched` runs the bigger sweeps from
 //! EXPERIMENTS.md.
 
-use spash_repro::baselines::{testhooks, CLevel, Cceh, Dash, Halo, Level, Plush};
+use spash_repro::baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_repro::htm::HtmConfig;
 use spash_repro::index_api::crashpoint::{CrashTarget, SweepOp};
 use spash_repro::index_api::history::{self, Recorder};
+use spash_repro::pmem::canary::{self, Canary};
 use spash_repro::pmem::{PersistenceDomain, PmConfig, PmDevice};
 use spash_repro::sched::explore::{explore, ExploreConfig};
 use spash_repro::sched::{run_tasks, SchedConfig};
@@ -96,7 +97,8 @@ fn plush_concurrent_histories_linearize() {
 
 #[test]
 fn halo_concurrent_histories_linearize() {
-    let _guard = halo_mutation_lock();
+    // The racy-insert canary must not be armed under the healthy run.
+    let _quiet = canary::disarmed();
     assert_linearizable(Halo::crash_target(8 << 20, u64::MAX), CI_SEEDS);
 }
 
@@ -343,45 +345,31 @@ fn merge_racing_a_split_keeps_every_key() {
     });
 }
 
-/// The Halo racy-insert mutation is process-global; the healthy Halo test
-/// and the mutation tests must not overlap.
-fn halo_mutation_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Checker validation: with Halo's check-then-append atomicity broken
-/// (`testhooks::set_halo_racy_insert`), the explorer must find a
+/// (`Canary::HaloRacyInsert`), the explorer must find a
 /// linearizability violation, and the violation must replay
 /// deterministically from its recorded trace.
 #[test]
 fn mutated_halo_violation_is_caught_and_replays() {
-    let _guard = halo_mutation_lock();
-    let was = testhooks::set_halo_racy_insert(true);
-    let result = std::panic::catch_unwind(|| {
-        let target = Halo::crash_target(8 << 20, u64::MAX);
-        // Insert-heavy collisions: no prefill, tiny key space, so racing
-        // inserts of the same absent key are common.
-        let mut cfg = ExploreConfig::ci(64);
-        cfg.lin.key_space = 4;
-        cfg.lin.prefill = 0;
-        let report = explore(&target, &pm(), &cfg);
+    let _c = canary::arm(Canary::HaloRacyInsert);
+    let target = Halo::crash_target(8 << 20, u64::MAX);
+    // Insert-heavy collisions: no prefill, tiny key space, so racing
+    // inserts of the same absent key are common.
+    let mut cfg = ExploreConfig::ci(64);
+    cfg.lin.key_space = 4;
+    cfg.lin.prefill = 0;
+    let report = explore(&target, &pm(), &cfg);
+    assert!(
+        !report.violations.is_empty(),
+        "mutated Halo survived {} schedules — the checker caught nothing",
+        report.schedules
+    );
+    for f in &report.violations {
         assert!(
-            !report.violations.is_empty(),
-            "mutated Halo survived {} schedules — the checker caught nothing",
-            report.schedules
+            f.replay_reproduces,
+            "seed {}: violation did not replay byte-identically\n{}",
+            f.seed, f.detail
         );
-        for f in &report.violations {
-            assert!(
-                f.replay_reproduces,
-                "seed {}: violation did not replay byte-identically\n{}",
-                f.seed, f.detail
-            );
-        }
-    });
-    testhooks::set_halo_racy_insert(was);
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
     }
 }
 

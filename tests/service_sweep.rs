@@ -9,22 +9,16 @@
 //!   the acked prefix, with keys touched by the one in-flight batch
 //!   allowed at any batch-prefix state.
 //!
-//! The `fence_dropped` mutation (the ADR publication skips its flush and
+//! The `FenceDropped` canary (the ADR publication skips its flush and
 //! fence) is the canary: under ADR the acked record can sit dirty in the
 //! volatile cache and revert at power cut, and the sweep's journal audit
 //! must flag it deterministically.
 
 use spash_repro::index_api::crashpoint::{CheckLevel, SweepReport};
+use spash_repro::pmem::canary::{self, Canary};
 use spash_repro::pmem::PersistenceDomain;
 use spash_repro::service::sweep::{run_service_sweep, ServiceSweepConfig};
-use spash_repro::service::testhooks;
 use spash_repro::spash::{Spash, SpashConfig};
-
-/// Serializes the sweep tests: the fence canary hook is process-global.
-fn hook_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 fn report_failures(name: &str, r: &SweepReport) {
     if !r.is_ok() {
@@ -42,7 +36,7 @@ fn report_failures(name: &str, r: &SweepReport) {
 /// batched run, plus the acked⇒durable journal audit.
 #[test]
 fn service_eadr_sweep_recovers_the_acked_prefix_at_every_point() {
-    let _guard = hook_lock();
+    let _quiet = canary::disarmed();
     let cfg = ServiceSweepConfig::test_small(PersistenceDomain::Eadr);
     assert_eq!(cfg.check, CheckLevel::Exact);
     let target = Spash::crash_target(SpashConfig::test_default());
@@ -61,7 +55,7 @@ fn service_eadr_sweep_recovers_the_acked_prefix_at_every_point() {
 /// under a volatile cache.
 #[test]
 fn service_adr_sweep_keeps_acked_batches_durable() {
-    let _guard = hook_lock();
+    let _quiet = canary::disarmed();
     let cfg = ServiceSweepConfig::test_small(PersistenceDomain::Adr);
     assert_eq!(cfg.check, CheckLevel::NoCorruption);
     let target = Spash::crash_target(SpashConfig::test_default());
@@ -75,15 +69,12 @@ fn service_adr_sweep_keeps_acked_batches_durable() {
 /// the ADR sweep's acked⇒durable audit must catch the revert.
 #[test]
 fn fence_dropped_canary_is_caught_by_the_adr_sweep() {
-    let _guard = hook_lock();
     let cfg = ServiceSweepConfig::test_small(PersistenceDomain::Adr);
     let target = Spash::crash_target(SpashConfig::test_default());
-    assert!(!testhooks::set_fence_dropped(true), "hook already armed");
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let r = {
+        let _c = canary::arm(Canary::FenceDropped);
         run_service_sweep(&target, &cfg)
-    }));
-    testhooks::set_fence_dropped(false);
-    let r = out.expect("fence-dropped sweep panicked");
+    };
     assert!(
         r.failure_count > 0,
         "a fence-free publication path sailed through the ADR sweep"
