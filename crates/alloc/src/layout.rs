@@ -117,7 +117,6 @@ pub fn write_superblock(ctx: &mut MemCtx, arena_size: u64, l: &Layout) {
 /// covers is written; eADR keeps the dirty line alive. The caller holds
 /// the allocator's mark lock.
 pub fn write_high_water(ctx: &mut MemCtx, mark: u64) {
-    // lint:allow(conc-lockset): one writer at a time, under PmAllocator's mark_lock (a guard the lowering does not model as a region); the volatile mirror is published only after this store is durable. sched=none(the mark rises only when the frontier crosses 1 024 chunks, past the explored workloads)
     ctx.write_u64(PmAddr(SB_HIGH_WATER), mark);
     if ctx.device().config().domain == spash_pmem::PersistenceDomain::Adr
         && !canary::armed(Canary::SkipMarkFlush)

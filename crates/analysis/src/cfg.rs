@@ -120,6 +120,7 @@ pub const REGION_FNS: &[(&str, &str)] = &[
     ("with", "lock"),
     ("write", "lock"),
     ("read", "read-lock"),
+    ("lock", "lock"),
     ("try_transaction", "htm"),
     ("run_step5", "htm"),
     ("nontx_lock", "acquire"),
@@ -507,14 +508,15 @@ impl Lower {
             return pb;
         }
         // Guard-style RAII acquisition (`let t = self.table.read();`,
-        // `let mut d = self.dir.write();`): a host RwLock guard held to
-        // the end of the enclosing scope. Lowered as a region whose exit
-        // the scope emits — the innermost closure's end, or the end of
-        // the function when acquired at top level — matching RAII
-        // drop-at-scope-end to the granularity the CFG models.
+        // `let mut d = self.dir.write();`, `let _g = self.mark_lock.lock();`):
+        // a host RwLock or Mutex guard held to the end of the enclosing
+        // scope. Lowered as a region whose exit the scope emits — the
+        // innermost closure's end, or the end of the function when
+        // acquired at top level — matching RAII drop-at-scope-end to the
+        // granularity the CFG models. Only `read` is a reader.
         if c.closures.is_empty()
             && c.args.is_empty()
-            && (c.name == "read" || c.name == "write")
+            && matches!(c.name.as_str(), "read" | "write" | "lock")
             && !c.recv.is_empty()
         {
             let lock = c
@@ -524,7 +526,7 @@ impl Lower {
                 .filter(|s| !s.is_empty())
                 .unwrap_or("lock")
                 .to_string();
-            let begin = self.region_enter(lock.clone(), c.name == "write", c.recv_indexed, line);
+            let begin = self.region_enter(lock.clone(), c.name != "read", c.recv_indexed, line);
             self.guards.push((begin, lock));
             self.edge(cur, begin);
             return begin;
@@ -759,6 +761,36 @@ mod tests {
             ),
             1
         );
+    }
+
+    /// A guard-style `Mutex::lock` opens a writer region that the store
+    /// after it runs under and that closes where its closure ends.
+    #[test]
+    fn mutex_guard_brackets_store() {
+        let cfg = cfg_of(
+            "fn f() { run(|| { let _g = self.mark_lock.lock(); ctx.write_u64(a, v); }); ctx.fence(); }",
+        );
+        let at = |pred: &dyn Fn(&Ev) -> bool| cfg.nodes.iter().position(|n| pred(&n.ev)).unwrap();
+        let enter = at(&|e| {
+            matches!(e, Ev::RegionEnter { lock, writer: true, .. } if lock == "mark_lock")
+        });
+        let exit = at(&|e| matches!(e, Ev::RegionExit { enter: Some(x), .. } if *x == enter));
+        let store = at(&|e| matches!(e, Ev::Store { .. }));
+        let fence = at(&|e| matches!(e, Ev::Fence));
+        let reaches = |from: usize, to: usize| {
+            let (mut seen, mut work) = (vec![false; cfg.nodes.len()], vec![from]);
+            while let Some(n) = work.pop() {
+                if n == to {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[n], true) {
+                    work.extend(&cfg.succs[n]);
+                }
+            }
+            false
+        };
+        assert!(reaches(enter, store) && reaches(store, exit) && reaches(exit, fence));
+        assert!(!reaches(fence, exit), "the guard is released before the closure returns");
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //! `cas-publish`, `read-only`, `mixed`, or `none`). Words are named
 //! `<file_stem>::<label>` where the label is the address-helper call at
 //! the access (`seg.slot_addr(b, s)` → `slot_addr`) or the provenance
-//! of the address binding. The inventory is the input ROADMAP item 3
-//! (CXL backend) needs: which words are cross-thread-shared.
+//! of the address binding. It answers which words are cross-thread
+//! shared and under what discipline, the question any change to the
+//! memory model (another persistence domain or backend) starts from.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -5,22 +5,34 @@
 
 use std::process::exit;
 
-use spash_analysis::{roster, Select, Sizing};
 use spash_bench::experiments::{fig1, fig10, fig11, fig12, fig7, fig8, fig9};
+use spash_bench::indexes::{roster, Geometry};
 use spash_bench::report::{join_ladder, short_rev};
 use spash_bench::suite::{PERF, SCALE, SERVICE};
 use spash_bench::{knobs, perf, scale, service, BenchReport, ExperimentRow, Scale};
-use spash_index_api::crashpoint::CheckLevel;
+use spash_index_api::crashpoint::{CheckLevel, CrashTarget};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::PersistenceDomain::{self, Adr, Eadr};
 
-fn targets_knob(name: &str, default: Select) -> Select {
+/// A `SPASH_*_TARGETS` choice: `Some(true)` is Spash alone,
+/// `Some(false)` the baselines, `None` the whole roster.
+fn targets_knob(name: &str, default: Option<bool>) -> Option<bool> {
     let choices = [
-        ("spash", Select::Spash),
-        ("baselines", Select::Baselines),
-        ("all", Select::All),
+        ("spash", Some(true)),
+        ("baselines", Some(false)),
+        ("all", None),
     ];
     knobs::choice(name, &choices, default)
+}
+
+/// The sweep-sized roster's members that `which` ([`targets_knob`])
+/// selects.
+fn sweep_roster(which: Option<bool>) -> Vec<CrashTarget> {
+    let mut targets = roster(Geometry::Sweep);
+    if let Some(spash) = which {
+        targets.retain(|t| (t.name == "Spash") == spash);
+    }
+    targets
 }
 
 /// Deterministic schedule exploration with linearizability checking
@@ -85,8 +97,8 @@ pub fn sched(args: &[String]) {
     pm.domain = knobs::choice("SPASH_SCHED_DOMAIN", &[("eadr", Eadr), ("adr", Adr)], Eadr);
     let san_on = knobs::on_off("SPASH_SCHED_SAN", true);
 
-    let which = targets_knob("SPASH_SCHED_TARGETS", Select::All);
-    let mut targets = roster(Sizing::Sweep, if mutate { Select::All } else { which });
+    let which = targets_knob("SPASH_SCHED_TARGETS", None);
+    let mut targets = sweep_roster(if mutate { None } else { which });
     if let Some((broken, _)) = mutation {
         targets.retain(|t| t.name == broken);
     }
@@ -208,7 +220,7 @@ pub fn crashpoints() {
     use spash_index_api::crashpoint::{run_sweep, SweepConfig};
 
     spash_pmem::fault::silence_crash_point_panics();
-    let which = targets_knob("SPASH_CRASH_TARGETS", Select::Spash);
+    let which = targets_knob("SPASH_CRASH_TARGETS", Some(true));
     // Violations on the record pass or any recovery path are hard sweep
     // failures unless SPASH_CRASH_SAN=off.
     let san_on = knobs::on_off("SPASH_CRASH_SAN", true);
@@ -228,7 +240,7 @@ pub fn crashpoints() {
         cfg.exhaustive_limit = knobs::int("SPASH_CRASH_EXHAUSTIVE", 5_000);
         cfg.max_points = knobs::int("SPASH_CRASH_POINTS", 2_000);
 
-        for target in &roster(Sizing::Sweep, which) {
+        for target in &sweep_roster(which) {
             cfg.pm.san = san_on && CheckLevel::arms_sanitizer(&target.name, domain);
             cfg.check = CheckLevel::for_target(&target.name, domain);
             let r = run_sweep(target, &cfg);

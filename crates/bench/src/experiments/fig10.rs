@@ -12,7 +12,7 @@ use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::experiments::Cell;
 use crate::harness::{print_table, PhaseResult, Scale};
-use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::indexes::{bench_device, roster, Geometry};
 use crate::report::ExperimentRow;
 
 pub const PHASES: [(&str, Option<Mix>); 4] = [
@@ -22,16 +22,17 @@ pub const PHASES: [(&str, Option<Mix>); 4] = [
     ("Write-int 10:90", Some(Mix::WRITE_INTENSIVE)),
 ];
 
-/// One index through all four phases at the top thread count, as a cell
-/// of `figure` (Fig 11 runs the same phases per value size).
-pub fn run_one(scale: &Scale, figure: u8, kind: IndexKind, value: ValueSize) -> Vec<PhaseResult> {
+/// The figure roster's member `series` through all four phases at the
+/// top thread count, as a cell of `figure` (Fig 11 runs the same phases
+/// per value size).
+pub fn run_one(scale: &Scale, figure: u8, series: usize, value: ValueSize) -> Vec<PhaseResult> {
     let (point, vbytes) = match value {
         ValueSize::Inline => (0, 16),
         ValueSize::Fixed(n) => (n, n as u64),
     };
-    let cell = Cell::figure(figure, kind as usize, point, scale.max_threads());
+    let cell = Cell::figure(figure, series, point, scale.max_threads());
     let dev = bench_device(scale.keys, vbytes);
-    let idx = build_index(&dev, kind);
+    let idx = (roster(Geometry::Figure)[series].format)(&mut dev.ctx());
     let index = idx.as_ref();
     let cfg = WorkloadConfig::new(scale.keys, Distribution::Zipfian, Mix::BALANCED, value);
     let mut out = Vec::with_capacity(PHASES.len());
@@ -48,20 +49,21 @@ pub fn run_one(scale: &Scale, figure: u8, kind: IndexKind, value: ValueSize) -> 
 }
 
 pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
-    let kinds = IndexKind::ALL;
-    let columns: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
-    let results: Vec<Vec<PhaseResult>> = kinds
-        .iter()
-        .map(|&k| run_one(scale, 10, k, ValueSize::Inline))
+    let columns: Vec<String> = roster(Geometry::Figure)
+        .into_iter()
+        .map(|t| t.name)
+        .collect();
+    let results: Vec<Vec<PhaseResult>> = (0..columns.len())
+        .map(|series| run_one(scale, 10, series, ValueSize::Inline))
         .collect();
     let threads = scale.max_threads();
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for (p, (label, _)) in PHASES.iter().enumerate() {
-        for (kind, r) in kinds.iter().zip(&results) {
+        for (name, r) in columns.iter().zip(&results) {
             out.push(ExperimentRow::from_phase(
                 "fig10",
-                kind.label(),
+                name,
                 "inline",
                 label,
                 "mops",

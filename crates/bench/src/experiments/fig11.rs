@@ -11,21 +11,22 @@ use spash_workloads::ValueSize;
 
 use crate::experiments::fig10;
 use crate::harness::{print_table, PhaseResult, Scale};
-use crate::indexes::IndexKind;
+use crate::indexes::{roster, Geometry};
 use crate::report::ExperimentRow;
 
 pub const VALUE_SIZES: [usize; 4] = [16, 64, 256, 1024];
 
 pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
-    let kinds = IndexKind::ALL;
-    let columns: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
-    // results[size][kind] -> phases
+    let columns: Vec<String> = roster(Geometry::Figure)
+        .into_iter()
+        .map(|t| t.name)
+        .collect();
+    // results[size][series] -> phases
     let results: Vec<Vec<Vec<PhaseResult>>> = VALUE_SIZES
         .iter()
         .map(|&vs| {
-            kinds
-                .iter()
-                .map(|&k| fig10::run_one(scale, 11, k, ValueSize::Fixed(vs)))
+            (0..columns.len())
+                .map(|series| fig10::run_one(scale, 11, series, ValueSize::Fixed(vs)))
                 .collect()
         })
         .collect();
@@ -34,10 +35,10 @@ pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     for (p, (label, _)) in fig10::PHASES.iter().enumerate() {
         let mut rows = Vec::new();
         for (si, &vs) in VALUE_SIZES.iter().enumerate() {
-            for (kind, r) in kinds.iter().zip(&results[si]) {
+            for (name, r) in columns.iter().zip(&results[si]) {
                 out.push(ExperimentRow::from_phase(
                     "fig11",
-                    kind.label(),
+                    name,
                     &format!("{vs}B"),
                     label,
                     "mops",

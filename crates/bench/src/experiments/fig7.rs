@@ -10,14 +10,14 @@ use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::experiments::{my_chunk, Cell};
 use crate::harness::{print_table, PhaseResult, Scale};
-use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::indexes::{bench_device, micro, roster, Geometry};
 use crate::report::ExperimentRow;
 
-/// One index, one thread count: returns (insert, search, update, delete)
-/// results.
-pub fn run_one(scale: &Scale, kind: IndexKind, threads: usize) -> [PhaseResult; 4] {
+/// One index (the figure roster's member `series`), one thread count:
+/// returns (insert, search, update, delete) results.
+pub fn run_one(scale: &Scale, series: usize, threads: usize) -> [PhaseResult; 4] {
     let dev = bench_device(scale.keys, 16);
-    let idx = build_index(&dev, kind);
+    let idx = (roster(Geometry::Figure)[series].format)(&mut dev.ctx());
     let index = idx.as_ref();
     let cfg = WorkloadConfig::new(
         scale.keys,
@@ -26,7 +26,7 @@ pub fn run_one(scale: &Scale, kind: IndexKind, threads: usize) -> [PhaseResult; 
         ValueSize::Inline,
     );
     let keys = load_keys(&cfg);
-    let cell = Cell::figure(7, kind as usize, threads, threads);
+    let cell = Cell::figure(7, series, threads, threads);
 
     // Insert phase: the load itself, partitioned over threads.
     let insert = cell.load(&dev, 0, index, &cfg).unwrap().0;
@@ -65,15 +65,15 @@ pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     let columns: Vec<String> = scale.threads.iter().map(|t| format!("{t} thr")).collect();
     let mut tables: [Vec<(String, Vec<f64>)>; 4] = Default::default();
     let mut out = Vec::new();
-    for kind in IndexKind::MICRO {
-        let mut series: [Vec<f64>; 4] = Default::default();
+    for (series, target) in micro() {
+        let mut mops: [Vec<f64>; 4] = Default::default();
         for &t in &scale.threads {
-            let rs = run_one(scale, kind, t);
+            let rs = run_one(scale, series, t);
             for (i, r) in rs.iter().enumerate() {
-                series[i].push(r.mops());
+                mops[i].push(r.mops());
                 out.push(ExperimentRow::from_phase(
                     "fig7",
-                    kind.label(),
+                    &target.name,
                     &format!("{t}thr"),
                     phases[i],
                     "mops",
@@ -84,7 +84,7 @@ pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
             }
         }
         for i in 0..4 {
-            tables[i].push((kind.label().to_string(), std::mem::take(&mut series[i])));
+            tables[i].push((target.name.clone(), std::mem::take(&mut mops[i])));
         }
     }
     for (i, t) in tables.iter().enumerate() {

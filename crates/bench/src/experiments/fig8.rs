@@ -11,7 +11,7 @@ use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::experiments::{my_chunk, Cell};
 use crate::harness::{print_table, PhaseResult, Scale};
-use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::indexes::{bench_device, micro, roster, Geometry};
 use crate::report::ExperimentRow;
 
 pub struct AccessCounts {
@@ -21,10 +21,11 @@ pub struct AccessCounts {
     pub delete: PhaseResult,
 }
 
-pub fn run_one(scale: &Scale, kind: IndexKind) -> AccessCounts {
+/// The figure roster's member `series`, at the top thread count.
+pub fn run_one(scale: &Scale, series: usize) -> AccessCounts {
     let threads = scale.max_threads();
     let dev = bench_device(scale.keys, 16);
-    let idx = build_index(&dev, kind);
+    let idx = (roster(Geometry::Figure)[series].format)(&mut dev.ctx());
     let index = idx.as_ref();
     let cfg = WorkloadConfig::new(
         scale.keys,
@@ -33,7 +34,7 @@ pub fn run_one(scale: &Scale, kind: IndexKind) -> AccessCounts {
         ValueSize::Inline,
     );
     let keys = load_keys(&cfg);
-    let cell = Cell::figure(8, kind as usize, 0, threads);
+    let cell = Cell::figure(8, series, 0, threads);
 
     let insert = cell.load(&dev, 0, index, &cfg).unwrap().0;
     // Evict everything so steady-state (cold) access counts are measured,
@@ -74,9 +75,8 @@ pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
         "XP rd".into(),
         "XP wr".into(),
     ];
-    let counts: Vec<(IndexKind, AccessCounts)> = IndexKind::MICRO
-        .into_iter()
-        .map(|k| (k, run_one(scale, k)))
+    let counts: Vec<(String, AccessCounts)> = micro()
+        .map(|(series, target)| (target.name, run_one(scale, series)))
         .collect();
     let mut out = Vec::new();
     for (name, pick) in [
@@ -86,7 +86,7 @@ pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
         ("delete", 3),
     ] {
         let mut rows = Vec::new();
-        for (kind, c) in &counts {
+        for (label, c) in &counts {
             let r = match pick {
                 0 => &c.insert,
                 1 => &c.search,
@@ -96,7 +96,7 @@ pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
             let threads = scale.max_threads();
             out.push(ExperimentRow::from_phase(
                 "fig8",
-                kind.label(),
+                label,
                 &format!("{threads}thr"),
                 name,
                 "mops",
@@ -105,7 +105,7 @@ pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
                 r,
             ));
             rows.push((
-                kind.label().to_string(),
+                label.clone(),
                 vec![
                     r.per_op(r.delta.cl_reads),
                     r.per_op(r.delta.cl_writes + r.delta.ntstores),

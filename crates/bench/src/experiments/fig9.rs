@@ -7,16 +7,17 @@
 //! resizes); Plush is low and spiky (16× level allocations).
 
 
+use spash_index_api::crashpoint::CrashTarget;
 use spash_workloads::{load_keys, Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::harness::{print_table, Scale};
-use crate::indexes::{bench_device, build_index, IndexKind};
+use crate::indexes::{bench_device, roster, Geometry};
 use crate::report::ExperimentRow;
 
 /// Load factors sampled at `samples` evenly spaced checkpoints.
-pub fn run_one(scale: &Scale, kind: IndexKind, samples: usize) -> Vec<f64> {
+pub fn run_one(scale: &Scale, target: &CrashTarget, samples: usize) -> Vec<f64> {
     let dev = bench_device(scale.keys, 16);
-    let idx = build_index(&dev, kind);
+    let idx = (target.format)(&mut dev.ctx());
     let mut ctx = dev.ctx();
     let cfg = WorkloadConfig::new(
         scale.keys,
@@ -39,24 +40,20 @@ pub fn run_one(scale: &Scale, kind: IndexKind, samples: usize) -> Vec<f64> {
 
 pub fn run(scale: &Scale) -> Vec<ExperimentRow> {
     let samples = 10;
-    let kinds = [
-        IndexKind::Spash,
-        IndexKind::Cceh,
-        IndexKind::Dash,
-        IndexKind::Level,
-        IndexKind::CLevel,
-        IndexKind::Plush,
-    ];
-    let columns: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
-    let series: Vec<Vec<f64>> = kinds.iter().map(|&k| run_one(scale, k, samples)).collect();
+    let targets: Vec<CrashTarget> = roster(Geometry::Figure)
+        .into_iter()
+        .filter(|t| t.name != "Spash(noPL)" && t.name != "Halo")
+        .collect();
+    let columns: Vec<String> = targets.iter().map(|t| t.name.clone()).collect();
+    let series: Vec<Vec<f64>> = targets.iter().map(|t| run_one(scale, t, samples)).collect();
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for s in 0..samples {
         let frac = (s + 1) as f64 / samples as f64;
-        for (kind, v) in kinds.iter().zip(&series) {
+        for (label, v) in columns.iter().zip(&series) {
             out.push(ExperimentRow::from_value(
                 "fig9",
-                kind.label(),
+                label,
                 &format!("{:.0}pct", frac * 100.0),
                 "load",
                 "load_factor",

@@ -198,13 +198,19 @@ impl Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::indexes::{bench_device, build_index, IndexKind};
+    use crate::indexes::{bench_device, roster, Geometry};
     use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
+
+    /// The figure roster's member `name`, formatted on `dev`.
+    fn build(dev: &Arc<PmDevice>, name: &str) -> Box<dyn PersistentIndex> {
+        let target = roster(Geometry::Figure).into_iter().find(|t| t.name == name);
+        (target.expect("a roster member").format)(&mut dev.ctx())
+    }
 
     #[test]
     fn exec_stream_runs_mixed_ops() {
         let dev = bench_device(1000, 16);
-        let idx = build_index(&dev, IndexKind::Spash);
+        let idx = build(&dev, "Spash");
         let mut ctx = dev.ctx();
         let cfg = WorkloadConfig::new(1000, Distribution::Uniform, Mix::BALANCED, ValueSize::Inline);
         for k in load_keys(&cfg) {
@@ -227,7 +233,7 @@ mod tests {
         );
         let slots_after = |threads: usize| {
             let dev = bench_device(cfg.n_keys, 16);
-            let idx = build_index(&dev, IndexKind::Level);
+            let idx = build(&dev, "Level");
             let cell = Cell {
                 seed: 7,
                 preemptions: 64,

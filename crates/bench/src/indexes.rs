@@ -1,75 +1,106 @@
-//! Factory building each compared index on a fresh simulated device with
-//! benchmark-appropriate geometry.
+//! The one index roster — the paper's comparison set (§VI) as
+//! [`CrashTarget`]s — and the device every figure builds it on.
 
 use std::sync::Arc;
 
 use spash::{ConcurrencyMode, InsertPolicy, Spash, SpashConfig, UpdatePolicy};
 use spash_baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_index_api::crashpoint::CrashTarget;
-use spash_index_api::PersistentIndex;
 use spash_pmem::{PmConfig, PmDevice};
 
 use crate::knobs;
 
-/// The suite-sized roster (`spash_analysis::roster`) the `perf`,
-/// `scale` and `service` suites iterate.
-pub fn crash_targets() -> Vec<CrashTarget> {
-    spash_analysis::roster(spash_analysis::Sizing::Suite, spash_analysis::Select::All)
-}
-
-/// Which index to build.
+/// The geometry a [`roster`] is built at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexKind {
-    Spash,
-    /// Spash with the pipeline disabled (PD=1) — the "Spash (w/o
-    /// pipeline)" series of Figs 7/10/11.
-    SpashNoPipeline,
-    Cceh,
-    Dash,
-    Level,
-    CLevel,
-    Plush,
-    Halo,
+pub enum Geometry {
+    /// Crash sweeps (the sanitizer's record pass included) and schedule
+    /// exploration: Spash's small test geometry and an 8 MiB Halo log, so
+    /// splits, merges and GC happen within a few hundred ops.
+    Sweep,
+    /// The `perf`/`scale`/`service` suites: Spash's default geometry and
+    /// a 64 MiB Halo log (the suites replay several write phases into it).
+    Suite,
+    /// The figures: every index with a small head start (the paper
+    /// preloads millions of keys anyway), Plush and Halo sized from the
+    /// formatting context's arena, plus `Spash(noPL)` — Spash with the
+    /// pipeline disabled (PD=1), the "Spash (w/o pipeline)" series of
+    /// Figs 7/10/11.
+    Figure,
 }
 
-impl IndexKind {
-    /// Everything in the paper's comparison set.
-    pub const ALL: [IndexKind; 8] = [
-        IndexKind::Spash,
-        IndexKind::SpashNoPipeline,
-        IndexKind::Cceh,
-        IndexKind::Dash,
-        IndexKind::Level,
-        IndexKind::CLevel,
-        IndexKind::Plush,
-        IndexKind::Halo,
-    ];
-
-    /// The set used in the micro-benchmarks (the paper excludes Halo
-    /// there: "Halo is excluded from the micro-benchmark since it crashes
-    /// during the executions" — DRAM exhaustion).
-    pub const MICRO: [IndexKind; 7] = [
-        IndexKind::Spash,
-        IndexKind::SpashNoPipeline,
-        IndexKind::Cceh,
-        IndexKind::Dash,
-        IndexKind::Level,
-        IndexKind::CLevel,
-        IndexKind::Plush,
-    ];
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            IndexKind::Spash => "Spash",
-            IndexKind::SpashNoPipeline => "Spash(noPL)",
-            IndexKind::Cceh => "CCEH",
-            IndexKind::Dash => "Dash",
-            IndexKind::Level => "Level",
-            IndexKind::CLevel => "CLevel",
-            IndexKind::Plush => "Plush",
-            IndexKind::Halo => "Halo",
-        }
+/// The one roster: Spash and the six baselines (the figures add
+/// `Spash(noPL)` second), in report order. A member's position is its
+/// cell id, and so its scheduler seed, in every figure and suite that
+/// iterates the roster. Fresh targets per call: `CrashTarget::format`
+/// must not share volatile state across devices.
+pub fn roster(geometry: Geometry) -> Vec<CrashTarget> {
+    let figure = geometry == Geometry::Figure;
+    let spash = match geometry {
+        Geometry::Sweep => SpashConfig::test_default(),
+        Geometry::Suite | Geometry::Figure => SpashConfig::default(),
+    };
+    let mut targets = vec![Spash::crash_target(spash)];
+    if figure {
+        let no_pipeline = SpashConfig {
+            pipeline_depth: 1,
+            ..SpashConfig::default()
+        };
+        targets.push(CrashTarget {
+            name: "Spash(noPL)".into(),
+            ..Spash::crash_target(no_pipeline)
+        });
     }
+    let (dir_depth, level_pow) = if figure { (2, 10) } else { (1, 4) };
+    targets.extend([
+        Cceh::crash_target(dir_depth),
+        Dash::crash_target(dir_depth),
+        Level::crash_target(level_pow),
+        CLevel::crash_target(level_pow),
+    ]);
+    match geometry {
+        Geometry::Sweep => targets.extend([
+            Plush::crash_target(4),
+            Halo::crash_target(8 << 20, u64::MAX),
+        ]),
+        Geometry::Suite => targets.extend([
+            Plush::crash_target(4),
+            Halo::crash_target(64 << 20, u64::MAX),
+        ]),
+        Geometry::Figure => targets.extend([
+            // Recovery needs no geometry, so these two keep their crash
+            // target's `recover` and replace only its `format`.
+            CrashTarget {
+                // Size level 0 so the paper's 16x fanout reaches steady
+                // state without overflowing the arena (the original sizes
+                // it to the expected dataset too).
+                format: Box::new(|ctx| {
+                    let arena = ctx.device().arena().size();
+                    let pow = (64 - (arena / (256 * 64)).leading_zeros()).clamp(8, 14);
+                    Box::new(Plush::format(ctx, pow).expect("format Plush"))
+                }),
+                ..Plush::crash_target(0)
+            },
+            CrashTarget {
+                format: Box::new(|ctx| {
+                    let log = ctx.device().arena().size() / 2;
+                    Box::new(Halo::format(ctx, log, u64::MAX).expect("format Halo"))
+                }),
+                ..Halo::crash_target(0, u64::MAX)
+            },
+        ]),
+    }
+    targets
+}
+
+/// The micro-benchmark series of Figs 7 and 8, each with its cell id:
+/// the figure roster without Halo (the paper excludes it there: "Halo is
+/// excluded from the micro-benchmark since it crashes during the
+/// executions" — DRAM exhaustion).
+pub fn micro() -> impl Iterator<Item = (usize, CrashTarget)> {
+    roster(Geometry::Figure)
+        .into_iter()
+        .enumerate()
+        .filter(|(_, t)| t.name != "Halo")
 }
 
 /// Device geometry for a benchmark over `keys` keys of up to `value_bytes`
@@ -95,42 +126,6 @@ pub fn bench_device(keys: u64, value_bytes: u64) -> Arc<PmDevice> {
         san,
         ..PmConfig::default()
     })
-}
-
-/// Build `kind` on `dev`. The initial sizing gives every index a small
-/// head start (the paper preloads millions of keys anyway).
-pub fn build_index(dev: &Arc<PmDevice>, kind: IndexKind) -> Box<dyn PersistentIndex> {
-    let mut ctx = dev.ctx();
-    match kind {
-        IndexKind::Spash => Box::new(
-            Spash::format(&mut ctx, SpashConfig::default()).expect("format spash"),
-        ),
-        IndexKind::SpashNoPipeline => Box::new(
-            Spash::format(
-                &mut ctx,
-                SpashConfig {
-                    pipeline_depth: 1,
-                    ..SpashConfig::default()
-                },
-            )
-            .expect("format spash"),
-        ),
-        IndexKind::Cceh => Box::new(Cceh::format(&mut ctx, 2).expect("format cceh")),
-        IndexKind::Dash => Box::new(Dash::format(&mut ctx, 2).expect("format dash")),
-        IndexKind::Level => Box::new(Level::format(&mut ctx, 10).expect("format level")),
-        IndexKind::CLevel => Box::new(CLevel::format(&mut ctx, 10).expect("format clevel")),
-        IndexKind::Plush => {
-            // Size level 0 so the paper's 16x fanout reaches steady state
-            // without overflowing the arena (the original sizes it to the
-            // expected dataset too).
-            let pow = (64 - (dev.arena().size() / (256 * 64)).leading_zeros()).clamp(8, 14);
-            Box::new(Plush::format(&mut ctx, pow).expect("format plush"))
-        }
-        IndexKind::Halo => {
-            let log = dev.arena().size() / 2;
-            Box::new(Halo::format(&mut ctx, log, u64::MAX).expect("format halo"))
-        }
-    }
 }
 
 /// Spash variants for the ablation figures (12a–12c).
@@ -183,13 +178,36 @@ mod tests {
 
     #[test]
     fn every_index_builds_and_works() {
-        for kind in IndexKind::ALL {
+        for target in roster(Geometry::Figure) {
             let dev = bench_device(10_000, 16);
-            let idx = build_index(&dev, kind);
+            let idx = (target.format)(&mut dev.ctx());
             let mut ctx = dev.ctx();
             idx.insert_u64(&mut ctx, 123, 456).unwrap();
-            assert_eq!(idx.get_u64(&mut ctx, 123), Some(456), "{}", kind.label());
+            assert_eq!(idx.get_u64(&mut ctx, 123), Some(456), "{}", target.name);
         }
+    }
+
+    /// A member's position is its cell id, so this order fixes every
+    /// figure's and every suite's scheduler seeds.
+    #[test]
+    fn roster_order_is_pinned() {
+        let names = |g| -> Vec<String> { roster(g).into_iter().map(|t| t.name).collect() };
+        let suite = ["Spash", "CCEH", "Dash", "Level", "CLevel", "Plush", "Halo"];
+        assert_eq!(
+            names(Geometry::Figure),
+            [
+                "Spash",
+                "Spash(noPL)",
+                "CCEH",
+                "Dash",
+                "Level",
+                "CLevel",
+                "Plush",
+                "Halo"
+            ]
+        );
+        assert_eq!(names(Geometry::Suite), suite);
+        assert_eq!(names(Geometry::Sweep), suite);
     }
 
     #[test]

@@ -25,5 +25,4 @@ pub mod suite;
 pub use spash_analysis::json;
 
 pub use harness::{print_table, PhaseResult, Scale};
-pub use indexes::{bench_device, build_index, IndexKind};
 pub use report::{compare_reports, BenchReport, ExperimentRow};

@@ -26,7 +26,7 @@
 
 use spash_workloads::{Distribution, Mix};
 
-use crate::indexes::crash_targets;
+use crate::indexes::{roster, Geometry};
 use crate::report::{BenchReport, ExperimentRow};
 use crate::suite::{sweep, Point, SuiteConfig};
 
@@ -88,7 +88,7 @@ fn mops_at(report: &BenchReport, series: &str, domain: &str, phase: &str, t: usi
 
 /// Every roster series name, and which of them is Spash.
 fn series_names() -> (Vec<String>, String) {
-    let series: Vec<String> = crash_targets().iter().map(|t| t.name.clone()).collect();
+    let series: Vec<String> = roster(Geometry::Suite).iter().map(|t| t.name.clone()).collect();
     let spash = series
         .iter()
         .find(|s| s.starts_with("Spash"))
@@ -212,7 +212,7 @@ mod tests {
             ladder: &[2, 8],
             ..crate::suite::SCALE
         };
-        let target = &crash_targets()[0];
+        let target = &roster(Geometry::Suite)[0];
         let cell = run_cell(&Point::new(&cfg, target, 0, PersistenceDomain::Eadr, 2)).unwrap();
         assert_eq!(cell.rows.len(), 3);
         assert_eq!(cell.task_ops.len(), 3);

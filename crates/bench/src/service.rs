@@ -34,7 +34,7 @@ use spash_workloads::openloop::{ArrivalGen, OpenLoopConfig};
 use spash_workloads::{load_keys, Distribution, Mix, OpStream};
 
 use crate::harness::TaskBody;
-use crate::indexes::crash_targets;
+use crate::indexes::{roster, Geometry};
 use crate::report::{BenchReport, ExperimentRow};
 use crate::statskit::percentile;
 use crate::suite::{sweep, Point, SuiteConfig};
@@ -217,7 +217,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, String> {
 /// messages (empty = pass).
 pub fn lin_check_all(cfg: &ServiceLinConfig) -> Vec<String> {
     let mut failures = Vec::new();
-    for target in crash_targets() {
+    for target in roster(Geometry::Suite) {
         for s in 0..cfg.schedules {
             match lincheck::lin_check_target(&target, cfg, cfg.seed.wrapping_add(s)) {
                 Ok(n) => println!(
@@ -243,7 +243,7 @@ mod tests {
             ladder: &[2],
             ..crate::suite::SERVICE
         };
-        let target = &crash_targets()[0];
+        let target = &roster(Geometry::Suite)[0];
         let p = Point::new(&cfg, target, 0, spash_pmem::PersistenceDomain::Eadr, 2);
         let cell = run_cell(&p).unwrap();
         // load + open + 3 percentiles + saturate.
@@ -268,7 +268,7 @@ mod tests {
             schedules: 2,
             ..ServiceLinConfig::default()
         };
-        let target = &crash_targets()[0];
+        let target = &roster(Geometry::Suite)[0];
         for s in 0..cfg.schedules {
             let n = lincheck::lin_check_target(target, &cfg, cfg.seed + s).unwrap();
             assert_eq!(n as u64, cfg.ops);

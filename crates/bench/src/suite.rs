@@ -17,7 +17,7 @@ use spash_pmem::{PersistenceDomain, PmConfig, PmDevice};
 use spash_workloads::{Distribution, Mix, ValueSize, WorkloadConfig};
 
 use crate::experiments::{Cell, Scheduled};
-use crate::indexes::crash_targets;
+use crate::indexes::{roster, Geometry};
 use crate::report::{join_ladder, short_rev, BenchReport, ExperimentRow};
 use crate::PhaseResult;
 
@@ -226,7 +226,7 @@ pub(crate) fn sweep(
     } else {
         cfg.ladder
     };
-    for (ti, target) in crash_targets().iter().enumerate() {
+    for (ti, target) in roster(Geometry::Suite).iter().enumerate() {
         for domain in [PersistenceDomain::Eadr, PersistenceDomain::Adr] {
             let before = report.rows.len();
             for &n in ladder {

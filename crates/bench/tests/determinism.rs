@@ -4,7 +4,7 @@
 //! regression gate").
 
 use spash_bench::experiments::{fig7, fig8};
-use spash_bench::indexes::IndexKind;
+use spash_bench::indexes::{roster, Geometry};
 use spash_bench::{PhaseResult, Scale};
 
 fn tiny_scale(threads: usize) -> Scale {
@@ -27,18 +27,24 @@ fn virtual_metrics(r: &PhaseResult) -> (u64, u64, spash_pmem::StatsDelta, Vec<(&
     )
 }
 
+/// The figure roster position (cell id) of the member `name`.
+fn series(name: &str) -> usize {
+    let mut names = roster(Geometry::Figure).into_iter().map(|t| t.name);
+    names.position(|n| n == name).expect("a roster member")
+}
+
 #[test]
 fn fig7_runs_are_bit_deterministic() {
     for threads in [1, 8] {
         let scale = tiny_scale(threads);
-        for kind in [IndexKind::Spash, IndexKind::Cceh, IndexKind::Halo] {
-            let a = fig7::run_one(&scale, kind, threads);
-            let b = fig7::run_one(&scale, kind, threads);
+        for name in ["Spash", "CCEH", "Halo"] {
+            let a = fig7::run_one(&scale, series(name), threads);
+            let b = fig7::run_one(&scale, series(name), threads);
             for (pa, pb) in a.iter().zip(b.iter()) {
                 assert_eq!(
                     virtual_metrics(pa),
                     virtual_metrics(pb),
-                    "{kind:?} at {threads} threads: virtual metrics drifted between identical runs"
+                    "{name} at {threads} threads: virtual metrics drifted between identical runs"
                 );
             }
         }
@@ -49,8 +55,8 @@ fn fig7_runs_are_bit_deterministic() {
 fn fig8_access_counts_are_bit_deterministic() {
     for threads in [1, 8] {
         let scale = tiny_scale(threads);
-        let a = fig8::run_one(&scale, IndexKind::Spash);
-        let b = fig8::run_one(&scale, IndexKind::Spash);
+        let a = fig8::run_one(&scale, series("Spash"));
+        let b = fig8::run_one(&scale, series("Spash"));
         for (pa, pb) in [
             (&a.insert, &b.insert),
             (&a.search, &b.search),

@@ -17,7 +17,7 @@
 
 mod support;
 
-use spash_bench::indexes::crash_targets;
+use spash_bench::indexes::{roster, Geometry};
 use spash_bench::scale::{run_cell, CellResult};
 use spash_bench::suite::{Point, SuiteConfig, SCALE};
 use spash_bench::{compare_reports, BenchReport, ExperimentRow};
@@ -36,7 +36,7 @@ fn tiny() -> SuiteConfig {
 
 /// One eADR cell of the `ti`-th target at `threads` tasks.
 fn one_cell(cfg: &SuiteConfig, ti: usize, threads: usize) -> Result<CellResult, String> {
-    let target = &crash_targets()[ti];
+    let target = &roster(Geometry::Suite)[ti];
     run_cell(&Point::new(
         cfg,
         target,
@@ -68,7 +68,7 @@ fn same_seed_sweeps_are_byte_identical_at_2_and_8_threads() {
         assert_eq!(
             ja, jb,
             "{} t{threads}: same-seed runs serialized differently",
-            crash_targets()[ti].name
+            roster(Geometry::Suite)[ti].name
         );
         let out = compare_reports(
             &BenchReport::from_json(&ja).unwrap(),

@@ -22,7 +22,7 @@
 
 mod support;
 
-use spash_bench::indexes::crash_targets;
+use spash_bench::indexes::{roster, Geometry};
 use spash_bench::service::{run_cell, ServiceCellResult};
 use spash_bench::suite::{Point, SuiteConfig, SERVICE};
 use spash_bench::{compare_reports, BenchReport, ExperimentRow};
@@ -44,7 +44,7 @@ fn one_cell(
     ti: usize,
     domain: PersistenceDomain,
 ) -> Result<ServiceCellResult, String> {
-    let target = &crash_targets()[ti];
+    let target = &roster(Geometry::Suite)[ti];
     run_cell(&Point::new(cfg, target, ti, domain, 2))
 }
 
@@ -71,7 +71,7 @@ fn same_seed_service_cells_are_byte_identical() {
         let a = one_cell(&cfg, ti, domain).unwrap();
         let b = one_cell(&cfg, ti, domain).unwrap();
         let (ja, jb) = (report_from(a.rows).to_json(), report_from(b.rows).to_json());
-        let name = &crash_targets()[ti].name;
+        let name = &roster(Geometry::Suite)[ti].name;
         assert_eq!(
             ja, jb,
             "{name}: same-seed service cells serialized differently"

@@ -8,7 +8,7 @@
 //! work, and the exact `compare` gate must reject it — the gates see
 //! modelled contention, not just throughput noise.
 
-use spash_bench::indexes::crash_targets;
+use spash_bench::indexes::{roster, Geometry};
 use spash_bench::suite::{Point, SuiteConfig};
 use spash_bench::{compare_reports, BenchReport, ExperimentRow};
 use spash_pmem::canary::{self, Canary};
@@ -29,7 +29,7 @@ fn report_from(rows: Vec<ExperimentRow>) -> BenchReport {
 /// `InflateContention` armed; require equal op counts and a rejecting
 /// exact `compare` gate.
 pub fn inflation_flips_the_gate(cfg: &SuiteConfig, n: usize, run: fn(&Point) -> Rows) {
-    let spash = &crash_targets()[0];
+    let spash = &roster(Geometry::Suite)[0];
     let point = || Point::new(cfg, spash, 0, PersistenceDomain::Eadr, n);
     let clean = {
         let _quiet = canary::disarmed();

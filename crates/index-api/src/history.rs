@@ -36,17 +36,14 @@ use std::sync::Arc;
 use spash_pmem::MemCtx;
 
 use crate::crashpoint::SweepOp;
-use crate::{IndexError, PersistentIndex};
+use crate::{Fnv1a, IndexError, PersistentIndex};
 
 /// 64-bit FNV-1a over a byte slice: the value fingerprint stored in the
 /// shadow model and compared against observed `get` results.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// The outcome of one completed operation, as observed by its caller.

@@ -175,9 +175,49 @@ pub fn hash_key(key: u64) -> u64 {
     h
 }
 
+/// 64-bit FNV-1a, fed in pieces: the one byte-stream hash behind value
+/// fingerprints ([`history::fingerprint`]) and schedule identities
+/// (`spash_sched::Trace::hash`).
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The published FNV-1a 64 test vectors, fed whole and in pieces.
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::new();
+        h.write(b"a");
+        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+        let mut h = Fnv1a::new();
+        h.write(b"foo");
+        let mut pieces = Fnv1a::new();
+        pieces.write(b"f");
+        pieces.write(b"oo");
+        assert_eq!(h.finish(), 0xdcb2_7518_fed9_d577);
+        assert_eq!(pieces.finish(), h.finish());
+    }
 
     #[test]
     fn hash_is_deterministic_and_spreads() {

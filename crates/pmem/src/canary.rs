@@ -65,12 +65,12 @@ pub enum Canary {
     /// Each baseline's insert skips the last flush before the operation
     /// becomes visible. The persistence-ordering sanitizer must localize
     /// a `published-dirty` violation on a `DirtyUnflushed` line
-    /// (`crates/analysis/tests/sanitizer.rs`, one baseline per check).
+    /// (`crates/bench/tests/sanitizer.rs`, one baseline per check).
     SkipInsertFlush,
     /// Each baseline's insert skips the last fence before the operation
     /// becomes visible. The sanitizer must catch the line in
     /// `FlushedUnfenced` and report `published-unfenced` at the next
-    /// visibility edge (`crates/analysis/tests/sanitizer.rs`).
+    /// visibility edge (`crates/bench/tests/sanitizer.rs`).
     SkipInsertFence,
     /// The service's batch publication drops its barrier: the journal
     /// record is written but neither flushed nor fenced (the forgotten

@@ -59,6 +59,7 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, ignoring poison from a crash-injection unwind.
     /// Cooperative under a scheduler hook (see module docs).
+    // conc: region(lock) fn=lock
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         if schedhook::sync_point(SyncEvent::LockAcquire) {

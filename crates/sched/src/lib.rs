@@ -60,6 +60,7 @@ use std::panic::{self, AssertUnwindSafe};
 // cannot route through the cooperative primitives it coordinates.
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use spash_index_api::crashpoint::panic_text;
 use spash_index_api::rng::Rng64;
 use spash_pmem::fault::CrashPointHit;
 use spash_pmem::schedhook::{self, SchedHook, SyncEvent};
@@ -489,16 +490,6 @@ impl Scheduler {
             }
             None => b.current = NO_TASK,
         }
-    }
-}
-
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

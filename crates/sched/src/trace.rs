@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use spash_index_api::Fnv1a;
+
 /// The chosen task id at every decision point of one scheduled run.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -60,14 +62,11 @@ impl Trace {
     /// FNV-1a over the little-endian ids of the expanded sequence, mixed
     /// with its length — the identity of the interleaving.
     pub fn hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for d in self.iter() {
-            for b in d.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write(&d.to_le_bytes());
         }
-        h ^ self.len
+        h.finish() ^ self.len
     }
 }
 
