@@ -202,8 +202,9 @@ struct Lower {
     /// Nonzero while lowering a branch/loop condition expression.
     cond_depth: usize,
     /// Guard-style RAII regions (`let g = x.read();`) still open in the
-    /// current scope: (RegionEnter node id, lock name). Closures scope
-    /// them — guards acquired inside a closure drop at its exit.
+    /// current scope: (RegionEnter node id, lock name). Every `{ … }`
+    /// scope ([`Self::lower_scope`]) drops the guards acquired inside it
+    /// at its end.
     guards: Vec<(usize, String)>,
 }
 
@@ -249,15 +250,14 @@ impl Lower {
         cur
     }
 
-    /// Lower a closure body with its own loop scope and exit node.
-    fn lower_closure(&mut self, b: &Block, entry: usize, exit: usize) {
-        let saved_loops = std::mem::take(&mut self.loop_stack);
+    /// Lower a `{ … }` scope — a bare block, an `if`/`match` arm, a
+    /// loop body or a closure body. Guard-style regions acquired inside
+    /// it drop at its end (RAII): their release edges are chained after
+    /// the scope's last node, innermost first, so the lockset does not
+    /// leak into the code after the scope.
+    fn lower_scope(&mut self, b: &Block, cur: usize) -> usize {
         let guard_mark = self.guards.len();
-        self.closure_exit.push(exit);
-        let mut end = self.lower_block(b, entry);
-        // RAII guards acquired inside the closure drop at its scope end:
-        // chain their release edges before the closure exit so the
-        // lockset does not leak into the caller's continuation.
+        let mut end = self.lower_block(b, cur);
         while self.guards.len() > guard_mark {
             let (enter, lock) = self.guards.pop().unwrap();
             let line = self.nodes[end].line;
@@ -271,6 +271,14 @@ impl Lower {
             self.edge(end, x);
             end = x;
         }
+        end
+    }
+
+    /// Lower a closure body with its own loop scope and exit node.
+    fn lower_closure(&mut self, b: &Block, entry: usize, exit: usize) {
+        let saved_loops = std::mem::take(&mut self.loop_stack);
+        self.closure_exit.push(exit);
+        let end = self.lower_scope(b, entry);
         self.edge(end, exit);
         self.closure_exit.pop();
         self.loop_stack = saved_loops;
@@ -325,11 +333,11 @@ impl Lower {
                 self.cond_depth -= 1;
                 let line = self.nodes[split].line;
                 let merge = self.node(Ev::Nop, line);
-                let t_end = self.lower_block(then, split);
+                let t_end = self.lower_scope(then, split);
                 self.edge(t_end, merge);
                 match els {
                     Some(e) => {
-                        let e_end = self.lower_block(e, split);
+                        let e_end = self.lower_scope(e, split);
                         self.edge(e_end, merge);
                     }
                     None => self.edge(split, merge),
@@ -349,7 +357,7 @@ impl Lower {
                     self.edge(split, merge);
                 } else {
                     for a in arms {
-                        let a_end = self.lower_block(a, split);
+                        let a_end = self.lower_scope(a, split);
                         self.edge(a_end, merge);
                     }
                 }
@@ -377,12 +385,12 @@ impl Lower {
                     self.edge(c_end, exit);
                 }
                 self.loop_stack.push((head, exit));
-                let b_end = self.lower_block(body, c_end);
+                let b_end = self.lower_scope(body, c_end);
                 self.edge(b_end, head);
                 self.loop_stack.pop();
                 exit
             }
-            Stmt::Block(b) => self.lower_block(b, cur),
+            Stmt::Block(b) => self.lower_scope(b, cur),
             Stmt::MaybeBlock(b) => {
                 // A detached closure: may run zero or more times.
                 let line = self.nodes[cur].line;
@@ -511,9 +519,10 @@ impl Lower {
         // `let mut d = self.dir.write();`, `let _g = self.mark_lock.lock();`):
         // a host RwLock or Mutex guard held to the end of the enclosing
         // scope. Lowered as a region whose exit the scope emits — the
-        // innermost closure's end, or the end of the function when
-        // acquired at top level — matching RAII drop-at-scope-end to the
-        // granularity the CFG models. Only `read` is a reader.
+        // end of the innermost block, arm, loop body or closure, or the
+        // end of the function when acquired at top level — matching RAII
+        // drop-at-scope-end to the granularity the CFG models. Only
+        // `read` is a reader.
         if c.closures.is_empty()
             && c.args.is_empty()
             && matches!(c.name.as_str(), "read" | "write" | "lock")
@@ -763,6 +772,30 @@ mod tests {
         );
     }
 
+    /// Is `to` reachable from `from` along CFG edges?
+    fn reaches(cfg: &Cfg, from: usize, to: usize) -> bool {
+        let (mut seen, mut work) = (vec![false; cfg.nodes.len()], vec![from]);
+        while let Some(n) = work.pop() {
+            if n == to {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[n], true) {
+                work.extend(&cfg.succs[n]);
+            }
+        }
+        false
+    }
+
+    /// The `mark_lock` guard region of `cfg`: its enter and exit nodes.
+    fn mark_lock_region(cfg: &Cfg) -> (usize, usize) {
+        let at = |pred: &dyn Fn(&Ev) -> bool| cfg.nodes.iter().position(|n| pred(&n.ev)).unwrap();
+        let enter = at(&|e| {
+            matches!(e, Ev::RegionEnter { lock, writer: true, .. } if lock == "mark_lock")
+        });
+        let exit = at(&|e| matches!(e, Ev::RegionExit { enter: Some(x), .. } if *x == enter));
+        (enter, exit)
+    }
+
     /// A guard-style `Mutex::lock` opens a writer region that the store
     /// after it runs under and that closes where its closure ends.
     #[test]
@@ -770,27 +803,39 @@ mod tests {
         let cfg = cfg_of(
             "fn f() { run(|| { let _g = self.mark_lock.lock(); ctx.write_u64(a, v); }); ctx.fence(); }",
         );
-        let at = |pred: &dyn Fn(&Ev) -> bool| cfg.nodes.iter().position(|n| pred(&n.ev)).unwrap();
-        let enter = at(&|e| {
-            matches!(e, Ev::RegionEnter { lock, writer: true, .. } if lock == "mark_lock")
-        });
-        let exit = at(&|e| matches!(e, Ev::RegionExit { enter: Some(x), .. } if *x == enter));
-        let store = at(&|e| matches!(e, Ev::Store { .. }));
-        let fence = at(&|e| matches!(e, Ev::Fence));
-        let reaches = |from: usize, to: usize| {
-            let (mut seen, mut work) = (vec![false; cfg.nodes.len()], vec![from]);
-            while let Some(n) = work.pop() {
-                if n == to {
-                    return true;
-                }
-                if !std::mem::replace(&mut seen[n], true) {
-                    work.extend(&cfg.succs[n]);
-                }
-            }
-            false
-        };
-        assert!(reaches(enter, store) && reaches(store, exit) && reaches(exit, fence));
-        assert!(!reaches(fence, exit), "the guard is released before the closure returns");
+        let (enter, exit) = mark_lock_region(&cfg);
+        let store = cfg.nodes.iter().position(|n| matches!(n.ev, Ev::Store { .. })).unwrap();
+        let fence = cfg.nodes.iter().position(|n| matches!(n.ev, Ev::Fence)).unwrap();
+        assert!(reaches(&cfg, enter, store) && reaches(&cfg, store, exit));
+        assert!(reaches(&cfg, exit, fence));
+        assert!(!reaches(&cfg, fence, exit), "the guard is released before the closure returns");
+    }
+
+    /// A guard dropped at the end of a bare block, an `if` arm, a
+    /// `match` arm or a loop body is released there: the store after the
+    /// scope runs outside the region, not under it until the function
+    /// ends.
+    #[test]
+    fn guard_released_at_block_end() {
+        for src in [
+            "fn f() { { let _g = self.mark_lock.lock(); ctx.write_u64(a, v); } ctx.write_u64(b, w); }",
+            "fn f() { if c { let _g = self.mark_lock.lock(); ctx.write_u64(a, v); } ctx.write_u64(b, w); }",
+            "fn f() { match c { _ => { let _g = self.mark_lock.lock(); ctx.write_u64(a, v); } } ctx.write_u64(b, w); }",
+            "fn f() { for i in 0..n { let _g = self.mark_lock.lock(); ctx.write_u64(a, v); } ctx.write_u64(b, w); }",
+            "fn f() { let x = { let _g = self.mark_lock.lock(); ctx.write_u64(a, v); 1 }; ctx.write_u64(b, w); }",
+        ] {
+            let cfg = cfg_of(src);
+            let (enter, exit) = mark_lock_region(&cfg);
+            let stores: Vec<usize> = (0..cfg.nodes.len())
+                .filter(|&n| matches!(cfg.nodes[n].ev, Ev::Store { .. }))
+                .collect();
+            let [inner, after] = stores[..] else {
+                panic!("two stores in {src}")
+            };
+            assert!(reaches(&cfg, enter, inner) && reaches(&cfg, inner, exit), "{src}");
+            assert!(reaches(&cfg, exit, after), "{src}");
+            assert!(!reaches(&cfg, after, exit), "{src}: the guard outlives its block");
+        }
     }
 
     #[test]
