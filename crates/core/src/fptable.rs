@@ -24,10 +24,9 @@ use crate::slot::{
     BUCKETS_PER_SEG, SEG_SIZE,
 };
 use crate::access::{Access, Plain};
-use crate::ops::Spash;
 use spash_htm::Abort;
 use spash_pmem::canary::{self, Canary};
-use spash_pmem::{line_of, MemCtx, PmAddr, CACHELINE};
+use spash_pmem::{MemCtx, PmAddr};
 
 /// Sidecar bytes per segment-capable chunk: one u64 per bucket.
 pub const FP_BYTES_PER_SEG: u64 = BUCKETS_PER_SEG as u64 * 8;
@@ -170,7 +169,7 @@ impl FpTable {
 ///
 /// `hash_of` resolves occupied slot `idx` to its key hash — inline keys
 /// hash directly; `Ptr` keys need the blob's key read from PM, which the
-/// caller owns (recovery resolves every slot once, up front, through a
+/// caller owns (recovery resolves every slot once, up front, through its
 /// prefetch window; the walker reads the blob at each call). The rule
 /// ignores the wrong-tag mutation by construction (tags are *computed*,
 /// not copied), which is exactly why recovery heals the canary's
@@ -213,38 +212,23 @@ pub fn rebuild_words(
 }
 
 /// Rebuild and install one segment's fp words from `image`, the
-/// segment's 32 words as recovery read them, and return the number of
-/// live slots, so recovery counts entries from the same image. The
-/// caller has already read the segment's fp line with `read_line` (a
-/// write does not consume a pending prefetch of it).
-///
-/// Each slot's hash is resolved once — an overflow target's blob key is
-/// not read again for its hint — and the blob keys of `Ptr` slots are
-/// read through a prefetch window: the distinct blob-key lines of the
-/// slots not yet resolved are kept in flight as far as the prefetch
-/// table has room, so the segment pays about one PM latency for all of
-/// them instead of one per key. Every line prefetched here is read
-/// before this returns.
-pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr, image: &[u64; 32]) -> u64 {
+/// segment's 32 words as recovery read them, and `hashes`, the key hash
+/// of each occupied slot (`None` for an empty one) as recovery resolved
+/// them; return the number of live slots, so recovery counts entries
+/// from the same image. The caller has already read the segment's fp
+/// line with `read_line` (a write does not consume a pending prefetch
+/// of it) and every blob key behind a `Ptr` slot, through recovery's one
+/// prefetch window (`recovery.rs`), which issues the lines in the order
+/// they are read; this function reads nothing.
+pub fn rebuild_segment(
+    table: &FpTable,
+    ctx: &mut MemCtx,
+    seg: PmAddr,
+    image: &[u64; 32],
+    hashes: &[Option<u64>; slot::SLOTS_PER_SEG as usize],
+) -> u64 {
     let words: [(u64, u64); slot::SLOTS_PER_SEG as usize] =
         std::array::from_fn(|i| (image[2 * i], image[2 * i + 1]));
-    let blob_line = |i: usize| match SlotKey::unpack(words[i].0) {
-        SlotKey::Ptr { addr, .. } => Some(line_of(addr.0)),
-        _ => None,
-    };
-    let mut hashes = [None; slot::SLOTS_PER_SEG as usize];
-    let mut ahead = 0;
-    for (i, h) in hashes.iter_mut().enumerate() {
-        while ahead < words.len() && ctx.prefetch_room() > 0 {
-            if let Some(line) = blob_line(ahead) {
-                if !(0..ahead).any(|j| blob_line(j) == Some(line)) {
-                    ctx.prefetch(PmAddr(line * CACHELINE));
-                }
-            }
-            ahead += 1;
-        }
-        *h = Spash::hash_of_kw(ctx, words[i].0);
-    }
     let fp = rebuild_words(&words, |i| hashes[i]);
     for b in 0..BUCKETS_PER_SEG {
         Plain::ok(table.write_word(&mut Plain, ctx, seg, b, fp[b as usize]));
@@ -255,6 +239,7 @@ pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr, image: &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Spash;
     use spash_index_api::hash_key;
 
     fn seg_words_with(entries: &[(u8, u64)]) -> [(u64, u64); 16] {

@@ -650,7 +650,8 @@ mod tests {
             assert!(idx.oracle_scan_get(&mut ctx, k, &mut out), "key {k}");
         }
         let image = Plain::ok(Spash::read_segment(&mut Plain, &mut ctx, seg));
-        crate::fptable::rebuild_segment(&idx.fptable, &mut ctx, seg, &image);
+        let hashes = std::array::from_fn(|i| Spash::hash_of_kw(&mut ctx, image[2 * i]));
+        crate::fptable::rebuild_segment(&idx.fptable, &mut ctx, seg, &image, &hashes);
         idx.verify_integrity(&mut ctx).unwrap();
     }
 }
