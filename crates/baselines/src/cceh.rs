@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::CrashTarget;
+use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr};
@@ -380,11 +380,15 @@ impl Cceh {
                 Box::new(Cceh::format(ctx, depth).expect("format CCEH"))
             }),
             recover: Box::new(|ctx| {
-                let idx = Cceh::recover(ctx)?;
-                let reachable = idx.reachable(ctx);
-                Some(common::audited(ctx, idx, &reachable))
+                Cceh::recover(ctx).map(|idx| Box::new(idx) as Box<dyn Recovered>)
             }),
         }
+    }
+}
+
+impl Recovered for Cceh {
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        common::audit(&self.reachable(ctx), ctx)
     }
 }
 

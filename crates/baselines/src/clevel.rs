@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::CrashTarget;
+use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr};
@@ -559,11 +559,15 @@ impl CLevel {
                 Box::new(CLevel::format(ctx, pow).expect("format CLevel"))
             }),
             recover: Box::new(|ctx| {
-                let idx = CLevel::recover(ctx)?;
-                let reachable = idx.reachable();
-                Some(common::audited(ctx, idx, &reachable))
+                CLevel::recover(ctx).map(|idx| Box::new(idx) as Box<dyn Recovered>)
             }),
         }
+    }
+}
+
+impl Recovered for CLevel {
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        common::audit(&self.reachable(), ctx)
     }
 }
 

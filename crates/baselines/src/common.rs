@@ -9,8 +9,7 @@
 use std::collections::HashSet;
 
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::Recovery;
-use spash_index_api::{IndexError, PersistentIndex};
+use spash_index_api::IndexError;
 use spash_pmem::{MemCtx, PmAddr, VRwLock};
 
 /// Sentinel key for an empty slot. Baseline workloads must use non-zero
@@ -122,28 +121,19 @@ pub fn make_val(
     }
 }
 
-/// The tail of every baseline's crash-sweep recovery: census the heap and
-/// audit it ([`spash_alloc::HeapCensus::audit`]) against the addresses the
-/// recovered index can reach (region starts and blob addresses), then
-/// check the allocator's high-water invariant
+/// Every baseline's post-recovery audit
+/// ([`spash_index_api::crashpoint::Recovered::audit`]): census the heap
+/// and audit it ([`spash_alloc::HeapCensus::audit`]) against the
+/// addresses the recovered index can reach (region starts and blob
+/// addresses), then check the allocator's high-water invariant
 /// ([`PmAllocator::check_high_water`]). The caller has already walked the
-/// index for `reachable`; the census reads come second, an order `perf`'s
-/// `recover` rows time.
-pub(crate) fn audited(
-    ctx: &mut MemCtx,
-    index: impl PersistentIndex + 'static,
-    reachable: &HashSet<u64>,
-) -> Recovery {
+/// index for `reachable`; the census reads come second.
+pub(crate) fn audit(reachable: &HashSet<u64>, ctx: &mut MemCtx) -> (u64, Option<String>) {
     let (leaked_allocs, audit_error) = match PmAllocator::census(ctx) {
         Some(census) => census.audit(reachable),
         None => (0, Some("no formatted heap found".into())),
     };
-    let audit_error = audit_error.or_else(|| PmAllocator::check_high_water(ctx).err());
-    Recovery {
-        index: Box::new(index),
-        leaked_allocs,
-        audit_error,
-    }
+    (leaked_allocs, audit_error.or_else(|| PmAllocator::check_high_water(ctx).err()))
 }
 
 /// A reader-writer lock whose lock word lives in PM: every acquisition and

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::CrashTarget;
+use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, VLock, VRwLock};
@@ -551,11 +551,15 @@ impl Dash {
                 Box::new(Dash::format(ctx, depth).expect("format Dash"))
             }),
             recover: Box::new(|ctx| {
-                let idx = Dash::recover(ctx)?;
-                let reachable = idx.reachable(ctx);
-                Some(common::audited(ctx, idx, &reachable))
+                Dash::recover(ctx).map(|idx| Box::new(idx) as Box<dyn Recovered>)
             }),
         }
+    }
+}
+
+impl Recovered for Dash {
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        common::audit(&self.reachable(ctx), ctx)
     }
 }
 

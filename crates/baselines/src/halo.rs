@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::CrashTarget;
+use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, VRwLock};
@@ -267,11 +267,15 @@ impl Halo {
                 Box::new(Halo::format(ctx, log_bytes, dram_budget).expect("format Halo"))
             }),
             recover: Box::new(move |ctx| {
-                let idx = Halo::recover(ctx, dram_budget)?;
-                let reachable = idx.reachable();
-                Some(common::audited(ctx, idx, &reachable))
+                Halo::recover(ctx, dram_budget).map(|idx| Box::new(idx) as Box<dyn Recovered>)
             }),
         }
+    }
+}
+
+impl Recovered for Halo {
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        common::audit(&self.reachable(), ctx)
     }
 }
 

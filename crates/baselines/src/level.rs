@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::CrashTarget;
+use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr};
@@ -407,11 +407,15 @@ impl Level {
                 Box::new(Level::format(ctx, pow).expect("format Level"))
             }),
             recover: Box::new(|ctx| {
-                let idx = Level::recover(ctx)?;
-                let reachable = idx.reachable(ctx);
-                Some(common::audited(ctx, idx, &reachable))
+                Level::recover(ctx).map(|idx| Box::new(idx) as Box<dyn Recovered>)
             }),
         }
+    }
+}
+
+impl Recovered for Level {
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        common::audit(&self.reachable(ctx), ctx)
     }
 }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use spash_pmem::sync::RwLock;
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::CrashTarget;
+use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, VLock};
@@ -620,11 +620,15 @@ impl Plush {
                 Box::new(Plush::format(ctx, pow).expect("format Plush"))
             }),
             recover: Box::new(|ctx| {
-                let idx = Plush::recover(ctx)?;
-                let reachable = idx.reachable(ctx);
-                Some(common::audited(ctx, idx, &reachable))
+                Plush::recover(ctx).map(|idx| Box::new(idx) as Box<dyn Recovered>)
             }),
         }
+    }
+}
+
+impl Recovered for Plush {
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        common::audit(&self.reachable(ctx), ctx)
     }
 }
 

@@ -12,7 +12,8 @@
 //!
 //! Every index is driven through its crash target — the same
 //! format/recover pair the crash sweeps use — so the suite also times a
-//! real recovery (power failure + rebuild) per index and domain.
+//! real recovery (power failure + rebuild) per index and domain, and,
+//! apart from it, the post-recovery audit that checks it.
 
 use spash_index_api::crashpoint::CheckLevel;
 use spash_workloads::{Distribution, Mix};
@@ -25,8 +26,8 @@ use crate::PhaseResult;
 /// Full-suite repetitions; every row must agree across all of them.
 pub const REPEATS: usize = 3;
 
-/// One index × domain: load, three run phases, power failure, recovery.
-/// Returns rows in phase order.
+/// One index × domain: load, three run phases, power failure, recovery,
+/// and the audit of a recovered index. Returns rows in phase order.
 pub fn run_cell(p: &Point) -> Result<Vec<ExperimentRow>, String> {
     let (r, _) = p.load()?;
     let mut rows = vec![p.row("load", &r)];
@@ -89,14 +90,22 @@ pub fn run_cell(p: &Point) -> Result<Vec<ExperimentRow>, String> {
     // measured — its counters are deterministic and gate-worthy.
     let torn_ok = CheckLevel::for_target(&p.target.name, p.domain) == CheckLevel::NoCorruption;
     let who = format!("{}/{}", p.target.name, p.name);
-    match recovered {
-        Some(rec) => {
-            if let Some(err) = rec.audit_error {
-                assert!(torn_ok, "{who}: post-recovery audit failed: {err}");
-                println!("# perf: {who}: torn-image audit note: {err}");
-            }
-        }
-        None => assert!(torn_ok, "{who}: unrecoverable after clean power cut"),
+    let Some(index) = recovered else {
+        assert!(torn_ok, "{who}: unrecoverable after clean power cut");
+        return Ok(rows);
+    };
+    // The audit that checks the recovery — heap census against
+    // reachability, and the index's own integrity walk — is timed apart.
+    let mut audit_error = None;
+    let audit: TaskBody = Box::new(|ctx| {
+        audit_error = index.audit(ctx).1;
+        1
+    });
+    let (r, _) = p.cell.run(&p.dev, 5, vec![audit])?;
+    rows.push(p.row("audit", &r));
+    if let Some(err) = audit_error {
+        assert!(torn_ok, "{who}: post-recovery audit failed: {err}");
+        println!("# perf: {who}: torn-image audit note: {err}");
     }
     Ok(rows)
 }
@@ -141,7 +150,12 @@ mod tests {
     #[test]
     fn suite_covers_every_index_domain_and_phase() {
         let rep = tiny();
-        assert_eq!(rep.rows.len(), 7 * 2 * 8);
+        let count = |phase: &str, point: &str| {
+            rep.rows
+                .iter()
+                .filter(|r| r.phase == phase && r.point == point)
+                .count()
+        };
         for phase in [
             "load",
             "search",
@@ -153,14 +167,18 @@ mod tests {
             "recover",
         ] {
             for point in ["eadr", "adr"] {
-                let n = rep
-                    .rows
-                    .iter()
-                    .filter(|r| r.phase == phase && r.point == point)
-                    .count();
-                assert_eq!(n, 7, "{phase}/{point}");
+                assert_eq!(count(phase, point), 7, "{phase}/{point}");
             }
         }
+        // Every recovered index is audited. All seven recover under
+        // eADR, and the six ADR-era baselines under ADR too; Spash may
+        // decline its torn ADR image, leaving nothing to audit.
+        let audits = rep.rows.iter().filter(|r| r.phase == "audit");
+        assert!(audits.clone().all(|r| r.spans.iter().all(|s| s.name != "log_replay")));
+        assert_eq!(count("audit", "eadr"), 7);
+        let adr: Vec<_> = audits.filter(|r| r.point == "adr").map(|r| &r.series).collect();
+        assert_eq!(adr.iter().filter(|&&s| s != "Spash").count(), 6, "{adr:?}");
+        assert_eq!(rep.rows.len(), 7 * 2 * 8 + 7 + adr.len());
         // The probe rows carry real data: every index actually entered
         // the probe span during its read phases, and per-probe cost is a
         // small positive number of PM lines.

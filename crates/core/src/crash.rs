@@ -1,8 +1,8 @@
 //! Spash's plug into the crash-point fault-injection sweep
 //! (`spash_index_api::crashpoint`).
 //!
-//! The recover closure runs [`Spash::recover`], then audits the recovered
-//! index two ways:
+//! The recover closure runs [`Spash::recover`]; the recovered index then
+//! audits itself ([`Recovered::audit`]) two ways:
 //!
 //! 1. the full structural walk ([`Spash::verify_integrity`]) — any
 //!    violation is a hard sweep failure;
@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 use spash_alloc::PmAllocator;
-use spash_index_api::crashpoint::{CrashTarget, Recovery};
+use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_pmem::MemCtx;
 
 use crate::config::SpashConfig;
@@ -58,19 +58,6 @@ impl Spash {
         reachable
     }
 
-    /// Heap-census audit ([`spash_alloc::HeapCensus::audit`]), then the
-    /// allocator's high-water invariant
-    /// ([`PmAllocator::check_high_water`]): returns
-    /// `(leaked_allocations, corruption)`. The census reads come before
-    /// the reachability walk, an order `perf`'s `recover` rows time.
-    pub fn audit_heap(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        let (leaked, err) = match PmAllocator::census(ctx) {
-            Some(census) => census.audit(&self.reachable(ctx)),
-            None => (0, Some("no formatted heap found".into())),
-        };
-        (leaked, err.or_else(|| PmAllocator::check_high_water(ctx).err()))
-    }
-
     /// Spash as a [`CrashTarget`] for the crash-point sweep.
     pub fn crash_target(cfg: SpashConfig) -> CrashTarget {
         let fmt_cfg = cfg.clone();
@@ -83,18 +70,25 @@ impl Spash {
                 Box::new(Spash::format(ctx, fmt_cfg.clone()).expect("format Spash"))
             }),
             recover: Box::new(move |ctx| {
-                let idx = Spash::recover(ctx, cfg.clone())?;
-                let mut audit_error = idx.verify_integrity(ctx).err().map(|e| e.to_string());
-                let (leaked_allocs, census_err) = idx.audit_heap(ctx);
-                if audit_error.is_none() {
-                    audit_error = census_err;
-                }
-                Some(Recovery {
-                    index: Box::new(idx),
-                    leaked_allocs,
-                    audit_error,
-                })
+                Spash::recover(ctx, cfg.clone()).map(|idx| Box::new(idx) as Box<dyn Recovered>)
             }),
         }
+    }
+}
+
+impl Recovered for Spash {
+    /// The structural walk, then the heap census
+    /// ([`spash_alloc::HeapCensus::audit`]) against reachability and the
+    /// allocator's high-water invariant
+    /// ([`PmAllocator::check_high_water`]). The census reads come before
+    /// the reachability walk, an order `perf`'s `audit` rows time.
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        let integrity = self.verify_integrity(ctx).err().map(|e| e.to_string());
+        let (leaked, census_err) = match PmAllocator::census(ctx) {
+            Some(census) => census.audit(&self.reachable(ctx)),
+            None => (0, Some("no formatted heap found".into())),
+        };
+        let census_err = census_err.or_else(|| PmAllocator::check_high_water(ctx).err());
+        (leaked, integrity.or(census_err))
     }
 }

@@ -21,8 +21,9 @@
 //!    operations committed and which single operation was in flight.
 //!
 //! The same engine sweeps Spash and all six baselines: an implementation
-//! plugs in through [`CrashTarget`] (format + recover + audit closures),
-//! so index crates keep their concrete types private.
+//! plugs in through [`CrashTarget`] (format and recover closures) and
+//! the recovered index's [`Recovered::audit`], so index crates keep
+//! their concrete types private.
 //!
 //! It is also the only such loop in the workspace. *How* the workload
 //! reaches the index is a [`SweepDriver`]: [`PerOp`] calls the trait
@@ -196,15 +197,39 @@ pub struct CrashTarget {
     /// replay determinism.
     #[allow(clippy::type_complexity)]
     pub format: Box<dyn Fn(&mut MemCtx) -> Box<dyn PersistentIndex> + Send + Sync>,
-    /// Recover an index from the post-crash durable image, auditing it on
-    /// the way out. `None` = the image is unrecoverable.
+    /// Recover an index from the post-crash durable image. `None` = the
+    /// image is unrecoverable. The audit is the recovered index's own
+    /// ([`Recovered::audit`]), run after it: the sweeps run both
+    /// ([`CrashTarget::recover_audited`]), `perf` times them apart.
     #[allow(clippy::type_complexity)]
-    pub recover: Box<dyn Fn(&mut MemCtx) -> Option<Recovery> + Send + Sync>,
+    pub recover: Box<dyn Fn(&mut MemCtx) -> Option<Box<dyn Recovered>> + Send + Sync>,
 }
 
-/// What a [`CrashTarget::recover`] closure returns.
+impl CrashTarget {
+    /// Recover, then audit the recovered index.
+    pub fn recover_audited(&self, ctx: &mut MemCtx) -> Option<Recovery> {
+        let index = (self.recover)(ctx)?;
+        let (leaked_allocs, audit_error) = index.audit(ctx);
+        Some(Recovery {
+            index,
+            leaked_allocs,
+            audit_error,
+        })
+    }
+}
+
+/// A recovered index, which audits itself.
+pub trait Recovered: PersistentIndex {
+    /// The post-recovery structural audit — reachability against the
+    /// heap census, double use, the index's own integrity: returns the
+    /// leaked allocations ([`Recovery::leaked_allocs`]) and the first
+    /// violation found ([`Recovery::audit_error`]).
+    fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>);
+}
+
+/// What [`CrashTarget::recover_audited`] returns.
 pub struct Recovery {
-    pub index: Box<dyn PersistentIndex>,
+    pub index: Box<dyn Recovered>,
     /// Allocations live in the persistent heap but unreachable from the
     /// recovered structure, beyond the implementation's documented
     /// allowance (volatile free-cache slots, the in-flight operation).
@@ -596,7 +621,7 @@ fn sweep_one<D: SweepDriver>(
     // its virtual clock.
     let mut rctx = dev.ctx();
     let t0 = rctx.now();
-    let recovery = catch_unwind(AssertUnwindSafe(|| (target.recover)(&mut rctx)));
+    let recovery = catch_unwind(AssertUnwindSafe(|| target.recover_audited(&mut rctx)));
     stat.recovery_ns = rctx.now() - t0;
 
     let recovery = match recovery {

@@ -84,7 +84,7 @@ pub fn run_crash_schedule(target: &CrashTarget, pm: &PmConfig, cfg: &LinConfig) 
     let dev = run.device;
     let _ = dev.simulate_power_failure();
     let mut rctx = dev.ctx();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (target.recover)(&mut rctx))) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| target.recover_audited(&mut rctx))) {
         Ok(None) => result.recovery = None,
         Ok(Some(rec)) => result.recovery = Some(rec.audit_error),
         Err(p) => {
