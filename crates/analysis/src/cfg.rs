@@ -521,13 +521,12 @@ impl Lower {
         // scope. Lowered as a region whose exit the scope emits — the
         // end of the innermost block, arm, loop body or closure, or the
         // end of the function when acquired at top level — matching RAII
-        // drop-at-scope-end to the granularity the CFG models. Only
-        // `read` is a reader.
-        if c.closures.is_empty()
-            && c.args.is_empty()
-            && matches!(c.name.as_str(), "read" | "write" | "lock")
-            && !c.recv.is_empty()
-        {
+        // drop-at-scope-end to the granularity the CFG models. A guard
+        // taken in an expression statement without a `let`
+        // (`self.m.lock().push(x);`) is a temporary: the parser scopes
+        // that statement, so the guard drops at its end. Only `read` is
+        // a reader.
+        if c.is_guard() {
             let lock = c
                 .recv
                 .rsplit('.')
@@ -835,6 +834,37 @@ mod tests {
             assert!(reaches(&cfg, enter, inner) && reaches(&cfg, inner, exit), "{src}");
             assert!(reaches(&cfg, exit, after), "{src}");
             assert!(!reaches(&cfg, after, exit), "{src}: the guard outlives its block");
+        }
+    }
+
+    /// A guard taken without a `let` is a temporary: it is released at
+    /// the end of its statement, so the store after the statement runs
+    /// outside the region, not under it until the function ends.
+    #[test]
+    fn temporary_guard_released_at_statement_end() {
+        for src in [
+            "fn f() { self.mark_lock.lock().push(x); ctx.write_u64(a, v); ctx.write_u64(b, w); }",
+            "fn f() { match self.mark_lock.lock().get(k) { _ => ctx.write_u64(a, v) }; \
+             ctx.write_u64(b, w); }",
+            "fn f() { if c { self.mark_lock.lock().free.push(x); } \
+             ctx.write_u64(a, v); ctx.write_u64(b, w); }",
+        ] {
+            let cfg = cfg_of(src);
+            let (enter, exit) = mark_lock_region(&cfg);
+            let stores: Vec<usize> = (0..cfg.nodes.len())
+                .filter(|&n| matches!(cfg.nodes[n].ev, Ev::Store { .. }))
+                .collect();
+            let [first, after] = stores[..] else {
+                panic!("two stores in {src}")
+            };
+            assert!(reaches(&cfg, enter, exit) && reaches(&cfg, exit, after), "{src}");
+            assert!(!reaches(&cfg, after, exit), "{src}: the temporary outlives its statement");
+            // A store in the statement's own `match` arm is under the guard.
+            if src.contains("match") {
+                assert!(reaches(&cfg, enter, first) && reaches(&cfg, first, exit), "{src}");
+            } else {
+                assert!(!reaches(&cfg, first, exit), "{src}");
+            }
         }
     }
 

@@ -129,6 +129,31 @@ pub struct Call {
     pub recv_indexed: bool,
 }
 
+impl Call {
+    /// A guard-style RAII acquisition (`self.table.read()`,
+    /// `self.dir.write()`, `self.mark_lock.lock()`): a named receiver,
+    /// no arguments, no closure.
+    pub fn is_guard(&self) -> bool {
+        self.closures.is_empty()
+            && self.args.is_empty()
+            && matches!(self.name.as_str(), "read" | "write" | "lock")
+            && !self.recv.is_empty()
+    }
+}
+
+/// Does an expression statement take a guard it does not bind — at its
+/// top level or in an `if`/`match`/loop condition? Such a guard is a
+/// temporary: it drops at the end of the statement.
+fn takes_temporary_guard(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::Call(c) => c.is_guard(),
+        Stmt::If { cond, .. } | Stmt::Match { cond, .. } | Stmt::Loop { cond, .. } => {
+            takes_temporary_guard(cond)
+        }
+        _ => false,
+    })
+}
+
 /// A statement in the recovered subset. Expression statements flatten
 /// into the calls (and early exits) they contain, in evaluation order.
 #[derive(Clone, Debug)]
@@ -436,7 +461,14 @@ impl<'a> P<'a> {
                 continue;
             }
             let before = self.i;
+            let mark = stmts.len();
             self.scan_expr(&mut stmts, Stop::Stmt);
+            if takes_temporary_guard(&stmts[mark..]) {
+                // Scope the statement, so its temporary guards drop at
+                // its end rather than at the end of the enclosing block.
+                let stmt = stmts.split_off(mark);
+                stmts.push(Stmt::Block(Block(stmt)));
+            }
             if self.at(";") {
                 self.i += 1;
             } else if self.i == before {

@@ -167,13 +167,15 @@ impl FpTable {
 /// applies it) and the integrity walker (which checks the live table
 /// against it exactly).
 ///
-/// `hash_of` resolves occupied slot `idx` to its key hash — inline keys
-/// hash directly; `Ptr` keys need the blob's key read from PM, which the
-/// caller owns (recovery resolves every slot once, up front, through its
-/// prefetch window; the walker reads the blob at each call). The rule
-/// ignores the wrong-tag mutation by construction (tags are *computed*,
-/// not copied), which is exactly why recovery heals the canary's
-/// corruption and the walker catches it.
+/// `hash_of` resolves occupied slot `idx` to its key hash. The rule reads
+/// only hash bits 0–1 ([`bucket_of`]) and 3–24 ([`slot::fp12`], [`fp8`]),
+/// so the key word alone can supply them ([`SlotKey::rule_hash`]: inline
+/// keys are hashed, `Ptr` words carry the bits) — which is what recovery
+/// passes. The walker passes the full hash, reading each blob's key, so
+/// it checks recovery independently. The rule ignores the wrong-tag
+/// mutation by construction (tags are *computed*, not copied), which is
+/// exactly why recovery heals the canary's corruption and the walker
+/// catches it.
 pub fn rebuild_words(
     words: &[(u64, u64); 16],
     mut hash_of: impl FnMut(usize) -> Option<u64>,
@@ -212,28 +214,20 @@ pub fn rebuild_words(
 }
 
 /// Rebuild and install one segment's fp words from `image`, the
-/// segment's 32 words as recovery read them, and `hashes`, the key hash
-/// of each occupied slot (`None` for an empty one) as recovery resolved
-/// them; return the number of live slots, so recovery counts entries
-/// from the same image. The caller has already read the segment's fp
-/// line with `read_line` (a write does not consume a pending prefetch
-/// of it) and every blob key behind a `Ptr` slot, through recovery's one
-/// prefetch window (`recovery.rs`), which issues the lines in the order
-/// they are read; this function reads nothing.
-pub fn rebuild_segment(
-    table: &FpTable,
-    ctx: &mut MemCtx,
-    seg: PmAddr,
-    image: &[u64; 32],
-    hashes: &[Option<u64>; slot::SLOTS_PER_SEG as usize],
-) -> u64 {
+/// segment's 32 words as recovery read them, and return the number of
+/// live slots, so recovery counts entries from the same image. The rule
+/// reads only hash bits 0–1 and 3–24, which every occupied key word
+/// holds ([`SlotKey::rule_hash`]), so this function reads nothing: no
+/// blob key, and not the fp line, which the caller has already read
+/// with `read_line` (a write does not consume a pending prefetch of it).
+pub fn rebuild_segment(table: &FpTable, ctx: &mut MemCtx, seg: PmAddr, image: &[u64; 32]) -> u64 {
     let words: [(u64, u64); slot::SLOTS_PER_SEG as usize] =
         std::array::from_fn(|i| (image[2 * i], image[2 * i + 1]));
-    let fp = rebuild_words(&words, |i| hashes[i]);
+    let fp = rebuild_words(&words, |i| SlotKey::unpack(words[i].0).rule_hash());
     for b in 0..BUCKETS_PER_SEG {
         Plain::ok(table.write_word(&mut Plain, ctx, seg, b, fp[b as usize]));
     }
-    hashes.iter().flatten().count() as u64
+    words.iter().filter(|&&(kw, _)| !SlotKey::unpack(kw).is_empty()).count() as u64
 }
 
 #[cfg(test)]
@@ -330,6 +324,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The rule gives the same words from the hashes a segment's key
+    /// words carry as from the keys' full hashes: random segments of
+    /// inline and `Ptr` keys, with live hints, hints whose fp12 or
+    /// target is stale, and hints to a key in its own main bucket.
+    #[test]
+    fn rebuild_from_key_words_matches_full_hashes() {
+        use spash_index_api::Rng64;
+        use spash_pmem::PmAddr;
+        let mut rng = Rng64::new(0xfb0);
+        let mut live_hints = 0;
+        for case in 0..2_000 {
+            let mut words = [(0u64, 0u64); 16];
+            let mut full = [None; 16];
+            for ((kw, _), hash) in words.iter_mut().zip(&mut full) {
+                if rng.below(4) == 0 {
+                    continue; // empty slot
+                }
+                let key = rng.below(1 << 48);
+                let h = hash_key(key);
+                *hash = Some(h);
+                *kw = if rng.below(2) == 0 {
+                    SlotKey::Inline { key, fp: slot::fp14(h) }.pack()
+                } else {
+                    SlotKey::ptr(PmAddr(16 * (1 + rng.below(1 << 30))), h).pack()
+                };
+            }
+            for (_, vw) in words.iter_mut() {
+                let t = rng.below(16) as u8;
+                *vw = match rng.below(4) {
+                    0 => 0,
+                    // A hint to `t` as an insert would write it.
+                    1 | 2 => match full[t as usize] {
+                        Some(h) => value_word::with_hint(0, slot::make_hint(h, t)),
+                        None => value_word::with_hint(0, slot::make_hint(rng.next_u64(), t)),
+                    },
+                    // An arbitrary (mostly stale) hint.
+                    _ => value_word::with_hint(0, (rng.next_u64() as u16).max(1)),
+                };
+            }
+            let from_words = rebuild_words(&words, |i| SlotKey::unpack(words[i].0).rule_hash());
+            assert_eq!(from_words, rebuild_words(&words, |i| full[i]), "case {case}: {words:x?}");
+            live_hints += from_words.iter().map(|&w| (w >> 32).count_ones()).sum::<u32>();
+        }
+        assert!(live_hints > 0, "no case had a live hint");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! 2. **Segment-info agreement** — the persistent recovery table records
 //!    exactly the `(local depth, prefix)` the directory implies (our
 //!    recovery substrate, DESIGN.md §7).
-//! 3. **Slot well-formedness** — fingerprints match the key hash, inline
-//!    keys fit 48 bits, blob pointers land inside the arena.
+//! 3. **Slot well-formedness** — fingerprints match the key hash (for a
+//!    blob pointer, so do the hash bits its key word carries for the
+//!    recovery rebuild), inline keys fit 48 bits, blob pointers land
+//!    inside the arena.
 //! 4. **Routing** — every stored key hashes back into the segment that
 //!    holds it.
 //! 5. **Hint reachability** — every entry living outside its main bucket
@@ -28,7 +30,9 @@
 //!    Tags are only *hints* on the probe path, but recovery rebuilds
 //!    them and every mutation maintains them, so a quiescent index can
 //!    (and must) be held to exact equality — this is what makes the
-//!    wrong-tag mutation canary detectable.
+//!    wrong-tag mutation canary detectable. The walker feeds the rule
+//!    full hashes, read through each blob's key, where recovery feeds it
+//!    the bits the key words carry: it checks recovery, not itself.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -38,8 +42,8 @@ use spash_pmem::{MemCtx, PmAddr};
 
 use crate::ops::Spash;
 use crate::slot::{
-    self, bucket_of, bucket_slots, fp14, hint_matches, key_addr, value_addr, value_word, SlotKey,
-    SLOTS_PER_BUCKET, SLOTS_PER_SEG,
+    self, bucket_of, bucket_slots, fp14, hb10, hint_matches, key_addr, value_addr, value_word,
+    SlotKey, SLOTS_PER_BUCKET, SLOTS_PER_SEG,
 };
 
 /// Aggregate statistics produced by a successful integrity walk.
@@ -85,7 +89,8 @@ pub enum IntegrityError {
         expected: (u8, u64),
         found: Option<(u8, u64)>,
     },
-    /// A slot's fingerprint does not match its key's hash.
+    /// A slot's fingerprint (or a blob pointer's carried hash bits) does
+    /// not match its key's hash.
     FingerprintMismatch { seg: PmAddr, slot: u8 },
     /// An inline slot stores a key above the 48-bit inline maximum.
     OversizedInlineKey { seg: PmAddr, slot: u8 },
@@ -238,24 +243,24 @@ impl Spash {
             let run_len = 1usize << (gd - u32::from(ld));
             for idx in 0..SLOTS_PER_SEG {
                 let kw = ctx.read_u64(key_addr(seg, idx));
-                let (key, fp) = match SlotKey::unpack(kw) {
+                let (key, fp, hb) = match SlotKey::unpack(kw) {
                     SlotKey::Empty => continue,
                     SlotKey::Inline { key, fp } => {
                         if key > slot::MAX_INLINE_KEY {
                             return Err(IntegrityError::OversizedInlineKey { seg, slot: idx });
                         }
-                        (key, fp)
+                        (key, fp, None)
                     }
-                    SlotKey::Ptr { addr, fp } => {
+                    SlotKey::Ptr { addr, fp, hb } => {
                         if addr.is_null() || addr.0 + 8 > arena_size {
                             return Err(IntegrityError::BlobOutOfBounds { seg, slot: idx, addr });
                         }
                         blob_entries += 1;
-                        (ctx.read_u64(addr), fp)
+                        (ctx.read_u64(addr), fp, Some(hb))
                     }
                 };
                 let h = hash_key(key);
-                if fp != fp14(h) {
+                if fp != fp14(h) || hb.is_some_and(|hb| hb != hb10(h)) {
                     return Err(IntegrityError::FingerprintMismatch { seg, slot: idx });
                 }
                 let route = dir.index_of(h);
@@ -481,6 +486,40 @@ mod tests {
         }
         match idx.verify_integrity(&mut ctx) {
             Err(IntegrityError::FingerprintMismatch { .. }) => {}
+            other => panic!("expected FingerprintMismatch, got {other:?}"),
+        }
+    }
+
+    /// A `Ptr` key word whose carried hash bits disagree with its blob
+    /// key's hash is reported, though its fp14 and fp sidecar agree.
+    #[test]
+    fn detects_wrong_hash_bits_in_a_ptr_word() {
+        let dev = device();
+        let mut ctx = dev.ctx();
+        let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
+        for i in 0..500u64 {
+            idx.insert(&mut ctx, i + 1, &[i as u8; 16]).unwrap();
+        }
+        let (dir, _) = idx.dir.write_target();
+        let (seg, s) = dir
+            .entries
+            .iter()
+            .map(|e| crate::dir::unpack_entry(e.load(Ordering::Acquire)).0)
+            .find_map(|seg| {
+                let s = (0..SLOTS_PER_SEG).find(|&s| ctx.read_u64(key_addr(seg, s)) != 0)?;
+                Some((seg, s))
+            })
+            .unwrap();
+        let SlotKey::Ptr { addr, fp, hb } = SlotKey::unpack(ctx.read_u64(key_addr(seg, s))) else {
+            panic!("a 16-byte value is stored behind a Ptr");
+        };
+        // Flip one carried fp8 bit. The fp-word pass alone cannot see
+        // it: the walker derives both sides from the blob key's hash.
+        ctx.write_u64(key_addr(seg, s), SlotKey::Ptr { addr, fp, hb: hb ^ 0x100 }.pack());
+        match idx.verify_integrity(&mut ctx) {
+            Err(IntegrityError::FingerprintMismatch { seg: at, slot }) => {
+                assert_eq!((at, slot), (seg, s))
+            }
             other => panic!("expected FingerprintMismatch, got {other:?}"),
         }
     }

@@ -122,9 +122,11 @@ impl Spash {
     // =====================================================================
 
     /// Format the device's arena and build an empty index with
-    /// `2^initial_depth` segments.
+    /// `2^initial_depth` segments. Refuses an arena larger than a `Ptr`
+    /// key word can address ([`slot::check_arena`]).
     pub fn format(ctx: &mut MemCtx, cfg: SpashConfig) -> Result<Self, IndexError> {
         let dev = Arc::clone(ctx.device());
+        slot::check_arena(dev.arena().size())?;
         // Reserve one 8-byte segment-info record plus a 32-byte
         // fingerprint sidecar (4 packed per-bucket tag words) per
         // possible chunk.
@@ -601,12 +603,15 @@ impl Spash {
         Ok(match SlotKey::unpack(kw) {
             SlotKey::Empty => false,
             SlotKey::Inline { key: k, .. } => k == key && key <= MAX_INLINE_KEY,
-            SlotKey::Ptr { addr, fp } => fp == fp14(h) && a.read_u64(ctx, addr)? == key,
+            SlotKey::Ptr { addr, fp, .. } => fp == fp14(h) && a.read_u64(ctx, addr)? == key,
         })
     }
 
     /// The hash of the key a key word holds, reading the blob's key for
-    /// pointer entries; `None` for an empty slot.
+    /// pointer entries; `None` for an empty slot. Only the split
+    /// snapshot (which routes by the hash's top bits) and the integrity
+    /// walker need the full hash: recovery's rebuild rule reads
+    /// [`SlotKey::rule_hash`], which reads nothing.
     pub(crate) fn hash_of_kw(ctx: &mut MemCtx, kw: u64) -> Option<u64> {
         match SlotKey::unpack(kw) {
             SlotKey::Empty => None,
@@ -957,11 +962,7 @@ impl Spash {
                 a.write_u64(
                     ctx,
                     key_addr(seg, f.idx),
-                    SlotKey::Ptr {
-                        addr: new_addr,
-                        fp: fp14(h),
-                    }
-                    .pack(),
+                    SlotKey::ptr(new_addr, h).pack(),
                 )?;
                 a.write_u64(
                     ctx,
@@ -997,9 +998,7 @@ impl Spash {
         let payload = self.make_payload(ctx, key, value)?;
         let (kw, payload_word) = match payload {
             Payload::Inline(v) => (SlotKey::Inline { key, fp: fp14(h) }.pack(), v),
-            Payload::Blob { addr, val_len, .. } => {
-                (SlotKey::Ptr { addr, fp: fp14(h) }.pack(), val_len)
-            }
+            Payload::Blob { addr, val_len, .. } => (SlotKey::ptr(addr, h).pack(), val_len),
         };
         let e = NewEntry {
             key,

@@ -77,7 +77,11 @@ impl OpResult {
             Ok(()) => OpResult::Ok,
             Err(IndexError::DuplicateKey) => OpResult::Dup,
             Err(IndexError::NotFound) => OpResult::NotFound,
-            Err(IndexError::OutOfMemory) | Err(IndexError::ValueTooLarge) => OpResult::Full,
+            Err(
+                IndexError::OutOfMemory
+                | IndexError::ValueTooLarge
+                | IndexError::ArenaTooLarge { .. },
+            ) => OpResult::Full,
         }
     }
 
@@ -87,7 +91,11 @@ impl OpResult {
             Ok(()) => OpResult::Ok,
             Err(IndexError::NotFound) => OpResult::NotFound,
             Err(IndexError::DuplicateKey) => OpResult::Dup,
-            Err(IndexError::OutOfMemory) | Err(IndexError::ValueTooLarge) => OpResult::Full,
+            Err(
+                IndexError::OutOfMemory
+                | IndexError::ValueTooLarge
+                | IndexError::ArenaTooLarge { .. },
+            ) => OpResult::Full,
         }
     }
 

@@ -35,6 +35,9 @@ pub enum IndexError {
     OutOfMemory,
     /// Value exceeds what the implementation can store.
     ValueTooLarge,
+    /// `format` refused an arena of `size` bytes: the index addresses at
+    /// most `max`.
+    ArenaTooLarge { size: u64, max: u64 },
 }
 
 impl std::fmt::Display for IndexError {
@@ -44,6 +47,9 @@ impl std::fmt::Display for IndexError {
             IndexError::NotFound => write!(f, "key not found"),
             IndexError::OutOfMemory => write!(f, "index or heap out of memory"),
             IndexError::ValueTooLarge => write!(f, "value too large"),
+            IndexError::ArenaTooLarge { size, max } => {
+                write!(f, "arena of {size} B exceeds the {max} B the index can address")
+            }
         }
     }
 }

@@ -575,6 +575,7 @@ fn err_tag(r: &Result<(), IndexError>) -> u8 {
         Err(IndexError::NotFound) => 2,
         Err(IndexError::OutOfMemory) => 3,
         Err(IndexError::ValueTooLarge) => 4,
+        Err(IndexError::ArenaTooLarge { .. }) => 5,
     }
 }
 

@@ -166,8 +166,9 @@ fn slot_key_word_roundtrips() {
         let inline = SlotKey::Inline { key, fp };
         assert_eq!(SlotKey::unpack(inline.pack()), inline);
         let ptr = SlotKey::Ptr {
-            addr: spash_repro::pmem::PmAddr(key),
+            addr: spash_repro::pmem::PmAddr(rng.below(slot::MAX_ARENA)),
             fp,
+            hb: rng.below(1 << 10) as u16,
         };
         assert_eq!(SlotKey::unpack(ptr.pack()), ptr);
     }
