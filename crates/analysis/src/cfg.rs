@@ -868,6 +868,35 @@ mod tests {
         }
     }
 
+    /// A guard a `let` initializer takes without binding it is a
+    /// temporary too: it is released at the end of the `let`, so the
+    /// store after it runs outside the region. A bound guard, with or
+    /// without an `unwrap`, is held to the end of its block.
+    #[test]
+    fn temporary_guard_in_let_initializer_released_at_statement_end() {
+        for src in [
+            "fn f() { let n = self.mark_lock.lock().len(); ctx.write_u64(a, v); }",
+            "fn f() { if c { let n = self.mark_lock.lock().len(); ctx.write_u64(a, v); } }",
+            "fn f() { let n = match self.mark_lock.lock().get(k) { _ => 1 }; \
+             ctx.write_u64(a, v); }",
+        ] {
+            let cfg = cfg_of(src);
+            let (enter, exit) = mark_lock_region(&cfg);
+            let store = cfg.nodes.iter().position(|n| matches!(n.ev, Ev::Store { .. })).unwrap();
+            assert!(reaches(&cfg, enter, exit) && reaches(&cfg, exit, store), "{src}");
+            assert!(!reaches(&cfg, store, exit), "{src}: the temporary outlives its statement");
+        }
+        for src in [
+            "fn f() { { let g = self.mark_lock.lock(); ctx.write_u64(a, v); } }",
+            "fn f() { { let g = self.mark_lock.lock().unwrap(); ctx.write_u64(a, v); } }",
+        ] {
+            let cfg = cfg_of(src);
+            let (enter, exit) = mark_lock_region(&cfg);
+            let store = cfg.nodes.iter().position(|n| matches!(n.ev, Ev::Store { .. })).unwrap();
+            assert!(reaches(&cfg, enter, store) && reaches(&cfg, store, exit), "{src}");
+        }
+    }
+
     #[test]
     fn loop_back_edge_exists() {
         let cfg = cfg_of("fn f() { loop { if done { break; } ctx.fence(); } }");

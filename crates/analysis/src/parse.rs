@@ -154,6 +154,24 @@ fn takes_temporary_guard(stmts: &[Stmt]) -> bool {
     })
 }
 
+/// Is the value a `let` initializer binds the guard it takes — the
+/// initializer ends in the guard call, or in `unwrap`/`expect` right
+/// after it (`let g = self.m.lock();`, `let b = self.baton.lock().unwrap();`)?
+fn binds_guard(init: &[Stmt]) -> bool {
+    let calls: Vec<&Call> = init
+        .iter()
+        .filter_map(|s| match s {
+            Stmt::Call(c) => Some(c),
+            _ => None,
+        })
+        .collect();
+    match calls[..] {
+        [.., g] if g.is_guard() => true,
+        [.., g, u] => g.is_guard() && matches!(u.name.as_str(), "unwrap" | "expect"),
+        _ => false,
+    }
+}
+
 /// A statement in the recovered subset. Expression statements flatten
 /// into the calls (and early exits) they contain, in evaluation order.
 #[derive(Clone, Debug)]
@@ -541,6 +559,14 @@ impl<'a> P<'a> {
                 init_calls,
                 init_idents,
             });
+        }
+        // A guard the initializer takes but does not bind
+        // (`let n = self.m.lock().len();`) is a temporary: scope the
+        // statement, so it drops at the statement's end.
+        let init = &out[mark..];
+        if takes_temporary_guard(init) && !binds_guard(init) {
+            let stmt = out.split_off(mark);
+            out.push(Stmt::Block(Block(stmt)));
         }
     }
 

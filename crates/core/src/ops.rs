@@ -608,10 +608,10 @@ impl Spash {
     }
 
     /// The hash of the key a key word holds, reading the blob's key for
-    /// pointer entries; `None` for an empty slot. Only the split
-    /// snapshot (which routes by the hash's top bits) and the integrity
-    /// walker need the full hash: recovery's rebuild rule reads
-    /// [`SlotKey::rule_hash`], which reads nothing.
+    /// pointer entries; `None` for an empty slot. The split snapshot
+    /// needs the full hash, which routes by its top bits; recovery's
+    /// rebuild rule reads [`SlotKey::rule_hash`], which reads nothing,
+    /// and the integrity walker hashes the blob keys it read in bulk.
     pub(crate) fn hash_of_kw(ctx: &mut MemCtx, kw: u64) -> Option<u64> {
         match SlotKey::unpack(kw) {
             SlotKey::Empty => None,

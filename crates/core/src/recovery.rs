@@ -41,7 +41,9 @@
 //! allows. Every line prefetched is read before recovery returns, a
 //! reclaimed segment's included, and no prefetch is issued into a full
 //! table: the loop starts with an empty table and issues only while it
-//! has room.
+//! has room. The window is a stream over any line function, and the
+//! integrity walker reads the same images through it
+//! ([`crate::integrity`]).
 
 use std::sync::Arc;
 
@@ -58,47 +60,53 @@ use crate::slot::{key_addr, BUCKETS_PER_SEG, SLOTS_PER_BUCKET};
 
 /// Lines in one segment's image, in read order: the seginfo record, the
 /// four bucket lines, the fp line.
-const IMAGE_LINES: usize = 2 + BUCKETS_PER_SEG as usize;
+pub(crate) const IMAGE_LINES: usize = 2 + BUCKETS_PER_SEG as usize;
 
-/// Recovery's one prefetch window over the stream of the segments'
-/// image lines, in the order the loop reads them. Lines are issued from
-/// the front whenever the prefetch table has room; a line read before
-/// its turn to issue is never issued. A line already resident (a buddy's
-/// fp line, a neighbour's seginfo line) takes no table entry. The stream
-/// is a function of the segment list, so the window is two cursors and
-/// allocates nothing.
-struct Window<'a> {
-    segs: &'a [PmAddr],
-    seginfo: &'a SegInfoTable,
-    fptable: &'a FpTable,
+/// Line `j` of `seg`'s image, in read order ([`IMAGE_LINES`]).
+pub(crate) fn image_line(info: &SegInfoTable, fp: &FpTable, seg: PmAddr, j: usize) -> PmAddr {
+    match j {
+        0 => info.record_addr(seg),
+        j if j <= BUCKETS_PER_SEG as usize => key_addr(seg, (j as u8 - 1) * SLOTS_PER_BUCKET),
+        _ => fp.word_addr(seg, 0),
+    }
+}
+
+/// One prefetch window over a stream of `len` line addresses, stream
+/// line `i` being `line(i)`, in the order the caller reads them. Lines
+/// are issued from the front whenever the prefetch table has room; a
+/// line read before its turn to issue is never issued. A line already
+/// resident (a buddy's fp line, a neighbour's seginfo line) takes no
+/// table entry. The stream is a function of its index, so the window is
+/// two cursors and allocates nothing. A caller that reads every stream
+/// line once leaves the prefetch table as it found it.
+pub(crate) struct Window<F> {
+    len: usize,
+    line: F,
     /// Stream lines issued or read so far.
     issued: usize,
     /// Stream lines read so far.
     read: usize,
 }
 
-impl Window<'_> {
-    /// Stream line `i`: line `i % IMAGE_LINES` of segment `i / IMAGE_LINES`.
-    fn line(&self, i: usize) -> PmAddr {
-        let seg = self.segs[i / IMAGE_LINES];
-        match i % IMAGE_LINES {
-            0 => self.seginfo.record_addr(seg),
-            j if j <= BUCKETS_PER_SEG as usize => key_addr(seg, (j as u8 - 1) * SLOTS_PER_BUCKET),
-            _ => self.fptable.word_addr(seg, 0),
-        }
+impl<F: Fn(usize) -> PmAddr> Window<F> {
+    /// Open the window and issue its first lines.
+    pub(crate) fn new(ctx: &mut MemCtx, len: usize, line: F) -> Self {
+        let mut win = Window { len, line, issued: 0, read: 0 };
+        win.issue(ctx);
+        win
     }
 
     /// Issue stream lines, in order, while the prefetch table has room.
     fn issue(&mut self, ctx: &mut MemCtx) {
-        while self.issued < self.segs.len() * IMAGE_LINES && ctx.prefetch_room() > 0 {
-            ctx.prefetch(self.line(self.issued));
+        while self.issued < self.len && ctx.prefetch_room() > 0 {
+            ctx.prefetch((self.line)(self.issued));
             self.issued += 1;
         }
     }
 
     /// The next `n` stream lines have been read: pass them, then refill
     /// the table.
-    fn read(&mut self, ctx: &mut MemCtx, n: usize) {
+    pub(crate) fn read(&mut self, ctx: &mut MemCtx, n: usize) {
         self.read += n;
         self.issued = self.issued.max(self.read);
         self.issue(ctx);
@@ -121,14 +129,9 @@ impl Spash {
         let segs = &rec.segments;
         let mut triples = Vec::with_capacity(segs.len());
         let mut entries = 0u64;
-        let mut win = Window {
-            segs,
-            seginfo: &seginfo,
-            fptable: &fptable,
-            issued: 0,
-            read: 0,
-        };
-        win.issue(ctx);
+        let mut win = Window::new(ctx, segs.len() * IMAGE_LINES, |i| {
+            image_line(&seginfo, &fptable, segs[i / IMAGE_LINES], i % IMAGE_LINES)
+        });
         for &seg in segs {
             let info = seginfo.read(ctx, seg);
             win.read(ctx, 1);
@@ -169,7 +172,7 @@ impl Spash {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spash_index_api::PersistentIndex;
     use spash_pmem::{PmConfig, PmDevice};
@@ -221,7 +224,7 @@ mod tests {
 
     /// A device holding `n` keys, every one behind a `Ptr` key word,
     /// after a power failure.
-    fn crashed_ptr_image(n: u64) -> Arc<PmDevice> {
+    pub(crate) fn crashed_ptr_image(n: u64) -> Arc<PmDevice> {
         let dev = PmDevice::new(PmConfig {
             arena_size: 64 << 20,
             ..PmConfig::small_test()
