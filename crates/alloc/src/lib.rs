@@ -29,11 +29,11 @@
 
 pub mod layout;
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spash_pmem::sync::Mutex;
-use spash_pmem::{MemCtx, PmAddr};
+use spash_pmem::{MemCtx, PmAddr, Window};
 
 pub use layout::{Layout, CHUNK};
 
@@ -56,10 +56,6 @@ const ST_REGION_CONT: u8 = 0xD1;
 /// Chunk headers per cacheline of the header table, which starts on an
 /// XPLine boundary.
 const HEADERS_PER_LINE: u64 = spash_pmem::CACHELINE / layout::HDR_BYTES;
-/// Header lines the header walk keeps in flight ahead of the line it
-/// decodes: eight lines (two XPLines) cover the PM read latency with
-/// half the 16-entry prefetch table to spare.
-const HEADER_LOOKAHEAD: usize = 8;
 /// Chunks the high-water mark rises by at a time: 64 header lines, so a
 /// raise (one superblock store, plus its flush and fence under ADR) comes
 /// once per 256 KiB of heap the frontier crosses.
@@ -319,44 +315,32 @@ impl PmAllocator {
     /// The one walk over the chunk-header table, shared by recovery and
     /// the census, as a prefetch pipeline (§III-D): one modelled
     /// `read_line` per header line ([`HEADERS_PER_LINE`] headers), in
-    /// table order, with up to [`HEADER_LOOKAHEAD`] lines in flight. It
-    /// covers the chunks below the persisted high-water `mark` only:
-    /// every header from the mark on is free. Chunks are visited in chunk
-    /// order: a large or region run is visited once, at its start, with
-    /// its length in chunks (at least 1), and its interior is skipped;
-    /// every other chunk has length 1.
+    /// table order, read through the workspace's prefetch window
+    /// ([`Window`]), so the prefetch table decides how many lines are in
+    /// flight. It covers the chunks below the persisted high-water `mark`
+    /// only: every header from the mark on is free. Chunks are visited in
+    /// chunk order: a large or region run is visited once, at its start,
+    /// with its length in chunks (at least 1), and its interior is
+    /// skipped; every other chunk has length 1.
     ///
     /// A line wholly inside a run already decoded is not fetched, unless
-    /// it was in flight before the run's start was decoded: every line
-    /// prefetched is read, so every prefetch is consumed before the walk
-    /// returns. The walk starts with an empty prefetch table (recovery
-    /// and the census run on a fresh context) and never issues a prefetch
-    /// into a full one.
+    /// it was in flight when the run's start was decoded: those lines are
+    /// read, the rest are passed in one step and never issued, so every
+    /// prefetch is consumed before the walk returns.
     fn walk_headers(
         ctx: &mut MemCtx,
         l: &Layout,
         mark: u64,
         mut visit: impl FnMut(u64, u64, Chunk),
     ) {
-        let lines = mark.div_ceil(HEADERS_PER_LINE);
-        let line_addr = |k: u64| PmAddr(l.header_addr(k * HEADERS_PER_LINE));
-        let mut in_flight = VecDeque::with_capacity(HEADER_LOOKAHEAD);
-        // `next`: the first line neither prefetched nor skipped; `i`: the
-        // next chunk to visit.
-        let (mut next, mut i) = (0, 0);
-        loop {
-            next = next.max(i / HEADERS_PER_LINE);
-            while in_flight.len() < HEADER_LOOKAHEAD && next < lines {
-                assert!(ctx.prefetch_room() > 0, "prefetch table full");
-                ctx.prefetch(line_addr(next));
-                in_flight.push_back(next);
-                next += 1;
-            }
-            let Some(k) = in_flight.pop_front() else {
-                break;
-            };
+        let lines = mark.div_ceil(HEADERS_PER_LINE) as usize;
+        let line_addr = |k: usize| PmAddr(l.header_addr(k as u64 * HEADERS_PER_LINE));
+        let mut win = Window::new(ctx, lines, line_addr);
+        // `k`: the next line to read; `i`: the next chunk to visit.
+        let (mut k, mut i) = (0, 0);
+        while k < lines {
             let words = ctx.read_line(line_addr(k));
-            let line_end = ((k + 1) * HEADERS_PER_LINE).min(mark);
+            let line_end = ((k as u64 + 1) * HEADERS_PER_LINE).min(mark);
             while i < line_end {
                 let byte = l.header_addr(i);
                 let h = Self::header_field(byte, words[(byte / 8 % 8) as usize]);
@@ -364,6 +348,15 @@ impl PmAllocator {
                 visit(i, len, chunk);
                 i += len;
             }
+            // `next`: the next line holding a chunk to visit. The lines
+            // before it lie wholly inside a run: those in flight are read,
+            // the rest are passed without being issued.
+            let next = ((i / HEADERS_PER_LINE) as usize).clamp(k + 1, lines);
+            for j in k + 1..next.min(win.issued()) {
+                ctx.read_line(line_addr(j));
+            }
+            win.read(ctx, next - k);
+            k = next;
         }
     }
 
@@ -886,7 +879,9 @@ mod tests {
 
         let (census, cl_reads, read_hits) = cold_census(&dev);
         let lines = HIGH_WATER_STEP.div_ceil(HEADERS_PER_LINE);
-        assert!(lines > HEADER_LOOKAHEAD as u64 && HIGH_WATER_STEP < l.n_chunks);
+        // More lines than a fresh context's table holds in flight.
+        let room = dev.ctx().prefetch_room() as u64;
+        assert!(lines > room && HIGH_WATER_STEP < l.n_chunks);
         // The superblock adds one line fetch, read as a miss.
         assert_eq!(cl_reads, lines + 1, "one fetch per header line");
         assert_eq!(read_hits, lines, "one read per header line");
@@ -942,7 +937,7 @@ mod tests {
         let alloc = PmAllocator::format(&mut ctx, 1024);
         let seg = alloc.alloc_segment(&mut ctx).unwrap();
         // Chunks 1..=640: header lines 0..=40, of which 1..=39 lie wholly
-        // inside the region, far more than the lookahead.
+        // inside the region, far more than the prefetch table holds.
         let span = 40 * HEADERS_PER_LINE;
         let region = alloc.alloc_region(&mut ctx, span * CHUNK).unwrap();
         let tail = alloc.alloc_segment(&mut ctx).unwrap();
@@ -951,12 +946,50 @@ mod tests {
         let (census, cl_reads, read_hits) = cold_census(&dev);
         assert_eq!(census.segments, vec![seg, tail]);
         assert_eq!(census.regions, vec![(region, span * CHUNK)]);
-        // Line 0 decodes the region's start with lines 1..=7 in flight;
-        // lines 8..=39 are never fetched.
+        // Line 0 decodes the region's start with the rest of a fresh
+        // context's table in flight (lines 1..room); lines room..=39 are
+        // never fetched.
         let lines = HIGH_WATER_STEP.div_ceil(HEADERS_PER_LINE);
-        let skipped = 39 - (HEADER_LOOKAHEAD as u64 - 1);
+        let room = dev.ctx().prefetch_room() as u64;
+        let skipped = 39 - (room - 1);
         assert_eq!(cl_reads, lines - skipped + 1);
         assert_eq!(read_hits, lines - skipped);
+    }
+
+    /// The header walk reads through the shared prefetch window, so a cold
+    /// census runs at about the table's rate: one PM read latency per
+    /// table's worth of lines, the bound recovery's segment loop keeps.
+    #[test]
+    fn header_walk_runs_at_the_tables_rate() {
+        use spash_pmem::CostModel;
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut ctx = dev.ctx();
+        let alloc = PmAllocator::format(&mut ctx, 1024);
+        for i in 0.. {
+            if alloc.frontier_chunks() >= 16 * HIGH_WATER_STEP {
+                break;
+            }
+            match i % 3 {
+                0 => drop(alloc.alloc_segment(&mut ctx).unwrap()),
+                1 => drop(alloc.alloc(&mut ctx, 40).unwrap()),
+                _ => drop(alloc.alloc(&mut ctx, 600).unwrap()),
+            }
+        }
+        dev.simulate_power_failure();
+
+        let mut ctx = dev.ctx();
+        let (t0, before, room) = (ctx.now(), dev.snapshot(), ctx.prefetch_room());
+        PmAllocator::census(&mut ctx).unwrap();
+        let (ns, lines) = (ctx.now() - t0, dev.snapshot().since(&before).cl_reads);
+        assert_eq!(ctx.prefetch_room(), room, "a header prefetch was never read");
+        assert!(lines >= 1_000, "only {lines} header lines");
+        let per_line = ns as f64 / lines as f64;
+        // A fresh context's free room is the whole table.
+        let floor = CostModel::PM_READ_MISS_NS as f64 / room as f64;
+        assert!(
+            per_line < 1.3 * floor,
+            "{lines} lines fetched in {ns} ns: {per_line:.1} ns per line"
+        );
     }
 
     /// A power failure is a phase boundary: a census before the cut queues

@@ -75,7 +75,7 @@ mod tests {
     use spash_index_api::PersistentIndex;
     use spash_pmem::{line_of, CostModel, PmConfig, PmDevice};
 
-    /// The audit reads each line once, through recovery's window: on a
+    /// The audit reads each line once, through the prefetch window: on a
     /// recovered image whose keys are all `Ptr`s it fetches at most the
     /// segments' image lines, the blobs' key lines and the census's
     /// header lines, reads every line it prefetches, and runs at about

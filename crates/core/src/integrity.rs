@@ -6,9 +6,10 @@
 //! for tests, post-recovery validation, and debugging, not for the hot
 //! path: it takes no locks and assumes no concurrent writers.
 //!
-//! The walk reads each line once, in two legs through recovery's prefetch
-//! window ([`crate::recovery`]), so it runs at the prefetch table's rate,
-//! not one exposed miss per word:
+//! The walk reads each line once, in two legs through the workspace's
+//! prefetch window ([`spash_pmem::Window`]), the one recovery reads
+//! through, so it runs at the prefetch table's rate, not one exposed miss
+//! per word:
 //!
 //! - **Leg 1** streams every directory segment's image in directory
 //!   order: its seginfo record, its four bucket lines
@@ -59,11 +60,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 
 use spash_index_api::hash_key;
-use spash_pmem::{line_of, MemCtx, PmAddr, CACHELINE};
+use spash_pmem::{line_of, MemCtx, PmAddr, Window, CACHELINE};
 
 use crate::access::Plain;
 use crate::ops::Spash;
-use crate::recovery::{image_line, Window, IMAGE_LINES};
+use crate::recovery::{image_line, IMAGE_LINES};
 use crate::slot::{
     self, bucket_of, bucket_slots, fp14, hint_matches, value_word, SlotKey, BUCKETS_PER_SEG,
     SLOTS_PER_BUCKET, SLOTS_PER_SEG,

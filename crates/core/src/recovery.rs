@@ -30,25 +30,24 @@
 //! the segment image alone, and recovery reads no blob.
 //!
 //! Recovery is latency-bound, so it runs as the §III-D prefetch pipeline
-//! (prefetch, then consume) in two layers. The allocator's header walk
-//! reads the header table a line at a time with a fixed lookahead of
-//! lines in flight. The segment loop below makes one pass: read segment
-//! *k*'s image — its seginfo record, four bucket lines and fp line —
-//! then rebuild it or reclaim it. It reads through one prefetch window
-//! ([`Window`]): the stream of every segment's image lines, in the order
-//! the loop reads them, issued from the front whenever the prefetch
-//! table has room, so images are in flight as far ahead as the table
-//! allows. Every line prefetched is read before recovery returns, a
-//! reclaimed segment's included, and no prefetch is issued into a full
-//! table: the loop starts with an empty table and issues only while it
-//! has room. The window is a stream over any line function, and the
-//! integrity walker reads the same images through it
+//! (prefetch, then consume) in two layers, both reading through the
+//! workspace's one prefetch window ([`Window`]), which issues lines from
+//! the front of its stream whenever the prefetch table has room: the
+//! table alone decides how many lines are in flight. The allocator's
+//! header walk streams the header table a line at a time. The segment
+//! loop below makes one pass: read segment *k*'s image — its seginfo
+//! record, four bucket lines and fp line — then rebuild it or reclaim
+//! it. Its stream is every segment's image lines, in the order the loop
+//! reads them, so images are in flight as far ahead as the table allows.
+//! Every line prefetched is read before recovery returns, a reclaimed
+//! segment's included, and no prefetch is issued into a full table. The
+//! integrity walker reads the same images through the same window
 //! ([`crate::integrity`]).
 
 use std::sync::Arc;
 
 use spash_alloc::PmAllocator;
-use spash_pmem::{MemCtx, PmAddr};
+use spash_pmem::{MemCtx, PmAddr, Window};
 
 use crate::access::Plain;
 use crate::config::SpashConfig;
@@ -68,48 +67,6 @@ pub(crate) fn image_line(info: &SegInfoTable, fp: &FpTable, seg: PmAddr, j: usiz
         0 => info.record_addr(seg),
         j if j <= BUCKETS_PER_SEG as usize => key_addr(seg, (j as u8 - 1) * SLOTS_PER_BUCKET),
         _ => fp.word_addr(seg, 0),
-    }
-}
-
-/// One prefetch window over a stream of `len` line addresses, stream
-/// line `i` being `line(i)`, in the order the caller reads them. Lines
-/// are issued from the front whenever the prefetch table has room; a
-/// line read before its turn to issue is never issued. A line already
-/// resident (a buddy's fp line, a neighbour's seginfo line) takes no
-/// table entry. The stream is a function of its index, so the window is
-/// two cursors and allocates nothing. A caller that reads every stream
-/// line once leaves the prefetch table as it found it.
-pub(crate) struct Window<F> {
-    len: usize,
-    line: F,
-    /// Stream lines issued or read so far.
-    issued: usize,
-    /// Stream lines read so far.
-    read: usize,
-}
-
-impl<F: Fn(usize) -> PmAddr> Window<F> {
-    /// Open the window and issue its first lines.
-    pub(crate) fn new(ctx: &mut MemCtx, len: usize, line: F) -> Self {
-        let mut win = Window { len, line, issued: 0, read: 0 };
-        win.issue(ctx);
-        win
-    }
-
-    /// Issue stream lines, in order, while the prefetch table has room.
-    fn issue(&mut self, ctx: &mut MemCtx) {
-        while self.issued < self.len && ctx.prefetch_room() > 0 {
-            ctx.prefetch((self.line)(self.issued));
-            self.issued += 1;
-        }
-    }
-
-    /// The next `n` stream lines have been read: pass them, then refill
-    /// the table.
-    pub(crate) fn read(&mut self, ctx: &mut MemCtx, n: usize) {
-        self.read += n;
-        self.issued = self.issued.max(self.read);
-        self.issue(ctx);
     }
 }
 

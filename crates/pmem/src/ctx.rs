@@ -100,9 +100,9 @@ impl MemCtx {
         self.prefetch_len = 0;
     }
 
-    /// Free entries in the in-flight prefetch table. A walker that must
-    /// read back everything it prefetches sizes its lookahead by this, so
-    /// it never issues a prefetch into a full table (DESIGN.md §13).
+    /// Free entries in the in-flight prefetch table. A [`Window`] issues
+    /// only while this is nonzero, so a stream read back line by line
+    /// never issues a prefetch into a full table (DESIGN.md §13).
     pub fn prefetch_room(&self) -> usize {
         MAX_PREFETCH - self.prefetch_len
     }
@@ -572,6 +572,57 @@ impl MemCtx {
     }
 }
 
+/// The workspace's one prefetch stream (§III-D): a window over a stream
+/// of `len` line addresses, stream line `i` being `line(i)`, in the order
+/// the caller reads them. Lines are issued from the front whenever the
+/// prefetch table has room, so the table alone decides how many are in
+/// flight, and no prefetch is ever issued into a full table. A line read
+/// or passed before its turn to issue is never issued. A line already
+/// resident takes no table entry. The stream is a function of its index,
+/// so the window is two cursors and allocates nothing. A caller that
+/// reads every line it issued leaves the prefetch table as it found it.
+pub struct Window<F> {
+    len: usize,
+    line: F,
+    /// Stream lines issued or read so far.
+    issued: usize,
+    /// Stream lines read so far.
+    read: usize,
+}
+
+impl<F: Fn(usize) -> PmAddr> Window<F> {
+    /// Open the window and issue its first lines.
+    pub fn new(ctx: &mut MemCtx, len: usize, line: F) -> Self {
+        let mut win = Window { len, line, issued: 0, read: 0 };
+        win.issue(ctx);
+        win
+    }
+
+    /// Issue stream lines, in order, while the prefetch table has room.
+    fn issue(&mut self, ctx: &mut MemCtx) {
+        while self.issued < self.len && ctx.prefetch_room() > 0 {
+            ctx.prefetch((self.line)(self.issued));
+            self.issued += 1;
+        }
+    }
+
+    /// The next `n` stream lines have been read, or are passed unread:
+    /// move past them, then refill the table. A passed line that was
+    /// issued stays in the table, so a caller passes only lines it has
+    /// not seen issued ([`Self::issued`]).
+    pub fn read(&mut self, ctx: &mut MemCtx, n: usize) {
+        self.read += n;
+        self.issued = self.issued.max(self.read);
+        self.issue(ctx);
+    }
+
+    /// Stream lines issued or read so far: those from the read cursor up
+    /// to here are in flight.
+    pub fn issued(&self) -> usize {
+        self.issued
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,6 +760,83 @@ mod tests {
             elapsed >= CostModel::PM_READ_MISS_NS,
             "a line prefetched {elapsed} ns ago was read as if it had arrived"
         );
+    }
+
+    /// Stream line `i` of the window tests: cold lines, clear of the
+    /// lines the tests prefetch by hand.
+    fn stream_line(i: usize) -> PmAddr {
+        PmAddr((1 << 20) + i as u64 * CACHELINE)
+    }
+
+    /// Read the next `n` stream lines through `win`, one at a time.
+    fn read_through<F: Fn(usize) -> PmAddr>(c: &mut MemCtx, win: &mut Window<F>, n: usize) {
+        for _ in 0..n {
+            c.read_line(stream_line(win.read));
+            win.read(c, 1);
+        }
+    }
+
+    /// A window opened on a table that already holds prefetches issues
+    /// only into the free room: it fetches no more lines than the room,
+    /// and every earlier entry survives to be consumed by its own read.
+    #[test]
+    fn window_on_a_busy_table_issues_only_into_its_room() {
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut c = dev.ctx();
+        for j in 0..10u64 {
+            c.prefetch(PmAddr(8192 + j * CACHELINE));
+        }
+        let room = c.prefetch_room();
+        assert_eq!(room, MAX_PREFETCH - 10);
+        let before = dev.snapshot();
+        let mut win = Window::new(&mut c, 40, stream_line);
+        assert_eq!((win.issued(), c.prefetch_room()), (room, 0));
+        assert_eq!(dev.snapshot().since(&before).cl_reads, room as u64, "a line past the room");
+        for j in 0..10u64 {
+            let free = c.prefetch_room();
+            c.read_line(PmAddr(8192 + j * CACHELINE));
+            assert_eq!(c.prefetch_room(), free + 1, "entry {j} was overwritten");
+        }
+        read_through(&mut c, &mut win, 40);
+        assert_eq!(c.prefetch_room(), MAX_PREFETCH);
+        assert_eq!(dev.snapshot().since(&before).cl_reads, 40, "one fetch per stream line");
+    }
+
+    /// A bulk `read` past lines the window has not issued moves past them
+    /// unfetched: only the lines issued before it and after it are
+    /// fetched.
+    #[test]
+    fn a_bulk_read_never_fetches_the_lines_it_passes() {
+        let dev = PmDevice::new(PmConfig::small_test());
+        let mut c = dev.ctx();
+        let before = dev.snapshot();
+        let mut win = Window::new(&mut c, 64, stream_line);
+        let first = win.issued();
+        assert_eq!(first, MAX_PREFETCH);
+        // Read the lines in flight, then pass up to line 48 in one step.
+        for i in 0..first {
+            c.read_line(stream_line(i));
+        }
+        win.read(&mut c, 48);
+        assert_eq!(win.issued(), 48 + MAX_PREFETCH, "issuing resumes past the passed lines");
+        read_through(&mut c, &mut win, 64 - 48);
+        let d = dev.snapshot().since(&before);
+        assert_eq!(d.cl_reads, (first + 64 - 48) as u64, "a passed line was fetched");
+        assert_eq!(c.prefetch_room(), MAX_PREFETCH);
+    }
+
+    /// A caller that reads every stream line leaves the prefetch table as
+    /// it found it, other entries included.
+    #[test]
+    fn a_window_read_to_the_end_leaves_the_table_as_found() {
+        let mut c = ctx();
+        for j in 0..3u64 {
+            c.prefetch(PmAddr(8192 + j * CACHELINE));
+        }
+        let room = c.prefetch_room();
+        let mut win = Window::new(&mut c, 40, stream_line);
+        read_through(&mut c, &mut win, 40);
+        assert_eq!(c.prefetch_room(), room);
     }
 
     #[test]

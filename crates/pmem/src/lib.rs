@@ -46,7 +46,7 @@ pub mod vlock;
 pub use arena::{Arena, PmAddr};
 pub use config::{PersistenceDomain, PmConfig};
 pub use cost::{CostModel, VClock};
-pub use ctx::MemCtx;
+pub use ctx::{MemCtx, Window};
 pub use device::{CrashReport, PmDevice};
 pub use fault::{CrashPointHit, FaultPlan};
 pub use san::{San, SanReport, SanViolation, SanViolationKind};
