@@ -4,7 +4,8 @@
 //!
 //! Modes:
 //! * `classic` (default) — the token-pattern rules of
-//!   `spash_analysis::lint` (std-sync, host-time, …).
+//!   `spash_analysis::lint` (std-sync, host-time, …) and the structure
+//!   rows of `spash_analysis::structure`.
 //! * `flow` — the path-sensitive flush/fence dataflow rules of
 //!   `spash_analysis::flow_rules` (CFG + call-graph summaries), plus the
 //!   waiver/`san_forgive` cross-check.
@@ -23,12 +24,15 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use spash_analysis::lint::{self, report_json, RULES};
+use spash_analysis::structure::{ROWS, RULE_STRUCTURE};
 use spash_analysis::tree::{Sink, Tree};
 use spash_analysis::{conc_rules, flow_rules};
 
 fn usage() {
     println!("usage: spash-lint [classic|flow|conc|all] [--json] [--out FILE] [ROOT]");
-    println!("classic rules: {}", RULES.join(", "));
+    println!("classic rules: {}, {RULE_STRUCTURE}", RULES.join(", "));
+    let rows: Vec<&str> = ROWS.iter().map(|r| r.name).collect();
+    println!("structure rows (never waived, test code included): {}", rows.join(", "));
     println!(
         "flow rules: {}, {}, {}, {}",
         flow_rules::RULE_FLUSH_FENCE,

@@ -822,11 +822,11 @@ pub fn run(tree: &Tree, sink: &mut Sink) -> Vec<WordRow> {
 // ---------------------------------------------------------------------------
 
 /// Where the mutation canaries are declared.
-const CANARY_FILE: &str = "crates/pmem/src/canary.rs";
+pub(crate) const CANARY_FILE: &str = "crates/pmem/src/canary.rs";
 
 /// The variants of the `Canary` enum in [`CANARY_FILE`], if that file is
 /// in the tree.
-fn canary_variants(tree: &Tree) -> Vec<&str> {
+pub(crate) fn canary_variants(tree: &Tree) -> Vec<&str> {
     let Some(file) = tree.files.iter().find(|f| f.path == CANARY_FILE) else {
         return Vec::new();
     };

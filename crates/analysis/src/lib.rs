@@ -34,5 +34,6 @@ pub mod flow_rules;
 pub mod json;
 pub mod lint;
 pub mod parse;
+pub mod structure;
 pub mod summaries;
 pub mod tree;

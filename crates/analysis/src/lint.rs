@@ -98,13 +98,15 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The classic token rules over every file of the tree. Virtual work is
-/// stripped lines scanned per rule; the file's path decides rule
+/// The classic family: the token rules over every file of the tree, then
+/// the structure rows ([`crate::structure`]). Virtual work is stripped
+/// lines scanned per token rule; the file's path decides rule
 /// applicability (which crate, test context).
 pub fn run(tree: &Tree, sink: &mut Sink) {
     for file in &tree.files {
         check_file(file, sink);
     }
+    crate::structure::run(tree, sink);
 }
 
 fn check_file(file: &SrcFile, sink: &mut Sink) {
@@ -585,41 +587,63 @@ fn use_groups(stripped: &str, prefix: &str) -> Vec<(usize, String)> {
     out
 }
 
-/// Mark the lines inside `#[cfg(test)]`-gated items (brace-tracked from
-/// the attribute to the item's closing brace).
+/// Mark the lines inside `#[cfg(test)]`-gated items: from the attribute
+/// to the end of the item, field or statement it gates ([`gated_end`]).
 pub(crate) fn cfg_test_lines(stripped: &str) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
     let n_lines = stripped.lines().count();
     let mut marks = vec![false; n_lines];
     let mut start = 0;
-    while let Some(pos) = stripped[start..].find("#[cfg(test)]") {
+    while let Some(pos) = stripped[start..].find(ATTR) {
         let at = start + pos;
-        let open = match stripped[at..].find('{') {
-            Some(o) => at + o,
-            None => break,
-        };
-        let mut depth = 0usize;
-        let mut end = stripped.len();
-        for (off, c) in stripped[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + off;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
+        let end = gated_end(stripped, at + ATTR.len());
         let first = stripped[..at].matches('\n').count();
-        let last = stripped[..end].matches('\n').count();
+        let last = stripped[..end].trim_end().matches('\n').count();
         for m in marks.iter_mut().take(last + 1).skip(first) {
             *m = true;
         }
         start = at + 1;
     }
     marks
+}
+
+/// Where what an attribute ending at byte `from` gates ends: past the
+/// closing brace of its body, or at the `;` or `,` that ends it (a `use`,
+/// a field, a statement), or before the bracket that closes the list it
+/// sits in (a last field without a comma). A `,` inside generic `<…>`
+/// (the `>` of `->` and `=>` closes none) or any separator inside `(…)`
+/// or `[…]` ends nothing.
+fn gated_end(s: &str, from: usize) -> usize {
+    let b = s.as_bytes();
+    let (mut nest, mut angle) = (0usize, 0usize);
+    for i in from..b.len() {
+        match b[i] {
+            b'(' | b'[' => nest += 1,
+            b')' | b']' if nest > 0 => nest -= 1,
+            b'<' => angle += 1,
+            b'>' if !matches!(b[i - 1], b'-' | b'=') => angle = angle.saturating_sub(1),
+            b'{' if nest == 0 => {
+                let mut braces = 0usize;
+                for (j, &c) in b.iter().enumerate().skip(i) {
+                    match c {
+                        b'{' => braces += 1,
+                        b'}' => {
+                            braces -= 1;
+                            if braces == 0 {
+                                return j + 1;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                return b.len();
+            }
+            b')' | b']' | b'}' | b';' if nest == 0 => return i,
+            b',' if nest == 0 && angle == 0 => return i,
+            _ => {}
+        }
+    }
+    b.len()
 }
 
 /// Does the function enclosing 1-based `line` consult the fingerprint
@@ -708,10 +732,13 @@ fn has_safety_comment(original: &[&str], idx: usize) -> bool {
 mod tests {
     use super::*;
 
-    /// Lint one file's source; `rel_path` decides rule applicability.
+    /// The token rules over one file's source; `rel_path` decides rule
+    /// applicability. (The structure rows read the whole tree.)
     fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
         let mut sink = Sink::default();
-        run(&Tree::from_files([(rel_path, src)]), &mut sink);
+        for file in &Tree::from_files([(rel_path, src)]).files {
+            check_file(file, &mut sink);
+        }
         sink.finish().0
     }
 
@@ -859,6 +886,22 @@ mod tests {
         // Writes and prefetches are not scans.
         let src = "fn put(ctx: &mut MemCtx, seg: PmAddr) {\n    ctx.write_u64(key_addr(seg, 0), 7);\n    ctx.prefetch(key_addr(seg, 0));\n}\n";
         assert!(lint_source("crates/core/src/ops.rs", src).is_empty());
+    }
+
+    #[test]
+    fn cfg_test_gates_only_the_item_it_marks() {
+        // A gated field, statement or `use` ends at its `,` or `;` (or
+        // before the bracket that closes its list); a gated item with a
+        // body ends at its closing brace. The code after each is not test
+        // code.
+        let src = "struct S {\n    #[cfg(test)]\n    slow: u64,\n}\nfn f() {}\n\
+                   fn g() -> S {\n    S {\n        #[cfg(test)]\n        slow: 0\n    }\n}\n\
+                   #[cfg(test)]\nuse std::time::Instant;\nfn h() {}\n\
+                   #[cfg(test)]\nfn t<A, B>(a: A, b: B) -> Vec<u8> {\n    vec![]\n}\nfn k() {}\n\
+                   fn m(a: u8, b: u8) {\n    #[cfg(test)]\n    let c = a < b;\n    n(a, b);\n}\n";
+        let marks = cfg_test_lines(&strip_non_code(src));
+        let test: Vec<usize> = (1..=marks.len()).filter(|&l| marks[l - 1]).collect();
+        assert_eq!(test, [2, 3, 8, 9, 12, 13, 15, 16, 17, 18, 21, 22], "{src}");
     }
 
     #[test]

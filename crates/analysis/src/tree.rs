@@ -35,6 +35,7 @@ pub fn is_test_path(path: &str) -> bool {
 }
 
 /// One source file, read and analysed once.
+#[derive(Clone)]
 pub struct SrcFile {
     /// Path relative to the tree root, `/`-separated.
     pub path: String,
@@ -118,6 +119,19 @@ impl Tree {
                 .into_iter()
                 .map(|(p, s)| SrcFile::new(p.into(), s.into()))
                 .collect(),
+            lowered: OnceCell::new(),
+            san_sites: OnceCell::new(),
+        }
+    }
+
+    /// A copy of this tree with the file at `path` replaced by (or added
+    /// as) `text`. The other files keep their parse; nothing is lowered.
+    pub fn with_file(&self, path: &str, text: String) -> Tree {
+        let mut files: Vec<SrcFile> = self.files.iter().filter(|f| f.path != path).cloned().collect();
+        files.push(SrcFile::new(path.to_string(), text));
+        files.sort_by(|a, b| a.path.cmp(&b.path));
+        Tree {
+            files,
             lowered: OnceCell::new(),
             san_sites: OnceCell::new(),
         }
@@ -266,6 +280,18 @@ impl Sink {
                 msg,
             });
         }
+    }
+
+    /// Report `rule` at 1-based `line` of the file at `path`, with no
+    /// test-code exemption and no waiver: the structure rows
+    /// ([`crate::structure`]) say themselves which text they read.
+    pub fn push_always(&mut self, path: &str, line: usize, rule: &'static str, msg: String) {
+        self.findings.push(Finding {
+            file: path.to_string(),
+            line,
+            rule,
+            msg,
+        });
     }
 
     /// The findings in `(file, line, rule)` order without duplicates,

@@ -93,9 +93,11 @@ fn bogus_citation_is_reported() {
     );
 }
 
-/// `all` is the three families run in order into one sink: its findings
-/// and `rule_stats` are the merge of the `classic`, `flow` and `conc`
-/// runs, and two loads of the tree render the same bytes.
+/// `all` is the three families run in order into one sink: the tree is
+/// clean under all of them (the classic token rules and structure rows
+/// included), its findings and `rule_stats` are the merge of the
+/// `classic`, `flow` and `conc` runs, and two loads of the tree render
+/// the same bytes.
 #[test]
 fn all_is_the_merge_of_the_three_modes_and_repeats() {
     let all = |tree: &Tree| {
@@ -109,6 +111,11 @@ fn all_is_the_merge_of_the_three_modes_and_repeats() {
     };
     let tree = Tree::load(&workspace_root()).unwrap();
     let (findings, stats, first) = all(&tree);
+    assert!(
+        findings.is_empty(),
+        "workspace must be lint-clean; found:\n{}",
+        findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
+    );
     assert_eq!(first, all(&Tree::load(&workspace_root()).unwrap()).2);
 
     let mut merged = Sink::default();
