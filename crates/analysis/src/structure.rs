@@ -317,6 +317,15 @@ const JOURNAL: &str = "Under eADR a batch record overwrites its whole line, so \
     read-for-ownership, no clwb, no cache line taken from the index. The named test pins the \
     counts and the 160 virtual ns.";
 
+const SLOT_RULES: &str = "DESIGN.md §2, \"Core\": each slot rule of §III-A and §III-D has one \
+    copy in crates/core, so an insert and a split cannot place a key where the probe does not \
+    look, and the probe and the overlay hit cannot disagree on a match. Placement is \
+    slot::place (the only caller of probe_order), the slot-candidate match is match_bucket, a \
+    probe's fp-word and bucket-line prefetch is prefetch_probe, the candidate-blob prefetch is \
+    prefetch_blobs, an update is one slot rewrite beside the in-place blob rewrite, and the \
+    inline payload and an old blob's size are each computed once.";
+const CORE_SRC: &[&str] = &["crates/core/src/"];
+
 /// Every structure row, grouped by the invariant its reason states.
 #[rustfmt::skip]
 pub const ROWS: &[Row] = &[
@@ -406,6 +415,15 @@ pub const ROWS: &[Row] = &[
     row("one-lock-word-per-set", HOST_COST, absent(&["crates/pmem/src/cache.rs"], sub(&["struct Way", "Mutex<Shard>"]))),
     row("no-thread-local-span", HOST_COST, absent(&["crates/pmem/src/span.rs"], sub(&["thread_local!"]))),
     row("one-host-prefetch", HOST_COST, lines(&["crates/", "benchmark/src/", "src/", "tests/", "examples/"], sub(&["_mm_prefetch"]), ONE)),
+
+    row("one-placement-rule", SLOT_RULES, absent_except(CORE_SRC, &["crates/core/src/slot.rs"], sub(&["probe_order("]).text(Text::NonTest))),
+    row("one-slot-match", SLOT_RULES, lines(CORE_SRC, sub(&["key_matches("]).also(&["(1 << "]).text(Text::NonTest), ONE)),
+    row("one-fp-word-prefetch", SLOT_RULES, lines(CORE_SRC, sub(&["prefetch("]).also(&["word_addr("]).text(Text::NonTest), ONE)),
+    row("one-bucket-line-prefetch", SLOT_RULES, lines(CORE_SRC, sub(&["prefetch("]).also(&["key_addr("]).text(Text::NonTest), ONE)),
+    row("one-candidate-blob-prefetch", SLOT_RULES, lines(CORE_SRC, sub(&["prefetch(ctx, addr)"]).text(Text::NonTest), ONE)),
+    row("one-slot-rewrite", SLOT_RULES, absent(&["crates/core/"], sub(&["MakeInline", "MadeInline", "UpdateKind::Inline", "UpdateKind::Replace", "Updated::"]))),
+    row("one-inline-packing", SLOT_RULES, lines(CORE_SRC, sub(&["copy_from_slice("]).also(&["INLINE_VALUE_LEN"]).text(Text::NonTest), ONE)),
+    row("one-old-blob-size", SLOT_RULES, lines(CORE_SRC, sub(&["blob_alloc_size(16 + value_word::payload("]).text(Text::NonTest), ONE)),
 
     test_runs(JOURNAL, "crates/service/src/lib.rs", "tests::eadr_publish_is_one_ntstore_and_one_fence"),
     row("journal-publishes-non-temporally", JOURNAL, lines(&["crates/service/src/lib.rs"], sub(&["ctx.ntstore_bytes("]), SOME)),

@@ -60,11 +60,11 @@ pub fn roster(geometry: Geometry) -> Vec<CrashTarget> {
     match geometry {
         Geometry::Sweep => targets.extend([
             Plush::crash_target(4),
-            Halo::crash_target(8 << 20, u64::MAX),
+            Halo::crash_target(8 << 20),
         ]),
         Geometry::Suite => targets.extend([
             Plush::crash_target(4),
-            Halo::crash_target(64 << 20, u64::MAX),
+            Halo::crash_target(64 << 20),
         ]),
         Geometry::Figure => targets.extend([
             // Recovery needs no geometry, so these two keep their crash
@@ -83,9 +83,9 @@ pub fn roster(geometry: Geometry) -> Vec<CrashTarget> {
             CrashTarget {
                 format: Box::new(|ctx| {
                     let log = ctx.device().arena().size() / 2;
-                    Box::new(Halo::format(ctx, log, u64::MAX).expect("format Halo"))
+                    Box::new(Halo::format(ctx, log).expect("format Halo"))
                 }),
-                ..Halo::crash_target(0, u64::MAX)
+                ..Halo::crash_target(0)
             },
         ]),
     }

@@ -41,7 +41,7 @@ use crate::overlay::{CachedBucket, Overlay};
 use crate::seginfo::SegInfoTable;
 use crate::slot::{
     self, bucket_of, bucket_slots, fp14, fp8, fp_word, hint_matches, key_addr, make_hint,
-    probe_order, value_addr, value_word, SlotKey, INLINE_VALUE_LEN, MAX_INLINE_KEY,
+    value_addr, value_word, BucketWords, Placement, SlotKey, INLINE_VALUE_LEN, MAX_INLINE_KEY,
     SLOTS_PER_BUCKET,
 };
 
@@ -82,27 +82,12 @@ pub struct Spash {
     pub(crate) fallbacks: AtomicU64,
 }
 
-/// `(key word, value word)` of one bucket's four slots.
-pub(crate) type BucketWords = [(u64, u64); SLOTS_PER_BUCKET as usize];
-
 /// A slot located during preparation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Found {
     pub idx: u8,
     pub kw: u64,
     pub vw: u64,
-}
-
-/// Where an insert will place its entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Placement {
-    /// A free slot in the key's main bucket.
-    Main(u8),
-    /// A free slot in an overflow bucket plus the main-bucket slot whose
-    /// value word will carry the overflow hint.
-    Overflow { idx: u8, hint_slot: u8 },
-    /// No placement possible: the segment must split.
-    Full,
 }
 
 /// An insert payload prepared before the transaction phase.
@@ -255,6 +240,14 @@ impl Spash {
         self.htm.host_prefetch(LineId::of_pm(addr));
     }
 
+    /// Prefetch the two lines a probe of bucket `b` of `seg` reads first,
+    /// its fp word and its bucket line, so that the two fetches share one
+    /// miss window instead of serializing.
+    pub(crate) fn prefetch_probe(&self, ctx: &mut MemCtx, seg: PmAddr, b: u8) {
+        self.prefetch(ctx, self.fptable.word_addr(seg, b));
+        self.prefetch(ctx, key_addr(seg, b * SLOTS_PER_BUCKET));
+    }
+
     /// Live entries.
     pub fn len(&self) -> u64 {
         self.entries.load(Ordering::Relaxed)
@@ -300,38 +293,12 @@ impl Spash {
     // preparation-phase helpers (no transactions)
     // =====================================================================
 
-    /// Find a free slot for an insert (preparation).
+    /// Find a free slot for an insert (preparation): [`slot::place`]
+    /// over `seg`'s PM buckets, each read as it is needed.
     pub(crate) fn find_placement(&self, ctx: &mut MemCtx, seg: PmAddr, h: u64) -> Placement {
-        let b = bucket_of(h);
-        let words = Plain::ok(self.read_bucket(&mut Plain, ctx, seg, b));
-        for (i, &(kw, _)) in words.iter().enumerate() {
-            if SlotKey::unpack(kw).is_empty() {
-                return Placement::Main(b * SLOTS_PER_BUCKET + i as u8);
-            }
-        }
-        // Main bucket full: we need both a free overflow slot and a free
-        // hint slot in the main bucket (every overflow entry must be
-        // findable through a hint).
-        let hint_slot = match words
-            .iter()
-            .position(|&(_, vw)| value_word::hint(vw) == 0)
-        {
-            Some(i) => b * SLOTS_PER_BUCKET + i as u8,
-            None => return Placement::Full,
-        };
-        // Placement hunts *empty* slots on the mutation path: fp tags
-        // pre-filter occupied matches, not free space.
-        for &ob in &probe_order(b)[1..] {
-            let words = Plain::ok(self.read_bucket(&mut Plain, ctx, seg, ob));
-            if let Some(j) = words
-                .iter()
-                .position(|&(kw, _)| SlotKey::unpack(kw).is_empty())
-            {
-                let idx = ob * SLOTS_PER_BUCKET + j as u8;
-                return Placement::Overflow { idx, hint_slot };
-            }
-        }
-        Placement::Full
+        slot::place(bucket_of(h), |b| {
+            Plain::ok(self.read_bucket(&mut Plain, ctx, seg, b))
+        })
     }
 
     /// Build the insert payload: inline when possible, otherwise an
@@ -344,17 +311,10 @@ impl Spash {
         key: u64,
         value: &[u8],
     ) -> Result<Payload, IndexError> {
-        if value.len() == INLINE_VALUE_LEN && key <= MAX_INLINE_KEY {
-            let mut le = [0u8; 8];
-            le[..INLINE_VALUE_LEN].copy_from_slice(value);
-            return Ok(Payload::Inline(u64::from_le_bytes(le)));
+        if let Some(v) = slot::inline_payload(key, value) {
+            return Ok(Payload::Inline(v));
         }
-        let alloc_size = self.blob_alloc_size(16 + value.len() as u64);
-        let a = self
-            .alloc
-            .alloc(ctx, alloc_size)
-            .map_err(|_| IndexError::OutOfMemory)?;
-        write_blob(ctx, a.addr, key, value);
+        let (a, alloc_size) = self.alloc_blob(ctx, key, value)?;
         Ok(Payload::Blob {
             addr: a.addr,
             val_len: value.len() as u64,
@@ -664,17 +624,8 @@ impl Spash {
             return Ok((None, None));
         }
         let words = self.read_bucket(a, ctx, seg, b)?;
-        for (i, &(kw, vw)) in words.iter().enumerate() {
-            if smask & (1 << i) != 0 && self.key_matches(a, ctx, kw, key, h)? {
-                return Ok((
-                    Some(Found {
-                        idx: b * SLOTS_PER_BUCKET + i as u8,
-                        kw,
-                        vw,
-                    }),
-                    Some((fpw, words)),
-                ));
-            }
+        if let Some(f) = self.match_bucket(a, ctx, &words, smask, key, h)? {
+            return Ok((Some(f), Some((fpw, words))));
         }
         // Overflow hints: the value words of the main bucket carry
         // [fp12|slot] hints for entries that circular probing pushed into
@@ -696,6 +647,28 @@ impl Spash {
             }
         }
         Ok((None, Some((fpw, words))))
+    }
+
+    /// The slot of `key`'s main-bucket image `words` that holds `key`,
+    /// among the slot candidates `smask` (bit `j`: slot `j` of the
+    /// bucket) that its fp word's tags leave: the PM probe and the
+    /// overlay hit both match through here.
+    fn match_bucket<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        words: &BucketWords,
+        smask: u8,
+        key: u64,
+        h: u64,
+    ) -> Result<Option<Found>, Abort> {
+        for (j, &(kw, vw)) in words.iter().enumerate() {
+            if smask & (1 << j) != 0 && self.key_matches(a, ctx, kw, key, h)? {
+                let idx = bucket_of(h) * SLOTS_PER_BUCKET + j as u8;
+                return Ok(Some(Found { idx, kw, vw }));
+            }
+        }
+        Ok(None)
     }
 
     /// Extract a found slot's value, guarding every blob line before the
@@ -864,74 +837,57 @@ impl Spash {
         Ok(Some((f.kw, f.vw)))
     }
 
+    /// Validate the update's plan against the slot and rewrite it. On
+    /// success, returns what the post-commit step flushes and frees;
+    /// `None`: the key is absent.
     fn update_apply<A: Access>(
         &self,
         a: &mut A,
         ctx: &mut MemCtx,
         p: &UpdatePrep,
         v: &NewValue<'_>,
-    ) -> Result<Result<Updated, IndexError>, Abort> {
+    ) -> Result<Result<Option<Updated>, IndexError>, Abort> {
         let plan = match &p.plan {
             Err(e) => return Ok(Err(*e)),
             Ok(plan) => plan,
         };
-        let (key, h, value, seg) = (v.key, v.h, v.bytes, p.routed.seg());
-        self.dir.validate(a, ctx, h, seg)?;
-        let f = match self.find(a, ctx, seg, key, h)? {
-            None => return Ok(Ok(Updated::NotFound)),
-            Some(f) => f,
+        let seg = p.routed.seg();
+        self.dir.validate(a, ctx, v.h, seg)?;
+        let Some(f) = self.find(a, ctx, seg, v.key, v.h)? else {
+            return Ok(Ok(None));
         };
         let plan = match plan {
+            Some(plan) if plan.idx == f.idx && plan.kw == f.kw => plan,
             // Prep missed but it exists now, or the slot moved: restart
             // preparation.
-            None => return a.abort(AB_STATE_CHANGED),
-            Some(p) => p,
+            _ => return a.abort(AB_STATE_CHANGED),
         };
-        if f.idx != plan.idx || f.kw != plan.kw {
-            return a.abort(AB_STATE_CHANGED);
-        }
         // Updates never touch fp tags (fp8, like fp14, depends only on
         // the key hash), but any slot-word write must invalidate overlay
         // entries caching this segment.
-        Ok(Ok(match plan.kind {
-            UpdateKind::Inline => {
+        Ok(Ok(Some(match plan.kind {
+            UpdateKind::Slot { kw, payload, flush } => {
+                // The key word changes with the representation or the
+                // blob; both words are rewritten in one step 5.
+                if kw != f.kw {
+                    a.write_u64(ctx, key_addr(seg, f.idx), kw)?;
+                }
                 a.write_u64(
                     ctx,
                     value_addr(seg, f.idx),
-                    value_word::with_payload(f.vw, v.inline_payload),
+                    value_word::with_payload(f.vw, payload),
                 )?;
                 a.bump_overlay(ctx, &self.overlay, seg)?;
-                Updated::Inline(value_addr(seg, f.idx))
-            }
-            UpdateKind::MakeInline => {
-                // Blob → inline: rewrite both words atomically and report
-                // the blob for freeing.
-                let old = match SlotKey::unpack(f.kw) {
-                    SlotKey::Ptr { addr, .. } => {
-                        (addr, self.blob_alloc_size(16 + value_word::payload(f.vw)))
-                    }
-                    _ => return a.abort(AB_STATE_CHANGED),
-                };
-                a.write_u64(
-                    ctx,
-                    key_addr(seg, f.idx),
-                    SlotKey::Inline { key, fp: fp14(h) }.pack(),
-                )?;
-                a.write_u64(
-                    ctx,
-                    value_addr(seg, f.idx),
-                    value_word::with_payload(f.vw, v.inline_payload),
-                )?;
-                a.bump_overlay(ctx, &self.overlay, seg)?;
-                Updated::MadeInline {
-                    slot: value_addr(seg, f.idx),
-                    old,
+                Updated {
+                    flush,
+                    free: self.blob_of(f.kw, f.vw),
                 }
             }
-            UpdateKind::InPlaceBlob { addr } => {
+            UpdateKind::InPlaceBlob { addr, spare } => {
                 // Rewrite the value bytes in place, word by word
                 // (undo-logged in a transaction, so the update is atomic
                 // there).
+                let value = v.bytes;
                 let mut off = 0usize;
                 while off < value.len() {
                     let mut w = [0u8; 8];
@@ -956,32 +912,12 @@ impl Spash {
                     // and overlay readers guard the blob lines themselves.
                     a.bump_overlay(ctx, &self.overlay, seg)?;
                 }
-                Updated::InPlaceBlob(addr, value.len() as u64)
-            }
-            UpdateKind::Replace { new_addr, new_size } => {
-                a.write_u64(
-                    ctx,
-                    key_addr(seg, f.idx),
-                    SlotKey::ptr(new_addr, h).pack(),
-                )?;
-                a.write_u64(
-                    ctx,
-                    value_addr(seg, f.idx),
-                    value_word::with_payload(f.vw, value.len() as u64),
-                )?;
-                let old = match SlotKey::unpack(f.kw) {
-                    SlotKey::Ptr { addr, .. } => {
-                        (addr, self.blob_alloc_size(16 + value_word::payload(f.vw)))
-                    }
-                    _ => (PmAddr::NULL, 0),
-                };
-                a.bump_overlay(ctx, &self.overlay, seg)?;
-                Updated::Replaced {
-                    new: (new_addr, new_size),
-                    old,
+                Updated {
+                    flush: (addr, 16 + value.len() as u64),
+                    free: spare,
                 }
             }
-        }))
+        })))
     }
 
     // =====================================================================
@@ -1091,11 +1027,7 @@ impl Spash {
                 // the cached route so the fp-word and bucket fetches
                 // overlap instead of serializing; a stale `seg` only
                 // wastes the fetch.
-                Ok(OverlayProbe::Fall) | Err(_) => {
-                    let b = bucket_of(h);
-                    self.prefetch(ctx, self.fptable.word_addr(hit.seg, b));
-                    self.prefetch(ctx, key_addr(hit.seg, b * SLOTS_PER_BUCKET));
-                }
+                Ok(OverlayProbe::Fall) | Err(_) => self.prefetch_probe(ctx, hit.seg, bucket_of(h)),
             }
         }
         let (r, install) = self.run_step5(
@@ -1135,19 +1067,10 @@ impl Spash {
         }
         let tag = fp8(h);
         let smask = fp_word::slot_candidates(hit.fpw, tag);
-        let hmask = fp_word::hint_candidates(hit.fpw, tag);
-        let b = bucket_of(h);
-        for (j, &(kw, vw)) in hit.words.iter().enumerate() {
-            if smask & (1 << j) != 0 && self.key_matches(tx, ctx, kw, key, h)? {
-                let f = Found {
-                    idx: b * SLOTS_PER_BUCKET + j as u8,
-                    kw,
-                    vw,
-                };
-                return Ok(OverlayProbe::Found(self.read_value(tx, ctx, f)?));
-            }
+        if let Some(f) = self.match_bucket(tx, ctx, &hit.words, smask, key, h)? {
+            return Ok(OverlayProbe::Found(self.read_value(tx, ctx, f)?));
         }
-        if hmask != 0 {
+        if fp_word::hint_candidates(hit.fpw, tag) != 0 {
             // A hint tag matches but overflow slots are not cached; the
             // PM probe chases it.
             return Ok(OverlayProbe::Fall);
@@ -1169,10 +1092,8 @@ impl Spash {
             None => false,
             Some((kw, vw)) => {
                 self.entries.fetch_sub(1, Ordering::Relaxed);
-                if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(kw) {
-                    let len = value_word::payload(vw);
-                    let alloc_size = self.blob_alloc_size(16 + len);
-                    self.alloc.free(ctx, addr, alloc_size);
+                if let Some((addr, size)) = self.blob_of(kw, vw) {
+                    self.alloc.free(ctx, addr, size);
                 }
                 true
             }
@@ -1186,6 +1107,34 @@ impl Spash {
             InsertPolicy::Scattered if blob_len <= 128 => 256,
             _ => blob_len,
         }
+    }
+
+    /// The out-of-place blob a slot's words reference, with its
+    /// allocation size; `None` for an inline (or empty) slot.
+    fn blob_of(&self, kw: u64, vw: u64) -> Option<(PmAddr, u64)> {
+        match SlotKey::unpack(kw) {
+            SlotKey::Ptr { addr, .. } => {
+                Some((addr, self.blob_alloc_size(16 + value_word::payload(vw))))
+            }
+            _ => None,
+        }
+    }
+
+    /// Allocate and write the blob of `key`'s out-of-place `value`; also
+    /// returns its allocation size.
+    fn alloc_blob(
+        &self,
+        ctx: &mut MemCtx,
+        key: u64,
+        value: &[u8],
+    ) -> Result<(spash_alloc::SmallAlloc, u64), IndexError> {
+        let size = self.blob_alloc_size(16 + value.len() as u64);
+        let a = self
+            .alloc
+            .alloc(ctx, size)
+            .map_err(|_| IndexError::OutOfMemory)?;
+        write_blob(ctx, a.addr, key, value);
+        Ok((a, size))
     }
 
     pub(crate) fn update_op(
@@ -1204,21 +1153,14 @@ impl Spash {
             UpdatePolicy::NeverFlush => false,
         };
 
-        let inline_ok = value.len() == INLINE_VALUE_LEN && key <= MAX_INLINE_KEY;
-        let mut inline_payload = 0u64;
-        if inline_ok {
-            let mut le = [0u8; 8];
-            le[..INLINE_VALUE_LEN].copy_from_slice(value);
-            inline_payload = u64::from_le_bytes(le);
-        }
         let v = NewValue {
             key,
             h,
             bytes: value,
-            inline_payload,
+            inline: slot::inline_payload(key, value),
         };
 
-        // A replacement blob is (re)allocated lazily, at most once, and
+        // A replacement blob is allocated lazily, at most once, and
         // reused across retries.
         let mut spare: Option<(PmAddr, u64)> = None;
 
@@ -1227,11 +1169,10 @@ impl Spash {
             Rw::Write,
             |s, ctx| {
                 let routed = s.dir.lookup(ctx, h);
-                let plan = match Plain::ok(s.find(&mut Plain, ctx, routed.seg(), key, h)) {
+                let seg = routed.seg();
+                let plan = match Plain::ok(s.find(&mut Plain, ctx, seg, key, h)) {
                     None => Ok(None),
-                    Some(f) => s
-                        .plan_update(ctx, f, key, value, inline_ok, &mut spare)
-                        .map(Some),
+                    Some(f) => s.plan_update(ctx, seg, f, &v, &mut spare).map(Some),
                 };
                 UpdatePrep { routed, plan }
             },
@@ -1243,77 +1184,66 @@ impl Spash {
         // Post-commit adaptive flush (§III-B): asynchronous clwb, no
         // fence — eADR needs none for durability; the flush exists purely
         // to schedule tidy XPLine writebacks.
-        match result? {
-            Updated::NotFound => {
-                if let Some((addr, size)) = spare {
-                    self.alloc.free(ctx, addr, size);
-                }
-                return Err(IndexError::NotFound);
+        let Some(done) = result? else {
+            if let Some((addr, size)) = spare {
+                self.alloc.free(ctx, addr, size);
             }
-            Updated::Inline(addr) => {
-                if flush_after {
-                    ctx.flush(addr);
-                }
-            }
-            Updated::InPlaceBlob(addr, len) => {
-                if flush_after {
-                    ctx.flush_range(addr, 16 + len);
-                }
-            }
-            Updated::Replaced { new, old } => {
-                if flush_after {
-                    ctx.flush_range(new.0, 16 + value.len() as u64);
-                }
-                if !old.0.is_null() {
-                    self.alloc.free(ctx, old.0, old.1);
-                }
-            }
-            Updated::MadeInline { slot, old } => {
-                if flush_after {
-                    ctx.flush(slot);
-                }
-                self.alloc.free(ctx, old.0, old.1);
-            }
+            return Err(IndexError::NotFound);
+        };
+        if flush_after {
+            ctx.flush_range(done.flush.0, done.flush.1);
+        }
+        if let Some((addr, size)) = done.free {
+            self.alloc.free(ctx, addr, size);
         }
         Ok(())
     }
 
+    /// Plan an update of the found slot `f` of `seg`. An inline value
+    /// rewrites the slot's words; a blob value of the old blob's size
+    /// rewrites the blob's bytes; any other blob value is written to the
+    /// spare, which the slot then links. The in-place plan carries the
+    /// spare an earlier attempt allocated, so that it is freed.
     fn plan_update(
         &self,
         ctx: &mut MemCtx,
+        seg: PmAddr,
         f: Found,
-        key: u64,
-        value: &[u8],
-        inline_ok: bool,
+        v: &NewValue<'_>,
         spare: &mut Option<(PmAddr, u64)>,
     ) -> Result<UpdatePlan, IndexError> {
-        let kind = match SlotKey::unpack(f.kw) {
-            SlotKey::Inline { .. } if inline_ok => UpdateKind::Inline,
-            SlotKey::Ptr { addr, .. } if !inline_ok => {
-                let old_len = value_word::payload(f.vw);
-                let old_size = self.blob_alloc_size(16 + old_len);
-                let new_size = self.blob_alloc_size(16 + value.len() as u64);
-                if old_size == new_size {
-                    UpdateKind::InPlaceBlob { addr }
-                } else {
-                    let (new_addr, sz) = self.take_spare(ctx, key, value, spare)?;
-                    UpdateKind::Replace {
-                        new_addr,
-                        new_size: sz,
+        let len = v.bytes.len() as u64;
+        let kind = match (v.inline, self.blob_of(f.kw, f.vw)) {
+            (Some(payload), _) => UpdateKind::Slot {
+                kw: SlotKey::Inline {
+                    key: v.key,
+                    fp: fp14(v.h),
+                }
+                .pack(),
+                payload,
+                flush: (value_addr(seg, f.idx), 8),
+            },
+            (None, Some((addr, size))) if size == self.blob_alloc_size(16 + len) => {
+                UpdateKind::InPlaceBlob {
+                    addr,
+                    spare: *spare,
+                }
+            }
+            (None, _) => {
+                let new = match *spare {
+                    Some((addr, _)) => addr,
+                    None => {
+                        let (a, size) = self.alloc_blob(ctx, v.key, v.bytes)?;
+                        *spare = Some((a.addr, size));
+                        a.addr
                     }
+                };
+                UpdateKind::Slot {
+                    kw: SlotKey::ptr(new, v.h).pack(),
+                    payload: len,
+                    flush: (new, 16 + len),
                 }
             }
-            // Representation change: blob → inline rewrites both words;
-            // inline → blob goes through Replace with no old blob to free.
-            SlotKey::Ptr { .. } => UpdateKind::MakeInline,
-            SlotKey::Inline { .. } => {
-                let (new_addr, sz) = self.take_spare(ctx, key, value, spare)?;
-                UpdateKind::Replace {
-                    new_addr,
-                    new_size: sz,
-                }
-            }
-            SlotKey::Empty => unreachable!("found slot cannot be empty"),
         };
         Ok(UpdatePlan {
             idx: f.idx,
@@ -1321,32 +1251,7 @@ impl Spash {
             kind,
         })
     }
-
-    fn take_spare(
-        &self,
-        ctx: &mut MemCtx,
-        key: u64,
-        value: &[u8],
-        spare: &mut Option<(PmAddr, u64)>,
-    ) -> Result<(PmAddr, u64), IndexError> {
-        let need = self.blob_alloc_size(16 + value.len() as u64);
-        if let Some((addr, size)) = *spare {
-            if size == need {
-                return Ok((addr, size));
-            }
-            self.alloc.free(ctx, addr, size);
-            *spare = None;
-        }
-        let a = self
-            .alloc
-            .alloc(ctx, need)
-            .map_err(|_| IndexError::OutOfMemory)?;
-        write_blob(ctx, a.addr, key, value);
-        *spare = Some((a.addr, need));
-        Ok((a.addr, need))
-    }
 }
-
 /// Write an out-of-place blob `[key][len][value]` at `addr` (write-nf),
 /// before any slot word links it: the insert payload and an update's
 /// replacement blob both go through here. Under eADR (the paper's
@@ -1423,28 +1328,21 @@ struct UpdatePrep {
     plan: Result<Option<UpdatePlan>, IndexError>,
 }
 
-/// The value an update will store; `inline_payload` is meaningful only
-/// for the inline plan kinds.
+/// The value an update will store; `inline` is its inline payload when
+/// it fits a slot.
 struct NewValue<'v> {
     key: u64,
     h: u64,
     bytes: &'v [u8],
-    inline_payload: u64,
+    inline: Option<u64>,
 }
 
-/// What an update wrote, for the post-commit flush and frees.
-enum Updated {
-    NotFound,
-    Inline(PmAddr),
-    InPlaceBlob(PmAddr, u64),
-    Replaced {
-        new: (PmAddr, u64),
-        old: (PmAddr, u64),
-    },
-    MadeInline {
-        slot: PmAddr,
-        old: (PmAddr, u64),
-    },
+/// What an update's step 5 did, for the post-commit step: the range the
+/// adaptive policy flushes, and the blob that no slot references any
+/// more (the old one, or an unused spare).
+struct Updated {
+    flush: (PmAddr, u64),
+    free: Option<(PmAddr, u64)>,
 }
 
 struct UpdatePlan {
@@ -1454,15 +1352,22 @@ struct UpdatePlan {
 }
 
 enum UpdateKind {
-    Inline,
-    MakeInline,
-    InPlaceBlob { addr: PmAddr },
-    Replace { new_addr: PmAddr, new_size: u64 },
+    /// Rewrite the slot: its key word when `kw` differs, then its value
+    /// word's payload.
+    Slot {
+        kw: u64,
+        payload: u64,
+        flush: (PmAddr, u64),
+    },
+    /// Rewrite the value bytes of the slot's blob at `addr`.
+    InPlaceBlob {
+        addr: PmAddr,
+        spare: Option<(PmAddr, u64)>,
+    },
 }
 
-/// A fixed-wrong representation-change guard: updating an inline slot to a
-/// blob value (or vice versa) rewrites both words, so the `Inline` kind
-/// must only be chosen when the new value is inline-eligible.
+/// An inline value is six bytes: the payload [`slot::inline_payload`]
+/// packs and [`GetResult::append_to`] unpacks.
 #[cfg(test)]
 mod invariants {
     #[test]

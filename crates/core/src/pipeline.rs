@@ -74,24 +74,13 @@ impl Spash {
                         // their addresses come from the cached key words.
                         let tag = fp8(h);
                         let mask = fp_word::slot_candidates(hit.fpw, tag);
-                        for j in 0..SLOTS_PER_BUCKET {
-                            if mask & (1 << j) == 0 {
-                                continue;
-                            }
-                            if let SlotKey::Ptr { addr, .. } =
-                                SlotKey::unpack(hit.words[j as usize].0)
-                            {
-                                self.prefetch(ctx, addr);
-                            }
-                        }
+                        self.prefetch_blobs(ctx, mask, hit.words.map(|(kw, _)| kw));
                         // A hint-tag match means the hit path will fall
                         // through to the PM probe (overflow slots are not
                         // cached): warm its lines now so that fall isn't
                         // a serialized pair of cold misses.
                         if fp_word::hint_candidates(hit.fpw, tag) != 0 {
-                            let b = bucket_of(h);
-                            self.prefetch(ctx, self.fptable.word_addr(hit.seg, b));
-                            self.prefetch(ctx, key_addr(hit.seg, b * SLOTS_PER_BUCKET));
+                            self.prefetch_probe(ctx, hit.seg, bucket_of(h));
                         }
                         plans.push(Plan::OverlayHit);
                         continue;
@@ -100,8 +89,7 @@ impl Spash {
                 let routed = self.dir.lookup(ctx, h);
                 let seg = routed.seg();
                 let b = bucket_of(h);
-                self.prefetch(ctx, self.fptable.word_addr(seg, b));
-                self.prefetch(ctx, key_addr(seg, b * SLOTS_PER_BUCKET));
+                self.prefetch_probe(ctx, seg, b);
                 if is_get {
                     plans.push(Plan::Probe { seg, h, b });
                 } else {
@@ -134,19 +122,26 @@ impl Spash {
                     Plan::Mutate { seg, b } => (seg, b, 0b1111),
                 };
                 let line = ctx.read_line(key_addr(seg, b * SLOTS_PER_BUCKET));
-                for j in 0..SLOTS_PER_BUCKET as usize {
-                    if mask & (1 << j) == 0 {
-                        continue;
-                    }
-                    if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(line[2 * j]) {
-                        self.prefetch(ctx, addr);
-                    }
-                }
+                self.prefetch_blobs(ctx, mask, std::array::from_fn(|j| line[2 * j]));
             }
             // Stage 3: run the operations; preparation reads hit the
             // prefetched lines, transaction phases execute serially.
             for op in chunk {
                 out.push(run_one(self, ctx, op));
+            }
+        }
+    }
+
+    /// Prefetch the blob of each pointer slot of a bucket whose bit is
+    /// set in `mask` (step 4 overlap); `kws` are the bucket's key words.
+    fn prefetch_blobs(&self, ctx: &mut MemCtx, mask: u8, kws: [u64; SLOTS_PER_BUCKET as usize]) {
+        let candidates = kws
+            .into_iter()
+            .enumerate()
+            .filter(|&(j, _)| mask & (1 << j) != 0);
+        for (_, kw) in candidates {
+            if let SlotKey::Ptr { addr, .. } = SlotKey::unpack(kw) {
+                self.prefetch(ctx, addr);
             }
         }
     }

@@ -346,6 +346,60 @@ pub fn probe_order(b: u8) -> [u8; 4] {
     [b, (b + 1) % 4, (b + 2) % 4, (b + 3) % 4]
 }
 
+/// `(key word, value word)` of one bucket's four slots.
+pub(crate) type BucketWords = [(u64, u64); SLOTS_PER_BUCKET as usize];
+
+/// Where an insert will place its entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Placement {
+    /// A free slot in the key's main bucket.
+    Main(u8),
+    /// A free slot in an overflow bucket plus the main-bucket slot whose
+    /// value word will carry the overflow hint.
+    Overflow { idx: u8, hint_slot: u8 },
+    /// No placement possible: the segment must split.
+    Full,
+}
+
+/// The placement rule (§III-A), one copy for live inserts and split
+/// images: the first empty slot of main bucket `b`; else, when a value
+/// word of `b` has no hint (every overflow entry must be findable
+/// through one), the first empty slot of the other buckets in
+/// [`probe_order`]. `bucket` reads one bucket's slots. It is called for
+/// `b`, then for each overflow bucket in turn until one has room, so a
+/// live insert reads no line the rule does not need. Placement hunts
+/// *empty* slots: fp tags pre-filter occupied matches, not free space.
+pub(crate) fn place(b: u8, mut bucket: impl FnMut(u8) -> BucketWords) -> Placement {
+    let empty = |w: &BucketWords| w.iter().position(|&(kw, _)| SlotKey::unpack(kw).is_empty());
+    let main = bucket(b);
+    if let Some(i) = empty(&main) {
+        return Placement::Main(b * SLOTS_PER_BUCKET + i as u8);
+    }
+    let Some(h) = main.iter().position(|&(_, vw)| value_word::hint(vw) == 0) else {
+        return Placement::Full;
+    };
+    let hint_slot = b * SLOTS_PER_BUCKET + h as u8;
+    for &ob in &probe_order(b)[1..] {
+        if let Some(j) = empty(&bucket(ob)) {
+            let idx = ob * SLOTS_PER_BUCKET + j as u8;
+            return Placement::Overflow { idx, hint_slot };
+        }
+    }
+    Placement::Full
+}
+
+/// The inline value-word payload of `value` under `key`, when the entry
+/// fits its slot: a 6-byte value of a key of at most 48 bits. `None`:
+/// the entry goes out of place.
+pub(crate) fn inline_payload(key: u64, value: &[u8]) -> Option<u64> {
+    if value.len() != INLINE_VALUE_LEN || key > MAX_INLINE_KEY {
+        return None;
+    }
+    let mut le = [0u8; 8];
+    le[..INLINE_VALUE_LEN].copy_from_slice(value);
+    Some(u64::from_le_bytes(le))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,8 +30,8 @@ use crate::access::{Access, Plain};
 use crate::dir::{unpack_entry, Routed};
 use crate::ops::{Spash, AB_STATE_CHANGED};
 use crate::slot::{
-    bucket_of, bucket_slots, fp8, fp_word, make_hint, probe_order, value_word,
-    SlotKey, BUCKETS_PER_SEG, SLOTS_PER_SEG,
+    self, bucket_of, fp8, fp_word, make_hint, value_word, BucketWords, Placement, BUCKETS_PER_SEG,
+    SLOTS_PER_BUCKET, SLOTS_PER_SEG,
 };
 
 /// One live entry being rehashed: (key word, value payload, key hash).
@@ -70,48 +70,35 @@ impl SegImage {
         self.words[idx as usize * 2 + 1] = w;
     }
 
-    /// Place an entry using the same rules as a live insert: main bucket
-    /// first, else circular probing plus an overflow hint. Returns false
-    /// when the entry cannot be placed (forces a deeper split).
+    /// Place an entry by the rule a live insert follows
+    /// ([`slot::place`]), setting its slot tag and, for an overflow
+    /// entry, the main bucket's hint and hint tag. Returns false when the
+    /// entry cannot be placed (forces a deeper split).
     pub fn place(&mut self, kw: u64, vw_payload: u64, h: u64) -> bool {
         let b = bucket_of(h);
-        let tag = crate::fptable::stored_tag(fp8(h));
-        for s in bucket_slots(b) {
-            if SlotKey::unpack(self.kw(s)).is_empty() {
-                self.set_kw(s, kw);
-                self.set_vw(s, value_word::with_payload(self.vw(s), vw_payload));
-                self.fp[b as usize] = fp_word::with_slot_tag(self.fp[b as usize], s % 4, tag);
-                return true;
-            }
-        }
-        let hint_slot = match bucket_slots(b).find(|&s| value_word::hint(self.vw(s)) == 0) {
-            Some(s) => s,
-            None => return false,
+        let (idx, hint_slot) = match slot::place(b, |ob| self.bucket(ob)) {
+            Placement::Main(idx) => (idx, None),
+            Placement::Overflow { idx, hint_slot } => (idx, Some(hint_slot)),
+            Placement::Full => return false,
         };
-        for &ob in &probe_order(b)[1..] {
-            for s in bucket_slots(ob) {
-                if SlotKey::unpack(self.kw(s)).is_empty() {
-                    self.set_kw(s, kw);
-                    self.set_vw(s, value_word::with_payload(self.vw(s), vw_payload));
-                    let hv = self.vw(hint_slot);
-                    self.set_vw(hint_slot, value_word::with_hint(hv, make_hint(h, s)));
-                    self.fp[ob as usize] =
-                        fp_word::with_slot_tag(self.fp[ob as usize], s % 4, tag);
-                    self.fp[b as usize] =
-                        fp_word::with_hint_tag(self.fp[b as usize], hint_slot % 4, tag);
-                    return true;
-                }
-            }
+        let tag = crate::fptable::stored_tag(fp8(h));
+        self.set_kw(idx, kw);
+        self.set_vw(idx, value_word::with_payload(self.vw(idx), vw_payload));
+        let ob = (idx / SLOTS_PER_BUCKET) as usize;
+        self.fp[ob] = fp_word::with_slot_tag(self.fp[ob], idx % SLOTS_PER_BUCKET, tag);
+        if let Some(hs) = hint_slot {
+            self.set_vw(hs, value_word::with_hint(self.vw(hs), make_hint(h, idx)));
+            let fp = self.fp[b as usize];
+            self.fp[b as usize] = fp_word::with_hint_tag(fp, hs % SLOTS_PER_BUCKET, tag);
         }
-        false
+        true
     }
 
-    /// Number of live entries in the image (used by tests/diagnostics).
-    #[allow(dead_code)]
-    pub fn live(&self) -> u32 {
-        (0..SLOTS_PER_SEG)
-            .filter(|&s| !SlotKey::unpack(self.kw(s)).is_empty())
-            .count() as u32
+    fn bucket(&self, b: u8) -> BucketWords {
+        std::array::from_fn(|j| {
+            let s = b * SLOTS_PER_BUCKET + j as u8;
+            (self.kw(s), self.vw(s))
+        })
     }
 }
 
@@ -510,6 +497,7 @@ impl Spash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot::{bucket_slots, SlotKey};
     use spash_index_api::hash_key;
 
     fn inline_entry(key: u64) -> SplitEntry {
@@ -523,6 +511,15 @@ mod tests {
             key * 10,
             h,
         )
+    }
+
+    impl SegImage {
+        /// Number of live entries in the image.
+        fn live(&self) -> u32 {
+            (0..SLOTS_PER_SEG)
+                .filter(|&s| !SlotKey::unpack(self.kw(s)).is_empty())
+                .count() as u32
+        }
     }
 
     #[test]

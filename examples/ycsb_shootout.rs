@@ -25,7 +25,7 @@ fn build(dev: &std::sync::Arc<PmDevice>, which: &str) -> Box<dyn PersistentIndex
         "Level" => Box::new(Level::format(&mut ctx, 10).unwrap()),
         "CLevel" => Box::new(CLevel::format(&mut ctx, 10).unwrap()),
         "Plush" => Box::new(Plush::format(&mut ctx, 8).unwrap()),
-        "Halo" => Box::new(Halo::format(&mut ctx, 256 << 20, u64::MAX).unwrap()),
+        "Halo" => Box::new(Halo::format(&mut ctx, 256 << 20).unwrap()),
         _ => unreachable!(),
     }
 }

@@ -39,7 +39,7 @@ fn build(which: usize) -> (Arc<PmDevice>, Box<dyn PersistentIndex>) {
         4 => Box::new(Level::format(&mut ctx, 4).unwrap()),
         5 => Box::new(CLevel::format(&mut ctx, 4).unwrap()),
         6 => Box::new(Plush::format(&mut ctx, 4).unwrap()),
-        7 => Box::new(Halo::format(&mut ctx, 32 << 20, u64::MAX).unwrap()),
+        7 => Box::new(Halo::format(&mut ctx, 32 << 20).unwrap()),
         _ => unreachable!(),
     };
     (dev, idx)
@@ -200,7 +200,7 @@ fn baseline_crash_sweeps_recover_committed_prefix() {
         Level::crash_target(4),
         CLevel::crash_target(4),
         Plush::crash_target(4),
-        Halo::crash_target(8 << 20, u64::MAX),
+        Halo::crash_target(8 << 20),
     ];
     for (domain, t) in [PersistenceDomain::Eadr, PersistenceDomain::Adr]
         .into_iter()

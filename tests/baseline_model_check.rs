@@ -34,7 +34,7 @@ fn build(which: usize) -> (Arc<PmDevice>, Box<dyn PersistentIndex>) {
         4 => Box::new(Level::format(&mut ctx, 4).unwrap()),
         5 => Box::new(CLevel::format(&mut ctx, 4).unwrap()),
         6 => Box::new(Plush::format(&mut ctx, 4).unwrap()),
-        7 => Box::new(Halo::format(&mut ctx, 48 << 20, u64::MAX).unwrap()),
+        7 => Box::new(Halo::format(&mut ctx, 48 << 20).unwrap()),
         _ => unreachable!(),
     };
     (dev, idx)

@@ -276,7 +276,7 @@ fn failing_schedule_seeds_replay_byte_identical_histories() {
     // Broken target: hunt for failing seeds, then require each failure to
     // replay byte-identically, violation included.
     let _c = canary::arm(Canary::HaloRacyInsert);
-    let target = Halo::crash_target(8 << 20, u64::MAX);
+    let target = Halo::crash_target(8 << 20);
     let mut failing = 0u32;
     for seed in 0..96u64 {
         let mut cfg = LinConfig::small(seed);

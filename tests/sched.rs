@@ -99,7 +99,7 @@ fn plush_concurrent_histories_linearize() {
 fn halo_concurrent_histories_linearize() {
     // The racy-insert canary must not be armed under the healthy run.
     let _quiet = canary::disarmed();
-    assert_linearizable(Halo::crash_target(8 << 20, u64::MAX), CI_SEEDS);
+    assert_linearizable(Halo::crash_target(8 << 20), CI_SEEDS);
 }
 
 /// Four threads (not three) still linearize: the checker's real-time
@@ -345,6 +345,51 @@ fn merge_racing_a_split_keeps_every_key() {
     });
 }
 
+/// An update prepares a replacement blob when its key's slot is inline.
+/// If a concurrent update of that key links a blob of the same size
+/// class first, the retry rewrites that blob in place and must free the
+/// unused replacement: two tasks update one inline-valued key with two
+/// blob values of one size class, and the heap audit counts no leak.
+/// The values are past the allocator's small classes: a freed small
+/// slot keeps its persistent bit, so the census would count it either
+/// way. The seeds must reach that retry (a transaction that aborted and
+/// prepared again) at least once.
+#[test]
+fn racing_blob_updates_of_an_inline_key_leak_nothing() {
+    use spash_repro::index_api::crashpoint::Recovered;
+    use spash_repro::index_api::PersistentIndex;
+
+    let key = 7u64;
+    let mut retried = 0;
+    for seed in 0..16 {
+        let dev = PmDevice::new(pm());
+        let mut ctx = dev.ctx();
+        let idx =
+            std::sync::Arc::new(Spash::format(&mut ctx, SpashConfig::test_default()).unwrap());
+        idx.insert(&mut ctx, key, &[0; 6]).unwrap();
+        let bodies: Vec<Box<dyn FnOnce() + Send>> = [1u8, 2]
+            .into_iter()
+            .map(|byte| {
+                let (idx, mut ctx) = (std::sync::Arc::clone(&idx), dev.ctx());
+                Box::new(move || idx.update(&mut ctx, key, &[byte; 200]).unwrap())
+                    as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        let out = run_tasks(&SchedConfig::random(seed, 64), None, bodies);
+        assert!(out.panics.is_empty(), "seed {seed}: {:?}", out.panics);
+        assert!(out.stopped.is_none(), "seed {seed}: {:?}", out.stopped);
+        let htm = idx.htm_stats();
+        retried += u32::from(htm.explicit_aborts + htm.conflict_aborts > 0);
+        assert_eq!(
+            idx.audit(&mut ctx),
+            (0, None),
+            "seed {seed}: trace = {:?}",
+            out.trace
+        );
+    }
+    assert!(retried > 0, "no seed made an update prepare twice");
+}
+
 /// Checker validation: with Halo's check-then-append atomicity broken
 /// (`Canary::HaloRacyInsert`), the explorer must find a
 /// linearizability violation, and the violation must replay
@@ -352,7 +397,7 @@ fn merge_racing_a_split_keeps_every_key() {
 #[test]
 fn mutated_halo_violation_is_caught_and_replays() {
     let _c = canary::arm(Canary::HaloRacyInsert);
-    let target = Halo::crash_target(8 << 20, u64::MAX);
+    let target = Halo::crash_target(8 << 20);
     // Insert-heavy collisions: no prefill, tiny key space, so racing
     // inserts of the same absent key are common.
     let mut cfg = ExploreConfig::ci(64);
@@ -431,3 +476,4 @@ fn batch_driver_trace_replays_byte_identically() {
     assert_eq!(trace, replayed, "replay diverged from the recorded decisions");
     assert_eq!(results, replayed_results, "replay changed a task's observations");
 }
+

@@ -40,5 +40,5 @@ fn cceh_histories_linearize_through_the_batched_front_end() {
 
 #[test]
 fn halo_histories_linearize_through_the_batched_front_end() {
-    assert_service_linearizable(Halo::crash_target(8 << 20, u64::MAX));
+    assert_service_linearizable(Halo::crash_target(8 << 20));
 }
