@@ -325,6 +325,12 @@ const SLOT_RULES: &str = "DESIGN.md §2, \"Core\": each slot rule of §III-A and
     prefetch_blobs, an update is one slot rewrite beside the in-place blob rewrite, and the \
     inline payload and an old blob's size are each computed once.";
 const CORE_SRC: &[&str] = &["crates/core/src/"];
+const ROUTE: &str = "DESIGN.md §2, \"Core\": a request is routed once, by Spash::route (its get's \
+    overlay lookup, else the directory), and its operation's one body runs from that route, \
+    in the pipeline's stage 3 as in a single op; a stale route is step 5's to catch. A second \
+    overlay lookup, a stage 3 through run_one, or a second hash of a batched key charges the \
+    request's route twice.";
+const PIPELINE: &[&str] = &["crates/core/src/pipeline.rs"];
 
 /// Every structure row, grouped by the invariant its reason states.
 #[rustfmt::skip]
@@ -424,6 +430,10 @@ pub const ROWS: &[Row] = &[
     row("one-slot-rewrite", SLOT_RULES, absent(&["crates/core/"], sub(&["MakeInline", "MadeInline", "UpdateKind::Inline", "UpdateKind::Replace", "Updated::"]))),
     row("one-inline-packing", SLOT_RULES, lines(CORE_SRC, sub(&["copy_from_slice("]).also(&["INLINE_VALUE_LEN"]).text(Text::NonTest), ONE)),
     row("one-old-blob-size", SLOT_RULES, lines(CORE_SRC, sub(&["blob_alloc_size(16 + value_word::payload("]).text(Text::NonTest), ONE)),
+
+    row("one-route-per-request", ROUTE, lines(CORE_SRC, sub(&["overlay.lookup("]).text(Text::NonTest), ONE)),
+    row("pipeline-runs-no-run-one", ROUTE, absent(PIPELINE, tok(&["run_one"]).text(Text::NonTest))),
+    row("pipeline-hashes-once", ROUTE, lines(PIPELINE, sub(&["hash_key("]).text(Text::NonTest), ONE)),
 
     test_runs(JOURNAL, "crates/service/src/lib.rs", "tests::eadr_publish_is_one_ntstore_and_one_fence"),
     row("journal-publishes-non-temporally", JOURNAL, lines(&["crates/service/src/lib.rs"], sub(&["ctx.ntstore_bytes("]), SOME)),

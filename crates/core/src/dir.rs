@@ -300,10 +300,12 @@ impl Directory {
         // unchanged *after* the guarded read, any later copy bumps the
         // version and aborts us at commit.
         let recheck = self.route(hash);
-        if recheck.dir.gen != routed.dir.gen || recheck.idx != routed.idx {
-            return tx.abort(VALIDATE_SEGMENT_MOVED);
-        }
-        if unpack_entry(entry).0 != expected_seg {
+        if recheck.dir.gen != routed.dir.gen
+            || recheck.idx != routed.idx
+            || unpack_entry(entry).0 != expected_seg
+        {
+            #[cfg(test)]
+            MOVED_ABORTS.with(|n| n.set(n.get() + 1));
             return tx.abort(VALIDATE_SEGMENT_MOVED);
         }
         Ok(Routed { entry, ..routed })
@@ -452,6 +454,13 @@ impl Directory {
 pub const VALIDATE_SEGMENT_MOVED: u32 = 1;
 /// Explicit-abort code: the target slot changed since preparation.
 pub const VALIDATE_SLOT_CHANGED: u32 = 2;
+
+#[cfg(test)]
+thread_local! {
+    /// The [`VALIDATE_SEGMENT_MOVED`] aborts this thread's validations
+    /// took: how unit tests see a stale route caught.
+    pub(crate) static MOVED_ABORTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 #[cfg(test)]
 mod tests {

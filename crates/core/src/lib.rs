@@ -58,7 +58,7 @@ pub use hotspot::PartitionedDetector;
 pub use integrity::{IntegrityError, IntegrityReport};
 pub use ops::Spash;
 
-use spash_index_api::{BatchOp, BatchResult, IndexError, PersistentIndex};
+use spash_index_api::{hash_key, BatchOp, BatchResult, IndexError, PersistentIndex};
 use spash_pmem::MemCtx;
 
 impl PersistentIndex for Spash {
@@ -70,26 +70,29 @@ impl PersistentIndex for Spash {
         }
     }
 
+    // Each method hashes the key and runs the operation's one body
+    // (`crate::ops`), which the pipeline's stage 3 also runs. A mutation
+    // routes at its first preparation, where it always has: after the
+    // payload is built and the update policy has seen the key.
+
     fn insert(&self, ctx: &mut MemCtx, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        self.insert_op(ctx, key, value)
+        self.insert_op(ctx, key, hash_key(key), None, value)
     }
 
     fn update(&self, ctx: &mut MemCtx, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        self.update_op(ctx, key, value)
+        self.update_op(ctx, key, hash_key(key), None, value)
     }
 
     fn get(&self, ctx: &mut MemCtx, key: u64, out: &mut Vec<u8>) -> bool {
-        ctx.stats_span(spash_pmem::SPAN_PROBE, |ctx| self.get_op(ctx, key, out))
+        ctx.stats_span(spash_pmem::SPAN_PROBE, |ctx| {
+            let h = hash_key(key);
+            let route = self.route(ctx, h, true);
+            self.get_op(ctx, key, h, route, out)
+        })
     }
 
     fn remove(&self, ctx: &mut MemCtx, key: u64) -> bool {
-        let removed = self.remove_op(ctx, key);
-        if removed && self.cfg.concurrency == ConcurrencyMode::Htm {
-            // Merging is transactional; in the lock-mode ablations it
-            // would race plain lock-holding writers, so it stays off.
-            self.try_merge(ctx, spash_index_api::hash_key(key));
-        }
-        removed
+        self.remove_op(ctx, key, hash_key(key), None)
     }
 
     fn entries(&self) -> u64 {

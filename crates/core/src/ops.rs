@@ -248,6 +248,25 @@ impl Spash {
         self.prefetch(ctx, key_addr(seg, b * SLOTS_PER_BUCKET));
     }
 
+    /// Step 1 for a request of hash `h`, taken once per request: a get
+    /// asks the overlay first; a mutation, and a get the overlay misses,
+    /// route through the directory.
+    pub(crate) fn route(&self, ctx: &mut MemCtx, h: u64, get: bool) -> Route {
+        if get {
+            if let Some(hit) = self.overlay.lookup(ctx, h) {
+                return Route::Overlay(hit);
+            }
+        }
+        Route::Dir(self.dir.lookup(ctx, h))
+    }
+
+    /// A preparation's route: the request's own on the first one, a
+    /// fresh directory lookup on every retry. A stale request route is
+    /// caught by step 5's `dir.validate`, like any stale preparation.
+    fn prep_route(&self, routed: &mut Option<Routed>, ctx: &mut MemCtx, h: u64) -> Routed {
+        routed.take().unwrap_or_else(|| self.dir.lookup(ctx, h))
+    }
+
     /// Live entries.
     pub fn len(&self) -> u64 {
         self.entries.load(Ordering::Relaxed)
@@ -924,13 +943,16 @@ impl Spash {
     // base operations
     // =====================================================================
 
+    /// Insert `key` (hash `h`). `routed` is the request's route, used
+    /// by the first preparation only; `None` routes there.
     pub(crate) fn insert_op(
         &self,
         ctx: &mut MemCtx,
         key: u64,
+        h: u64,
+        mut routed: Option<Routed>,
         value: &[u8],
     ) -> Result<(), IndexError> {
-        let h = hash_key(key);
         let payload = self.make_payload(ctx, key, value)?;
         let (kw, payload_word) = match payload {
             Payload::Inline(v) => (SlotKey::Inline { key, fp: fp14(h) }.pack(), v),
@@ -948,7 +970,7 @@ impl Spash {
                 ctx,
                 Rw::Write,
                 |s, ctx| {
-                    let routed = s.dir.lookup(ctx, h);
+                    let routed = s.prep_route(&mut routed, ctx, h);
                     let seg = routed.seg();
                     let dup = Plain::ok(s.find(&mut Plain, ctx, seg, key, h)).is_some();
                     let placement = if dup {
@@ -1004,36 +1026,51 @@ impl Spash {
         }
     }
 
-    pub(crate) fn get_op(&self, ctx: &mut MemCtx, key: u64, out: &mut Vec<u8>) -> bool {
-        let h = hash_key(key);
-        // DRAM overlay fast path: a route-matched entry, validated
-        // against the segment generations inside a short transaction,
-        // answers the probe without touching a PM bucket line (blob
-        // payloads still read PM, read-guarded as usual). Any stale or
-        // inconclusive outcome falls through to the PM probe below.
-        if let Some(hit) = self.overlay.lookup(ctx, h) {
-            match self
-                .htm
-                .try_transaction(ctx, |tx, ctx| self.get_from_overlay(tx, ctx, &hit, key, h))
-            {
-                Ok(OverlayProbe::Found(v)) => {
-                    v.append_to(out);
-                    return true;
+    /// Look `key` (hash `h`) up from its route. An overlay route is
+    /// validated in a short transaction; a stale or inconclusive one
+    /// falls to the PM probe, which routes through the directory.
+    pub(crate) fn get_op(
+        &self,
+        ctx: &mut MemCtx,
+        key: u64,
+        h: u64,
+        route: Route,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let mut routed = match route {
+            Route::Dir(routed) => Some(routed),
+            // DRAM overlay fast path: a route-matched entry, validated
+            // against the segment generations inside a short transaction,
+            // answers the probe without touching a PM bucket line (blob
+            // payloads still read PM, read-guarded as usual). Any stale or
+            // inconclusive outcome falls through to the PM probe below.
+            Route::Overlay(hit) => {
+                match self
+                    .htm
+                    .try_transaction(ctx, |tx, ctx| self.get_from_overlay(tx, ctx, &hit, key, h))
+                {
+                    Ok(OverlayProbe::Found(v)) => {
+                        v.append_to(out);
+                        return true;
+                    }
+                    Ok(OverlayProbe::Miss) => return false,
+                    // Stale entry, overflow-hint chase, or any abort: take
+                    // the PM path (no retry loop here — the slow path is
+                    // the retry). Prefetch the lines that probe will need
+                    // from the cached route so the fp-word and bucket
+                    // fetches overlap instead of serializing; a stale
+                    // `seg` only wastes the fetch.
+                    Ok(OverlayProbe::Fall) | Err(_) => {
+                        self.prefetch_probe(ctx, hit.seg, bucket_of(h));
+                        None
+                    }
                 }
-                Ok(OverlayProbe::Miss) => return false,
-                // Stale entry, overflow-hint chase, or any abort: take
-                // the PM path (no retry loop here — the slow path is the
-                // retry). Prefetch the lines that probe will need from
-                // the cached route so the fp-word and bucket fetches
-                // overlap instead of serializing; a stale `seg` only
-                // wastes the fetch.
-                Ok(OverlayProbe::Fall) | Err(_) => self.prefetch_probe(ctx, hit.seg, bucket_of(h)),
             }
-        }
+        };
         let (r, install) = self.run_step5(
             ctx,
             Rw::Read,
-            |s, ctx| s.dir.lookup(ctx, h),
+            |s, ctx| s.prep_route(&mut routed, ctx, h),
             |s, tx, ctx, routed| s.get_apply(tx, ctx, routed, key, h),
             |s, plain, ctx, routed| s.get_apply(plain, ctx, routed, key, h),
             |routed| routed,
@@ -1078,12 +1115,19 @@ impl Spash {
         Ok(OverlayProbe::Miss)
     }
 
-    pub(crate) fn remove_op(&self, ctx: &mut MemCtx, key: u64) -> bool {
-        let h = hash_key(key);
+    /// Remove `key` (hash `h`), then try to merge its segment away.
+    /// `routed` as for [`Self::insert_op`].
+    pub(crate) fn remove_op(
+        &self,
+        ctx: &mut MemCtx,
+        key: u64,
+        h: u64,
+        mut routed: Option<Routed>,
+    ) -> bool {
         let removed = self.run_step5(
             ctx,
             Rw::Write,
-            |s, ctx| s.dir.lookup(ctx, h),
+            |s, ctx| s.prep_route(&mut routed, ctx, h),
             |s, tx, ctx, routed| s.remove_apply(tx, ctx, routed, key, h),
             |s, plain, ctx, routed| s.remove_apply(plain, ctx, routed, key, h),
             |routed| routed,
@@ -1094,6 +1138,12 @@ impl Spash {
                 self.entries.fetch_sub(1, Ordering::Relaxed);
                 if let Some((addr, size)) = self.blob_of(kw, vw) {
                     self.alloc.free(ctx, addr, size);
+                }
+                if self.cfg.concurrency == ConcurrencyMode::Htm {
+                    // Merging is transactional; in the lock-mode ablations
+                    // it would race plain lock-holding writers, so it
+                    // stays off.
+                    self.try_merge(ctx, h);
                 }
                 true
             }
@@ -1137,13 +1187,15 @@ impl Spash {
         Ok((a, size))
     }
 
+    /// Update `key` (hash `h`). `routed` as for [`Self::insert_op`].
     pub(crate) fn update_op(
         &self,
         ctx: &mut MemCtx,
         key: u64,
+        h: u64,
+        mut routed: Option<Routed>,
         value: &[u8],
     ) -> Result<(), IndexError> {
-        let h = hash_key(key);
         // Adaptive policy decision (Table I): hot → no flush; cold ≤64 B →
         // no flush; cold >64 B → async flush after commit.
         let flush_after = match &self.cfg.update_policy {
@@ -1168,7 +1220,7 @@ impl Spash {
             ctx,
             Rw::Write,
             |s, ctx| {
-                let routed = s.dir.lookup(ctx, h);
+                let routed = s.prep_route(&mut routed, ctx, h);
                 let seg = routed.seg();
                 let plan = match Plain::ok(s.find(&mut Plain, ctx, seg, key, h)) {
                     None => Ok(None),
@@ -1285,6 +1337,24 @@ impl GetResult {
         match self {
             GetResult::Inline(v) => out.extend_from_slice(&v.to_le_bytes()[..INLINE_VALUE_LEN]),
             GetResult::Bytes(b) => out.extend_from_slice(b),
+        }
+    }
+}
+
+/// A request's route (step 1): the overlay entry a get's route matched,
+/// still unvalidated, or its directory entry.
+pub(crate) enum Route {
+    Overlay(CachedBucket),
+    Dir(Routed),
+}
+
+impl Route {
+    /// The directory route a mutation's first preparation takes; `None`
+    /// for an overlay route (stage 1 gives mutations none).
+    pub(crate) fn dir(self) -> Option<Routed> {
+        match self {
+            Route::Dir(routed) => Some(routed),
+            Route::Overlay(_) => None,
         }
     }
 }
