@@ -175,17 +175,21 @@ impl HeapCensus {
         self.small_slots.len() + self.segments.len() + self.large.len() + self.regions.len()
     }
 
-    /// The census-vs-reachability audit of a recovered index: returns
-    /// `(leaked allocations, corruption)`. Every address in `reachable`
-    /// (segment and region starts, blob addresses) must be a live
-    /// allocation in these books — anything else is use-after-free-grade
-    /// corruption — while live allocations the index cannot reach are
-    /// *counted* as leaks. Bounded leaks are expected: small slots freed
-    /// into the allocator's volatile caches keep their persistent bits,
-    /// and an in-flight operation can lose its freshly written blob or
-    /// region to the crash.
-    pub fn audit(&self, reachable: &HashSet<u64>) -> (u64, Option<String>) {
+    /// The census-vs-reachability audit of an index: returns `(leaked
+    /// allocations, corruption)`. `freed` are the small slots sitting in
+    /// the allocator's volatile free caches
+    /// ([`PmAllocator::cached_free_slots`]): they keep their persistent
+    /// bits, so the census lists them, but they are free. Every address
+    /// in `reachable` (segment and region starts, blob addresses) must be
+    /// a live allocation in these books and not a freed slot — anything
+    /// else is use-after-free-grade corruption — while the other live
+    /// allocations the index cannot reach are *counted* as leaks. After
+    /// a crash the caches start empty, so the freed slots that were
+    /// cached are leaks then (the documented bounded leak), and so is a
+    /// fresh blob or region an in-flight operation lost.
+    pub fn audit(&self, reachable: &HashSet<u64>, freed: &HashSet<u64>) -> (u64, Option<String>) {
         let allocated: HashSet<u64> = (self.small_slots.iter().map(|&(a, _)| a.0))
+            .filter(|a| !freed.contains(a))
             .chain(self.segments.iter().map(|a| a.0))
             .chain(self.large.iter().map(|&(a, _)| a.0))
             .chain(self.regions.iter().map(|&(a, _)| a.0))
@@ -706,6 +710,29 @@ impl PmAllocator {
         }
     }
 
+    /// Every small slot freed into a thread's cache and not handed out
+    /// again. A volatile read: no modelled access.
+    pub fn cached_free_slots(&self) -> HashSet<u64> {
+        let mut out = HashSet::new();
+        for th in &self.threads {
+            out.extend(th.lock().free_slots.iter().flatten().map(|a| a.0));
+        }
+        out
+    }
+
+    /// The audit of an index over this allocator that reaches
+    /// `reachable`: the heap census against it
+    /// ([`HeapCensus::audit`], without the slots this allocator has
+    /// cached free), then the high-water invariant
+    /// ([`PmAllocator::check_high_water`]).
+    pub fn audit(&self, reachable: &HashSet<u64>, ctx: &mut MemCtx) -> (u64, Option<String>) {
+        let (leaked, err) = match Self::census(ctx) {
+            Some(census) => census.audit(reachable, &self.cached_free_slots()),
+            None => (0, Some("no formatted heap found".into())),
+        };
+        (leaked, err.or_else(|| Self::check_high_water(ctx).err()))
+    }
+
     /// Number of chunks ever touched (diagnostic).
     pub fn frontier_chunks(&self) -> u64 {
         self.frontier.load(Ordering::Relaxed)
@@ -744,18 +771,29 @@ mod tests {
         let census = PmAllocator::census(&mut ctx).unwrap();
         assert_eq!(census.total(), 4);
 
+        let none = HashSet::new();
         let all: HashSet<u64> = [seg.0, blob.0, big.0, region.0].into_iter().collect();
-        assert_eq!(census.audit(&all), (0, None));
+        assert_eq!(census.audit(&all, &none), (0, None));
         // Allocated but unreachable: counted, not an error.
         let some: HashSet<u64> = [seg.0, region.0].into_iter().collect();
-        assert_eq!(census.audit(&some), (2, None));
-        assert_eq!(census.audit(&HashSet::new()), (4, None));
+        assert_eq!(census.audit(&some, &none), (2, None));
+        assert_eq!(census.audit(&none, &none), (4, None));
         // Reachable but not allocated: corruption, named by address.
         let stray = blob.0 + 8;
         let bad: HashSet<u64> = [seg.0, stray].into_iter().collect();
-        let (leaked, err) = census.audit(&bad);
+        let (leaked, err) = census.audit(&bad, &none);
         assert_eq!(leaked, 0);
         assert!(err.unwrap().contains(&format!("{stray:#x}")));
+        // A small slot freed into the cache keeps its bit but is free: no
+        // leak when unreachable, corruption when reached.
+        alloc.free(&mut ctx, blob, 40);
+        let freed = alloc.cached_free_slots();
+        assert_eq!(freed, HashSet::from([blob.0]));
+        assert_eq!(PmAllocator::census(&mut ctx).unwrap().total(), 4);
+        let live: HashSet<u64> = [seg.0, big.0, region.0].into_iter().collect();
+        assert_eq!(alloc.audit(&live, &mut ctx), (0, None));
+        let (_, err) = alloc.audit(&all, &mut ctx);
+        assert!(err.unwrap().contains(&format!("{:#x}", blob.0)));
     }
 
     #[test]

@@ -282,7 +282,7 @@ const HARNESS: &str = "One crash-sweep engine (crashpoint.rs; service/sweep.rs i
     driver's run (no run_tasks of its own), and one history log (history::Recorder). A \
     re-grown copy drifts.";
 const INDEX: &str = "One extendible-hash chassis under CCEH and Dash (exthash.rs), one \
-    census-vs-reachability audit (HeapCensus::audit, in spash-alloc) fed by one reachability \
+    census-vs-reachability audit (PmAllocator::audit, in spash-alloc) fed by one reachability \
     walk per index (Spash's is its integrity walk), no blocking-doubling path or \
     overlay-size knob, one counter list (pmem/stats.rs), one front door to the figures.";
 const CANARY: &str = "Every planted bug is a variant of spash_pmem::canary::Canary \

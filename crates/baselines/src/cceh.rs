@@ -388,7 +388,7 @@ impl Cceh {
 
 impl Recovered for Cceh {
     fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        common::audit(&self.reachable(ctx), ctx)
+        self.alloc.audit(&self.reachable(ctx), ctx)
     }
 }
 

@@ -567,7 +567,7 @@ impl CLevel {
 
 impl Recovered for CLevel {
     fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        common::audit(&self.reachable(), ctx)
+        self.alloc.audit(&self.reachable(), ctx)
     }
 }
 

@@ -6,8 +6,6 @@
 //!   behaviour the paper calls out for CCEH and Level hashing ("produce
 //!   PM writes to maintain read locks", §VI-B).
 
-use std::collections::HashSet;
-
 use spash_alloc::PmAllocator;
 use spash_index_api::IndexError;
 use spash_pmem::{MemCtx, PmAddr, VRwLock};
@@ -119,21 +117,6 @@ pub fn make_val(
         Some(w) => Ok(w),
         None => Ok(pack_blob(write_blob(alloc, ctx, key, value)?)),
     }
-}
-
-/// Every baseline's post-recovery audit
-/// ([`spash_index_api::crashpoint::Recovered::audit`]): census the heap
-/// and audit it ([`spash_alloc::HeapCensus::audit`]) against the
-/// addresses the recovered index can reach (region starts and blob
-/// addresses), then check the allocator's high-water invariant
-/// ([`PmAllocator::check_high_water`]). The caller has already walked the
-/// index for `reachable`; the census reads come second.
-pub(crate) fn audit(reachable: &HashSet<u64>, ctx: &mut MemCtx) -> (u64, Option<String>) {
-    let (leaked_allocs, audit_error) = match PmAllocator::census(ctx) {
-        Some(census) => census.audit(reachable),
-        None => (0, Some("no formatted heap found".into())),
-    };
-    (leaked_allocs, audit_error.or_else(|| PmAllocator::check_high_water(ctx).err()))
 }
 
 /// A reader-writer lock whose lock word lives in PM: every acquisition and

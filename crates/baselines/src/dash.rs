@@ -559,7 +559,7 @@ impl Dash {
 
 impl Recovered for Dash {
     fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        common::audit(&self.reachable(ctx), ctx)
+        self.alloc.audit(&self.reachable(ctx), ctx)
     }
 }
 

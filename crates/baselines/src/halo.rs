@@ -26,7 +26,6 @@ use spash_index_api::{hash_key, IndexError, PersistentIndex};
 use spash_pmem::canary::{self, Canary};
 use spash_pmem::{MemCtx, PmAddr, VRwLock};
 
-use crate::common;
 
 const SHARDS: usize = 64;
 /// Log extent handed to a thread at a time.
@@ -269,7 +268,7 @@ impl Halo {
 
 impl Recovered for Halo {
     fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        common::audit(&self.reachable(), ctx)
+        self.alloc.audit(&self.reachable(), ctx)
     }
 }
 

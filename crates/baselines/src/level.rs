@@ -415,7 +415,7 @@ impl Level {
 
 impl Recovered for Level {
     fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        common::audit(&self.reachable(ctx), ctx)
+        self.alloc.audit(&self.reachable(ctx), ctx)
     }
 }
 

@@ -628,7 +628,7 @@ impl Plush {
 
 impl Recovered for Plush {
     fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
-        common::audit(&self.reachable(ctx), ctx)
+        self.alloc.audit(&self.reachable(ctx), ctx)
     }
 }
 

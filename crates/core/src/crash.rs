@@ -21,7 +21,6 @@
 
 use std::collections::HashSet;
 
-use spash_alloc::PmAllocator;
 use spash_index_api::crashpoint::{CrashTarget, Recovered};
 use spash_pmem::MemCtx;
 
@@ -48,10 +47,10 @@ impl Spash {
 }
 
 impl Recovered for Spash {
-    /// The integrity walk ([`Spash::verify_integrity`]), then the heap
-    /// census ([`spash_alloc::HeapCensus::audit`]) against the addresses
-    /// that walk found reachable, and the allocator's high-water
-    /// invariant ([`PmAllocator::check_high_water`]). A failed walk is
+    /// The integrity walk ([`Spash::verify_integrity`]), then the
+    /// allocator's audit ([`spash_alloc::PmAllocator::audit`]: the heap
+    /// census and the high-water invariant) against the addresses that
+    /// walk found reachable. A failed walk is
     /// the audit's finding: the census then has no reachable set to
     /// check, so it does not run and no leak is counted.
     fn audit(&self, ctx: &mut MemCtx) -> (u64, Option<String>) {
@@ -59,17 +58,14 @@ impl Recovered for Spash {
             Ok((_, reachable)) => reachable.into_iter().map(|a| a.0).collect(),
             Err(e) => return (0, Some(e.to_string())),
         };
-        let (leaked, census_err) = match PmAllocator::census(ctx) {
-            Some(census) => census.audit(&reachable),
-            None => (0, Some("no formatted heap found".into())),
-        };
-        (leaked, census_err.or_else(|| PmAllocator::check_high_water(ctx).err()))
+        self.alloc.audit(&reachable, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spash_alloc::PmAllocator;
     use crate::recovery::tests::crashed_ptr_image;
     use crate::slot::{key_addr, SlotKey, BUCKETS_PER_SEG, SLOTS_PER_BUCKET, SLOTS_PER_SEG};
     use spash_index_api::PersistentIndex;

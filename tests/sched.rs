@@ -350,12 +350,9 @@ fn merge_racing_a_split_keeps_every_key() {
 /// class first, the retry rewrites that blob in place and must free the
 /// unused replacement: two tasks update one inline-valued key with two
 /// blob values of one size class, and the heap audit counts no leak.
-/// The values are past the allocator's small classes: a freed small
-/// slot keeps its persistent bit, so the census would count it either
-/// way. The seeds must reach that retry (a transaction that aborted and
+/// The seeds must reach that retry (a transaction that aborted and
 /// prepared again) at least once.
-#[test]
-fn racing_blob_updates_of_an_inline_key_leak_nothing() {
+fn racing_blob_updates_of_an_inline_key_leak_nothing_at(value_len: usize) {
     use spash_repro::index_api::crashpoint::Recovered;
     use spash_repro::index_api::PersistentIndex;
 
@@ -371,7 +368,7 @@ fn racing_blob_updates_of_an_inline_key_leak_nothing() {
             .into_iter()
             .map(|byte| {
                 let (idx, mut ctx) = (std::sync::Arc::clone(&idx), dev.ctx());
-                Box::new(move || idx.update(&mut ctx, key, &[byte; 200]).unwrap())
+                Box::new(move || idx.update(&mut ctx, key, &vec![byte; value_len]).unwrap())
                     as Box<dyn FnOnce() + Send>
             })
             .collect();
@@ -388,6 +385,21 @@ fn racing_blob_updates_of_an_inline_key_leak_nothing() {
         );
     }
     assert!(retried > 0, "no seed made an update prepare twice");
+}
+
+/// 200-byte values: the blobs are chunk runs, freed into the heap's
+/// books.
+#[test]
+fn racing_blob_updates_of_an_inline_key_leak_nothing() {
+    racing_blob_updates_of_an_inline_key_leak_nothing_at(200);
+}
+
+/// 20-byte values: the blobs are small slots, freed into a thread's
+/// volatile cache with their persistent bits set. The audit must tell a
+/// cached slot from a leaked one.
+#[test]
+fn racing_small_blob_updates_of_an_inline_key_leak_nothing() {
+    racing_blob_updates_of_an_inline_key_leak_nothing_at(20);
 }
 
 /// Checker validation: with Halo's check-then-append atomicity broken
