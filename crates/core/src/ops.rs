@@ -554,6 +554,18 @@ impl Spash {
         Ok(std::array::from_fn(|i| (line[2 * i], line[2 * i + 1])))
     }
 
+    /// Read slot `idx` of `seg` as `(key word, value word)`: one read of
+    /// its bucket's line.
+    fn read_slot<A: Access>(
+        &self,
+        a: &mut A,
+        ctx: &mut MemCtx,
+        seg: PmAddr,
+        idx: u8,
+    ) -> Result<(u64, u64), Abort> {
+        Ok(self.read_bucket(a, ctx, seg, idx / SLOTS_PER_BUCKET)?[(idx % SLOTS_PER_BUCKET) as usize])
+    }
+
     /// Read all 32 words of `seg` as its four bucket lines (split
     /// snapshot and validation, merge emptiness re-check, recovery).
     pub(crate) fn read_segment<A: Access>(
@@ -658,9 +670,8 @@ impl Spash {
                 if tidx / SLOTS_PER_BUCKET == b {
                     continue; // hints never point into the main bucket
                 }
-                let kw = a.read_u64(ctx, key_addr(seg, tidx))?;
+                let (kw, vw) = self.read_slot(a, ctx, seg, tidx)?;
                 if self.key_matches(a, ctx, kw, key, h)? {
-                    let vw = a.read_u64(ctx, value_addr(seg, tidx))?;
                     return Ok((Some(Found { idx: tidx, kw, vw }), Some((fpw, words))));
                 }
             }
@@ -740,8 +751,7 @@ impl Spash {
         match p.placement {
             Placement::Full => Ok(None),
             Placement::Main(idx) => {
-                let vw = a.read_u64(ctx, value_addr(seg, idx))?;
-                let kw = a.read_u64(ctx, key_addr(seg, idx))?;
+                let (kw, vw) = self.read_slot(a, ctx, seg, idx)?;
                 if !SlotKey::unpack(kw).is_empty() {
                     return a.abort(AB_STATE_CHANGED);
                 }
@@ -756,15 +766,14 @@ impl Spash {
                 Ok(Some(true))
             }
             Placement::Overflow { idx, hint_slot } => {
-                let kw = a.read_u64(ctx, key_addr(seg, idx))?;
+                let (kw, vw) = self.read_slot(a, ctx, seg, idx)?;
                 if !SlotKey::unpack(kw).is_empty() {
                     return a.abort(AB_STATE_CHANGED);
                 }
-                let hvw = a.read_u64(ctx, value_addr(seg, hint_slot))?;
+                let (_, hvw) = self.read_slot(a, ctx, seg, hint_slot)?;
                 if value_word::hint(hvw) != 0 {
                     return a.abort(AB_STATE_CHANGED);
                 }
-                let vw = a.read_u64(ctx, value_addr(seg, idx))?;
                 a.write_u64(
                     ctx,
                     value_addr(seg, idx),
@@ -829,9 +838,8 @@ impl Spash {
     ) -> Result<Option<(u64, u64)>, Abort> {
         let seg = routed.seg();
         self.dir.validate(a, ctx, h, seg)?;
-        let f = match self.find(a, ctx, seg, key, h)? {
-            None => return Ok(None),
-            Some(f) => f,
+        let (Some(f), main) = self.probe(a, ctx, seg, key, h)? else {
+            return Ok(None);
         };
         // Clear the key word; the payload bits can stay (slot emptiness
         // is defined by the key word alone), but the bucket-owned hint
@@ -839,12 +847,13 @@ impl Spash {
         a.write_u64(ctx, key_addr(seg, f.idx), 0)?;
         self.fptable.set_slot_tag(a, ctx, seg, f.idx, 0)?;
         // If the entry lived in an overflow bucket, drop its hint (and
-        // hint tag) from the main bucket.
+        // hint tag) from the main bucket, whose image the probe read on
+        // its way to the hint (the writes above touched neither).
         let b = bucket_of(h);
         if f.idx / SLOTS_PER_BUCKET != b {
+            let (_, words) = main.expect("a hint chase reads the main bucket");
             let target_hint = make_hint(h, f.idx);
-            for s_i in bucket_slots(b) {
-                let vw = a.read_u64(ctx, value_addr(seg, s_i))?;
+            for (s_i, &(_, vw)) in bucket_slots(b).zip(&words) {
                 if value_word::hint(vw) == target_hint {
                     a.write_u64(ctx, value_addr(seg, s_i), value_word::with_hint(vw, 0))?;
                     self.fptable.set_hint_tag(a, ctx, seg, s_i, 0)?;

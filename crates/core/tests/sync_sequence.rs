@@ -177,7 +177,8 @@ fn sync_event_stream_of_a_seeded_workload_is_pinned() {
     // batched request runs from its stage-1 route, so a request stage 1
     // routed through the directory takes the directory's state lock once
     // (1 790 of the 1 864 batched requests here); a stale route costs an
-    // explicit abort and a fresh route (4 here).
+    // explicit abort and a fresh route (4 here). Step 5 reads a slot's
+    // key and value words, and a hint's target slot, as one line.
     assert_eq!(
         (
             ops.len(),
@@ -190,8 +191,8 @@ fn sync_event_stream_of_a_seeded_workload_is_pinned() {
             3_728,
             1_898_707_696_300_657_924,
             384,
-            152_373,
-            17_556_600_398_433_936_524
+            148_787,
+            1_108_865_712_614_711_544
         ),
     );
 }

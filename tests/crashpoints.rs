@@ -77,22 +77,22 @@ const DECISION_CRASH_PINS: [(u64, [DecisionCrash; 6]); 2] = [
         3,
         [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
-            (65, true, Some(1), 0xf9b7_80a3_a668_73b4, false),
-            (129, true, Some(2), 0xfafa_dac0_1f63_0075, false),
-            (193, true, Some(2), 0xd132_350e_29a6_e835, false),
-            (257, true, Some(7), 0x7d2b_ac5f_31af_e354, false),
-            (322, true, Some(8), 0xb76a_37d9_a79d_2936, false),
+            (66, true, Some(1), 0xb0ce_a195_2d76_d17f, false),
+            (132, true, Some(2), 0x8853_25f8_1d79_ca39, false),
+            (198, true, Some(2), 0xc324_bf69_3b50_b462, false),
+            (264, true, Some(7), 0xd836_1162_38b8_b644, false),
+            (330, true, Some(8), 0x71e8_b393_bdc3_e93e, false),
         ],
     ),
     (
         11,
         [
             (1, true, Some(0), 0x0832_8807_b4eb_6fec, false),
-            (65, true, Some(1), 0x9f36_0361_c152_7a95, false),
-            (129, true, Some(5), 0x69bb_cdeb_d123_0c9c, false),
-            (194, true, Some(8), 0xb310_68ee_7c11_41be, false),
-            (258, true, Some(8), 0x37ed_208a_adea_9417, false),
-            (323, true, Some(8), 0x45d3_e677_f3cc_b81e, false),
+            (70, true, Some(1), 0x37bb_9bb2_4948_079a, false),
+            (139, true, Some(2), 0x5bb6_7ef0_65f7_88f6, false),
+            (209, true, Some(4), 0x5aff_805a_0331_0a5c, false),
+            (278, true, Some(8), 0xa96a_f246_b417_f52a, false),
+            (348, true, Some(8), 0xba93_4d75_ba43_af31, false),
         ],
     ),
 ];
