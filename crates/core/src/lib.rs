@@ -71,9 +71,10 @@ impl PersistentIndex for Spash {
     }
 
     // Each method hashes the key and runs the operation's one body
-    // (`crate::ops`), which the pipeline's stage 3 also runs. A mutation
-    // routes at its first preparation, where it always has: after the
-    // payload is built and the update policy has seen the key.
+    // (`crate::ops`), which the pipeline's stage 3 also runs. A single
+    // mutation passes no route (`None`), so it routes at its first
+    // preparation: after the payload is built and the update policy has
+    // seen the key.
 
     fn insert(&self, ctx: &mut MemCtx, key: u64, value: &[u8]) -> Result<(), IndexError> {
         self.insert_op(ctx, key, hash_key(key), None, value)
