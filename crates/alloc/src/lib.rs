@@ -15,7 +15,10 @@
 //!   lines below the mark only and stays proportional to the chunks in
 //!   use, not to the arena;
 //! * a 4-byte header per 256-byte heap chunk: state (free / small class /
-//!   segment / large run) plus, for small chunks, a 16-bit slot bitmap.
+//!   segment / run) plus, for small chunks, a 16-bit slot bitmap and, for
+//!   a run's start, its length in chunks. A *run* is any allocation of
+//!   several chunks, a blob over 128 B or a baseline's region: one header
+//!   format, one release and one free list serve both.
 //!
 //! Volatile state (rebuilt by [`PmAllocator::recover`]):
 //! * per-thread active chunks and slot free-caches per size class;
@@ -42,16 +45,18 @@ pub use layout::{Layout, CHUNK};
 /// (≤128-byte) are managed in XPLine-sized chunks").
 pub const SMALL_CLASSES: [u64; 6] = [16, 32, 48, 64, 96, 128];
 
-// Chunk header states.
+// Chunk header states: a header's top byte.
 const ST_FREE: u8 = 0;
 // 1..=6: small class index + 1.
 const ST_SEGMENT: u8 = 0xF0;
-const ST_LARGE: u8 = 0xE0;
-const ST_LARGE_CONT: u8 = 0xE1;
-/// Region start: the low 24 bits of the header hold the run length in
-/// chunks (up to 4 GiB regions). Used for baseline index tables.
-const ST_REGION: u8 = 0xD0;
-const ST_REGION_CONT: u8 = 0xD1;
+/// A run's start, a blob's or (with [`RUN_REGION`] set) a region's; the
+/// low 24 bits hold its length in chunks.
+const ST_RUN: u8 = 0xD0;
+const RUN_REGION: u8 = 0x08;
+/// A run's continuation, on every 64th chunk of the run and on its last.
+const ST_RUN_CONT: u8 = 0xD1;
+const RUN_LEN: u32 = 0xff_ffff;
+const RUN_HEADER_STRIDE: usize = 64;
 
 /// Chunk headers per cacheline of the header table, which starts on an
 /// XPLine boundary.
@@ -65,10 +70,8 @@ const HIGH_WATER_STEP: u64 = 1024;
 enum Chunk {
     Free,
     Segment,
-    /// The start of a large allocation.
-    Large,
-    /// The start of a region run.
-    Region,
+    /// The start of a run: a region's, or a blob's.
+    Run { region: bool },
     /// A small-class chunk: class index and slot bitmap.
     Small(usize, u16),
     /// The interior of a run (or a corrupted start, or an unknown
@@ -81,7 +84,8 @@ enum Chunk {
 pub enum AllocError {
     /// The heap has no free chunk run of the required length.
     OutOfMemory,
-    /// Requested size exceeds the maximum large allocation (255 chunks).
+    /// Requested size exceeds the maximum blob run (255 chunks), or a
+    /// region's 24-bit length.
     TooLarge,
 }
 
@@ -123,8 +127,8 @@ struct ThreadHeap {
 
 struct Global {
     free_chunks: Vec<u64>,
-    /// Free large runs: (length, start chunk).
-    free_runs: Vec<(u8, u64)>,
+    /// Free runs of blobs and regions alike: (length, start chunk).
+    free_runs: Vec<(u64, u64)>,
 }
 
 /// The allocator. Shared across simulated threads.
@@ -146,8 +150,9 @@ pub struct RecoveredHeap {
     pub alloc: PmAllocator,
     /// Every live 256-byte segment (for the index's directory rebuild).
     pub segments: Vec<PmAddr>,
-    /// Every live region run as `(base, byte length)` — baseline index
-    /// tables, WALs, and logs live here.
+    /// Every live region as `(base, byte length)` — baseline index
+    /// tables, WALs, and logs live here. Blob runs are not listed: the
+    /// index that owns them finds them through its own slots.
     pub regions: Vec<(PmAddr, u64)>,
 }
 
@@ -163,9 +168,11 @@ pub struct HeapCensus {
     pub small_slots: Vec<(PmAddr, u64)>,
     /// Live 256-byte segments.
     pub segments: Vec<PmAddr>,
-    /// Live large allocations as `(base, byte length)`.
+    /// Live blob runs (allocations over 128 B from
+    /// [`PmAllocator::alloc`]) as `(base, byte length)`.
     pub large: Vec<(PmAddr, u64)>,
-    /// Live regions as `(base, byte length)`.
+    /// Live region runs ([`PmAllocator::alloc_region`]) as `(base, byte
+    /// length)`.
     pub regions: Vec<(PmAddr, u64)>,
 }
 
@@ -268,8 +275,8 @@ impl PmAllocator {
                     return;
                 }
                 Chunk::Segment => segments.push(l.chunk_addr(i)),
-                Chunk::Region => regions.push((l.chunk_addr(i), len * CHUNK)),
-                Chunk::Large | Chunk::Other => {}
+                Chunk::Run { region: true } => regions.push((l.chunk_addr(i), len * CHUNK)),
+                Chunk::Run { region: false } | Chunk::Other => {}
                 Chunk::Small(class, bitmap) => {
                     // Recover the chunk's free slots.
                     let mut th = alloc.threads[i as usize % alloc.n_thread_shards].lock();
@@ -303,8 +310,8 @@ impl PmAllocator {
         Self::walk_headers(ctx, &l, mark, |i, len, chunk| match chunk {
             Chunk::Free | Chunk::Other => {}
             Chunk::Segment => out.segments.push(l.chunk_addr(i)),
-            Chunk::Large => out.large.push((l.chunk_addr(i), len * CHUNK)),
-            Chunk::Region => out.regions.push((l.chunk_addr(i), len * CHUNK)),
+            Chunk::Run { region: false } => out.large.push((l.chunk_addr(i), len * CHUNK)),
+            Chunk::Run { region: true } => out.regions.push((l.chunk_addr(i), len * CHUNK)),
             Chunk::Small(class, bitmap) => {
                 for (s, addr) in Self::slots(&l, i, class) {
                     if bitmap & (1 << s) != 0 {
@@ -323,9 +330,9 @@ impl PmAllocator {
     /// ([`Window`]), so the prefetch table decides how many lines are in
     /// flight. It covers the chunks below the persisted high-water `mark`
     /// only: every header from the mark on is free. Chunks are visited in
-    /// chunk order: a large or region run is visited once, at its start,
-    /// with its length in chunks (at least 1), and its interior is
-    /// skipped; every other chunk has length 1.
+    /// chunk order: a run is visited once, at its start, with its length
+    /// in chunks (at least 1), and its interior is skipped; every other
+    /// chunk has length 1.
     ///
     /// A line wholly inside a run already decoded is not fetched, unless
     /// it was in flight when the run's start was decoded: those lines are
@@ -388,8 +395,10 @@ impl PmAllocator {
         match (h >> 24) as u8 {
             ST_FREE => (Chunk::Free, 1),
             ST_SEGMENT => (Chunk::Segment, 1),
-            ST_LARGE => (Chunk::Large, ((h >> 16) & 0xff).max(1) as u64),
-            ST_REGION => (Chunk::Region, (h & 0xff_ffff).max(1) as u64),
+            state if state & !RUN_REGION == ST_RUN => {
+                let region = state & RUN_REGION != 0;
+                (Chunk::Run { region }, (h & RUN_LEN).max(1) as u64)
+            }
             state if ((state - 1) as usize) < SMALL_CLASSES.len() => {
                 (Chunk::Small((state - 1) as usize, h as u16), 1)
             }
@@ -475,7 +484,7 @@ impl PmAllocator {
             if len == 1 {
                 g.free_chunks.pop()
             } else {
-                let pos = g.free_runs.iter().position(|&(l, _)| l as u64 == len);
+                let pos = g.free_runs.iter().position(|&(l, _)| l == len);
                 pos.map(|pos| g.free_runs.swap_remove(pos).1)
             }
         };
@@ -531,8 +540,7 @@ impl PmAllocator {
         // here would give debug builds a sync point and a cache access
         // that release builds do not have.
         debug_assert_eq!((Self::header_peek(&self.layout, ctx, c) >> 24) as u8, ST_SEGMENT);
-        self.header_set(ctx, c, Self::pack_header(ST_FREE, 0, 0));
-        self.global.lock().free_chunks.push(c);
+        self.release(ctx, c, 1);
     }
 
     /// The small size class index for `size`, if `size` ≤ 128.
@@ -551,14 +559,8 @@ impl PmAllocator {
         if nchunks > 255 {
             return Err(AllocError::TooLarge);
         }
-        let start = self.take_run(ctx, nchunks, Self::pack_header(ST_LARGE, nchunks as u8, 0))?;
-        for i in 1..nchunks {
-            self.header_set(ctx, start + i, Self::pack_header(ST_LARGE_CONT, 0, 0));
-        }
-        let addr = self.layout.chunk_addr(start);
-        ctx.san_tag(addr, nchunks * CHUNK, "large");
         Ok(SmallAlloc {
-            addr,
+            addr: self.alloc_run(ctx, nchunks, false)?,
             exhausted_chunk: None,
         })
     }
@@ -624,66 +626,20 @@ impl PmAllocator {
     /// Allocate a contiguous region of `size` bytes (XPLine-rounded, no
     /// upper bound beyond the heap itself). Regions back the baseline
     /// indexes' large tables (CCEH segments, Level/CLevel levels, Plush
-    /// levels, Halo logs). Only the *start* chunk's header records the
-    /// length, so freeing needs no size argument.
+    /// levels, Halo logs). A region is a run, so freeing needs no size
+    /// argument, and a freed region is handed out again by the next
+    /// request of its length.
     pub fn alloc_region(&self, ctx: &mut MemCtx, size: u64) -> Result<PmAddr, AllocError> {
-        self.alloc_region_tagged(ctx, size, "region")
-    }
-
-    /// [`PmAllocator::alloc_region`] with a sanitizer region tag naming
-    /// the structure the region backs (rendered in violation reports).
-    pub fn alloc_region_tagged(
-        &self,
-        ctx: &mut MemCtx,
-        size: u64,
-        tag: &str,
-    ) -> Result<PmAddr, AllocError> {
         let nchunks = size.div_ceil(CHUNK).max(1);
-        if nchunks >= 1 << 24 {
+        if nchunks > RUN_LEN as u64 {
             return Err(AllocError::TooLarge);
         }
-        let start = self.take_run(
-            ctx,
-            nchunks,
-            (ST_REGION as u32) << 24 | (nchunks as u32 & 0xff_ffff),
-        )?;
-        // Continuation headers are only needed so a recovery scan can skip
-        // the run; write one per 64 chunks to bound format cost, plus the
-        // final chunk.
-        let mut i = 64;
-        while i < nchunks {
-            self.header_set(ctx, start + i, (ST_REGION_CONT as u32) << 24);
-            i += 64;
-        }
-        if nchunks > 1 {
-            self.header_set(ctx, start + nchunks - 1, (ST_REGION_CONT as u32) << 24);
-        }
-        let addr = self.layout.chunk_addr(start);
-        ctx.san_tag(addr, nchunks * CHUNK, tag);
-        Ok(addr)
+        self.alloc_run(ctx, nchunks, true)
     }
 
     /// Free a region allocated with [`PmAllocator::alloc_region`].
     pub fn free_region(&self, ctx: &mut MemCtx, addr: PmAddr) {
-        let start = self.layout.chunk_of(addr);
-        let h = Self::header_get(&self.layout, ctx, start);
-        debug_assert_eq!((h >> 24) as u8, ST_REGION, "free_region of non-region");
-        let len = (h & 0xff_ffff) as u64;
-        self.header_set(ctx, start, 0);
-        let mut i = 64;
-        while i < len {
-            self.header_set(ctx, start + i, 0);
-            i += 64;
-        }
-        if len > 1 {
-            self.header_set(ctx, start + len - 1, 0);
-        }
-        // Regions are not recycled through the run free-lists (they are
-        // few and long-lived); leak the address range deliberately unless
-        // it abuts the frontier.
-        let _ = self
-            .frontier
-            .compare_exchange(start + len, start, Ordering::AcqRel, Ordering::Acquire);
+        self.free_run(ctx, addr, true);
     }
 
     /// Free an allocation of `size` bytes at `addr`.
@@ -695,18 +651,59 @@ impl PmAllocator {
             self.threads[shard].lock().free_slots[class].push(addr);
             return;
         }
+        self.free_run(ctx, addr, false);
+    }
+
+    // ---- runs -----------------------------------------------------------
+
+    /// A run's start header, its length aside.
+    fn run_state(region: bool) -> u32 {
+        ((ST_RUN | if region { RUN_REGION } else { 0 }) as u32) << 24
+    }
+
+    /// The chunks of the `len`-chunk run at `start` that carry a header:
+    /// its start, every 64th chunk after it, and its last. The start holds
+    /// the length, so the header walk skips the rest.
+    fn run_headers(start: u64, len: u64) -> impl Iterator<Item = u64> {
+        let last = !(len - 1).is_multiple_of(RUN_HEADER_STRIDE as u64);
+        (start..start + len).step_by(RUN_HEADER_STRIDE).chain(last.then_some(start + len - 1))
+    }
+
+    /// Take a run of `len` chunks and write its headers, start first.
+    fn alloc_run(&self, ctx: &mut MemCtx, len: u64, region: bool) -> Result<PmAddr, AllocError> {
+        let start = self.take_run(ctx, len, Self::run_state(region) | len as u32)?;
+        for c in Self::run_headers(start, len).skip(1) {
+            self.header_set(ctx, c, Self::pack_header(ST_RUN_CONT, 0, 0));
+        }
+        let addr = self.layout.chunk_addr(start);
+        ctx.san_tag(addr, len * CHUNK, if region { "region" } else { "large" });
+        Ok(addr)
+    }
+
+    /// Free the run at `addr`, its length read from its start header.
+    fn free_run(&self, ctx: &mut MemCtx, addr: PmAddr, region: bool) {
         let start = self.layout.chunk_of(addr);
         let h = Self::header_get(&self.layout, ctx, start);
-        debug_assert_eq!((h >> 24) as u8, ST_LARGE, "free of non-allocation");
-        let len = ((h >> 16) & 0xff) as u64;
-        for i in 0..len {
-            self.header_set(ctx, start + i, Self::pack_header(ST_FREE, 0, 0));
+        debug_assert_eq!(h & !RUN_LEN, Self::run_state(region), "free of a non-run");
+        self.release(ctx, start, (h & RUN_LEN) as u64);
+    }
+
+    /// Clear the headers of the run of `len` chunks at `start` (a segment
+    /// is a run of one), start first, and list it free for the next
+    /// request of its length.
+    fn release(&self, ctx: &mut MemCtx, start: u64, len: u64) {
+        let free = Self::pack_header(ST_FREE, 0, 0);
+        // Outside the loop: `spash-lint flow` must see a header cleared
+        // (flushed and fenced under ADR) on every path through a free.
+        self.header_set(ctx, start, free);
+        for c in Self::run_headers(start, len).skip(1) {
+            self.header_set(ctx, c, free);
         }
         let mut g = self.global.lock();
         if len == 1 {
             g.free_chunks.push(start);
         } else {
-            g.free_runs.push((len as u8, start));
+            g.free_runs.push((len, start));
         }
     }
 
@@ -931,8 +928,9 @@ mod tests {
 
     /// The walk ends at the persisted high-water mark, not at the end of
     /// the table, and the mark only rises: a region freed at the frontier
-    /// rolls the frontier back but leaves the mark where it was, in PM and
-    /// in the mirror recovery rebuilds.
+    /// leaves the mark where it was, in PM and in the mirror recovery
+    /// rebuilds, while recovery draws the frontier back to the last live
+    /// chunk.
     #[test]
     fn header_walk_stops_at_the_high_water_mark() {
         let dev = PmDevice::new(PmConfig::small_test());
@@ -949,7 +947,7 @@ mod tests {
         assert_eq!(alloc.frontier_chunks(), HIGH_WATER_STEP + 1);
         assert_eq!(mark(&ctx), 2 * HIGH_WATER_STEP);
         alloc.free_region(&mut ctx, region);
-        assert_eq!(alloc.frontier_chunks(), 1, "the free rolled the frontier back");
+        assert_eq!(alloc.frontier_chunks(), HIGH_WATER_STEP + 1, "the region went to the free list");
         assert_eq!(mark(&ctx), 2 * HIGH_WATER_STEP, "the mark never falls");
         dev.simulate_power_failure();
 
@@ -1119,8 +1117,62 @@ mod tests {
         // A subsequent allocation must not land inside the region.
         let s = alloc.alloc_segment(&mut ctx).unwrap();
         assert!(s.0 >= r.0 + (1 << 20) || s.0 < r.0);
-        // Freeing at the frontier rolls it back so space is reusable.
+        // The freed region is the next 1 MiB region.
         alloc.free_region(&mut ctx, r);
+        assert_eq!(alloc.alloc_region(&mut ctx, 1 << 20).unwrap(), r);
+    }
+
+    /// A freed region goes on the one run free list: the next request of
+    /// its length, a region's or a blob's, takes it, and the frontier does
+    /// not move. The region is not at the frontier, so rolling the
+    /// frontier back could not reclaim it.
+    #[test]
+    fn freed_region_is_reused_by_the_next_request_of_its_length() {
+        let (_dev, alloc, mut ctx) = setup();
+        let r = alloc.alloc_region(&mut ctx, 4 * CHUNK).unwrap();
+        let _tail = alloc.alloc_segment(&mut ctx).unwrap();
+        let frontier = alloc.frontier_chunks();
+        alloc.free_region(&mut ctx, r);
+        assert_eq!(alloc.alloc_region(&mut ctx, 4 * CHUNK).unwrap(), r);
+        assert_eq!(alloc.frontier_chunks(), frontier);
+        // A shorter request does not split the run.
+        alloc.free_region(&mut ctx, r);
+        assert_ne!(alloc.alloc_region(&mut ctx, 3 * CHUNK).unwrap(), r);
+        let frontier = alloc.frontier_chunks();
+        // A blob of the run's length takes it, and the census books it as
+        // a blob run.
+        let b = alloc.alloc(&mut ctx, 4 * CHUNK).unwrap();
+        assert_eq!(b.addr, r);
+        assert_eq!(alloc.frontier_chunks(), frontier);
+        let census = PmAllocator::census(&mut ctx).unwrap();
+        assert_eq!(census.large, vec![(r, 4 * CHUNK)]);
+        assert!(census.regions.iter().all(|&(a, _)| a != r));
+    }
+
+    /// A run writes a header on its start, on every 64th chunk and on its
+    /// last chunk, and its free clears exactly those.
+    #[test]
+    fn a_run_carries_headers_on_its_start_every_64th_and_last_chunk() {
+        let (_dev, alloc, mut ctx) = setup();
+        let l = *alloc.layout();
+        let headers = |ctx: &MemCtx, start: u64, len: u64| -> Vec<u64> {
+            (0..len).filter(|&i| PmAllocator::header_peek(&l, ctx, start + i) != 0).collect()
+        };
+        for (len, want) in [(1, vec![0]), (2, vec![0, 1]), (5, vec![0, 4]), (65, vec![0, 64]), (130, vec![0, 64, 128, 129])] {
+            for region in [false, true] {
+                let addr = match region {
+                    true => alloc.alloc_region(&mut ctx, len * CHUNK).unwrap(),
+                    false => alloc.alloc(&mut ctx, len * CHUNK).unwrap().addr,
+                };
+                let start = l.chunk_of(addr);
+                assert_eq!(headers(&ctx, start, len), want, "len {len}, region {region}");
+                match region {
+                    true => alloc.free_region(&mut ctx, addr),
+                    false => alloc.free(&mut ctx, addr, len * CHUNK),
+                }
+                assert!(headers(&ctx, start, len).is_empty(), "len {len}, region {region}");
+            }
+        }
     }
 
     #[test]

@@ -331,6 +331,13 @@ const ROUTE: &str = "DESIGN.md §2, \"Core\": a request is routed once, by Spash
     overlay lookup, a stage 3 through run_one, or a second hash of a batched key charges the \
     request's route twice.";
 const PIPELINE: &[&str] = &["crates/core/src/pipeline.rs"];
+const RUNS: &str = "One run format, one release path (DESIGN.md §2, \"Substrates\"): a blob over \
+    128 B and a baseline's region are one kind of run in spash-alloc, with one start header \
+    (state byte and 24-bit length), one continuation state and one free list; the blob/region \
+    state bit only tells the census which is which. The retired blob-run states and the \
+    region tag entry stay deleted, and the allocator builds the free header on one line, in \
+    the one release every free ends in, and never clears a header with a literal. A second \
+    clear is a second free path, and its runs drift from the walk's.";
 
 /// Every structure row, grouped by the invariant its reason states.
 #[rustfmt::skip]
@@ -434,6 +441,10 @@ pub const ROWS: &[Row] = &[
     row("one-route-per-request", ROUTE, lines(CORE_SRC, sub(&["overlay.lookup("]).text(Text::NonTest), ONE)),
     row("pipeline-runs-no-run-one", ROUTE, absent(PIPELINE, tok(&["run_one"]).text(Text::NonTest))),
     row("pipeline-hashes-once", ROUTE, lines(PIPELINE, sub(&["hash_key("]).text(Text::NonTest), ONE)),
+
+    row("one-run-format", RUNS, absent(&["crates/", "src/", "tests/", "examples/"], sub(&["ST_LARGE", "ST_REGION", "alloc_region_tagged"]))),
+    row("one-run-release", RUNS, lines(ALLOC, sub(&["pack_header(ST_FREE"]).text(Text::NonTest), ONE)),
+    row("no-literal-header-clear", RUNS, absent(ALLOC, sub(&["header_set("]).also(&[", 0);"]).text(Text::NonTest))),
 
     test_runs(JOURNAL, "crates/service/src/lib.rs", "tests::eadr_publish_is_one_ntstore_and_one_fence"),
     row("journal-publishes-non-temporally", JOURNAL, lines(&["crates/service/src/lib.rs"], sub(&["ctx.ntstore_bytes("]), SOME)),

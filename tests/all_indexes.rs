@@ -5,44 +5,17 @@ use std::sync::Arc;
 
 use spash_repro::baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_repro::index_api::{IndexError, PersistentIndex};
-use spash_repro::pmem::{PmConfig, PmDevice};
-use spash_repro::spash::{ConcurrencyMode, Spash, SpashConfig};
+use spash_repro::pmem::PmDevice;
+use spash_repro::spash::ConcurrencyMode;
+
+mod support;
 
 const N_KINDS: usize = 8;
 
-fn device() -> Arc<PmDevice> {
-    PmDevice::new(PmConfig {
-        arena_size: 128 << 20,
-        ..PmConfig::small_test()
-    })
-}
-
-/// Build index kind `which` on a fresh device (the index and every context
-/// used against it must share one device).
+/// Build index kind `which`: the second Spash runs in `WriteLock` mode
+/// and Halo's log is 32 MiB.
 fn build(which: usize) -> (Arc<PmDevice>, Box<dyn PersistentIndex>) {
-    let dev = device();
-    let mut ctx = dev.ctx();
-    let idx: Box<dyn PersistentIndex> = match which {
-        0 => Box::new(Spash::format(&mut ctx, SpashConfig::test_default()).unwrap()),
-        1 => Box::new(
-            Spash::format(
-                &mut ctx,
-                SpashConfig {
-                    concurrency: ConcurrencyMode::WriteLock,
-                    ..SpashConfig::test_default()
-                },
-            )
-            .unwrap(),
-        ),
-        2 => Box::new(Cceh::format(&mut ctx, 1).unwrap()),
-        3 => Box::new(Dash::format(&mut ctx, 1).unwrap()),
-        4 => Box::new(Level::format(&mut ctx, 4).unwrap()),
-        5 => Box::new(CLevel::format(&mut ctx, 4).unwrap()),
-        6 => Box::new(Plush::format(&mut ctx, 4).unwrap()),
-        7 => Box::new(Halo::format(&mut ctx, 32 << 20).unwrap()),
-        _ => unreachable!(),
-    };
-    (dev, idx)
+    support::build(which, ConcurrencyMode::WriteLock, 32 << 20)
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! fault injection"): a seeded alloc/free workload is crashed at every
 //! scheduled media write, and after each injected crash the recovered
 //! heap's own books must be internally consistent — no two allocations
-//! overlap, no small slot's chunk is claimed by a segment, large run, or
+//! overlap, no small slot's chunk is claimed by a segment, blob run, or
 //! region (the double-free / double-alloc check), and the heap must keep
-//! serving allocations.
+//! serving allocations that its books do not already claim.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -22,18 +22,23 @@ fn device(domain: PersistenceDomain) -> std::sync::Arc<PmDevice> {
     PmDevice::new(pm)
 }
 
-/// Deterministic mix of small allocs, regions, and frees.
+/// Deterministic mix of small allocs, blob runs of 2–5 chunks, regions
+/// of 2–10 chunks, and frees: blob runs and regions share one free list,
+/// so a freed run of either kind may come back as the other.
 fn workload(alloc: &PmAllocator, ctx: &mut MemCtx) {
     let mut rng = Rng64::new(0xA110C);
-    let mut small: Vec<(spash_repro::pmem::PmAddr, u64)> = Vec::new();
+    let mut blobs: Vec<(spash_repro::pmem::PmAddr, u64)> = Vec::new();
     let mut regions: Vec<spash_repro::pmem::PmAddr> = Vec::new();
     for _ in 0..400 {
-        match rng.below(10) {
-            0..=4 => {
-                let size = 16 + rng.below(113);
+        match rng.below(12) {
+            n @ (0..=4 | 10..=11) => {
+                let size = match n {
+                    10..=11 => 257 + rng.below(4 * 256),
+                    _ => 16 + rng.below(113),
+                };
                 if let Ok(a) = alloc.alloc(ctx, size) {
                     ctx.write_u64(a.addr, size); // dirty the payload too
-                    small.push((a.addr, size));
+                    blobs.push((a.addr, size));
                 }
             }
             5..=6 => {
@@ -43,8 +48,8 @@ fn workload(alloc: &PmAllocator, ctx: &mut MemCtx) {
                 }
             }
             7..=8 => {
-                if !small.is_empty() {
-                    let (a, size) = small.swap_remove(rng.below(small.len() as u64) as usize);
+                if !blobs.is_empty() {
+                    let (a, size) = blobs.swap_remove(rng.below(blobs.len() as u64) as usize);
                     alloc.free(ctx, a, size);
                 }
             }
@@ -58,9 +63,20 @@ fn workload(alloc: &PmAllocator, ctx: &mut MemCtx) {
     }
 }
 
+/// The whole-chunk allocations the census books — segments, blob runs
+/// and regions — as `(base, byte length)`, sorted.
+fn chunk_ranges(census: &spash_repro::alloc::HeapCensus) -> Vec<(u64, u64)> {
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    ranges.extend(census.segments.iter().map(|&s| (s.0, 256)));
+    ranges.extend(census.large.iter().map(|&(a, l)| (a.0, l)));
+    ranges.extend(census.regions.iter().map(|&(a, l)| (a.0, l)));
+    ranges.sort_unstable();
+    ranges
+}
+
 /// No two live allocations may claim the same bytes. Small slots live in
 /// small-class chunks of their own, so their chunks must be disjoint from
-/// every segment, large run, and region.
+/// every segment, blob run, and region.
 fn assert_books_consistent(census: &spash_repro::alloc::HeapCensus, at: u64) {
     const CHUNK: u64 = 256;
     // Small slots: pairwise disjoint.
@@ -75,13 +91,9 @@ fn assert_books_consistent(census: &spash_repro::alloc::HeapCensus, at: u64) {
             w[1].0 .0
         );
     }
-    // Segments, large allocations, and regions: pairwise disjoint ranges,
-    // none of which may claim a small-class chunk.
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    ranges.extend(census.segments.iter().map(|&s| (s.0, CHUNK)));
-    ranges.extend(census.large.iter().map(|&(a, l)| (a.0, l)));
-    ranges.extend(census.regions.iter().map(|&(a, l)| (a.0, l)));
-    ranges.sort_unstable();
+    // Segments, blob runs, and regions: pairwise disjoint ranges, none of
+    // which may claim a small-class chunk.
+    let ranges = chunk_ranges(census);
     for w in ranges.windows(2) {
         assert!(
             w[0].0 + w[0].1 <= w[1].0,
@@ -168,7 +180,23 @@ fn sweep(domain: PersistenceDomain, max_points: u64, strict: bool) {
                 );
             }
         }
+        // So must the runs it hands out: a blob run and a region.
+        let run = rec.alloc.alloc(&mut rctx, 3 * 256).expect("post-recovery blob run");
         let r = rec.alloc.alloc_region(&mut rctx, 1024).expect("post-recovery region");
+        if strict {
+            for (base, len) in [(run.addr.0, 3 * 256), (r.0, 1024)] {
+                let claimed = chunk_ranges(&census)
+                    .into_iter()
+                    .chain(census.small_slots.iter().map(|&(a, l)| (a.0, l)))
+                    .find(|&(b, l)| b < base + len && base < b + l);
+                assert!(
+                    claimed.is_none(),
+                    "crash at write {k}: recovered heap re-issued {base:#x}+{len}, \
+                     which its books give to {claimed:?}"
+                );
+            }
+        }
+        rec.alloc.free(&mut rctx, run.addr, 3 * 256);
         rec.alloc.free_region(&mut rctx, r);
     }
 }

@@ -3,41 +3,17 @@
 //! drift in seven hash-table implementations at once.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use spash_repro::baselines::{CLevel, Cceh, Dash, Halo, Level, Plush};
 use spash_repro::index_api::{IndexError, PersistentIndex};
-use spash_repro::pmem::{PmConfig, PmDevice};
-use spash_repro::spash::{ConcurrencyMode, Spash, SpashConfig};
+use spash_repro::pmem::PmDevice;
+use spash_repro::spash::ConcurrencyMode;
 use spash_repro::workloads::Rng64;
 
-fn build(which: usize) -> (Arc<PmDevice>, Box<dyn PersistentIndex>) {
-    let dev = PmDevice::new(PmConfig {
-        arena_size: 128 << 20,
-        ..PmConfig::small_test()
-    });
-    let mut ctx = dev.ctx();
-    let idx: Box<dyn PersistentIndex> = match which {
-        0 => Box::new(Spash::format(&mut ctx, SpashConfig::test_default()).unwrap()),
-        1 => Box::new(
-            Spash::format(
-                &mut ctx,
-                SpashConfig {
-                    concurrency: ConcurrencyMode::WriteReadLock,
-                    ..SpashConfig::test_default()
-                },
-            )
-            .unwrap(),
-        ),
-        2 => Box::new(Cceh::format(&mut ctx, 1).unwrap()),
-        3 => Box::new(Dash::format(&mut ctx, 1).unwrap()),
-        4 => Box::new(Level::format(&mut ctx, 4).unwrap()),
-        5 => Box::new(CLevel::format(&mut ctx, 4).unwrap()),
-        6 => Box::new(Plush::format(&mut ctx, 4).unwrap()),
-        7 => Box::new(Halo::format(&mut ctx, 48 << 20).unwrap()),
-        _ => unreachable!(),
-    };
-    (dev, idx)
+mod support;
+
+/// Build index kind `which`: the second Spash runs in `WriteReadLock`
+/// mode and Halo's log is 48 MiB.
+fn build(which: usize) -> (std::sync::Arc<PmDevice>, Box<dyn PersistentIndex>) {
+    support::build(which, ConcurrencyMode::WriteReadLock, 48 << 20)
 }
 
 /// 40 k random mixed operations, checked op-by-op against a HashMap.
